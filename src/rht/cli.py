@@ -523,6 +523,9 @@ COMMANDS = {
     "verify": cmd_verify,
 }
 
+# least legal -n per subcommand: a tower needs a stage, a cross effect may be empty
+N_FLOOR = {"tower": 1, "layers": 1, "jet": 1, "crosseffect": 0}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -569,6 +572,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        if args.truncate is not None and args.truncate < 0:
+            raise UsageError(f"--truncate must be >= 0, got {args.truncate}")
+        if args.command in N_FLOOR and args.n < N_FLOOR[args.command]:
+            raise UsageError(f"{args.command} needs -n >= {N_FLOOR[args.command]}, got {args.n}")
         mf = parse_model(args.path)
         if args.truncate is not None:
             mf.truncate = args.truncate

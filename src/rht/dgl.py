@@ -18,9 +18,11 @@ commutator-span rank computation in the tensor algebra.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from functools import cached_property
+from typing import Optional, Union
 
 from .dgcore import (
     DG,
@@ -104,11 +106,9 @@ class FreeLieBasis:
         self.gen_name = tuple(n for n, _ in gens)
         self.gen_index = {n: i for i, n in enumerate(self.gen_name)}
         self._words: dict[int, tuple[Word, ...]] = {}
-        self._word_index: dict[int, dict[Word, int]] = {}
         self.monomials: dict[int, tuple[Tree, ...]] = {}
         self._expand_cache: dict[Tree, TensorPoly] = {}
-        self._expansion: dict[int, QMatrix] = {}
-        self._left_inv: dict[int, QMatrix] = {}
+        self._leading: dict[int, dict[Word, tuple[int, Fraction]]] = {}
         self._build_monomials()
 
     # equality is by presentation, not by caches
@@ -138,7 +138,6 @@ class FreeLieBasis:
                     acc.extend((i,) + w for w in self.words(d - gd))
             out = tuple(acc)
         self._words[d] = out
-        self._word_index[d] = {w: j for j, w in enumerate(out)}
         return out
 
     def word_degree(self, w: Word) -> int:
@@ -203,26 +202,24 @@ class FreeLieBasis:
 
     # coordinates ---------------------------------------------------------------
 
-    def expansion_matrix(self, d: int) -> QMatrix:
-        if d not in self._expansion:
-            words = self.words(d)
-            idx = self._word_index[d]
-            ent = {}
-            for j, t in enumerate(self.monomials.get(d, ())):
-                for w, c in self.expand(t).items():
-                    ent[(idx[w], j)] = c
-            self._expansion[d] = QMatrix(len(words), len(self.monomials.get(d, ())), ent)
-        return self._expansion[d]
+    def _leading_words(self, d: int) -> dict[Word, tuple[int, Fraction]]:
+        """Least word of each degree-d monomial's expansion -> (index, coefficient).
 
-    def _coord_map(self, d: int) -> QMatrix:
-        if d not in self._left_inv:
-            m = self.expansion_matrix(d)
-            gram = m.transpose() * m
-            sol = solve_matrix(gram, m.transpose())
-            if sol is None:
-                raise ValueError(f"monomial expansions dependent in degree {d}")
-            self._left_inv[d] = sol
-        return self._left_inv[d]
+        Chen-Fox-Lyndon: a standard-bracketed Lyndon word expands to itself
+        plus larger words, and an odd square [l,l] to 2ll plus larger words,
+        so the least words are distinct and coords can peel a Lie element by
+        its least word, which must lead some monomial's expansion.
+        """
+        if d not in self._leading:
+            lead: dict[Word, tuple[int, Fraction]] = {}
+            for j, t in enumerate(self.monomials.get(d, ())):
+                e = self.expand(t)
+                w = min(e)
+                if w in lead:
+                    raise ValueError(f"monomial expansions dependent in degree {d}")
+                lead[w] = (j, e[w])
+            self._leading[d] = lead
+        return self._leading[d]
 
     def coords(self, poly: TensorPoly) -> dict[int, Vector]:
         """Coordinates of a Lie element in the monomial basis, per degree.
@@ -237,16 +234,23 @@ class FreeLieBasis:
         for d, part in sorted(split.items()):
             if d > self.cap:
                 continue
-            words = self.words(d)
-            idx = self._word_index[d]
-            vec = [ZERO] * len(words)
-            for w, c in part.items():
-                vec[idx[w]] = c
-            vec = tuple(vec)
-            x = self._coord_map(d).apply(vec)
-            if self.expansion_matrix(d).apply(x) != vec:
-                raise ValueError(f"element is not in the Lie span in degree {d}")
-            out[d] = x
+            lead = self._leading_words(d)
+            ms = self.monomials.get(d, ())
+            x = [ZERO] * len(ms)
+            rest = {w: c for w, c in part.items() if c}
+            while rest:
+                w = min(rest)
+                if w not in lead:
+                    raise ValueError(f"element is not in the Lie span in degree {d}")
+                j, lc = lead[w]
+                x[j] = c = rest[w] / lc
+                for u, e in self.expand(ms[j]).items():
+                    v = rest.get(u, ZERO) - c * e
+                    if v:
+                        rest[u] = v
+                    else:
+                        del rest[u]
+            out[d] = tuple(x)
         return out
 
     def diff_poly(self, gen_diff: Mapping[int, TensorPoly], poly: TensorPoly) -> TensorPoly:
@@ -403,6 +407,47 @@ class FreeDGL:
         return all(len(w) == 1 for p in self.gen_diff.values() for w in p)
 
 
+class _LazyBracketTable(Mapping):
+    """Structure constants of a free Lie basis, computed on first access.
+
+    The table costs one coords call per pair of basis monomials; homotopy
+    only needs the differential, so it never pays for it.
+    """
+
+    def __init__(self, basis: FreeLieBasis):
+        self._basis = basis
+
+    @cached_property
+    def _table(self) -> dict[tuple[int, int, int, int], Vector]:
+        return _bracket_table(self._basis)
+
+    def __getitem__(self, key):
+        return self._table[key]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self):
+        return len(self._table)
+
+
+def _bracket_table(b: FreeLieBasis) -> dict[tuple[int, int, int, int], Vector]:
+    table: dict[tuple[int, int, int, int], Vector] = {}
+    degs = sorted(b.monomials)
+    for d1 in degs:
+        for d2 in degs:
+            if d1 + d2 > b.cap or (d1 + d2) not in b.monomials:
+                continue
+            tgt = len(b.monomials[d1 + d2])
+            for i1, t1 in enumerate(b.monomials[d1]):
+                for i2, t2 in enumerate(b.monomials[d2]):
+                    poly = b.bracket_poly(b.expand(t1), b.expand(t2))
+                    vec = b.coords(poly).get(d1 + d2, zero_vec(tgt))
+                    if any(vec):
+                        table[(d1, i1, d2, i2)] = vec
+    return table
+
+
 def to_dgl(l: FreeDGL) -> DGL:
     """Expand a truncated free DGL into an explicit structure-constant DGL."""
     if l._dgl is not None:
@@ -419,20 +464,7 @@ def to_dgl(l: FreeDGL) -> DGL:
             co = b.coords(l.d_poly(b.expand(t)))
             cols.append(co.get(d - 1, zero_vec(tgt)))
         diff[d] = QMatrix.from_columns(cols, tgt)
-    table: dict[tuple[int, int, int, int], Vector] = {}
-    degs = sorted(b.monomials)
-    for d1 in degs:
-        for d2 in degs:
-            if d1 + d2 > b.cap or (d1 + d2) not in b.monomials:
-                continue
-            tgt = len(b.monomials[d1 + d2])
-            for i1, t1 in enumerate(b.monomials[d1]):
-                for i2, t2 in enumerate(b.monomials[d2]):
-                    poly = b.bracket_poly(b.expand(t1), b.expand(t2))
-                    vec = b.coords(poly).get(d1 + d2, zero_vec(tgt))
-                    if any(vec):
-                        table[(d1, i1, d2, i2)] = vec
-    out = DGL(DG(dg_basis, diff), table, cap=b.cap)
+    out = DGL(DG(dg_basis, diff), _LazyBracketTable(b), cap=b.cap)
     l._dgl = out
     return out
 
@@ -447,29 +479,22 @@ class FreeDGLMap:
             i: dict(p) for i, p in gen_images.items() if p
         }
 
-    def image_poly(self, poly: TensorPoly) -> TensorPoly:
-        out: TensorPoly = {}
-        for w, c in poly.items():
-            part: TensorPoly = {(): c}
-            for letter in w:
-                img = self.gen_images.get(letter, {})
-                part = tp_concat(part, img)
-                if not part:
-                    break
-            out = tp_add(out, part)
-        return out
-
     def to_dgmap(self) -> DGMap:
         sb, tb = self.source.basis, self.target.basis
         src = to_dgl(self.source).underlying
         tgt = to_dgl(self.target).underlying
+        images: dict[Tree, TensorPoly] = dict(self.gen_images)
+
+        def image(t: Tree) -> TensorPoly:
+            # a Lie map sends [t0, t1] to the graded commutator of the images
+            if t not in images:
+                images[t] = {} if isinstance(t, int) else tb.bracket_poly(image(t[0]), image(t[1]))
+            return images[t]
+
         blocks = {}
         for d, ms in sb.monomials.items():
             tdim = tgt.dim(d)
-            cols = []
-            for t in ms:
-                img = self.image_poly(sb.expand(t))
-                cols.append(tb.coords(img).get(d, zero_vec(tdim)))
+            cols = [tb.coords(image(t)).get(d, zero_vec(tdim)) for t in ms]
             blocks[d] = QMatrix.from_columns(cols, tdim)
         return DGMap(src, tgt, blocks)
 

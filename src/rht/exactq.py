@@ -373,34 +373,36 @@ def rank_kernel_image(m: QMatrix) -> tuple[int, list[Vector], list[Vector]]:
     return len(pivots), kernel, image
 
 
+def _solve(m: QMatrix, b: QMatrix) -> Optional[QMatrix]:
+    """X with m X = b from one elimination of [m | b].
+
+    Pivots are taken in m's columns only, so they do not depend on b and each
+    column of X equals a one-column solve.  A row still nonzero afterwards has
+    its pivot in b's part: some column is inconsistent.
+    """
+    rows, pivots = _rref_rows(_sparse_rows(QMatrix.hstack([m, b])), m.cols)
+    if any(rows[len(pivots):]):
+        return None
+    out = QMatrix(m.cols, b.cols)
+    out.entries = {
+        (pc, c - m.cols): v for pc, row in zip(pivots, rows) for c, v in row.items() if c >= m.cols
+    }
+    return out
+
+
 def solve_linear(m: QMatrix, b: Sequence[Fraction]) -> Optional[Vector]:
     """Some x with m x = b, free variables set to 0; None when inconsistent."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    rows = _sparse_rows(m)
-    for i, x in enumerate(b):
-        if x != 0:
-            rows[i][m.cols] = rat(x)
-    rows, pivots = _rref_rows(rows, m.cols + 1)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = [ZERO] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i].get(m.cols, ZERO)
-    return tuple(x)
+    x = _solve(m, QMatrix(m.rows, 1, {(i, 0): v for i, v in enumerate(b)}))
+    return None if x is None else x.column(0)
 
 
 def solve_matrix(m: QMatrix, b: QMatrix) -> Optional[QMatrix]:
-    """Columnwise solve: X with m X = b, or None if any column is inconsistent."""
+    """X with m X = b, free variables set to 0; None if any column is inconsistent."""
     if b.rows != m.rows:
         raise ValueError("shape mismatch in solve_matrix")
-    cols = []
-    for j in range(b.cols):
-        x = solve_linear(m, b.column(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return QMatrix.from_columns(cols, m.cols)
+    return _solve(m, b)
 
 
 def extend_to_basis(spanning: QMatrix, candidates: QMatrix) -> list[int]:

@@ -139,8 +139,7 @@ def test_sphere_reproduction_through_cap_16():
 
 def random_free_map(rng, cap=10):
     ngens = rng.randint(1, 2)
-    # two degree-1 generators make the cap-10 basis large; keep those apart
-    degs = [rng.randint(2, 4) for _ in range(ngens)] if ngens > 1 else [rng.randint(1, 4)]
+    degs = [rng.randint(1, 4) for _ in range(ngens)]
     l1 = FreeDGL(free_lie_basis([(f"x{i}", d) for i, d in enumerate(degs)], cap), {})
     b2 = free_lie_basis([(f"y{i}", d) for i, d in enumerate(degs)], cap)
     l2 = FreeDGL(b2, {})

@@ -224,6 +224,31 @@ def test_exit_codes(tmp_path):
     assert main(["nonsense", f"{MODELS}/s3.dgc"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("homology", f"{MODELS}/twocell.dg", "--truncate", "-3"),
+        ("homotopy", f"{MODELS}/s3.dgc", "--truncate", "-1"),
+        ("tower", "-n", "0", f"{MODELS}/s3.dgc"),
+        ("layers", "-n", "0", f"{MODELS}/polynomial.dgc"),
+        ("jet", "-n", "-2", f"{MODELS}/polynomial.dgc"),
+        ("crosseffect", "-n", "-1", f"{MODELS}/twocell.dg"),
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(argv, capsys):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
+def test_boundary_arguments_are_not_usage_errors(capsys):
+    assert main(["crosseffect", "-n", "0", f"{MODELS}/twocell.dg"]) == 0
+    # cap 0 is legal; it is the model that cannot be cut that low
+    assert main(["tower", "-n", "1", f"{MODELS}/s3.dgc", "--truncate", "0"]) == 1
+    assert "usage error" not in capsys.readouterr().err
+
+
 def test_reports_are_byte_identical():
     for argv in (
         ("homotopy", f"{MODELS}/s4.dgc", "--truncate", "9"),

@@ -36,7 +36,7 @@ from rht.dgl import (
     to_dgl,
     zero_dgl_map,
 )
-from rht.exactq import ONE, QMatrix, rank, rat
+from rht.exactq import ONE, QMatrix, rank, rat, solve_linear, zero_vec
 
 
 # -- independent commutator-span oracle -----------------------------------------
@@ -180,6 +180,89 @@ def test_to_dgl_small_free_valid():
     h = homology_dims(dgl.underlying)
     # [x,x] is hit by y, so nothing survives in degree 2
     assert h.get(1) == 1 and 2 not in h
+
+
+# -- coordinates against an independent solve ----------------------------------------
+
+COORD_GENERATOR_SETS = [
+    [("a", 1)],
+    [("a", 1), ("b", 1)],
+    [("a", 2), ("b", 3)],
+    [("x", 2), ("y", 2), ("z", 4)],
+    [("a", 1), ("b", 2), ("c", 3)],
+]
+
+
+def _solved_coords(b, poly, d):
+    """Solve expansion matrix * x = poly in degree d; None if not in the span."""
+    words = b.words(d)
+    row = {w: i for i, w in enumerate(words)}
+    ms = b.monomials.get(d, ())
+    m = QMatrix(len(words), len(ms), {
+        (row[w], j): c for j, t in enumerate(ms) for w, c in b.expand(t).items()
+    })
+    return solve_linear(m, tuple(rat(poly.get(w, 0)) for w in words))
+
+
+def _basis_pairs(b):
+    for d1, ms1 in b.monomials.items():
+        for d2, ms2 in b.monomials.items():
+            if d1 + d2 <= b.cap:
+                for t1 in ms1:
+                    for t2 in ms2:
+                        yield d1 + d2, b.bracket_poly(b.expand(t1), b.expand(t2))
+
+
+@pytest.mark.parametrize("gens", COORD_GENERATOR_SETS)
+def test_coords_match_an_independent_solve(gens):
+    b = free_lie_basis(gens, 6)
+    rejected = 0
+    for d, poly in _basis_pairs(b):
+        zeros = zero_vec(len(b.monomials.get(d, ())))
+        assert b.coords(poly).get(d, zeros) == _solved_coords(b, poly, d)
+        if len(poly) < 2:
+            continue
+        # one more copy of the largest word; the solve decides whether it
+        # leaves the Lie span
+        bad = dict(poly)
+        bad[max(bad)] += 1
+        want = _solved_coords(b, bad, d)
+        if want is None:
+            rejected += 1
+            with pytest.raises(ValueError, match="not in the Lie span"):
+                b.coords(bad)
+        else:
+            assert b.coords(bad)[d] == want
+    assert rejected or gens == [("a", 1)]
+
+
+def test_odd_square_leads_with_coefficient_two():
+    b = free_lie_basis([("a", 1), ("b", 3)], 6)
+    names = [b.tree_name(t) for t in b.monomials[6]]
+    sq = b.monomials[6][names.index("[b,b]")]
+    assert min(b.expand(sq)) == (1, 1) and b.expand(sq)[(1, 1)] == 2
+    want = tuple(Fraction(1, 2) if t == sq else rat(0) for t in b.monomials[6])
+    assert b.coords({(1, 1): rat(1)}) == {6: want}
+
+
+def test_lazy_bracket_table_equals_the_eager_one():
+    b = free_lie_basis([("a", 1), ("b", 2), ("c", 3)], 6)
+    # d b = a, d c = [a,a]
+    l = FreeDGL(b, {1: {(0,): ONE}, 2: dict(b.expand((0, 0)))})
+    eager = {}
+    for d1, ms1 in b.monomials.items():
+        for d2, ms2 in b.monomials.items():
+            if d1 + d2 not in b.monomials:
+                continue
+            for i1, t1 in enumerate(ms1):
+                for i2, t2 in enumerate(ms2):
+                    vec = b.coords(b.bracket_poly(b.expand(t1), b.expand(t2))).get(d1 + d2)
+                    if vec and any(vec):
+                        eager[(d1, i1, d2, i2)] = vec
+    lazy = to_dgl(l)
+    assert dict(lazy.bracket.items()) == eager
+    assert lazy == DGL(lazy.underlying, eager, cap=b.cap)
+    assert dgl_validate(lazy) == []
 
 
 # -- coproducts and products ----------------------------------------------------------

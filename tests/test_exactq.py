@@ -180,6 +180,40 @@ def test_solve_matrix_and_extend():
     assert extend_to_basis(spanning, cands) == [1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_matrix(max_dim=4), st.data())
+def test_solve_matrix_matches_columnwise_solves(m, data):
+    cols = []
+    for j in range(data.draw(st.integers(0, 3), label="rhs columns")):
+        kind = data.draw(st.sampled_from(("image", "random", "zero")), label=f"kind{j}")
+        if kind == "image":
+            cols.append(m.apply(tuple(rat(data.draw(small_entries)) for _ in range(m.cols))))
+        elif kind == "random":
+            cols.append(tuple(rat(data.draw(small_entries)) for _ in range(m.rows)))
+        else:
+            cols.append((rat(0),) * m.rows)
+    each = [solve_linear(m, col) for col in cols]
+    for col, x in zip(cols, each):
+        augmented = QMatrix.hstack([m, QMatrix.from_columns([col], m.rows)])
+        assert (x is None) == (rank(augmented) > rank(m))
+    b = QMatrix.from_columns(cols, m.rows)
+    got = solve_matrix(m, b)
+    if any(x is None for x in each):
+        assert got is None
+    else:
+        assert got == QMatrix.from_columns(each, m.cols)
+        assert m * got == b
+
+
+def test_solve_matrix_edge_shapes():
+    assert solve_matrix(HAND, QMatrix.zero(2, 0)) == QMatrix.zero(2, 0)
+    assert solve_matrix(HAND, QMatrix.zero(2, 3)) == QMatrix.zero(2, 3)
+    assert solve_matrix(QMatrix.zero(2, 0), QMatrix.zero(2, 1)) == QMatrix.zero(0, 1)
+    assert solve_matrix(QMatrix.zero(2, 0), QMatrix.identity(2)) is None
+    # the second column is inconsistent, so the whole solve is
+    assert solve_matrix(HAND, QMatrix.from_rows([[1, 1], [2, 3]])) is None
+
+
 def test_kernel_image_deterministic_order():
     m = QMatrix.from_rows([[0, 1, 2], [0, 2, 4]])
     assert kernel_basis(m) == [
