@@ -38,6 +38,7 @@ from .dgcore import (
     shift,
     sub_dg,
     sum_many,
+    sym_orbits,
     telescope,
     tensor_dg,
     zero_map,
@@ -947,7 +948,7 @@ def _power_with_swaps(x: DG, n: int) -> tuple[DG, list[DGMap]]:
 def homogeneous_eval(
     coefficient: SymmetricDG, x: DG, n: int, target: str = "dg", r: int = 2
 ):
-    """(A (x) x^{(x) n})_{Sigma_n} by the averaging projector, then delooped
+    """(A (x) x^{(x) n})_{Sigma_n} as the orbit quotient, then delooped
     into the target category (dg: as is; dgl: one desuspension; dgc: reduced)."""
     if coefficient.n != n:
         raise ValueError("coefficient arity does not match n")
@@ -956,10 +957,7 @@ def homogeneous_eval(
     actions = [
         tensor_map(a, s) for a, s in zip(coefficient.action, swaps)
     ]
-    sym = SymmetricDG(und, n, actions)
-    from .dgcore import sym_invariants
-
-    orbits = sym_invariants(sym)[1]
+    orbits = sym_orbits(SymmetricDG(und, n, actions))[0]
     if target == "dg":
         return orbits
     if target == "dgl":

@@ -17,11 +17,13 @@ from .exactq import (
     ZERO,
     QMatrix,
     Vector,
+    _kernel_from_rref,
     extend_to_basis,
     image_pivot_columns,
     kernel_basis,
     rank,
     rat,
+    rref,
     solve_linear,
     zero_vec,
 )
@@ -201,29 +203,37 @@ def assert_valid(x, context: str = ""):
 
 
 def homology(v: DG) -> tuple[dict[int, int], dict[int, list[Vector]]]:
-    """Homology dimensions and representative cycles per degree."""
+    """Homology dimensions and representative cycles per degree.
+
+    The cycles z_j come from one rref of d_k, one per free column f_j, and a
+    cycle's coordinates in that basis are its entries at the f_j.  z_j is kept
+    iff it is independent of the boundaries and z_0..z_{j-1}, that is iff no
+    boundary's coordinates end at j: with the coordinate order reversed, iff j
+    is not a pivot of the boundaries' rref.
+    """
     dims: dict[int, int] = {}
     reps: dict[int, list[Vector]] = {}
-    degrees = set(v.basis)
-    for k in sorted(degrees):
-        n = v.dim(k)
-        if n == 0:
-            continue
-        cycles = kernel_basis(v.d(k))
+    for k in v.degrees():
+        red, pivots = rref(v.d(k))
+        cycles = _kernel_from_rref(red, pivots)
+        z, pivot_set = len(cycles), set(pivots)
+        free = [f for f in range(v.dim(k)) if f not in pivot_set]
+        reversed_at = {f: z - 1 - j for j, f in enumerate(free)}
         dkp1 = v.d(k + 1)
-        bpivots = image_pivot_columns(dkp1)
-        bmat = QMatrix.from_columns([dkp1.column(j) for j in bpivots], n)
-        zmat = QMatrix.from_columns(cycles, n)
-        chosen = extend_to_basis(bmat, zmat)
-        h = len(chosen)
-        if h:
-            dims[k] = h
-            reps[k] = [cycles[i] for i in chosen]
+        bnd = QMatrix(dkp1.cols, z, {(c, reversed_at[r]): x for (r, c), x in dkp1.entries.items() if r in reversed_at})
+        ends = {z - 1 - p for p in rref(bnd)[1]}
+        chosen = [z_j for j, z_j in enumerate(cycles) if j not in ends]
+        if chosen:
+            dims[k] = len(chosen)
+            reps[k] = chosen
     return dims, reps
 
 
 def homology_dims(v: DG) -> dict[int, int]:
-    return homology(v)[0]
+    """dim H_k = dim V_k - rank d_k - rank d_{k+1}, one rank per nonzero d."""
+    ranks = {k: rank(m) for k, m in v.diff.items()}
+    dims = {k: v.dim(k) - ranks.get(k, 0) - ranks.get(k + 1, 0) for k in v.degrees()}
+    return {k: h for k, h in dims.items() if h}
 
 
 def is_contractible(v: DG) -> bool:
@@ -246,7 +256,7 @@ def is_quasi_iso_through(f: DGMap, top: int) -> bool:
 
 def _quasi_iso(f: DGMap, top) -> bool:
     hv, rv = homology(f.source)
-    hw, _ = homology(f.target)
+    hw = homology_dims(f.target)
     if top is not None:
         hv = {k: d for k, d in hv.items() if k <= top}
         hw = {k: d for k, d in hw.items() if k <= top}
@@ -610,7 +620,7 @@ def quotient_dg(v: DG, killed: dict[int, list[Vector]], prefix: str = "q") -> tu
 
         sol = solve_matrix(full, QMatrix.identity(n))
         if sol is None:
-            raise ValueError("internal: quotient basis does not span")
+            raise AssertionError("internal: quotient basis does not span")
         # rows below the killed block give the quotient coordinates
         ent = {}
         for (r0, c0), val in sol.entries.items():
@@ -1266,6 +1276,20 @@ class SymmetricDG:
         return map_scale(Fraction(1, len(elems)), total)
 
 
+def sym_orbits(v: SymmetricDG) -> tuple[DG, DGMap]:
+    """Orbits: the quotient by the images of g - 1 over the generators, with
+    the projection."""
+    u = v.underlying
+    killed: dict[int, list[Vector]] = {}
+    for k in u.degrees():
+        vs = []
+        for a in v.action:
+            m = a.block(k) - QMatrix.identity(u.dim(k))
+            vs.extend(m.column(j) for j in range(u.dim(k)))
+        killed[k] = vs
+    return quotient_dg(u, killed, prefix="orb")
+
+
 def sym_invariants(v: SymmetricDG):
     """Fixed points, orbits, trace, norm, and the averaging idempotent."""
     u = v.underlying
@@ -1274,14 +1298,7 @@ def sym_invariants(v: SymmetricDG):
         stacked = QMatrix.vstack([a.block(k) - QMatrix.identity(u.dim(k)) for a in v.action]) if v.action else QMatrix.zero(0, u.dim(k))
         vectors[k] = kernel_basis(stacked) if v.action else [QMatrix.identity(u.dim(k)).column(j) for j in range(u.dim(k))]
     fixed, incl = sub_dg(u, vectors, prefix="fix")
-    killed: dict[int, list[Vector]] = {}
-    for k in u.degrees():
-        vs = []
-        for a in v.action:
-            m = a.block(k) - QMatrix.identity(u.dim(k))
-            vs.extend(m.column(j) for j in range(u.dim(k)))
-        killed[k] = vs
-    orbits, proj = quotient_dg(u, killed, prefix="orb")
+    orbits, proj = sym_orbits(v)
     trace = compose(proj, incl)
     avg = v.average()
     # norm: orbit class [x] -> Avg(x), expressed in the fixed-point basis

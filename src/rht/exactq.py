@@ -326,23 +326,22 @@ def rank(m: QMatrix) -> int:
     return len(rref(m)[1])
 
 
+def _kernel_from_rref(red: QMatrix, pivots: list[int]) -> list[Vector]:
+    """Basis of the kernel read off an rref: for each free column j, the vector
+    with 1 at j and minus column j of the rref at the pivot columns."""
+    pivot_set = set(pivots)
+    basis = {j: [ZERO] * red.cols for j in range(red.cols) if j not in pivot_set}
+    for (i, j), v in red.entries.items():
+        if j in basis:
+            basis[j][pivots[i]] = -v
+    for j, v in basis.items():
+        v[j] = ONE
+    return [tuple(v) for v in basis.values()]
+
+
 def kernel_basis(m: QMatrix) -> list[Vector]:
     """Basis of ker(m), one vector per free column, deterministic order."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    rows = _sparse_rows(red)
-    basis: list[Vector] = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[j] = ONE
-        for i, pc in enumerate(pivots):
-            coeff = rows[i].get(j, ZERO)
-            if coeff != 0:
-                v[pc] = -coeff
-        basis.append(tuple(v))
-    return basis
+    return _kernel_from_rref(*rref(m))
 
 
 def image_pivot_columns(m: QMatrix) -> list[int]:
@@ -356,21 +355,7 @@ def image_basis(m: QMatrix) -> list[Vector]:
 
 def rank_kernel_image(m: QMatrix) -> tuple[int, list[Vector], list[Vector]]:
     red, pivots = rref(m)
-    pivot_set = set(pivots)
-    rows = _sparse_rows(red)
-    kernel: list[Vector] = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[j] = ONE
-        for i, pc in enumerate(pivots):
-            coeff = rows[i].get(j, ZERO)
-            if coeff != 0:
-                v[pc] = -coeff
-        kernel.append(tuple(v))
-    image = [m.column(j) for j in pivots]
-    return len(pivots), kernel, image
+    return len(pivots), _kernel_from_rref(red, pivots), [m.column(j) for j in pivots]
 
 
 def _solve(m: QMatrix, b: QMatrix) -> Optional[QMatrix]:

@@ -18,6 +18,7 @@ from rht.calculus import (
     TnFunctor,
     Tower,
     cross_effect,
+    _power_with_swaps,
     homogeneous_eval,
     jet_extract,
     jet_validate,
@@ -47,6 +48,7 @@ from rht.dgcore import (
     map_from_names,
     shift,
     sum_dg,
+    sym_invariants,
     tensor_dg,
     validate_dg,
 )
@@ -418,6 +420,21 @@ def test_homogeneous_sign_rep_picks_the_antisymmetric_line():
     y = DG({2: ("x", "y")})
     out = homogeneous_eval(lie_n(2).rep, y, 2)
     assert {k: out.dim(k) for k in out.degrees()} == {4: 1}
+
+
+def test_homogeneous_eval_is_the_orbit_part_of_sym_invariants():
+    # d b = c, so x has one class; y has two classes and no differential
+    x = DG({1: ("c",), 2: ("a", "b")}, {2: QMatrix.from_rows([[0, 1]])})
+    small = DG({1: ("c",), 2: ("b",)}, {2: QMatrix.from_rows([[1]])})
+    y = DG({2: ("x", "y")})
+    cases = [(lie_n(2).derivative(), x, 2), (lie_n(3).derivative(), x, 3), (lie_n(4).derivative(), small, 4),
+             (lie_n(2).rep, y, 2)]
+    for coefficient, v, n in cases:
+        pw, swaps = _power_with_swaps(v, n)
+        actions = [tensor_map(a, s) for a, s in zip(coefficient.action, swaps)]
+        orbits = sym_invariants(SymmetricDG(tensor_dg(coefficient.underlying, pw), n, actions))[1]
+        got = homogeneous_eval(coefficient, v, n)
+        assert got == orbits and got.basis == orbits.basis and got.diff == orbits.diff
 
 
 def test_homogeneous_targets():

@@ -7,6 +7,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rht.dgcore import (
     BiDG,
@@ -32,9 +34,11 @@ from rht.dgcore import (
     is_bicartesian,
     is_contractible,
     is_quasi_iso,
+    is_quasi_iso_through,
     map_from_names,
     map_scale,
     paths_dg,
+    quotient_dg,
     reduce_truncate,
     shift,
     standard_tensor,
@@ -45,7 +49,7 @@ from rht.dgcore import (
     validate_dg,
     zero_map,
 )
-from rht.exactq import ONE, QMatrix, rat
+from rht.exactq import ONE, QMatrix, extend_to_basis, image_pivot_columns, kernel_basis, rank, rat
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
 
 
@@ -149,6 +153,79 @@ def test_big_loops_injections_quasi_iso():
         assert validate_dg(big) == []
         assert validate_dg(i1) == [] and validate_dg(i2) == []
         assert is_quasi_iso(i1) and is_quasi_iso(i2)
+
+
+# -- one-pass homology against the earlier three-reduction algorithm ----------------
+
+
+def _three_reduction_homology(v: DG):
+    """Cycles from ker d_k, a basis of the boundaries from the pivots of d_{k+1},
+    then the cycles that extend the boundaries to a basis of both."""
+    dims, reps = {}, {}
+    for k in v.degrees():
+        n = v.dim(k)
+        cycles = kernel_basis(v.d(k))
+        dkp1 = v.d(k + 1)
+        bmat = QMatrix.from_columns([dkp1.column(j) for j in image_pivot_columns(dkp1)], n)
+        chosen = extend_to_basis(bmat, QMatrix.from_columns(cycles, n))
+        if chosen:
+            dims[k] = len(chosen)
+            reps[k] = [cycles[i] for i in chosen]
+    return dims, reps
+
+
+def _three_reduction_quasi_iso(f: DGMap, top=None) -> bool:
+    hv, rv = _three_reduction_homology(f.source)
+    hw, _ = _three_reduction_homology(f.target)
+    if top is not None:
+        hv = {k: d for k, d in hv.items() if k <= top}
+        hw = {k: d for k, d in hw.items() if k <= top}
+        rv = {k: r for k, r in rv.items() if k <= top}
+    if hv != hw:
+        return False
+    for k, reps in rv.items():
+        n = f.target.dim(k)
+        dkp1 = f.target.d(k + 1)
+        bmat = QMatrix.from_columns([dkp1.column(j) for j in image_pivot_columns(dkp1)], n)
+        images = QMatrix.from_columns([f.apply(k, z) for z in reps], n)
+        if rank(QMatrix.hstack([bmat, images])) != bmat.cols + len(reps):
+            return False
+    return True
+
+
+# spheres plus disks under a random change of basis per degree
+random_dgs = st.builds(
+    lambda seed, lo, width, pieces: random_dg(Random(seed), lo, lo + width, pieces),
+    st.integers(0, 2**32 - 1), st.integers(-1, 2), st.integers(0, 3), st.integers(1, 9),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_dgs)
+def test_homology_matches_the_three_reduction_algorithm(v):
+    dims, reps = homology(v)
+    assert (dims, reps) == _three_reduction_homology(v)
+    assert homology_dims(v) == dims
+    assert is_contractible(v) == (not dims)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(-1, 3))
+def test_is_quasi_iso_matches_the_three_reduction_test(seed, same_target, top):
+    rng = Random(seed)
+    v = random_dg(rng, 0, 2, 5)
+    w = v if same_target else random_dg(rng, 0, 2, 5, prefix="w")
+    # a self-map always matches homology dims; the zero map is no quasi-iso unless H = 0
+    maps = [random_chain_map(rng, v, w), zero_map(v, w)] + ([identity_map(v)] if same_target else [])
+    for f in maps:
+        assert is_quasi_iso(f) == _three_reduction_quasi_iso(f)
+        assert is_quasi_iso_through(f, top) == _three_reduction_quasi_iso(f, top)
+
+
+def test_quotient_that_does_not_span_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr("rht.exactq.solve_matrix", lambda m, b: None)
+    with pytest.raises(AssertionError, match="internal: quotient basis does not span"):
+        quotient_dg(DG({0: ("a", "b")}), {0: [(ONE, ONE)]})
 
 
 # -- monoidal ---------------------------------------------------------------------

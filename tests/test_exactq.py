@@ -214,6 +214,34 @@ def test_solve_matrix_edge_shapes():
     assert solve_matrix(HAND, QMatrix.from_rows([[1, 1], [2, 3]])) is None
 
 
+@st.composite
+def matrix_or_empty(draw, max_dim=5):
+    r = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, max_dim))
+    if draw(st.booleans()):
+        return QMatrix.zero(r, c)
+    ent = draw(st.dictionaries(st.tuples(st.integers(0, max(r - 1, 0)), st.integers(0, max(c - 1, 0))),
+                               small_entries, max_size=r * c))
+    return QMatrix(r, c, ent if r and c else {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_or_empty())
+def test_rank_is_the_pivot_count_and_kernels_agree(m):
+    red, pivots = rref(m)
+    assert rank(m) == len(pivots)
+    # the kernel read off the rref, one loop per free column as before
+    rows = red.to_rows()
+    loop = []
+    for j in (j for j in range(m.cols) if j not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[j] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][j]
+        loop.append(tuple(v))
+    assert kernel_basis(m) == loop == rank_kernel_image(m)[1]
+
+
 def test_kernel_image_deterministic_order():
     m = QMatrix.from_rows([[0, 1, 2], [0, 2, 4]])
     assert kernel_basis(m) == [
