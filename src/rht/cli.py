@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dgc import DGC, dgc_validate, to_dgc
-from .dgcore import DG, DGMap, homology_dims, validate_dg
+from .dgcore import DG, DGMap, homology, homology_dims, validate_dg
 from .dgl import DGL, DGLMap, abelian_dgl, abelianize_dgl, dgl_validate, hurewicz_check, to_dgl
 from .exactq import ONE, QMatrix, rat, vec_add, vec_scale, zero_vec
 from .quillen import cec_C, cobar_L, rational_invariants
@@ -402,7 +402,7 @@ def _underlying(model) -> DG:
 
 
 def cmd_homology(model, mf, args, report):
-    report["homology"] = _dims_table(homology_dims(_underlying(model)), args.win)
+    report["homology"] = _dims_table(homology(_underlying(model))[0], args.win)  # full engine, not rank-only
     return 0
 
 
