@@ -553,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_window(spec: str, cap: int, line_ok=True):
+def _parse_window(spec: str, cap: int):
     if spec is None:
         return (0, cap)
     m = re.fullmatch(r"(-?\d+):(-?\d+)", spec)

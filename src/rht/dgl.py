@@ -538,7 +538,24 @@ def free_dgl_identity(l: FreeDGL) -> FreeDGLMap:
 
 
 def dgl_validate(l) -> list[str]:
-    """Report every violated Lie axiom with a witness; empty iff valid."""
+    """Report every violated Lie axiom with a witness; empty iff valid.
+
+    The finite checks visit only the pairs and triples where an axiom can
+    fail, in the order of the full loops over all basis pairs and triples,
+    so the report is the same list.  Let P be the keys of the bracket table
+    whose two elements are basis elements, zero values included.  Everywhere
+    else both sides are zero vectors of the same length, so 0 = 0:
+    - antisymmetry at pairs in P or its transpose: elsewhere [a,b] and [b,a]
+      are both missing;
+    - Leibniz at those pairs and, for each (a, b) in P, at (x, b) with a in
+      supp d(x) and at (a, y) with b in supp d(y): elsewhere d[a,b], [da,b]
+      and [a,db] read no table entry;
+    - Jacobi at triples with a pair (2,3), (1,2) or (1,3) in P: elsewhere
+      the inner brackets of all three terms are missing;
+    - a map f at pairs (e1, e2) in the source's P, or with supp f(e1) x
+      supp f(e2) meeting the target's P: elsewhere f[e1,e2] and [f e1, f e2]
+      are both 0.
+    """
     if isinstance(l, FreeDGL):
         report = []
         b = l.basis
@@ -556,35 +573,101 @@ def dgl_validate(l) -> list[str]:
             return report
         return dgl_validate(to_dgl(l))
     if isinstance(l, DGLMap):
-        report = list(validate_dg(l.dgmap))
-        sl, tl = l.source, l.target
-        caps = [c for c in (sl.cap, tl.cap) if c is not None]
-        dg = sl.underlying
-        for k1 in dg.degrees():
-            for k2 in dg.degrees():
-                k = k1 + k2
-                if caps and k > min(caps):
+        return _map_report(l)
+    return _lie_report(l)
+
+
+def _basis_keys(l: DGL) -> list[tuple[int, int, int, int]]:
+    """The bracket-table keys whose two elements are basis elements."""
+    dim = l.underlying.dim
+    return [key for key in l.bracket if 0 <= key[1] < dim(key[0]) and 0 <= key[3] < dim(key[2])]
+
+
+def _map_report(l: DGLMap) -> list[str]:
+    report = list(validate_dg(l.dgmap))
+    sl, tl, f = l.source, l.target, l.dgmap
+    caps = [c for c in (sl.cap, tl.cap) if c is not None]
+    dg = sl.underlying
+
+    def rows_of(x: DGL) -> dict[tuple[int, int], dict[int, set[int]]]:
+        """P by rows and degree: (k1, i1) -> k2 -> {i2}."""
+        rows: dict[tuple[int, int], dict[int, set[int]]] = {}
+        for k1, i1, k2, i2 in _basis_keys(x):
+            rows.setdefault((k1, i1), {}).setdefault(k2, set()).add(i2)
+        return rows
+
+    src_rows, tgt_rows = rows_of(sl), rows_of(tl)
+    # supp f(e_c) and its transpose
+    supp: dict[tuple[int, int], list[int]] = {}
+    pre: dict[tuple[int, int], set[int]] = {}
+    for k, m in f.blocks.items():
+        for r, c in m.entries:
+            supp.setdefault((k, c), []).append(r)
+            pre.setdefault((k, r), set()).add(c)
+    for k1 in dg.degrees():
+        for k2 in dg.degrees():
+            k = k1 + k2
+            if caps and k > min(caps):
+                continue
+            if not tl.underlying.dim(k):
+                continue
+            for i1 in range(dg.dim(k1)):
+                i2s = set(src_rows.get((k1, i1), {}).get(k2, ()))
+                for x in supp.get((k1, i1), ()):
+                    for y in tgt_rows.get((k1, x), {}).get(k2, ()):
+                        i2s |= pre.get((k2, y), set())
+                if not i2s:
                     continue
-                if not tl.underlying.dim(k):
-                    continue
-                for i1 in range(dg.dim(k1)):
-                    e1 = _basis_vec(dg.dim(k1), i1)
-                    f1 = l.dgmap.apply(k1, e1)
-                    for i2 in range(dg.dim(k2)):
-                        e2 = _basis_vec(dg.dim(k2), i2)
-                        lhs = l.dgmap.apply(k, sl.bracket_basis(k1, i1, k2, i2))
-                        rhs = tl.bracket_vec(k1, f1, k2, l.dgmap.apply(k2, e2))
-                        if lhs != rhs:
-                            report.append(
-                                f"map does not respect brackets at ({k1},{i1}),({k2},{i2})"
-                            )
-        return report
+                f1 = f.block(k1).column(i1)
+                for i2 in sorted(i2s):
+                    lhs = f.apply(k, sl.bracket_basis(k1, i1, k2, i2))
+                    rhs = tl.bracket_vec(k1, f1, k2, f.block(k2).column(i2))
+                    if lhs != rhs:
+                        report.append(f"map does not respect brackets at ({k1},{i1}),({k2},{i2})")
+    return report
+
+
+def _lie_report(l: DGL) -> list[str]:
     report = list(validate_dg(l.underlying))
     dg = l.underlying
-    degs = list(dg.degrees())
-    items = [(k, i) for k in degs for i in range(dg.dim(k))]
-    for (k1, i1) in items:
-        for (k2, i2) in items:
+    get = l.bracket.get
+    items = [(k, i) for k in dg.degrees() for i in range(dg.dim(k))]
+    pos = {it: p for p, it in enumerate(items)}
+    everyone = range(len(items))
+    # rows[p]: the q with (items[p], items[q]) in P; cols is the transpose
+    rows: list[set[int]] = [set() for _ in items]
+    cols: list[set[int]] = [set() for _ in items]
+    for k1, i1, k2, i2 in _basis_keys(l):
+        p, q = pos[(k1, i1)], pos[(k2, i2)]
+        rows[p].add(q)
+        cols[q].add(p)
+    # down[x]: (position, coefficient) of supp d(x); up[a]: the x with a in supp d(x)
+    down: list[list[tuple[int, Fraction]]] = [[] for _ in items]
+    up: list[set[int]] = [set() for _ in items]
+    for k, m in dg.diff.items():
+        for (r, c), v in m.entries.items():
+            x, a = pos[(k, c)], pos[(k - 1, r)]
+            down[x].append((a, v))
+            up[a].add(x)
+
+    def combo(k: int, terms) -> Vector:
+        """Sum of c * [key] over (key, c) in terms, in degree k."""
+        out = zero_vec(dg.dim(k))
+        for key, c in terms:
+            v = get(key) if c else None
+            if v is not None:
+                out = vec_add(out, vec_scale(c, v))
+        return out
+
+    for p in everyone:
+        k1, i1 = items[p]
+        qs = rows[p] | cols[p]
+        for a, _ in down[p]:
+            qs |= rows[a]
+        for y in rows[p]:
+            qs |= up[y]
+        for q in sorted(qs):
+            k2, i2 = items[q]
             v12 = l.bracket_basis(k1, i1, k2, i2)
             v21 = l.bracket_basis(k2, i2, k1, i1)
             sign = -ONE if (k1 * k2) % 2 else ONE
@@ -592,29 +675,29 @@ def dgl_validate(l) -> list[str]:
                 report.append(f"antisymmetry fails at ({k1},{i1}),({k2},{i2})")
             if l.cap is not None and k1 + k2 > l.cap:
                 continue  # bracket truncated away, Leibniz not applicable
-            # Leibniz
-            e1 = _basis_vec(dg.dim(k1), i1)
-            e2 = _basis_vec(dg.dim(k2), i2)
             lhs = dg.d(k1 + k2).apply(v12) if dg.dim(k1 + k2) else zero_vec(dg.dim(k1 + k2 - 1))
-            t1 = l.bracket_vec(k1 - 1, dg.d(k1).apply(e1), k2, e2)
-            t2 = l.bracket_vec(k1, e1, k2 - 1, dg.d(k2).apply(e2))
+            t1 = combo(k1 + k2 - 1, (((k1 - 1, items[a][1], k2, i2), c) for a, c in down[p]))
+            t2 = combo(k1 + k2 - 1, (((k1, i1, k2 - 1, items[b][1]), c) for b, c in down[q]))
             rhs = vec_add(t1, vec_scale(-ONE if k1 % 2 else ONE, t2))
             if lhs != rhs:
                 report.append(f"Leibniz fails at ({k1},{i1}),({k2},{i2})")
-    for (k1, i1) in items:
-        for (k2, i2) in items:
-            for (k3, i3) in items:
-                e1 = _basis_vec(dg.dim(k1), i1)
-                e2 = _basis_vec(dg.dim(k2), i2)
-                e3 = _basis_vec(dg.dim(k3), i3)
-                lhs = l.bracket_vec(k1, e1, k2 + k3, l.bracket_basis(k2, i2, k3, i3))
-                r1 = l.bracket_vec(k1 + k2, l.bracket_basis(k1, i1, k2, i2), k3, e3)
-                r2 = l.bracket_vec(k2, e2, k1 + k3, l.bracket_basis(k1, i1, k3, i3))
-                rhs = vec_add(r1, vec_scale(-ONE if (k1 * k2) % 2 else ONE, r2))
-                if lhs != rhs:
-                    report.append(
-                        f"Jacobi fails at ({k1},{i1}),({k2},{i2}),({k3},{i3})"
-                    )
+    active = [p for p in everyone if rows[p]]
+    for p in everyone:
+        k1, i1 = items[p]
+        for q in everyone if rows[p] else active:
+            k2, i2 = items[q]
+            v12 = get((k1, i1, k2, i2))
+            sign = -ONE if (k1 * k2) % 2 else ONE
+            for r in everyone if q in rows[p] else sorted(rows[p] | rows[q]):
+                k3, i3 = items[r]
+                k = k1 + k2 + k3
+                v23 = get((k2, i2, k3, i3))
+                v13 = get((k1, i1, k3, i3))
+                lhs = combo(k, (((k1, i1, k2 + k3, z), c) for z, c in enumerate(v23 or ())))
+                r1 = combo(k, (((k1 + k2, z, k3, i3), c) for z, c in enumerate(v12 or ())))
+                r2 = combo(k, (((k2, i2, k1 + k3, z), c) for z, c in enumerate(v13 or ())))
+                if lhs != vec_add(r1, vec_scale(sign, r2)):
+                    report.append(f"Jacobi fails at ({k1},{i1}),({k2},{i2}),({k3},{i3})")
                     if len(report) > 40:
                         return report
     return report
@@ -778,17 +861,13 @@ def dgl_product(a, b, model: str = "strict"):
     images: dict[int, tuple[int, Vector]] = {}
     for i, (an, ad) in enumerate(a.basis.generators):
         pos = to_dgl(a).underlying.index_of(ad, a.basis.tree_name(i))
-        images[i] = (ad, _embedded_basis_vec(strict.underlying, ad, pos))
+        images[i] = (ad, _basis_vec(strict.underlying.dim(ad), pos))
     for j, (bn, bd) in enumerate(b.basis.generators):
         pos = to_dgl(b).underlying.index_of(bd, b.basis.tree_name(j))
         off = to_dgl(a).underlying.dim(bd)
         images[na + j] = (bd, _basis_vec(strict.underlying.dim(bd), off + pos))
     witness = dgl_map_from_gen_images(model_l, strict, images)
     return model_l, witness
-
-
-def _embedded_basis_vec(dg: DG, k: int, i: int) -> Vector:
-    return _basis_vec(dg.dim(k), i)
 
 
 def dgl_map_from_gen_images(
@@ -833,19 +912,26 @@ def reduce_dgl(r: int, l: DGL) -> DGL:
             k = k1 + k2
             if not rdg.dim(k):
                 continue
-            inc_k = incl.block(k)
+            values = {}
             for i1 in range(rdg.dim(k1)):
-                v1 = incl.apply(k1, _basis_vec(rdg.dim(k1), i1))
+                v1 = incl.block(k1).column(i1)
                 for i2 in range(rdg.dim(k2)):
-                    v2 = incl.apply(k2, _basis_vec(rdg.dim(k2), i2))
-                    val = l.bracket_vec(k1, v1, k2, v2)
-                    if not any(val):
-                        continue
-                    sol = solve_matrix(inc_k, QMatrix.from_columns([val], len(val)))
-                    if sol is None:
-                        raise ValueError(f"bracket escapes the reduction at degree {k}")
-                    table[(k1, i1, k2, i2)] = sol.column(0)
+                    val = l.bracket_vec(k1, v1, k2, incl.block(k2).column(i2))
+                    if any(val):
+                        values[(k1, i1, k2, i2)] = val
+            table.update(_pull_back(incl.block(k), values, f"bracket escapes the reduction at degree {k}"))
     return DGL(rdg, table, cap=l.cap)
+
+
+def _pull_back(inc: QMatrix, values: dict, error: str) -> dict:
+    """Coordinates along the inclusion inc of the values, from one solve;
+    ValueError(error) if one of them is not in its image."""
+    if not values:
+        return {}
+    sol = solve_matrix(inc, QMatrix.from_columns(list(values.values()), inc.rows))
+    if sol is None:
+        raise ValueError(error)
+    return {key: sol.column(j) for j, key in enumerate(values)}
 
 
 # -- homotopy pullback ----------------------------------------------------------------
@@ -934,22 +1020,16 @@ def dgl_ho_pullback(
             kk = k1 + k2
             if not lim_dg.dim(kk):
                 continue
-            inc = QMatrix.vstack([pu.block(kk), pw.block(kk)])
+            values = {}
             for i1 in range(lim_dg.dim(k1)):
-                x1 = pu.apply(k1, _basis_vec(lim_dg.dim(k1), i1))
-                y1 = pw.apply(k1, _basis_vec(lim_dg.dim(k1), i1))
+                x1, y1 = pu.block(k1).column(i1), pw.block(k1).column(i1)
                 for i2 in range(lim_dg.dim(k2)):
-                    x2 = pu.apply(k2, _basis_vec(lim_dg.dim(k2), i2))
-                    y2 = pw.apply(k2, _basis_vec(lim_dg.dim(k2), i2))
-                    bx = l1.bracket_vec(k1, x1, k2, x2)
-                    by = l2.bracket_vec(k1, y1, k2, y2)
-                    val = tuple(bx) + tuple(by)
-                    if not any(val):
-                        continue
-                    sol = solve_matrix(inc, QMatrix.from_columns([val], len(val)))
-                    if sol is None:
-                        raise ValueError("strict limit is not closed under brackets")
-                    lim_table[(k1, i1, k2, i2)] = sol.column(0)
+                    x2, y2 = pu.block(k2).column(i2), pw.block(k2).column(i2)
+                    val = l1.bracket_vec(k1, x1, k2, x2) + l2.bracket_vec(k1, y1, k2, y2)
+                    if any(val):
+                        values[(k1, i1, k2, i2)] = val
+            inc = QMatrix.vstack([pu.block(kk), pw.block(kk)])
+            lim_table.update(_pull_back(inc, values, "strict limit is not closed under brackets"))
     lcaps = [c for c in (l1.cap, l2.cap) if c is not None]
     lim = DGL(lim_dg, lim_table, cap=min(lcaps) if lcaps else None)
     blocks = {}

@@ -9,8 +9,23 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rht.dgcore import DG, ZERO_DG, homology_dims, is_quasi_iso_through, ho_square, zero_map
+from rht.dgcore import (
+    DG,
+    DGMap,
+    ZERO_DG,
+    homology_dims,
+    identity_map,
+    is_quasi_iso_through,
+    ho_square,
+    map_scale,
+    reduce_with_inclusion,
+    strict_pullback,
+    validate_dg,
+    zero_map,
+)
 from rht.dgl import (
     DGL,
     DGLMap,
@@ -33,10 +48,12 @@ from rht.dgl import (
     free_product,
     hurewicz_check,
     identity_dgl_map,
+    reduce_dgl,
     to_dgl,
     zero_dgl_map,
 )
-from rht.exactq import ONE, QMatrix, rank, rat, solve_linear, zero_vec
+from rht.exactq import ONE, QMatrix, rank, rat, solve_linear, solve_matrix, vec_add, vec_scale, zero_vec
+from rht.randgen import random_dg
 
 
 # -- independent commutator-span oracle -----------------------------------------
@@ -554,3 +571,310 @@ def test_hurewicz_counterexample_flags_disagree():
     assert dgl_validate(f) == []
     q, abq = hurewicz_check(f)
     assert (q, abq) == (False, True)
+
+
+# -- the sparse validator against the dense loops -------------------------------------
+
+
+def _unit(n, i):
+    return tuple(ONE if j == i else rat(0) for j in range(n))
+
+
+def _dense_dgl_validate(l):
+    """dgl_validate as full loops over every basis pair and triple (the oracle)."""
+    if isinstance(l, DGLMap):
+        report = list(validate_dg(l.dgmap))
+        sl, tl = l.source, l.target
+        caps = [c for c in (sl.cap, tl.cap) if c is not None]
+        dg = sl.underlying
+        for k1 in dg.degrees():
+            for k2 in dg.degrees():
+                k = k1 + k2
+                if caps and k > min(caps):
+                    continue
+                if not tl.underlying.dim(k):
+                    continue
+                for i1 in range(dg.dim(k1)):
+                    f1 = l.dgmap.apply(k1, _unit(dg.dim(k1), i1))
+                    for i2 in range(dg.dim(k2)):
+                        e2 = _unit(dg.dim(k2), i2)
+                        lhs = l.dgmap.apply(k, sl.bracket_basis(k1, i1, k2, i2))
+                        rhs = tl.bracket_vec(k1, f1, k2, l.dgmap.apply(k2, e2))
+                        if lhs != rhs:
+                            report.append(f"map does not respect brackets at ({k1},{i1}),({k2},{i2})")
+        return report
+    report = list(validate_dg(l.underlying))
+    dg = l.underlying
+    items = [(k, i) for k in dg.degrees() for i in range(dg.dim(k))]
+    for (k1, i1) in items:
+        for (k2, i2) in items:
+            v12 = l.bracket_basis(k1, i1, k2, i2)
+            v21 = l.bracket_basis(k2, i2, k1, i1)
+            sign = -ONE if (k1 * k2) % 2 else ONE
+            if v12 != vec_scale(-sign, v21):
+                report.append(f"antisymmetry fails at ({k1},{i1}),({k2},{i2})")
+            if l.cap is not None and k1 + k2 > l.cap:
+                continue
+            e1 = _unit(dg.dim(k1), i1)
+            e2 = _unit(dg.dim(k2), i2)
+            lhs = dg.d(k1 + k2).apply(v12) if dg.dim(k1 + k2) else zero_vec(dg.dim(k1 + k2 - 1))
+            t1 = l.bracket_vec(k1 - 1, dg.d(k1).apply(e1), k2, e2)
+            t2 = l.bracket_vec(k1, e1, k2 - 1, dg.d(k2).apply(e2))
+            rhs = vec_add(t1, vec_scale(-ONE if k1 % 2 else ONE, t2))
+            if lhs != rhs:
+                report.append(f"Leibniz fails at ({k1},{i1}),({k2},{i2})")
+    for (k1, i1) in items:
+        for (k2, i2) in items:
+            for (k3, i3) in items:
+                e1 = _unit(dg.dim(k1), i1)
+                e2 = _unit(dg.dim(k2), i2)
+                e3 = _unit(dg.dim(k3), i3)
+                lhs = l.bracket_vec(k1, e1, k2 + k3, l.bracket_basis(k2, i2, k3, i3))
+                r1 = l.bracket_vec(k1 + k2, l.bracket_basis(k1, i1, k2, i2), k3, e3)
+                r2 = l.bracket_vec(k2, e2, k1 + k3, l.bracket_basis(k1, i1, k3, i3))
+                rhs = vec_add(r1, vec_scale(-ONE if (k1 * k2) % 2 else ONE, r2))
+                if lhs != rhs:
+                    report.append(f"Jacobi fails at ({k1},{i1}),({k2},{i2}),({k3},{i3})")
+                    if len(report) > 40:
+                        return report
+    return report
+
+
+def _small_free(rng):
+    """to_dgl of a small free DGL with a linear or quadratic differential."""
+    c = rat(rng.choice([1, -1, 2, Fraction(1, 3)]))
+    choice = rng.randrange(4)
+    if choice == 0:
+        b = free_lie_basis([("x", 1), ("y", 2)], rng.randint(3, 5))
+        return to_dgl(FreeDGL(b, {1: {(0,): c}}))  # dy = c x
+    if choice == 1:
+        b = free_lie_basis([("x", 1), ("y", 3)], 5)
+        return to_dgl(FreeDGL(b, {1: {w: c * v for w, v in b.expand((0, 0)).items()}}))  # dy = c [x,x]
+    if choice == 2:
+        b = free_lie_basis([("a", 1), ("b", 2), ("c", 3)], 4)
+        return to_dgl(FreeDGL(b, {1: {(0,): ONE}, 2: {w: c * v for w, v in b.expand((0, 0)).items()}}))
+    b = free_lie_basis([("x", 2), ("y", 3)], 6)
+    return to_dgl(FreeDGL(b, {1: {(0,): c}}))
+
+
+def _random_abelian(rng):
+    return abelian_dgl(random_dg(rng, rng.randint(-1, 1), 3, 4))
+
+
+def _random_table(rng):
+    """A random bracket table on a few elements of degree -1 to 1: no axiom
+    is expected to hold, so Jacobi fails often enough to end the report early."""
+    dg = random_dg(rng, -1, 1, 5)
+    table = {}
+    for (k1, i1) in [(k, i) for k in dg.degrees() for i in range(dg.dim(k))]:
+        for (k2, i2) in [(k, i) for k in dg.degrees() for i in range(dg.dim(k))]:
+            if dg.dim(k1 + k2) and rng.random() < 0.6:
+                table[(k1, i1, k2, i2)] = tuple(rat(rng.randint(-2, 2)) for _ in range(dg.dim(k1 + k2)))
+    return DGL(dg, table)
+
+
+def _random_pullback(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        a, b = _random_abelian(rng), _random_abelian(rng)
+        return dgl_ho_pullback(zero_dgl_map(a, b), identity_dgl_map(b))
+    k = counterexample_dgl() if kind == 1 else to_dgl(truly_free_example(rng.randint(2, 3)))
+    if kind == 3:
+        return dgl_ho_pullback(zero_dgl_map(k, ZERO_DGL), zero_dgl_map(k, ZERO_DGL))
+    return dgl_ho_pullback(identity_dgl_map(k), identity_dgl_map(k))
+
+
+def _random_dgl(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return _random_abelian(rng)
+    if kind == 1:
+        return _small_free(rng)
+    if kind == 2:
+        return _random_pullback(rng)[0]
+    if kind == 3:
+        l = rng.choice([_random_pullback(rng)[0], counterexample_dgl(), _small_free(rng)])
+        degs = [k for k in l.underlying.degrees() if l.underlying.dim(k)]
+        return reduce_dgl(rng.choice(degs), l)
+    if kind == 4:
+        return _random_table(rng)
+    return counterexample_dgl()
+
+
+def _corrupt(rng, l):
+    """l with a few table entries broken, and the cap moved."""
+    dg = l.underlying
+    items = [(k, i) for k in dg.degrees() for i in range(dg.dim(k))]
+    table = dict(l.bracket.items())
+    for _ in range(rng.randint(1, 3)):
+        how = rng.randrange(6)
+        keys = sorted(table)
+        if how == 0 and keys:  # a flipped sign
+            key = rng.choice(keys)
+            table[key] = tuple(-x for x in table[key])
+        elif how == 1 and keys:  # a dropped entry
+            del table[rng.choice(keys)]
+        elif how in (2, 3) and items:  # an added entry, or one whose value is all zero
+            (k1, i1), (k2, i2) = rng.choice(items), rng.choice(items)
+            n = dg.dim(k1 + k2)
+            val = tuple(rat(rng.randint(-2, 2)) if how == 2 else rat(0) for _ in range(n))
+            if n:
+                table[(k1, i1, k2, i2)] = val
+        elif how == 4 and items:  # an entry outside the basis
+            k1, i1 = rng.choice(items)
+            k2 = rng.choice([k1, max(dg.degrees()) + 5])
+            table[(k1, i1, k2, dg.dim(k2))] = tuple(ONE for _ in range(dg.dim(k1 + k2)))
+        else:
+            table.clear()
+    degs = dg.degrees() or [0]
+    cap = rng.choice([None, l.cap, rng.randint(min(degs), 2 * max(degs) + 1)])
+    return DGL(dg, table, cap=cap)
+
+
+def _random_dgmap(rng, s, t):
+    blocks = {}
+    for k in s.degrees():
+        rows, cols = t.dim(k), s.dim(k)
+        if rows:
+            blocks[k] = QMatrix(rows, cols, {
+                (r, c): rat(rng.choice([1, -1, 2])) for r in range(rows) for c in range(cols) if rng.random() < 0.4
+            })
+    return DGMap(s, t, blocks)
+
+
+def _random_dgl_map(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        p, w = _random_pullback(rng)
+        return w
+    l = _random_dgl(rng)
+    if kind == 1:
+        return rng.choice([identity_dgl_map(l), zero_dgl_map(l, _random_dgl(rng))])
+    if kind == 2:  # forgets the bracket: only the source table can fail
+        return DGLMap(l, abelian_dgl(l.underlying), identity_map(l.underlying))
+    if kind == 3:  # adds a bracket: only the target table can fail
+        return DGLMap(abelian_dgl(l.underlying), l, identity_map(l.underlying))
+    t = _random_dgl(rng) if kind == 4 else _corrupt(rng, l)
+    if kind == 5:
+        l = _corrupt(rng, l)
+    return DGLMap(l, t, _random_dgmap(rng, l.underlying, t.underlying))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_dgl_validate_matches_the_dense_loops(seed, corrupt):
+    rng = Random(seed)
+    l = _random_dgl(rng)
+    if corrupt:
+        l = _corrupt(rng, l)
+    assert dgl_validate(l) == _dense_dgl_validate(l)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dgl_map_validate_matches_the_dense_loops(seed):
+    f = _random_dgl_map(Random(seed))
+    assert dgl_validate(f) == _dense_dgl_validate(f)
+
+
+def test_dgl_validate_reports_every_kind_of_failure():
+    # the inputs of the two tests above reach each report line, and the early return
+    rng = Random(5)
+    seen = set()
+    for _ in range(200):
+        rep = dgl_validate(_corrupt(rng, _random_dgl(rng)))
+        seen |= {r.split(" fails")[0] for r in rep if " fails" in r}
+        if len(rep) > 40 and rep[-1].startswith("Jacobi"):
+            seen.add("early return")
+        if any(r.startswith("map does not respect") for r in dgl_validate(_random_dgl_map(rng))):
+            seen.add("map")
+    assert seen == {"antisymmetry", "Leibniz", "Jacobi", "early return", "map"}
+
+
+# -- batched bracket solves against per-value solves ----------------------------------
+
+
+def _solved_one_by_one(inc, values, error):
+    table = {}
+    for key, val in values:
+        if any(val):
+            sol = solve_matrix(inc, QMatrix.from_columns([val], len(val)))
+            if sol is None:
+                raise ValueError(error)
+            table[key] = sol.column(0)
+    return table
+
+
+def _per_value_reduce_table(r, l):
+    rdg, incl = reduce_with_inclusion(r, l.underlying)
+    table = {}
+    for k1 in rdg.degrees():
+        for k2 in rdg.degrees():
+            k = k1 + k2
+            if rdg.dim(k):
+                values = [
+                    ((k1, i1, k2, i2), l.bracket_vec(k1, incl.apply(k1, _unit(rdg.dim(k1), i1)),
+                                                     k2, incl.apply(k2, _unit(rdg.dim(k2), i2))))
+                    for i1 in range(rdg.dim(k1)) for i2 in range(rdg.dim(k2))
+                ]
+                table.update(_solved_one_by_one(incl.block(k), values, f"bracket escapes the reduction at degree {k}"))
+    return table
+
+
+def _per_value_limit_table(f1, f2):
+    lim_dg, pu, pw = strict_pullback(f1.dgmap, map_scale(-1, f2.dgmap))
+    table = {}
+    for k1 in lim_dg.degrees():
+        for k2 in lim_dg.degrees():
+            k = k1 + k2
+            if lim_dg.dim(k):
+                values = []
+                for i1 in range(lim_dg.dim(k1)):
+                    for i2 in range(lim_dg.dim(k2)):
+                        e1, e2 = _unit(lim_dg.dim(k1), i1), _unit(lim_dg.dim(k2), i2)
+                        bx = f1.source.bracket_vec(k1, pu.apply(k1, e1), k2, pu.apply(k2, e2))
+                        by = f2.source.bracket_vec(k1, pw.apply(k1, e1), k2, pw.apply(k2, e2))
+                        values.append(((k1, i1, k2, i2), tuple(bx) + tuple(by)))
+                inc = QMatrix.vstack([pu.block(k), pw.block(k)])
+                table.update(_solved_one_by_one(inc, values, "strict limit is not closed under brackets"))
+    return table
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_batched_bracket_solves_match_per_value_solves(seed):
+    rng = Random(seed)
+    l = _random_dgl(rng)
+    degs = [k for k in l.underlying.degrees() if l.underlying.dim(k)] or [0]
+    r = rng.choice(degs)
+    assert _outcome(lambda: reduce_dgl(r, l).bracket) == _outcome(_per_value_reduce_table, r, l)
+    # the strict limit of two maps onto l or onto its abelian quotient; it is
+    # not closed under brackets when only one side keeps them
+    ab = abelian_dgl(l.underlying)
+    k = rng.choice([l, ab])
+    ident = identity_map(l.underlying)
+    f1 = DGLMap(rng.choice([l, ab]) if k is ab else l, k, ident)
+    f2 = rng.choice([DGLMap(f1.source, k, ident), DGLMap(ab, k, ident), zero_dgl_map(l, k)])
+    want = _outcome(_per_value_limit_table, f1, f2)
+    got = _outcome(lambda: dict(dgl_ho_pullback(f1, f2)[1].source.bracket))
+    assert got == want
+
+
+def test_batched_solves_keep_their_errors():
+    # [a, a] = b with d b != 0: the bracket of two cycles is no cycle
+    dg = DG({-1: ("c",), 0: ("a", "b")}, {0: QMatrix.from_rows([[0, 1]])})
+    l = DGL(dg, {(0, 0, 0, 0): (rat(0), ONE)})
+    with pytest.raises(ValueError, match="bracket escapes the reduction at degree 0"):
+        reduce_dgl(0, l)
+    k = counterexample_dgl()
+    ab = abelian_dgl(k.underlying)
+    ident = identity_map(k.underlying)
+    with pytest.raises(ValueError, match="strict limit is not closed under brackets"):
+        dgl_ho_pullback(DGLMap(k, ab, ident), DGLMap(ab, ab, ident))
