@@ -35,6 +35,7 @@ def main():
         r = report[k]
         flag = "ok" if r["match"] else "MISMATCH"
         print(f"n={k}: layer {r['layer']}  formula {r['formula']}  [{flag}]")
+    raise SystemExit(0 if all(r["match"] for r in report.values()) else 1)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .dgc import DGC, _as_dgc, _tensor_with_index, cofree_lambda, to_dgc
+from .dgc import DGC, CofreeDGCMap, _as_dgc, _tensor_with_index, cofree_lambda, to_dgc
 from .dgcore import (
     DG,
     DGMap,
@@ -32,19 +32,18 @@ from .dgcore import (
     ho_fiber,
     homology_dims,
     identity_map,
-    map_add,
     map_scale,
     reduce_dg,
+    reduce_with_inclusion,
     shift,
     sub_dg,
     sum_many,
     sym_orbits,
     telescope,
     tensor_dg,
-    zero_map,
 )
-from .dgl import FreeDGL, TensorPoly, bracket_filtration, free_lie_basis, to_dgl
-from .exactq import ONE, QMatrix, ZERO, kernel_basis, rat, solve_matrix
+from .dgl import FreeDGL, FreeDGLMap, TensorPoly, bracket_filtration, free_lie_basis, to_dgl
+from .exactq import ONE, QMatrix, ZERO, kernel_basis, rank, solve_matrix
 from .quillen import cobar_L
 
 HALF = Fraction(1, 2)
@@ -262,25 +261,11 @@ def _outof_hocolim(cube: Cube) -> tuple[DG, DGMap]:
 
 def _fiber_square_map(a: DGMap, b: DGMap, src: DG, tgt: DG) -> DGMap:
     # induced map ho_fiber(f) -> ho_fiber(f') for a square (a, b) over f, f'
-    blocks = {}
-    for k in src.degrees():
-        ent = dict(a.block(k).entries)
-        roff, coff = a.target.dim(k), a.source.dim(k)
-        for (r, c), val in b.block(k + 1).entries.items():
-            ent[(roff + r, coff + c)] = val
-        blocks[k] = QMatrix(tgt.dim(k), src.dim(k), ent)
-    return DGMap(src, tgt, blocks)
+    return DGMap(src, tgt, {k: QMatrix.direct_sum([a.block(k), b.block(k + 1)]) for k in src.degrees()})
 
 
 def _cofiber_square_map(a: DGMap, b: DGMap, src: DG, tgt: DG) -> DGMap:
-    blocks = {}
-    for k in src.degrees():
-        ent = dict(b.block(k).entries)
-        roff, coff = b.target.dim(k), b.source.dim(k)
-        for (r, c), val in a.block(k - 1).entries.items():
-            ent[(roff + r, coff + c)] = val
-        blocks[k] = QMatrix(tgt.dim(k), src.dim(k), ent)
-    return DGMap(src, tgt, blocks)
+    return DGMap(src, tgt, {k: QMatrix.direct_sum([b.block(k), a.block(k - 1)]) for k in src.degrees()})
 
 
 def thfib_thcof(mode: str, cube: Cube) -> DG:
@@ -462,9 +447,6 @@ class LambdaFunctor(FunctorSpec):
         return to_dgc(self._cofree(v)).underlying
 
     def apply_map(self, f: DGMap) -> DGMap:
-        from .dgc import CofreeDGCMap
-        from .dgcore import reduce_with_inclusion
-
         rv, iv = reduce_with_inclusion(2, f.source)
         rw, iw = reduce_with_inclusion(2, f.target)
         src_c, tgt_c = cofree_lambda(rv, self.cap), cofree_lambda(rw, self.cap)
@@ -517,8 +499,6 @@ class FreeLieFunctor(FunctorSpec):
         return to_dgl(self._free(v)).underlying
 
     def apply_map(self, f: DGMap) -> DGMap:
-        from .dgl import FreeDGLMap
-
         src, tgt = self._free(f.source), self._free(f.target)
         locate_src, locate_tgt = {}, {}
         for loc, v in ((locate_src, f.source), (locate_tgt, f.target)):
@@ -889,8 +869,6 @@ def lie_dim_oracle(n: int) -> int:
                 vec[windex[w]] = c
             if any(vec):
                 cols.append(tuple(vec))
-    from .exactq import rank
-
     return rank(QMatrix.from_columns(cols, len(words))) if cols else 0
 
 
@@ -980,8 +958,6 @@ class Tower:
     r: int = 0
 
     def validate(self) -> list[str]:
-        from .exactq import rank
-
         report = []
         if len(self.maps) != max(len(self.objects) - 1, 0):
             report.append("wrong number of tower maps")

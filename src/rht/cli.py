@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dgc import DGC, dgc_validate, to_dgc
-from .dgcore import DG, DGMap, homology, homology_dims, validate_dg
+from .dgcore import DG, homology, homology_dims, validate_dg
 from .dgl import DGL, DGLMap, abelian_dgl, abelianize_dgl, dgl_validate, hurewicz_check, to_dgl
-from .exactq import ONE, QMatrix, rat, vec_add, vec_scale, zero_vec
+from .exactq import ONE, QMatrix, _unit_vec, vec_add, vec_scale, zero_vec
 from .quillen import cec_C, cobar_L, rational_invariants
 
 DEFAULT_CAP = 16
@@ -257,7 +257,7 @@ def build_model(mf: ModelFile):
                     raise ModelError(
                         f"bracket value {word[1]!r} has degree {kd}, expected {ka + kb}", no
                     )
-                vec = vec_add(vec, vec_scale(coeff, _unit(dg0.dim(kd), idx)))
+                vec = vec_add(vec, vec_scale(coeff, _unit_vec(dg0.dim(kd), idx)))
             table[(ka, ia, kb, ib)] = vec
             if (kb, ib, ka, ia) not in table and (ka, ia) != (kb, ib):
                 s = ONE if (ka * kb) % 2 else -ONE
@@ -271,7 +271,7 @@ def build_model(mf: ModelFile):
         """(degree, vector) of a word in the shell Lie algebra."""
         if word[0] == "gen":
             k, i = require(word[1], no)
-            return k, _unit(dg0.dim(k), i)
+            return k, _unit_vec(dg0.dim(k), i)
         if word[0] == "br":
             if shell is None:
                 raise ModelError("bracket words only make sense for kind dgl", no)
@@ -329,10 +329,6 @@ def build_model(mf: ModelFile):
             row[key] = row.get(key, Fraction(0)) + coeff
         cop[(k, i)] = row
     return DGC(dg, cop)
-
-
-def _unit(n: int, i: int):
-    return tuple(ONE if j == i else rat(0) for j in range(n))
 
 
 def _validate(model) -> list:

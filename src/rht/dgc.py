@@ -28,7 +28,7 @@ compatibility and coassociativity, which the validator reports as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
@@ -55,6 +55,7 @@ from .exactq import (
     QMatrix,
     Vector,
     ZERO,
+    _unit_vec,
     kernel_basis,
     rat,
     solve_linear,
@@ -137,10 +138,6 @@ def identity_dgc_map(c: DGC) -> DGCMap:
 
 def zero_dgc_map(a: DGC, b: DGC) -> DGCMap:
     return DGCMap(a, b, zero_map(a.underlying, b.underlying))
-
-
-def _basis_vec(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def _pair_keys(dg: DG, k: int) -> list[PairKey]:
@@ -231,7 +228,7 @@ def dgc_validate(c) -> list[str]:
         src, tgt = c.source, c.target
         for k in src.underlying.degrees():
             for i in range(src.underlying.dim(k)):
-                lhs = tgt.delta_vec(k, c.dgmap.apply(k, _basis_vec(src.underlying.dim(k), i)))
+                lhs = tgt.delta_vec(k, c.dgmap.apply(k, _unit_vec(src.underlying.dim(k), i)))
                 rhs = _apply_pair(c.dgmap, src.delta_basis(k, i))
                 if lhs != rhs:
                     report.append(f"map does not respect the coproduct at ({k},{i})")
@@ -265,7 +262,7 @@ def dgc_validate(c) -> list[str]:
             right = {t: v for t, v in right.items() if v}
             if left != right:
                 report.append(f"coassociativity fails at ({k},{i})")
-            lhs = c.delta_vec(k - 1, dg.d(k).apply(_basis_vec(dg.dim(k), i)))
+            lhs = c.delta_vec(k - 1, dg.d(k).apply(_unit_vec(dg.dim(k), i)))
             rhs = _d_of_pair(dg, table)
             if lhs != rhs:
                 report.append(f"coproduct does not commute with d at ({k},{i})")

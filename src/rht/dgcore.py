@@ -4,13 +4,21 @@ A DG stores an ordered named basis per integer degree and the degree -1
 differential as one matrix per degree.  Everything downstream (Lie algebras,
 coalgebras, towers) reduces to these objects, so the sign bookkeeping here is
 machine-checked by validate_dg rather than trusted.
+
+sum_many is the one builder for "a direct sum plus an extra differential": the
+cone, path, suspension, loop, fiber, cofiber, pullback, pushout and telescope
+models are all sums of shifted copies with a twist between the summands.  A
+twist entry (i, j, blocks) adds blocks[k], a map from part j in degree k to
+part i in degree k - 1.  Maps into or out of a sum are built from its
+inclusions and their transposes (projection).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Optional, Sequence
 
 from .exactq import (
     ONE,
@@ -24,8 +32,7 @@ from .exactq import (
     rank,
     rat,
     rref,
-    solve_linear,
-    zero_vec,
+    solve_matrix,
 )
 
 
@@ -280,63 +287,49 @@ def _quasi_iso(f: DGMap, top) -> bool:
 
 def sum_dg(a: DG, b: DG, tags=("inl", "inr")) -> tuple[DG, DGMap, DGMap]:
     """Direct sum with the two inclusions."""
-    basis = {}
-    for k in sorted(set(a.basis) | set(b.basis)):
-        basis[k] = tuple(f"{tags[0]}({x})" for x in a.basis.get(k, ())) + tuple(
-            f"{tags[1]}({x})" for x in b.basis.get(k, ())
-        )
-    diff = {}
-    for k in set(a.diff) | set(b.diff):
-        diff[k] = QMatrix.direct_sum([a.d(k), b.d(k)])
-    out = DG(basis, diff)
-    inl = DGMap(
-        a,
-        out,
-        {
-            k: QMatrix(out.dim(k), a.dim(k), {(i, i): ONE for i in range(a.dim(k))})
-            for k in a.degrees()
-        },
-    )
-    inr = DGMap(
-        b,
-        out,
-        {
-            k: QMatrix(
-                out.dim(k),
-                b.dim(k),
-                {(a.dim(k) + i, i): ONE for i in range(b.dim(k))},
-            )
-            for k in b.degrees()
-        },
-    )
+    out, (inl, inr) = sum_many([a, b], tags)
     return out, inl, inr
 
 
-def sum_many(parts: Sequence[DG], tags: Optional[Sequence[str]] = None) -> tuple[DG, list[DGMap]]:
+def sum_many(
+    parts: Sequence[DG], tags: Optional[Sequence[str]] = None, twist: Sequence[tuple[int, int, dict]] = ()
+) -> tuple[DG, list[DGMap]]:
+    """Direct sum of the parts plus a twist differential, with the inclusions.
+
+    Part i's basis names are tags[i](x), or bare x when tags[i] is empty.  A
+    twist entry (i, j, blocks) adds blocks[k], a map from part j in degree k
+    to part i in degree k - 1, to the block-diagonal differential; entries
+    that overlap are summed.
+    """
     if tags is None:
         tags = [f"i{i}" for i in range(len(parts))]
-    basis: dict[int, tuple[str, ...]] = {}
     degrees = sorted({k for p in parts for k in p.basis})
-    offsets: list[dict[int, int]] = []
-    for k in degrees:
-        names: list[str] = []
-        for p, tag in zip(parts, tags):
-            names.extend(f"{tag}({x})" for x in p.basis.get(k, ()))
-        basis[k] = tuple(names)
-    diff = {}
-    for k in {kk for p in parts for kk in p.diff}:
-        diff[k] = QMatrix.direct_sum([p.d(k) for p in parts])
-    out = DG(basis, diff)
-    incls = []
-    for i, p in enumerate(parts):
-        blocks = {}
-        for k in p.degrees():
-            off = sum(q.dim(k) for q in parts[:i])
-            blocks[k] = QMatrix(
-                out.dim(k), p.dim(k), {(off + j, j): ONE for j in range(p.dim(k))}
-            )
-        incls.append(DGMap(p, out, blocks))
+    off = {k: list(accumulate((p.dim(k) for p in parts), initial=0)) for k in degrees}
+    basis = {
+        k: tuple(f"{tag}({x})" if tag else x for p, tag in zip(parts, tags) for x in p.basis.get(k, ()))
+        for k in degrees
+    }
+    entries: dict[int, dict[tuple[int, int], Fraction]] = {}
+    for i, j, blocks in [(i, i, p.diff) for i, p in enumerate(parts)] + list(twist):
+        for k, m in blocks.items():
+            if (m.rows, m.cols) != (parts[i].dim(k - 1), parts[j].dim(k)):
+                raise ValueError(f"twist block shape mismatch at degree {k}")
+            if m.entries:
+                r0, c0, ent = off[k - 1][i], off[k][j], entries.setdefault(k, {})
+                for (r, c), x in m.entries.items():
+                    ent[(r0 + r, c0 + c)] = ent.get((r0 + r, c0 + c), ZERO) + x
+    out = DG(basis, {k: QMatrix(len(basis[k - 1]), len(basis[k]), ent) for k, ent in entries.items()})
+    incls = [
+        DGMap(p, out, {k: QMatrix(out.dim(k), p.dim(k), {(off[k][i] + r, r): ONE for r in range(p.dim(k))})
+                       for k in p.degrees()})
+        for i, p in enumerate(parts)
+    ]
     return out, incls
+
+
+def projection(incl: DGMap) -> DGMap:
+    """The projection onto a summand: the transpose of its inclusion."""
+    return DGMap(incl.target, incl.source, {k: m.transpose() for k, m in incl.blocks.items()})
 
 
 def tensor_dg(a: DG, b: DG) -> DG:
@@ -405,115 +398,31 @@ def shift(v: DG, n: int, tag: Optional[str] = None) -> DG:
 
 def cone_dg(v: DG) -> tuple[DG, DGMap]:
     """cV = (V + sV, d(sv) = -s dv + v), with the inclusion V -> cV."""
-    basis = {}
-    for k in sorted(set(v.basis) | {k + 1 for k in v.basis}):
-        basis[k] = tuple(v.basis.get(k, ())) + tuple(f"s({x})" for x in v.basis.get(k - 1, ()))
-    diff = {}
-    for k in sorted(set(basis)):
-        nv, ns = v.dim(k), v.dim(k - 1)
-        tv, ts = v.dim(k - 1), v.dim(k - 2)
-        ent = {}
-        dv = v.d(k)
-        for (r, c), x in dv.entries.items():
-            ent[(r, c)] = x
-        dsv = v.d(k - 1)
-        for (r, c), x in dsv.entries.items():
-            ent[(tv + r, nv + c)] = -x
-        for i in range(ns):
-            ent[(i, nv + i)] = ent.get((i, nv + i), ZERO) + ONE
-        if tv + ts and nv + ns:
-            diff[k] = QMatrix(tv + ts, nv + ns, ent)
-    out = DG(basis, diff)
-    incl = DGMap(
-        v, out, {k: QMatrix(out.dim(k), v.dim(k), {(i, i): ONE for i in range(v.dim(k))}) for k in v.degrees()}
-    )
+    sv = shift(v, 1)
+    out, (incl, _) = sum_many([v, sv], ["", ""], [(0, 1, identity_map(sv).blocks)])
     return out, incl
 
 
 def paths_dg(v: DG) -> tuple[DG, DGMap]:
     """pV = (V + s^-1 V, d(v) = dv + s^-1 v), with the surjection pV -> V."""
-    basis = {}
-    for k in sorted(set(v.basis) | {k - 1 for k in v.basis}):
-        basis[k] = tuple(v.basis.get(k, ())) + tuple(f"si({x})" for x in v.basis.get(k + 1, ()))
-    diff = {}
-    for k in sorted(set(basis)):
-        nv, ns = v.dim(k), v.dim(k + 1)
-        tv, ts = v.dim(k - 1), v.dim(k)
-        ent = {}
-        for (r, c), x in v.d(k).entries.items():
-            ent[(r, c)] = x
-        for i in range(nv):
-            ent[(tv + i, i)] = ent.get((tv + i, i), ZERO) + ONE
-        for (r, c), x in v.d(k + 1).entries.items():
-            ent[(tv + r, nv + c)] = ent.get((tv + r, nv + c), ZERO) - x
-        if tv + ts and nv + ns:
-            diff[k] = QMatrix(tv + ts, nv + ns, ent)
-    out = DG(basis, diff)
-    proj = DGMap(
-        out, v, {k: QMatrix(v.dim(k), out.dim(k), {(i, i): ONE for i in range(v.dim(k))}) for k in v.degrees()}
-    )
-    return out, proj
+    out, (incl, _) = sum_many([v, shift(v, -1)], ["", ""], [(1, 0, identity_map(v).blocks)])
+    return out, projection(incl)
 
 
 def big_suspension(v: DG) -> tuple[DG, DGMap, DGMap]:
     """Larger suspension model sV + V + sV with d(sv1+v2+sv3) adding v1+v3
     into the middle strand; returns the two strand projections to sV."""
     sv = shift(v, 1)
-    parts, incls = sum_many([sv, relabel(v, lambda k, x: x), sv], tags=["l", "m", "r"])
-    # add the correction differential: middle strand receives v1 + v3
-    diff = {k: m for k, m in parts.diff.items()}
-    for k in sorted(set(parts.basis)):
-        nl = sv.dim(k)
-        nm = v.dim(k)
-        ent = dict(parts.d(k).entries)
-        # target offsets in degree k-1: [sv | v | sv]
-        toff = sv.dim(k - 1)
-        for i in range(nl):  # l strand s(x) with x in degree k-1 -> x in middle
-            ent[(toff + i, i)] = ent.get((toff + i, i), ZERO) + ONE
-        for i in range(sv.dim(k)):  # r strand
-            ent[(toff + i, nl + nm + i)] = ent.get((toff + i, nl + nm + i), ZERO) + ONE
-        if parts.dim(k - 1) and parts.dim(k):
-            diff[k] = QMatrix(parts.dim(k - 1), parts.dim(k), ent)
-        elif k in diff:
-            del diff[k]
-    out = DG(parts.basis, diff)
-    projs = []
-    for which in (0, 2):
-        blocks = {}
-        for k in sv.degrees():
-            off = (sv.dim(k) + v.dim(k)) if which == 2 else 0
-            blocks[k] = QMatrix(sv.dim(k), out.dim(k), {(i, off + i): ONE for i in range(sv.dim(k))})
-        projs.append(DGMap(out, sv, blocks))
-    return out, projs[0], projs[1]
+    ones = identity_map(sv).blocks
+    out, (left, _, right) = sum_many([sv, v, sv], ["l", "m", "r"], [(1, 0, ones), (1, 2, ones)])
+    return out, projection(left), projection(right)
 
 
 def big_loops(v: DG) -> tuple[DG, DGMap, DGMap]:
     """Larger loops model s^-1 V x V x s^-1 V; returns the two inclusions of s^-1 V."""
-    siv = shift(v, -1)
-    parts, incls = sum_many([siv, relabel(v, lambda k, x: x), siv], tags=["l", "m", "r"])
-    diff = {k: m for k, m in parts.diff.items()}
-    for k in sorted(set(parts.basis)):
-        nl = siv.dim(k)
-        nm = v.dim(k)
-        ent = dict(parts.d(k).entries)
-        # middle strand v2 (degree k) maps into both s^-1 strands at degree k-1
-        for i in range(nm):
-            ent[(i, nl + i)] = ent.get((i, nl + i), ZERO) + ONE
-            roff = siv.dim(k - 1) + v.dim(k - 1)
-            ent[(roff + i, nl + i)] = ent.get((roff + i, nl + i), ZERO) + ONE
-        if parts.dim(k - 1) and parts.dim(k):
-            diff[k] = QMatrix(parts.dim(k - 1), parts.dim(k), ent)
-        elif k in diff:
-            del diff[k]
-    out = DG(parts.basis, diff)
-    injs = []
-    for which in (0, 2):
-        blocks = {}
-        for k in siv.degrees():
-            off = (siv.dim(k) + v.dim(k)) if which == 2 else 0
-            blocks[k] = QMatrix(out.dim(k), siv.dim(k), {(off + i, i): ONE for i in range(siv.dim(k))})
-        injs.append(DGMap(siv, out, blocks))
-    return out, injs[0], injs[1]
+    siv, ones = shift(v, -1), identity_map(v).blocks
+    out, (left, _, right) = sum_many([siv, v, siv], ["l", "m", "r"], [(0, 1, ones), (2, 1, ones)])
+    return out, left, right
 
 
 def standard_tensor(cell: str, v: DG) -> DG:
@@ -556,8 +465,6 @@ def sub_dg(v: DG, vectors: dict[int, list[Vector]], prefix: str = "k") -> tuple[
             if not (v.d(k) * cols[k]).is_zero():
                 raise ValueError(f"span not closed under d at degree {k}")
             continue
-        from .exactq import solve_matrix
-
         img = v.d(k) * cols[k]
         sol = solve_matrix(cols[k - 1], img)
         if sol is None:
@@ -616,8 +523,6 @@ def quotient_dg(v: DG, killed: dict[int, list[Vector]], prefix: str = "q") -> tu
         basis[k] = tuple(f"{prefix}({v.basis[k][j]})" for j in chosen)
         # projection: express each standard basis vector in [killed | reps]
         full = QMatrix.hstack([kmat, QMatrix.from_columns([QMatrix.identity(n).column(j) for j in chosen], n)])
-        from .exactq import solve_matrix
-
         sol = solve_matrix(full, QMatrix.identity(n))
         if sol is None:
             raise AssertionError("internal: quotient basis does not span")
@@ -649,40 +554,39 @@ def strict_pullback(f: DGMap, g: DGMap) -> tuple[DG, DGMap, DGMap]:
     """{(u,w) : f(u) + g(w) = 0} with the two projections."""
     if f.target != g.target:
         raise ValueError("pullback codomain mismatch")
-    u, w, v = f.source, g.source, f.target
-    vectors: dict[int, list[Vector]] = {}
-    for k in sorted(set(u.basis) | set(w.basis)):
-        stacked = QMatrix.hstack([f.block(k), g.block(k)])
-        vectors[k] = kernel_basis(stacked)
-    prod, _, _ = sum_dg(u, w, tags=("u", "w"))
+    degrees = sorted(set(f.source.basis) | set(g.source.basis))
+    vectors = {k: kernel_basis(QMatrix.hstack([f.block(k), g.block(k)])) for k in degrees}
+    prod, iu, iw = sum_dg(f.source, g.source, tags=("u", "w"))
     sub, incl = sub_dg(prod, vectors, prefix="lim")
-    pu = DGMap(
-        prod, u, {k: QMatrix(u.dim(k), prod.dim(k), {(i, i): ONE for i in range(u.dim(k))}) for k in u.degrees()}
-    )
-    pw_blocks = {}
-    for k in w.degrees():
-        pw_blocks[k] = QMatrix(
-            w.dim(k), prod.dim(k), {(i, u.dim(k) + i): ONE for i in range(w.dim(k))}
-        )
-    pw = DGMap(prod, w, pw_blocks)
-    return sub, compose(pu, incl), compose(pw, incl)
+    return sub, compose(projection(iu), incl), compose(projection(iw), incl)
 
 
 def strict_pushout(f: DGMap, g: DGMap) -> tuple[DG, DGMap, DGMap]:
     """(U + W)/<f(v) + g(v)> with the two quotient inclusions."""
     if f.source != g.source:
         raise ValueError("pushout domain mismatch")
-    u, w, v = f.target, g.target, f.source
-    total, inl, inr = sum_dg(u, w, tags=("u", "w"))
-    killed: dict[int, list[Vector]] = {}
-    for k in v.degrees():
-        vs = []
-        for j in range(v.dim(k)):
-            e = tuple(ONE if i == j else ZERO for i in range(v.dim(k)))
-            vs.append(tuple(f.apply(k, e)) + tuple(g.apply(k, e)))
-        killed[k] = vs
+    total, inl, inr = sum_dg(f.target, g.target, tags=("u", "w"))
+    killed = {k: QMatrix.vstack([f.block(k), g.block(k)]).columns() for k in f.source.degrees()}
     quot, proj = quotient_dg(total, killed, prefix="co")
     return quot, compose(proj, inl), compose(proj, inr)
+
+
+def _out_of_suspension(f: DGMap) -> dict[int, QMatrix]:
+    """f's blocks as a twist out of sV: degree k + 1 of sV is degree k of V."""
+    return {k + 1: m for k, m in f.blocks.items()}
+
+
+def _path_sum(f: DGMap, g: DGMap, tags=("u", "m", "w")) -> tuple[DG, list[DGMap]]:
+    """U x s^-1 V x W for U -f-> V <-g- W: d(u) and d(w) gain s^-1 f(u) and
+    s^-1 g(w)."""
+    parts = [f.source, shift(f.target, -1), g.source]
+    return sum_many(parts, tags, [(1, 0, f.blocks), (1, 2, g.blocks)])
+
+
+def _cylinder_sum(f: DGMap, g: DGMap) -> tuple[DG, list[DGMap]]:
+    """U + sV + W for U <-f- V -g-> W: d(sv) gains f(v) + g(v)."""
+    parts = [f.target, shift(f.source, 1), g.target]
+    return sum_many(parts, ["u", "m", "w"], [(0, 1, _out_of_suspension(f)), (2, 1, _out_of_suspension(g))])
 
 
 def ho_pullback(f: DGMap, g: DGMap) -> tuple[DG, DGMap]:
@@ -690,35 +594,9 @@ def ho_pullback(f: DGMap, g: DGMap) -> tuple[DG, DGMap]:
     natural map from the strict pullback."""
     if f.target != g.target:
         raise ValueError("pullback codomain mismatch")
-    u, w, v = f.source, g.source, f.target
-    siv = shift(v, -1)
-    total, incls = sum_many([u, siv, w], tags=["u", "m", "w"])
-    diff = dict(total.diff)
-    for k in sorted(set(total.basis) | {kk + 1 for kk in total.basis}):
-        if not total.dim(k) or not total.dim(k - 1):
-            continue
-        ent = dict(total.d(k).entries)
-        toff = u.dim(k - 1)
-        fb = f.block(k)
-        for (r, c), val in fb.entries.items():
-            ent[(toff + r, c)] = ent.get((toff + r, c), ZERO) + val
-        gb = g.block(k)
-        coff = u.dim(k) + siv.dim(k)
-        for (r, c), val in gb.entries.items():
-            ent[(toff + r, coff + c)] = ent.get((toff + r, coff + c), ZERO) + val
-        diff[k] = QMatrix(total.dim(k - 1), total.dim(k), ent)
-    out = DG(total.basis, diff)
-    lim, pu, pw = strict_pullback(f, g)
-    e_blocks = {}
-    for k in lim.degrees():
-        cols = []
-        for j in range(lim.dim(k)):
-            ej = tuple(ONE if i == j else ZERO for i in range(lim.dim(k)))
-            col = tuple(pu.apply(k, ej)) + zero_vec(siv.dim(k)) + tuple(pw.apply(k, ej))
-            cols.append(col)
-        e_blocks[k] = QMatrix.from_columns(cols, out.dim(k))
-    e = DGMap(lim, out, e_blocks)
-    return out, e
+    out, (iu, _, iw) = _path_sum(f, g)
+    _, pu, pw = strict_pullback(f, g)
+    return out, map_add(compose(iu, pu), compose(iw, pw))
 
 
 def ho_pushout(f: DGMap, g: DGMap) -> tuple[DG, DGMap]:
@@ -726,42 +604,9 @@ def ho_pushout(f: DGMap, g: DGMap) -> tuple[DG, DGMap]:
     U <-f- V -g-> W, plus the natural map to the strict pushout."""
     if f.source != g.source:
         raise ValueError("pushout domain mismatch")
-    u, w, v = f.target, g.target, f.source
-    sv = shift(v, 1)
-    total, incls = sum_many([u, sv, w], tags=["u", "m", "w"])
-    diff = dict(total.diff)
-    for k in sorted(set(total.basis) | {kk + 1 for kk in total.basis}):
-        if not total.dim(k) or not total.dim(k - 1):
-            continue
-        ent = dict(total.d(k).entries)
-        coff = u.dim(k)
-        fb = f.block(k - 1)
-        for (r, c), val in fb.entries.items():
-            ent[(r, coff + c)] = ent.get((r, coff + c), ZERO) + val
-        gb = g.block(k - 1)
-        roff = u.dim(k - 1) + sv.dim(k - 1)
-        for (r, c), val in gb.entries.items():
-            ent[(roff + r, coff + c)] = ent.get((roff + r, coff + c), ZERO) + val
-        diff[k] = QMatrix(total.dim(k - 1), total.dim(k), ent)
-    out = DG(total.basis, diff)
-    colim, ju, jw = strict_pushout(f, g)
-    e_blocks = {}
-    for k in out.degrees():
-        cols = []
-        for j in range(out.dim(k)):
-            if j < u.dim(k):
-                ej = tuple(ONE if i == j else ZERO for i in range(u.dim(k)))
-                col = ju.apply(k, ej)
-            elif j < u.dim(k) + sv.dim(k):
-                col = zero_vec(colim.dim(k))
-            else:
-                jj = j - u.dim(k) - sv.dim(k)
-                ej = tuple(ONE if i == jj else ZERO for i in range(w.dim(k)))
-                col = jw.apply(k, ej)
-            cols.append(col)
-        e_blocks[k] = QMatrix.from_columns(cols, colim.dim(k))
-    e = DGMap(out, colim, e_blocks)
-    return out, e
+    out, (iu, _, iw) = _cylinder_sum(f, g)
+    _, ju, jw = strict_pushout(f, g)
+    return out, map_add(compose(ju, projection(iu)), compose(jw, projection(iw)))
 
 
 def ho_square(mode: str, f: DGMap, g: DGMap) -> tuple[DG, DGMap]:
@@ -774,36 +619,14 @@ def ho_square(mode: str, f: DGMap, g: DGMap) -> tuple[DG, DGMap]:
 
 def ho_fiber(f: DGMap) -> DG:
     """(V + s^-1 W, d(v) = dv - s^-1 f(v), d(s^-1 w) = -s^-1 dw)."""
-    v, w = f.source, f.target
-    siw = shift(w, -1)
-    total, _ = sum_many([v, siw], tags=["v", "f"])
-    diff = dict(total.diff)
-    for k in sorted(set(total.basis) | {kk + 1 for kk in total.basis}):
-        if not total.dim(k) or not total.dim(k - 1):
-            continue
-        ent = dict(total.d(k).entries)
-        toff = v.dim(k - 1)
-        for (r, c), val in f.block(k).entries.items():
-            ent[(toff + r, c)] = ent.get((toff + r, c), ZERO) - val
-        diff[k] = QMatrix(total.dim(k - 1), total.dim(k), ent)
-    return DG(total.basis, diff)
+    parts = [f.source, shift(f.target, -1)]
+    return sum_many(parts, ["v", "f"], [(1, 0, map_scale(-1, f).blocks)])[0]
 
 
 def ho_cofiber(f: DGMap) -> DG:
     """(W + sV, d(sv) = f(v) - s dv)."""
-    v, w = f.source, f.target
-    sv = shift(v, 1)
-    total, _ = sum_many([w, sv], tags=["w", "c"])
-    diff = dict(total.diff)
-    for k in sorted(set(total.basis) | {kk + 1 for kk in total.basis}):
-        if not total.dim(k) or not total.dim(k - 1):
-            continue
-        ent = dict(total.d(k).entries)
-        coff = w.dim(k)
-        for (r, c), val in f.block(k - 1).entries.items():
-            ent[(r, coff + c)] = ent.get((r, coff + c), ZERO) + val
-        diff[k] = QMatrix(total.dim(k - 1), total.dim(k), ent)
-    return DG(total.basis, diff)
+    parts = [f.target, shift(f.source, 1)]
+    return sum_many(parts, ["w", "c"], [(0, 1, _out_of_suspension(f))])[0]
 
 
 def ho_fiber_cofiber(mode: str, f: DGMap) -> DG:
@@ -1045,40 +868,14 @@ def is_bicartesian(s: DGMap, t: DGMap, f: DGMap, g: DGMap) -> tuple[bool, bool]:
     """
     if compose(f, s) != compose(g, t):
         raise ValueError("square does not commute")
-    u = s.source
-    x = f.target
-    # cartesian: u -> (W x s^-1 X x V) via (s(u), 0, -t(u))
-    pb, _ = ho_pullback(f, map_scale(-1, g))
-    w, v = f.source, g.source
-    blocks = {}
-    for k in u.degrees():
-        cols = []
-        for j in range(u.dim(k)):
-            ej = tuple(ONE if i == j else ZERO for i in range(u.dim(k)))
-            col = tuple(s.apply(k, ej)) + zero_vec(x.dim(k + 1)) + tuple(t.apply(k, ej))
-            cols.append(col)
-        blocks[k] = QMatrix.from_columns(cols, pb.dim(k))
-    to_pb = DGMap(u, pb, blocks)
+    # cartesian: u -> (W x s^-1 X x V) via (s(u), 0, t(u))
+    _, (iw, _, iv) = _path_sum(f, map_scale(-1, g))
+    to_pb = map_add(compose(iw, s), compose(iv, t))
     assert_valid(to_pb, "canonical map into homotopy pullback")
     cartesian = is_quasi_iso(to_pb)
-    # cocartesian: (W + sU + V) -> X via (f, 0, -g)... sign fixed by d(su) = s(u)+t(u)
-    po, _ = ho_pushout(s, map_scale(-1, t))
-    blocks = {}
-    for k in po.degrees():
-        cols = []
-        for j in range(po.dim(k)):
-            if j < w.dim(k):
-                ej = tuple(ONE if i == j else ZERO for i in range(w.dim(k)))
-                col = f.apply(k, ej)
-            elif j < w.dim(k) + u.dim(k - 1):
-                col = zero_vec(x.dim(k))
-            else:
-                jj = j - w.dim(k) - u.dim(k - 1)
-                ej = tuple(ONE if i == jj else ZERO for i in range(v.dim(k)))
-                col = g.apply(k, ej)
-            cols.append(col)
-        blocks[k] = QMatrix.from_columns(cols, x.dim(k))
-    from_po = DGMap(po, x, blocks)
+    # cocartesian: (W + sU + V) -> X via (f, 0, g), since d(su) = s(u) - t(u)
+    _, (jw, _, jv) = _cylinder_sum(s, map_scale(-1, t))
+    from_po = map_add(compose(f, projection(jw)), compose(g, projection(jv)))
     assert_valid(from_po, "canonical map out of homotopy pushout")
     cocartesian = is_quasi_iso(from_po)
     return cartesian, cocartesian
@@ -1096,61 +893,24 @@ def telescope(maps: Sequence[DGMap]) -> tuple[DG, DGMap]:
         if a.target != b.source:
             raise ValueError("telescope chain does not compose")
     objs = [maps[0].source] + [m.target for m in maps]
-    m = len(objs)
     parts: list[DG] = []
     tags: list[str] = []
+    twist = []
     for i, o in enumerate(objs):
         parts.append(o)
         tags.append(f"v{i+1}")
-        if i < m - 1:
+        if i < len(maps):
             parts.append(shift(o, 1))
             tags.append(f"sv{i+1}")
-    total, _ = sum_many(parts, tags=tags)
-    # offsets per degree for each part
-    def offset(k: int, idx: int) -> int:
-        return sum(p.dim(k) for p in parts[:idx])
-
-    diff = dict(total.diff)
-    for k in sorted(set(total.basis) | {kk + 1 for kk in total.basis}):
-        if not total.dim(k) or not total.dim(k - 1):
-            continue
-        ent = dict(total.d(k).entries)
-        for i in range(m - 1):
-            sidx = 2 * i + 1  # sV_i strand
-            src_dim = objs[i].dim(k - 1)
-            c0 = offset(k, sidx)
-            r0 = offset(k - 1, 2 * i)  # V_i strand
-            for j in range(src_dim):
-                ent[(r0 + j, c0 + j)] = ent.get((r0 + j, c0 + j), ZERO) + ONE
-            g = maps[i].block(k - 1)
-            r1 = offset(k - 1, 2 * i + 2)  # V_{i+1} strand
-            for (r, c), val in g.entries.items():
-                ent[(r1 + r, c0 + c)] = ent.get((r1 + r, c0 + c), ZERO) + val
-        diff[k] = QMatrix(total.dim(k - 1), total.dim(k), ent)
-    out = DG(total.basis, diff)
+            twist += [(2 * i, 2 * i + 1, identity_map(parts[-1]).blocks),
+                      (2 * i + 2, 2 * i + 1, _out_of_suspension(maps[i]))]
+    out, incls = sum_many(parts, tags, twist)
     # comparison map: V_i by (-1)^(m-i) times the composite into V_m, sV_i to 0
-    last = objs[-1]
-    comps: list[DGMap] = []
-    cur = identity_map(last)
-    composites = [None] * m
-    composites[m - 1] = cur
-    for i in range(m - 2, -1, -1):
+    cur, comparison = identity_map(objs[-1]), projection(incls[-1])
+    for i in range(len(maps) - 1, -1, -1):
         cur = compose(cur, maps[i])
-        composites[i] = cur
-    blocks = {}
-    for k in out.degrees():
-        cols = []
-        for idx, p in enumerate(parts):
-            n = p.dim(k)
-            if idx % 2 == 1 or n == 0:
-                cols.extend([zero_vec(last.dim(k))] * n)
-                continue
-            i = idx // 2
-            sign = -ONE if (m - 1 - i) % 2 else ONE
-            blockm = composites[i].block(k).scale(sign)
-            cols.extend(blockm.column(j) for j in range(n))
-        blocks[k] = QMatrix.from_columns(cols, last.dim(k))
-    comparison = DGMap(out, last, blocks)
+        sign = -ONE if (len(maps) - i) % 2 else ONE
+        comparison = map_add(comparison, compose(map_scale(sign, cur), projection(incls[2 * i])))
     assert_valid(comparison, "telescope comparison")
     return out, comparison
 
@@ -1302,8 +1062,6 @@ def sym_invariants(v: SymmetricDG):
     trace = compose(proj, incl)
     avg = v.average()
     # norm: orbit class [x] -> Avg(x), expressed in the fixed-point basis
-    from .exactq import solve_matrix
-
     norm_blocks = {}
     for k in orbits.degrees():
         # representative columns: solve proj * X = id via the chosen section

@@ -28,19 +28,23 @@ from .dgcore import (
     DG,
     DGMap,
     ZERO_DG,
+    _path_sum,
     assert_valid,
+    compose,
+    identity_map,
     is_quasi_iso,
     is_quasi_iso_through,
+    map_add,
     map_scale,
+    projection,
     reduce_with_inclusion,
-    shift,
     strict_pullback,
     sum_dg,
-    sum_many,
     quotient_dg,
     validate_dg,
+    zero_map,
 )
-from .exactq import ONE, QMatrix, Vector, ZERO, rat, solve_matrix, vec_add, vec_scale, zero_vec
+from .exactq import ONE, QMatrix, Vector, ZERO, _unit_vec, rat, solve_matrix, vec_add, vec_scale, zero_vec
 
 # a word is a tuple of generator indices; a polynomial maps words to scalars
 Word = tuple[int, ...]
@@ -351,14 +355,10 @@ class DGLMap:
 
 
 def identity_dgl_map(l: DGL) -> DGLMap:
-    from .dgcore import identity_map
-
     return DGLMap(l, l, identity_map(l.underlying))
 
 
 def zero_dgl_map(a: DGL, b: DGL) -> DGLMap:
-    from .dgcore import zero_map
-
     return DGLMap(a, b, zero_map(a.underlying, b.underlying))
 
 
@@ -703,10 +703,6 @@ def _lie_report(l: DGL) -> list[str]:
     return report
 
 
-def _basis_vec(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 def assert_valid_dgl(l, context: str = ""):
     rep = dgl_validate(l)
     if rep:
@@ -785,22 +781,7 @@ def dgl_strict_product(a: DGL, b: DGL) -> tuple[DGL, DGLMap, DGLMap]:
         table[(k1, na.get(k1, 0) + i1, k2, na.get(k2, 0) + i2)] = inr.apply(k1 + k2, v)
     caps = [c for c in (a.cap, b.cap) if c is not None]
     out = DGL(dg, table, cap=min(caps) if caps else None)
-    # projections
-    from .dgcore import map_from_names
-
-    p1 = DGLMap(out, a, _strand_projection(dg, a.underlying, 0))
-    p2 = DGLMap(out, b, _strand_projection(dg, b.underlying, 1, offset_from=a.underlying))
-    return out, p1, p2
-
-
-def _strand_projection(total: DG, part: DG, which: int, offset_from: Optional[DG] = None) -> DGMap:
-    blocks = {}
-    for k in part.degrees():
-        off = offset_from.dim(k) if offset_from is not None else 0
-        blocks[k] = QMatrix(
-            part.dim(k), total.dim(k), {(j, off + j): ONE for j in range(part.dim(k))}
-        )
-    return DGMap(total, part, blocks)
+    return out, DGLMap(out, a, projection(inl)), DGLMap(out, b, projection(inr))
 
 
 def dgl_product(a, b, model: str = "strict"):
@@ -861,11 +842,11 @@ def dgl_product(a, b, model: str = "strict"):
     images: dict[int, tuple[int, Vector]] = {}
     for i, (an, ad) in enumerate(a.basis.generators):
         pos = to_dgl(a).underlying.index_of(ad, a.basis.tree_name(i))
-        images[i] = (ad, _basis_vec(strict.underlying.dim(ad), pos))
+        images[i] = (ad, _unit_vec(strict.underlying.dim(ad), pos))
     for j, (bn, bd) in enumerate(b.basis.generators):
         pos = to_dgl(b).underlying.index_of(bd, b.basis.tree_name(j))
         off = to_dgl(a).underlying.dim(bd)
-        images[na + j] = (bd, _basis_vec(strict.underlying.dim(bd), off + pos))
+        images[na + j] = (bd, _unit_vec(strict.underlying.dim(bd), off + pos))
     witness = dgl_map_from_gen_images(model_l, strict, images)
     return model_l, witness
 
@@ -947,25 +928,11 @@ def dgl_ho_pullback(
     if f1.target is not f2.target and f1.target != f2.target:
         raise ValueError("pullback codomain mismatch")
     l1, l2, k = f1.source, f2.source, f1.target
-    dg1, dg2, dgk = l1.underlying, l2.underlying, k.underlying
-    mid = shift(dgk, -1)
-    total, incls = sum_many([dg1, mid, dg2], tags=["l1", "k", "l2"])
-    diff = dict(total.diff)
-    for m in sorted(set(total.basis) | {kk + 1 for kk in total.basis}):
-        if not total.dim(m) or not total.dim(m - 1):
-            continue
-        ent = dict(total.d(m).entries)
-        roff = dg1.dim(m - 1)
-        for (r, c), val in f1.dgmap.block(m).entries.items():
-            ent[(roff + r, c)] = ent.get((roff + r, c), ZERO) + val
-        coff = dg1.dim(m) + mid.dim(m)
-        for (r, c), val in f2.dgmap.block(m).entries.items():
-            ent[(roff + r, coff + c)] = ent.get((roff + r, coff + c), ZERO) - val
-        diff[m] = QMatrix(total.dim(m - 1), total.dim(m), ent)
-    pdg = DG(total.basis, diff)
+    dg1, dgk = l1.underlying, k.underlying
+    pdg, incls = _path_sum(f1.dgmap, map_scale(-1, f2.dgmap), ("l1", "k", "l2"))
 
     def offs(m: int) -> tuple[int, int]:
-        return dg1.dim(m), dg1.dim(m) + mid.dim(m)
+        return dg1.dim(m), dg1.dim(m) + dgk.dim(m + 1)
 
     half = Fraction(1, 2)
     table: dict[tuple[int, int, int, int], Vector] = {}
@@ -975,39 +942,35 @@ def dgl_ho_pullback(
             table[(k1, i1, k2, i2)] = incls[0].apply(k1 + k2, v)
     for (k1, i1, k2, i2), v in l2.bracket.items():
         if pdg.dim(k1 + k2) and any(v):
-            o1, _ = offs(k1)
-            o2, _ = offs(k2)
             table[(k1, offs(k1)[1] + i1, k2, offs(k2)[1] + i2)] = incls[2].apply(k1 + k2, v)
-    # mixed brackets with the shifted strand
+    # mixed brackets with the shifted strand; a basis element of K that no
+    # nonzero entry of K's table names brackets to zero with everything
+    named: dict[int, set[int]] = {}
+    for (k1, i1, k2, i2), v in k.bracket.items():
+        if any(v):
+            named.setdefault(k1, set()).add(i1)
+            named.setdefault(k2, set()).add(i2)
     for m in pdg.degrees():
         nk = dgk.dim(m + 1)
-        if not nk:
+        if not named.get(m + 1):
             continue
         for (li, fi, strand) in ((l1, f1, 0), (l2, f2, 2)):
             dgi = li.underlying
             for n in dgi.degrees():
                 if not pdg.dim(m + n):
                     continue
-                o_mid_src = offs(m)[0]
                 o_str = 0 if strand == 0 else offs(n)[1]
-                o_mid_tgt = offs(m + n)[0]
-                for a in range(nk):
-                    ek = _basis_vec(nk, a)
-                    for j in range(dgi.dim(n)):
-                        fl = fi.dgmap.apply(n, _basis_vec(dgi.dim(n), j))
+                images = fi.dgmap.block(n).columns()
+                for a in sorted(named[m + 1]):
+                    ek, pos = _unit_vec(nk, a), offs(m)[0] + a
+                    for j, fl in enumerate(images):
                         val = k.bracket_vec(m + 1, ek, n, fl)
                         if any(val):
-                            vec = [ZERO] * pdg.dim(m + n)
-                            for t, c in enumerate(val):
-                                vec[o_mid_tgt + t] = half * c
-                            table[(m, o_mid_src + a, n, o_str + j)] = tuple(vec)
+                            table[(m, pos, n, o_str + j)] = incls[1].apply(m + n, vec_scale(half, val))
                         val2 = k.bracket_vec(n, fl, m + 1, ek)
                         if any(val2):
-                            sgn = -ONE if n % 2 else ONE
-                            vec = [ZERO] * pdg.dim(m + n)
-                            for t, c in enumerate(val2):
-                                vec[o_mid_tgt + t] = sgn * half * c
-                            table[(n, o_str + j, m, o_mid_src + a)] = tuple(vec)
+                            sgn = -half if n % 2 else half
+                            table[(n, o_str + j, m, pos)] = incls[1].apply(m + n, vec_scale(sgn, val2))
     caps = [c for c in (l1.cap, l2.cap) if c is not None]
     if k.cap is not None:
         caps.append(k.cap - 1)  # the shifted strand loses one degree of bracket data
@@ -1032,16 +995,7 @@ def dgl_ho_pullback(
             lim_table.update(_pull_back(inc, values, "strict limit is not closed under brackets"))
     lcaps = [c for c in (l1.cap, l2.cap) if c is not None]
     lim = DGL(lim_dg, lim_table, cap=min(lcaps) if lcaps else None)
-    blocks = {}
-    for m in lim_dg.degrees():
-        cols = []
-        for j in range(lim_dg.dim(m)):
-            e = _basis_vec(lim_dg.dim(m), j)
-            cols.append(
-                tuple(pu.apply(m, e)) + zero_vec(mid.dim(m)) + tuple(pw.apply(m, e))
-            )
-        blocks[m] = QMatrix.from_columns(cols, pdg.dim(m))
-    witness = DGLMap(lim, p, DGMap(lim_dg, pdg, blocks))
+    witness = DGLMap(lim, p, map_add(compose(incls[0], pu), compose(incls[2], pw)))
     assert_valid(witness.dgmap, "strict limit into the pullback model")
     if reduce_to is not None:
         return reduce_dgl(reduce_to, p), None

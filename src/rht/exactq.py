@@ -43,6 +43,10 @@ def zero_vec(n: int) -> Vector:
     return (ZERO,) * n
 
 
+def _unit_vec(n: int, i: int) -> Vector:
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
 def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 

@@ -18,7 +18,7 @@ a loop space as the symmetric coalgebra on its stable pieces.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .dgc import (
     CofreeDGC,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .dgcore import DG, DGMap, chain_map_space, compose, identity_map, strict_pullback
+from .dgcore import DG, DGMap, chain_map_space, compose, map_add, map_scale, strict_pullback
 from .exactq import ONE, QMatrix
 
 
@@ -93,8 +93,6 @@ def random_chain_map(rng: Random, v: DG, w: DG) -> DGMap:
     if not basis:
         return DGMap(v, w, {})
     out = DGMap(v, w, {})
-    from .dgcore import map_add, map_scale
-
     for b in basis:
         c = rng.randint(-2, 2)
         if c:
@@ -109,8 +107,6 @@ def random_commuting_square(rng: Random, min_deg: int = 0, max_deg: int = 3):
     v = random_dg(rng, min_deg, max_deg, prefix="v")
     f = random_chain_map(rng, w, x)
     g = random_chain_map(rng, v, x)
-    from .dgcore import map_scale
-
     pb, pw, pv = strict_pullback(f, map_scale(-1, g))
     u = random_dg(rng, min_deg, max_deg, prefix="u")
     h = random_chain_map(rng, u, pb)

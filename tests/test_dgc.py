@@ -337,7 +337,8 @@ def test_cylinder_componentwise_compatibility():
             p: v for p, v in table.items() if strand_of(p[0]) in keep and strand_of(p[1]) in keep
         }
 
-    from rht.dgc import _basis_vec, _d_of_pair
+    from rht.dgc import _d_of_pair
+    from rht.exactq import _unit_vec
 
     dg = cyl.underlying
     for k in dg.degrees():
@@ -346,7 +347,7 @@ def test_cylinder_componentwise_compatibility():
                 continue
             full = cyl.delta_basis(k, i)
             for end in ("b1", "b2"):
-                lhs = project(cyl.delta_vec(k - 1, dg.d(k).apply(_basis_vec(dg.dim(k), i))), end)
+                lhs = project(cyl.delta_vec(k - 1, dg.d(k).apply(_unit_vec(dg.dim(k), i))), end)
                 rhs = project(_d_of_pair(dg, project(full, end)), end)
                 assert lhs == rhs, (k, i, end)
 

@@ -22,7 +22,9 @@ from rht.dgcore import (
     ho_square,
     map_scale,
     reduce_with_inclusion,
+    shift,
     strict_pullback,
+    sum_many,
     validate_dg,
     zero_map,
 )
@@ -53,7 +55,7 @@ from rht.dgl import (
     zero_dgl_map,
 )
 from rht.exactq import ONE, QMatrix, rank, rat, solve_linear, solve_matrix, vec_add, vec_scale, zero_vec
-from rht.randgen import random_dg
+from rht.randgen import random_chain_map, random_dg
 
 
 # -- independent commutator-span oracle -----------------------------------------
@@ -878,3 +880,116 @@ def test_batched_solves_keep_their_errors():
     ident = identity_map(k.underlying)
     with pytest.raises(ValueError, match="strict limit is not closed under brackets"):
         dgl_ho_pullback(DGLMap(k, ab, ident), DGLMap(ab, ab, ident))
+
+
+# -- the path-object pullback against its hand-written form ---------------------------
+
+
+def _old_dgl_ho_pullback(f1, f2):
+    """dgl_ho_pullback as it was written before its path differential and witness
+    came from dgcore's twisted sum: offsets computed by hand, unit vectors per column."""
+    l1, l2, k = f1.source, f2.source, f1.target
+    dg1, dg2, dgk = l1.underlying, l2.underlying, k.underlying
+    mid = shift(dgk, -1)
+    total, incls = sum_many([dg1, mid, dg2], tags=["l1", "k", "l2"])
+    diff = dict(total.diff)
+    for m in sorted(set(total.basis) | {kk + 1 for kk in total.basis}):
+        if not total.dim(m) or not total.dim(m - 1):
+            continue
+        ent = dict(total.d(m).entries)
+        roff = dg1.dim(m - 1)
+        for (r, c), val in f1.dgmap.block(m).entries.items():
+            ent[(roff + r, c)] = ent.get((roff + r, c), rat(0)) + val
+        coff = dg1.dim(m) + mid.dim(m)
+        for (r, c), val in f2.dgmap.block(m).entries.items():
+            ent[(roff + r, coff + c)] = ent.get((roff + r, coff + c), rat(0)) - val
+        diff[m] = QMatrix(total.dim(m - 1), total.dim(m), ent)
+    pdg = DG(total.basis, diff)
+
+    def offs(m):
+        return dg1.dim(m), dg1.dim(m) + mid.dim(m)
+
+    half = Fraction(1, 2)
+    table = {}
+    for (k1, i1, k2, i2), v in l1.bracket.items():
+        if pdg.dim(k1 + k2) and any(v):
+            table[(k1, i1, k2, i2)] = incls[0].apply(k1 + k2, v)
+    for (k1, i1, k2, i2), v in l2.bracket.items():
+        if pdg.dim(k1 + k2) and any(v):
+            table[(k1, offs(k1)[1] + i1, k2, offs(k2)[1] + i2)] = incls[2].apply(k1 + k2, v)
+    for m in pdg.degrees():
+        nk = dgk.dim(m + 1)
+        if not nk:
+            continue
+        for (li, fi, strand) in ((l1, f1, 0), (l2, f2, 2)):
+            dgi = li.underlying
+            for n in dgi.degrees():
+                if not pdg.dim(m + n):
+                    continue
+                o_mid_src, o_mid_tgt = offs(m)[0], offs(m + n)[0]
+                o_str = 0 if strand == 0 else offs(n)[1]
+                for a in range(nk):
+                    ek = _unit(nk, a)
+                    for j in range(dgi.dim(n)):
+                        fl = fi.dgmap.apply(n, _unit(dgi.dim(n), j))
+                        val = k.bracket_vec(m + 1, ek, n, fl)
+                        if any(val):
+                            vec = [rat(0)] * pdg.dim(m + n)
+                            for t, c in enumerate(val):
+                                vec[o_mid_tgt + t] = half * c
+                            table[(m, o_mid_src + a, n, o_str + j)] = tuple(vec)
+                        val2 = k.bracket_vec(n, fl, m + 1, ek)
+                        if any(val2):
+                            sgn = -ONE if n % 2 else ONE
+                            vec = [rat(0)] * pdg.dim(m + n)
+                            for t, c in enumerate(val2):
+                                vec[o_mid_tgt + t] = sgn * half * c
+                            table[(n, o_str + j, m, o_mid_src + a)] = tuple(vec)
+    caps = [c for c in (l1.cap, l2.cap) if c is not None]
+    if k.cap is not None:
+        caps.append(k.cap - 1)
+    p = DGL(pdg, table, cap=min(caps) if caps else None)
+    lim_dg, pu, pw = strict_pullback(f1.dgmap, map_scale(-1, f2.dgmap))
+    _per_value_limit_table(f1, f2)  # raises where the strict limit is not closed under brackets
+    blocks = {}
+    for m in lim_dg.degrees():
+        cols = []
+        for j in range(lim_dg.dim(m)):
+            e = _unit(lim_dg.dim(m), j)
+            cols.append(tuple(pu.apply(m, e)) + zero_vec(mid.dim(m)) + tuple(pw.apply(m, e)))
+        blocks[m] = QMatrix.from_columns(cols, pdg.dim(m))
+    return p, DGMap(lim_dg, pdg, blocks)
+
+
+def _pullback_map(rng, k):
+    """A map into k: its identity, or a random chain map or the zero map out of
+    an abelian DGL (such a map need not respect brackets: the builder does not ask)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return identity_dgl_map(k)
+    if kind == 1:
+        return zero_dgl_map(ZERO_DGL, k)
+    degs = k.underlying.degrees() or [0]
+    v = abelian_dgl(random_dg(rng, min(degs), max(degs), 4, prefix=rng.choice("uvw")))
+    if kind == 2:
+        return zero_dgl_map(v, k)
+    return DGLMap(v, k, random_chain_map(rng, v.underlying, k.underlying))
+
+
+def _pullback_summary(p, witness):
+    return list(p.underlying.basis.items()), p.underlying, list(p.bracket.items()), p.cap, witness
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dgl_ho_pullback_matches_its_hand_written_form(seed):
+    rng = Random(seed)
+    kind = rng.randrange(4)
+    k = [_random_abelian, _small_free, lambda r: counterexample_dgl(), _random_table][kind](rng)
+    f1, f2 = _pullback_map(rng, k), _pullback_map(rng, k)
+
+    def new():
+        p, w = dgl_ho_pullback(f1, f2)
+        return _pullback_summary(p, w.dgmap)
+
+    assert _outcome(new) == _outcome(lambda: _pullback_summary(*_old_dgl_ho_pullback(f1, f2)))
