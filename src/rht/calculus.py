@@ -18,13 +18,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .dgc import DGC, CofreeDGCMap, _as_dgc, _tensor_with_index, cofree_lambda, to_dgc
+from .dgc import DGC, CofreeDGCMap, _as_dgc, cofree_lambda, to_dgc
 from .dgcore import (
     DG,
     DGMap,
     Cube,
     SymmetricDG,
-    _subset_tag,
+    _cube_sum,
+    _places,
+    _tensor_with_index,
     assert_valid,
     compose,
     ho_cofiber,
@@ -42,7 +44,7 @@ from .dgcore import (
     telescope,
     tensor_dg,
 )
-from .dgl import FreeDGL, FreeDGLMap, TensorPoly, bracket_filtration, free_lie_basis, to_dgl
+from .dgl import FreeDGL, FreeDGLMap, TensorPoly, _bracket_filtration, free_lie_basis, to_dgl
 from .exactq import ONE, QMatrix, ZERO, kernel_basis, rank, solve_matrix
 from .quillen import cobar_L
 
@@ -105,26 +107,10 @@ def _join_dgc(c: DGC, t: int) -> DGC:
     return DGC(und, coproduct)
 
 
-def _tensor_index(a: DG, b: DG) -> dict:
-    """(deg_a, i_a, deg_b, i_b) -> (total degree, position), matching tensor_dg."""
-    pairs: dict[int, int] = {}
-    index = {}
-    for i in a.degrees():
-        for j in b.degrees():
-            n = i + j
-            for p in range(a.dim(i)):
-                for q in range(b.dim(j)):
-                    index[(i, p, j, q)] = (n, pairs.get(n, 0))
-                    pairs[n] = pairs.get(n, 0) + 1
-    return index
-
-
 def tensor_map(f: DGMap, g: DGMap) -> DGMap:
     """f (x) g for degree-zero chain maps (no Koszul signs arise)."""
-    src = tensor_dg(f.source, g.source)
-    tgt = tensor_dg(f.target, g.target)
-    si = _tensor_index(f.source, g.source)
-    ti = _tensor_index(f.target, g.target)
+    src, si = _tensor_with_index(f.source, g.source)
+    tgt, ti = _tensor_with_index(f.target, g.target)
     ent: dict[int, dict] = {}
     for (i, p, j, q), (n, col) in si.items():
         fb = f.block(i)
@@ -158,10 +144,8 @@ def test_cube(n: int, x: DG) -> Cube:
     """
     if not isinstance(x, DG):
         raise TypeError("test cubes are built over DG values")
-    objs_by_size = {k: join(x, k) for k in range(n + 1)}
-    idx_by_size = {
-        k: _tensor_index(tset_dg(k), x) for k in range(1, n + 1)
-    }
+    joins = {k: _tensor_with_index(tset_dg(k), x) for k in range(1, n + 1)}
+    objs_by_size = {0: x, **{k: obj for k, (obj, _) in joins.items()}}
     edge_by_shape: dict[tuple[int, int], DGMap] = {}
 
     def edge_map(k: int, pos: int) -> DGMap:
@@ -170,8 +154,7 @@ def test_cube(n: int, x: DG) -> Cube:
         if key in edge_by_shape:
             return edge_by_shape[key]
         if k == 0:
-            tgt = objs_by_size[1]
-            ti = idx_by_size[1]
+            tgt, ti = joins[1]
             blocks = {}
             for deg in x.degrees():
                 ent = {(ti[(0, 0, deg, q)][1], q): ONE for q in range(x.dim(deg))}
@@ -216,45 +199,44 @@ def test_cube(n: int, x: DG) -> Cube:
 # -- total homotopy fibers and cofibers --------------------------------------------
 
 
-def _into_holim(cube: Cube) -> tuple[DG, DGMap]:
-    """The canonical chain map cube(empty) -> holim over nonempty subsets."""
-    hol = ho_cube("limit", cube, cap=max(6, cube.n))
+def _gather(source: DG, target: DG, pieces) -> DGMap:
+    """The map source -> target that puts, for each piece (k, m, rows, cols),
+    the entry (r, c) of m at (rows[(k, r)], cols[(k, c)]) in degree k: m maps
+    one summand to another, and rows and cols are the _places of their
+    inclusions, or None where the target or the source is not a sum.  The
+    pieces map distinct summands, so no two of them share an entry."""
+    ent: dict[int, dict[tuple[int, int], Fraction]] = {}
+    for k, m, rows, cols in pieces:
+        e = ent.setdefault(k, {})
+        for (r, c), x in m.entries.items():
+            e[(r if rows is None else rows[(k, r)], c if cols is None else cols[(k, c)])] = x
+    return DGMap(source, target, {k: QMatrix(target.dim(k), source.dim(k), e) for k, e in ent.items()})
+
+
+def _into_holim(cube: Cube) -> tuple[DG, DGMap, dict[frozenset, dict[tuple[int, int], int]]]:
+    """The canonical chain map cube(empty) -> holim over nonempty subsets, and
+    the places of the holim's strands.  The one-element strands sit in
+    vertical degree 0, where the map is the sum of the edges out of the empty
+    set."""
+    hol, strands = _cube_sum("limit", cube, max(6, cube.n))
+    at = {t: _places(incl) for t, incl in strands.items()}
     src = cube.objects[frozenset()]
-    blocks = {}
-    for k in src.degrees():
-        ent: dict = {}
-        for t in range(1, cube.n + 1):
-            e = cube.edge(frozenset(), frozenset({t}))
-            tag = _subset_tag(frozenset({t}))
-            names = e.target.basis.get(k, ())
-            for (r, c), val in e.block(k).entries.items():
-                row = hol.index_of(k, f"{tag}:{names[r]}@v0")
-                ent[(row, c)] = ent.get((row, c), ZERO) + val
-        blocks[k] = QMatrix(hol.dim(k), src.dim(k), ent)
-    m = DGMap(src, hol, blocks)
+    edges = [(at[frozenset({t})], cube.edge(frozenset(), frozenset({t}))) for t in range(1, cube.n + 1)]
+    m = _gather(src, hol, ((k, b, rows, None) for rows, e in edges for k, b in e.blocks.items()))
     assert_valid(m, "comparison into the homotopy limit")
-    return hol, m
+    return hol, m, at
 
 
 def _outof_hocolim(cube: Cube) -> tuple[DG, DGMap]:
     """The canonical chain map hocolim over proper subsets -> cube(full)."""
-    hoc = ho_cube("colimit", cube, cap=max(6, cube.n))
+    hoc, strands = _cube_sum("colimit", cube, max(6, cube.n))
     full = frozenset(range(1, cube.n + 1))
-    tgt = cube.objects[full]
-    blocks = {}
-    for k in hoc.degrees():
-        ent: dict = {}
-        for j in range(1, cube.n + 1):
-            t = full - {j}
-            e = cube.edge(t, full)
-            tag = _subset_tag(t)
-            sign = -ONE if j % 2 else ONE
-            names = e.source.basis.get(k, ())
-            for (r, c), val in e.block(k).entries.items():
-                col = hoc.index_of(k, f"{tag}:{names[c]}@v0")
-                ent[(r, col)] = ent.get((r, col), ZERO) + sign * val
-        blocks[k] = QMatrix(tgt.dim(k), hoc.dim(k), ent)
-    m = DGMap(hoc, tgt, blocks)
+    # the strands full - {j} sit in vertical degree 0; the edge out of each is signed by (-1)^j
+    pieces = []
+    for j in range(1, cube.n + 1):
+        at, sign = _places(strands[full - {j}]), -ONE if j % 2 else ONE
+        pieces += [(k, b.scale(sign), None, at) for k, b in cube.edge(full - {j}, full).blocks.items()]
+    m = _gather(hoc, cube.objects[full], pieces)
     assert_valid(m, "comparison out of the homotopy colimit")
     return hoc, m
 
@@ -307,8 +289,7 @@ def thfib_total(cube: Cube) -> DG:
     problems = cube.validate_commuting()
     if problems:
         raise ValueError("non-commuting cube: " + problems[0])
-    _, m = _into_holim(cube)
-    return ho_fiber(m)
+    return ho_fiber(_into_holim(cube)[1])
 
 
 def thcof_total(cube: Cube) -> DG:
@@ -543,8 +524,7 @@ def _apply_functor_cube(f: FunctorSpec, cube: Cube) -> Cube:
 def t_n(f: FunctorSpec, n: int, x: DG) -> tuple[DG, DGMap]:
     """T_nF(x) and the natural map F(x) -> T_nF(x)."""
     cube = test_cube(n + 1, x)
-    fc = _apply_functor_cube(f, cube)
-    return _into_holim(fc)
+    return _into_holim(_apply_functor_cube(f, cube))[:2]
 
 
 class TnFunctor(FunctorSpec):
@@ -559,34 +539,18 @@ class TnFunctor(FunctorSpec):
         return ho_cube("limit", fc, cap=self.n + 2)
 
     def apply_map(self, g: DGMap) -> DGMap:
-        src_cube = _apply_functor_cube(self.inner, test_cube(self.n + 1, g.source))
-        tgt_cube = _apply_functor_cube(self.inner, test_cube(self.n + 1, g.target))
-        src = ho_cube("limit", src_cube, cap=self.n + 2)
-        tgt = ho_cube("limit", tgt_cube, cap=self.n + 2)
+        cubes = [_apply_functor_cube(self.inner, test_cube(self.n + 1, v)) for v in (g.source, g.target)]
+        (src, src_in), (tgt, tgt_in) = (_cube_sum("limit", c, self.n + 2) for c in cubes)
         comps = {
             size: self.inner.apply_map(_join_map(g, size))
             for size in range(1, self.n + 2)
         }
-        ent: dict[int, dict] = {}
-        elements = list(range(1, self.n + 2))
-        for r in range(1, self.n + 2):
-            for s in itertools.combinations(elements, r):
-                fs = frozenset(s)
-                tag = _subset_tag(fs)
-                vdeg = 1 - r
-                comp = comps[r]
-                for k in comp.source.degrees():
-                    snames = comp.source.basis[k]
-                    tnames = comp.target.basis.get(k, ())
-                    for (rr, cc), val in comp.block(k).entries.items():
-                        row = tgt.index_of(k + vdeg, f"{tag}:{tnames[rr]}@v{vdeg}")
-                        col = src.index_of(k + vdeg, f"{tag}:{snames[cc]}@v{vdeg}")
-                        d = ent.setdefault(k + vdeg, {})
-                        d[(row, col)] = d.get((row, col), ZERO) + val
-        blocks = {
-            k: QMatrix(tgt.dim(k), src.dim(k), e) for k, e in ent.items() if src.dim(k)
-        }
-        return DGMap(src, tgt, blocks)
+        # strand t maps to strand t by F of the join map, at vertical degree 1 - |t|
+        pieces = []
+        for t, incl in src_in.items():
+            rows, cols = _places(tgt_in[t]), _places(incl)
+            pieces += [(k + 1 - len(t), b, rows, cols) for k, b in comps[len(t)].blocks.items()]
+        return _gather(src, tgt, pieces)
 
 
 class PnResult(NamedTuple):
@@ -645,33 +609,37 @@ def _perm_sort_sign(seq: Sequence[int]) -> Fraction:
     return -ONE if inv % 2 else ONE
 
 
-def _coproduct_cube(inputs: Sequence[DG]) -> Cube:
+def _coproduct_cube(inputs: Sequence[DG]) -> tuple[Cube, dict[frozenset, dict[int, DGMap]]]:
+    """The cube S |-> the sum of the inputs x_i, i not in S, whose edges drop
+    the summand of the added element; with the inclusion of each summand."""
     n = len(inputs)
     elements = list(range(1, n + 1))
-    objects = {}
+    objects, summands = {}, {}
     for r in range(n + 1):
         for s in itertools.combinations(elements, r):
             fs = frozenset(s)
             comp = [i for i in elements if i not in fs]
-            objects[fs] = sum_many(
-                [inputs[i - 1] for i in comp], tags=[f"x{i}" for i in comp]
-            )[0]
+            objects[fs], incls = sum_many([inputs[i - 1] for i in comp], tags=[f"x{i}" for i in comp])
+            summands[fs] = dict(zip(comp, incls))
     edges = {}
     for fs, obj in objects.items():
         for t in elements:
-            if t in fs:
-                continue
-            tgt = objects[fs | {t}]
-            blocks = {}
-            for k in obj.degrees():
-                ent = {}
-                for c, name in enumerate(obj.basis[k]):
-                    if name.startswith(f"x{t}("):
-                        continue
-                    ent[(tgt.index_of(k, name), c)] = ONE
-                blocks[k] = QMatrix(tgt.dim(k), obj.dim(k), ent)
-            edges[(fs, fs | {t})] = DGMap(obj, tgt, blocks)
-    return Cube(n, objects, edges)
+            if t not in fs:
+                up, where = fs | {t}, {i: i for i in summands[fs] if i != t}
+                edges[(fs, up)] = _move_summands(obj, objects[up], summands[fs], summands[up], where)
+    return Cube(n, objects, edges), summands
+
+
+def _move_summands(source: DG, target: DG, src_in: dict, tgt_in: dict, where: dict[int, int]) -> DGMap:
+    """The map of sums sending summand i identically to summand where[i], and
+    the summands missing from where to zero."""
+    ent: dict[int, dict[tuple[int, int], Fraction]] = {}
+    for i, incl in src_in.items():
+        if i in where:
+            rows = _places(tgt_in[where[i]])
+            for (k, p), c in _places(incl).items():
+                ent.setdefault(k, {})[(rows[(k, p)], c)] = ONE
+    return DGMap(source, target, {k: QMatrix(target.dim(k), source.dim(k), e) for k, e in ent.items()})
 
 
 def cross_effect(f: FunctorSpec, n: int, inputs: Sequence[DG]) -> SymmetricDG:
@@ -683,11 +651,11 @@ def cross_effect(f: FunctorSpec, n: int, inputs: Sequence[DG]) -> SymmetricDG:
     """
     if len(inputs) != n:
         raise ValueError("cross effect of order n takes n inputs")
-    cube = _coproduct_cube(inputs)
+    cube, summands = _coproduct_cube(inputs)
     fc = _apply_functor_cube(f, cube)
     if n == 0:
         return SymmetricDG(fc.objects[frozenset()], 0, [])
-    hol, m = _into_holim(fc)
+    hol, m, at = _into_holim(fc)
     value = ho_fiber(m)
     if n < 2 or any(v != inputs[0] for v in inputs[1:]):
         return SymmetricDG(value, n, [])
@@ -695,60 +663,18 @@ def cross_effect(f: FunctorSpec, n: int, inputs: Sequence[DG]) -> SymmetricDG:
     for a in range(1, n):
         perm = {i: i for i in range(1, n + 1)}
         perm[a], perm[a + 1] = a + 1, a
+        image = {fs: frozenset(perm[i] for i in fs) for fs in cube.objects}
         # F of the summand-permuting maps, per subset
-        strand_maps: dict[frozenset, DGMap] = {}
+        moved = {}
         for fs, obj in cube.objects.items():
-            pfs = frozenset(perm[i] for i in fs)
-            tgt = cube.objects[pfs]
-            blocks = {}
-            for k in obj.degrees():
-                ent = {}
-                for c, name in enumerate(obj.basis[k]):
-                    i = int(name[1 : name.index("(")])
-                    new = f"x{perm[i]}" + name[name.index("(") :]
-                    ent[(tgt.index_of(k, new), c)] = ONE
-                blocks[k] = QMatrix(tgt.dim(k), obj.dim(k), ent)
-            strand_maps[fs] = f.apply_map(DGMap(obj, tgt, blocks))
-        base = strand_maps[frozenset()]
-        ent_by_deg: dict[int, dict] = {}
-        for k in value.degrees():
-            ent_by_deg[k] = {}
-        # F(X(empty)) part of the fiber
-        for k in base.source.degrees():
-            snames = fc.objects[frozenset()].basis[k]
-            tnames = base.target.basis.get(k, ())
-            for (r, c), val in base.block(k).entries.items():
-                row = value.index_of(k, f"v({tnames[r]})")
-                col = value.index_of(k, f"v({snames[c]})")
-                ent_by_deg.setdefault(k, {})[(row, col)] = val
-        # desuspended holim part, strand by strand with orientation signs
-        for fs in cube.objects:
-            if not fs:
-                continue
-            pfs = frozenset(perm[i] for i in fs)
-            sign = _perm_sort_sign([perm[i] for i in sorted(fs)])
-            tag_s, tag_t = _subset_tag(fs), _subset_tag(pfs)
-            vdeg = 1 - len(fs)
-            comp = strand_maps[fs]
-            for k in comp.source.degrees():
-                snames = comp.source.basis[k]
-                tnames = comp.target.basis.get(k, ())
-                for (r, c), val in comp.block(k).entries.items():
-                    tot_deg = k + vdeg - 1
-                    row = value.index_of(
-                        tot_deg, f"f(si({tag_t}:{tnames[r]}@v{vdeg}))"
-                    )
-                    col = value.index_of(
-                        tot_deg, f"f(si({tag_s}:{snames[c]}@v{vdeg}))"
-                    )
-                    d = ent_by_deg.setdefault(tot_deg, {})
-                    d[(row, col)] = d.get((row, col), ZERO) + sign * val
-        blocks = {
-            k: QMatrix(value.dim(k), value.dim(k), e)
-            for k, e in ent_by_deg.items()
-            if value.dim(k)
-        }
-        act = DGMap(value, value, blocks)
+            p = image[fs]
+            moved[fs] = f.apply_map(_move_summands(obj, cube.objects[p], summands[fs], summands[p], perm))
+        # on the holim, strand fs goes to strand image[fs], signed by the orientation of the permuted subset
+        pieces = []
+        for fs in at:
+            sign, v = _perm_sort_sign([perm[i] for i in sorted(fs)]), 1 - len(fs)
+            pieces += [(k + v, b.scale(sign), at[image[fs]], at[fs]) for k, b in moved[fs].blocks.items()]
+        act = _fiber_square_map(moved[frozenset()], _gather(hol, hol, pieces), value, value)
         assert_valid(act, "cross-effect symmetry generator")
         actions.append(act)
     return SymmetricDG(value, n, actions)
@@ -977,18 +903,15 @@ def taylor_layers_cobar(c, n: int, cap: int):
     layer-vs-derivative-formula dimension comparison below the cap."""
     cd = _as_dgc(c)
     lc = cobar_L(cd, cap)
-    dgls, layers = bracket_filtration(lc, n)
+    dgls, layers, keeps = _bracket_filtration(lc, n)
     objects = [b.underlying for b in dgls]
     maps = []
     for i in range(len(objects) - 1):
         big, small = objects[i + 1], objects[i]
         blocks = {}
         for k in big.degrees():
-            ent = {}
-            small_names = set(small.basis.get(k, ()))
-            for col, name in enumerate(big.basis[k]):
-                if name in small_names:
-                    ent[(small.index_of(k, name), col)] = ONE
+            row = {orig: r for r, orig in enumerate(keeps[i].get(k, ()))}
+            ent = {(row[orig], col): ONE for col, orig in enumerate(keeps[i + 1][k]) if orig in row}
             blocks[k] = QMatrix(small.dim(k), big.dim(k), ent)
         maps.append(DGMap(big, small, blocks))
     tower = Tower(objects[:], maps, r=0)

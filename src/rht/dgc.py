@@ -38,15 +38,19 @@ from .dgcore import (
     DG,
     DGMap,
     ZERO_DG,
-    ho_pullback,
-    ho_pushout,
+    _cylinder_sum,
+    _degree_positions,
+    _generator_dg,
+    _generator_map,
+    _path_sum,
+    _places,
+    _tensor_with_index,
     identity_map,
     is_quasi_iso_through,
     reduce_with_inclusion,
     sub_dg,
     sum_dg,
     sum_many,
-    tensor_dg,
     validate_dg,
     zero_map,
 )
@@ -298,10 +302,12 @@ def primitives(c) -> DG:
 # -- sums, products, smash -----------------------------------------------------
 
 
-def _shift_table(table: Mapping[Key, Mapping[PairKey, Fraction]], off) -> CoTable:
+def _moved_table(table: Mapping[Key, Mapping[PairKey, Fraction]], at: Mapping[Key, int]) -> CoTable:
+    """A summand's coproduct table carried into the sum, along the summand's
+    places (dgcore._places of its inclusion)."""
+
     def mv(key: Key) -> Key:
-        k, i = key
-        return (k, off(k) + i)
+        return (key[0], at[key])
 
     return {mv(k): {(mv(a), mv(b)): v for (a, b), v in t.items()} for k, t in table.items()}
 
@@ -332,8 +338,8 @@ def dgc_combine(kind: str, a, b, sign_rule: str = "half"):
     a, b = _as_dgc(a), _as_dgc(b)
     if kind == "sumTilde":
         total, inl, inr = sum_dg(a.underlying, b.underlying)
-        table = _shift_table(a.coproduct, lambda k: 0)
-        table.update(_shift_table(b.coproduct, lambda k: a.underlying.dim(k)))
+        table = _moved_table(a.coproduct, _places(inl))
+        table.update(_moved_table(b.coproduct, _places(inr)))
         return DGC(total, table)
     if kind not in ("product", "smashTilde"):
         raise ValueError(f"unknown combine kind {kind!r}")
@@ -341,21 +347,22 @@ def dgc_combine(kind: str, a, b, sign_rule: str = "half"):
         raise ValueError(f"unknown sign rule {sign_rule!r}")
     t_dg, t_index = _tensor_with_index(a.underlying, b.underlying)
     if kind == "product":
-        total, _ = sum_many([a.underlying, b.underlying, t_dg], tags=["c", "d", "t"])
+        total, incls = sum_many([a.underlying, b.underlying, t_dg], tags=["c", "d", "t"])
+        at_c, at_d, at_t = (_places(incl) for incl in incls)
 
         def locate(ckey, dkey) -> Optional[Key]:
             if ckey == ("1",) and dkey == ("1",):
                 return None
             if dkey == ("1",):
                 _, k, i = ckey
-                return (k, i)
+                return (k, at_c[(k, i)])
             if ckey == ("1",):
                 _, k, i = dkey
-                return (k, a.underlying.dim(k) + i)
+                return (k, at_d[(k, i)])
             _, kc, ic = ckey
             _, kd, idx = dkey
             n, pos = t_index[(kc, ic, kd, idx)]
-            return (n, a.underlying.dim(n) + b.underlying.dim(n) + pos)
+            return (n, at_t[(n, pos)])
 
     else:
         total = t_dg
@@ -416,22 +423,6 @@ def dgc_combine(kind: str, a, b, sign_rule: str = "half"):
     return DGC(total, table)
 
 
-def _tensor_with_index(a: DG, b: DG) -> tuple[DG, dict[tuple[int, int, int, int], Key]]:
-    """tensor_dg together with the position of each pure tensor in its degree."""
-    out = tensor_dg(a, b)
-    counts: dict[int, int] = {}
-    index: dict[tuple[int, int, int, int], Key] = {}
-    for i in a.degrees():
-        for j in b.degrees():
-            n = i + j
-            for p in range(a.dim(i)):
-                for q in range(b.dim(j)):
-                    pos = counts.get(n, 0)
-                    counts[n] = pos + 1
-                    index[(i, p, j, q)] = (n, pos)
-    return out, index
-
-
 # -- homotopy pushouts ----------------------------------------------------------
 
 
@@ -453,23 +444,15 @@ def dgc_ho_pushout(f1: DGCMap, f2: DGCMap) -> tuple[DGC, DGCMap, DGCMap]:
         raise ValueError("pushout domain mismatch")
     c = f1.source
     b1, b2 = f1.target, f2.target
-    total, _ = ho_pushout(f1.dgmap, f2.dgmap)
-
-    def key_b1(k, i):
-        return (k, i)
+    total, incls = _cylinder_sum(f1.dgmap, f2.dgmap)
+    at1, at_s, at2 = (_places(incl) for incl in incls)
 
     def key_s(k1, i1):
         # suspended class of degree k1 + 1
-        return (k1 + 1, b1.underlying.dim(k1 + 1) + i1)
+        return (k1 + 1, at_s[(k1 + 1, i1)])
 
-    def key_b2(k, i):
-        return (k, b1.underlying.dim(k) + c.underlying.dim(k - 1) + i)
-
-    table: CoTable = {}
-    for (k, i), t in b1.coproduct.items():
-        table[key_b1(k, i)] = {(key_b1(*p), key_b1(*q)): v for (p, q), v in t.items()}
-    for (k, i), t in b2.coproduct.items():
-        table[key_b2(k, i)] = {(key_b2(*p), key_b2(*q)): v for (p, q), v in t.items()}
+    table = _moved_table(b1.coproduct, at1)
+    table.update(_moved_table(b2.coproduct, at2))
     for k in c.underlying.degrees():
         for i in range(c.underlying.dim(k)):
             acc: dict[PairKey, Fraction] = {}
@@ -483,33 +466,19 @@ def dgc_ho_pushout(f1: DGCMap, f2: DGCMap) -> tuple[DGC, DGCMap, DGCMap]:
 
             for ((k1, i1), (k2, i2)), val in c.delta_basis(k, i).items():
                 sign = -ONE if k1 % 2 else ONE
-                for which, g in ((key_b1, f1.dgmap), (key_b2, f2.dgmap)):
+                for at, g in ((at1, f1.dgmap), (at2, f2.dgmap)):
                     img2 = g.block(k2).column(i2) if g.target.dim(k2) else ()
                     for j, cc in enumerate(img2):
                         if cc:
-                            add((key_s(k1, i1), which(k2, j)), val * cc / 2)
+                            add((key_s(k1, i1), (k2, at[(k2, j)])), val * cc / 2)
                     img1 = g.block(k1).column(i1) if g.target.dim(k1) else ()
                     for j, cc in enumerate(img1):
                         if cc:
-                            add((which(k1, j), key_s(k2, i2)), sign * val * cc / 2)
+                            add(((k1, at[(k1, j)]), key_s(k2, i2)), sign * val * cc / 2)
             if acc:
                 table[key_s(k, i)] = acc
     out = DGC(total, table)
-    inc1_blocks = {
-        k: QMatrix(
-            total.dim(k), b1.underlying.dim(k), {(i, i): ONE for i in range(b1.underlying.dim(k))}
-        )
-        for k in b1.underlying.degrees()
-    }
-    inc2_blocks = {}
-    for k in b2.underlying.degrees():
-        off = b1.underlying.dim(k) + c.underlying.dim(k - 1)
-        inc2_blocks[k] = QMatrix(
-            total.dim(k), b2.underlying.dim(k), {(off + i, i): ONE for i in range(b2.underlying.dim(k))}
-        )
-    inc1 = DGCMap(b1, out, DGMap(b1.underlying, total, inc1_blocks))
-    inc2 = DGCMap(b2, out, DGMap(b2.underlying, total, inc2_blocks))
-    return out, inc1, inc2
+    return out, DGCMap(b1, out, incls[0]), DGCMap(b2, out, incls[2])
 
 
 def dgc_ho_cofiber(f: DGCMap) -> tuple[DGC, DGCMap]:
@@ -833,34 +802,7 @@ class CofreeDGC:
         return {p: v for p, v in out.items() if v}
 
     def gen_dg(self) -> DG:
-        basis: dict[int, tuple[str, ...]] = {}
-        for name, d in self.cogenerators:
-            basis[d] = basis.get(d, ()) + (name,)
-        diff = {}
-        for d in sorted(basis):
-            tgt = basis.get(d - 1, ())
-            if not tgt:
-                continue
-            ent = {}
-            for j, (name, gd) in enumerate(self.cogenerators):
-                if gd != d:
-                    continue
-                jj = _gen_position(self, d, j)
-                for h, c in self.corestriction.get((j,), {}).items():
-                    ent[(_gen_position(self, d - 1, h), jj)] = c
-            diff[d] = QMatrix(len(tgt), len(basis[d]), ent)
-        return DG(basis, diff)
-
-
-def _gen_position(c: CofreeDGC, d: int, gen_idx: int) -> int:
-    """Position of a cogenerator among those of its degree."""
-    pos = 0
-    for i, gd in enumerate(c.deg):
-        if i == gen_idx:
-            return pos
-        if gd == d:
-            pos += 1
-    raise ValueError("cogenerator not found")
+        return _generator_dg(self.gen_name, self.deg, lambda j: self.corestriction.get((j,), {}))
 
 
 def to_dgc(c: CofreeDGC) -> DGC:
@@ -935,18 +877,8 @@ class CofreeDGCMap:
         return _apply_letterwise(w, self.gen_images, self.target.deg)
 
     def gen_dgmap(self) -> DGMap:
-        src, tgt = self.source.gen_dg(), self.target.gen_dg()
-        blocks = {}
-        for d in src.degrees():
-            ent = {}
-            for j, (name, gd) in enumerate(self.source.cogenerators):
-                if gd != d:
-                    continue
-                jj = _gen_position(self.source, d, j)
-                for h, cc in self.gen_images.get(j, {}).items():
-                    ent[(_gen_position(self.target, d, h), jj)] = cc
-            blocks[d] = QMatrix(tgt.dim(d), src.dim(d), ent)
-        return DGMap(src, tgt, blocks)
+        src, tgt, degs = self.source.gen_dg(), self.target.gen_dg(), (self.source.deg, self.target.deg)
+        return _generator_map(src, tgt, degs, lambda j: self.gen_images.get(j, {}))
 
     def to_dgc_map(self) -> DGCMap:
         sdgc, tdgc = to_dgc(self.source), to_dgc(self.target)
@@ -992,22 +924,18 @@ def cofree_path(f: CofreeDGCMap, g: CofreeDGCMap, r: int = 2, cap: Optional[int]
     u, v, w = f.source, f.target, g.source
     if cap is None:
         cap = min(u.cap, w.cap, v.cap - 1)
-    total, _ = ho_pullback(f.gen_dgmap(), g.gen_dgmap())
+    total, incls = _path_sum(f.gen_dgmap(), g.gen_dgmap())
     red, incl = reduce_with_inclusion(r, total)
 
-    # locate the pure strands inside the path complex
-    udg, vdg = u.gen_dg(), v.gen_dg()
-    strand: dict[tuple[int, int], tuple[str, int]] = {}
-    for k in total.degrees():
-        nu = udg.dim(k)
-        nm = vdg.dim(k + 1)
-        for i in range(total.dim(k)):
-            if i < nu:
-                strand[(k, i)] = ("u", _gen_global(u, k, i))
-            elif i < nu + nm:
-                strand[(k, i)] = ("m", i - nu)
-            else:
-                strand[(k, i)] = ("w", _gen_global(w, k, i - nu - nm))
+    # the strand of each path-complex class, with its cogenerator on the two
+    # outer strands, and the path-complex class of each outer cogenerator
+    strand = {(k, row): ("m", p) for (k, p), row in _places(incls[1]).items()}
+    back: dict[str, dict[int, tuple[int, int]]] = {}
+    for tag, inner, summand in (("u", u, incls[0]), ("w", w, incls[2])):
+        pos, gens = _degree_positions(inner.deg)
+        at = _places(summand)
+        strand.update({(k, row): (tag, gens[k][p]) for (k, p), row in at.items()})
+        back[tag] = {h: (d, at[(d, pos[h])]) for h, d in enumerate(inner.deg)}
 
     # cogenerators above the cap can never enter a word, so drop them
     kept = [k for k in red.degrees() if k <= cap]
@@ -1042,20 +970,10 @@ def cofree_path(f: CofreeDGCMap, g: CofreeDGCMap, r: int = 2, cap: Optional[int]
         sign, key = _canonical([strand[p][1] for p in word], inner.deg)
         if not sign:
             return {}
-        back = _strand_keys(inner, tag, udg, vdg)
         out: dict[tuple[int, int], Fraction] = {}
         for h, cc in inner.corestriction.get(key, {}).items():
-            out[back[h]] = out.get(back[h], ZERO) + sign * cc
+            out[back[tag][h]] = out.get(back[tag][h], ZERO) + sign * cc
         return {p: cc for p, cc in out.items() if cc}
-
-    def _strand_keys(inner, tag, udg_, v_):
-        # path-complex coordinates of each cogenerator of the given strand
-        keys = {}
-        for h, (_, d) in enumerate(inner.cogenerators):
-            pos = _gen_position(inner, d, h)
-            off = 0 if tag == "u" else udg_.dim(d) + v_.dim(d + 1)
-            keys[h] = (d, off + pos)
-        return keys
 
     out_core: dict[Word, dict[int, Fraction]] = {}
     stub = CofreeDGC(gens, cap, {})
@@ -1085,17 +1003,6 @@ def cofree_path(f: CofreeDGCMap, g: CofreeDGCMap, r: int = 2, cap: Optional[int]
                 )
             out_core[word] = {locate[(kk, j)]: cc for j, cc in enumerate(sol) if cc}
     return CofreeDGC(gens, cap, out_core)
-
-
-def _gen_global(c: CofreeDGC, d: int, pos: int) -> int:
-    """Inverse of _gen_position: global index of the pos-th degree-d cogenerator."""
-    seen = 0
-    for i, gd in enumerate(c.deg):
-        if gd == d:
-            if seen == pos:
-                return i
-            seen += 1
-    raise ValueError("cogenerator not found")
 
 
 def cofree_loops(v: CofreeDGC, r: int = 2, cap: Optional[int] = None) -> CofreeDGC:

@@ -10,7 +10,16 @@ cone, path, suspension, loop, fiber, cofiber, pullback, pushout and telescope
 models are all sums of shifted copies with a twist between the summands.  A
 twist entry (i, j, blocks) adds blocks[k], a map from part j in degree k to
 part i in degree k - 1.  Maps into or out of a sum are built from its
-inclusions and their transposes (projection).
+inclusions and their transposes (projection).  The total of an n-cube
+(ho_cube) is such a sum as well: one strand per subset t, in (|t|, sorted t)
+order, the object at t shifted by its vertical degree, with the signed edge
+maps as the twist.
+
+Basis positions are data.  The builder that lays out a basis is the only code
+that knows where things sit; callers read positions off the inclusions of a
+sum (_places), the index that _tensor_with_index fills while it lays out a
+tensor product, or the generator position table of _degree_positions, and
+never format a basis name to look it up again.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .exactq import (
     ONE,
@@ -168,6 +177,46 @@ def map_from_names(source: DG, target: DG, assignment: Callable[[int, str], dict
             for tname, c in assignment(k, name).items():
                 ent[(idx[tname], j)] = rat(c)
         blocks[k] = QMatrix(len(tnames), source.dim(k), ent)
+    return DGMap(source, target, blocks)
+
+
+def _degree_positions(degs: Sequence[int]) -> tuple[list[int], dict[int, list[int]]]:
+    """Each generator's position among those of its degree, and the
+    generators of each degree in order: the basis of the generator DG."""
+    pos: list[int] = []
+    by_deg: dict[int, list[int]] = {}
+    for i, d in enumerate(degs):
+        gens = by_deg.setdefault(d, [])
+        pos.append(len(gens))
+        gens.append(i)
+    return pos, by_deg
+
+
+Combination = Callable[[int], Mapping[int, Fraction]]  # generator -> {generator: coefficient}
+
+
+def _generator_dg(names: Sequence[str], degs: Sequence[int], d_of: Combination) -> DG:
+    """The DG on generators of the given names and degrees, with d(j) =
+    d_of(j), a combination {generator: coefficient} one degree lower."""
+    pos, gens = _degree_positions(degs)
+    diff = {
+        d: QMatrix(len(gens[d - 1]), len(idx), {(pos[h], pos[j]): c for j in idx for h, c in d_of(j).items()})
+        for d, idx in gens.items()
+        if d - 1 in gens
+    }
+    return DG({d: tuple(names[j] for j in idx) for d, idx in gens.items()}, diff)
+
+
+def _generator_map(
+    source: DG, target: DG, degs: tuple[Sequence[int], Sequence[int]], image_of: Combination
+) -> DGMap:
+    """The map of generator DGs (with generator degrees degs) sending
+    generator j to image_of(j), a combination {generator: coefficient}."""
+    (spos, sgens), tpos = _degree_positions(degs[0]), _degree_positions(degs[1])[0]
+    blocks = {}
+    for d, idx in sgens.items():
+        ent = {(tpos[h], spos[j]): c for j in idx for h, c in image_of(j).items()}
+        blocks[d] = QMatrix(target.dim(d), len(idx), ent)
     return DGMap(source, target, blocks)
 
 
@@ -332,43 +381,47 @@ def projection(incl: DGMap) -> DGMap:
     return DGMap(incl.target, incl.source, {k: m.transpose() for k, m in incl.blocks.items()})
 
 
+def _places(incl: DGMap) -> dict[tuple[int, int], int]:
+    """(degree, index in a summand) -> index in the sum, read off its inclusion."""
+    return {(k, c): r for k, m in incl.blocks.items() for r, c in m.entries}
+
+
 def tensor_dg(a: DG, b: DG) -> DG:
     """Tensor product with the Koszul-signed differential."""
-    pairs: dict[int, list[tuple[int, int, int, int]]] = {}
+    return _tensor_with_index(a, b)[0]
+
+
+def _tensor_with_index(a: DG, b: DG) -> tuple[DG, dict[tuple[int, int, int, int], tuple[int, int]]]:
+    """tensor_dg and the place of each pure tensor: (i, p, j, q) -> (i + j, position)."""
+    index: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+    names: dict[int, list[str]] = {}
     for i in a.degrees():
         for j in b.degrees():
-            n = i + j
-            for p in range(a.dim(i)):
-                for q in range(b.dim(j)):
-                    pairs.setdefault(n, []).append((i, p, j, q))
-    basis = {}
-    index: dict[tuple[int, int, int, int], int] = {}
-    for n, lst in pairs.items():
-        names = []
-        for pos, (i, p, j, q) in enumerate(lst):
-            index[(i, p, j, q)] = pos
-            names.append(f"({a.basis[i][p]}⊗{b.basis[j][q]})")
-        basis[n] = tuple(names)
-    diff = {}
-    for n, lst in pairs.items():
-        tgt = pairs.get(n - 1, [])
-        ent = {}
-        for col, (i, p, j, q) in enumerate(lst):
-            da = a.d(i)
-            for r in range(a.dim(i - 1)):
-                v = da.get(r, p)
-                if v != 0:
-                    ent[(index[(i - 1, r, j, q)], col)] = ent.get((index[(i - 1, r, j, q)], col), ZERO) + v
-            sign = -ONE if i % 2 else ONE
-            db = b.d(j)
-            for r in range(b.dim(j - 1)):
-                v = db.get(r, q)
-                if v != 0:
-                    key = (index[(i, p, j - 1, r)], col)
-                    ent[key] = ent.get(key, ZERO) + sign * v
-        if tgt:
-            diff[n] = QMatrix(len(tgt), len(lst), ent)
-    return DG(basis, diff)
+            lst = names.setdefault(i + j, [])
+            for p, x in enumerate(a.basis[i]):
+                for q, y in enumerate(b.basis[j]):
+                    index[(i, p, j, q)] = (i + j, len(lst))
+                    lst.append(f"({x}⊗{y})")
+    da, db = _by_column(a), _by_column(b)
+    ent: dict[int, dict[tuple[int, int], Fraction]] = {}
+    for (i, p, j, q), (n, col) in index.items():
+        e = ent.setdefault(n, {})
+        for r, x in da.get((i, p), ()):
+            e[(index[(i - 1, r, j, q)][1], col)] = x
+        sign = -ONE if i % 2 else ONE
+        for r, x in db.get((j, q), ()):
+            e[(index[(i, p, j - 1, r)][1], col)] = sign * x
+    diff = {n: QMatrix(len(names[n - 1]), len(names[n]), e) for n, e in ent.items() if e}
+    return DG({n: tuple(lst) for n, lst in names.items()}, diff), index
+
+
+def _by_column(v: DG) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+    """(degree, column) -> the nonzero (row, entry) of that column of d, by row."""
+    cols: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for k, m in v.diff.items():
+        for (r, c), x in m.entries.items():
+            cols.setdefault((k, c), []).append((r, x))
+    return cols
 
 
 def combine(kind: str, a: DG, b: DG) -> DG:
@@ -847,14 +900,45 @@ def cube_bidg(cube: Cube, mode: str) -> BiDG:
 
 
 def ho_cube(mode: str, cube: Cube, cap: int = 6) -> DG:
-    """Totalized n-dimensional homotopy limit/colimit of a subset-indexed cube."""
+    """Totalized n-dimensional homotopy limit/colimit of a subset-indexed cube.
+
+    The total is a sum_many of one strand per subset t (nonempty ones for the
+    limit, proper ones for the colimit), in (|t|, sorted t) order: the object
+    at t shifted by its vertical degree, 1 - |t| or n - 1 - |t|, with basis
+    names T..:x@v..; each edge t -> t + {e} is a twist entry with the sign
+    (-1)^#{x in t : x < e}.  It equals tot(cube_bidg(cube, mode)).
+    """
+    return _cube_sum(mode, cube, cap)[0]
+
+
+def _cube_sum(mode: str, cube: Cube, cap: int) -> tuple[DG, dict[frozenset, DGMap]]:
+    """ho_cube's total and the inclusion of each strand, keyed by subset."""
     if cube.n > cap:
         raise ValueError(f"cube dimension {cube.n} exceeds cap {cap}")
     problems = cube.validate_commuting()
     if problems:
         raise ValueError("non-commuting cube: " + problems[0])
-    b = cube_bidg(cube, mode)
-    return tot(b)
+    if mode == "limit":
+        strands, top = [s for s in cube.objects if s], 1
+    elif mode == "colimit":
+        strands, top = [s for s in cube.objects if len(s) < cube.n], cube.n - 1
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    strands.sort(key=lambda s: (len(s), sorted(s)))
+    at = {t: i for i, t in enumerate(strands)}
+
+    def strand(t: frozenset) -> DG:
+        v, tag = top - len(t), _subset_tag(t)
+        return relabel(shift(cube.objects[t], v, tag=""), lambda k, x: f"{tag}:{x}@v{v}")
+
+    twist = []
+    for t in strands:
+        for e in range(1, cube.n + 1):
+            if e not in t and t | {e} in at:
+                sign, v, edge = _incl_sign(t, e), top - len(t), cube.edge(t, t | {e})
+                twist.append((at[t | {e}], at[t], {k + v: m.scale(sign) for k, m in edge.blocks.items()}))
+    total, incls = sum_many([strand(t) for t in strands], [""] * len(strands), twist)
+    return total, dict(zip(strands, incls))
 
 
 # -- cartesian / cocartesian ----------------------------------------------------

@@ -28,7 +28,11 @@ from .dgcore import (
     DG,
     DGMap,
     ZERO_DG,
+    _degree_positions,
+    _generator_dg,
+    _generator_map,
     _path_sum,
+    _places,
     assert_valid,
     compose,
     identity_map,
@@ -502,32 +506,14 @@ class FreeDGLMap:
         return all(len(w) == 1 for p in self.gen_images.values() for w in p)
 
     def abelianized(self) -> DGMap:
-        src = abelianize(self.source)
-        tgt = abelianize(self.target)
-        blocks = {}
-        for d in src.degrees():
-            ent = {}
-            for j, (name, gd) in enumerate(self.source.basis.generators):
-                if gd != d:
-                    continue
-                jj = _gen_position(self.source.basis, d, j)
-                for w, c in self.gen_images.get(j, {}).items():
-                    if len(w) == 1:
-                        ii = _gen_position(self.target.basis, d, w[0])
-                        ent[(ii, jj)] = ent.get((ii, jj), ZERO) + c
-            blocks[d] = QMatrix(tgt.dim(d), src.dim(d), ent)
-        return DGMap(src, tgt, blocks)
+        src, tgt = abelianize(self.source), abelianize(self.target)
+        degs = (self.source.basis.deg, self.target.basis.deg)
+        return _generator_map(src, tgt, degs, lambda j: _letters(self.gen_images.get(j, {})))
 
 
-def _gen_position(b: FreeLieBasis, d: int, gen_idx: int) -> int:
-    """Position of a generator among the degree-d generators."""
-    pos = 0
-    for i, gd in enumerate(b.deg):
-        if i == gen_idx:
-            return pos
-        if gd == d:
-            pos += 1
-    raise ValueError("generator not found")
+def _letters(poly: TensorPoly) -> dict[int, Fraction]:
+    """The one-letter words of a polynomial, as {generator: coefficient}."""
+    return {w[0]: c for w, c in poly.items() if len(w) == 1}
 
 
 def free_dgl_identity(l: FreeDGL) -> FreeDGLMap:
@@ -716,25 +702,8 @@ def abelianize(l) -> DG:
     """(L)^ab: generators with the linear differential for free DGLs,
     quotient by the bracket image for finite DGLs."""
     if isinstance(l, FreeDGL):
-        b = l.basis
-        basis: dict[int, tuple[str, ...]] = {}
-        for name, d in b.generators:
-            basis[d] = basis.get(d, ()) + (name,)
-        diff = {}
         lin = l.linear_diff_part()
-        for d in sorted(basis):
-            tgt = basis.get(d - 1, ())
-            if not tgt:
-                continue
-            ent = {}
-            for j, (name, gd) in enumerate(b.generators):
-                if gd != d:
-                    continue
-                jj = _gen_position(b, d, j)
-                for w, c in lin.get(j, {}).items():
-                    ent[(_gen_position(b, d - 1, w[0]), jj)] = c
-            diff[d] = QMatrix(len(tgt), len(basis[d]), ent)
-        return DG(basis, diff)
+        return _generator_dg(l.basis.gen_name, l.basis.deg, lambda j: _letters(lin.get(j, {})))
     return abelianize_dgl(l)[0]
 
 
@@ -770,15 +739,11 @@ def dgl_strict_product(a: DGL, b: DGL) -> tuple[DGL, DGLMap, DGLMap]:
     """Categorical product: degreewise product with componentwise bracket."""
     dg, inl, inr = sum_dg(a.underlying, b.underlying, tags=("p1", "p2"))
     table: dict[tuple[int, int, int, int], Vector] = {}
-    for (k1, i1, k2, i2), v in a.bracket.items():
-        if not dg.dim(k1 + k2):
-            continue
-        table[(k1, i1, k2, i2)] = inl.apply(k1 + k2, v)
-    na = {k: a.underlying.dim(k) for k in dg.degrees()}
-    for (k1, i1, k2, i2), v in b.bracket.items():
-        if not dg.dim(k1 + k2):
-            continue
-        table[(k1, na.get(k1, 0) + i1, k2, na.get(k2, 0) + i2)] = inr.apply(k1 + k2, v)
+    for factor, incl in ((a, inl), (b, inr)):
+        at = _places(incl)
+        for (k1, i1, k2, i2), v in factor.bracket.items():
+            if dg.dim(k1 + k2):
+                table[(k1, at[(k1, i1)], k2, at[(k2, i2)])] = incl.apply(k1 + k2, v)
     caps = [c for c in (a.cap, b.cap) if c is not None]
     out = DGL(dg, table, cap=min(caps) if caps else None)
     return out, DGLMap(out, a, projection(inl)), DGLMap(out, b, projection(inr))
@@ -838,15 +803,15 @@ def dgl_product(a, b, model: str = "strict"):
         gd[na + nb + m] = poly
     model_l = FreeDGL(basis, gd)
     # witness: collapse onto the strict product
-    strict, _, _ = dgl_strict_product(to_dgl(a), to_dgl(b))
+    # a generator's monomial leads its degree, so it sits at the generator's
+    # position among those of its degree; the transpose of a projection of
+    # the strict product is the inclusion of that factor
+    strict, pa, pb = dgl_strict_product(to_dgl(a), to_dgl(b))
     images: dict[int, tuple[int, Vector]] = {}
-    for i, (an, ad) in enumerate(a.basis.generators):
-        pos = to_dgl(a).underlying.index_of(ad, a.basis.tree_name(i))
-        images[i] = (ad, _unit_vec(strict.underlying.dim(ad), pos))
-    for j, (bn, bd) in enumerate(b.basis.generators):
-        pos = to_dgl(b).underlying.index_of(bd, b.basis.tree_name(j))
-        off = to_dgl(a).underlying.dim(bd)
-        images[na + j] = (bd, _unit_vec(strict.underlying.dim(bd), off + pos))
+    for factor, proj, off in ((a, pa, 0), (b, pb, na)):
+        incl, pos = projection(proj.dgmap), _degree_positions(factor.basis.deg)[0]
+        for i, d in enumerate(factor.basis.deg):
+            images[off + i] = (d, incl.block(d).column(pos[i]))
     witness = dgl_map_from_gen_images(model_l, strict, images)
     return model_l, witness
 
@@ -928,21 +893,15 @@ def dgl_ho_pullback(
     if f1.target is not f2.target and f1.target != f2.target:
         raise ValueError("pullback codomain mismatch")
     l1, l2, k = f1.source, f2.source, f1.target
-    dg1, dgk = l1.underlying, k.underlying
     pdg, incls = _path_sum(f1.dgmap, map_scale(-1, f2.dgmap), ("l1", "k", "l2"))
-
-    def offs(m: int) -> tuple[int, int]:
-        return dg1.dim(m), dg1.dim(m) + dgk.dim(m + 1)
-
+    at1, atk, at2 = (_places(incl) for incl in incls)
     half = Fraction(1, 2)
     table: dict[tuple[int, int, int, int], Vector] = {}
     # strand brackets
-    for (k1, i1, k2, i2), v in l1.bracket.items():
-        if pdg.dim(k1 + k2) and any(v):
-            table[(k1, i1, k2, i2)] = incls[0].apply(k1 + k2, v)
-    for (k1, i1, k2, i2), v in l2.bracket.items():
-        if pdg.dim(k1 + k2) and any(v):
-            table[(k1, offs(k1)[1] + i1, k2, offs(k2)[1] + i2)] = incls[2].apply(k1 + k2, v)
+    for li, at, incl in ((l1, at1, incls[0]), (l2, at2, incls[2])):
+        for (k1, i1, k2, i2), v in li.bracket.items():
+            if pdg.dim(k1 + k2) and any(v):
+                table[(k1, at[(k1, i1)], k2, at[(k2, i2)])] = incl.apply(k1 + k2, v)
     # mixed brackets with the shifted strand; a basis element of K that no
     # nonzero entry of K's table names brackets to zero with everything
     named: dict[int, set[int]] = {}
@@ -951,32 +910,31 @@ def dgl_ho_pullback(
             named.setdefault(k1, set()).add(i1)
             named.setdefault(k2, set()).add(i2)
     for m in pdg.degrees():
-        nk = dgk.dim(m + 1)
+        nk = k.underlying.dim(m + 1)
         if not named.get(m + 1):
             continue
-        for (li, fi, strand) in ((l1, f1, 0), (l2, f2, 2)):
-            dgi = li.underlying
-            for n in dgi.degrees():
+        for li, fi, at in ((l1, f1, at1), (l2, f2, at2)):
+            for n in li.underlying.degrees():
                 if not pdg.dim(m + n):
                     continue
-                o_str = 0 if strand == 0 else offs(n)[1]
                 images = fi.dgmap.block(n).columns()
                 for a in sorted(named[m + 1]):
-                    ek, pos = _unit_vec(nk, a), offs(m)[0] + a
+                    ek, pos = _unit_vec(nk, a), atk[(m, a)]
                     for j, fl in enumerate(images):
                         val = k.bracket_vec(m + 1, ek, n, fl)
                         if any(val):
-                            table[(m, pos, n, o_str + j)] = incls[1].apply(m + n, vec_scale(half, val))
+                            table[(m, pos, n, at[(n, j)])] = incls[1].apply(m + n, vec_scale(half, val))
                         val2 = k.bracket_vec(n, fl, m + 1, ek)
                         if any(val2):
                             sgn = -half if n % 2 else half
-                            table[(n, o_str + j, m, pos)] = incls[1].apply(m + n, vec_scale(sgn, val2))
+                            table[(n, at[(n, j)], m, pos)] = incls[1].apply(m + n, vec_scale(sgn, val2))
     caps = [c for c in (l1.cap, l2.cap) if c is not None]
     if k.cap is not None:
         caps.append(k.cap - 1)  # the shifted strand loses one degree of bracket data
     p = DGL(pdg, table, cap=min(caps) if caps else None)
     # strict limit {(x1, x2) : f1(x1) = f2(x2)} and its map into the model
     lim_dg, pu, pw = strict_pullback(f1.dgmap, map_scale(-1, f2.dgmap))
+    live1, live2 = _live_pairs(l1), _live_pairs(l2)
     lim_table: dict[tuple[int, int, int, int], Vector] = {}
     for k1 in lim_dg.degrees():
         for k2 in lim_dg.degrees():
@@ -988,7 +946,7 @@ def dgl_ho_pullback(
                 x1, y1 = pu.block(k1).column(i1), pw.block(k1).column(i1)
                 for i2 in range(lim_dg.dim(k2)):
                     x2, y2 = pu.block(k2).column(i2), pw.block(k2).column(i2)
-                    val = l1.bracket_vec(k1, x1, k2, x2) + l2.bracket_vec(k1, y1, k2, y2)
+                    val = _reached(l1, live1, k1, x1, k2, x2) + _reached(l2, live2, k1, y1, k2, y2)
                     if any(val):
                         values[(k1, i1, k2, i2)] = val
             inc = QMatrix.vstack([pu.block(kk), pw.block(kk)])
@@ -1000,6 +958,27 @@ def dgl_ho_pullback(
     if reduce_to is not None:
         return reduce_dgl(reduce_to, p), None
     return p, witness
+
+
+def _live_pairs(l: DGL) -> dict[tuple[int, int], tuple[set[int], set[int]]]:
+    """(k1, k2) -> the first and the second indices of the nonzero entries of
+    l's table in those degrees."""
+    live: dict[tuple[int, int], tuple[set[int], set[int]]] = {}
+    for k1, i1, k2, i2 in _basis_keys(l):
+        if any(l.bracket[(k1, i1, k2, i2)]):
+            first, second = live.setdefault((k1, k2), (set(), set()))
+            first.add(i1)
+            second.add(i2)
+    return live
+
+
+def _reached(l: DGL, live: dict, k1: int, v1: Vector, k2: int, v2: Vector) -> Vector:
+    """l.bracket_vec(k1, v1, k2, v2), or its zero vector at once when v1 and
+    v2 do not meet the two ends of one of the live pairs of l."""
+    ends = live.get((k1, k2))
+    if ends and any(v1[a] for a in ends[0]) and any(v2[b] for b in ends[1]):
+        return l.bracket_vec(k1, v1, k2, v2)
+    return zero_vec(l.underlying.dim(k1 + k2))
 
 
 def dgl_hofib(f: DGLMap) -> DGL:
@@ -1127,35 +1106,25 @@ def free_cylinder(f: FreeDGLMap, g: FreeDGLMap) -> FreeDGL:
 
 def bracket_filtration(l: FreeDGL, n: int) -> tuple[list[DGL], list[DG]]:
     """Quotients B_k by bracket length > k (k = 1..n) and their layers."""
+    return _bracket_filtration(l, n)[:2]
+
+
+def _bracket_filtration(l: FreeDGL, n: int) -> tuple[list[DGL], list[DG], list[dict[int, list[int]]]]:
+    """bracket_filtration, and for each B_k the positions in to_dgl(l) that
+    it keeps, per degree."""
     if n < 1:
         raise ValueError("filtration depth must be >= 1")
     full = to_dgl(l)
     b = l.basis
     towers: list[DGL] = []
     layers: list[DG] = []
+    keeps: list[dict[int, list[int]]] = []
     lengths = {d: [b.tree_length(t) for t in ms] for d, ms in b.monomials.items()}
     for kmax in range(1, n + 1):
         keep = {
             d: [i for i, ln in enumerate(lens) if ln <= kmax]
             for d, lens in lengths.items()
         }
-        basis = {
-            d: tuple(full.underlying.basis[d][i] for i in idx)
-            for d, idx in keep.items()
-            if idx
-        }
-        diff = {}
-        for d in basis:
-            if (d - 1) in basis:
-                dm = full.underlying.d(d)
-                ent = {}
-                for rr, r0 in enumerate(keep[d - 1]):
-                    for cc, c0 in enumerate(keep[d]):
-                        val = dm.get(r0, c0)
-                        if val:
-                            ent[(rr, cc)] = val
-                diff[d] = QMatrix(len(keep[d - 1]), len(keep[d]), ent)
-        bdg = DG(basis, diff)
         pos = {
             d: {orig: new for new, orig in enumerate(idx)} for d, idx in keep.items()
         }
@@ -1168,29 +1137,24 @@ def bracket_filtration(l: FreeDGL, n: int) -> tuple[list[DGL], list[DG]]:
             vec = tuple(v[o] for o in keep[k1 + k2])
             if any(vec):
                 table[(k1, pos[k1][i1], k2, pos[k2][i2])] = vec
-        towers.append(DGL(bdg, table, cap=l.cap))
-        exact = {
-            d: [i for i, ln in enumerate(lens) if ln == kmax]
-            for d, lens in lengths.items()
-        }
-        lbasis = {
-            d: tuple(full.underlying.basis[d][i] for i in idx)
-            for d, idx in exact.items()
-            if idx
-        }
-        ldiff = {}
-        for d in lbasis:
-            if (d - 1) in lbasis:
-                dm = full.underlying.d(d)
-                ent = {}
-                for rr, r0 in enumerate(exact[d - 1]):
-                    for cc, c0 in enumerate(exact[d]):
-                        val = dm.get(r0, c0)
-                        if val:
-                            ent[(rr, cc)] = val
-                ldiff[d] = QMatrix(len(exact[d - 1]), len(exact[d]), ent)
-        layers.append(DG(lbasis, ldiff))
-    return towers, layers
+        towers.append(DGL(_restrict(full.underlying, keep), table, cap=l.cap))
+        exact = {d: [i for i, ln in enumerate(lens) if ln == kmax] for d, lens in lengths.items()}
+        layers.append(_restrict(full.underlying, exact))
+        keeps.append(keep)
+    return towers, layers, keeps
+
+
+def _restrict(v: DG, keep: dict[int, list[int]]) -> DG:
+    """The basis elements of v at the kept positions, with d's entries among them."""
+    at = {d: {orig: new for new, orig in enumerate(idx)} for d, idx in keep.items() if idx}
+    basis = {d: tuple(v.basis[d][i] for i in at[d]) for d in at}
+    diff = {}
+    for d in basis:
+        if d - 1 in basis:
+            rows, cols = at[d - 1], at[d]
+            ent = {(rows[r], cols[c]): x for (r, c), x in v.d(d).entries.items() if r in rows and c in cols}
+            diff[d] = QMatrix(len(rows), len(cols), ent)
+    return DG(basis, diff)
 
 
 # -- Hurewicz ---------------------------------------------------------------------------

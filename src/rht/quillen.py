@@ -32,6 +32,7 @@ from .dgcore import (
     DG,
     DGMap,
     ZERO_DG,
+    _degree_positions,
     homology_dims,
     is_quasi_iso_through,
     reduce_dg,
@@ -183,15 +184,14 @@ def counit_eps(l: FreeDGL, cap: Optional[int] = None) -> tuple[FreeDGLMap, bool]
     lc = cobar_L(cc, cap)
     ld = to_dgl(l)
     words = cc.words()
+    pos = _degree_positions(cc.deg)[0]
     images: dict[int, TensorPoly] = {}
     gi = 0
     for k in sorted(words):
         for w in words[k]:
             if len(w) == 1:
                 # cogenerator s(t) for the monomial t of L
-                d = cc.deg[w[0]] - 1
-                pos = _cogen_position(cc, w[0])
-                tree = l.basis.monomials[d][pos]
+                tree = l.basis.monomials[cc.deg[w[0]] - 1][pos[w[0]]]
                 images[gi] = dict(l.basis.expand(tree))
             gi += 1
     eps = FreeDGLMap(lc, l, images)
@@ -201,18 +201,6 @@ def counit_eps(l: FreeDGL, cap: Optional[int] = None) -> tuple[FreeDGLMap, bool]
         raise RuntimeError("counit is not a chain map: " + "; ".join(report[:3]))
     q = is_quasi_iso_through(fm, cap - 1)
     return eps, q
-
-
-def _cogen_position(c: CofreeDGC, gen_idx: int) -> int:
-    """Position of a cogenerator among those of its degree."""
-    d = c.deg[gen_idx]
-    pos = 0
-    for i, gd in enumerate(c.deg):
-        if i == gen_idx:
-            return pos
-        if gd == d:
-            pos += 1
-    raise ValueError("cogenerator not found")
 
 
 def linearize_equiv(side: str, x) -> tuple[DGMap, bool]:
@@ -230,17 +218,16 @@ def linearize_equiv(side: str, x) -> tuple[DGMap, bool]:
         src = to_dgc(cc).underlying
         tgt = shift(abelianize(x), 1)
         words = cc.words()
+        cpos, apos = _degree_positions(cc.deg)[0], _degree_positions(x.basis.deg)[0]
         blocks = {}
         for k, ws in words.items():
             ent = {}
             for j, w in enumerate(ws):
                 if len(w) != 1:
                     continue
-                d = cc.deg[w[0]] - 1
-                pos = _cogen_position(cc, w[0])
-                tree = x.basis.monomials[d][pos]
+                tree = x.basis.monomials[cc.deg[w[0]] - 1][cpos[w[0]]]
                 if isinstance(tree, int):
-                    ent[(_abelian_position(x, tree), j)] = ONE
+                    ent[(apos[tree], j)] = ONE
             blocks[k] = QMatrix(tgt.dim(k), len(ws), ent)
         f = DGMap(src, tgt, blocks)
         window = x.cap
@@ -250,16 +237,15 @@ def linearize_equiv(side: str, x) -> tuple[DGMap, bool]:
         lc = cobar_L(x, x.cap - 1)
         src = shift(x.gen_dg(), -1)
         tgt = to_dgl(lc).underlying
+        # cobar_L numbers its generators along the basis of to_dgc(x), and a
+        # generator's monomial sits at its position among those of its degree
+        words = x.words()
+        lpos = _degree_positions(lc.basis.deg)[0]
+        at = {w[0]: lpos[i] for i, w in enumerate(w for k in sorted(words) for w in words[k]) if len(w) == 1}
+        gens = _degree_positions(x.deg)[1]
         blocks = {}
         for k in src.degrees():
-            ent = {}
-            for i in range(src.dim(k)):
-                # the i-th degree-(k+1) cogenerator, as a length-one monomial
-                gidx = _gen_at(x, k + 1, i)
-                tree_pos = _monomial_position(lc, k, gidx)
-                if tree_pos is not None:
-                    ent[(tree_pos, i)] = ONE
-            blocks[k] = QMatrix(tgt.dim(k), src.dim(k), ent)
+            blocks[k] = QMatrix(tgt.dim(k), src.dim(k), {(at[g], i): ONE for i, g in enumerate(gens[k + 1])})
         f = DGMap(src, tgt, blocks)
         window = lc.cap - 1
     else:
@@ -268,34 +254,6 @@ def linearize_equiv(side: str, x) -> tuple[DGMap, bool]:
     if report:
         raise RuntimeError("linearization is not a chain map: " + "; ".join(report[:3]))
     return f, is_quasi_iso_through(f, window)
-
-
-def _abelian_position(l: FreeDGL, gen_idx: int) -> int:
-    pos = 0
-    d = l.basis.deg[gen_idx]
-    for i, gd in enumerate(l.basis.deg):
-        if i == gen_idx:
-            return pos
-        if gd == d:
-            pos += 1
-    raise ValueError("generator not found")
-
-
-def _gen_at(c: CofreeDGC, d: int, pos: int) -> int:
-    seen = 0
-    for i, gd in enumerate(c.deg):
-        if gd == d:
-            if seen == pos:
-                return i
-            seen += 1
-    raise ValueError("cogenerator not found")
-
-
-def _monomial_position(l: FreeDGL, d: int, gen_idx: int) -> Optional[int]:
-    for j, t in enumerate(l.basis.monomials.get(d, ())):
-        if t == gen_idx:
-            return j
-    return None
 
 
 # -- stable functors ------------------------------------------------------------------

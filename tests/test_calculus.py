@@ -1,9 +1,12 @@
 """Joins, test cubes, total homotopy (co)fibers, Taylor approximations,
 cross effects, Lie representations, layer towers, and jets."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rht.calculus import (
     CoefficientFunctor,
@@ -35,7 +38,15 @@ from rht.calculus import (
     thfib_total,
     tset_dg,
 )
-from rht.dgc import cofree_lambda, dgc_validate
+from rht.calculus import (
+    _apply_functor_cube,
+    _coproduct_cube,
+    _into_holim,
+    _join_map,
+    _outof_hocolim,
+    _perm_sort_sign,
+)
+from rht.dgc import cofree_lambda, dgc_validate, trivial_dgc
 from rht.dgcore import (
     DG,
     Cube,
@@ -52,8 +63,9 @@ from rht.dgcore import (
     tensor_dg,
     validate_dg,
 )
+from rht.dgcore import _subset_tag, assert_valid, cube_bidg, ho_fiber, sum_many, tot
 from rht.dgl import FreeDGL, bracket_filtration, free_lie_basis, to_dgl
-from rht.exactq import ONE, QMatrix
+from rht.exactq import ONE, ZERO, QMatrix
 from rht.quillen import sphere_model
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
 
@@ -577,3 +589,337 @@ def test_constructions_are_deterministic():
     assert a.rep.action[0] == b.rep.action[0]
     cu1, cu2 = make_test_cube(2, V24), make_test_cube(2, V24)
     assert cu1.objects[frozenset({1, 2})] == cu2.objects[frozenset({1, 2})]
+
+
+# -- basis positions as data: the name-lookup builders as oracles -------------------------
+
+
+def _old_tensor_index(a, b):
+    pairs = {}
+    index = {}
+    for i in a.degrees():
+        for j in b.degrees():
+            n = i + j
+            for p in range(a.dim(i)):
+                for q in range(b.dim(j)):
+                    index[(i, p, j, q)] = (n, pairs.get(n, 0))
+                    pairs[n] = pairs.get(n, 0) + 1
+    return index
+
+
+def _old_tensor_map(f, g):
+    src = tensor_dg(f.source, g.source)
+    tgt = tensor_dg(f.target, g.target)
+    si = _old_tensor_index(f.source, g.source)
+    ti = _old_tensor_index(f.target, g.target)
+    ent = {}
+    for (i, p, j, q), (n, col) in si.items():
+        fb = f.block(i)
+        gb = g.block(j)
+        for r in range(f.target.dim(i)):
+            v1 = fb.get(r, p)
+            if not v1:
+                continue
+            for s in range(g.target.dim(j)):
+                v2 = gb.get(s, q)
+                if not v2:
+                    continue
+                row = ti[(i, r, j, s)][1]
+                d = ent.setdefault(n, {})
+                d[(row, col)] = d.get((row, col), ZERO) + v1 * v2
+    blocks = {n: QMatrix(tgt.dim(n), src.dim(n), e) for n, e in ent.items()}
+    return DGMap(src, tgt, blocks)
+
+
+def _old_test_cube(n, x):
+    objs_by_size = {k: join(x, k) for k in range(n + 1)}
+    idx_by_size = {k: _old_tensor_index(tset_dg(k), x) for k in range(1, n + 1)}
+    edge_by_shape = {}
+
+    def edge_map(k, pos):
+        key = (k, pos)
+        if key in edge_by_shape:
+            return edge_by_shape[key]
+        if k == 0:
+            tgt = objs_by_size[1]
+            ti = idx_by_size[1]
+            blocks = {}
+            for deg in x.degrees():
+                ent = {(ti[(0, 0, deg, q)][1], q): ONE for q in range(x.dim(deg))}
+                blocks[deg] = QMatrix(tgt.dim(deg), x.dim(deg), ent)
+            m = DGMap(x, tgt, blocks)
+        else:
+            tm_blocks = {(0, 0): (0, 0)}
+            for r in range(1, k + 1):
+                tm_blocks[(1, r - 1)] = (1, r - 1 if r < pos else r)
+            a, b = tset_dg(k), tset_dg(k + 1)
+            tm = DGMap(a, b, {
+                d: QMatrix(b.dim(d), a.dim(d), {(tm_blocks[(d, c)][1], c): ONE for c in range(a.dim(d))})
+                for d in a.degrees()
+            })
+            m = _old_tensor_map(tm, identity_map(x))
+        edge_by_shape[key] = m
+        return m
+
+    objects = {}
+    edges = {}
+    elements = list(range(1, n + 1))
+    for r in range(n + 1):
+        for s in itertools.combinations(elements, r):
+            fs = frozenset(s)
+            objects[fs] = objs_by_size[r]
+            for t in elements:
+                if t in fs:
+                    continue
+                pos = sorted(fs | {t}).index(t) + 1
+                edges[(fs, fs | {t})] = edge_map(r, pos)
+    return Cube(n, objects, edges)
+
+
+def _old_into_holim(cube):
+    hol = tot(cube_bidg(cube, "limit"))
+    src = cube.objects[frozenset()]
+    blocks = {}
+    for k in src.degrees():
+        ent = {}
+        for t in range(1, cube.n + 1):
+            e = cube.edge(frozenset(), frozenset({t}))
+            tag = _subset_tag(frozenset({t}))
+            names = e.target.basis.get(k, ())
+            for (r, c), val in e.block(k).entries.items():
+                row = hol.index_of(k, f"{tag}:{names[r]}@v0")
+                ent[(row, c)] = ent.get((row, c), ZERO) + val
+        blocks[k] = QMatrix(hol.dim(k), src.dim(k), ent)
+    return hol, DGMap(src, hol, blocks)
+
+
+def _old_outof_hocolim(cube):
+    hoc = tot(cube_bidg(cube, "colimit"))
+    full = frozenset(range(1, cube.n + 1))
+    tgt = cube.objects[full]
+    blocks = {}
+    for k in hoc.degrees():
+        ent = {}
+        for j in range(1, cube.n + 1):
+            t = full - {j}
+            e = cube.edge(t, full)
+            tag = _subset_tag(t)
+            sign = -ONE if j % 2 else ONE
+            names = e.source.basis.get(k, ())
+            for (r, c), val in e.block(k).entries.items():
+                col = hoc.index_of(k, f"{tag}:{names[c]}@v0")
+                ent[(r, col)] = ent.get((r, col), ZERO) + sign * val
+        blocks[k] = QMatrix(tgt.dim(k), hoc.dim(k), ent)
+    return hoc, DGMap(hoc, tgt, blocks)
+
+
+def _old_tn_apply_map(inner, n, g):
+    src_cube = _apply_functor_cube(inner, make_test_cube(n + 1, g.source))
+    tgt_cube = _apply_functor_cube(inner, make_test_cube(n + 1, g.target))
+    src = tot(cube_bidg(src_cube, "limit"))
+    tgt = tot(cube_bidg(tgt_cube, "limit"))
+    comps = {size: inner.apply_map(_join_map(g, size)) for size in range(1, n + 2)}
+    ent = {}
+    elements = list(range(1, n + 2))
+    for r in range(1, n + 2):
+        for s in itertools.combinations(elements, r):
+            fs = frozenset(s)
+            tag = _subset_tag(fs)
+            vdeg = 1 - r
+            comp = comps[r]
+            for k in comp.source.degrees():
+                snames = comp.source.basis[k]
+                tnames = comp.target.basis.get(k, ())
+                for (rr, cc), val in comp.block(k).entries.items():
+                    row = tgt.index_of(k + vdeg, f"{tag}:{tnames[rr]}@v{vdeg}")
+                    col = src.index_of(k + vdeg, f"{tag}:{snames[cc]}@v{vdeg}")
+                    d = ent.setdefault(k + vdeg, {})
+                    d[(row, col)] = d.get((row, col), ZERO) + val
+    blocks = {k: QMatrix(tgt.dim(k), src.dim(k), e) for k, e in ent.items() if src.dim(k)}
+    return DGMap(src, tgt, blocks)
+
+
+def _old_coproduct_cube(inputs):
+    n = len(inputs)
+    elements = list(range(1, n + 1))
+    objects = {}
+    for r in range(n + 1):
+        for s in itertools.combinations(elements, r):
+            fs = frozenset(s)
+            comp = [i for i in elements if i not in fs]
+            objects[fs] = sum_many([inputs[i - 1] for i in comp], tags=[f"x{i}" for i in comp])[0]
+    edges = {}
+    for fs, obj in objects.items():
+        for t in elements:
+            if t in fs:
+                continue
+            tgt = objects[fs | {t}]
+            blocks = {}
+            for k in obj.degrees():
+                ent = {}
+                for c, name in enumerate(obj.basis[k]):
+                    if name.startswith(f"x{t}("):
+                        continue
+                    ent[(tgt.index_of(k, name), c)] = ONE
+                blocks[k] = QMatrix(tgt.dim(k), obj.dim(k), ent)
+            edges[(fs, fs | {t})] = DGMap(obj, tgt, blocks)
+    return Cube(n, objects, edges)
+
+
+def _old_cross_effect(f, n, inputs):
+    cube = _old_coproduct_cube(inputs)
+    fc = _apply_functor_cube(f, cube)
+    if n == 0:
+        return SymmetricDG(fc.objects[frozenset()], 0, [])
+    hol, m = _old_into_holim(fc)
+    value = ho_fiber(m)
+    if n < 2 or any(v != inputs[0] for v in inputs[1:]):
+        return SymmetricDG(value, n, [])
+    actions = []
+    for a in range(1, n):
+        perm = {i: i for i in range(1, n + 1)}
+        perm[a], perm[a + 1] = a + 1, a
+        strand_maps = {}
+        for fs, obj in cube.objects.items():
+            pfs = frozenset(perm[i] for i in fs)
+            tgt = cube.objects[pfs]
+            blocks = {}
+            for k in obj.degrees():
+                ent = {}
+                for c, name in enumerate(obj.basis[k]):
+                    i = int(name[1 : name.index("(")])
+                    new = f"x{perm[i]}" + name[name.index("(") :]
+                    ent[(tgt.index_of(k, new), c)] = ONE
+                blocks[k] = QMatrix(tgt.dim(k), obj.dim(k), ent)
+            strand_maps[fs] = f.apply_map(DGMap(obj, tgt, blocks))
+        base = strand_maps[frozenset()]
+        ent_by_deg = {k: {} for k in value.degrees()}
+        for k in base.source.degrees():
+            snames = fc.objects[frozenset()].basis[k]
+            tnames = base.target.basis.get(k, ())
+            for (r, c), val in base.block(k).entries.items():
+                row = value.index_of(k, f"v({tnames[r]})")
+                col = value.index_of(k, f"v({snames[c]})")
+                ent_by_deg.setdefault(k, {})[(row, col)] = val
+        for fs in cube.objects:
+            if not fs:
+                continue
+            pfs = frozenset(perm[i] for i in fs)
+            sign = _perm_sort_sign([perm[i] for i in sorted(fs)])
+            tag_s, tag_t = _subset_tag(fs), _subset_tag(pfs)
+            vdeg = 1 - len(fs)
+            comp = strand_maps[fs]
+            for k in comp.source.degrees():
+                snames = comp.source.basis[k]
+                tnames = comp.target.basis.get(k, ())
+                for (r, c), val in comp.block(k).entries.items():
+                    tot_deg = k + vdeg - 1
+                    row = value.index_of(tot_deg, f"f(si({tag_t}:{tnames[r]}@v{vdeg}))")
+                    col = value.index_of(tot_deg, f"f(si({tag_s}:{snames[c]}@v{vdeg}))")
+                    d = ent_by_deg.setdefault(tot_deg, {})
+                    d[(row, col)] = d.get((row, col), ZERO) + sign * val
+        blocks = {k: QMatrix(value.dim(k), value.dim(k), e) for k, e in ent_by_deg.items() if value.dim(k)}
+        act = DGMap(value, value, blocks)
+        assert_valid(act, "cross-effect symmetry generator")
+        actions.append(act)
+    return SymmetricDG(value, n, actions)
+
+
+def _old_tower_maps(objects):
+    maps = []
+    for i in range(len(objects) - 1):
+        big, small = objects[i + 1], objects[i]
+        blocks = {}
+        for k in big.degrees():
+            ent = {}
+            small_names = set(small.basis.get(k, ()))
+            for col, name in enumerate(big.basis[k]):
+                if name in small_names:
+                    ent[(small.index_of(k, name), col)] = ONE
+            blocks[k] = QMatrix(small.dim(k), big.dim(k), ent)
+        maps.append(DGMap(big, small, blocks))
+    return maps
+
+
+def _same(x, y):
+    """Equal values, and for a DG or a DGMap the same basis names in the same order."""
+    if isinstance(x, DGMap):
+        return _same(x.source, y.source) and _same(x.target, y.target) and x == y
+    return list(x.basis.items()) == list(y.basis.items()) and x == y
+
+
+def _functor(rng, kind):
+    if kind == "identity":
+        return IdentityFunctor()
+    if kind == "square":
+        return TensorPowerFunctor(2)
+    if kind == "coefficient":
+        return CoefficientFunctor(random_dg(rng, 0, 1, 2, prefix="c"))
+    return SumFunctor((IdentityFunctor(), SuspensionFunctor(1, IdentityFunctor())))
+
+
+FUNCTORS = st.sampled_from(["identity", "square", "coefficient", "sum"])
+
+
+def _same_cube(new, old):
+    assert new.n == old.n and list(new.objects) == list(old.objects) and list(new.edges) == list(old.edges)
+    assert all(_same(new.objects[s], old.objects[s]) for s in new.objects)
+    assert all(_same(new.edges[e], old.edges[e]) for e in new.edges)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), FUNCTORS)
+def test_holim_comparison_maps_match_the_name_lookups(seed, n, kind):
+    rng = random.Random(seed)
+    x = random_dg(rng, 0, 2, 3)
+    _same_cube(make_test_cube(n, x), _old_test_cube(n, x))
+    f = _functor(rng, kind)
+    for cube in (_apply_functor_cube(f, make_test_cube(n, x)), _coproduct_cube([x] * n)[0]):
+        hol, m, places = _into_holim(cube)
+        assert _same(m, _old_into_holim(cube)[1])
+        assert list(places) == sorted((s for s in cube.objects if s), key=lambda s: (len(s), sorted(s)))
+        assert _same(_outof_hocolim(cube)[1], _old_outof_hocolim(cube)[1])
+    s, t, g, h = random_commuting_square(rng, 0, 2)
+    cube = square_cube(s, t, g, h)
+    assert _same(_into_holim(cube)[1], _old_into_holim(cube)[1])
+    assert _same(_outof_hocolim(cube)[1], _old_outof_hocolim(cube)[1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), FUNCTORS)
+def test_tn_functor_maps_match_the_name_lookups(seed, n, kind):
+    rng = random.Random(seed)
+    v, w = random_dg(rng, 0, 2, 2, prefix="v"), random_dg(rng, 0, 2, 2, prefix="w")
+    g = random_chain_map(rng, v, w)
+    inner = _functor(rng, kind)
+    assert _same(TnFunctor(inner, n).apply_map(g), _old_tn_apply_map(inner, n, g))
+    a, b = random_chain_map(rng, v, v), random_chain_map(rng, w, w)
+    assert _same(tensor_map(a, b), _old_tensor_map(a, b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), FUNCTORS, st.booleans())
+def test_coproduct_cubes_and_cross_effects_match_the_name_lookups(seed, n, kind, equal):
+    rng = random.Random(seed)
+    if kind in ("square", "coefficient"):
+        n = min(n, 3)
+    x = random_dg(rng, 0, 2, 2)
+    inputs = [x] * n if equal else [random_dg(rng, 0, 2, 2, prefix=f"y{i}") for i in range(n)]
+    _same_cube(_coproduct_cube(inputs)[0], _old_coproduct_cube(inputs))
+    f = _functor(rng, kind)
+    new, old = cross_effect(f, n, inputs), _old_cross_effect(f, n, inputs)
+    assert _same(new.underlying, old.underlying) and new.n == old.n
+    assert len(new.action) == len(old.action) and all(_same(a, b) for a, b in zip(new.action, old.action))
+
+
+@pytest.mark.parametrize("model", ["sphere", "polynomial", "trivial"])
+def test_tower_maps_match_the_name_lookups(model):
+    if model == "sphere":
+        c = sphere_model(3)
+    elif model == "polynomial":
+        c = cofree_lambda(DG({2: ("v",)}), 7)
+    else:
+        c = trivial_dgc(DG({2: ("a",), 3: ("b",)}))
+    tower = taylor_layers_cobar(c, 3, 7)[0]
+    old = _old_tower_maps(tower.objects)
+    assert len(tower.maps) == len(old) and all(_same(a, b) for a, b in zip(tower.maps, old))

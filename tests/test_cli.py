@@ -2,6 +2,7 @@
 
 import io
 import json
+import pathlib
 import sys
 from contextlib import redirect_stdout
 
@@ -258,3 +259,16 @@ def test_reports_are_byte_identical():
         ("verify", f"{MODELS}/hurewicz-counterexample.dgl"),
     ):
         assert run(*argv) == run(*argv)
+
+
+# -- the benchmark's pinned commands -----------------------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PINNED = json.loads((ROOT / "perfbench" / "pinned_cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_pinned_commands_give_the_pinned_output(command, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the pinned commands name their models relative to the repository
+    status, out = run(*command.split())
+    assert (status, out) == (PINNED[command]["exit"], PINNED[command]["stdout"])

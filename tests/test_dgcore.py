@@ -53,6 +53,7 @@ from rht.dgcore import (
     validate_dg,
     zero_map,
 )
+from rht.dgcore import _cube_sum, _degree_positions, _tensor_with_index, map_add, projection, tot
 from rht.calculus import _collapse_last, test_cube as _test_cube, thfib_thcof
 from rht.exactq import ONE, ZERO, QMatrix, extend_to_basis, image_pivot_columns, kernel_basis, rank, rat
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
@@ -1058,3 +1059,203 @@ def test_total_fiber_square_maps_match_the_hand_written_ones(n, mode):
         assert all(_same(new.edges[e], old.edges[e]) for e in new.edges)
         cube = new
     assert thfib_thcof(mode, _test_cube(n, x)) == cube.objects[frozenset()]
+
+
+# -- basis positions as data: cube totals, the tensor index, the generator table ------
+
+
+def _random_cube(rng, n):
+    """A random commuting n-cube of one of two shapes: a chain A_0 -> ... -> A_n
+    of random chain maps indexed by |S|, the edges adding e scaled by c_e; or
+    S |-> the sum of random pieces X_R over R <= S, with summand inclusions."""
+    from itertools import combinations
+
+    elements = range(1, n + 1)
+    subsets = [frozenset(c) for r in range(n + 1) for c in combinations(elements, r)]
+    ups = [(s, e) for s in subsets for e in elements if e not in s]
+    if rng.random() < 0.5:
+        objs = [random_dg(rng, 0, 3, 3, prefix=f"a{r}_") for r in range(n + 1)]
+        maps = [random_chain_map(rng, a, b) for a, b in zip(objs, objs[1:])]
+        scale = {e: rng.choice([1, -1, 2, Fraction(1, 2), 0]) for e in elements}
+        edges = {(s, s | {e}): map_scale(scale[e], maps[len(s)]) for s, e in ups}
+        return Cube(n, {s: objs[len(s)] for s in subsets}, edges)
+    pieces = {s: random_dg(rng, 0, 2, 2, prefix="p" + "".join(map(str, sorted(s))) + "_") for s in subsets}
+    sums = {s: sum_many([pieces[r] for r in subsets if r <= s]) for s in subsets}
+    edges = {}
+    for s, e in ups:
+        (src, src_in), (tgt, tgt_in) = sums[s], sums[s | {e}]
+        inside = [r for r in subsets if r <= s | {e}]
+        m = zero_map(src, tgt)
+        for r, incl in zip([r for r in subsets if r <= s], src_in):
+            m = map_add(m, compose(tgt_in[inside.index(r)], projection(incl)))
+        edges[(s, s | {e})] = m
+    return Cube(n, {s: total for s, (total, _) in sums.items()}, edges)
+
+
+def _check_strands(total, strands):
+    """Each strand inclusion sends a basis element to the one of the same name."""
+    for incl in strands.values():
+        for k, m in incl.blocks.items():
+            assert all(total.basis[k][r] == incl.source.basis[k][c] for r, c in m.entries)
+    assert sum(incl.source.total_dim() for incl in strands.values()) == total.total_dim()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.sampled_from(["limit", "colimit"]))
+def test_cube_totals_equal_tot_of_cube_bidg_on_random_cubes(seed, n, mode):
+    cube = _random_cube(Random(seed), n)
+    assert cube.validate_commuting() == []
+    total, strands = _cube_sum(mode, cube, 6)
+    assert _same(ho_cube(mode, cube), tot(cube_bidg(cube, mode)))
+    assert _same(total, ho_cube(mode, cube))
+    _check_strands(total, strands)
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("mode", ["limit", "colimit"])
+def test_cube_totals_equal_tot_of_cube_bidg_on_test_cubes(n, mode):
+    x = DG({1: ("a",), 2: ("b", "c")}, {2: QMatrix.from_rows([[1, -1]])})
+    cube = _test_cube(n, x)
+    total, strands = _cube_sum(mode, cube, n)
+    assert _same(total, tot(cube_bidg(cube, mode)))
+    _check_strands(total, strands)
+
+
+def _old_tensor_dg(a, b):
+    pairs = {}
+    for i in a.degrees():
+        for j in b.degrees():
+            n = i + j
+            for p in range(a.dim(i)):
+                for q in range(b.dim(j)):
+                    pairs.setdefault(n, []).append((i, p, j, q))
+    basis = {}
+    index = {}
+    for n, lst in pairs.items():
+        names = []
+        for pos, (i, p, j, q) in enumerate(lst):
+            index[(i, p, j, q)] = pos
+            names.append(f"({a.basis[i][p]}⊗{b.basis[j][q]})")
+        basis[n] = tuple(names)
+    diff = {}
+    for n, lst in pairs.items():
+        tgt = pairs.get(n - 1, [])
+        ent = {}
+        for col, (i, p, j, q) in enumerate(lst):
+            da = a.d(i)
+            for r in range(a.dim(i - 1)):
+                v = da.get(r, p)
+                if v != 0:
+                    ent[(index[(i - 1, r, j, q)], col)] = ent.get((index[(i - 1, r, j, q)], col), ZERO) + v
+            sign = -ONE if i % 2 else ONE
+            db = b.d(j)
+            for r in range(b.dim(j - 1)):
+                v = db.get(r, q)
+                if v != 0:
+                    key = (index[(i, p, j - 1, r)], col)
+                    ent[key] = ent.get(key, ZERO) + sign * v
+        if tgt:
+            diff[n] = QMatrix(len(tgt), len(lst), ent)
+    return DG(basis, diff)
+
+
+def _old_tensor_index(a, b):
+    pairs = {}
+    index = {}
+    for i in a.degrees():
+        for j in b.degrees():
+            n = i + j
+            for p in range(a.dim(i)):
+                for q in range(b.dim(j)):
+                    index[(i, p, j, q)] = (n, pairs.get(n, 0))
+                    pairs[n] = pairs.get(n, 0) + 1
+    return index
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-2, 2), st.integers(-2, 2))
+def test_tensor_dg_and_its_index_match_the_hand_written_ones(seed, lo_a, lo_b):
+    rng = Random(seed)
+    a, b = random_dg(rng, lo_a, lo_a + 3, 5, prefix="a"), random_dg(rng, lo_b, lo_b + 3, 5, prefix="b")
+    out, index = _tensor_with_index(a, b)
+    assert _same(out, _old_tensor_dg(a, b)) and _same(tensor_dg(a, b), out)
+    assert index == _old_tensor_index(a, b)
+    assert all(out.basis[n][pos] == f"({a.basis[i][p]}⊗{b.basis[j][q]})" for (i, p, j, q), (n, pos) in index.items())
+
+
+def _old_gen_position_dgl(b, d, gen_idx):
+    pos = 0
+    for i, gd in enumerate(b.deg):
+        if i == gen_idx:
+            return pos
+        if gd == d:
+            pos += 1
+    raise ValueError("generator not found")
+
+
+def _old_gen_position_dgc(c, d, gen_idx):
+    pos = 0
+    for i, gd in enumerate(c.deg):
+        if i == gen_idx:
+            return pos
+        if gd == d:
+            pos += 1
+    raise ValueError("cogenerator not found")
+
+
+def _old_gen_global(c, d, pos):
+    seen = 0
+    for i, gd in enumerate(c.deg):
+        if gd == d:
+            if seen == pos:
+                return i
+            seen += 1
+    raise ValueError("cogenerator not found")
+
+
+def _old_cogen_position(c, gen_idx):
+    d = c.deg[gen_idx]
+    pos = 0
+    for i, gd in enumerate(c.deg):
+        if i == gen_idx:
+            return pos
+        if gd == d:
+            pos += 1
+    raise ValueError("cogenerator not found")
+
+
+def _old_abelian_position(l, gen_idx):
+    pos = 0
+    d = l.basis.deg[gen_idx]
+    for i, gd in enumerate(l.basis.deg):
+        if i == gen_idx:
+            return pos
+        if gd == d:
+            pos += 1
+    raise ValueError("generator not found")
+
+
+def _old_gen_at(c, d, pos):
+    seen = 0
+    for i, gd in enumerate(c.deg):
+        if gd == d:
+            if seen == pos:
+                return i
+            seen += 1
+    raise ValueError("cogenerator not found")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=10))
+def test_degree_positions_match_the_six_scanning_helpers(degs):
+    from types import SimpleNamespace
+
+    c = SimpleNamespace(deg=tuple(degs))
+    l = SimpleNamespace(basis=c)
+    pos, gens = _degree_positions(degs)
+    for i, d in enumerate(degs):
+        assert pos[i] == _old_gen_position_dgl(c, d, i) == _old_gen_position_dgc(c, d, i)
+        assert pos[i] == _old_cogen_position(c, i) == _old_abelian_position(l, i)
+    for d, idx in gens.items():
+        assert idx == [_old_gen_global(c, d, p) for p in range(len(idx))] == [_old_gen_at(c, d, p) for p in range(len(idx))]
+    assert sorted(i for idx in gens.values() for i in idx) == list(range(len(degs)))

@@ -24,6 +24,7 @@ from rht.dgcore import (
     reduce_with_inclusion,
     shift,
     strict_pullback,
+    sum_dg,
     sum_many,
     validate_dg,
     zero_map,
@@ -56,6 +57,8 @@ from rht.dgl import (
 )
 from rht.exactq import ONE, QMatrix, rank, rat, solve_linear, solve_matrix, vec_add, vec_scale, zero_vec
 from rht.randgen import random_chain_map, random_dg
+from rht.dgl import dgl_map_from_gen_images
+from rht.exactq import _unit_vec
 
 
 # -- independent commutator-span oracle -----------------------------------------
@@ -993,3 +996,150 @@ def test_dgl_ho_pullback_matches_its_hand_written_form(seed):
         return _pullback_summary(p, w.dgmap)
 
     assert _outcome(new) == _outcome(lambda: _pullback_summary(*_old_dgl_ho_pullback(f1, f2)))
+
+
+# -- positions as data: the strict-limit loop, the free-product witness, abelianization --
+
+
+def test_abelian_pullbacks_make_no_dense_bracket_calls(monkeypatch):
+    calls = []
+    dense = DGL.bracket_vec
+
+    def counted(self, *args):
+        calls.append(args)
+        return dense(self, *args)
+
+    monkeypatch.setattr(DGL, "bracket_vec", counted)
+    rng = Random(5)
+    shapes = [DG({1: ("x",), 2: ("y",)}), DG({1: ("x", "z"), 2: ("y",), 3: ("w",)})]
+    shapes += [random_dg(rng, 1, 3, 4) for _ in range(20)]
+    for la in shapes:
+        lb = random_dg(rng, 1, 3, 4, prefix="b")
+        a, b = abelian_dgl(la), abelian_dgl(lb)
+        p, witness = dgl_ho_pullback(zero_dgl_map(a, b), identity_dgl_map(b))
+        assert dgl_validate(p) == [] and dgl_validate(witness) == []
+        assert witness.source.bracket == {}
+    assert calls == []
+    # a nonzero table still reaches the dense bracket, on the pairs it names
+    k = counterexample_dgl()
+    p, witness = dgl_ho_pullback(identity_dgl_map(k), identity_dgl_map(k))
+    assert calls and dgl_validate(witness) == []
+
+
+def _old_free_product_images(a, b):
+    na = len(a.basis.generators)
+    strict, _, _ = dgl_strict_product(to_dgl(a), to_dgl(b))
+    images = {}
+    for i, (an, ad) in enumerate(a.basis.generators):
+        pos = to_dgl(a).underlying.index_of(ad, a.basis.tree_name(i))
+        images[i] = (ad, _unit_vec(strict.underlying.dim(ad), pos))
+    for j, (bn, bd) in enumerate(b.basis.generators):
+        pos = to_dgl(b).underlying.index_of(bd, b.basis.tree_name(j))
+        off = to_dgl(a).underlying.dim(bd)
+        images[na + j] = (bd, _unit_vec(strict.underlying.dim(bd), off + pos))
+    return strict, images
+
+
+def _random_free(rng, names, cap):
+    """A truly free DGL on generators of random degrees, in random order, with
+    d(g) = one of the generators a degree lower, or 0."""
+    degs = [rng.randint(1, 3) for _ in names]
+    gens = list(zip(names, degs))
+    diff, targets = {}, set()
+    for i, d in enumerate(degs):
+        lower = [j for j, e in enumerate(degs) if e == d - 1 and j not in diff]
+        if lower and i not in targets and rng.random() < 0.5:
+            j = rng.choice(lower)
+            diff[i], targets = {(j,): rat(rng.choice([1, -1, 2]))}, targets | {j}
+    return FreeDGL(free_lie_basis(gens, cap), diff)
+
+
+def _old_gen_position(b, d, gen_idx):
+    pos = 0
+    for i, gd in enumerate(b.deg):
+        if i == gen_idx:
+            return pos
+        if gd == d:
+            pos += 1
+    raise ValueError("generator not found")
+
+
+def _old_abelianize(l):
+    b = l.basis
+    basis = {}
+    for name, d in b.generators:
+        basis[d] = basis.get(d, ()) + (name,)
+    diff = {}
+    lin = l.linear_diff_part()
+    for d in sorted(basis):
+        tgt = basis.get(d - 1, ())
+        if not tgt:
+            continue
+        ent = {}
+        for j, (name, gd) in enumerate(b.generators):
+            if gd != d:
+                continue
+            jj = _old_gen_position(b, d, j)
+            for w, c in lin.get(j, {}).items():
+                ent[(_old_gen_position(b, d - 1, w[0]), jj)] = c
+        diff[d] = QMatrix(len(tgt), len(basis[d]), ent)
+    return DG(basis, diff)
+
+
+def _old_abelianized(f):
+    src = _old_abelianize(f.source)
+    tgt = _old_abelianize(f.target)
+    blocks = {}
+    for d in src.degrees():
+        ent = {}
+        for j, (name, gd) in enumerate(f.source.basis.generators):
+            if gd != d:
+                continue
+            jj = _old_gen_position(f.source.basis, d, j)
+            for w, c in f.gen_images.get(j, {}).items():
+                if len(w) == 1:
+                    ii = _old_gen_position(f.target.basis, d, w[0])
+                    ent[(ii, jj)] = ent.get((ii, jj), 0) + c
+        blocks[d] = QMatrix(tgt.dim(d), src.dim(d), ent)
+    return DGMap(src, tgt, blocks)
+
+
+def _old_strict_product_table(a, b):
+    dg, inl, inr = sum_dg(a.underlying, b.underlying, tags=("p1", "p2"))
+    table = {}
+    for (k1, i1, k2, i2), v in a.bracket.items():
+        if not dg.dim(k1 + k2):
+            continue
+        table[(k1, i1, k2, i2)] = inl.apply(k1 + k2, v)
+    na = {k: a.underlying.dim(k) for k in dg.degrees()}
+    for (k1, i1, k2, i2), v in b.bracket.items():
+        if not dg.dim(k1 + k2):
+            continue
+        table[(k1, na.get(k1, 0) + i1, k2, na.get(k2, 0) + i2)] = inr.apply(k1 + k2, v)
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_free_product_witness_and_abelianization_match_the_old_positions(seed):
+    rng = Random(seed)
+    a = _random_free(rng, ["x", "u", "z"][: rng.randint(1, 3)], 5)
+    b = _random_free(rng, ["y", "w"][: rng.randint(1, 2)], 5)
+    model, witness = dgl_product(a, b, model="free")
+    strict, images = _old_free_product_images(a, b)
+    assert witness.dgmap == dgl_map_from_gen_images(model, strict, images).dgmap
+    for x, y in ((to_dgl(a), to_dgl(b)), (counterexample_dgl(), to_dgl(a))):
+        assert list(dgl_strict_product(x, y)[0].bracket.items()) == list(_old_strict_product_table(x, y).items())
+    for l in (a, b, model):
+        new, old = abelianize(l), _old_abelianize(l)
+        assert list(new.basis.items()) == list(old.basis.items()) and new == old
+    # a map sending each generator to a multiple of one of the same degree, plus a bracket
+    same = {i: [j for j, e in enumerate(b.basis.deg) if e == d] for i, d in enumerate(a.basis.deg)}
+    images = {}
+    for i, js in same.items():
+        if js:
+            images[i] = {(rng.choice(js),): rat(rng.randint(-2, 2))}
+            if len(b.basis.deg) > 1:
+                images[i][(0, 1)] = ONE
+    f = FreeDGLMap(a, b, images)
+    assert f.abelianized() == _old_abelianized(f)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rht.dgc import cofree_lambda, dgc_validate, to_dgc, trivial_dgc
+from rht.dgc import CofreeDGC, cofree_lambda, dgc_validate, to_dgc, trivial_dgc
 from rht.dgcore import (
     DG,
     cone_dg,
@@ -205,6 +205,25 @@ def test_linearize_C_side_abelian_is_isomorphism():
     f, q = linearize_equiv("C", l)
     assert q
     assert f.source.dim(4) == f.target.dim(4) == 1
+
+
+@pytest.mark.parametrize("gens", [[("b", 2), ("a", 4)], [("a", 4), ("b", 2)], [("c", 3), ("a", 4), ("b", 2), ("d", 3)]])
+def test_linearize_L_side_sends_each_cogenerator_to_its_own_generator(gens):
+    # the cogenerators may be listed in any degree order
+    f, q = linearize_equiv("L", CofreeDGC(gens, 8, {}))
+    assert q
+    for k in f.source.degrees():
+        m = f.block(k)
+        assert sorted(c for _, c in m.entries) == list(range(f.source.dim(k)))
+        assert all(f.target.basis[k][r] == f.source.basis[k][c] for r, c in m.entries)
+
+
+def test_linearize_C_side_sends_each_generator_to_its_own_class():
+    l = FreeDGL(free_lie_basis([("y", 2), ("z", 3), ("x", 2)], 6), {})
+    f, q = linearize_equiv("C", l)
+    assert q
+    pairs = [(f.source.basis[k][c], f.target.basis[k][r]) for k, m in f.blocks.items() for r, c in m.entries]
+    assert sorted(pairs) == [("s(x)", "s(x)"), ("s(y)", "s(y)"), ("s(z)", "s(z)")]
 
 
 def test_linearize_L_side_polynomial_and_exterior():
