@@ -140,46 +140,30 @@ def test_cube(n: int, x: DG) -> Cube:
     """The strongly cocartesian n-cube S |-> x * S.
 
     Objects depend only on |S| and are shared, as are the edge maps (an
-    inclusion is determined by the slot the new element occupies).
+    inclusion is determined by the slot the new element occupies).  Each
+    join is laid out once, and the edge maps are read off the indices of
+    those layouts, so every edge's endpoints are the cube's own objects.
     """
     if not isinstance(x, DG):
         raise TypeError("test cubes are built over DG values")
     joins = {k: _tensor_with_index(tset_dg(k), x) for k in range(1, n + 1)}
-    objs_by_size = {0: x, **{k: obj for k, (obj, _) in joins.items()}}
+    # x itself is the empty join; v0 is its only (tset) basis element
+    joins[0] = (x, {(0, 0, d, q): (d, q) for d in x.degrees() for q in range(x.dim(d))})
     edge_by_shape: dict[tuple[int, int], DGMap] = {}
 
     def edge_map(k: int, pos: int) -> DGMap:
-        # source join of size k, new element inserted at 1-based position pos
+        # source join of size k, new element t_pos inserted at 1-based position
+        # pos: v0 stays, t_r moves to t_{r+1} for r >= pos
         key = (k, pos)
-        if key in edge_by_shape:
-            return edge_by_shape[key]
-        if k == 0:
-            tgt, ti = joins[1]
-            blocks = {}
-            for deg in x.degrees():
-                ent = {(ti[(0, 0, deg, q)][1], q): ONE for q in range(x.dim(deg))}
-                blocks[deg] = QMatrix(tgt.dim(deg), x.dim(deg), ent)
-            m = DGMap(x, tgt, blocks)
-        else:
-            tm_blocks = {(0, 0): (0, 0)}
-            for r in range(1, k + 1):
-                tm_blocks[(1, r - 1)] = (1, r - 1 if r < pos else r)
-            a, b = tset_dg(k), tset_dg(k + 1)
-            tm = DGMap(
-                a,
-                b,
-                {
-                    d: QMatrix(
-                        b.dim(d),
-                        a.dim(d),
-                        {(tm_blocks[(d, c)][1], c): ONE for c in range(a.dim(d))},
-                    )
-                    for d in a.degrees()
-                },
-            )
-            m = tensor_map(tm, identity_map(x))
-        edge_by_shape[key] = m
-        return m
+        if key not in edge_by_shape:
+            (src, si), (tgt, ti) = joins[k], joins[k + 1]
+            ent: dict[int, dict] = {}
+            for (i, p, j, q), (d, col) in si.items():
+                moved = p + 1 if i == 1 and p + 1 >= pos else p
+                ent.setdefault(d, {})[(ti[(i, moved, j, q)][1], col)] = ONE
+            blocks = {d: QMatrix(tgt.dim(d), src.dim(d), e) for d, e in ent.items()}
+            edge_by_shape[key] = DGMap(src, tgt, blocks)
+        return edge_by_shape[key]
 
     objects = {}
     edges = {}
@@ -187,7 +171,7 @@ def test_cube(n: int, x: DG) -> Cube:
     for r in range(n + 1):
         for s in itertools.combinations(elements, r):
             fs = frozenset(s)
-            objects[fs] = objs_by_size[r]
+            objects[fs] = joins[r][0]
             for t in elements:
                 if t in fs:
                     continue

@@ -760,19 +760,20 @@ class CofreeDGC:
         if self._words is not None:
             return self._words
         found: list[Word] = []
-
-        def grow(w: Word, start: int, degsum: int):
+        # depth-first, with an explicit stack: a recursive closure would hold
+        # itself and self in a reference cycle that only the cyclic collector frees
+        stack: list[tuple[Word, int]] = [((), 0)]
+        while stack:
+            w, degsum = stack.pop()
             if w:
                 found.append(w)
-            for g in range(start, len(self.deg)):
+            for g in range(w[-1] if w else 0, len(self.deg)):
                 d = degsum + self.deg[g]
                 if d > self.cap:
                     continue
                 if self.deg[g] % 2 and w and w[-1] == g:
                     continue
-                grow(w + (g,), g, d)
-
-        grow((), 0, 0)
+                stack.append((w + (g,), d))
         by_deg: dict[int, list[Word]] = {}
         for w in found:
             by_deg.setdefault(self.word_degree(w), []).append(w)

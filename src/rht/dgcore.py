@@ -86,7 +86,7 @@ class DG:
         return self.basis[k].index(name)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, DG)
             and self.basis == other.basis
             and all(self.d(k) == other.d(k) for k in set(self.diff) | set(other.diff))
@@ -796,10 +796,22 @@ class Cube:
         return cur
 
     def validate_commuting(self) -> list[str]:
+        """Reports for edges with the wrong endpoints and faces that do not
+        commute.  Cubes share edge maps (a test cube has one per shape), so
+        each distinct composite, and each comparison of two, is made once."""
         report = []
         for (s, t), m in self.edges.items():
             if m.source != self.objects[s] or m.target != self.objects[t]:
                 report.append(f"edge {sorted(s)}->{sorted(t)} endpoints mismatch")
+        composites: dict[tuple[int, int], DGMap] = {}
+        verdicts: dict[tuple[tuple[int, int], tuple[int, int]], bool] = {}
+
+        def path(first: DGMap, then: DGMap) -> tuple[int, int]:
+            key = (id(first), id(then))
+            if key not in composites:
+                composites[key] = compose(then, first)
+            return key
+
         for s in self.objects:
             outside = [e for e in range(1, self.n + 1) if e not in s]
             for i, a in enumerate(outside):
@@ -807,9 +819,11 @@ class Cube:
                     sa, sb, sab = s | {a}, s | {bel}, s | {a, bel}
                     if sab not in self.objects or sa not in self.objects or sb not in self.objects:
                         continue
-                    one = compose(self.edge(sa, sab), self.edge(s, sa))
-                    two = compose(self.edge(sb, sab), self.edge(s, sb))
-                    if one != two:
+                    one = path(self.edge(s, sa), self.edge(sa, sab))
+                    two = path(self.edge(s, sb), self.edge(sb, sab))
+                    if (one, two) not in verdicts:
+                        verdicts[one, two] = composites[one] == composites[two]
+                    if not verdicts[one, two]:
                         report.append(
                             f"face at {sorted(s)} +{a},+{bel} does not commute"
                         )

@@ -3,11 +3,23 @@
 Every differential, bracket, and coproduct in the package reduces to
 operations on QMatrix values.  All arithmetic is exact; there is no
 floating-point mode anywhere.
+
+Every elimination runs on integer rows: each row is scaled by the lcm of
+its denominators, and the one elimination loop (_rref_rows) only ever
+multiplies rows by integers, subtracts them and divides out their content.
+A Fraction is built only for the entries a caller reads, once per entry,
+when a pivot row is divided by its pivot.  The pivot column is always the
+leftmost one left; the pivot row is the shortest remaining row holding it,
+which on the identity blocks that dominate the models cancels the unit
+entries first and keeps fill-in low.  That choice cannot change any
+output: a matrix has one reduced row echelon form, and with pivots in m's
+columns the solution of m x = b with free variables 0 is unique.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -272,41 +284,63 @@ class QMatrix:
 # -- elimination ------------------------------------------------------------
 
 
-def _sparse_rows(m: QMatrix) -> list[dict[int, Fraction]]:
+def _sparse_rows(m: QMatrix) -> list[dict[int, int]]:
+    """The rows of m, each scaled by the lcm of its denominators to integers."""
     rows: list[dict[int, Fraction]] = [dict() for _ in range(m.rows)]
     for (r, c), v in m.entries.items():
         rows[r][c] = v
-    return rows
+    out = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        out.append({c: v.numerator * (den // v.denominator) for c, v in row.items()})
+    return out
 
 
-def _rref_rows(rows: list[dict[int, Fraction]], cols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """In-place reduced row echelon form; leftmost pivot column, lowest row."""
+def _rref_rows(rows: list[dict[int, int]], cols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """In-place fraction-free reduced echelon form of integer rows.
+
+    The pivot column is the leftmost column some remaining row holds; the
+    pivot row is the shortest such row (ties: lowest index), negated if
+    needed so that its pivot p is positive.  Every other row holding the
+    column, with entry f there, becomes (p/g) row - (f/g) pivot row for
+    g = gcd(p, f) and is then divided by its content.  Row i of the result
+    divided by its pivot is row i of the rref, which is unique, so the pivot
+    rule changes only the work done.
+    """
     pivots: list[int] = []
     r = 0
     nrows = len(rows)
     for c in range(cols):
         piv = None
         for i in range(r, nrows):
-            if c in rows[i]:
+            if c in rows[i] and (piv is None or len(rows[i]) < len(rows[piv])):
                 piv = i
-                break
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = {k: v * inv for k, v in rows[r].items()}
-        prow = rows[r]
+        prow = rows[piv]
+        if prow[c] < 0:
+            prow = {k: -v for k, v in prow.items()}
+        rows[piv], rows[r] = rows[r], prow
+        p = prow[c]
         for i in range(nrows):
-            if i != r and c in rows[i]:
-                f = rows[i][c]
-                tgt = rows[i]
-                for k, v in prow.items():
-                    s = tgt.get(k, ZERO) - f * v
-                    if s == 0:
-                        tgt.pop(k, None)
-                    else:
-                        tgt[k] = s
+            tgt = rows[i]
+            f = tgt.get(c)
+            if f is None or i == r:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for k in tgt:
+                    tgt[k] *= a
+            for k, v in prow.items():
+                s = tgt.get(k, 0) - b * v
+                if s:
+                    tgt[k] = s
+                else:
+                    del tgt[k]
+            g = gcd(*tgt.values())
+            if g > 1:
+                rows[i] = {k: v // g for k, v in tgt.items()}
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -314,20 +348,22 @@ def _rref_rows(rows: list[dict[int, Fraction]], cols: int) -> tuple[list[dict[in
     return rows, pivots
 
 
+def _pivots(m: QMatrix) -> list[int]:
+    return _rref_rows(_sparse_rows(m), m.cols)[1]
+
+
 def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     """Reduced row echelon form with strictly increasing pivot columns."""
     rows, pivots = _rref_rows(_sparse_rows(m), m.cols)
-    ent = {}
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            ent[(i, c)] = v
     out = QMatrix(m.rows, m.cols)
-    out.entries = ent
+    out.entries = {
+        (i, c): Fraction(v, row[pc]) for i, (pc, row) in enumerate(zip(pivots, rows)) for c, v in row.items()
+    }
     return out, pivots
 
 
 def rank(m: QMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_pivots(m))
 
 
 def _kernel_from_rref(red: QMatrix, pivots: list[int]) -> list[Vector]:
@@ -350,7 +386,7 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
 
 def image_pivot_columns(m: QMatrix) -> list[int]:
     """Indices of the deterministic column basis of the image of m."""
-    return rref(m)[1]
+    return _pivots(m)
 
 
 def image_basis(m: QMatrix) -> list[Vector]:
@@ -374,7 +410,10 @@ def _solve(m: QMatrix, b: QMatrix) -> Optional[QMatrix]:
         return None
     out = QMatrix(m.cols, b.cols)
     out.entries = {
-        (pc, c - m.cols): v for pc, row in zip(pivots, rows) for c, v in row.items() if c >= m.cols
+        (pc, c - m.cols): Fraction(v, row[pc])
+        for pc, row in zip(pivots, rows)
+        for c, v in row.items()
+        if c >= m.cols
     }
     return out
 

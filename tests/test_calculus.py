@@ -867,6 +867,30 @@ def _same_cube(new, old):
     assert all(_same(new.edges[e], old.edges[e]) for e in new.edges)
 
 
+
+def test_test_cube_lays_out_each_join_once(monkeypatch):
+    import rht.calculus as calculus
+
+    x = random_dg(random.Random(5), 0, 2, 3)
+    olds = {n: _old_test_cube(n, x) for n in range(7)}
+    layouts = []
+    real = calculus._tensor_with_index
+
+    def counted(a, b):
+        layouts.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(calculus, "_tensor_with_index", counted)
+    for n, old in olds.items():
+        layouts.clear()
+        cube = make_test_cube(n, x)
+        assert len(layouts) == n
+        _same_cube(cube, old)
+        assert cube.objects[frozenset()] is x
+        for (s, t), m in cube.edges.items():
+            assert m.source is cube.objects[s] and m.target is cube.objects[t]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3), FUNCTORS)
 def test_holim_comparison_maps_match_the_name_lookups(seed, n, kind):

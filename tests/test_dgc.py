@@ -129,6 +129,50 @@ def test_dims_match_oracle_random():
         assert dgc_dims(lam) == symmetric_dims_oracle(degrees, cap)
 
 
+
+def _recursive_words(lam):
+    """CofreeDGC.words as a recursive closure, the form it had before."""
+    found = []
+
+    def grow(w, start, degsum):
+        if w:
+            found.append(w)
+        for g in range(start, len(lam.deg)):
+            d = degsum + lam.deg[g]
+            if d > lam.cap or (lam.deg[g] % 2 and w and w[-1] == g):
+                continue
+            grow(w + (g,), g, d)
+
+    grow((), 0, 0)
+    by_deg = {}
+    for w in found:
+        by_deg.setdefault(lam.word_degree(w), []).append(w)
+    return {k: tuple(sorted(ws, key=lambda w: (len(w), w))) for k, ws in sorted(by_deg.items())}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 6), min_size=0, max_size=4), st.integers(0, 6))
+def test_words_match_the_recursive_enumeration(degrees, extra):
+    cap = max(degrees, default=2) + extra
+    lam = CofreeDGC([(f"g{i}", d) for i, d in enumerate(degrees)], cap, {})
+    assert lam.words() == _recursive_words(lam)
+
+
+def test_words_leave_no_reference_cycle():
+    import gc
+    import weakref
+
+    lam = cofree_lambda(DG({3: ("x",), 4: ("y",)}), 12)
+    gc.disable()
+    try:
+        lam.words()
+        gone = weakref.ref(lam)
+        del lam
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
 def test_random_cofree_satisfies_all_axioms():
     """Machine verification of the wedge-word coproduct and coderivation
     formulas on random cogenerator DGs."""

@@ -512,6 +512,86 @@ def test_noncommuting_cube_rejected():
         ho_cube("colimit", cube)
 
 
+
+def _old_validate_commuting(cube: Cube) -> list[str]:
+    """Cube.validate_commuting as it was before it kept its composites: two
+    compose calls and one comparison per face."""
+    report = []
+    for (s, t), m in cube.edges.items():
+        if m.source != cube.objects[s] or m.target != cube.objects[t]:
+            report.append(f"edge {sorted(s)}->{sorted(t)} endpoints mismatch")
+    for s in cube.objects:
+        outside = [e for e in range(1, cube.n + 1) if e not in s]
+        for i, a in enumerate(outside):
+            for bel in outside[i + 1 :]:
+                sa, sb, sab = s | {a}, s | {bel}, s | {a, bel}
+                if sab not in cube.objects or sa not in cube.objects or sb not in cube.objects:
+                    continue
+                one = compose(cube.edge(sa, sab), cube.edge(s, sa))
+                two = compose(cube.edge(sb, sab), cube.edge(s, sb))
+                if one != two:
+                    report.append(f"face at {sorted(s)} +{a},+{bel} does not commute")
+    return report
+
+
+def _renamed(v: DG) -> DG:
+    return DG({k: tuple(f"{x}'" for x in names) for k, names in v.basis.items()}, dict(v.diff))
+
+
+def _outcome(check, cube):
+    try:
+        return check(cube)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("test", "constant", "square")),
+       st.lists(st.sampled_from(("scale", "source", "target")), max_size=3))
+def test_validate_commuting_matches_the_face_by_face_loop(seed, kind, corruptions):
+    rng = Random(seed)
+    if kind == "test":
+        cube = _test_cube(rng.randint(0, 3), random_dg(rng, 0, 2, 3))
+    elif kind == "constant":
+        n = rng.randint(1, 3)
+        subsets = _all_subsets(n, rng.choice(("all", "nonempty", "proper")))
+        cube = _constant_cube(n, random_dg(rng, 0, 2, 3), subsets)
+    else:
+        s, t, f, g = random_commuting_square(rng, 0, 2)
+        one, two, top = frozenset({1}), frozenset({2}), frozenset({1, 2})
+        cube = Cube(2, {frozenset(): s.source, one: s.target, two: t.target, top: f.target},
+                    {(frozenset(), one): s, (frozenset(), two): t, (one, top): f, (two, top): g})
+    for how in corruptions:
+        if not cube.edges:
+            break
+        key = rng.choice(sorted(cube.edges, key=lambda e: (sorted(e[0]), sorted(e[1]))))
+        m = cube.edges[key]
+        if how == "scale":
+            m = map_add(m, identity_map(m.source)) if m.source == m.target else map_scale(2, m)
+        elif how == "source":
+            m = DGMap(_renamed(m.source), m.target, m.blocks)
+        else:
+            m = DGMap(m.source, _renamed(m.target), m.blocks)
+        cube.edges[key] = m
+    assert _outcome(Cube.validate_commuting, cube) == _outcome(_old_validate_commuting, cube)
+
+
+def test_validate_commuting_reports_faces_and_endpoints():
+    v = sphere(1)
+    cube = _test_cube(3, v)
+    assert cube.validate_commuting() == _old_validate_commuting(cube) == []
+    bottom, one, top = frozenset(), frozenset({1}), frozenset({1, 2})
+    cube.edges[(one, top)] = map_scale(2, cube.edges[(one, top)])
+    cube.edges[(frozenset({2, 3}), frozenset({1, 2, 3}))] = DGMap(
+        cube.objects[frozenset({2, 3})], _renamed(cube.objects[frozenset({1, 2, 3})]),
+        cube.edges[(frozenset({2, 3}), frozenset({1, 2, 3}))].blocks)
+    report = cube.validate_commuting()
+    assert report == _old_validate_commuting(cube)
+    assert report[0] == "edge [2, 3]->[1, 2, 3] endpoints mismatch"
+    assert f"face at {sorted(bottom)} +1,+2 does not commute" in report
+    assert "face at [2] +1,+3 does not commute" in report
+
+
 # -- cartesian / cocartesian -------------------------------------------------------
 
 

@@ -11,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rht.exactq import (
+    ONE,
+    ZERO,
     QMatrix,
     extend_to_basis,
     image_basis,
+    image_pivot_columns,
     kernel_basis,
     rank,
     rank_kernel_image,
@@ -249,3 +252,191 @@ def test_kernel_image_deterministic_order():
         (rat(0), rat(-2), rat(1)),
     ]
     assert image_basis(m) == [(rat(1), rat(2))]
+
+
+# -- the integer elimination against the Fraction elimination it replaced ---------
+
+
+def _fraction_rref_rows(rows, cols):
+    """The Fraction elimination loop that exactq ran before it moved to integer
+    rows: leftmost pivot column, first row holding it, one Fraction operation
+    per entry touched."""
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(cols):
+        piv = None
+        for i in range(r, nrows):
+            if c in rows[i]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ONE / rows[r][c]
+        if inv != 1:
+            rows[r] = {k: v * inv for k, v in rows[r].items()}
+        prow = rows[r]
+        for i in range(nrows):
+            if i != r and c in rows[i]:
+                f = rows[i][c]
+                tgt = rows[i]
+                for k, v in prow.items():
+                    s = tgt.get(k, ZERO) - f * v
+                    if s == 0:
+                        tgt.pop(k, None)
+                    else:
+                        tgt[k] = s
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _fraction_rows(m):
+    rows = [dict() for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    return rows
+
+
+def _oracle_rref(m):
+    rows, pivots = _fraction_rref_rows(_fraction_rows(m), m.cols)
+    return QMatrix(m.rows, m.cols, {(i, c): v for i, row in enumerate(rows) for c, v in row.items()}), pivots
+
+
+def _oracle_kernel(m):
+    red, pivots = _oracle_rref(m)
+    rows = red.to_rows()
+    out = []
+    for j in (j for j in range(m.cols) if j not in pivots):
+        v = [ZERO] * m.cols
+        v[j] = ONE
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][j]
+        out.append(tuple(v))
+    return out
+
+
+def _oracle_solve(m, b):
+    rows, pivots = _fraction_rref_rows(_fraction_rows(QMatrix.hstack([m, b])), m.cols)
+    if any(rows[len(pivots):]):
+        return None
+    return QMatrix(m.cols, b.cols, {
+        (pc, c - m.cols): v for pc, row in zip(pivots, rows) for c, v in row.items() if c >= m.cols
+    })
+
+
+DENOMINATORS = st.sampled_from((1, 1, 1, 2, 3, 4, 6, 9))
+FRACTIONS = st.builds(Fraction, st.integers(-9, 9), DENOMINATORS)
+
+
+@st.composite
+def elimination_case(draw):
+    """(m, b, kind): a matrix of one of the shapes the integer rows must get
+    right, and a right-hand side with consistent and inconsistent columns."""
+    kind = draw(st.sampled_from(("empty", "zero", "mixed", "deficient", "short-pivot")))
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if kind == "empty":
+        r, c = draw(st.sampled_from(((0, c), (r, 0), (0, 0))))
+        m = QMatrix(r, c)
+    elif kind == "zero":
+        m = QMatrix(r, c)
+    elif kind == "mixed":
+        places = st.tuples(st.integers(0, max(r - 1, 0)), st.integers(0, max(c - 1, 0)))
+        m = QMatrix(r, c, draw(st.dictionaries(places, FRACTIONS, max_size=r * c)) if r and c else {})
+    elif kind == "deficient":
+        # a product through k < min(r, c) dimensions has rank at most k
+        r, c = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+        k = draw(st.integers(0, min(r, c) - 1))
+        left = [[draw(FRACTIONS) for _ in range(k)] for _ in range(r)]
+        right = [[draw(FRACTIONS) for _ in range(c)] for _ in range(k)]
+        m = QMatrix.from_rows([[sum((left[i][t] * right[t][j] for t in range(k)), ZERO) for j in range(c)]
+                               for i in range(r)])
+    else:
+        # column 0 is held first by a full row, later by a row of one entry
+        r, c = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+        dense = [draw(FRACTIONS.filter(bool)) for _ in range(c)]
+        rows = [dense] + [[draw(FRACTIONS) for _ in range(c)] for _ in range(r - 1)]
+        short = draw(st.integers(1, r - 1))
+        rows[short] = [draw(FRACTIONS.filter(bool))] + [ZERO] * (c - 1)
+        m = QMatrix.from_rows(rows)
+    cols = []
+    for j in range(draw(st.integers(0, 3))):
+        rhs = draw(st.sampled_from(("image", "random", "zero")))
+        if rhs == "image":
+            cols.append(m.apply(tuple(draw(FRACTIONS) for _ in range(m.cols))))
+        elif rhs == "random":
+            cols.append(tuple(draw(FRACTIONS) for _ in range(m.rows)))
+        else:
+            cols.append((ZERO,) * m.rows)
+    return m, QMatrix.from_columns(cols, m.rows) if cols else QMatrix(m.rows, 0), kind
+
+
+def _fractions_only(values):
+    return all(type(v) is Fraction for v in values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(elimination_case(), st.data())
+def test_integer_elimination_matches_the_fraction_elimination(case, data):
+    m, b, _ = case
+    m_before, b_before = dict(m.entries), dict(b.entries)
+    red, pivots = rref(m)
+    want_red, want_pivots = _oracle_rref(m)
+    assert red == want_red and pivots == want_pivots
+    assert _fractions_only(red.entries.values())
+    assert rank(m) == len(want_pivots)
+    assert image_pivot_columns(m) == want_pivots
+    assert image_basis(m) == [m.column(j) for j in want_pivots]
+    split = data.draw(st.integers(0, m.cols), label="spanning columns")
+    spanning = QMatrix(m.rows, split, {(i, j): v for (i, j), v in m.entries.items() if j < split})
+    candidates = QMatrix(m.rows, m.cols - split,
+                         {(i, j - split): v for (i, j), v in m.entries.items() if j >= split})
+    assert extend_to_basis(spanning, candidates) == [p - split for p in want_pivots if p >= split]
+    kernel = kernel_basis(m)
+    assert kernel == _oracle_kernel(m)
+    assert all(_fractions_only(v) for v in kernel)
+    assert rank_kernel_image(m) == (len(want_pivots), kernel, [m.column(j) for j in want_pivots])
+    x, want_x = solve_matrix(m, b), _oracle_solve(m, b)
+    assert (x is None) == (want_x is None)
+    if x is not None:
+        assert x == want_x and _fractions_only(x.entries.values())
+        assert m * x == b
+    for j in range(b.cols):
+        col = b.column(j)
+        one, want_one = solve_linear(m, col), _oracle_solve(m, QMatrix.from_columns([col], m.rows))
+        assert (one is None) == (want_one is None)
+        if one is not None:
+            assert one == want_one.column(0) and _fractions_only(one)
+    assert m.entries == m_before and b.entries == b_before
+
+
+def test_pivot_row_is_the_shortest_holder():
+    from rht.exactq import _rref_rows, _sparse_rows
+
+    m = QMatrix.from_rows([["1/2", "1/3", 1], [2, 0, 0], [-3, 0, 0]])
+    rows = _sparse_rows(m)
+    assert rows[0] == {0: 3, 1: 2, 2: 6}  # scaled by the lcm 6 of its denominators
+    rows, pivots = _rref_rows(rows, m.cols)
+    # column 0: rows 1 and 2 are the shortest, the lower index wins; the old
+    # row 0 becomes 2 * row0 - 3 * row1 = (0, 4, 12), divided by its content 4
+    assert pivots == [0, 1]
+    assert rows == [{0: 2}, {1: 1, 2: 3}, {}]
+    # the pivot row is negated when its pivot is negative
+    assert _rref_rows(_sparse_rows(QMatrix.from_rows([[-3, 1]])), 2) == ([{0: 3, 1: -1}], [0])
+
+
+def test_pivot_readers_build_no_fraction(monkeypatch):
+    import rht.exactq as exactq
+
+    m = QMatrix.from_rows([["1/2", 1, 0], [1, 2, 0], [0, "2/3", 5]])
+    unit = QMatrix.identity(3)
+    want = (rank(m), image_pivot_columns(m), image_basis(m), extend_to_basis(m, unit))
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(exactq, "Fraction", no_fraction)
+    assert (rank(m), image_pivot_columns(m), image_basis(m), extend_to_basis(m, unit)) == want
