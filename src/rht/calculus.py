@@ -741,41 +741,45 @@ def lie_n(n: int) -> LieRep:
     return LieRep(n, SymmetricDG(und, n, actions))
 
 
+def _expand_bracket(tree) -> dict[tuple[int, ...], Fraction]:
+    """A bracket tree of letters as a sum of words (ungraded commutators)."""
+    if isinstance(tree, int):
+        return {(tree,): ONE}
+    l, r = _expand_bracket(tree[0]), _expand_bracket(tree[1])
+    out: dict[tuple[int, ...], Fraction] = {}
+    for wl, cl in l.items():
+        for wr, cr in r.items():
+            for word, coeff in ((wl + wr, cl * cr), ((wr + wl), -cl * cr)):
+                s = out.get(word, ZERO) + coeff
+                if s:
+                    out[word] = s
+                else:
+                    out.pop(word, None)
+    return out
+
+
+def _bracket_trees(letters):
+    """Every full bracketing of the letters, in their order."""
+    if len(letters) == 1:
+        yield letters[0]
+        return
+    for cut in range(1, len(letters)):
+        for l in _bracket_trees(letters[:cut]):
+            for r in _bracket_trees(letters[cut:]):
+                yield (l, r)
+
+
 def lie_dim_oracle(n: int) -> int:
     """Rank of ALL length-n multilinear bracket monomials in the free
     associative algebra; independent check of the (n-1)! basis size."""
     words = list(itertools.permutations(range(1, n + 1)))
     windex = {w: i for i, w in enumerate(words)}
 
-    def expand(tree):
-        if isinstance(tree, int):
-            return {(tree,): ONE}
-        l, r = expand(tree[0]), expand(tree[1])
-        out: dict[tuple[int, ...], Fraction] = {}
-        for wl, cl in l.items():
-            for wr, cr in r.items():
-                for word, coeff in ((wl + wr, cl * cr), ((wr + wl), -cl * cr)):
-                    s = out.get(word, ZERO) + coeff
-                    if s:
-                        out[word] = s
-                    else:
-                        out.pop(word, None)
-        return out
-
-    def trees(letters):
-        if len(letters) == 1:
-            yield letters[0]
-            return
-        for cut in range(1, len(letters)):
-            for l in trees(letters[:cut]):
-                for r in trees(letters[cut:]):
-                    yield (l, r)
-
     cols = []
     for p in words:
-        for t in trees(list(p)):
+        for t in _bracket_trees(list(p)):
             vec = [ZERO] * len(words)
-            for w, c in expand(t).items():
+            for w, c in _expand_bracket(t).items():
                 vec[windex[w]] = c
             if any(vec):
                 cols.append(tuple(vec))

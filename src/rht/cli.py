@@ -19,6 +19,7 @@ document with exact rationals rendered as ``p/q``.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -223,6 +224,20 @@ def _degree_floor(kind: str) -> int:
     return {"dg": -(10**9), "dgl": 1, "dgc": 2}[kind]
 
 
+def _eval_tree(word, no: int, require, dg0: DG, shell):
+    """(degree, vector) of a word in the shell Lie algebra (None unless dgl)."""
+    if word[0] == "gen":
+        k, i = require(word[1], no)
+        return k, _unit_vec(dg0.dim(k), i)
+    if word[0] == "br":
+        if shell is None:
+            raise ModelError("bracket words only make sense for kind dgl", no)
+        ka, va = _eval_tree(word[1], no, require, dg0, shell)
+        kb, vb = _eval_tree(word[2], no, require, dg0, shell)
+        return ka + kb, shell.bracket_vec(ka, va, kb, vb)
+    raise ModelError("tensor pairs only make sense in delta lines", no)
+
+
 def build_model(mf: ModelFile):
     """ModelFile -> DG | DGL | DGC; every reference and degree is checked."""
     index = {}
@@ -267,19 +282,6 @@ def build_model(mf: ModelFile):
 
     shell = DGL(dg0, table) if mf.kind == "dgl" else None
 
-    def eval_tree(word, no):
-        """(degree, vector) of a word in the shell Lie algebra."""
-        if word[0] == "gen":
-            k, i = require(word[1], no)
-            return k, _unit_vec(dg0.dim(k), i)
-        if word[0] == "br":
-            if shell is None:
-                raise ModelError("bracket words only make sense for kind dgl", no)
-            ka, va = eval_tree(word[1], no)
-            kb, vb = eval_tree(word[2], no)
-            return ka + kb, shell.bracket_vec(ka, va, kb, vb)
-        raise ModelError("tensor pairs only make sense in delta lines", no)
-
     diff_cols: dict[int, dict[int, tuple]] = {}
     for name, expr, no in mf.d_lines:
         k, i = require(name, no)
@@ -287,7 +289,7 @@ def build_model(mf: ModelFile):
         for coeff, word in expr:
             if word is None:
                 continue
-            kd, v = eval_tree(word, no)
+            kd, v = _eval_tree(word, no, require, dg0, shell)
             if kd != k - 1:
                 raise ModelError(
                     f"d({name}) term has degree {kd}, expected {k - 1}", no
@@ -523,6 +525,7 @@ COMMANDS = {
 N_FLOOR = {"tower": 1, "layers": 1, "jet": 1, "crosseffect": 0}
 
 
+@functools.cache  # parsing leaves the parser as it was, and help and errors go to the streams of the call
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("path", help="model file")

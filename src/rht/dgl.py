@@ -487,18 +487,18 @@ class FreeDGLMap:
         sb, tb = self.source.basis, self.target.basis
         src = to_dgl(self.source).underlying
         tgt = to_dgl(self.target).underlying
-        images: dict[Tree, TensorPoly] = dict(self.gen_images)
-
-        def image(t: Tree) -> TensorPoly:
-            # a Lie map sends [t0, t1] to the graded commutator of the images
-            if t not in images:
-                images[t] = {} if isinstance(t, int) else tb.bracket_poly(image(t[0]), image(t[1]))
-            return images[t]
-
+        # a Lie map sends [t0, t1] to the graded commutator of the images; the
+        # factors of a Lyndon tree and of a square are monomials of lower degree
+        images: dict[Tree, TensorPoly] = {}
         blocks = {}
         for d, ms in sb.monomials.items():
+            for t in ms:
+                if isinstance(t, int):
+                    images[t] = self.gen_images.get(t, {})
+                else:
+                    images[t] = tb.bracket_poly(images[t[0]], images[t[1]])
             tdim = tgt.dim(d)
-            cols = [tb.coords(image(t)).get(d, zero_vec(tdim)) for t in ms]
+            cols = [tb.coords(images[t]).get(d, zero_vec(tdim)) for t in ms]
             blocks[d] = QMatrix.from_columns(cols, tdim)
         return DGMap(src, tgt, blocks)
 
@@ -822,26 +822,18 @@ def dgl_map_from_gen_images(
     """DGL map out of a free DGL into a finite DGL, by structural recursion
     on bracket monomials using the target's structure constants."""
     b = source.basis
-    cache: dict[Tree, tuple[int, Vector]] = {}
-
-    def img(t: Tree) -> tuple[int, Vector]:
-        if t in cache:
-            return cache[t]
-        if isinstance(t, int):
-            out = images.get(t)
-            if out is None:
-                out = (b.deg[t], zero_vec(target.underlying.dim(b.deg[t])))
-        else:
-            k1, v1 = img(t[0])
-            k2, v2 = img(t[1])
-            out = (k1 + k2, target.bracket_vec(k1, v1, k2, v2))
-        cache[t] = out
-        return out
-
+    # the factors of a Lyndon tree and of a square are monomials of lower degree
+    img: dict[Tree, tuple[int, Vector]] = {}
     src = to_dgl(source).underlying
     blocks = {}
     for d, ms in b.monomials.items():
-        cols = [img(t)[1] for t in ms]
+        for t in ms:
+            if isinstance(t, int):
+                img[t] = images.get(t) or (d, zero_vec(target.underlying.dim(d)))
+            else:
+                (k1, v1), (k2, v2) = img[t[0]], img[t[1]]
+                img[t] = (k1 + k2, target.bracket_vec(k1, v1, k2, v2))
+        cols = [img[t][1] for t in ms]
         blocks[d] = QMatrix.from_columns(cols, target.underlying.dim(d))
     return DGLMap(to_dgl(source), target, DGMap(src, target.underlying, blocks))
 

@@ -14,6 +14,14 @@ which on the identity blocks that dominate the models cancels the unit
 entries first and keeps fill-in low.  That choice cannot change any
 output: a matrix has one reduced row echelon form, and with pivots in m's
 columns the solution of m x = b with free variables 0 is unique.
+
+Products and scalings run on integer numerators too.  A product scales
+each factor by the lcm of its denominators and sums the products as ints; a
+scaling multiplies numerators and denominators.  Each nonzero output entry
+becomes one Fraction, divided once.  Every integer entry from -16 to 16 is
+one shared Fraction object (Fraction is immutable), so the ±1 entries of
+the symmetric-group actions and of most differentials cost a dict lookup,
+and comparing two such matrices stops at object identity.
 """
 
 from __future__ import annotations
@@ -24,10 +32,25 @@ from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+# one shared Fraction per small integer; see _frac
+_SMALL = {v: Fraction(v) for v in range(-16, 17)}
+ZERO = _SMALL[0]
+ONE = _SMALL[1]
 
 Vector = tuple[Fraction, ...]
+
+
+def _frac(num: int, den: int) -> Fraction:
+    """num/den for den > 0; a small integer comes back as its shared object."""
+    q, r = divmod(num, den)
+    if r:
+        return Fraction(num, den)
+    f = _SMALL.get(q)
+    return Fraction(q) if f is None else f
+
+
+def _lcm_denominator(m: "QMatrix") -> int:
+    return lcm(*(v.denominator for v in m.entries.values()))
 
 
 def rat(x) -> Fraction:
@@ -184,37 +207,40 @@ class QMatrix:
         return m
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def __neg__(self) -> "QMatrix":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "QMatrix":
         c = rat(c)
-        if c == 0:
-            return QMatrix(self.rows, self.cols)
         m = QMatrix(self.rows, self.cols)
-        m.entries = {k: c * v for k, v in self.entries.items()}
+        if c == 0:
+            return m
+        n, d = c.numerator, c.denominator
+        m.entries = {k: _frac(n * v.numerator, d * v.denominator) for k, v in self.entries.items()}
         return m
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in *: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # group other's entries by row for sparse product
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        # both factors times the lcm of their denominators; other grouped by row
+        da, db = _lcm_denominator(self), _lcm_denominator(other)
+        by_row: dict[int, list[tuple[int, int]]] = {}
         for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        ent: dict[tuple[int, int], Fraction] = {}
+            by_row.setdefault(r, []).append((c, v.numerator * (db // v.denominator)))
+        acc: dict[tuple[int, int], int] = {}
         for (r, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
+            row = by_row.get(k)
+            if row is None:
+                continue
+            a = a.numerator * (da // a.denominator)
+            for c, b in row:
                 key = (r, c)
-                s = ent.get(key, ZERO) + a * b
-                if s == 0:
-                    ent.pop(key, None)
-                else:
-                    ent[key] = s
+                acc[key] = acc.get(key, 0) + a * b
+        den = da * db
         m = QMatrix(self.rows, other.cols)
-        m.entries = ent
+        m.entries = {key: _frac(v, den) for key, v in acc.items() if v}
         return m
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
@@ -357,7 +383,7 @@ def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     rows, pivots = _rref_rows(_sparse_rows(m), m.cols)
     out = QMatrix(m.rows, m.cols)
     out.entries = {
-        (i, c): Fraction(v, row[pc]) for i, (pc, row) in enumerate(zip(pivots, rows)) for c, v in row.items()
+        (i, c): _frac(v, row[pc]) for i, (pc, row) in enumerate(zip(pivots, rows)) for c, v in row.items()
     }
     return out, pivots
 
@@ -410,7 +436,7 @@ def _solve(m: QMatrix, b: QMatrix) -> Optional[QMatrix]:
         return None
     out = QMatrix(m.cols, b.cols)
     out.entries = {
-        (pc, c - m.cols): Fraction(v, row[pc])
+        (pc, c - m.cols): _frac(v, row[pc])
         for pc, row in zip(pivots, rows)
         for c, v in row.items()
         if c >= m.cols

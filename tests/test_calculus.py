@@ -947,3 +947,48 @@ def test_tower_maps_match_the_name_lookups(model):
     tower = taylor_layers_cobar(c, 3, 7)[0]
     old = _old_tower_maps(tower.objects)
     assert len(tower.maps) == len(old) and all(_same(a, b) for a, b in zip(tower.maps, old))
+
+
+def _old_lie_oracle_closures():
+    """The recursive closures lie_dim_oracle used before: (expand, trees)."""
+
+    def expand(tree):
+        if isinstance(tree, int):
+            return {(tree,): ONE}
+        l, r = expand(tree[0]), expand(tree[1])
+        out = {}
+        for wl, cl in l.items():
+            for wr, cr in r.items():
+                for word, coeff in ((wl + wr, cl * cr), ((wr + wl), -cl * cr)):
+                    s = out.get(word, ZERO) + coeff
+                    if s:
+                        out[word] = s
+                    else:
+                        out.pop(word, None)
+        return out
+
+    def trees(letters):
+        if len(letters) == 1:
+            yield letters[0]
+            return
+        for cut in range(1, len(letters)):
+            for l in trees(letters[:cut]):
+                for r in trees(letters[cut:]):
+                    yield (l, r)
+
+    return expand, trees
+
+
+def test_lie_oracle_helpers_match_the_recursive_closures():
+    from rht.calculus import _bracket_trees, _expand_bracket
+
+    expand, trees = _old_lie_oracle_closures()
+    for n in range(1, 6):
+        for p in itertools.permutations(range(1, n + 1)):
+            got = list(_bracket_trees(list(p)))
+            assert got == list(trees(list(p)))
+            assert all(list(_expand_bracket(t).items()) == list(expand(t).items()) for t in got)
+
+
+def test_lie_dim_oracle_leaves_no_reference_cycle(cyclic_garbage):
+    assert cyclic_garbage(lambda: lie_dim_oracle(4)) == []

@@ -7,6 +7,8 @@ import sys
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rht.cli import (
     ModelError,
@@ -272,3 +274,115 @@ def test_pinned_commands_give_the_pinned_output(command, monkeypatch):
     monkeypatch.chdir(ROOT)  # the pinned commands name their models relative to the repository
     status, out = run(*command.split())
     assert (status, out) == (PINNED[command]["exit"], PINNED[command]["stdout"])
+
+
+# -- one parser per process ----------------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    from rht.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+
+
+def test_calls_in_sequence_share_one_parser():
+    """Each call's output lands in the streams redirected around that call,
+    whatever the calls before it printed or raised."""
+    from contextlib import redirect_stderr
+
+    def call(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(list(argv))
+        return status, out.getvalue(), err.getvalue()
+
+    status, out, err = call("homology", f"{MODELS}/twocell.dg", "--truncate", "-1")
+    assert (status, out) == (2, "") and err.startswith("usage error: --truncate")
+    status, out, err = call("homology", f"{MODELS}/twocell.dg", "--window", "0:4")
+    assert (status, err) == (0, "") and out == PINNED["homology models/twocell.dg --window 0:4"]["stdout"]
+    status, out, err = call("--help")
+    assert (status, err) == (0, "") and out.startswith("usage: rht") and "crosseffect" in out
+    status, out, err = call("nonsense", f"{MODELS}/s3.dgc")
+    assert (status, out) == (2, "") and "invalid choice: 'nonsense'" in err
+
+
+# -- build_model without a recursive closure -----------------------------------------------
+
+
+def _old_eval_tree(require, dg0, shell):
+    """The recursive closure build_model evaluated words with before."""
+    from rht.exactq import _unit_vec
+
+    def eval_tree(word, no):
+        if word[0] == "gen":
+            k, i = require(word[1], no)
+            return k, _unit_vec(dg0.dim(k), i)
+        if word[0] == "br":
+            if shell is None:
+                raise ModelError("bracket words only make sense for kind dgl", no)
+            ka, va = eval_tree(word[1], no)
+            kb, vb = eval_tree(word[2], no)
+            return ka + kb, shell.bracket_vec(ka, va, kb, vb)
+        raise ModelError("tensor pairs only make sense in delta lines", no)
+
+    return eval_tree
+
+
+NILPOTENT = """kind dgl
+gen a 1
+gen b 1
+gen c 2
+gen e 3
+gen f 3
+bracket a a = c
+bracket a b = 2 c
+bracket b b = -1/3 c
+bracket a c = e - f
+bracket b c = 1/2 f
+"""
+
+_GEN_WORDS = st.sampled_from("abcefz").map(lambda n: ("gen", n))
+_WORDS = st.recursive(
+    st.one_of(_GEN_WORDS, st.just(("tens", "a", "b"))),
+    lambda kids: st.tuples(st.just("br"), kids, kids),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_WORDS, st.booleans())
+def test_word_values_match_the_recursive_closure(word, lie):
+    import tempfile
+
+    from rht.cli import _eval_tree
+
+    with tempfile.TemporaryDirectory() as tmp:
+        mf = parse_model(write(pathlib.Path(tmp), NILPOTENT))
+    model = build_model(mf)
+    positions, per_degree = {}, {}
+    for name, deg, _ in mf.gens:
+        positions[name] = (deg, per_degree.get(deg, 0))
+        per_degree[deg] = positions[name][1] + 1
+
+    def require(name, no):
+        if name not in positions:
+            raise ModelError(f"undeclared name {name!r}", no)
+        return positions[name]
+
+    shell = model if lie else None
+    args = (require, model.underlying, shell)
+
+    def outcome(fn):
+        try:
+            return fn(word, 4)
+        except ModelError as e:
+            return ("error", str(e), e.line)
+
+    assert outcome(lambda w, no: _eval_tree(w, no, *args)) == outcome(_old_eval_tree(*args))
+
+
+def test_build_model_leaves_no_reference_cycle(cyclic_garbage, tmp_path):
+    nested = write(tmp_path, NILPOTENT + "gen g 5\nd g = [a,[a,c]] - 2 [b,[a,c]]\n")
+    for path in (f"{MODELS}/hurewicz-counterexample.dgl", nested):
+        mf = parse_model(path)
+        assert cyclic_garbage(lambda: build_model(mf)) == []

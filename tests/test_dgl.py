@@ -53,6 +53,8 @@ from rht.dgl import (
     identity_dgl_map,
     reduce_dgl,
     to_dgl,
+    tp_add,
+    tp_scale,
     zero_dgl_map,
 )
 from rht.exactq import ONE, QMatrix, rank, rat, solve_linear, solve_matrix, vec_add, vec_scale, zero_vec
@@ -1143,3 +1145,99 @@ def test_free_product_witness_and_abelianization_match_the_old_positions(seed):
                 images[i][(0, 1)] = ONE
     f = FreeDGLMap(a, b, images)
     assert f.abelianized() == _old_abelianized(f)
+
+
+# -- map images by degree order, not by a recursive closure ----------------------------
+
+
+def _old_to_dgmap(f):
+    """FreeDGLMap.to_dgmap as it was: images by a recursive closure."""
+    tb = f.target.basis
+    src = to_dgl(f.source).underlying
+    tgt = to_dgl(f.target).underlying
+    images = dict(f.gen_images)
+
+    def image(t):
+        if t not in images:
+            images[t] = {} if isinstance(t, int) else tb.bracket_poly(image(t[0]), image(t[1]))
+        return images[t]
+
+    blocks = {}
+    for d, ms in f.source.basis.monomials.items():
+        tdim = tgt.dim(d)
+        cols = [tb.coords(image(t)).get(d, zero_vec(tdim)) for t in ms]
+        blocks[d] = QMatrix.from_columns(cols, tdim)
+    return DGMap(src, tgt, blocks)
+
+
+def _old_map_from_gen_images(source, target, images):
+    """dgl_map_from_gen_images as it was: images by a recursive closure."""
+    b = source.basis
+    cache = {}
+
+    def img(t):
+        if t in cache:
+            return cache[t]
+        if isinstance(t, int):
+            out = images.get(t)
+            if out is None:
+                out = (b.deg[t], zero_vec(target.underlying.dim(b.deg[t])))
+        else:
+            k1, v1 = img(t[0])
+            k2, v2 = img(t[1])
+            out = (k1 + k2, target.bracket_vec(k1, v1, k2, v2))
+        cache[t] = out
+        return out
+
+    blocks = {}
+    for d, ms in b.monomials.items():
+        blocks[d] = QMatrix.from_columns([img(t)[1] for t in ms], target.underlying.dim(d))
+    return DGMap(to_dgl(source).underlying, target.underlying, blocks)
+
+
+def _random_images(rng, a, b):
+    """(gen_images, vector images): each generator of a goes to a random Lie
+    element of b of its degree, or is left out."""
+    lie, vectors = {}, {}
+    for i, d in enumerate(a.basis.deg):
+        ms = b.basis.monomials.get(d, ())
+        if not ms or rng.random() < 0.2:
+            continue
+        coeffs = [rat(rng.randint(-2, 2)) for _ in ms]
+        poly = {}
+        for c, t in zip(coeffs, ms):
+            poly = tp_add(poly, tp_scale(c, b.basis.expand(t)))
+        lie[i], vectors[i] = poly, (d, tuple(coeffs))
+    return lie, vectors
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_map_images_match_the_recursive_images(seed):
+    rng = Random(seed)
+    cap = rng.randint(3, 7)
+    a = _random_free(rng, ["x", "u", "z"][: rng.randint(1, 3)], cap)
+    b = _random_free(rng, ["y", "w", "v"][: rng.randint(1, 3)], cap)
+    lie, vectors = _random_images(rng, a, b)
+    f = FreeDGLMap(a, b, lie)
+    assert f.to_dgmap().blocks == _old_to_dgmap(f).blocks
+    # the images need not be a DGL map for the formula to apply
+    other = counterexample_dgl()
+    others = {
+        i: (d, tuple(rat(rng.randint(-2, 2)) for _ in range(other.underlying.dim(d))))
+        for i, d in enumerate(a.basis.deg)
+        if rng.random() < 0.8
+    }
+    for target, vectors in ((to_dgl(b), vectors), (other, others)):
+        new = dgl_map_from_gen_images(a, target, vectors)
+        assert new.dgmap.blocks == _old_map_from_gen_images(a, target, vectors).blocks
+
+
+def test_map_images_leave_no_reference_cycle(cyclic_garbage):
+    rng = Random(3)
+    a = _random_free(rng, ["x", "u", "z"], 6)
+    b = _random_free(rng, ["y", "w"], 6)
+    lie, vectors = _random_images(rng, a, b)
+    f, target = FreeDGLMap(a, b, lie), to_dgl(b)
+    assert cyclic_garbage(f.to_dgmap) == []
+    assert cyclic_garbage(lambda: dgl_map_from_gen_images(a, target, vectors)) == []

@@ -440,3 +440,123 @@ def test_pivot_readers_build_no_fraction(monkeypatch):
 
     monkeypatch.setattr(exactq, "Fraction", no_fraction)
     assert (rank(m), image_pivot_columns(m), image_basis(m), extend_to_basis(m, unit)) == want
+
+
+# -- the integer products against the Fraction products they replaced ------------
+
+
+def _fraction_scale(m, c):
+    """QMatrix.scale as it was before products moved to integer numerators."""
+    c = rat(c)
+    if c == 0:
+        return QMatrix(m.rows, m.cols)
+    out = QMatrix(m.rows, m.cols)
+    out.entries = {k: c * v for k, v in m.entries.items()}
+    return out
+
+
+def _fraction_mul(a, b):
+    """QMatrix.__mul__ as it was: one Fraction multiply-add per product term."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch in *: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    by_row = {}
+    for (r, c), v in b.entries.items():
+        by_row.setdefault(r, []).append((c, v))
+    ent = {}
+    for (r, k), x in a.entries.items():
+        for c, y in by_row.get(k, ()):
+            key = (r, c)
+            s = ent.get(key, ZERO) + x * y
+            if s == 0:
+                ent.pop(key, None)
+            else:
+                ent[key] = s
+    out = QMatrix(a.rows, b.cols)
+    out.entries = ent
+    return out
+
+
+# numerators past 16 give integer entries that are not shared objects
+PRODUCT_ENTRIES = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+
+
+@st.composite
+def _matrix(draw, rows, cols):
+    density = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+    ent = {}
+    for i in range(rows):
+        for j in range(cols):
+            if draw(st.floats(0, 1)) < density:
+                ent[(i, j)] = draw(PRODUCT_ENTRIES)
+    return QMatrix(rows, cols, ent)
+
+
+@st.composite
+def product_case(draw):
+    """(a, b, a2): factors a and b of a product, of one of the shapes the integer
+    kernel must get right, and a2 of a's shape to subtract from a."""
+    kind = draw(st.sampled_from(("empty", "zero", "mixed", "cancel", "mismatch")))
+    r, k, c = (draw(st.integers(1 if kind == "cancel" else 0, 4)) for _ in range(3))
+    if kind == "empty":
+        r, k, c = draw(st.permutations((0, r, c)))
+    if kind == "cancel":
+        k = max(k, 2)
+    a, b = draw(_matrix(r, k)), draw(_matrix(k + (kind == "mismatch"), c))
+    if kind == "zero":
+        a, b = draw(st.sampled_from(((QMatrix(r, k), b), (a, QMatrix(k, c)))))
+    if kind == "cancel":
+        # (a b)[i, j] = 0 through two nonzero terms, for a drawn i and j
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, c - 1))
+        ea, eb = dict(a.entries), dict(b.entries)
+        ea[(i, 0)], ea[(i, 1)] = draw(PRODUCT_ENTRIES.filter(bool)), draw(PRODUCT_ENTRIES.filter(bool))
+        eb[(1, j)] = draw(PRODUCT_ENTRIES.filter(bool))
+        eb.pop((0, j), None)
+        rest = sum((ea.get((i, l), ZERO) * eb.get((l, j), ZERO) for l in range(1, k)), ZERO)
+        eb[(0, j)] = -rest / ea[(i, 0)]
+        a, b = QMatrix(r, k, ea), QMatrix(k, c, eb)
+    a2 = draw(st.sampled_from((a, _fraction_scale(a, draw(PRODUCT_ENTRIES)), draw(_matrix(a.rows, a.cols)))))
+    return a, b, a2
+
+
+SCALARS = st.one_of(
+    st.sampled_from((0, 1, -1, ZERO, ONE, -ONE, 2, -17, "-3/4", "5/2")),
+    PRODUCT_ENTRIES,
+)
+
+
+def _assert_same_matrix(new, old):
+    assert (new.rows, new.cols) == (old.rows, old.cols)
+    assert new.entries == old.entries
+    assert all(type(v) is Fraction and v != 0 for v in new.entries.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(product_case(), SCALARS)
+def test_integer_products_match_the_fraction_products(case, c):
+    a, b, a2 = case
+    before = [dict(m.entries) for m in case]
+    if a.cols == b.rows:
+        _assert_same_matrix(a * b, _fraction_mul(a, b))
+    else:
+        with pytest.raises(ValueError) as new:
+            a * b
+        with pytest.raises(ValueError) as old:
+            _fraction_mul(a, b)
+        assert str(new.value) == str(old.value)
+    _assert_same_matrix(a.scale(c), _fraction_scale(a, c))
+    _assert_same_matrix(-a, _fraction_scale(a, -1))
+    _assert_same_matrix(a - a2, a + _fraction_scale(a2, -1))
+    assert [m.entries for m in case] == before
+
+
+def test_small_integer_entries_are_shared():
+    from rht.exactq import _SMALL, _frac
+
+    assert _SMALL[0] is ZERO and _SMALL[1] is ONE
+    assert _frac(6, 3) is _frac(2, 1) is _SMALL[2]
+    assert _frac(-32, 2) is _SMALL[-16]
+    assert _frac(34, 2) == 17 and type(_frac(34, 2)) is Fraction
+    assert _frac(3, 6) == Fraction(1, 2)
+    swap = QMatrix.from_rows([[0, -1], [1, 0]])
+    for m in (swap * swap, swap.scale(-1), -swap, QMatrix.from_rows([["1/2", 0]]) * swap.scale(2)):
+        assert all(v is _SMALL[v.numerator] for v in m.entries.values())
