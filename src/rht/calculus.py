@@ -24,7 +24,9 @@ from .dgcore import (
     DGMap,
     Cube,
     SymmetricDG,
+    _by_column,
     _cube_sum,
+    _generator_table,
     _places,
     _tensor_with_index,
     assert_valid,
@@ -44,7 +46,7 @@ from .dgcore import (
     telescope,
     tensor_dg,
 )
-from .dgl import FreeDGL, FreeDGLMap, TensorPoly, _bracket_filtration, free_lie_basis, to_dgl
+from .dgl import FreeDGL, FreeDGLMap, _bracket_filtration, free_lie_basis, to_dgl
 from .exactq import ONE, QMatrix, ZERO, kernel_basis, rank, solve_matrix
 from .quillen import cobar_L
 
@@ -111,21 +113,13 @@ def tensor_map(f: DGMap, g: DGMap) -> DGMap:
     """f (x) g for degree-zero chain maps (no Koszul signs arise)."""
     src, si = _tensor_with_index(f.source, g.source)
     tgt, ti = _tensor_with_index(f.target, g.target)
+    fc, gc = _by_column(f.blocks), _by_column(g.blocks)
     ent: dict[int, dict] = {}
     for (i, p, j, q), (n, col) in si.items():
-        fb = f.block(i)
-        gb = g.block(j)
-        for r in range(f.target.dim(i)):
-            v1 = fb.get(r, p)
-            if not v1:
-                continue
-            for s in range(g.target.dim(j)):
-                v2 = gb.get(s, q)
-                if not v2:
-                    continue
-                row = ti[(i, r, j, s)][1]
-                d = ent.setdefault(n, {})
-                d[(row, col)] = d.get((row, col), ZERO) + v1 * v2
+        # each pure tensor of the target is hit once per source column
+        for r, v1 in fc.get((i, p), ()):
+            for s, v2 in gc.get((j, q), ()):
+                ent.setdefault(n, {})[(ti[(i, r, j, s)][1], col)] = v1 * v2
     blocks = {n: QMatrix(tgt.dim(n), src.dim(n), e) for n, e in ent.items()}
     return DGMap(src, tgt, blocks)
 
@@ -415,20 +409,12 @@ class LambdaFunctor(FunctorSpec):
         rv, iv = reduce_with_inclusion(2, f.source)
         rw, iw = reduce_with_inclusion(2, f.target)
         src_c, tgt_c = cofree_lambda(rv, self.cap), cofree_lambda(rw, self.cap)
-        gen_images: dict[int, dict[int, Fraction]] = {}
+        restricted = {}
         for k in rv.degrees():
-            sol = solve_matrix(iw.block(k), f.block(k) * iv.block(k))
-            if sol is None:
+            restricted[k] = solve_matrix(iw.block(k), f.block(k) * iv.block(k))
+            if restricted[k] is None:
                 raise ValueError("map does not restrict to the reduction")
-            for c in range(rv.dim(k)):
-                src_gen = src_c.gen_index[rv.basis[k][c]]
-                img = {}
-                for r in range(rw.dim(k)):
-                    if sol.get(r, c):
-                        img[tgt_c.gen_index[rw.basis[k][r]]] = sol.get(r, c)
-                if img:
-                    gen_images[src_gen] = img
-        return CofreeDGCMap(src_c, tgt_c, gen_images).to_dgc_map().dgmap
+        return CofreeDGCMap(src_c, tgt_c, _generator_table(rv, rw, restricted, 0)).to_dgc_map().dgmap
 
 
 @dataclass(frozen=True)
@@ -440,24 +426,9 @@ class FreeLieFunctor(FunctorSpec):
     def _free(self, v: DG) -> FreeDGL:
         if v.basis and min(v.basis) < 1:
             raise ValueError("free Lie input must live in positive degrees")
-        gens = [(name, k) for k in v.degrees() for name in v.basis[k]]
-        locate = {}
-        pos = 0
-        for k in v.degrees():
-            for i in range(v.dim(k)):
-                locate[(k, i)] = pos
-                pos += 1
-        gen_diff: dict[int, TensorPoly] = {}
-        for k in v.degrees():
-            dk = v.d(k)
-            for i in range(v.dim(k)):
-                poly = {
-                    (locate[(k - 1, r)],): dk.get(r, i)
-                    for r in range(v.dim(k - 1))
-                    if dk.get(r, i)
-                }
-                if poly:
-                    gen_diff[locate[(k, i)]] = poly
+        gens = [(name, k) for k, names in v.basis.items() for name in names]
+        table = _generator_table(v, v, v.diff, 1)
+        gen_diff = {j: {(h,): c for h, c in lin.items()} for j, lin in table.items()}
         return FreeDGL(free_lie_basis(gens, self.cap), gen_diff)
 
     def apply(self, v: DG) -> DG:
@@ -465,24 +436,8 @@ class FreeLieFunctor(FunctorSpec):
 
     def apply_map(self, f: DGMap) -> DGMap:
         src, tgt = self._free(f.source), self._free(f.target)
-        locate_src, locate_tgt = {}, {}
-        for loc, v in ((locate_src, f.source), (locate_tgt, f.target)):
-            pos = 0
-            for k in v.degrees():
-                for i in range(v.dim(k)):
-                    loc[(k, i)] = pos
-                    pos += 1
-        images: dict[int, TensorPoly] = {}
-        for k in f.source.degrees():
-            fb = f.block(k)
-            for c in range(f.source.dim(k)):
-                poly = {
-                    (locate_tgt[(k, r)],): fb.get(r, c)
-                    for r in range(f.target.dim(k))
-                    if fb.get(r, c)
-                }
-                if poly:
-                    images[locate_src[(k, c)]] = poly
+        table = _generator_table(f.source, f.target, f.blocks, 0)
+        images = {j: {(h,): c for h, c in lin.items()} for j, lin in table.items()}
         return FreeDGLMap(src, tgt, images).to_dgmap()
 
 

@@ -40,8 +40,10 @@ from .dgcore import (
     ZERO_DG,
     _cylinder_sum,
     _degree_positions,
+    _first_generators,
     _generator_dg,
     _generator_map,
+    _generator_table,
     _path_sum,
     _places,
     _tensor_with_index,
@@ -842,19 +844,8 @@ def to_dgc(c: CofreeDGC) -> DGC:
 
 def cofree_lambda(v: DG, cap: int) -> CofreeDGC:
     """Truly cofree coalgebra on a cogenerator DG (degrees >= 2)."""
-    gens: list[tuple[str, int]] = []
-    locate: dict[tuple[int, int], int] = {}
-    for k in v.degrees():
-        for i, name in enumerate(v.basis[k]):
-            locate[(k, i)] = len(gens)
-            gens.append((name, k))
-    corestriction: dict[Word, dict[int, Fraction]] = {}
-    for k in v.degrees():
-        dk = v.d(k)
-        for i in range(v.dim(k)):
-            lin = {locate[(k - 1, r)]: dk.get(r, i) for r in range(v.dim(k - 1)) if dk.get(r, i)}
-            if lin:
-                corestriction[(locate[(k, i)],)] = lin
+    gens = [(name, k) for k, names in v.basis.items() for name in names]
+    corestriction = {(j,): lin for j, lin in _generator_table(v, v, v.diff, 1).items()}
     return CofreeDGC(gens, cap, corestriction)
 
 
@@ -927,40 +918,29 @@ def cofree_path(f: CofreeDGCMap, g: CofreeDGCMap, r: int = 2, cap: Optional[int]
         cap = min(u.cap, w.cap, v.cap - 1)
     total, incls = _path_sum(f.gen_dgmap(), g.gen_dgmap())
     red, incl = reduce_with_inclusion(r, total)
+    # path-complex classes and the cogenerators of red are numbered as generators
+    first, red_first = _first_generators(total), _first_generators(red)
+    tot_deg = [k for k, names in total.basis.items() for _ in names]
 
     # the strand of each path-complex class, with its cogenerator on the two
     # outer strands, and the path-complex class of each outer cogenerator
-    strand = {(k, row): ("m", p) for (k, p), row in _places(incls[1]).items()}
-    back: dict[str, dict[int, tuple[int, int]]] = {}
+    strand = {first[k] + row: ("m", p) for (k, p), row in _places(incls[1]).items()}
+    back: dict[str, dict[int, int]] = {}
     for tag, inner, summand in (("u", u, incls[0]), ("w", w, incls[2])):
         pos, gens = _degree_positions(inner.deg)
         at = _places(summand)
-        strand.update({(k, row): (tag, gens[k][p]) for (k, p), row in at.items()})
-        back[tag] = {h: (d, at[(d, pos[h])]) for h, d in enumerate(inner.deg)}
+        strand.update({first[k] + row: (tag, gens[k][p]) for (k, p), row in at.items()})
+        back[tag] = {h: first[d] + at[(d, pos[h])] for h, d in enumerate(inner.deg)}
 
     # cogenerators above the cap can never enter a word, so drop them
-    kept = [k for k in red.degrees() if k <= cap]
-    gens: list[tuple[str, int]] = []
-    locate: dict[tuple[int, int], int] = {}
-    for k in kept:
-        for i, name in enumerate(red.basis[k]):
-            locate[(k, i)] = len(gens)
-            gens.append((name, k))
-    images = {
-        locate[(k, i)]: {
-            (k, j): incl.block(k).get(j, i) for j in range(total.dim(k)) if incl.block(k).get(j, i)
-        }
-        for k in kept
-        for i in range(red.dim(k))
-    }
-    tot_deg = {key: key[0] for key in strand}
+    gens = [(name, k) for k, names in red.basis.items() if k <= cap for name in names]
+    images = _generator_table(red, total, incl.blocks, 0)
+    d_total = _generator_table(total, total, total.diff, 1)
 
-    def pure_corestriction(word: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], Fraction]:
+    def pure_corestriction(word: tuple[int, ...]) -> dict[int, Fraction]:
         # word of path-complex classes, canonically sorted; value in the path complex
         if len(word) == 1:
-            (k, i) = word[0]
-            col = total.d(k).column(i) if total.dim(k - 1) else ()
-            return {(k - 1, j): cc for j, cc in enumerate(col) if cc}
+            return d_total.get(word[0], {})
         kinds = {strand[p][0] for p in word}
         if kinds == {"u"}:
             inner, tag = u, "u"
@@ -971,7 +951,7 @@ def cofree_path(f: CofreeDGCMap, g: CofreeDGCMap, r: int = 2, cap: Optional[int]
         sign, key = _canonical([strand[p][1] for p in word], inner.deg)
         if not sign:
             return {}
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[int, Fraction] = {}
         for h, cc in inner.corestriction.get(key, {}).items():
             out[back[tag][h]] = out.get(back[tag][h], ZERO) + sign * cc
         return {p: cc for p, cc in out.items() if cc}
@@ -981,7 +961,7 @@ def cofree_path(f: CofreeDGCMap, g: CofreeDGCMap, r: int = 2, cap: Optional[int]
     for k, ws in stub.words().items():
         for word in ws:
             expanded = _apply_letterwise(word, images, tot_deg)
-            acc: dict[tuple[int, int], Fraction] = {}
+            acc: dict[int, Fraction] = {}
             for pure, c0 in expanded.items():
                 for p, cc in pure_corestriction(pure).items():
                     s = acc.get(p, ZERO) + c0 * cc
@@ -993,16 +973,16 @@ def cofree_path(f: CofreeDGCMap, g: CofreeDGCMap, r: int = 2, cap: Optional[int]
                 continue
             kk = k - 1
             rhs = [ZERO] * total.dim(kk)
-            for (dd, j), cc in acc.items():
-                if dd != kk:
+            for p, cc in acc.items():
+                if tot_deg[p] != kk:
                     raise AssertionError("internal: path corestriction not homogeneous")
-                rhs[j] = cc
+                rhs[p - first[kk]] = cc
             sol = solve_linear(incl.block(kk), tuple(rhs)) if red.dim(kk) else None
             if sol is None:
                 raise ValueError(
                     f"path reduction is not closed under the differential at {stub.word_name(word)}"
                 )
-            out_core[word] = {locate[(kk, j)]: cc for j, cc in enumerate(sol) if cc}
+            out_core[word] = {red_first[kk] + j: cc for j, cc in enumerate(sol) if cc}
     return CofreeDGC(gens, cap, out_core)
 
 

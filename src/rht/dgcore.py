@@ -19,7 +19,12 @@ Basis positions are data.  The builder that lays out a basis is the only code
 that knows where things sit; callers read positions off the inclusions of a
 sum (_places), the index that _tensor_with_index fills while it lays out a
 tensor product, or the generator position table of _degree_positions, and
-never format a basis name to look it up again.
+never format a basis name to look it up again.  The generator table
+(_first_generators, _generator_table) is the one place where a DG's basis
+becomes a generator list: every free and cofree presentation of a DG (cec_C,
+cobar_L, cofree_lambda, cofree_path, the free Lie and Lambda functors) reads
+its generators and their linear parts from it, and _generator_dg and
+_generator_map turn such a table back into the DG and the map.
 """
 
 from __future__ import annotations
@@ -220,6 +225,27 @@ def _generator_map(
     return DGMap(source, target, blocks)
 
 
+def _first_generators(v: DG) -> dict[int, int]:
+    """The generator number of each degree's first basis element: a DG's
+    basis, taken degree by degree, is generators 0, 1, 2, ..."""
+    return dict(zip(v.basis, accumulate(map(len, v.basis.values()), initial=0)))
+
+
+def _generator_table(
+    source: DG, target: DG, blocks: Mapping[int, QMatrix], step: int
+) -> dict[int, dict[int, Fraction]]:
+    """Blocks from degree k of source to degree k - step of target (a
+    differential: step 1; a map's blocks: step 0) as {generator: {generator:
+    coefficient}}, read off their nonzero entries.  _generator_dg and
+    _generator_map give the DG and the map back."""
+    cols, rows = _first_generators(source), _first_generators(target)
+    table: dict[int, dict[int, Fraction]] = {}
+    for k, m in blocks.items():
+        for (r, c), x in m.entries.items():
+            table.setdefault(cols[k] + c, {})[rows[k - step] + r] = x
+    return table
+
+
 # -- validation ---------------------------------------------------------------
 
 
@@ -402,7 +428,7 @@ def _tensor_with_index(a: DG, b: DG) -> tuple[DG, dict[tuple[int, int, int, int]
                 for q, y in enumerate(b.basis[j]):
                     index[(i, p, j, q)] = (i + j, len(lst))
                     lst.append(f"({x}⊗{y})")
-    da, db = _by_column(a), _by_column(b)
+    da, db = _by_column(a.diff), _by_column(b.diff)
     ent: dict[int, dict[tuple[int, int], Fraction]] = {}
     for (i, p, j, q), (n, col) in index.items():
         e = ent.setdefault(n, {})
@@ -415,10 +441,11 @@ def _tensor_with_index(a: DG, b: DG) -> tuple[DG, dict[tuple[int, int, int, int]
     return DG({n: tuple(lst) for n, lst in names.items()}, diff), index
 
 
-def _by_column(v: DG) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
-    """(degree, column) -> the nonzero (row, entry) of that column of d, by row."""
+def _by_column(blocks: Mapping[int, QMatrix]) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+    """(degree, column) -> the nonzero (row, entry) of that column of a block
+    (of a differential or of a map)."""
     cols: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for k, m in v.diff.items():
+    for k, m in blocks.items():
         for (r, c), x in m.entries.items():
             cols.setdefault((k, c), []).append((r, x))
     return cols

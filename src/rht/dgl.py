@@ -321,15 +321,24 @@ class DGL:
         return v
 
     def bracket_vec(self, k1: int, v1: Vector, k2: int, v2: Vector) -> Vector:
-        out = zero_vec(self.underlying.dim(k1 + k2))
+        """Sums only the table entries that the supports of v1 and v2 reach."""
+        acc: dict[int, Fraction] = {}
+        support2 = [(i2, c2) for i2, c2 in enumerate(v2) if c2]
         for i1, c1 in enumerate(v1):
             if not c1:
                 continue
-            for i2, c2 in enumerate(v2):
-                if not c2:
+            for i2, c2 in support2:
+                entry = self.bracket.get((k1, i1, k2, i2))
+                if entry is None:
                     continue
-                out = vec_add(out, vec_scale(c1 * c2, self.bracket_basis(k1, i1, k2, i2)))
-        return out
+                c = c1 * c2
+                for r, x in enumerate(entry):
+                    if x:
+                        acc[r] = acc.get(r, ZERO) + c * x
+        out = [ZERO] * self.underlying.dim(k1 + k2)
+        for r, x in acc.items():
+            out[r] = x
+        return tuple(out)
 
     def __eq__(self, other):
         return (
@@ -484,23 +493,12 @@ class FreeDGLMap:
         }
 
     def to_dgmap(self) -> DGMap:
-        sb, tb = self.source.basis, self.target.basis
-        src = to_dgl(self.source).underlying
-        tgt = to_dgl(self.target).underlying
-        # a Lie map sends [t0, t1] to the graded commutator of the images; the
-        # factors of a Lyndon tree and of a square are monomials of lower degree
-        images: dict[Tree, TensorPoly] = {}
-        blocks = {}
-        for d, ms in sb.monomials.items():
-            for t in ms:
-                if isinstance(t, int):
-                    images[t] = self.gen_images.get(t, {})
-                else:
-                    images[t] = tb.bracket_poly(images[t[0]], images[t[1]])
-            tdim = tgt.dim(d)
-            cols = [tb.coords(images[t]).get(d, zero_vec(tdim)) for t in ms]
-            blocks[d] = QMatrix.from_columns(cols, tdim)
-        return DGMap(src, tgt, blocks)
+        """The map of expanded DGLs: each generator image in coordinates,
+        bracketed with the target's structure constants."""
+        degs, tb = self.source.basis.deg, self.target.basis
+        coords = {j: tb.coords(p) for j, p in self.gen_images.items()}
+        images = {j: (degs[j], co[degs[j]]) for j, co in coords.items() if degs[j] in co}
+        return dgl_map_from_gen_images(self.source, to_dgl(self.target), images).dgmap
 
     def is_freely_generated(self) -> bool:
         return all(len(w) == 1 for p in self.gen_images.values() for w in p)

@@ -33,6 +33,8 @@ from .dgcore import (
     DGMap,
     ZERO_DG,
     _degree_positions,
+    _first_generators,
+    _generator_table,
     homology_dims,
     is_quasi_iso_through,
     reduce_dg,
@@ -80,23 +82,11 @@ def cec_C(l, cap: int) -> CofreeDGC:
         raise ValueError("Lie input must live in positive degrees")
     if ld.cap is not None and cap > ld.cap + 2:
         raise ValueError("cap exceeds the bracket-faithful window of the input")
-    gens: list[tuple[str, int]] = []
-    locate: dict[tuple[int, int], int] = {}
-    for k in dg.degrees():
-        for i, name in enumerate(dg.basis[k]):
-            locate[(k, i)] = len(gens)
-            gens.append((f"s({name})", k + 1))
-    core: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for k in dg.degrees():
-        dk = dg.d(k)
-        for i in range(dg.dim(k)):
-            lin = {
-                locate[(k - 1, r)]: -dk.get(r, i)
-                for r in range(dg.dim(k - 1))
-                if dk.get(r, i)
-            }
-            if lin:
-                core[(locate[(k, i)],)] = lin
+    gens = [(f"s({name})", k + 1) for k, names in dg.basis.items() for name in names]
+    first = _first_generators(dg)
+    core: dict[tuple[int, ...], dict[int, Fraction]] = {
+        (j,): {h: -c for h, c in lin.items()} for j, lin in _generator_table(dg, dg, dg.diff, 1).items()
+    }
     for k1 in dg.degrees():
         for k2 in dg.degrees():
             if k2 < k1 or k1 + k2 + 2 > cap or dg.dim(k1 + k2) == 0:
@@ -112,10 +102,8 @@ def cec_C(l, cap: int) -> CofreeDGC:
                     if same and (k1 + 1) % 2:
                         continue  # repeated odd letter is not a word
                     coeff = sign * (HALF if same else ONE)
-                    word = tuple(sorted((locate[(k1, i1)], locate[(k2, i2)])))
-                    lin = {
-                        locate[(k1 + k2, r)]: coeff * c for r, c in enumerate(vec) if c
-                    }
+                    word = tuple(sorted((first[k1] + i1, first[k2] + i2)))
+                    lin = {first[k1 + k2] + r: coeff * c for r, c in enumerate(vec) if c}
                     if lin:
                         core[word] = lin
     return CofreeDGC(gens, cap, core)
@@ -142,28 +130,19 @@ def cobar_L(c, cap: int, sign_rule: str = "desuspended") -> FreeDGL:
     dg = cd.underlying
     if dg.basis and min(dg.basis) < 2:
         raise ValueError("coalgebra input must be at least 2-reduced")
-    gens: list[tuple[str, int]] = []
-    locate: dict[tuple[int, int], int] = {}
-    for k in dg.degrees():
-        for i, name in enumerate(dg.basis[k]):
-            locate[(k, i)] = len(gens)
-            gens.append((f"si({name})", k - 1))
-    basis = free_lie_basis(gens, cap)
+    basis = free_lie_basis([(f"si({name})", k - 1) for k, names in dg.basis.items() for name in names], cap)
+    first, lin = _first_generators(dg), _generator_table(dg, dg, dg.diff, 1)
     gen_diff: dict[int, TensorPoly] = {}
     for k in dg.degrees():
-        dk = dg.d(k)
         for i in range(dg.dim(k)):
-            poly: TensorPoly = {}
-            for r in range(dg.dim(k - 1)):
-                if dk.get(r, i):
-                    poly = tp_add(poly, {(locate[(k - 1, r)],): -dk.get(r, i)})
+            poly: TensorPoly = {(h,): -c for h, c in lin.get(first[k] + i, {}).items()}
             for ((k1, i1), (k2, i2)), val in cd.delta_basis(k, i).items():
-                a = {(locate[(k1, i1)],): ONE}
-                b = {(locate[(k2, i2)],): ONE}
+                a = {(first[k1] + i1,): ONE}
+                b = {(first[k2] + i2,): ONE}
                 sign = flip * (-ONE if k1 % 2 else ONE)
                 poly = tp_add(poly, tp_scale(HALF * sign * val, basis.bracket_poly(a, b)))
             if poly:
-                gen_diff[locate[(k, i)]] = poly
+                gen_diff[first[k] + i] = poly
     return FreeDGL(basis, gen_diff)
 
 
@@ -183,17 +162,16 @@ def counit_eps(l: FreeDGL, cap: Optional[int] = None) -> tuple[FreeDGLMap, bool]
     cc = cec_C(l, cap + 1)
     lc = cobar_L(cc, cap)
     ld = to_dgl(l)
-    words = cc.words()
+    # cobar_L numbers its generators along the basis of to_dgc(cc), one per word
+    first = _first_generators(to_dgc(cc).underlying)
     pos = _degree_positions(cc.deg)[0]
     images: dict[int, TensorPoly] = {}
-    gi = 0
-    for k in sorted(words):
-        for w in words[k]:
+    for k, ws in cc.words().items():
+        for i, w in enumerate(ws):
             if len(w) == 1:
                 # cogenerator s(t) for the monomial t of L
                 tree = l.basis.monomials[cc.deg[w[0]] - 1][pos[w[0]]]
-                images[gi] = dict(l.basis.expand(tree))
-            gi += 1
+                images[first[k] + i] = dict(l.basis.expand(tree))
     eps = FreeDGLMap(lc, l, images)
     fm = eps.to_dgmap()
     report = validate_dg(fm)
@@ -239,9 +217,9 @@ def linearize_equiv(side: str, x) -> tuple[DGMap, bool]:
         tgt = to_dgl(lc).underlying
         # cobar_L numbers its generators along the basis of to_dgc(x), and a
         # generator's monomial sits at its position among those of its degree
+        first, lpos = _first_generators(to_dgc(x).underlying), _degree_positions(lc.basis.deg)[0]
         words = x.words()
-        lpos = _degree_positions(lc.basis.deg)[0]
-        at = {w[0]: lpos[i] for i, w in enumerate(w for k in sorted(words) for w in words[k]) if len(w) == 1}
+        at = {w[0]: lpos[first[k] + i] for k, ws in words.items() for i, w in enumerate(ws) if len(w) == 1}
         gens = _degree_positions(x.deg)[1]
         blocks = {}
         for k in src.degrees():

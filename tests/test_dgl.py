@@ -59,7 +59,7 @@ from rht.dgl import (
 )
 from rht.exactq import ONE, QMatrix, rank, rat, solve_linear, solve_matrix, vec_add, vec_scale, zero_vec
 from rht.randgen import random_chain_map, random_dg
-from rht.dgl import dgl_map_from_gen_images
+from rht.dgl import _LazyBracketTable, dgl_map_from_gen_images
 from rht.exactq import _unit_vec
 
 
@@ -1241,3 +1241,48 @@ def test_map_images_leave_no_reference_cycle(cyclic_garbage):
     f, target = FreeDGLMap(a, b, lie), to_dgl(b)
     assert cyclic_garbage(f.to_dgmap) == []
     assert cyclic_garbage(lambda: dgl_map_from_gen_images(a, target, vectors)) == []
+
+
+# -- brackets of vectors from the table entries their supports reach --------------------
+
+
+def _dense_bracket_vec(l, k1, v1, k2, v2):
+    """DGL.bracket_vec as it was: a dense vec_add per pair of nonzero coordinates."""
+    out = zero_vec(l.underlying.dim(k1 + k2))
+    for i1, c1 in enumerate(v1):
+        if not c1:
+            continue
+        for i2, c2 in enumerate(v2):
+            if not c2:
+                continue
+            out = vec_add(out, vec_scale(c1 * c2, l.bracket_basis(k1, i1, k2, i2)))
+    return out
+
+
+def _random_vec(rng, n):
+    return tuple(rat(rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)])) for _ in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bracket_vec_matches_the_dense_loop(seed):
+    rng = Random(seed)
+    dg = DG({k: tuple(f"e{k}_{i}" for i in range(rng.randint(0, 3))) for k in range(1, 6)})
+    table = {}
+    for k1 in dg.degrees():
+        for k2 in dg.degrees():
+            for i1 in range(dg.dim(k1)):
+                for i2 in range(dg.dim(k2)):
+                    n = dg.dim(k1 + k2)
+                    if n and rng.random() < 0.6:
+                        # a table may hold all-zero entries
+                        table[(k1, i1, k2, i2)] = zero_vec(n) if rng.random() < 0.3 else _random_vec(rng, n)
+    lazy = to_dgl(_random_free(rng, ["x", "u", "z"], rng.randint(3, 6)))
+    assert isinstance(lazy.bracket, _LazyBracketTable)
+    for l in (DGL(dg, table), lazy):
+        degs = sorted(set(l.underlying.degrees()) | {0, 7})
+        for _ in range(12):
+            k1, k2 = rng.choice(degs), rng.choice(degs)
+            v1, v2 = _random_vec(rng, l.underlying.dim(k1)), _random_vec(rng, l.underlying.dim(k2))
+            got = l.bracket_vec(k1, v1, k2, v2)
+            assert type(got) is tuple and got == _dense_bracket_vec(l, k1, v1, k2, v2)
