@@ -548,9 +548,10 @@ def _perm_sort_sign(seq: Sequence[int]) -> Fraction:
     return -ONE if inv % 2 else ONE
 
 
-def _coproduct_cube(inputs: Sequence[DG]) -> tuple[Cube, dict[frozenset, dict[int, DGMap]]]:
+def _coproduct_cube(inputs: Sequence[DG]) -> tuple[Cube, dict[frozenset, dict[int, dict[tuple[int, int], int]]]]:
     """The cube S |-> the sum of the inputs x_i, i not in S, whose edges drop
-    the summand of the added element; with the inclusion of each summand."""
+    the summand of the added element; with the places (_places of its
+    inclusion) of each summand, read once."""
     n = len(inputs)
     elements = list(range(1, n + 1))
     objects, summands = {}, {}
@@ -559,7 +560,7 @@ def _coproduct_cube(inputs: Sequence[DG]) -> tuple[Cube, dict[frozenset, dict[in
             fs = frozenset(s)
             comp = [i for i in elements if i not in fs]
             objects[fs], incls = sum_many([inputs[i - 1] for i in comp], tags=[f"x{i}" for i in comp])
-            summands[fs] = dict(zip(comp, incls))
+            summands[fs] = {i: _places(incl) for i, incl in zip(comp, incls)}
     edges = {}
     for fs, obj in objects.items():
         for t in elements:
@@ -569,14 +570,15 @@ def _coproduct_cube(inputs: Sequence[DG]) -> tuple[Cube, dict[frozenset, dict[in
     return Cube(n, objects, edges), summands
 
 
-def _move_summands(source: DG, target: DG, src_in: dict, tgt_in: dict, where: dict[int, int]) -> DGMap:
+def _move_summands(source: DG, target: DG, src_at: dict, tgt_at: dict, where: dict[int, int]) -> DGMap:
     """The map of sums sending summand i identically to summand where[i], and
-    the summands missing from where to zero."""
+    the summands missing from where to zero; src_at and tgt_at hold the places
+    of the summands."""
     ent: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for i, incl in src_in.items():
+    for i, at in src_at.items():
         if i in where:
-            rows = _places(tgt_in[where[i]])
-            for (k, p), c in _places(incl).items():
+            rows = tgt_at[where[i]]
+            for (k, p), c in at.items():
                 ent.setdefault(k, {})[(rows[(k, p)], c)] = ONE
     return DGMap(source, target, {k: QMatrix(target.dim(k), source.dim(k), e) for k, e in ent.items()})
 

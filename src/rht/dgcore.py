@@ -40,7 +40,6 @@ from .exactq import (
     QMatrix,
     Vector,
     _kernel_from_rref,
-    extend_to_basis,
     image_pivot_columns,
     kernel_basis,
     rank,
@@ -111,6 +110,8 @@ class DGMap:
     source: DG
     target: DG
     blocks: dict[int, QMatrix] = field(default_factory=dict)
+    # validate_dg's report on this map, kept on first request
+    _report: Optional[tuple[str, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         clean = {}
@@ -250,7 +251,11 @@ def _generator_table(
 
 
 def validate_dg(x) -> list[str]:
-    """Report every violated invariant; empty list iff valid."""
+    """Report every violated invariant; empty list iff valid.
+
+    A map is checked once: its report is kept on the (frozen) map, so the
+    check a builder makes and the one a caller makes next share the work.
+    """
     report: list[str] = []
     if isinstance(x, DG):
         for k in sorted(set(x.diff) | {d + 1 for d in x.diff}):
@@ -260,14 +265,16 @@ def validate_dg(x) -> list[str]:
                 report.append(f"d^2 != 0 from degree {k}: entry ({r},{c}) = {v}")
         return report
     if isinstance(x, DGMap):
-        for k in sorted(set(x.blocks) | set(x.source.diff) | set(x.target.diff)):
-            lhs = x.target.d(k) * x.block(k)
-            rhs = x.block(k - 1) * x.source.d(k)
-            if lhs != rhs:
-                diffm = lhs - rhs
-                (r, c), v = sorted(diffm.entries.items())[0]
-                report.append(f"map does not commute with d at degree {k}: entry ({r},{c}) = {v}")
-        return report
+        if x._report is None:
+            for k in sorted(set(x.blocks) | set(x.source.diff) | set(x.target.diff)):
+                lhs = x.target.d(k) * x.block(k)
+                rhs = x.block(k - 1) * x.source.d(k)
+                if lhs != rhs:
+                    diffm = lhs - rhs
+                    (r, c), v = sorted(diffm.entries.items())[0]
+                    report.append(f"map does not commute with d at degree {k}: entry ({r},{c}) = {v}")
+            object.__setattr__(x, "_report", tuple(report))
+        return list(x._report)
     if isinstance(x, BiDG):
         return x.validate()
     if isinstance(x, SymmetricDG):
@@ -373,8 +380,8 @@ def sum_many(
 
     Part i's basis names are tags[i](x), or bare x when tags[i] is empty.  A
     twist entry (i, j, blocks) adds blocks[k], a map from part j in degree k
-    to part i in degree k - 1, to the block-diagonal differential; entries
-    that overlap are summed.
+    to part i in degree k - 1, to the block-diagonal differential.  The
+    parts' differentials are copied; twist entries that overlap are summed.
     """
     if tags is None:
         tags = [f"i{i}" for i in range(len(parts))]
@@ -385,14 +392,19 @@ def sum_many(
         for k in degrees
     }
     entries: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for i, j, blocks in [(i, i, p.diff) for i, p in enumerate(parts)] + list(twist):
+    for i, p in enumerate(parts):  # diagonal blocks: no two parts share a place
+        for k, m in p.diff.items():
+            r0, c0 = off[k - 1][i], off[k][i]
+            entries.setdefault(k, {}).update({(r0 + r, c0 + c): x for (r, c), x in m.entries.items()})
+    for i, j, blocks in twist:
         for k, m in blocks.items():
             if (m.rows, m.cols) != (parts[i].dim(k - 1), parts[j].dim(k)):
                 raise ValueError(f"twist block shape mismatch at degree {k}")
             if m.entries:
                 r0, c0, ent = off[k - 1][i], off[k][j], entries.setdefault(k, {})
                 for (r, c), x in m.entries.items():
-                    ent[(r0 + r, c0 + c)] = ent.get((r0 + r, c0 + c), ZERO) + x
+                    old = ent.get((r0 + r, c0 + c))
+                    ent[(r0 + r, c0 + c)] = x if old is None else old + x
     out = DG(basis, {k: QMatrix(len(basis[k - 1]), len(basis[k]), ent) for k, ent in entries.items()})
     incls = [
         DGMap(p, out, {k: QMatrix(out.dim(k), p.dim(k), {(off[k][i] + r, r): ONE for r in range(p.dim(k))})
@@ -587,39 +599,37 @@ def reduce_truncate(mode: str, r: int, v: DG) -> DG:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def quotient_dg(v: DG, killed: dict[int, list[Vector]], prefix: str = "q") -> tuple[DG, DGMap]:
-    """Quotient of V by the span of the given vectors (must be d-closed);
-    returns the quotient and the projection map."""
-    # choose representative complement via pivoting
+def quotient_dg(v: DG, killed: Mapping[int, QMatrix], prefix: str = "q") -> tuple[DG, DGMap]:
+    """Quotient of V by the column span of killed[k] (must be d-closed);
+    returns the quotient and the projection map.
+
+    One elimination per degree, the rref of [K | I] for K = killed[k].  Its
+    pivots in the I part are the representatives: the leftmost basis vectors
+    that complete the span of K.  The rref is [T K | T] for the row operations
+    T, and the rows holding those pivots are zero in the K part, so their I
+    part is the projection: the unique P with P K = 0 and P = 1 on the
+    representatives.
+    """
     reps: dict[int, list[int]] = {}
     proj_blocks: dict[int, QMatrix] = {}
     basis = {}
     for k in v.degrees():
         n = v.dim(k)
-        kvecs = killed.get(k, [])
-        kmat = QMatrix.from_columns(kvecs, n)
-        chosen = extend_to_basis(kmat, QMatrix.identity(n))
-        reps[k] = chosen
-        basis[k] = tuple(f"{prefix}({v.basis[k][j]})" for j in chosen)
-        # projection: express each standard basis vector in [killed | reps]
-        full = QMatrix.hstack([kmat, QMatrix.from_columns([QMatrix.identity(n).column(j) for j in chosen], n)])
-        sol = solve_matrix(full, QMatrix.identity(n))
-        if sol is None:
+        kmat = killed.get(k, QMatrix.zero(n, 0))
+        red, pivots = rref(QMatrix.hstack([kmat, QMatrix.identity(n)]))
+        if len(pivots) != n:
             raise AssertionError("internal: quotient basis does not span")
-        # rows below the killed block give the quotient coordinates
-        ent = {}
-        for (r0, c0), val in sol.entries.items():
-            if r0 >= kmat.cols:
-                ent[(r0 - kmat.cols, c0)] = val
-        proj_blocks[k] = QMatrix(len(chosen), n, ent)
+        first = sum(p < kmat.cols for p in pivots)  # rows below hold the representatives
+        reps[k] = [p - kmat.cols for p in pivots[first:]]
+        basis[k] = tuple(f"{prefix}({v.basis[k][j]})" for j in reps[k])
+        ent = {(r - first, c - kmat.cols): x for (r, c), x in red.entries.items() if r >= first}
+        proj_blocks[k] = QMatrix(n - first, n, ent)
     diff = {}
-    for k in v.degrees():
-        if basis.get(k) and basis.get(k - 1) is not None:
-            inc = QMatrix.from_columns(
-                [QMatrix.identity(v.dim(k)).column(j) for j in reps[k]], v.dim(k)
-            )
-            m = proj_blocks.get(k - 1, QMatrix.zero(len(basis.get(k - 1, ())), v.dim(k - 1)))
-            diff[k] = m * (v.d(k) * inc)
+    for k, d in v.diff.items():
+        if basis.get(k) and basis.get(k - 1):
+            col = {j: i for i, j in enumerate(reps[k])}
+            on_reps = QMatrix(d.rows, len(col), {(r, col[c]): x for (r, c), x in d.entries.items() if c in col})
+            diff[k] = proj_blocks[k - 1] * on_reps
     out = DG(basis, diff)
     proj = DGMap(v, out, proj_blocks)
     # sanity: projection must be a chain map, which certifies d-closedness
@@ -646,7 +656,7 @@ def strict_pushout(f: DGMap, g: DGMap) -> tuple[DG, DGMap, DGMap]:
     if f.source != g.source:
         raise ValueError("pushout domain mismatch")
     total, inl, inr = sum_dg(f.target, g.target, tags=("u", "w"))
-    killed = {k: QMatrix.vstack([f.block(k), g.block(k)]).columns() for k in f.source.degrees()}
+    killed = {k: QMatrix.vstack([f.block(k), g.block(k)]) for k in f.source.degrees()}
     quot, proj = quotient_dg(total, killed, prefix="co")
     return quot, compose(proj, inl), compose(proj, inr)
 
@@ -977,7 +987,8 @@ def _cube_sum(mode: str, cube: Cube, cap: int) -> tuple[DG, dict[frozenset, DGMa
         for e in range(1, cube.n + 1):
             if e not in t and t | {e} in at:
                 sign, v, edge = _incl_sign(t, e), top - len(t), cube.edge(t, t | {e})
-                twist.append((at[t | {e}], at[t], {k + v: m.scale(sign) for k, m in edge.blocks.items()}))
+                blocks = edge.blocks if sign == 1 else {k: m.scale(sign) for k, m in edge.blocks.items()}
+                twist.append((at[t | {e}], at[t], {k + v: m for k, m in blocks.items()}))
     total, incls = sum_many([strand(t) for t in strands], [""] * len(strands), twist)
     return total, dict(zip(strands, incls))
 
@@ -1113,19 +1124,18 @@ class SymmetricDG:
         if len(self.action) != max(self.n - 1, 0):
             report.append("wrong number of generator actions")
             return report
+        ident = identity_map(self.underlying)
         for i, a in enumerate(self.action):
             if a.source != self.underlying or a.target != self.underlying:
                 report.append(f"generator {i} endpoints mismatch")
                 continue
             report.extend(f"generator {i}: {msg}" for msg in validate_dg(a))
-            if compose(a, a) != identity_map(self.underlying):
+            if compose(a, a) != ident:
                 report.append(f"generator {i} is not an involution")
-        ident = identity_map(self.underlying)
         for i in range(len(self.action) - 1):
             a, b = self.action[i], self.action[i + 1]
-            aba = compose(a, compose(b, a))
-            bab = compose(b, compose(a, b))
-            if aba != bab:
+            ab = compose(a, b)
+            if compose(ab, a) != compose(b, ab):
                 report.append(f"braid relation fails at generators {i},{i+1}")
         for i in range(len(self.action)):
             for j in range(i + 2, len(self.action)):
@@ -1165,13 +1175,8 @@ def sym_orbits(v: SymmetricDG) -> tuple[DG, DGMap]:
     """Orbits: the quotient by the images of g - 1 over the generators, with
     the projection."""
     u = v.underlying
-    killed: dict[int, list[Vector]] = {}
-    for k in u.degrees():
-        vs = []
-        for a in v.action:
-            m = a.block(k) - QMatrix.identity(u.dim(k))
-            vs.extend(m.column(j) for j in range(u.dim(k)))
-        killed[k] = vs
+    killed = {k: QMatrix.hstack([a.block(k) - QMatrix.identity(u.dim(k)) for a in v.action])
+              for k in u.degrees()} if v.action else {}
     return quotient_dg(u, killed, prefix="orb")
 
 

@@ -421,27 +421,50 @@ class FreeDGL:
 
 
 class _LazyBracketTable(Mapping):
-    """Structure constants of a free Lie basis, computed on first access.
+    """Structure constants of a free Lie basis, each computed on first access.
 
-    The table costs one coords call per pair of basis monomials; homotopy
-    only needs the differential, so it never pays for it.
+    A lookup costs one bracket_poly and one coords call, made once per key; a
+    key whose bracket is zero, or that names no pair of basis monomials, is
+    missing.  Iterating the table or taking its len builds all of it, the
+    same dict in the same order as _bracket_table.  homotopy only needs the
+    differential, so it never pays for any of it.
     """
 
     def __init__(self, basis: FreeLieBasis):
         self._basis = basis
+        self._entries: dict[tuple[int, int, int, int], Optional[Vector]] = {}
 
     @cached_property
     def _table(self) -> dict[tuple[int, int, int, int], Vector]:
+        self._entries = {}
         return _bracket_table(self._basis)
 
     def __getitem__(self, key):
-        return self._table[key]
+        if "_table" in self.__dict__:
+            return self._table[key]
+        if key not in self._entries:
+            self._entries[key] = _bracket_entry(self._basis, *key)
+        vec = self._entries[key]
+        if vec is None:
+            raise KeyError(key)
+        return vec
 
     def __iter__(self):
         return iter(self._table)
 
     def __len__(self):
         return len(self._table)
+
+
+def _bracket_entry(b: FreeLieBasis, d1: int, i1: int, d2: int, i2: int) -> Optional[Vector]:
+    """The coordinates of the bracket of monomial i1 of degree d1 with
+    monomial i2 of degree d2; None when the bracket is zero, lands above the
+    cap, or the indices name no basis monomials."""
+    ms1, ms2, tgt = b.monomials.get(d1, ()), b.monomials.get(d2, ()), len(b.monomials.get(d1 + d2, ()))
+    if d1 + d2 > b.cap or not tgt or not (0 <= i1 < len(ms1) and 0 <= i2 < len(ms2)):
+        return None
+    vec = b.coords(b.bracket_poly(b.expand(ms1[i1]), b.expand(ms2[i2]))).get(d1 + d2, zero_vec(tgt))
+    return vec if any(vec) else None
 
 
 def _bracket_table(b: FreeLieBasis) -> dict[tuple[int, int, int, int], Vector]:
@@ -451,12 +474,10 @@ def _bracket_table(b: FreeLieBasis) -> dict[tuple[int, int, int, int], Vector]:
         for d2 in degs:
             if d1 + d2 > b.cap or (d1 + d2) not in b.monomials:
                 continue
-            tgt = len(b.monomials[d1 + d2])
-            for i1, t1 in enumerate(b.monomials[d1]):
-                for i2, t2 in enumerate(b.monomials[d2]):
-                    poly = b.bracket_poly(b.expand(t1), b.expand(t2))
-                    vec = b.coords(poly).get(d1 + d2, zero_vec(tgt))
-                    if any(vec):
+            for i1 in range(len(b.monomials[d1])):
+                for i2 in range(len(b.monomials[d2])):
+                    vec = _bracket_entry(b, d1, i1, d2, i2)
+                    if vec is not None:
                         table[(d1, i1, d2, i2)] = vec
     return table
 
@@ -707,10 +728,11 @@ def abelianize(l) -> DG:
 
 def abelianize_dgl(l: DGL) -> tuple[DG, DGMap]:
     """Strict quotient of a finite DGL by the span of all bracket values."""
-    killed: dict[int, list[Vector]] = {}
+    values: dict[int, list[Vector]] = {}
     for (k1, i1, k2, i2), v in l.bracket.items():
         if any(v):
-            killed.setdefault(k1 + k2, []).append(v)
+            values.setdefault(k1 + k2, []).append(v)
+    killed = {k: QMatrix.from_columns(vs, l.underlying.dim(k)) for k, vs in values.items()}
     return quotient_dg(l.underlying, killed, prefix="ab")
 
 

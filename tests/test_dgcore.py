@@ -48,14 +48,16 @@ from rht.dgcore import (
     sum_dg,
     sum_many,
     sym_invariants,
+    sym_orbits,
     telescope,
     tensor_dg,
     validate_dg,
     zero_map,
 )
-from rht.dgcore import _cube_sum, _degree_positions, _tensor_with_index, map_add, projection, tot
-from rht.calculus import _collapse_last, test_cube as _test_cube, thfib_thcof
-from rht.exactq import ONE, ZERO, QMatrix, extend_to_basis, image_pivot_columns, kernel_basis, rank, rat
+from rht.dgcore import _cube_sum, _degree_positions, _out_of_suspension, _tensor_with_index, map_add, projection, tot
+from rht.calculus import IdentityFunctor, _collapse_last, _power_with_swaps, cross_effect, lie_n, tensor_map
+from rht.calculus import test_cube as _test_cube, thfib_thcof
+from rht.exactq import ONE, ZERO, QMatrix, extend_to_basis, image_pivot_columns, kernel_basis, rank, rat, solve_matrix
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
 
 
@@ -95,6 +97,21 @@ def test_validate_map():
     f = DGMap(v, v, {2: QMatrix.from_rows([[1]])})  # misses degree 1: not a chain map
     assert validate_dg(f)
     assert validate_dg(identity_map(v)) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_second_validate_dg_of_a_map_returns_the_same_report(seed):
+    rng = Random(seed)
+    v, w = random_dg(rng, 0, 3, 5), random_dg(rng, 0, 3, 5, prefix="w")
+    good = random_chain_map(rng, v, w)
+    t = two_term()
+    broken = DGMap(t, t, {2: QMatrix.from_rows([[rng.randint(1, 3)]])})  # misses degree 1
+    for f in (good, broken):
+        first = validate_dg(f)
+        fresh = validate_dg(DGMap(f.source, f.target, f.blocks))
+        first.append("a line of the caller's own")  # the kept report is not the caller's list
+        assert validate_dg(f) == first[:-1] == fresh
+    assert validate_dg(good) == [] and validate_dg(broken) != []
 
 
 # -- homology ------------------------------------------------------------------
@@ -229,9 +246,96 @@ def test_is_quasi_iso_matches_the_three_reduction_test(seed, same_target, top):
 
 
 def test_quotient_that_does_not_span_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr("rht.dgcore.solve_matrix", lambda m, b: None)
+    # an elimination of [K | I] that comes back short of full rank
+    monkeypatch.setattr("rht.dgcore.rref", lambda m: (QMatrix.zero(m.rows, m.cols), []))
     with pytest.raises(AssertionError, match="internal: quotient basis does not span"):
-        quotient_dg(DG({0: ("a", "b")}), {0: [(ONE, ONE)]})
+        quotient_dg(DG({0: ("a", "b")}), {0: QMatrix.from_columns([(ONE, ONE)], 2)})
+
+
+# -- quotients against the two-elimination quotient they replaced ---------------------
+
+
+def _old_quotient_dg(v, killed, prefix="q"):
+    """The earlier quotient_dg: extend_to_basis picks the representatives,
+    then a second elimination solves [K | reps] X = I for the projection."""
+    reps, proj_blocks, basis = {}, {}, {}
+    for k in v.degrees():
+        n = v.dim(k)
+        kmat = QMatrix.from_columns(killed.get(k, []), n)
+        chosen = extend_to_basis(kmat, QMatrix.identity(n))
+        reps[k] = chosen
+        basis[k] = tuple(f"{prefix}({v.basis[k][j]})" for j in chosen)
+        full = QMatrix.hstack([kmat, QMatrix.from_columns([_unit(n, j) for j in chosen], n)])
+        sol = solve_matrix(full, QMatrix.identity(n))
+        ent = {(r - kmat.cols, c): x for (r, c), x in sol.entries.items() if r >= kmat.cols}
+        proj_blocks[k] = QMatrix(len(chosen), n, ent)
+    diff = {}
+    for k in v.degrees():
+        if basis.get(k) and basis.get(k - 1) is not None:
+            inc = QMatrix.from_columns([_unit(v.dim(k), j) for j in reps[k]], v.dim(k))
+            diff[k] = proj_blocks[k - 1] * (v.d(k) * inc)
+    out = DG(basis, diff)
+    proj = DGMap(v, out, proj_blocks)
+    assert validate_dg(proj) == []
+    return out, proj
+
+
+def _random_killed(rng, v, kind):
+    """Killed vectors per degree: none, zero vectors only, or the span of
+    random x and d(x), which is d-closed, plus ("redundant") repeats, zero
+    vectors and combinations of what is already there."""
+    if kind == "empty":
+        return {} if rng.random() < 0.5 else {k: [] for k in v.degrees()}
+    killed = {k: [] for k in v.degrees()}
+    if kind == "zero":
+        for k in v.degrees():
+            killed[k] = [(ZERO,) * v.dim(k)] * rng.randint(1, 2)
+        return killed
+    for k in v.degrees():
+        for _ in range(rng.randint(0, 2)):
+            x = tuple(rat(rng.randint(-2, 2)) for _ in range(v.dim(k)))
+            killed[k].append(x)
+            if v.dim(k - 1):
+                killed[k - 1].append(v.d(k).apply(x))
+    if kind == "redundant":
+        for k, vs in killed.items():
+            extra = [(ZERO,) * v.dim(k)]
+            if vs:
+                cs = [rat(rng.randint(-2, 2)) for _ in vs]
+                extra += [rng.choice(vs), tuple(sum(c * x[i] for c, x in zip(cs, vs)) for i in range(v.dim(k)))]
+            vs.extend(extra)
+            rng.shuffle(vs)
+    return killed
+
+
+def _as_matrices(v, killed):
+    return {k: QMatrix.from_columns(vs, v.dim(k)) for k, vs in killed.items()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-1, 1), st.sampled_from(["empty", "zero", "closed", "redundant"]))
+def test_quotient_matches_the_two_elimination_quotient(seed, lo, kind):
+    rng = Random(seed)
+    v = random_dg(rng, lo, lo + 3, 6)
+    killed = _random_killed(rng, v, kind)
+    assert _same(quotient_dg(v, _as_matrices(v, killed), prefix="p"), _old_quotient_dg(v, killed, prefix="p"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.sampled_from(["trivial", "sign", "lie"]))
+def test_orbit_quotients_match_the_two_elimination_quotient(seed, n, coefficient):
+    """Orbits of x^(x)n with the Koszul swaps, tensored with a coefficient
+    action, as homogeneous_eval builds them."""
+    x = random_dg(Random(seed), 0, 2, 3 if n == 2 else 2)
+    pw, swaps = _power_with_swaps(x, n)
+    coeff = {"trivial": SymmetricDG(ONE_DG, n, [identity_map(ONE_DG)] * (n - 1)),
+             "sign": SymmetricDG(ONE_DG, n, [map_scale(-1, identity_map(ONE_DG))] * (n - 1)),
+             "lie": lie_n(n).rep}[coefficient]
+    sym = SymmetricDG(tensor_dg(coeff.underlying, pw), n, [tensor_map(a, s) for a, s in zip(coeff.action, swaps)])
+    u = sym.underlying
+    killed = {k: [col for a in sym.action for col in (a.block(k) - QMatrix.identity(u.dim(k))).columns()]
+              for k in u.degrees()}
+    assert _same(sym_orbits(sym), _old_quotient_dg(u, killed, prefix="orb"))
 
 
 # -- monoidal ---------------------------------------------------------------------
@@ -719,6 +823,62 @@ def test_sym_braid_validation_catches_bad_action():
     assert sym.validate()  # a 3-cycle is not an involution
 
 
+def _old_sym_validate(sym):
+    """The earlier SymmetricDG.validate: an identity map per generator and
+    aba and bab composed separately."""
+    report = []
+    if len(sym.action) != max(sym.n - 1, 0):
+        return ["wrong number of generator actions"]
+    for i, a in enumerate(sym.action):
+        if a.source != sym.underlying or a.target != sym.underlying:
+            report.append(f"generator {i} endpoints mismatch")
+            continue
+        report.extend(f"generator {i}: {msg}" for msg in validate_dg(a))
+        if compose(a, a) != identity_map(sym.underlying):
+            report.append(f"generator {i} is not an involution")
+    for i in range(len(sym.action) - 1):
+        a, b = sym.action[i], sym.action[i + 1]
+        if compose(a, compose(b, a)) != compose(b, compose(a, b)):
+            report.append(f"braid relation fails at generators {i},{i+1}")
+    for i in range(len(sym.action)):
+        for j in range(i + 2, len(sym.action)):
+            if compose(sym.action[i], sym.action[j]) != compose(sym.action[j], sym.action[i]):
+                report.append(f"distant generators {i},{j} do not commute")
+    return report
+
+
+def _sym_cases():
+    """(symmetric DG, the start of a line its report must hold, or None for a valid action)."""
+    plane = DG({0: ("a", "b")})
+    flip = DGMap(plane, plane, {0: QMatrix.from_rows([[1, 0], [0, -1]])})
+    swap = DGMap(plane, plane, {0: QMatrix.from_rows([[0, 1], [1, 0]])})
+    one = identity_map(plane)
+    v = two_term()
+    not_chain = DGMap(v, v, {2: QMatrix.from_rows([[1]]), 1: QMatrix.from_rows([[-1]])})
+    line = DG({0: ("a", "b", "c")})
+    cycle = DGMap(line, line, {0: QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])})
+    x = random_dg(Random(5), 0, 2, 3)
+    power, swaps = _power_with_swaps(x, 3)
+    return [
+        (SymmetricDG(power, 3, swaps), None),
+        (cross_effect(IdentityFunctor(), 3, [x] * 3), None),
+        (lie_n(4).rep, None),
+        (SymmetricDG(v, 2, [not_chain]), "generator 0: map does not commute with d"),
+        (SymmetricDG(line, 2, [cycle]), "generator 0 is not an involution"),
+        (SymmetricDG(plane, 3, [flip, swap]), "braid relation fails at generators 0,1"),
+        (SymmetricDG(plane, 4, [flip, one, swap]), "distant generators 0,2 do not commute"),
+        (SymmetricDG(plane, 3, [flip]), "wrong number of generator actions"),
+        (SymmetricDG(plane, 2, [identity_map(v)]), "generator 0 endpoints mismatch"),
+    ]
+
+
+def test_sym_validate_matches_the_per_generator_loop():
+    for sym, message in _sym_cases():
+        report = sym.validate()
+        assert report == _old_sym_validate(sym)
+        assert (report == []) if message is None else any(line.startswith(message) for line in report)
+
+
 # -- chain map space -----------------------------------------------------------------
 
 
@@ -897,7 +1057,7 @@ def _old_strict_pushout(f, g):
     for k in v.degrees():
         killed[k] = [tuple(f.apply(k, _unit(v.dim(k), j))) + tuple(g.apply(k, _unit(v.dim(k), j)))
                      for j in range(v.dim(k))]
-    quot, proj = quotient_dg(total, killed, prefix="co")
+    quot, proj = _old_quotient_dg(total, killed, prefix="co")
     return quot, compose(proj, inl), compose(proj, inr)
 
 
@@ -1112,6 +1272,20 @@ def test_twisted_sum_builders_match_the_hand_written_ones(seed, lo, chain):
     objs = [v] + [random_dg(rng, lo, lo + 3, 5, prefix=f"t{i}") for i in range(chain)]
     maps = [random_chain_map(rng, a, b) for a, b in zip(objs, objs[1:])]
     assert _same(telescope(maps), _old_telescope(maps))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sum_many_adds_twist_entries_that_overlap(seed):
+    rng = Random(seed)
+    v = random_dg(rng, 0, 3, 5)
+    sv = shift(v, 1)
+    f = random_chain_map(rng, v, v)
+    twice = _out_of_suspension(f)
+    # two entries on one block, and entries on a part's own differential
+    assert sum_many([v, sv], twist=[(0, 1, twice), (0, 1, twice)])[0] == sum_many(
+        [v, sv], twist=[(0, 1, _out_of_suspension(map_scale(2, f)))])[0]
+    assert sum_many([v], [""], [(0, 0, v.diff)])[0] == DG(v.basis, {k: m.scale(2) for k, m in v.diff.items()})
+    assert sum_many([v], [""], [(0, 0, {k: -m for k, m in v.diff.items()})])[0] == DG(v.basis)
 
 
 @settings(max_examples=40, deadline=None)

@@ -59,7 +59,7 @@ from rht.dgl import (
 )
 from rht.exactq import ONE, QMatrix, rank, rat, solve_linear, solve_matrix, vec_add, vec_scale, zero_vec
 from rht.randgen import random_chain_map, random_dg
-from rht.dgl import _LazyBracketTable, dgl_map_from_gen_images
+from rht.dgl import _LazyBracketTable, _bracket_entry, _bracket_table, dgl_map_from_gen_images
 from rht.exactq import _unit_vec
 
 
@@ -287,6 +287,26 @@ def test_lazy_bracket_table_equals_the_eager_one():
     assert dict(lazy.bracket.items()) == eager
     assert lazy == DGL(lazy.underlying, eager, cap=b.cap)
     assert dgl_validate(lazy) == []
+
+
+def test_lazy_bracket_table_computes_only_the_keys_it_is_asked_for(monkeypatch):
+    b = free_lie_basis([("a", 1), ("b", 2), ("c", 3)], 6)
+    eager = _bracket_table(b)
+    lazy = _LazyBracketTable(b)
+    computed = []
+    monkeypatch.setattr("rht.dgl._bracket_entry", lambda b, *key: computed.append(key) or _bracket_entry(b, *key))
+    # every pair of monomials, zero brackets and pairs above the cap included, and keys outside the basis
+    sizes = {d: len(ms) for d, ms in b.monomials.items()}
+    keys = [(d1, i1, d2, i2) for d1 in range(-1, 8) for d2 in range(-1, 8)
+            for i1 in range(-1, sizes.get(d1, 0) + 1) for i2 in range(-1, sizes.get(d2, 0) + 1)]
+    for key in keys + keys:
+        assert lazy.get(key) == eager.get(key)
+        if key not in eager:
+            with pytest.raises(KeyError):
+                lazy[key]
+    assert sorted(computed) == sorted(set(keys))  # once per key asked for
+    assert "_table" not in vars(lazy)
+    assert list(lazy.items()) == list(eager.items()) and len(lazy) == len(eager)
 
 
 # -- coproducts and products ----------------------------------------------------------
