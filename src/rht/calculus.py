@@ -382,18 +382,6 @@ class SuspensionFunctor(FunctorSpec):
 
 
 @dataclass(frozen=True)
-class CompositeFunctor(FunctorSpec):
-    outer: FunctorSpec
-    inner: FunctorSpec
-
-    def apply(self, v: DG) -> DG:
-        return self.outer.apply(self.inner.apply(v))
-
-    def apply_map(self, f: DGMap) -> DGMap:
-        return self.outer.apply_map(self.inner.apply_map(f))
-
-
-@dataclass(frozen=True)
 class LambdaFunctor(FunctorSpec):
     """V |-> the DG of the cofree coalgebra on red_2 V, up to the cap."""
 

@@ -523,6 +523,8 @@ COMMANDS = {
 
 # least legal -n per subcommand: a tower needs a stage, a cross effect may be empty
 N_FLOOR = {"tower": 1, "layers": 1, "jet": 1, "crosseffect": 0}
+# greatest legal -n: a tower's layers need Lie(n), which calculus.lie_n computes for n <= 8
+N_CEILING = {"tower": 8, "layers": 8, "jet": 8}
 
 
 @functools.cache  # parsing leaves the parser as it was, and help and errors go to the streams of the call
@@ -575,6 +577,8 @@ def main(argv=None) -> int:
             raise UsageError(f"--truncate must be >= 0, got {args.truncate}")
         if args.command in N_FLOOR and args.n < N_FLOOR[args.command]:
             raise UsageError(f"{args.command} needs -n >= {N_FLOOR[args.command]}, got {args.n}")
+        if args.command in N_CEILING and args.n > N_CEILING[args.command]:
+            raise UsageError(f"{args.command} needs -n <= {N_CEILING[args.command]}, got {args.n}")
         mf = parse_model(args.path)
         if args.truncate is not None:
             mf.truncate = args.truncate

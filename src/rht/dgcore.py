@@ -101,10 +101,6 @@ ZERO_DG = DG({})
 ONE_DG = DG({0: ("1",)})
 
 
-def dg_from_dims(dims: dict[int, int], prefix: str = "e") -> DG:
-    return DG({k: tuple(f"{prefix}{k}_{i}" for i in range(n)) for k, n in dims.items() if n})
-
-
 @dataclass(frozen=True)
 class DGMap:
     source: DG
@@ -353,13 +349,12 @@ def _quasi_iso(f: DGMap, top) -> bool:
     if hv != hw:
         return False
     for k, reps in rv.items():
-        n = f.target.dim(k)
         dkp1 = f.target.d(k + 1)
-        bpivots = image_pivot_columns(dkp1)
-        bmat = QMatrix.from_columns([dkp1.column(j) for j in bpivots], n)
-        images = QMatrix.from_columns([f.apply(k, z) for z in reps], n)
-        # induced map injective iff images stay independent modulo boundaries
-        if rank(QMatrix.hstack([bmat, images])) != bmat.cols + len(reps):
+        images = QMatrix.from_columns([f.apply(k, z) for z in reps], f.target.dim(k))
+        # induced map injective iff images stay independent modulo boundaries:
+        # every image column of [d_{k+1} | images] is a pivot
+        pivots = image_pivot_columns(QMatrix.hstack([dkp1, images]))
+        if sum(p >= dkp1.cols for p in pivots) != len(reps):
             return False
     return True
 
@@ -1106,11 +1101,6 @@ def chain_map_space(v: DG, w: DG) -> list[DGMap]:
 
 
 # -- symmetric DGs ----------------------------------------------------------------
-
-
-def permutation_from_transpositions(n: int):
-    """Adjacent transpositions (i, i+1) generating Sigma_n, as index pairs."""
-    return [(i, i + 1) for i in range(1, n)]
 
 
 @dataclass

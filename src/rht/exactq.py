@@ -13,7 +13,10 @@ leftmost one left; the pivot row is the shortest remaining row holding it,
 which on the identity blocks that dominate the models cancels the unit
 entries first and keeps fill-in low.  That choice cannot change any
 output: a matrix has one reduced row echelon form, and with pivots in m's
-columns the solution of m x = b with free variables 0 is unique.
+columns the solution of m x = b with free variables 0 is unique.  A column
+-> rows index, kept through the pivot swaps, fill-in and cancellation, lets
+each pivot step find and eliminate the rows holding its column without
+scanning the others.
 
 Products and scalings run on integer numerators too.  A product scales
 each factor by the lcm of its denominators and sums the products as ints; a
@@ -22,6 +25,18 @@ becomes one Fraction, divided once.  Every integer entry from -16 to 16 is
 one shared Fraction object (Fraction is immutable), so the ±1 entries of
 the symmetric-group actions and of most differentials cost a dict lookup,
 and comparing two such matrices stops at object identity.
+
+Most products in the models have a signed partial permutation as a factor:
+the symmetric-group actions, inclusions, projections and cube edges.  When
+the right factor holds at most one entry per column, or the left factor at
+most one per row, and each such entry is the shared 1 or -1 object, the
+product is a reindex of the other factor: each entry is moved, negated
+where the sign is -1, and no sum is formed.  The test is one pass over the
+factor's entries that stops at the first entry not one of those two
+objects, and a count of the distinct columns or rows; any other entry, an
+unshared Fraction(1) included, takes the integer path.  Scaling by 1 or -1
+copies or negates the entries.  Moved and negated small integers come out
+as their shared objects, as above.
 """
 
 from __future__ import annotations
@@ -36,6 +51,9 @@ Rational = Fraction
 _SMALL = {v: Fraction(v) for v in range(-16, 17)}
 ZERO = _SMALL[0]
 ONE = _SMALL[1]
+_MINUS_ONE = _SMALL[-1]
+# the shared objects by identity, each to its negation; they live as long as the module
+_NEGATED = {id(f): _SMALL[-v] for v, f in _SMALL.items()}
 
 Vector = tuple[Fraction, ...]
 
@@ -51,6 +69,38 @@ def _frac(num: int, den: int) -> Fraction:
 
 def _lcm_denominator(m: "QMatrix") -> int:
     return lcm(*(v.denominator for v in m.entries.values()))
+
+
+def _moved(v: Fraction) -> Fraction:
+    """v, as its shared object when it is a small integer."""
+    if id(v) in _NEGATED or v.denominator != 1:
+        return v
+    return _SMALL.get(v.numerator, v)
+
+
+def _negated(v: Fraction) -> Fraction:
+    """-v, as its shared object when it is a small integer."""
+    f = _NEGATED.get(id(v))
+    return _frac(-v.numerator, v.denominator) if f is None else f
+
+
+def _signed_columns(m: "QMatrix") -> Optional[dict[int, list[tuple[int, Fraction]]]]:
+    """For m with at most one entry per column, each the shared ONE or
+    _MINUS_ONE: row k -> [(column, entry)] of m.  Otherwise None."""
+    out: dict[int, list[tuple[int, Fraction]]] = {}
+    for (r, c), v in m.entries.items():
+        if v is not ONE and v is not _MINUS_ONE:
+            return None
+        out.setdefault(r, []).append((c, v))
+    return out if len({c for _, c in m.entries}) == len(m.entries) else None
+
+
+def _is_signed_rows(m: "QMatrix") -> bool:
+    """Whether m has at most one entry per row, each the shared ONE or _MINUS_ONE."""
+    for v in m.entries.values():
+        if v is not ONE and v is not _MINUS_ONE:
+            return False
+    return len({r for r, _ in m.entries}) == len(m.entries)
 
 
 def rat(x) -> Fraction:
@@ -215,15 +265,49 @@ class QMatrix:
     def scale(self, c) -> "QMatrix":
         c = rat(c)
         m = QMatrix(self.rows, self.cols)
-        if c == 0:
-            return m
         n, d = c.numerator, c.denominator
-        m.entries = {k: _frac(n * v.numerator, d * v.denominator) for k, v in self.entries.items()}
+        if n == 0:
+            return m
+        if d == 1 and n == 1:
+            m.entries = {k: _moved(v) for k, v in self.entries.items()}
+        elif d == 1 and n == -1:
+            m.entries = {k: _negated(v) for k, v in self.entries.items()}
+        else:
+            m.entries = {k: _frac(n * v.numerator, d * v.denominator) for k, v in self.entries.items()}
         return m
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in *: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        m = QMatrix(self.rows, other.cols)
+        targets = _signed_columns(other)
+        if targets is not None:
+            # column c of the product is ± column k of self, for other[k, c] = ±1
+            ent = {}
+            for (r, k), v in self.entries.items():
+                row = targets.get(k)
+                if row is not None:
+                    for c, s in row:
+                        ent[(r, c)] = _moved(v) if s is ONE else _negated(v)
+            m.entries = ent
+            return m
+        if _is_signed_rows(self):
+            # row r of the product is ± row k of other, for self[r, k] = ±1
+            other_rows: dict[int, list[tuple[int, Fraction]]] = {}
+            for (k, c), v in other.entries.items():
+                other_rows.setdefault(k, []).append((c, v))
+            ent = {}
+            for (r, k), s in self.entries.items():
+                row = other_rows.get(k)
+                if row is not None:
+                    if s is ONE:
+                        for c, v in row:
+                            ent[(r, c)] = _moved(v)
+                    else:
+                        for c, v in row:
+                            ent[(r, c)] = _negated(v)
+            m.entries = ent
+            return m
         # both factors times the lcm of their denominators; other grouped by row
         da, db = _lcm_denominator(self), _lcm_denominator(other)
         by_row: dict[int, list[tuple[int, int]]] = {}
@@ -239,7 +323,6 @@ class QMatrix:
                 key = (r, c)
                 acc[key] = acc.get(key, 0) + a * b
         den = da * db
-        m = QMatrix(self.rows, other.cols)
         m.entries = {key: _frac(v, den) for key, v in acc.items() if v}
         return m
 
@@ -331,15 +414,34 @@ def _rref_rows(rows: list[dict[int, int]], cols: int) -> tuple[list[dict[int, in
     column, with entry f there, becomes (p/g) row - (f/g) pivot row for
     g = gcd(p, f) and is then divided by its content.  Row i of the result
     divided by its pivot is row i of the rref, which is unique, so the pivot
-    rule changes only the work done.
+    rule changes only the work done.  A column -> rows index, kept through
+    the pivot swaps, fill-in and cancellation, finds the rows that hold a
+    column without scanning the others.
     """
+    # a row's id is its position on entry; holders[k] holds the ids of the rows
+    # holding column k, pos[j] is row j's position now, and ids[i] the id of
+    # the row at position i
+    holders: dict[int, set[int]] = {}
+    for j, row in enumerate(rows):
+        for k in row:
+            held = holders.get(k)
+            if held is None:
+                holders[k] = {j}
+            else:
+                held.add(j)
+    nrows = len(rows)
+    pos = list(range(nrows))
+    ids = list(range(nrows))
     pivots: list[int] = []
     r = 0
-    nrows = len(rows)
     for c in range(cols):
+        held = holders.get(c)
+        if not held:
+            continue
         piv = None
-        for i in range(r, nrows):
-            if c in rows[i] and (piv is None or len(rows[i]) < len(rows[piv])):
+        for j in held:
+            i = pos[j]
+            if i >= r and (piv is None or (len(rows[i]), i) < (len(rows[piv]), piv)):
                 piv = i
         if piv is None:
             continue
@@ -347,23 +449,31 @@ def _rref_rows(rows: list[dict[int, int]], cols: int) -> tuple[list[dict[int, in
         if prow[c] < 0:
             prow = {k: -v for k, v in prow.items()}
         rows[piv], rows[r] = rows[r], prow
+        jp, jr = ids[piv], ids[r]
+        ids[piv], ids[r] = jr, jp
+        pos[jp], pos[jr] = r, piv
         p = prow[c]
-        for i in range(nrows):
+        for j in [j for j in held if j != jp]:
+            i = pos[j]
             tgt = rows[i]
-            f = tgt.get(c)
-            if f is None or i == r:
-                continue
+            f = tgt[c]
             g = gcd(p, f)
             a, b = p // g, f // g
             if a != 1:
                 for k in tgt:
                     tgt[k] *= a
             for k, v in prow.items():
-                s = tgt.get(k, 0) - b * v
-                if s:
-                    tgt[k] = s
+                s = tgt.get(k)
+                if s is None:
+                    tgt[k] = -b * v
+                    holders[k].add(j)
                 else:
-                    del tgt[k]
+                    s -= b * v
+                    if s:
+                        tgt[k] = s
+                    else:
+                        del tgt[k]
+                        holders[k].remove(j)
             g = gcd(*tgt.values())
             if g > 1:
                 rows[i] = {k: v // g for k, v in tgt.items()}

@@ -236,6 +236,11 @@ def test_exit_codes(tmp_path):
         ("layers", "-n", "0", f"{MODELS}/polynomial.dgc"),
         ("jet", "-n", "-2", f"{MODELS}/polynomial.dgc"),
         ("crosseffect", "-n", "-1", f"{MODELS}/twocell.dg"),
+        # Lie(n) is computed for n <= 8: refused before the model is read
+        ("tower", "-n", "9", f"{MODELS}/s3.dgc"),
+        ("layers", "-n", "9", f"{MODELS}/s3.dgc", "--truncate", "4"),
+        ("jet", "-n", "9", f"{MODELS}/polynomial.dgc"),
+        ("jet", "-n", "9", f"{MODELS}/no-such-model.dgc"),
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
@@ -249,6 +254,7 @@ def test_boundary_arguments_are_not_usage_errors(capsys):
     assert main(["crosseffect", "-n", "0", f"{MODELS}/twocell.dg"]) == 0
     # cap 0 is legal; it is the model that cannot be cut that low
     assert main(["tower", "-n", "1", f"{MODELS}/s3.dgc", "--truncate", "0"]) == 1
+    assert main(["tower", "-n", "8", f"{MODELS}/s3.dgc", "--truncate", "0"]) == 1
     assert "usage error" not in capsys.readouterr().err
 
 

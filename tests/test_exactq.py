@@ -5,6 +5,7 @@ rank-nullity style properties.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,11 @@ from hypothesis import strategies as st
 from rht.exactq import (
     ONE,
     ZERO,
+    _SMALL,
     QMatrix,
+    _is_signed_rows,
+    _rref_rows,
+    _signed_columns,
     extend_to_basis,
     image_basis,
     image_pivot_columns,
@@ -414,7 +419,7 @@ def test_integer_elimination_matches_the_fraction_elimination(case, data):
 
 
 def test_pivot_row_is_the_shortest_holder():
-    from rht.exactq import _rref_rows, _sparse_rows
+    from rht.exactq import _sparse_rows
 
     m = QMatrix.from_rows([["1/2", "1/3", 1], [2, 0, 0], [-3, 0, 0]])
     rows = _sparse_rows(m)
@@ -426,6 +431,98 @@ def test_pivot_row_is_the_shortest_holder():
     assert rows == [{0: 2}, {1: 1, 2: 3}, {}]
     # the pivot row is negated when its pivot is negative
     assert _rref_rows(_sparse_rows(QMatrix.from_rows([[-3, 1]])), 2) == ([{0: 3, 1: -1}], [0])
+
+
+def _scan_rref_rows(rows, cols):
+    """_rref_rows as it was before the column index: for each column, scan every
+    remaining row for the pivot and every row for the entries to eliminate."""
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(cols):
+        piv = None
+        for i in range(r, nrows):
+            if c in rows[i] and (piv is None or len(rows[i]) < len(rows[piv])):
+                piv = i
+        if piv is None:
+            continue
+        prow = rows[piv]
+        if prow[c] < 0:
+            prow = {k: -v for k, v in prow.items()}
+        rows[piv], rows[r] = rows[r], prow
+        p = prow[c]
+        for i in range(nrows):
+            tgt = rows[i]
+            f = tgt.get(c)
+            if f is None or i == r:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for k in tgt:
+                    tgt[k] *= a
+            for k, v in prow.items():
+                s = tgt.get(k, 0) - b * v
+                if s:
+                    tgt[k] = s
+                else:
+                    del tgt[k]
+            g = gcd(*tgt.values())
+            if g > 1:
+                rows[i] = {k: v // g for k, v in tgt.items()}
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+INTEGERS = st.integers(-6, 6)
+
+
+@st.composite
+def integer_rows(draw):
+    """(rows, cols): integer rows for _rref_rows, past column cols too (the
+    right-hand sides of _solve), of the shapes the column index must follow."""
+    kind = draw(st.sampled_from(("empty", "sparse", "fill-in", "duplicate", "deficient")))
+    nrows, cols, extra = draw(st.integers(0, 7)), draw(st.integers(0, 7)), draw(st.integers(0, 2))
+    if kind == "empty":
+        nrows, cols = draw(st.sampled_from(((0, cols), (nrows, 0), (0, 0))))
+    width = cols + extra
+
+    def row(density):
+        return {k: v for k in range(width) if draw(st.floats(0, 1)) < density and (v := draw(INTEGERS))}
+
+    if kind in ("empty", "sparse"):
+        rows = [row(draw(st.sampled_from((0.2, 0.5, 1.0)))) for _ in range(nrows)]
+    elif kind == "fill-in":
+        # short rows under one full row: each elimination spreads the full row
+        rows = [{k: draw(INTEGERS.filter(bool)) for k in range(width)}] + [row(0.25) for _ in range(nrows)]
+    elif kind == "duplicate":
+        # copies and multiples of a few rows cancel to empty rows
+        base = [row(0.6) for _ in range(draw(st.integers(1, 3)))]
+        rows = [{k: f * v for k, v in draw(st.sampled_from(base)).items()}
+                for f in draw(st.lists(st.sampled_from((1, -1, 2, -3)), max_size=7))]
+    else:
+        # a product through fewer dimensions: rank deficient, full of cancellations
+        inner = [row(0.7) for _ in range(draw(st.integers(0, 2)))]
+        rows = []
+        for _ in range(nrows):
+            mix = [draw(INTEGERS) for _ in inner]
+            out = {}
+            for f, r in zip(mix, inner):
+                for k, v in r.items():
+                    out[k] = out.get(k, 0) + f * v
+            rows.append({k: v for k, v in out.items() if v})
+    return rows, cols
+
+
+@settings(max_examples=500, deadline=None)
+@given(integer_rows())
+def test_column_index_elimination_matches_the_column_scan(case):
+    rows, cols = case
+    # the same rows list, row by row, and the same pivots; not just the same rref
+    assert _rref_rows([dict(r) for r in rows], cols) == _scan_rref_rows([dict(r) for r in rows], cols)
 
 
 def test_pivot_readers_build_no_fraction(monkeypatch):
@@ -491,17 +588,58 @@ def _matrix(draw, rows, cols):
     return QMatrix(rows, cols, ent)
 
 
+MINUS_ONE = _SMALL[-1]
+
+
 @st.composite
-def product_case(draw):
+def _signed_permutation(draw, rows, cols, per_row):
+    """A signed partial permutation of the shared ONE and MINUS_ONE, one entry
+    or none per row (per_row) or per column; or, spoilt, one line holding two
+    entries or one entry a fresh Fraction(1), which must take the integer path."""
+    lines, across = (rows, cols) if per_row else (cols, rows)
+    ent = {}
+    for line in range(lines):
+        at = draw(st.integers(-1, across - 1))  # -1: an empty line
+        if at >= 0:
+            ent[(line, at) if per_row else (at, line)] = draw(st.sampled_from((ONE, MINUS_ONE)))
+    spoil = draw(st.sampled_from((None, None, "two in a line", "fresh one")))
+    if spoil == "two in a line" and lines and across > 1:
+        line = draw(st.integers(0, lines - 1))
+        for at in draw(st.permutations(range(across)))[:2]:
+            ent[(line, at) if per_row else (at, line)] = draw(st.sampled_from((ONE, MINUS_ONE)))
+    elif spoil == "fresh one" and ent:
+        ent[draw(st.sampled_from(sorted(ent)))] = Fraction(1)
+    return QMatrix(rows, cols, ent)
+
+
+def _signed_lines(m, axis):
+    """Whether m holds at most one entry per row (axis 0) or column (axis 1),
+    each the shared ONE or MINUS_ONE."""
+    lines = [key[axis] for key in m.entries]
+    return len(set(lines)) == len(lines) and all(v is ONE or v is MINUS_ONE for v in m.entries.values())
+
+
+PRODUCT_KINDS = ("empty", "zero", "mixed", "cancel", "mismatch", "signed")
+
+
+@st.composite
+def product_case(draw, kinds=PRODUCT_KINDS):
     """(a, b, a2): factors a and b of a product, of one of the shapes the integer
-    kernel must get right, and a2 of a's shape to subtract from a."""
-    kind = draw(st.sampled_from(("empty", "zero", "mixed", "cancel", "mismatch")))
-    r, k, c = (draw(st.integers(1 if kind == "cancel" else 0, 4)) for _ in range(3))
+    and the reindexing kernels must get right, and a2 of a's shape to subtract
+    from a."""
+    kind = draw(st.sampled_from(kinds))
+    r, k, c = (draw(st.integers(1 if kind in ("cancel", "signed") else 0, 4)) for _ in range(3))
     if kind == "empty":
         r, k, c = draw(st.permutations((0, r, c)))
     if kind == "cancel":
         k = max(k, 2)
     a, b = draw(_matrix(r, k)), draw(_matrix(k + (kind == "mismatch"), c))
+    if kind == "signed":
+        side = draw(st.sampled_from(("left", "right", "both")))
+        if side != "right":
+            a = draw(_signed_permutation(r, k, per_row=True))
+        if side != "left":
+            b = draw(_signed_permutation(k, c, per_row=False))
     if kind == "zero":
         a, b = draw(st.sampled_from(((QMatrix(r, k), b), (a, QMatrix(k, c)))))
     if kind == "cancel":
@@ -530,13 +668,19 @@ def _assert_same_matrix(new, old):
     assert all(type(v) is Fraction and v != 0 for v in new.entries.values())
 
 
-@settings(max_examples=400, deadline=None)
-@given(product_case(), SCALARS)
-def test_integer_products_match_the_fraction_products(case, c):
+def _assert_small_integers_shared(m):
+    assert all(v is _SMALL[v.numerator] for v in m.entries.values() if v.denominator == 1 and -16 <= v <= 16)
+
+
+def _check_products(case, c):
     a, b, a2 = case
     before = [dict(m.entries) for m in case]
+    # the reindexing products take exactly the factors that are signed partial permutations
+    assert (_signed_columns(b) is not None) == _signed_lines(b, 1)
+    assert _is_signed_rows(a) == _signed_lines(a, 0)
     if a.cols == b.rows:
         _assert_same_matrix(a * b, _fraction_mul(a, b))
+        _assert_small_integers_shared(a * b)
     else:
         with pytest.raises(ValueError) as new:
             a * b
@@ -545,12 +689,27 @@ def test_integer_products_match_the_fraction_products(case, c):
         assert str(new.value) == str(old.value)
     _assert_same_matrix(a.scale(c), _fraction_scale(a, c))
     _assert_same_matrix(-a, _fraction_scale(a, -1))
+    _assert_small_integers_shared(a.scale(c))
+    _assert_small_integers_shared(-a)
     _assert_same_matrix(a - a2, a + _fraction_scale(a2, -1))
     assert [m.entries for m in case] == before
 
 
+@settings(max_examples=400, deadline=None)
+@given(product_case(), SCALARS)
+def test_integer_products_match_the_fraction_products(case, c):
+    _check_products(case, c)
+
+
+# at one kind in six the test above seldom draws a signed partial permutation
+@settings(max_examples=300, deadline=None)
+@given(product_case(kinds=("signed",)), SCALARS)
+def test_signed_permutation_products_match_the_fraction_products(case, c):
+    _check_products(case, c)
+
+
 def test_small_integer_entries_are_shared():
-    from rht.exactq import _SMALL, _frac
+    from rht.exactq import _frac
 
     assert _SMALL[0] is ZERO and _SMALL[1] is ONE
     assert _frac(6, 3) is _frac(2, 1) is _SMALL[2]
