@@ -24,7 +24,6 @@ from .dgcore import (
     DGMap,
     Cube,
     SymmetricDG,
-    _by_column,
     _cube_sum,
     _generator_table,
     _places,
@@ -45,9 +44,10 @@ from .dgcore import (
     sym_orbits,
     telescope,
     tensor_dg,
+    tensor_map,
 )
 from .dgl import FreeDGL, FreeDGLMap, _bracket_filtration, free_lie_basis, to_dgl
-from .exactq import ONE, QMatrix, ZERO, kernel_basis, rank, solve_matrix
+from .exactq import ONE, QMatrix, ZERO, _moved, kernel_basis, rank, solve_matrix
 from .quillen import cobar_L
 
 HALF = Fraction(1, 2)
@@ -107,21 +107,6 @@ def _join_dgc(c: DGC, t: int) -> DGC:
                     table[p2] = table.get(p2, ZERO) + HALF * val
                 coproduct[idx[(1, j, kc, ic)]] = table
     return DGC(und, coproduct)
-
-
-def tensor_map(f: DGMap, g: DGMap) -> DGMap:
-    """f (x) g for degree-zero chain maps (no Koszul signs arise)."""
-    src, si = _tensor_with_index(f.source, g.source)
-    tgt, ti = _tensor_with_index(f.target, g.target)
-    fc, gc = _by_column(f.blocks), _by_column(g.blocks)
-    ent: dict[int, dict] = {}
-    for (i, p, j, q), (n, col) in si.items():
-        # each pure tensor of the target is hit once per source column
-        for r, v1 in fc.get((i, p), ()):
-            for s, v2 in gc.get((j, q), ()):
-                ent.setdefault(n, {})[(ti[(i, r, j, s)][1], col)] = v1 * v2
-    blocks = {n: QMatrix(tgt.dim(n), src.dim(n), e) for n, e in ent.items()}
-    return DGMap(src, tgt, blocks)
 
 
 def _join_map(g: DGMap, size: int) -> DGMap:
@@ -651,21 +636,19 @@ class LieRep:
 
 
 def lie_n(n: int) -> LieRep:
-    """Left-normed bracket basis of Lie(n) with the letter-permutation action."""
+    """Left-normed bracket basis of Lie(n) with the letter-permutation action.
+
+    The basis element b_p = [p1,[p2,...,[p_{n-1},n]...]] is indexed by the
+    word p = p1...p_{n-1}n.  Its expansion holds exactly one word ending in
+    n, p itself, with coefficient 1, so the coordinates of a multilinear Lie
+    element in this basis are its coefficients on the words that end in n.
+    Swapping the letters a, a + 1 < n permutes the basis; swapping n - 1 and
+    n is read off the relabeled expansions on the words ending in n.
+    """
     if n < 1 or n > 8:
         raise ValueError("Lie(n) is computed for 1 <= n <= 8")
     perms = [tuple(p) + (n,) for p in itertools.permutations(range(1, n))]
-    words = list(itertools.permutations(range(1, n + 1)))
-    windex = {w: i for i, w in enumerate(words)}
-
-    def column(seq):
-        vec = [ZERO] * len(words)
-        for w, c in _left_normed_expand(seq).items():
-            vec[windex[w]] = c
-        return tuple(vec)
-
-    cols = [column(p) for p in perms]
-    basis_matrix = QMatrix.from_columns(cols, len(words))
+    index = {p: j for j, p in enumerate(perms)}
     names = tuple(
         "[" + ",".join(f"x{i}" for i in p[:-1]) + f",x{p[-1]}" + "]" * (n - 1)
         if n > 1
@@ -675,14 +658,16 @@ def lie_n(n: int) -> LieRep:
     und = DG({0: names})
     actions = []
     for a in range(1, n):
-        swapped = []
-        for p in perms:
+        ent = {}
+        for j, p in enumerate(perms):
             relabeled = tuple(a + 1 if i == a else (a if i == a + 1 else i) for i in p)
-            swapped.append(column(relabeled))
-        sol = solve_matrix(basis_matrix, QMatrix.from_columns(swapped, len(words)))
-        if sol is None:
-            raise AssertionError("internal: permuted bracket left the basis span")
-        actions.append(DGMap(und, und, {0: sol}))
+            if a < n - 1:
+                ent[(index[relabeled], j)] = ONE
+                continue
+            for w, c in _left_normed_expand(relabeled).items():
+                if w[-1] == n:
+                    ent[(index[w], j)] = _moved(c)
+        actions.append(DGMap(und, und, {0: QMatrix(len(perms), len(perms), ent)}))
     return LieRep(n, SymmetricDG(und, n, actions))
 
 

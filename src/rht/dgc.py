@@ -53,6 +53,7 @@ from .dgcore import (
     sub_dg,
     sum_dg,
     sum_many,
+    tensor_map,
     validate_dg,
     zero_map,
 )
@@ -76,6 +77,15 @@ LPoly = dict[Word, Fraction]
 Key = tuple[int, int]  # (degree, index) into a de-augmentation basis
 PairKey = tuple[Key, Key]
 CoTable = dict[Key, dict[PairKey, Fraction]]
+
+
+def _accumulate(out: dict, key, value: Fraction) -> None:
+    """out[key] += value, dropping the key when the sum is zero."""
+    s = out.get(key, ZERO) + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 # -- finite-basis coalgebras ---------------------------------------------------
@@ -108,11 +118,7 @@ class DGC:
             if not c:
                 continue
             for p, val in self.coproduct.get((k, i), {}).items():
-                s = out.get(p, ZERO) + c * val
-                if s:
-                    out[p] = s
-                else:
-                    out.pop(p, None)
+                _accumulate(out, p, c * val)
         return out
 
     def __eq__(self, other):
@@ -146,27 +152,19 @@ def zero_dgc_map(a: DGC, b: DGC) -> DGCMap:
     return DGCMap(a, b, zero_map(a.underlying, b.underlying))
 
 
-def _pair_keys(dg: DG, k: int) -> list[PairKey]:
-    out = []
-    for k1 in dg.degrees():
-        k2 = k - k1
-        if dg.dim(k2) == 0:
-            continue
-        for i1 in range(dg.dim(k1)):
-            for i2 in range(dg.dim(k2)):
-                out.append(((k1, i1), (k2, i2)))
-    return out
-
-
-def _delta_matrix(c: DGC, k: int) -> tuple[QMatrix, list[PairKey]]:
-    """Matrix of the reduced coproduct in degree k over the listed pair basis."""
-    pairs = _pair_keys(c.underlying, k)
-    index = {p: r for r, p in enumerate(pairs)}
-    ent = {}
-    for i in range(c.underlying.dim(k)):
-        for p, val in c.coproduct.get((k, i), {}).items():
-            ent[(index[p], i)] = val
-    return QMatrix(len(pairs), c.underlying.dim(k), ent), pairs
+def _coproduct_map(c: DGC) -> DGMap:
+    """The reduced coproduct as a degree-zero map V -> V (x) V, placed through
+    the tensor index; an entry that is not a pure tensor of its own degree raises."""
+    dg = c.underlying
+    square, index = _tensor_with_index(dg, dg)
+    ent: dict[int, dict] = {}
+    for (k, i), table in c.coproduct.items():
+        for ((k1, i1), (k2, i2)), val in table.items():
+            n, row = index.get((k1, i1, k2, i2), (None, None))
+            if n != k:
+                raise ValueError(f"malformed coproduct entry at ({k},{i})")
+            ent.setdefault(k, {})[(row, i)] = val
+    return DGMap(dg, square, {k: QMatrix(square.dim(k), dg.dim(k), e) for k, e in ent.items()})
 
 
 def _apply_pair(f: DGMap, table: Mapping[PairKey, Fraction]) -> dict[PairKey, Fraction]:
@@ -181,38 +179,25 @@ def _apply_pair(f: DGMap, table: Mapping[PairKey, Fraction]) -> dict[PairKey, Fr
             for j2, c2 in enumerate(v2):
                 if not c2:
                     continue
-                p = ((k1, j1), (k2, j2))
-                s = out.get(p, ZERO) + val * c1 * c2
-                if s:
-                    out[p] = s
-                else:
-                    out.pop(p, None)
+                _accumulate(out, ((k1, j1), (k2, j2)), val * c1 * c2)
     return out
 
 
 def _d_of_pair(dg: DG, table: Mapping[PairKey, Fraction]) -> dict[PairKey, Fraction]:
     """(d tensor 1 + signed 1 tensor d) applied to a reduced-coproduct value."""
     out: dict[PairKey, Fraction] = {}
-
-    def add(p, c):
-        s = out.get(p, ZERO) + c
-        if s:
-            out[p] = s
-        else:
-            out.pop(p, None)
-
     for ((k1, i1), (k2, i2)), val in table.items():
         d1 = dg.d(k1)
         for r in range(dg.dim(k1 - 1)):
             c = d1.get(r, i1)
             if c:
-                add(((k1 - 1, r), (k2, i2)), val * c)
+                _accumulate(out, ((k1 - 1, r), (k2, i2)), val * c)
         sign = -ONE if k1 % 2 else ONE
         d2 = dg.d(k2)
         for r in range(dg.dim(k2 - 1)):
             c = d2.get(r, i2)
             if c:
-                add(((k1, i1), (k2 - 1, r)), sign * val * c)
+                _accumulate(out, ((k1, i1), (k2 - 1, r)), sign * val * c)
     return out
 
 
@@ -286,10 +271,8 @@ def assert_valid_dgc(c, context: str = ""):
 
 def primitives_with_inclusion(c: DGC, prefix: str = "pr") -> tuple[DG, DGMap]:
     """Kernel of the reduced coproduct as a sub-DG with its inclusion."""
-    vectors: dict[int, list[Vector]] = {}
-    for k in c.underlying.degrees():
-        m, _ = _delta_matrix(c, k)
-        vectors[k] = kernel_basis(m)
+    delta = _coproduct_map(c)
+    vectors = {k: kernel_basis(delta.block(k)) for k in c.underlying.degrees()}
     return sub_dg(c.underlying, vectors, prefix=prefix)
 
 
@@ -404,11 +387,7 @@ def dgc_combine(kind: str, a, b, sign_rule: str = "half"):
                 if kind == "product" and (lc, ld) == (("1",), ("1",)):
                     unit_weight += coeff
                 return
-            s = acc.get((left, right), ZERO) + coeff
-            if s:
-                acc[(left, right)] = s
-            else:
-                acc.pop((left, right), None)
+            _accumulate(acc, (left, right), coeff)
 
         for vk, wk, cv in _full_delta(a, ckey):
             for ak, bk, ca in _full_delta(b, dkey):
@@ -458,25 +437,17 @@ def dgc_ho_pushout(f1: DGCMap, f2: DGCMap) -> tuple[DGC, DGCMap, DGCMap]:
     for k in c.underlying.degrees():
         for i in range(c.underlying.dim(k)):
             acc: dict[PairKey, Fraction] = {}
-
-            def add(p, coeff):
-                s = acc.get(p, ZERO) + coeff
-                if s:
-                    acc[p] = s
-                else:
-                    acc.pop(p, None)
-
             for ((k1, i1), (k2, i2)), val in c.delta_basis(k, i).items():
                 sign = -ONE if k1 % 2 else ONE
                 for at, g in ((at1, f1.dgmap), (at2, f2.dgmap)):
                     img2 = g.block(k2).column(i2) if g.target.dim(k2) else ()
                     for j, cc in enumerate(img2):
                         if cc:
-                            add((key_s(k1, i1), (k2, at[(k2, j)])), val * cc / 2)
+                            _accumulate(acc, (key_s(k1, i1), (k2, at[(k2, j)])), val * cc / 2)
                     img1 = g.block(k1).column(i1) if g.target.dim(k1) else ()
                     for j, cc in enumerate(img1):
                         if cc:
-                            add(((k1, at[(k1, j)]), key_s(k2, i2)), sign * val * cc / 2)
+                            _accumulate(acc, ((k1, at[(k1, j)]), key_s(k2, i2)), sign * val * cc / 2)
             if acc:
                 table[key_s(k, i)] = acc
     out = DGC(total, table)
@@ -502,61 +473,32 @@ def reduce_dgc(r: int, c) -> DGC:
     """Largest sub-coalgebra supported in degrees >= r.
 
     Starts from the DG reduction (kernel of d at degree r, everything above)
-    and repeatedly discards classes whose reduced coproduct leaves the tensor
-    square of the candidate, until stable.
+    and, degree by degree upwards, discards the classes whose reduced
+    coproduct leaves the tensor square of the candidate.  The square in
+    degree k reads only the spans below k, which are final by then, so one
+    pass reaches the fixed point.
     """
     c = _as_dgc(c)
     dg = c.underlying
+    delta = _coproduct_map(c)
     spans: dict[int, QMatrix] = {}
     for k in dg.degrees():
         if k > r:
             spans[k] = QMatrix.identity(dg.dim(k))
         elif k == r:
             spans[k] = QMatrix.from_columns(kernel_basis(dg.d(r)), dg.dim(r))
-    changed = True
-    while changed:
-        changed = False
-        for k in sorted(spans):
-            x = spans[k]
-            if x.cols == 0:
-                continue
-            pairs = _pair_keys(dg, k)
-            index = {p: rr for rr, p in enumerate(pairs)}
-            # columns spanning the allowed tensor square inside the pair space
-            good_cols = []
-            for k1 in sorted(spans):
-                k2 = k - k1
-                if k2 not in spans:
-                    continue
-                x1, x2 = spans[k1], spans[k2]
-                for j1 in range(x1.cols):
-                    c1 = x1.column(j1)
-                    for j2 in range(x2.cols):
-                        c2 = x2.column(j2)
-                        col = [ZERO] * len(pairs)
-                        for i1, a1 in enumerate(c1):
-                            if not a1:
-                                continue
-                            for i2, a2 in enumerate(c2):
-                                if a2:
-                                    col[index[((k1, i1), (k2, i2))]] = a1 * a2
-                        good_cols.append(tuple(col))
-            smat = QMatrix.from_columns(good_cols, len(pairs))
-            ann = kernel_basis(smat.transpose())  # functionals killing the square
-            amat = QMatrix.from_columns(ann, len(pairs)).transpose()
-            dmat = QMatrix(
-                len(pairs),
-                dg.dim(k),
-                {
-                    (index[p], i): v
-                    for i in range(dg.dim(k))
-                    for p, v in c.coproduct.get((k, i), {}).items()
-                },
-            )
-            keep = kernel_basis(amat * (dmat * x))
-            if len(keep) != x.cols:
-                spans[k] = x * QMatrix.from_columns(keep, x.cols)
-                changed = True
+    for k in sorted(spans):
+        x = spans[k]
+        if x.cols == 0:
+            continue
+        below = {j: s for j, s in spans.items() if j < k}
+        span = DGMap(DG({j: ("",) * s.cols for j, s in below.items()}), dg, below)
+        square = tensor_map(span, span).block(k)
+        # functionals killing the square
+        ann = QMatrix.from_columns(kernel_basis(square.transpose()), square.rows).transpose()
+        keep = kernel_basis(ann * (delta.block(k) * x))
+        if len(keep) != x.cols:
+            spans[k] = x * QMatrix.from_columns(keep, x.cols)
     if all(spans.get(k, QMatrix.zero(0, 0)).cols == dg.dim(k) for k in dg.degrees()):
         return c
     vectors = {k: [m.column(j) for j in range(m.cols)] for k, m in spans.items()}
@@ -567,43 +509,15 @@ def _sub_dgc(c: DGC, vectors: dict[int, list[Vector]], prefix: str) -> tuple[DGC
     """Sub-coalgebra spanned by the given vectors (must be closed under d and
     under the reduced coproduct)."""
     sub, incl = sub_dg(c.underlying, vectors, prefix=prefix)
+    delta, square = _coproduct_map(c), tensor_map(incl, incl)
+    pair_at = {place: ((k1, i1), (k2, i2)) for (k1, i1, k2, i2), place in _tensor_with_index(sub, sub)[1].items()}
     table: CoTable = {}
     for k in sub.degrees():
-        pairs = _pair_keys(sub, k)
-        if not pairs:
-            for i in range(sub.dim(k)):
-                if c.delta_vec(k, incl.block(k).column(i)):
-                    raise ValueError(f"span not closed under the coproduct at degree {k}")
-            continue
-        amb_pairs = _pair_keys(c.underlying, k)
-        amb_index = {p: rr for rr, p in enumerate(amb_pairs)}
-        cols = []
-        for (k1, i1), (k2, i2) in pairs:
-            c1 = incl.block(k1).column(i1)
-            c2 = incl.block(k2).column(i2)
-            col = [ZERO] * len(amb_pairs)
-            for j1, a1 in enumerate(c1):
-                if not a1:
-                    continue
-                for j2, a2 in enumerate(c2):
-                    if a2:
-                        col[amb_index[((k1, j1), (k2, j2))]] = a1 * a2
-            cols.append(tuple(col))
-        basis_mat = QMatrix.from_columns(cols, len(amb_pairs))
-        rhs_cols = []
-        for i in range(sub.dim(k)):
-            t = c.delta_vec(k, incl.block(k).column(i))
-            col = [ZERO] * len(amb_pairs)
-            for p, v in t.items():
-                col[amb_index[p]] = v
-            rhs_cols.append(tuple(col))
-        sol = solve_matrix(basis_mat, QMatrix.from_columns(rhs_cols, len(amb_pairs)))
+        sol = solve_matrix(square.block(k), delta.block(k) * incl.block(k))
         if sol is None:
             raise ValueError(f"span not closed under the coproduct at degree {k}")
-        for i in range(sub.dim(k)):
-            t = {pairs[rr]: sol.get(rr, i) for rr in range(len(pairs)) if sol.get(rr, i)}
-            if t:
-                table[(k, i)] = t
+        for rr, i in sorted(sol.entries, key=lambda e: (e[1], e[0])):
+            table.setdefault((k, i), {})[pair_at[(k, rr)]] = sol.entries[(rr, i)]
     out = DGC(sub, table)
     return out, DGCMap(out, c, incl)
 
@@ -702,11 +616,7 @@ def _apply_letterwise(w: Word, images: Mapping[int, Mapping[int, Fraction]], tgt
         sign, x = _canonical(ls, tgt_deg)
         if not sign:
             continue
-        v = out.get(x, ZERO) + c * sign * _mfact(x) / mw
-        if v:
-            out[x] = v
-        else:
-            out.pop(x, None)
+        _accumulate(out, x, c * sign * _mfact(x) / mw)
     return out
 
 
@@ -790,11 +700,7 @@ class CofreeDGC:
                 coeff, x = _insert(h, b, self.deg)
                 if not coeff:
                     continue
-                v = out.get(x, ZERO) + sign * c * coeff
-                if v:
-                    out[x] = v
-                else:
-                    out.pop(x, None)
+                _accumulate(out, x, sign * c * coeff)
         return out
 
     def delta_word(self, w: Word) -> dict[tuple[Word, Word], Fraction]:
@@ -964,11 +870,7 @@ def cofree_path(f: CofreeDGCMap, g: CofreeDGCMap, r: int = 2, cap: Optional[int]
             acc: dict[int, Fraction] = {}
             for pure, c0 in expanded.items():
                 for p, cc in pure_corestriction(pure).items():
-                    s = acc.get(p, ZERO) + c0 * cc
-                    if s:
-                        acc[p] = s
-                    else:
-                        acc.pop(p, None)
+                    _accumulate(acc, p, c0 * cc)
             if not acc:
                 continue
             kk = k - 1

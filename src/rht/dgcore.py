@@ -458,6 +458,21 @@ def _by_column(blocks: Mapping[int, QMatrix]) -> dict[tuple[int, int], list[tupl
     return cols
 
 
+def tensor_map(f: DGMap, g: DGMap) -> DGMap:
+    """f (x) g for degree-zero chain maps (no Koszul signs arise)."""
+    src, si = _tensor_with_index(f.source, g.source)
+    tgt, ti = _tensor_with_index(f.target, g.target)
+    fc, gc = _by_column(f.blocks), _by_column(g.blocks)
+    ent: dict[int, dict] = {}
+    for (i, p, j, q), (n, col) in si.items():
+        # each pure tensor of the target is hit once per source column
+        for r, v1 in fc.get((i, p), ()):
+            for s, v2 in gc.get((j, q), ()):
+                ent.setdefault(n, {})[(ti[(i, r, j, s)][1], col)] = v1 * v2
+    blocks = {n: QMatrix(tgt.dim(n), src.dim(n), e) for n, e in ent.items()}
+    return DGMap(src, tgt, blocks)
+
+
 def combine(kind: str, a: DG, b: DG) -> DG:
     if kind == "sum":
         return sum_dg(a, b)[0]

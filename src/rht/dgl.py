@@ -13,7 +13,10 @@ The monomial basis is the super-Lyndon basis: standard bracketings of Lyndon
 words plus the square [l, l] for each odd-degree Lyndon monomial l.  Squares
 of even-degree elements vanish rationally, so nothing else is needed; the
 test suite checks the per-degree dimensions against an independent
-commutator-span rank computation in the tensor algebra.
+commutator-span rank computation in the tensor algebra.  The monomials come
+from pairs: each Lyndon word of length at least 2 is built once, from the
+two lower-degree Lyndon words of its standard factorization, and its tree
+brackets their trees.
 """
 
 from __future__ import annotations
@@ -113,7 +116,6 @@ class FreeLieBasis:
         self.deg = tuple(d for _, d in gens)
         self.gen_name = tuple(n for n, _ in gens)
         self.gen_index = {n: i for i, n in enumerate(self.gen_name)}
-        self._words: dict[int, tuple[Word, ...]] = {}
         self.monomials: dict[int, tuple[Tree, ...]] = {}
         self._expand_cache: dict[Tree, TensorPoly] = {}
         self._leading: dict[int, dict[Word, tuple[int, Fraction]]] = {}
@@ -130,45 +132,33 @@ class FreeLieBasis:
     def __hash__(self):
         return hash((self.generators, self.cap))
 
-    # words ------------------------------------------------------------------
-
-    def words(self, d: int) -> tuple[Word, ...]:
-        if d in self._words:
-            return self._words[d]
-        if d < 0:
-            return ()
-        if d == 0:
-            out: tuple[Word, ...] = ((),)
-        else:
-            acc = []
-            for i, gd in enumerate(self.deg):
-                if gd <= d:
-                    acc.extend((i,) + w for w in self.words(d - gd))
-            out = tuple(acc)
-        self._words[d] = out
-        return out
-
     def word_degree(self, w: Word) -> int:
         return sum(self.deg[i] for i in w)
 
     # monomials ---------------------------------------------------------------
 
     def _build_monomials(self):
+        # Lyndon words degree by degree, each with its tree and its right
+        # factor.  For Lyndon u < v, uv is Lyndon with standard factorization
+        # (u, v) exactly when u is a letter or u's right factor is >= v
+        # (Lothaire, Combinatorics on Words, Prop. 5.1.4), so each Lyndon word
+        # is built once, from the pair its tree brackets.
+        lyndon: dict[int, list[tuple[Word, Tree, Optional[Word]]]] = {}
         per_degree: dict[int, list[tuple[tuple, Tree]]] = {}
         for d in range(1, self.cap + 1):
-            for w in self.words(d):
-                if len(w) >= 1 and _is_lyndon(w):
-                    t = _lyndon_tree(w)
-                    per_degree.setdefault(d, []).append(((len(w),) + w, t))
-                    if d % 2 == 1 and 2 * d <= self.cap:
-                        sq = (t, t)
-                        per_degree.setdefault(2 * d, []).append(
-                            ((2 * len(w),) + w + w, sq)
-                        )
+            found = [((i,), i, None) for i, gd in enumerate(self.deg) if gd == d]
+            for d1 in range(1, d):
+                for u, tu, ru in lyndon.get(d1, ()):
+                    for v, tv, _ in lyndon.get(d - d1, ()):
+                        if u < v and (ru is None or ru >= v):
+                            found.append((u + v, (tu, tv), v))
+            lyndon[d] = found
+            for w, t, _ in found:
+                per_degree.setdefault(d, []).append(((len(w),) + w, t))
+                if d % 2 == 1 and 2 * d <= self.cap:
+                    per_degree.setdefault(2 * d, []).append(((2 * len(w),) + w + w, (t, t)))
         self.monomials = {
-            d: tuple(t for _, t in sorted(lst, key=lambda p: p[0]))
-            for d, lst in sorted(per_degree.items())
-            if d <= self.cap
+            d: tuple(t for _, t in sorted(lst, key=lambda p: p[0])) for d, lst in sorted(per_degree.items())
         }
 
     def tree_degree(self, t: Tree) -> int:
@@ -279,18 +269,6 @@ class FreeLieBasis:
                             out.pop(word, None)
                 pre_deg += self.deg[letter]
         return out
-
-
-def _is_lyndon(w: Word) -> bool:
-    return all(w < w[i:] for i in range(1, len(w)))
-
-
-def _lyndon_tree(w: Word) -> Tree:
-    if len(w) == 1:
-        return w[0]
-    # standard factorization: split before the smallest proper suffix
-    cut = min(range(1, len(w)), key=lambda i: w[i:])
-    return (_lyndon_tree(w[:cut]), _lyndon_tree(w[cut:]))
 
 
 def free_lie_basis(generators, cap: int) -> FreeLieBasis:

@@ -245,13 +245,18 @@ class QMatrix:
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in +")
+        # an entry only other holds is copied: it is already nonzero, and may be shared
         ent = dict(self.entries)
         for k, v in other.entries.items():
-            s = ent.get(k, ZERO) + v
-            if s == 0:
-                ent.pop(k, None)
+            a = ent.get(k)
+            if a is None:
+                ent[k] = v
+                continue
+            s = a + v
+            if s:
+                ent[k] = _moved(s)
             else:
-                ent[k] = s
+                del ent[k]
         m = QMatrix(self.rows, self.cols)
         m.entries = ent
         return m

@@ -43,6 +43,7 @@ from rht.calculus import (
     _coproduct_cube,
     _into_holim,
     _join_map,
+    _left_normed_expand,
     _outof_hocolim,
     _perm_sort_sign,
 )
@@ -65,7 +66,7 @@ from rht.dgcore import (
 )
 from rht.dgcore import _subset_tag, assert_valid, cube_bidg, ho_fiber, sum_many, tot
 from rht.dgl import FreeDGL, bracket_filtration, free_lie_basis, to_dgl
-from rht.exactq import ONE, ZERO, QMatrix
+from rht.exactq import ONE, ZERO, QMatrix, _SMALL, solve_matrix
 from rht.quillen import sphere_model
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
 
@@ -396,8 +397,40 @@ def test_lie_dimension_is_factorial():
 
 
 def test_lie_action_satisfies_group_relations():
-    for n in (2, 3, 4):
+    for n in range(2, 8):
         assert lie_n(n).rep.validate() == []
+
+
+def _solved_lie_n(n):
+    """Lie(n) by solving for the coordinates of each permuted basis element
+    against the expansions of the whole basis, over all n! words."""
+    perms = [tuple(p) + (n,) for p in itertools.permutations(range(1, n))]
+    words = list(itertools.permutations(range(1, n + 1)))
+    windex = {w: i for i, w in enumerate(words)}
+
+    def column(seq):
+        vec = [ZERO] * len(words)
+        for w, c in _left_normed_expand(seq).items():
+            vec[windex[w]] = c
+        return tuple(vec)
+
+    basis_matrix = QMatrix.from_columns([column(p) for p in perms], len(words))
+    blocks = []
+    for a in range(1, n):
+        swapped = []
+        for p in perms:
+            relabeled = tuple(a + 1 if i == a else (a if i == a + 1 else i) for i in p)
+            swapped.append(column(relabeled))
+        blocks.append(solve_matrix(basis_matrix, QMatrix.from_columns(swapped, len(words))))
+    return blocks
+
+
+def test_lie_blocks_match_the_solve_over_all_words():
+    for n in range(1, 7):
+        got = [a.block(0) for a in lie_n(n).rep.action]
+        assert got == _solved_lie_n(n)
+        for m in got:
+            assert all(v is _SMALL[v.numerator] for v in m.entries.values() if v.denominator == 1 and -16 <= v <= 16)
 
 
 def test_lie2_transposition_acts_by_minus_one():

@@ -53,9 +53,30 @@ from rht.dgcore import (
 )
 from rht.exactq import ONE, QMatrix, rat
 from rht.randgen import random_chain_map, random_dg
-from rht.dgc import CoTable, Key, PairKey, _apply_letterwise, _as_dgc, _canonical, _full_delta, _key_degree
-from rht.dgcore import DGMap, ho_pullback, ho_pushout, reduce_with_inclusion, sum_dg, sum_many, tensor_dg
-from rht.exactq import ZERO, solve_linear
+from rht.dgc import (
+    CoTable,
+    Key,
+    PairKey,
+    _apply_letterwise,
+    _as_dgc,
+    _canonical,
+    _coproduct_map,
+    _full_delta,
+    _key_degree,
+    _sub_dgc,
+)
+from rht.dgcore import (
+    DGMap,
+    ho_pullback,
+    ho_pushout,
+    identity_map,
+    reduce_with_inclusion,
+    sub_dg,
+    sum_dg,
+    sum_many,
+    tensor_dg,
+)
+from rht.exactq import ZERO, kernel_basis, solve_linear, solve_matrix
 
 
 # -- independent dimension oracle -------------------------------------------------
@@ -1003,3 +1024,194 @@ def test_pushouts_and_combines_match_the_old_offsets(seed, rule):
     for f1, f2 in ((maps[0], maps[1]), (maps[2], maps[0]), (maps[2], maps[2])):
         new, old = dgc_ho_pushout(f1, f2), _old_dgc_ho_pushout(f1, f2)
         assert _same_dgc(new[0], old[0]) and new[1].dgmap == old[1].dgmap and new[2].dgmap == old[2].dgmap
+
+
+# -- the reduced coproduct in the tensor layout, against the pair-key code it replaced
+
+
+def _old_pair_keys(dg: DG, k: int) -> list[PairKey]:
+    out = []
+    for k1 in dg.degrees():
+        k2 = k - k1
+        if dg.dim(k2) == 0:
+            continue
+        for i1 in range(dg.dim(k1)):
+            for i2 in range(dg.dim(k2)):
+                out.append(((k1, i1), (k2, i2)))
+    return out
+
+
+def _old_delta_matrix(c: DGC, k: int) -> tuple[QMatrix, list[PairKey]]:
+    pairs = _old_pair_keys(c.underlying, k)
+    index = {p: r for r, p in enumerate(pairs)}
+    ent = {}
+    for i in range(c.underlying.dim(k)):
+        for p, val in c.coproduct.get((k, i), {}).items():
+            ent[(index[p], i)] = val
+    return QMatrix(len(pairs), c.underlying.dim(k), ent), pairs
+
+
+def _old_primitives_with_inclusion(c: DGC, prefix: str = "pr"):
+    vectors = {}
+    for k in c.underlying.degrees():
+        m, _ = _old_delta_matrix(c, k)
+        vectors[k] = kernel_basis(m)
+    return sub_dg(c.underlying, vectors, prefix=prefix)
+
+
+def _old_reduce_dgc(r: int, c) -> DGC:
+    c = _as_dgc(c)
+    dg = c.underlying
+    spans: dict[int, QMatrix] = {}
+    for k in dg.degrees():
+        if k > r:
+            spans[k] = QMatrix.identity(dg.dim(k))
+        elif k == r:
+            spans[k] = QMatrix.from_columns(kernel_basis(dg.d(r)), dg.dim(r))
+    changed = True
+    while changed:
+        changed = False
+        for k in sorted(spans):
+            x = spans[k]
+            if x.cols == 0:
+                continue
+            pairs = _old_pair_keys(dg, k)
+            index = {p: rr for rr, p in enumerate(pairs)}
+            good_cols = []
+            for k1 in sorted(spans):
+                k2 = k - k1
+                if k2 not in spans:
+                    continue
+                x1, x2 = spans[k1], spans[k2]
+                for j1 in range(x1.cols):
+                    c1 = x1.column(j1)
+                    for j2 in range(x2.cols):
+                        c2 = x2.column(j2)
+                        col = [ZERO] * len(pairs)
+                        for i1, a1 in enumerate(c1):
+                            if not a1:
+                                continue
+                            for i2, a2 in enumerate(c2):
+                                if a2:
+                                    col[index[((k1, i1), (k2, i2))]] = a1 * a2
+                        good_cols.append(tuple(col))
+            smat = QMatrix.from_columns(good_cols, len(pairs))
+            ann = kernel_basis(smat.transpose())
+            amat = QMatrix.from_columns(ann, len(pairs)).transpose()
+            dmat = QMatrix(
+                len(pairs),
+                dg.dim(k),
+                {(index[p], i): v for i in range(dg.dim(k)) for p, v in c.coproduct.get((k, i), {}).items()},
+            )
+            keep = kernel_basis(amat * (dmat * x))
+            if len(keep) != x.cols:
+                spans[k] = x * QMatrix.from_columns(keep, x.cols)
+                changed = True
+    if all(spans.get(k, QMatrix.zero(0, 0)).cols == dg.dim(k) for k in dg.degrees()):
+        return c
+    vectors = {k: [m.column(j) for j in range(m.cols)] for k, m in spans.items()}
+    return _old_sub_dgc(c, vectors, prefix=f"r{r}_")[0]
+
+
+def _old_sub_dgc(c: DGC, vectors, prefix: str):
+    sub, incl = sub_dg(c.underlying, vectors, prefix=prefix)
+    table: CoTable = {}
+    for k in sub.degrees():
+        pairs = _old_pair_keys(sub, k)
+        if not pairs:
+            for i in range(sub.dim(k)):
+                if c.delta_vec(k, incl.block(k).column(i)):
+                    raise ValueError(f"span not closed under the coproduct at degree {k}")
+            continue
+        amb_pairs = _old_pair_keys(c.underlying, k)
+        amb_index = {p: rr for rr, p in enumerate(amb_pairs)}
+        cols = []
+        for (k1, i1), (k2, i2) in pairs:
+            c1 = incl.block(k1).column(i1)
+            c2 = incl.block(k2).column(i2)
+            col = [ZERO] * len(amb_pairs)
+            for j1, a1 in enumerate(c1):
+                if not a1:
+                    continue
+                for j2, a2 in enumerate(c2):
+                    if a2:
+                        col[amb_index[((k1, j1), (k2, j2))]] = a1 * a2
+            cols.append(tuple(col))
+        basis_mat = QMatrix.from_columns(cols, len(amb_pairs))
+        rhs_cols = []
+        for i in range(sub.dim(k)):
+            t = c.delta_vec(k, incl.block(k).column(i))
+            col = [ZERO] * len(amb_pairs)
+            for p, v in t.items():
+                col[amb_index[p]] = v
+            rhs_cols.append(tuple(col))
+        sol = solve_matrix(basis_mat, QMatrix.from_columns(rhs_cols, len(amb_pairs)))
+        if sol is None:
+            raise ValueError(f"span not closed under the coproduct at degree {k}")
+        for i in range(sub.dim(k)):
+            t = {pairs[rr]: sol.get(rr, i) for rr in range(len(pairs)) if sol.get(rr, i)}
+            if t:
+                table[(k, i)] = t
+    out = DGC(sub, table)
+    return out, DGCMap(out, c, incl)
+
+
+def _same_dgc_in_order(x, y):
+    """Equal coalgebras whose basis and coproduct tables are listed in the same order."""
+    def listed(t):
+        return [(key, list(pairs.items())) for key, pairs in t.coproduct.items()]
+
+    return _same_dgc(x, y) and listed(x) == listed(y)
+
+
+def _assert_same_outcome(got, want):
+    """Both raised the same error, or both returned the same coalgebra (alone or
+    first in a pair)."""
+    if isinstance(want, tuple) and isinstance(want[0], str):
+        assert got == want
+    else:
+        x, y = (got[0], want[0]) if isinstance(want, tuple) else (got, want)
+        assert _same_dgc_in_order(x, y)
+
+
+def _random_sub_vectors(rng, c: DGC):
+    """Random combinations of basis vectors in each degree: seldom closed under d
+    or the coproduct, so both the solved and the raising paths are reached."""
+    out = {}
+    for k in c.underlying.degrees():
+        n = c.underlying.dim(k)
+        out[k] = [tuple(rat(rng.choice([0, 0, 1, -1, 2])) for _ in range(n)) for _ in range(rng.randint(0, n))]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_reduction_primitives_and_subs_match_the_pair_key_code(seed):
+    rng = Random(seed)
+    if rng.random() < 0.5:
+        lam = _random_cofree(rng, ["a", "b", "c"][: rng.randint(1, 3)], rng.randint(6, 8))
+    else:
+        lam = cofree_lambda(random_dg(rng, min_deg=2, max_deg=4, max_pieces=3), rng.randint(6, 8))
+    c = to_dgc(lam)
+    for r in range(2, 6):
+        _assert_same_outcome(_outcome(reduce_dgc, r, lam), _outcome(_old_reduce_dgc, r, lam))
+    new, old = primitives_with_inclusion(c), _old_primitives_with_inclusion(c)
+    assert list(new[0].basis.items()) == list(old[0].basis.items()) and new == old
+    # spans that are sub-coalgebras: the whole, the primitives, and random spans
+    spans = [{k: [m.column(j) for j in range(m.cols)] for k, m in identity_map(c.underlying).blocks.items()},
+             {k: [m.column(j) for j in range(m.cols)] for k, m in new[1].blocks.items()},
+             _random_sub_vectors(rng, c)]
+    for vectors in spans:
+        got, want = _outcome(_sub_dgc, c, vectors, "s"), _outcome(_old_sub_dgc, c, vectors, "s")
+        _assert_same_outcome(got, want)
+        if not isinstance(want[0], str):
+            assert got[1].dgmap == want[1].dgmap
+
+
+def test_coproduct_map_rejects_an_entry_that_is_not_a_pure_tensor_of_its_degree():
+    v = DG({2: ("a",), 3: ("b",), 5: ("c",)})
+    good = {(5, 0): {((2, 0), (3, 0)): ONE, ((3, 0), (2, 0)): ONE}}
+    assert _coproduct_map(DGC(v, good)).block(5).entries == {(0, 0): ONE, (1, 0): ONE}
+    for pair in (((2, 0), (2, 0)), ((2, 1), (3, 0)), ((4, 0), (1, 0))):
+        with pytest.raises(ValueError, match=r"malformed coproduct entry at \(5,0\)"):
+            _coproduct_map(DGC(v, {(5, 0): {pair: ONE}}))

@@ -217,9 +217,19 @@ COORD_GENERATOR_SETS = [
 ]
 
 
+def _words(deg, cap):
+    """Every word of each degree up to cap, in generators of the given degrees:
+    the ones of degree d start with generator i and go on with a word of
+    degree d - deg[i], for i in order."""
+    words = {0: ((),)}
+    for d in range(1, cap + 1):
+        words[d] = tuple((i,) + w for i, gd in enumerate(deg) if gd <= d for w in words[d - gd])
+    return words
+
+
 def _solved_coords(b, poly, d):
     """Solve expansion matrix * x = poly in degree d; None if not in the span."""
-    words = b.words(d)
+    words = _words(b.deg, d)[d]
     row = {w: i for i, w in enumerate(words)}
     ms = b.monomials.get(d, ())
     m = QMatrix(len(words), len(ms), {
@@ -258,6 +268,65 @@ def test_coords_match_an_independent_solve(gens):
         else:
             assert b.coords(bad)[d] == want
     assert rejected or gens == [("a", 1)]
+
+
+# -- the Lyndon basis against the search over all words it replaced ----------------
+
+
+def _is_lyndon(w):
+    return all(w < w[i:] for i in range(1, len(w)))
+
+
+def _lyndon_tree(w):
+    if len(w) == 1:
+        return w[0]
+    # standard factorization: split before the smallest proper suffix
+    cut = min(range(1, len(w)), key=lambda i: w[i:])
+    return (_lyndon_tree(w[:cut]), _lyndon_tree(w[cut:]))
+
+
+def _searched_monomials(deg, cap):
+    """Test every word for the Lyndon property and bracket it by its standard
+    factorization; add the square of each odd Lyndon monomial."""
+    words = _words(deg, cap)
+    per_degree = {}
+    for d in range(1, cap + 1):
+        for w in words[d]:
+            if len(w) >= 1 and _is_lyndon(w):
+                t = _lyndon_tree(w)
+                per_degree.setdefault(d, []).append(((len(w),) + w, t))
+                if d % 2 == 1 and 2 * d <= cap:
+                    per_degree.setdefault(2 * d, []).append(((2 * len(w),) + w + w, (t, t)))
+    return {
+        d: tuple(t for _, t in sorted(lst, key=lambda p: p[0]))
+        for d, lst in sorted(per_degree.items())
+        if d <= cap
+    }
+
+
+# the search lists every word, so the caps stop where it lists this many
+WORD_BUDGET = 20_000
+
+
+@st.composite
+def lyndon_case(draw):
+    """1-4 generators of degrees 1-4, and a cap up to 12 within the word budget."""
+    deg = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    counts, total, top = {0: 1}, 0, max(deg)
+    for d in range(1, 13):
+        counts[d] = sum(counts[d - gd] for gd in deg if gd <= d)
+        total += counts[d]
+        if d >= max(deg) and total <= WORD_BUDGET:
+            top = d
+    return deg, draw(st.integers(max(deg), top))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lyndon_case())
+def test_lyndon_monomials_from_pairs_match_the_word_search(case):
+    deg, cap = case
+    b = free_lie_basis([(f"g{i}", d) for i, d in enumerate(deg)], cap)
+    assert b.monomials == _searched_monomials(deg, cap)
 
 
 def test_odd_square_leads_with_coefficient_two():

@@ -708,6 +708,34 @@ def test_signed_permutation_products_match_the_fraction_products(case, c):
     _check_products(case, c)
 
 
+def _fraction_add(a, b):
+    """QMatrix.__add__ as it was: one Fraction addition per entry of b."""
+    ent = dict(a.entries)
+    for k, v in b.entries.items():
+        s = ent.get(k, ZERO) + v
+        if s == 0:
+            ent.pop(k, None)
+        else:
+            ent[k] = s
+    out = QMatrix(a.rows, a.cols)
+    out.entries = ent
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_case())
+def test_sums_and_differences_match_the_fraction_loop(case):
+    a, _, a2 = case
+    # small integers as their shared objects, as products and scalings return them
+    a, a2 = a.scale(1), a2.scale(1)
+    for new, old in ((a + a2, _fraction_add(a, a2)), (a - a2, _fraction_add(a, _fraction_scale(a2, -1)))):
+        _assert_same_matrix(new, old)
+        assert list(new.entries) == list(old.entries)
+        _assert_small_integers_shared(new)
+    with pytest.raises(ValueError, match="shape mismatch in"):
+        a + QMatrix(a.rows + 1, a.cols)
+
+
 def test_small_integer_entries_are_shared():
     from rht.exactq import _frac
 
