@@ -24,6 +24,8 @@ from .dgcore import (
     DGMap,
     Cube,
     SymmetricDG,
+    _block_quotient,
+    _by_column,
     _cube_sum,
     _generator_table,
     _places,
@@ -41,13 +43,12 @@ from .dgcore import (
     shift,
     sub_dg,
     sum_many,
-    sym_orbits,
     telescope,
     tensor_dg,
     tensor_map,
 )
-from .dgl import FreeDGL, FreeDGLMap, _bracket_filtration, free_lie_basis, to_dgl
-from .exactq import ONE, QMatrix, ZERO, _moved, kernel_basis, rank, solve_matrix
+from .dgl import FreeDGL, FreeDGLMap, _filtration_dgs, free_lie_basis, to_dgl
+from .exactq import ONE, QMatrix, ZERO, _moved, _negated, kernel_basis, rank, solve_matrix
 from .quillen import cobar_L
 
 HALF = Fraction(1, 2)
@@ -719,15 +720,19 @@ def lie_dim_oracle(n: int) -> int:
 # -- homogeneous functors ------------------------------------------------------------
 
 
-def _power_with_swaps(x: DG, n: int) -> tuple[DG, list[DGMap]]:
-    """x^{(x) n} with the n-1 adjacent Koszul-signed factor swaps."""
+def _power_with_swaps(x: DG, n: int) -> tuple[DG, list[DGMap], dict[int, list[list[int]]]]:
+    """x^{(x) n} with the n-1 adjacent Koszul-signed factor swaps, and per
+    degree its positions grouped by Sigma_n-orbit (by multiset of factors),
+    each group in increasing order."""
     factors = [(k, i) for k in x.degrees() for i in range(x.dim(k))]
     by_deg: dict[int, list[tuple]] = {}
     index: dict[tuple, tuple[int, int]] = {}
+    orbits: dict[int, dict[tuple, list[int]]] = {}
     for combo in itertools.product(factors, repeat=n):
         total = sum(k for k, _ in combo)
         lst = by_deg.setdefault(total, [])
         index[combo] = (total, len(lst))
+        orbits.setdefault(total, {}).setdefault(tuple(sorted(combo)), []).append(len(lst))
         lst.append(combo)
     basis = {
         deg: tuple(
@@ -764,22 +769,49 @@ def _power_with_swaps(x: DG, n: int) -> tuple[DG, list[DGMap]]:
         swaps.append(
             DGMap(pw, pw, {k: QMatrix(pw.dim(k), pw.dim(k), e) for k, e in blocks.items()})
         )
-    return pw, swaps
+    return pw, swaps, {deg: list(groups.values()) for deg, groups in orbits.items()}
 
 
 def homogeneous_eval(
     coefficient: SymmetricDG, x: DG, n: int, target: str = "dg", r: int = 2
 ):
     """(A (x) x^{(x) n})_{Sigma_n} as the orbit quotient, then delooped
-    into the target category (dg: as is; dgl: one desuspension; dgc: reduced)."""
+    into the target category (dg: as is; dgl: one desuspension; dgc: reduced).
+
+    a (x) s keeps A's degree and the multiset of x's factors, so the killed
+    images of a (x) s - 1 form one block per degree of A and Sigma_n-orbit of
+    factor tuples.  Each block is built from A's action columns and the signed
+    swaps, in the whole tensor's column and row order, and _block_quotient
+    eliminates them one by one: the same quotient as the whole tensor's.
+    """
     if coefficient.n != n:
         raise ValueError("coefficient arity does not match n")
-    pw, swaps = _power_with_swaps(x, n)
-    und = tensor_dg(coefficient.underlying, pw)
-    actions = [
-        tensor_map(a, s) for a, s in zip(coefficient.action, swaps)
-    ]
-    orbits = sym_orbits(SymmetricDG(und, n, actions))[0]
+    pw, swaps, by_orbit = _power_with_swaps(x, n)
+    a = coefficient.underlying
+    und, at = _tensor_with_index(a, pw)
+    acts = [_by_column(g.blocks) for g in coefficient.action]
+    moves = [_by_column(s.blocks) for s in swaps]
+    blocks: dict[int, list[tuple[list[int], QMatrix]]] = {}
+    for i in a.degrees():
+        dim = a.dim(i)
+        for j, groups in by_orbit.items():
+            for orb in groups:
+                size, local = len(orb), {q: t for t, q in enumerate(orb)}
+                cols = dim * size
+                ent: dict[tuple[int, int], Fraction] = {}
+                for g, (act, move) in enumerate(zip(acts, moves)):
+                    images = [(local[q2], sign > 0) for ((q2, sign),) in (move[(j, q)] for q in orb)]
+                    for p in range(dim):
+                        column = act.get((i, p), ())
+                        for t, (u, plus) in enumerate(images, p * size):  # t: the local row of (p, q)
+                            c = g * cols + t
+                            for row, y in column:
+                                ent[(row * size + u, c)] = y if plus else _negated(y)
+                            y = ent.get((t, c))  # QMatrix drops the zero a fixed point leaves
+                            ent[(t, c)] = _negated(ONE) if y is None else y - ONE
+                at_block = [at[(i, p, j, q)][1] for p in range(dim) for q in orb]
+                blocks.setdefault(i + j, []).append((at_block, QMatrix(cols, len(acts) * cols, ent)))
+    orbits = _block_quotient(und, blocks, "orb")[0]
     if target == "dg":
         return orbits
     if target == "dgl":
@@ -821,8 +853,7 @@ def taylor_layers_cobar(c, n: int, cap: int):
     layer-vs-derivative-formula dimension comparison below the cap."""
     cd = _as_dgc(c)
     lc = cobar_L(cd, cap)
-    dgls, layers, keeps = _bracket_filtration(lc, n)
-    objects = [b.underlying for b in dgls]
+    objects, layers, keeps = _filtration_dgs(lc, n)
     maps = []
     for i in range(len(objects) - 1):
         big, small = objects[i + 1], objects[i]

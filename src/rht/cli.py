@@ -523,8 +523,8 @@ COMMANDS = {
 
 # least legal -n per subcommand: a tower needs a stage, a cross effect may be empty
 N_FLOOR = {"tower": 1, "layers": 1, "jet": 1, "crosseffect": 0}
-# greatest legal -n: a tower's layers need Lie(n), which calculus.lie_n computes for n <= 8
-N_CEILING = {"tower": 8, "layers": 8, "jet": 8}
+# greatest legal -n: a tower's layers need Lie(n), computed for n <= 8; a cross effect builds 2^n subsets
+N_CEILING = {"tower": 8, "layers": 8, "jet": 8, "crosseffect": 10}
 
 
 @functools.cache  # parsing leaves the parser as it was, and help and errors go to the streams of the call

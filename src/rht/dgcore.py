@@ -29,6 +29,7 @@ _generator_map turn such a table back into the DG and the map.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -45,6 +46,7 @@ from .exactq import (
     rank,
     rat,
     rref,
+    rref_from,
     solve_matrix,
 )
 
@@ -618,22 +620,45 @@ def quotient_dg(v: DG, killed: Mapping[int, QMatrix], prefix: str = "q") -> tupl
     that complete the span of K.  The rref is [T K | T] for the row operations
     T, and the rows holding those pivots are zero in the K part, so their I
     part is the projection: the unique P with P K = 0 and P = 1 on the
-    representatives.
+    representatives.  This is _block_quotient with one block per degree.
+    """
+    blocks = {k: [(range(v.dim(k)), killed.get(k, QMatrix.zero(v.dim(k), 0)))] for k in v.degrees()}
+    return _block_quotient(v, blocks, prefix)
+
+
+def _block_quotient(
+    v: DG, blocks: Mapping[int, Sequence[tuple[Sequence[int], QMatrix]]], prefix: str
+) -> tuple[DG, DGMap]:
+    """quotient_dg for a block-diagonal killed matrix.  blocks[k] partitions
+    degree k's basis into blocks (at, K_B): the positions in increasing order
+    and the killed columns on them, row i of K_B at position at[i].
+
+    A block's column lies in the span of the columns left of it exactly when
+    it lies in the span of its own block's, and the row space is the sum of
+    the blocks'.  So the rref of [K | I], which is unique, is the union of the
+    rrefs of the [K_B | I_B], and only their rows below K_B are read.
     """
     reps: dict[int, list[int]] = {}
     proj_blocks: dict[int, QMatrix] = {}
     basis = {}
     for k in v.degrees():
-        n = v.dim(k)
-        kmat = killed.get(k, QMatrix.zero(n, 0))
-        red, pivots = rref(QMatrix.hstack([kmat, QMatrix.identity(n)]))
-        if len(pivots) != n:
-            raise AssertionError("internal: quotient basis does not span")
-        first = sum(p < kmat.cols for p in pivots)  # rows below hold the representatives
-        reps[k] = [p - kmat.cols for p in pivots[first:]]
+        rows: list[tuple[int, dict[int, Fraction]]] = []  # (representative, projection row)
+        for at, kmat in blocks.get(k, ()):
+            if not kmat.entries:
+                rows += [(j, {j: ONE}) for j in at]
+                continue
+            red, pivots = rref_from(QMatrix.hstack([kmat, QMatrix.identity(len(at))]), kmat.cols)
+            if len(pivots) != len(at):
+                raise AssertionError("internal: quotient basis does not span")
+            first, kc = bisect_left(pivots, kmat.cols), kmat.cols
+            found = [(at[p - kc], {}) for p in pivots[first:]]
+            for (r, c), x in red.entries.items():
+                found[r - first][1][at[c - kc]] = x
+            rows += found
+        rows.sort(key=lambda row: row[0])
+        reps[k] = [j for j, _ in rows]
         basis[k] = tuple(f"{prefix}({v.basis[k][j]})" for j in reps[k])
-        ent = {(r - first, c - kmat.cols): x for (r, c), x in red.entries.items() if r >= first}
-        proj_blocks[k] = QMatrix(n - first, n, ent)
+        proj_blocks[k] = QMatrix(len(rows), v.dim(k), {(i, c): x for i, (_, row) in enumerate(rows) for c, x in row.items()})
     diff = {}
     for k, d in v.diff.items():
         if basis.get(k) and basis.get(k - 1):

@@ -1096,28 +1096,11 @@ def free_cylinder(f: FreeDGLMap, g: FreeDGLMap) -> FreeDGL:
 
 def bracket_filtration(l: FreeDGL, n: int) -> tuple[list[DGL], list[DG]]:
     """Quotients B_k by bracket length > k (k = 1..n) and their layers."""
-    return _bracket_filtration(l, n)[:2]
-
-
-def _bracket_filtration(l: FreeDGL, n: int) -> tuple[list[DGL], list[DG], list[dict[int, list[int]]]]:
-    """bracket_filtration, and for each B_k the positions in to_dgl(l) that
-    it keeps, per degree."""
-    if n < 1:
-        raise ValueError("filtration depth must be >= 1")
+    dgs, layers, keeps = _filtration_dgs(l, n)
     full = to_dgl(l)
-    b = l.basis
     towers: list[DGL] = []
-    layers: list[DG] = []
-    keeps: list[dict[int, list[int]]] = []
-    lengths = {d: [b.tree_length(t) for t in ms] for d, ms in b.monomials.items()}
-    for kmax in range(1, n + 1):
-        keep = {
-            d: [i for i, ln in enumerate(lens) if ln <= kmax]
-            for d, lens in lengths.items()
-        }
-        pos = {
-            d: {orig: new for new, orig in enumerate(idx)} for d, idx in keep.items()
-        }
+    for dg, keep in zip(dgs, keeps):
+        pos = {d: {orig: new for new, orig in enumerate(idx)} for d, idx in keep.items()}
         table: dict[tuple[int, int, int, int], Vector] = {}
         for (k1, i1, k2, i2), v in full.bracket.items():
             if k1 not in pos or k2 not in pos or (k1 + k2) not in pos:
@@ -1127,11 +1110,25 @@ def _bracket_filtration(l: FreeDGL, n: int) -> tuple[list[DGL], list[DG], list[d
             vec = tuple(v[o] for o in keep[k1 + k2])
             if any(vec):
                 table[(k1, pos[k1][i1], k2, pos[k2][i2])] = vec
-        towers.append(DGL(_restrict(full.underlying, keep), table, cap=l.cap))
-        exact = {d: [i for i, ln in enumerate(lens) if ln == kmax] for d, lens in lengths.items()}
-        layers.append(_restrict(full.underlying, exact))
+        towers.append(DGL(dg, table, cap=l.cap))
+    return towers, layers
+
+
+def _filtration_dgs(l: FreeDGL, n: int) -> tuple[list[DG], list[DG], list[dict[int, list[int]]]]:
+    """The DGs underlying bracket_filtration's B_k, its layers, and for each
+    B_k the positions in to_dgl(l) that it keeps, per degree.  Only the
+    differential is read, so no bracket structure constant is computed."""
+    if n < 1:
+        raise ValueError("filtration depth must be >= 1")
+    full = to_dgl(l).underlying
+    lengths = {d: [l.basis.tree_length(t) for t in ms] for d, ms in l.basis.monomials.items()}
+    dgs, layers, keeps = [], [], []
+    for kmax in range(1, n + 1):
+        keep = {d: [i for i, ln in enumerate(lens) if ln <= kmax] for d, lens in lengths.items()}
+        dgs.append(_restrict(full, keep))
+        layers.append(_restrict(full, {d: [i for i, ln in enumerate(lens) if ln == kmax] for d, lens in lengths.items()}))
         keeps.append(keep)
-    return towers, layers, keeps
+    return dgs, layers, keeps
 
 
 def _restrict(v: DG, keep: dict[int, list[int]]) -> DG:

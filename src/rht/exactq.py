@@ -41,6 +41,7 @@ as their shared objects, as above.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -495,11 +496,17 @@ def _pivots(m: QMatrix) -> list[int]:
 
 def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     """Reduced row echelon form with strictly increasing pivot columns."""
+    return rref_from(m, 0)
+
+
+def rref_from(m: QMatrix, start: int) -> tuple[QMatrix, list[int]]:
+    """rref(m) holding only the rows whose pivot column is start or later (the
+    rows above them are left empty), and all of its pivots.  The elimination
+    is rref's; only the rows a caller reads become Fractions."""
     rows, pivots = _rref_rows(_sparse_rows(m), m.cols)
+    first = bisect_left(pivots, start)
     out = QMatrix(m.rows, m.cols)
-    out.entries = {
-        (i, c): _frac(v, row[pc]) for i, (pc, row) in enumerate(zip(pivots, rows)) for c, v in row.items()
-    }
+    out.entries = {(i, c): _frac(v, rows[i][pivots[i]]) for i in range(first, len(pivots)) for c, v in rows[i].items()}
     return out, pivots
 
 

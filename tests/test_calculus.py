@@ -60,7 +60,9 @@ from rht.dgcore import (
     map_from_names,
     shift,
     sum_dg,
+    reduce_dg,
     sym_invariants,
+    sym_orbits,
     tensor_dg,
     validate_dg,
 )
@@ -475,7 +477,7 @@ def test_homogeneous_eval_is_the_orbit_part_of_sym_invariants():
     cases = [(lie_n(2).derivative(), x, 2), (lie_n(3).derivative(), x, 3), (lie_n(4).derivative(), small, 4),
              (lie_n(2).rep, y, 2)]
     for coefficient, v, n in cases:
-        pw, swaps = _power_with_swaps(v, n)
+        pw, swaps, _ = _power_with_swaps(v, n)
         actions = [tensor_map(a, s) for a, s in zip(coefficient.action, swaps)]
         orbits = sym_invariants(SymmetricDG(tensor_dg(coefficient.underlying, pw), n, actions))[1]
         got = homogeneous_eval(coefficient, v, n)
@@ -490,6 +492,97 @@ def test_homogeneous_targets():
         homogeneous_eval(a, V24, 1, target="sp")
     with pytest.raises(ValueError, match="arity"):
         homogeneous_eval(a, V24, 2)
+
+
+def _old_homogeneous_eval(coefficient, x, n, target):
+    """homogeneous_eval as it was: the whole tensor, each generator's
+    tensor_map, and one quotient per degree by the hstack of a (x) s - 1."""
+    pw, swaps, _ = _power_with_swaps(x, n)
+    und = tensor_dg(coefficient.underlying, pw)
+    actions = [tensor_map(a, s) for a, s in zip(coefficient.action, swaps)]
+    orbits = sym_orbits(SymmetricDG(und, n, actions))[0]
+    if target == "dg":
+        return orbits
+    if target == "dgl":
+        return shift(orbits, -1)
+    return reduce_dg(2, orbits)
+
+
+def _mobius(d):
+    out, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if d > 1 else out
+
+
+def _lie_coinvariant_dims(x, n, degree, twisted):
+    """Chain dims of (Lie(n) (x) X^(x)n)_{Sigma_n}, Lie(n) in one degree and
+    sign-twisted or not, from characters alone.  The character of Lie(n) is
+    mu(d) (n/d)! d^(n/d) / n on the cycle type (d^(n/d)) and 0 elsewhere, so
+    class size times character is n! mu(d) / n there, and the dimension is
+    (1/n) sum over d | n of mu(d) sgn(d^(n/d)) [t^k] p_d(t)^(n/d), sgn only when
+    twisted, with the Koszul-signed power sum p_d(t) = sum_k dim X_k
+    (-1)^(k(d-1)) t^(kd): a d-cycle fixes a tuple only when it repeats one
+    element, which it rotates with the sign (-1)^(k(d-1))."""
+    total = {}
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        p = {k * d: x.dim(k) * (-1) ** (k * (d - 1)) for k in x.degrees()}
+        power = {0: 1}
+        for _ in range(n // d):
+            nxt = {}
+            for a, u in power.items():
+                for b, w in p.items():
+                    nxt[a + b] = nxt.get(a + b, 0) + u * w
+            power = nxt
+        sign = (-1) ** ((d - 1) * (n // d)) if twisted else 1
+        for k, c in power.items():
+            total[k] = total.get(k, 0) + _mobius(d) * sign * c
+    assert all(c % n == 0 for c in total.values())
+    return {k + degree: c // n for k, c in sorted(total.items()) if c}
+
+
+def _chain_dims(v):
+    return {k: v.dim(k) for k in v.degrees() if v.dim(k)}
+
+
+def test_mobius_and_the_lie_dimension():
+    assert [_mobius(d) for d in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    # untwisted, on even lines: the free Lie algebra's arity-n part (Witt's formula)
+    assert [_lie_coinvariant_dims(DG({0: ("a", "b")}), n, 0, False) for n in range(1, 7)] == [
+        {0: 2}, {0: 1}, {0: 2}, {0: 3}, {0: 6}, {0: 9}]
+    assert [_lie_coinvariant_dims(DG({0: ("a",)}), n, 0, False) for n in (1, 2, 3)] == [{0: 1}, {}, {}]
+    # the derivatives: free Lie on the desuspension, where [y, y] lives only for y odd
+    assert [_lie_coinvariant_dims(DG({2: ("x",)}), n, 1 - n, True) for n in (1, 2, 3)] == [{2: 1}, {3: 1}, {}]
+    assert [_lie_coinvariant_dims(DG({1: ("x",)}), n, 1 - n, True) for n in (1, 2, 3)] == [{1: 1}, {}, {}]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from(["derivative", "placed"]),
+       st.sampled_from(["dg", "dgl", "dgc"]))
+def test_orbit_by_orbit_layers_match_the_whole_tensor_quotient(seed, n, kind, target):
+    rng = random.Random(seed)
+    x = random_dg(rng, 0, 3, 3 if n <= 2 else 2)
+    degree, twisted = (1 - n, True) if kind == "derivative" else (rng.randint(-2, 2), False)
+    coefficient = lie_n(n).placed(degree, twisted)
+    got = homogeneous_eval(coefficient, x, n, target)
+    assert _same(got, _old_homogeneous_eval(coefficient, x, n, target))
+    if target == "dg":
+        assert _chain_dims(got) == _lie_coinvariant_dims(x, n, degree, twisted)
+
+
+@pytest.mark.parametrize("model", ["polynomial", "s3", "s4"])
+def test_derivative_layers_have_the_dimensions_of_the_character_formula(model):
+    from rht.cli import build_model, parse_model
+
+    x = build_model(parse_model(f"models/{model}.dgc")).underlying
+    for n in range(1, 6):
+        got = homogeneous_eval(lie_n(n).derivative(), x, n)
+        assert _chain_dims(got) == _lie_coinvariant_dims(x, n, 1 - n, True)
 
 
 # -- Taylor layers of the cobar tower ------------------------------------------------

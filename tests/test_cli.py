@@ -241,6 +241,9 @@ def test_exit_codes(tmp_path):
         ("layers", "-n", "9", f"{MODELS}/s3.dgc", "--truncate", "4"),
         ("jet", "-n", "9", f"{MODELS}/polynomial.dgc"),
         ("jet", "-n", "9", f"{MODELS}/no-such-model.dgc"),
+        # a cross effect builds 2^n subsets, and its cost about triples with each step: refused above 10
+        ("crosseffect", "-n", "11", f"{MODELS}/twocell.dg"),
+        ("crosseffect", "-n", "11", f"{MODELS}/no-such-model.dg"),
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):

@@ -59,7 +59,7 @@ from rht.dgl import (
 )
 from rht.exactq import ONE, QMatrix, rank, rat, solve_linear, solve_matrix, vec_add, vec_scale, zero_vec
 from rht.randgen import random_chain_map, random_dg
-from rht.dgl import _LazyBracketTable, _bracket_entry, _bracket_table, dgl_map_from_gen_images
+from rht.dgl import _LazyBracketTable, _bracket_entry, _bracket_table, _filtration_dgs, _restrict, dgl_map_from_gen_images
 from rht.exactq import _unit_vec
 
 
@@ -633,6 +633,40 @@ def test_filtration_layers_partition():
             total[k] = total.get(k, 0) + lay.dim(k)
     bn = towers[-1]
     assert total == {k: bn.underlying.dim(k) for k in bn.underlying.degrees() if bn.underlying.dim(k)}
+
+
+@pytest.mark.parametrize("model", ["polynomial", "s3", "s4"])
+def test_table_free_filtration_is_the_underlying_filtration(model):
+    from rht.cli import build_model, parse_model
+    from rht.quillen import cobar_L
+
+    mf = parse_model(f"models/{model}.dgc")
+    l = cobar_L(build_model(mf), mf.truncate)
+    b = l.basis
+    for n in range(1, 5):
+        dgs, layers, keeps = _filtration_dgs(l, n)
+        towers, want_layers = bracket_filtration(l, n)
+        assert [list(g.basis.items()) for g in dgs] == [list(t.underlying.basis.items()) for t in towers]
+        assert dgs == [t.underlying for t in towers] and layers == want_layers
+        assert [list(g.basis.items()) for g in layers] == [list(g.basis.items()) for g in want_layers]
+        full = to_dgl(l).underlying
+        for k, keep in enumerate(keeps, 1):
+            assert keep == {d: [i for i, t in enumerate(ms) if b.tree_length(t) <= k] for d, ms in b.monomials.items()}
+            assert _restrict(full, keep) == dgs[k - 1]
+
+
+def test_table_free_filtration_computes_no_structure_constant(monkeypatch):
+    import rht.dgl as dgl
+
+    want = bracket_filtration(truly_free_example(), 3)
+    l = truly_free_example()
+    to_dgl(l)  # the differential, built before the patch
+    for name in ("_bracket_entry", "_bracket_table"):
+        monkeypatch.setattr(dgl, name, lambda *args: pytest.fail("a structure constant was computed"))
+    dgs, layers, _ = _filtration_dgs(l, 3)
+    assert dgs == [t.underlying for t in want[0]] and layers == want[1]
+    with pytest.raises(ValueError, match="depth"):
+        _filtration_dgs(l, 0)
 
 
 # -- Hurewicz ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from rht.exactq import (
     rank_kernel_image,
     rat,
     rref,
+    rref_from,
     solve_linear,
     solve_matrix,
 )
@@ -515,6 +516,33 @@ def integer_rows(draw):
                     out[k] = out.get(k, 0) + f * v
             rows.append({k: v for k, v in out.items() if v})
     return rows, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_case(), st.data())
+def test_rref_from_keeps_the_rows_of_rref_from_the_split_on(case, data):
+    m, _, _ = case
+    red, pivots = rref(m)
+    start = data.draw(st.integers(0, m.cols + 1), label="start")
+    part, part_pivots = rref_from(m, start)
+    assert part_pivots == pivots and (part.rows, part.cols) == (m.rows, m.cols)
+    kept = {(i, c): v for (i, c), v in red.entries.items() if pivots[i] >= start}
+    assert part.entries == kept and list(part.entries) == list(kept)
+    assert all(v is _SMALL.get(v, v) for v in part.entries.values() if v.denominator == 1 and abs(v) <= 16)
+
+
+def test_rref_from_builds_a_fraction_only_for_the_rows_it_keeps(monkeypatch):
+    import rht.exactq as exactq
+
+    # [K | I] for K the first column: the row holding K's pivot is not read
+    m = QMatrix.hstack([QMatrix.from_rows([[2], [3], ["1/2"]]), QMatrix.identity(3)])
+    whole = rref(m)[0]
+    built = []
+    real = exactq._frac
+    monkeypatch.setattr(exactq, "_frac", lambda num, den: built.append((num, den)) or real(num, den))
+    red, pivots = rref_from(m, 1)
+    assert pivots == [0, 1, 2] and {i for i, _ in red.entries} == {1, 2}
+    assert len(built) == len(red.entries) == 4 and len(whole.entries) == 6
 
 
 @settings(max_examples=500, deadline=None)
