@@ -13,6 +13,7 @@ jets (layers plus the triangular differential blocks).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -250,20 +251,13 @@ def thfib_total(cube: Cube) -> DG:
     """One-step model: the homotopy fiber of the map into the punctured holim."""
     if cube.n == 0:
         return cube.objects[frozenset()]
-    problems = cube.validate_commuting()
-    if problems:
-        raise ValueError("non-commuting cube: " + problems[0])
     return ho_fiber(_into_holim(cube)[1])
 
 
 def thcof_total(cube: Cube) -> DG:
     if cube.n == 0:
         return cube.objects[frozenset()]
-    problems = cube.validate_commuting()
-    if problems:
-        raise ValueError("non-commuting cube: " + problems[0])
-    _, m = _outof_hocolim(cube)
-    return ho_cofiber(m)
+    return ho_cofiber(_outof_hocolim(cube)[1])
 
 
 # -- symbolic functors --------------------------------------------------------------
@@ -600,18 +594,7 @@ def cross_effect(f: FunctorSpec, n: int, inputs: Sequence[DG]) -> SymmetricDG:
 
 def _left_normed_expand(seq: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
     """[s1,[s2,...,[s_{k-1},s_k]...]] expanded in the free associative algebra."""
-    if len(seq) == 1:
-        return {(seq[0],): ONE}
-    rest = _left_normed_expand(seq[1:])
-    out: dict[tuple[int, ...], Fraction] = {}
-    for w, c in rest.items():
-        for word, coeff in (((seq[0],) + w, c), (w + (seq[0],), -c)):
-            s = out.get(word, ZERO) + coeff
-            if s:
-                out[word] = s
-            else:
-                out.pop(word, None)
-    return out
+    return _expand_bracket(functools.reduce(lambda tree, s: (s, tree), reversed(seq[:-1]), seq[-1]))
 
 
 @dataclass
@@ -944,9 +927,8 @@ def jet_extract(tower: Tower) -> Jet:
     phi = {
         k: QMatrix.hstack([e.block(k) for e in embeds]) for k in degrees
     }
-    offsets = {
-        k: [sum(l.dim(k) for l in layers[:j]) for j in range(m + 1)] for k in degrees
-    }
+    # phi's columns in degree k are the layers' bases in order: the layout of their sum
+    owner = {(k, r): (j, c) for j, incl in enumerate(sum_many(layers)[1], 1) for (k, c), r in _places(incl).items()}
     blocks: dict[tuple[int, int], dict[int, QMatrix]] = {}
     for k in degrees:
         if top.dim(k) == 0 or top.dim(k - 1) == 0:
@@ -954,22 +936,14 @@ def jet_extract(tower: Tower) -> Jet:
         coords = solve_matrix(phi[k - 1], top.d(k) * phi[k])
         if coords is None:
             raise AssertionError("internal: splitting is not a graded isomorphism")
-        for i in range(1, m + 1):
-            r0, r1 = offsets[k - 1][i - 1], offsets[k - 1][i]
-            for j in range(1, m + 1):
-                c0, c1 = offsets[k][j - 1], offsets[k][j]
-                ent = {
-                    (r - r0, c - c0): v
-                    for (r, c), v in coords.entries.items()
-                    if r0 <= r < r1 and c0 <= c < c1
-                }
-                if not ent:
-                    continue
-                if j > i:
-                    raise AssertionError(
-                        "internal: differential escaped above the diagonal"
-                    )
-                blocks.setdefault((i, j), {})[k] = QMatrix(r1 - r0, c1 - c0, ent)
+        split: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
+        for (r, c), v in coords.entries.items():
+            (i, r_i), (j, c_j) = owner[(k - 1, r)], owner[(k, c)]
+            if j > i:
+                raise AssertionError("internal: differential escaped above the diagonal")
+            split.setdefault((i, j), {})[(r_i, c_j)] = v
+        for (i, j), ent in sorted(split.items()):
+            blocks.setdefault((i, j), {})[k] = QMatrix(layers[i - 1].dim(k - 1), layers[j - 1].dim(k), ent)
     for i in range(1, m + 1):
         layer = layers[i - 1]
         for k in layer.degrees():

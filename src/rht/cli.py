@@ -29,7 +29,7 @@ from fractions import Fraction
 from .dgc import DGC, dgc_validate, to_dgc
 from .dgcore import DG, homology, homology_dims, validate_dg
 from .dgl import DGL, DGLMap, abelian_dgl, abelianize_dgl, dgl_validate, hurewicz_check, to_dgl
-from .exactq import ONE, QMatrix, _unit_vec, vec_add, vec_scale, zero_vec
+from .exactq import ONE, QMatrix, _unit_vec, format_rat, vec_add, vec_scale, zero_vec
 from .quillen import cec_C, cobar_L, rational_invariants
 
 DEFAULT_CAP = 16
@@ -344,12 +344,6 @@ def _validate(model) -> list:
 # -- reports -----------------------------------------------------------------------------
 
 
-def _fr(x):
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return x
-
-
 def emit_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(_jsonable(report), indent=2, ensure_ascii=False) + "\n"
@@ -365,7 +359,7 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, Fraction):
-        return _fr(x)
+        return format_rat(x)
     return x
 
 
@@ -380,7 +374,7 @@ def _table_lines(x, out, prefix):
         for i, v in enumerate(x):
             _table_lines(v, out, f"{prefix}[{i}]")
     else:
-        out.append((prefix, _fr(x) if isinstance(x, Fraction) else str(x)))
+        out.append((prefix, format_rat(x) if isinstance(x, Fraction) else str(x)))
 
 
 def _dims_table(dims: dict[int, int], window) -> dict:
@@ -487,7 +481,7 @@ def cmd_jet(model, mf, args, report):
         for k in sorted(jet.blocks[(i, j)]):
             m = jet.blocks[(i, j)][k]
             for (r, c), val in sorted(m.entries.items()):
-                blocks[f"d_{i}{j} deg {k} ({r},{c})"] = _fr(val)
+                blocks[f"d_{i}{j} deg {k} ({r},{c})"] = format_rat(val)
     report["off_diagonal"] = blocks if blocks else "(zero)"
     problems = jet_validate(jet)
     report["verdict"] = "valid" if not problems else problems

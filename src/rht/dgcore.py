@@ -857,16 +857,6 @@ class Cube:
     def edge(self, s: frozenset, t: frozenset) -> DGMap:
         return self.edges[(s, t)]
 
-    def map_along(self, s: frozenset, t: frozenset) -> DGMap:
-        """Composite map for any inclusion s <= t, through sorted additions."""
-        cur = identity_map(self.objects[s])
-        here = s
-        for el in sorted(t - s):
-            nxt = here | {el}
-            cur = compose(self.edge(here, nxt), cur)
-            here = nxt
-        return cur
-
     def validate_commuting(self) -> list[str]:
         """Reports for edges with the wrong endpoints and faces that do not
         commute.  Cubes share edge maps (a test cube has one per shape), so
@@ -1173,33 +1163,6 @@ class SymmetricDG:
                     report.append(f"distant generators {i},{j} do not commute")
         return report
 
-    def group_elements(self) -> list[DGMap]:
-        """All n! action maps, by breadth-first closure over the generators."""
-        ident = identity_map(self.underlying)
-        seen = {self._key(ident): ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for a in self.action:
-                    h = compose(a, g)
-                    k = self._key(h)
-                    if k not in seen:
-                        seen[k] = h
-                        nxt.append(h)
-            frontier = nxt
-        return list(seen.values())
-
-    def _key(self, m: DGMap):
-        return tuple(sorted((k, frozenset(q.entries.items())) for k, q in m.blocks.items()))
-
-    def average(self) -> DGMap:
-        elems = self.group_elements()
-        total = zero_map(self.underlying, self.underlying)
-        for g in elems:
-            total = map_add(total, g)
-        return map_scale(Fraction(1, len(elems)), total)
-
 
 def sym_orbits(v: SymmetricDG) -> tuple[DG, DGMap]:
     """Orbits: the quotient by the images of g - 1 over the generators, with
@@ -1211,7 +1174,14 @@ def sym_orbits(v: SymmetricDG) -> tuple[DG, DGMap]:
 
 
 def sym_invariants(v: SymmetricDG):
-    """Fixed points, orbits, trace, norm, and the averaging idempotent."""
+    """Fixed points, orbits, trace, norm, and the averaging idempotent.
+
+    Over Q the trace V^G -> V_G (inclusion, then projection) is an
+    isomorphism, and the norm [x] -> Avg(x) is its inverse: Avg fixes the
+    fixed points and Avg(gx) = Avg(x).  So norm = trace^-1, one solve per
+    degree, and the averaging idempotent is incl . norm . proj (Maschke; Serre,
+    Linear Representations of Finite Groups, ch. 1).
+    """
     u = v.underlying
     vectors: dict[int, list[Vector]] = {}
     for k in u.degrees():
@@ -1220,18 +1190,11 @@ def sym_invariants(v: SymmetricDG):
     fixed, incl = sub_dg(u, vectors, prefix="fix")
     orbits, proj = sym_orbits(v)
     trace = compose(proj, incl)
-    avg = v.average()
-    # norm: orbit class [x] -> Avg(x), expressed in the fixed-point basis
     norm_blocks = {}
     for k in orbits.degrees():
-        # representative columns: solve proj * X = id via the chosen section
-        sec = solve_matrix(proj.block(k), QMatrix.identity(orbits.dim(k)))
-        if sec is None:
-            raise AssertionError("internal: quotient projection not surjective")
-        avg_rep = avg.block(k) * sec
-        coords = solve_matrix(incl.block(k), avg_rep)
-        if coords is None:
-            raise AssertionError("internal: average does not land in fixed points")
-        norm_blocks[k] = coords
+        inverse = solve_matrix(trace.block(k), QMatrix.identity(orbits.dim(k)))
+        if inverse is None:
+            raise AssertionError("internal: the trace is not invertible")
+        norm_blocks[k] = inverse
     norm = DGMap(orbits, fixed, norm_blocks)
-    return fixed, orbits, trace, norm, avg
+    return fixed, orbits, trace, norm, compose(incl, compose(norm, proj))

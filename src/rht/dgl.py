@@ -24,8 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .dgcore import (
     DG,
@@ -403,23 +402,16 @@ class _LazyBracketTable(Mapping):
 
     A lookup costs one bracket_poly and one coords call, made once per key; a
     key whose bracket is zero, or that names no pair of basis monomials, is
-    missing.  Iterating the table or taking its len builds all of it, the
-    same dict in the same order as _bracket_table.  homotopy only needs the
-    differential, so it never pays for any of it.
+    missing.  Iterating the table walks the candidate keys of _bracket_keys
+    through the same memo, so every entry is still computed at most once.
+    homotopy only needs the differential, so it never pays for any of it.
     """
 
     def __init__(self, basis: FreeLieBasis):
         self._basis = basis
         self._entries: dict[tuple[int, int, int, int], Optional[Vector]] = {}
 
-    @cached_property
-    def _table(self) -> dict[tuple[int, int, int, int], Vector]:
-        self._entries = {}
-        return _bracket_table(self._basis)
-
     def __getitem__(self, key):
-        if "_table" in self.__dict__:
-            return self._table[key]
         if key not in self._entries:
             self._entries[key] = _bracket_entry(self._basis, *key)
         vec = self._entries[key]
@@ -428,10 +420,10 @@ class _LazyBracketTable(Mapping):
         return vec
 
     def __iter__(self):
-        return iter(self._table)
+        return (key for key in _bracket_keys(self._basis) if key in self)
 
     def __len__(self):
-        return len(self._table)
+        return sum(1 for _ in self)
 
 
 def _bracket_entry(b: FreeLieBasis, d1: int, i1: int, d2: int, i2: int) -> Optional[Vector]:
@@ -445,19 +437,16 @@ def _bracket_entry(b: FreeLieBasis, d1: int, i1: int, d2: int, i2: int) -> Optio
     return vec if any(vec) else None
 
 
-def _bracket_table(b: FreeLieBasis) -> dict[tuple[int, int, int, int], Vector]:
-    table: dict[tuple[int, int, int, int], Vector] = {}
+def _bracket_keys(b: FreeLieBasis) -> Iterator[tuple[int, int, int, int]]:
+    """Every pair of monomials whose bracket lands in a degree of the basis,
+    by degrees, then by indices."""
     degs = sorted(b.monomials)
     for d1 in degs:
         for d2 in degs:
-            if d1 + d2 > b.cap or (d1 + d2) not in b.monomials:
-                continue
-            for i1 in range(len(b.monomials[d1])):
-                for i2 in range(len(b.monomials[d2])):
-                    vec = _bracket_entry(b, d1, i1, d2, i2)
-                    if vec is not None:
-                        table[(d1, i1, d2, i2)] = vec
-    return table
+            if d1 + d2 <= b.cap and d1 + d2 in b.monomials:
+                for i1 in range(len(b.monomials[d1])):
+                    for i2 in range(len(b.monomials[d2])):
+                        yield d1, i1, d2, i2
 
 
 def to_dgl(l: FreeDGL) -> DGL:
@@ -841,22 +830,30 @@ def dgl_map_from_gen_images(
 
 def reduce_dgl(r: int, l: DGL) -> DGL:
     """r-reduction: degrees > r kept, degree r replaced by its cycles."""
-    rdg, incl = reduce_with_inclusion(r, l.underlying)
+    return _sub_dgl(l, reduce_with_inclusion(r, l.underlying)[1], "bracket escapes the reduction at degree {k}")
+
+
+def _sub_dgl(l: DGL, incl: DGMap, error: str) -> DGL:
+    """The sub-DGL of l on incl.source, for an injective chain map incl into
+    l.underlying whose image is closed under the bracket.  The brackets of
+    the image columns are pulled back with one solve per pair of degrees;
+    ValueError(error), formatted with the target degree k, if one of them
+    leaves the image."""
+    sub, live = incl.source, _live_pairs(l)
     table: dict[tuple[int, int, int, int], Vector] = {}
-    for k1 in rdg.degrees():
-        for k2 in rdg.degrees():
+    for k1 in sub.degrees():
+        for k2 in sub.degrees():
             k = k1 + k2
-            if not rdg.dim(k):
+            if not sub.dim(k):
                 continue
             values = {}
-            for i1 in range(rdg.dim(k1)):
-                v1 = incl.block(k1).column(i1)
-                for i2 in range(rdg.dim(k2)):
-                    val = l.bracket_vec(k1, v1, k2, incl.block(k2).column(i2))
+            for i1, v1 in enumerate(incl.block(k1).columns()):
+                for i2, v2 in enumerate(incl.block(k2).columns()):
+                    val = _reached(l, live, k1, v1, k2, v2)
                     if any(val):
                         values[(k1, i1, k2, i2)] = val
-            table.update(_pull_back(incl.block(k), values, f"bracket escapes the reduction at degree {k}"))
-    return DGL(rdg, table, cap=l.cap)
+            table.update(_pull_back(incl.block(k), values, error.format(k=k)))
+    return DGL(sub, table, cap=l.cap)
 
 
 def _pull_back(inc: QMatrix, values: dict, error: str) -> dict:
@@ -922,27 +919,11 @@ def dgl_ho_pullback(
     if k.cap is not None:
         caps.append(k.cap - 1)  # the shifted strand loses one degree of bracket data
     p = DGL(pdg, table, cap=min(caps) if caps else None)
-    # strict limit {(x1, x2) : f1(x1) = f2(x2)} and its map into the model
+    # strict limit {(x1, x2) : f1(x1) = f2(x2)}, a sub-DGL of l1 x l2, and its map into the model
     lim_dg, pu, pw = strict_pullback(f1.dgmap, map_scale(-1, f2.dgmap))
-    live1, live2 = _live_pairs(l1), _live_pairs(l2)
-    lim_table: dict[tuple[int, int, int, int], Vector] = {}
-    for k1 in lim_dg.degrees():
-        for k2 in lim_dg.degrees():
-            kk = k1 + k2
-            if not lim_dg.dim(kk):
-                continue
-            values = {}
-            for i1 in range(lim_dg.dim(k1)):
-                x1, y1 = pu.block(k1).column(i1), pw.block(k1).column(i1)
-                for i2 in range(lim_dg.dim(k2)):
-                    x2, y2 = pu.block(k2).column(i2), pw.block(k2).column(i2)
-                    val = _reached(l1, live1, k1, x1, k2, x2) + _reached(l2, live2, k1, y1, k2, y2)
-                    if any(val):
-                        values[(k1, i1, k2, i2)] = val
-            inc = QMatrix.vstack([pu.block(kk), pw.block(kk)])
-            lim_table.update(_pull_back(inc, values, "strict limit is not closed under brackets"))
-    lcaps = [c for c in (l1.cap, l2.cap) if c is not None]
-    lim = DGL(lim_dg, lim_table, cap=min(lcaps) if lcaps else None)
+    prod = dgl_strict_product(l1, l2)[0]
+    into = DGMap(lim_dg, prod.underlying, {kk: QMatrix.vstack([pu.block(kk), pw.block(kk)]) for kk in lim_dg.degrees()})
+    lim = _sub_dgl(prod, into, "strict limit is not closed under brackets")
     witness = DGLMap(lim, p, map_add(compose(incls[0], pu), compose(incls[2], pw)))
     assert_valid(witness.dgmap, "strict limit into the pullback model")
     if reduce_to is not None:

@@ -859,6 +859,80 @@ def test_sym_sign_action():
     assert avg == zero_map(v, v)
 
 
+def _old_sym_invariants(v: SymmetricDG):
+    """sym_invariants as it was before the norm became the inverse of the
+    trace: the n! group elements by breadth-first closure over the
+    generators, their average, and the norm solved through a section of the
+    orbit projection."""
+    u = v.underlying
+
+    def key(m):
+        return tuple(sorted((k, frozenset(q.entries.items())) for k, q in m.blocks.items()))
+
+    ident = identity_map(u)
+    seen, frontier = {key(ident): ident}, [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for a in v.action:
+                h = compose(a, g)
+                if key(h) not in seen:
+                    seen[key(h)] = h
+                    nxt.append(h)
+        frontier = nxt
+    total = zero_map(u, u)
+    for g in seen.values():
+        total = map_add(total, g)
+    avg = map_scale(Fraction(1, len(seen)), total)
+    vectors = {}
+    for k in u.degrees():
+        stacked = QMatrix.vstack([a.block(k) - QMatrix.identity(u.dim(k)) for a in v.action]) if v.action else QMatrix.zero(0, u.dim(k))
+        vectors[k] = kernel_basis(stacked) if v.action else [QMatrix.identity(u.dim(k)).column(j) for j in range(u.dim(k))]
+    fixed, incl = sub_dg(u, vectors, prefix="fix")
+    orbits, proj = sym_orbits(v)
+    norm_blocks = {}
+    for k in orbits.degrees():
+        sec = solve_matrix(proj.block(k), QMatrix.identity(orbits.dim(k)))
+        norm_blocks[k] = solve_matrix(incl.block(k), avg.block(k) * sec)
+    return fixed, orbits, compose(proj, incl), DGMap(orbits, fixed, norm_blocks), avg
+
+
+def _coefficient(kind: str, n: int, degree: int) -> SymmetricDG:
+    """Sigma_n acting on a coefficient: trivially or by the sign on one line, or
+    as Lie(n), plain, placed in a degree with or without the sign twist, or as
+    the derivative of the identity."""
+    if kind in ("trivial", "sign"):
+        line = DG({degree: ("u",)})
+        a = identity_map(line) if kind == "trivial" else map_scale(-1, identity_map(line))
+        return SymmetricDG(line, n, [a] * (n - 1))
+    lie = lie_n(n)
+    if kind == "lie":
+        return lie.rep
+    if kind == "derivative":
+        return lie.derivative()
+    return lie.placed(degree, kind == "twisted")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sym_invariants_from_the_trace_match_the_group_closure(seed):
+    rng = Random(seed)
+    n, kind = rng.randint(1, 4), rng.choice(["trivial", "sign", "lie", "derivative", "placed", "twisted", "none"])
+    x = random_dg(rng, -1, 2, 3 if n < 4 else 1)  # the oracle walks all n! group elements
+    if kind == "none":  # no action at all
+        sym = SymmetricDG(x, 1, [])
+    else:
+        coefficient = _coefficient(kind, n, rng.randint(-2, 2))
+        pw, swaps, _ = _power_with_swaps(x, n)
+        actions = [tensor_map(a, s) for a, s in zip(coefficient.action, swaps)]
+        sym = SymmetricDG(tensor_dg(coefficient.underlying, pw), n, actions)
+    assert sym.validate() == []
+    got, want = sym_invariants(sym), _old_sym_invariants(sym)
+    assert got == want
+    for g, w in zip(got[:2], want[:2]):  # basis names and their order
+        assert list(g.basis.items()) == list(w.basis.items())
+
+
 def test_sym_braid_validation_catches_bad_action():
     v = DG({0: ("a", "b", "c")})
     bad = DGMap(v, v, {0: QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])})

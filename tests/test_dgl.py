@@ -59,7 +59,7 @@ from rht.dgl import (
 )
 from rht.exactq import ONE, QMatrix, rank, rat, solve_linear, solve_matrix, vec_add, vec_scale, zero_vec
 from rht.randgen import random_chain_map, random_dg
-from rht.dgl import _LazyBracketTable, _bracket_entry, _bracket_table, _filtration_dgs, _restrict, dgl_map_from_gen_images
+from rht.dgl import _LazyBracketTable, _bracket_entry, _filtration_dgs, _restrict, dgl_map_from_gen_images
 from rht.exactq import _unit_vec
 
 
@@ -358,6 +358,48 @@ def test_lazy_bracket_table_equals_the_eager_one():
     assert dgl_validate(lazy) == []
 
 
+def _bracket_table(b):
+    """The eager structure-constant table the lazy one replaced: every pair of
+    monomials whose bracket lands in a degree of the basis, one _bracket_entry
+    each, by degrees, then by indices."""
+    table = {}
+    degs = sorted(b.monomials)
+    for d1 in degs:
+        for d2 in degs:
+            if d1 + d2 > b.cap or (d1 + d2) not in b.monomials:
+                continue
+            for i1 in range(len(b.monomials[d1])):
+                for i2 in range(len(b.monomials[d2])):
+                    vec = _bracket_entry(b, d1, i1, d2, i2)
+                    if vec is not None:
+                        table[(d1, i1, d2, i2)] = vec
+    return table
+
+
+@pytest.mark.parametrize("gens, cap", [([("a", 1), ("b", 2), ("c", 3)], 6), ([("x", 1), ("y", 3)], 7),
+                                       ([("x", 2), ("y", 3)], 8), ([("u", 1)], 4), ([("a", 1), ("b", 1)], 5)])
+def test_lazy_bracket_table_equals_the_eager_oracle_in_items_order_and_length(gens, cap):
+    b = free_lie_basis(gens, cap)
+    eager, lazy = _bracket_table(b), _LazyBracketTable(b)
+    assert list(lazy.items()) == list(eager.items()) and list(lazy) == list(eager) and len(lazy) == len(eager)
+
+
+def test_lazy_bracket_table_iterates_through_its_memo(monkeypatch):
+    b = free_lie_basis([("a", 1), ("b", 2), ("c", 3)], 6)
+    eager = _bracket_table(b)
+    lazy = _LazyBracketTable(b)
+    computed = []
+    monkeypatch.setattr("rht.dgl._bracket_entry", lambda b, *key: computed.append(key) or _bracket_entry(b, *key))
+    asked = list(eager)[::3] + [(1, 0, 1, 0), (2, 0, 2, 0)]  # nonzero entries and zero brackets
+    for key in asked:
+        assert lazy.get(key) == eager.get(key)
+    assert list(lazy.items()) == list(eager.items()) and len(lazy) == len(eager)
+    candidates = [(d1, i1, d2, i2) for d1 in sorted(b.monomials) for d2 in sorted(b.monomials)
+                  if d1 + d2 <= b.cap and d1 + d2 in b.monomials
+                  for i1 in range(len(b.monomials[d1])) for i2 in range(len(b.monomials[d2]))]
+    assert sorted(computed) == sorted(candidates)  # once per candidate key, the asked ones included
+
+
 def test_lazy_bracket_table_computes_only_the_keys_it_is_asked_for(monkeypatch):
     b = free_lie_basis([("a", 1), ("b", 2), ("c", 3)], 6)
     eager = _bracket_table(b)
@@ -374,7 +416,6 @@ def test_lazy_bracket_table_computes_only_the_keys_it_is_asked_for(monkeypatch):
             with pytest.raises(KeyError):
                 lazy[key]
     assert sorted(computed) == sorted(set(keys))  # once per key asked for
-    assert "_table" not in vars(lazy)
     assert list(lazy.items()) == list(eager.items()) and len(lazy) == len(eager)
 
 
@@ -661,8 +702,8 @@ def test_table_free_filtration_computes_no_structure_constant(monkeypatch):
     want = bracket_filtration(truly_free_example(), 3)
     l = truly_free_example()
     to_dgl(l)  # the differential, built before the patch
-    for name in ("_bracket_entry", "_bracket_table"):
-        monkeypatch.setattr(dgl, name, lambda *args: pytest.fail("a structure constant was computed"))
+    # every structure constant goes through _bracket_entry
+    monkeypatch.setattr(dgl, "_bracket_entry", lambda *args: pytest.fail("a structure constant was computed"))
     dgs, layers, _ = _filtration_dgs(l, 3)
     assert dgs == [t.underlying for t in want[0]] and layers == want[1]
     with pytest.raises(ValueError, match="depth"):
@@ -995,6 +1036,20 @@ def test_batched_bracket_solves_match_per_value_solves(seed):
     want = _outcome(_per_value_limit_table, f1, f2)
     got = _outcome(lambda: dict(dgl_ho_pullback(f1, f2)[1].source.bracket))
     assert got == want
+
+
+@pytest.mark.parametrize("zero", [False, True])
+def test_strict_limit_of_two_nonabelian_dgls_matches_per_value_solves(zero):
+    # identities on one nonabelian DGL, or the zero maps of two into a third: L1 x L2
+    l1, l2 = to_dgl(truly_free_example(3)), counterexample_dgl()
+    assert any(map(any, l1.bracket.values())) and any(map(any, l2.bracket.values()))
+    if zero:
+        f1, f2 = zero_dgl_map(l1, l2), zero_dgl_map(l2, l2)
+    else:
+        f1, f2 = identity_dgl_map(l1), identity_dgl_map(l1)
+    lim = dgl_ho_pullback(f1, f2)[1].source
+    assert dict(lim.bracket) == _per_value_limit_table(f1, f2) and any(map(any, lim.bracket.values()))
+    assert dgl_validate(lim) == []
 
 
 def test_batched_solves_keep_their_errors():
