@@ -142,7 +142,7 @@ def test_cube(n: int, x: DG) -> Cube:
             for (i, p, j, q), (d, col) in si.items():
                 moved = p + 1 if i == 1 and p + 1 >= pos else p
                 ent.setdefault(d, {})[(ti[(i, moved, j, q)][1], col)] = ONE
-            blocks = {d: QMatrix(tgt.dim(d), src.dim(d), e) for d, e in ent.items()}
+            blocks = {d: QMatrix._of(tgt.dim(d), src.dim(d), e) for d, e in ent.items()}
             edge_by_shape[key] = DGMap(src, tgt, blocks)
         return edge_by_shape[key]
 
@@ -175,7 +175,7 @@ def _gather(source: DG, target: DG, pieces) -> DGMap:
         e = ent.setdefault(k, {})
         for (r, c), x in m.entries.items():
             e[(r if rows is None else rows[(k, r)], c if cols is None else cols[(k, c)])] = x
-    return DGMap(source, target, {k: QMatrix(target.dim(k), source.dim(k), e) for k, e in ent.items()})
+    return DGMap(source, target, {k: QMatrix._of(target.dim(k), source.dim(k), e) for k, e in ent.items()})
 
 
 def _into_holim(cube: Cube) -> tuple[DG, DGMap, dict[frozenset, dict[tuple[int, int], int]]]:
@@ -548,7 +548,7 @@ def _move_summands(source: DG, target: DG, src_at: dict, tgt_at: dict, where: di
             rows = tgt_at[where[i]]
             for (k, p), c in at.items():
                 ent.setdefault(k, {})[(rows[(k, p)], c)] = ONE
-    return DGMap(source, target, {k: QMatrix(target.dim(k), source.dim(k), e) for k, e in ent.items()})
+    return DGMap(source, target, {k: QMatrix._of(target.dim(k), source.dim(k), e) for k, e in ent.items()})
 
 
 def cross_effect(f: FunctorSpec, n: int, inputs: Sequence[DG]) -> SymmetricDG:
@@ -742,16 +742,14 @@ def _power_with_swaps(x: DG, n: int) -> tuple[DG, list[DGMap], dict[int, list[li
                 sign = -sign if k % 2 else sign
         diff[deg] = QMatrix(len(tgt), len(lst), ent)
     pw = DG(basis, diff)
-    swaps = []
+    swaps, minus = [], _negated(ONE)
     for m in range(n - 1):
         blocks: dict[int, dict] = {}
         for combo, (deg, col) in index.items():
             new = combo[:m] + (combo[m + 1], combo[m]) + combo[m + 2 :]
-            sgn = -ONE if (combo[m][0] * combo[m + 1][0]) % 2 else ONE
+            sgn = minus if (combo[m][0] * combo[m + 1][0]) % 2 else ONE
             blocks.setdefault(deg, {})[(index[new][1], col)] = sgn
-        swaps.append(
-            DGMap(pw, pw, {k: QMatrix(pw.dim(k), pw.dim(k), e) for k, e in blocks.items()})
-        )
+        swaps.append(DGMap(pw, pw, {k: QMatrix._of(pw.dim(k), pw.dim(k), e) for k, e in blocks.items()}))
     return pw, swaps, {deg: list(groups.values()) for deg, groups in orbits.items()}
 
 

@@ -43,7 +43,6 @@ from .exactq import (
     _kernel_from_rref,
     image_pivot_columns,
     kernel_basis,
-    rank,
     rat,
     rref,
     rref_from,
@@ -308,7 +307,7 @@ def homology(v: DG) -> tuple[dict[int, int], dict[int, list[Vector]]]:
         reversed_at = {f: z - 1 - j for j, f in enumerate(free)}
         dkp1 = v.d(k + 1)
         bnd = QMatrix(dkp1.cols, z, {(c, reversed_at[r]): x for (r, c), x in dkp1.entries.items() if r in reversed_at})
-        ends = {z - 1 - p for p in rref(bnd)[1]}
+        ends = {z - 1 - p for p in image_pivot_columns(bnd)}
         chosen = [z_j for j, z_j in enumerate(cycles) if j not in ends]
         if chosen:
             dims[k] = len(chosen)
@@ -317,8 +316,18 @@ def homology(v: DG) -> tuple[dict[int, int], dict[int, list[Vector]]]:
 
 
 def homology_dims(v: DG) -> dict[int, int]:
-    """dim H_k = dim V_k - rank d_k - rank d_{k+1}, one rank per nonzero d."""
-    ranks = {k: rank(m) for k, m in v.diff.items()}
+    """dim H_k = dim V_k - rank d_k - rank d_{k+1}, one rank per nonzero d,
+    by increasing k, each on d_k's rows at d_{k-1}'s non-pivot columns only.
+    im d_k lies in ker d_{k-1}, whose vectors are determined by those free
+    coordinates, so the rows dropped change neither the rank nor the pivots."""
+    pivots: dict[int, list[int]] = {}
+    for k, m in sorted(v.diff.items()):
+        below = set(pivots.get(k - 1, ()))
+        if below:
+            free = {r: i for i, r in enumerate(r for r in range(m.rows) if r not in below)}
+            m = QMatrix._of(len(free), m.cols, {(free[r], c): x for (r, c), x in m.entries.items() if r in free})
+        pivots[k] = image_pivot_columns(m)
+    ranks = {k: len(p) for k, p in pivots.items()}
     dims = {k: v.dim(k) - ranks.get(k, 0) - ranks.get(k + 1, 0) for k in v.degrees()}
     return {k: h for k, h in dims.items() if h}
 
@@ -400,11 +409,15 @@ def sum_many(
             if m.entries:
                 r0, c0, ent = off[k - 1][i], off[k][j], entries.setdefault(k, {})
                 for (r, c), x in m.entries.items():
-                    old = ent.get((r0 + r, c0 + c))
-                    ent[(r0 + r, c0 + c)] = x if old is None else old + x
-    out = DG(basis, {k: QMatrix(len(basis[k - 1]), len(basis[k]), ent) for k, ent in entries.items()})
+                    key = (r0 + r, c0 + c)
+                    total = x if (old := ent.get(key)) is None else old + x
+                    if total:
+                        ent[key] = total
+                    else:  # only a sum vanishes, and its key is there
+                        del ent[key]
+    out = DG(basis, {k: QMatrix._of(len(basis[k - 1]), len(basis[k]), ent) for k, ent in entries.items()})
     incls = [
-        DGMap(p, out, {k: QMatrix(out.dim(k), p.dim(k), {(off[k][i] + r, r): ONE for r in range(p.dim(k))})
+        DGMap(p, out, {k: QMatrix._of(out.dim(k), p.dim(k), {(off[k][i] + r, r): ONE for r in range(p.dim(k))})
                        for k in p.degrees()})
         for i, p in enumerate(parts)
     ]
@@ -658,7 +671,7 @@ def _block_quotient(
         rows.sort(key=lambda row: row[0])
         reps[k] = [j for j, _ in rows]
         basis[k] = tuple(f"{prefix}({v.basis[k][j]})" for j in reps[k])
-        proj_blocks[k] = QMatrix(len(rows), v.dim(k), {(i, c): x for i, (_, row) in enumerate(rows) for c, x in row.items()})
+        proj_blocks[k] = QMatrix._of(len(rows), v.dim(k), {(i, c): x for i, (_, row) in enumerate(rows) for c, x in row.items()})
     diff = {}
     for k, d in v.diff.items():
         if basis.get(k) and basis.get(k - 1):

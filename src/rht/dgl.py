@@ -839,7 +839,8 @@ def _sub_dgl(l: DGL, incl: DGMap, error: str) -> DGL:
     the image columns are pulled back with one solve per pair of degrees;
     ValueError(error), formatted with the target degree k, if one of them
     leaves the image."""
-    sub, live = incl.source, _live_pairs(l)
+    sub = incl.source
+    live = _live_pairs(l, {k: {r for r, _ in incl.block(k).entries} for k in sub.degrees()})
     table: dict[tuple[int, int, int, int], Vector] = {}
     for k1 in sub.degrees():
         for k2 in sub.degrees():
@@ -931,15 +932,22 @@ def dgl_ho_pullback(
     return p, witness
 
 
-def _live_pairs(l: DGL) -> dict[tuple[int, int], tuple[set[int], set[int]]]:
+def _live_pairs(l: DGL, reach: dict[int, set[int]]) -> dict[tuple[int, int], tuple[set[int], set[int]]]:
     """(k1, k2) -> the first and the second indices of the nonzero entries of
-    l's table in those degrees."""
+    l's table at reach: k1, k2 and k1 + k2 among its degrees, i1 in reach[k1]
+    and i2 in reach[k2].  A lazy table is walked over those keys alone, so it
+    computes no other entry."""
+    keys = l.bracket
+    if isinstance(keys, _LazyBracketTable):
+        keys = [(k1, i1, k2, i2) for k1, at1 in reach.items() for k2, at2 in reach.items()
+                if k1 + k2 in reach for i1 in at1 for i2 in at2]
     live: dict[tuple[int, int], tuple[set[int], set[int]]] = {}
-    for k1, i1, k2, i2 in _basis_keys(l):
-        if any(l.bracket[(k1, i1, k2, i2)]):
-            first, second = live.setdefault((k1, k2), (set(), set()))
-            first.add(i1)
-            second.add(i2)
+    for k1, i1, k2, i2 in keys:
+        if k1 + k2 in reach and i1 in reach.get(k1, ()) and i2 in reach.get(k2, ()):
+            if any(l.bracket.get((k1, i1, k2, i2), ())):
+                first, second = live.setdefault((k1, k2), (set(), set()))
+                first.add(i1)
+                second.add(i2)
     return live
 
 

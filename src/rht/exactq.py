@@ -172,6 +172,14 @@ class QMatrix:
                     clean[(r, c)] = fv
         self.entries = clean
 
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: dict) -> "QMatrix":
+        """The rows x cols matrix on entries, which must already be nonzero
+        Fractions inside it; unlike QMatrix(...), nothing is checked or copied."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
+
     # -- construction ------------------------------------------------------
 
     @staticmethod
@@ -194,7 +202,7 @@ class QMatrix:
                 fv = rat(v)
                 if fv != 0:
                     ent[(i, j)] = fv
-        return QMatrix(rows, cols, ent)
+        return QMatrix._of(rows, cols, ent)
 
     @staticmethod
     def from_columns(cols: Sequence[Vector], nrows: int) -> "QMatrix":
@@ -258,9 +266,7 @@ class QMatrix:
                 ent[k] = _moved(s)
             else:
                 del ent[k]
-        m = QMatrix(self.rows, self.cols)
-        m.entries = ent
-        return m
+        return QMatrix._of(self.rows, self.cols, ent)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self + other.scale(-1)
@@ -270,22 +276,20 @@ class QMatrix:
 
     def scale(self, c) -> "QMatrix":
         c = rat(c)
-        m = QMatrix(self.rows, self.cols)
         n, d = c.numerator, c.denominator
         if n == 0:
-            return m
-        if d == 1 and n == 1:
-            m.entries = {k: _moved(v) for k, v in self.entries.items()}
+            ent = {}
+        elif d == 1 and n == 1:
+            ent = {k: _moved(v) for k, v in self.entries.items()}
         elif d == 1 and n == -1:
-            m.entries = {k: _negated(v) for k, v in self.entries.items()}
+            ent = {k: _negated(v) for k, v in self.entries.items()}
         else:
-            m.entries = {k: _frac(n * v.numerator, d * v.denominator) for k, v in self.entries.items()}
-        return m
+            ent = {k: _frac(n * v.numerator, d * v.denominator) for k, v in self.entries.items()}
+        return QMatrix._of(self.rows, self.cols, ent)
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in *: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        m = QMatrix(self.rows, other.cols)
         targets = _signed_columns(other)
         if targets is not None:
             # column c of the product is ± column k of self, for other[k, c] = ±1
@@ -295,8 +299,7 @@ class QMatrix:
                 if row is not None:
                     for c, s in row:
                         ent[(r, c)] = _moved(v) if s is ONE else _negated(v)
-            m.entries = ent
-            return m
+            return QMatrix._of(self.rows, other.cols, ent)
         if _is_signed_rows(self):
             # row r of the product is ± row k of other, for self[r, k] = ±1
             other_rows: dict[int, list[tuple[int, Fraction]]] = {}
@@ -312,8 +315,7 @@ class QMatrix:
                     else:
                         for c, v in row:
                             ent[(r, c)] = _negated(v)
-            m.entries = ent
-            return m
+            return QMatrix._of(self.rows, other.cols, ent)
         # both factors times the lcm of their denominators; other grouped by row
         da, db = _lcm_denominator(self), _lcm_denominator(other)
         by_row: dict[int, list[tuple[int, int]]] = {}
@@ -329,8 +331,7 @@ class QMatrix:
                 key = (r, c)
                 acc[key] = acc.get(key, 0) + a * b
         den = da * db
-        m.entries = {key: _frac(v, den) for key, v in acc.items() if v}
-        return m
+        return QMatrix._of(self.rows, other.cols, {key: _frac(v, den) for key, v in acc.items() if v})
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
@@ -342,9 +343,7 @@ class QMatrix:
         return tuple(out)
 
     def transpose(self) -> "QMatrix":
-        m = QMatrix(self.cols, self.rows)
-        m.entries = {(c, r): v for (r, c), v in self.entries.items()}
-        return m
+        return QMatrix._of(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
 
     # -- block assembly ------------------------------------------------------
 
@@ -361,9 +360,7 @@ class QMatrix:
             for (r, c), v in m.entries.items():
                 ent[(r, c + off)] = v
             off += m.cols
-        out = QMatrix(rows, off)
-        out.entries = ent
-        return out
+        return QMatrix._of(rows, off, ent)
 
     @staticmethod
     def vstack(mats: Sequence["QMatrix"]) -> "QMatrix":
@@ -378,9 +375,7 @@ class QMatrix:
             for (r, c), v in m.entries.items():
                 ent[(r + off, c)] = v
             off += m.rows
-        out = QMatrix(off, cols)
-        out.entries = ent
-        return out
+        return QMatrix._of(off, cols, ent)
 
     @staticmethod
     def direct_sum(mats: Sequence["QMatrix"]) -> "QMatrix":
@@ -391,9 +386,7 @@ class QMatrix:
                 ent[(r + ro, c + co)] = v
             ro += m.rows
             co += m.cols
-        out = QMatrix(ro, co)
-        out.entries = ent
-        return out
+        return QMatrix._of(ro, co, ent)
 
 
 # -- elimination ------------------------------------------------------------
@@ -411,18 +404,23 @@ def _sparse_rows(m: QMatrix) -> list[dict[int, int]]:
     return out
 
 
-def _rref_rows(rows: list[dict[int, int]], cols: int) -> tuple[list[dict[int, int]], list[int]]:
-    """In-place fraction-free reduced echelon form of integer rows.
+def _rref_rows(rows: list[dict[int, int]], cols: int, start: int = 0) -> tuple[list[dict[int, int]], list[int]]:
+    """In-place fraction-free echelon form of integer rows, reduced above the
+    pivot in the rows whose pivot column is start or later.
 
     The pivot column is the leftmost column some remaining row holds; the
     pivot row is the shortest such row (ties: lowest index), negated if
-    needed so that its pivot p is positive.  Every other row holding the
-    column, with entry f there, becomes (p/g) row - (f/g) pivot row for
-    g = gcd(p, f) and is then divided by its content.  Row i of the result
-    divided by its pivot is row i of the rref, which is unique, so the pivot
-    rule changes only the work done.  A column -> rows index, kept through
-    the pivot swaps, fill-in and cancellation, finds the rows that hold a
-    column without scanning the others.
+    needed so that its pivot p is positive.  A row holding the column, with
+    entry f there, becomes (p/g) row - (f/g) pivot row for g = gcd(p, f) and
+    is then divided by its content: each row below the pivot row, and each
+    row above it whose own pivot is start or later.  Every pivot row comes
+    from below, so a row left as it is never feeds another, and the pivots
+    and the other rows are the same for every start.  Row i with pivot start
+    or later, divided by its pivot, is row i of the rref, which is unique,
+    so the pivot rule changes only the work done.  The pivot readers need
+    only start = cols: forward elimination.  A column -> rows index, kept
+    through the pivot swaps, fill-in and cancellation, finds the rows that
+    hold a column without scanning the others.
     """
     # a row's id is its position on entry; holders[k] holds the ids of the rows
     # holding column k, pos[j] is row j's position now, and ids[i] the id of
@@ -461,6 +459,8 @@ def _rref_rows(rows: list[dict[int, int]], cols: int) -> tuple[list[dict[int, in
         p = prow[c]
         for j in [j for j in held if j != jp]:
             i = pos[j]
+            if i < r and pivots[i] < start:
+                continue
             tgt = rows[i]
             f = tgt[c]
             g = gcd(p, f)
@@ -491,7 +491,7 @@ def _rref_rows(rows: list[dict[int, int]], cols: int) -> tuple[list[dict[int, in
 
 
 def _pivots(m: QMatrix) -> list[int]:
-    return _rref_rows(_sparse_rows(m), m.cols)[1]
+    return _rref_rows(_sparse_rows(m), m.cols, m.cols)[1]
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
@@ -501,13 +501,13 @@ def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
 
 def rref_from(m: QMatrix, start: int) -> tuple[QMatrix, list[int]]:
     """rref(m) holding only the rows whose pivot column is start or later (the
-    rows above them are left empty), and all of its pivots.  The elimination
-    is rref's; only the rows a caller reads become Fractions."""
-    rows, pivots = _rref_rows(_sparse_rows(m), m.cols)
+    rows above them are left empty), and all of its pivots.  Only those rows
+    are cleared above their pivots and become Fractions; the pivots and the
+    rows kept are rref's (see _rref_rows)."""
+    rows, pivots = _rref_rows(_sparse_rows(m), m.cols, start)
     first = bisect_left(pivots, start)
-    out = QMatrix(m.rows, m.cols)
-    out.entries = {(i, c): _frac(v, rows[i][pivots[i]]) for i in range(first, len(pivots)) for c, v in rows[i].items()}
-    return out, pivots
+    ent = {(i, c): _frac(v, rows[i][pivots[i]]) for i in range(first, len(pivots)) for c, v in rows[i].items()}
+    return QMatrix._of(m.rows, m.cols, ent), pivots
 
 
 def rank(m: QMatrix) -> int:
@@ -537,15 +537,6 @@ def image_pivot_columns(m: QMatrix) -> list[int]:
     return _pivots(m)
 
 
-def image_basis(m: QMatrix) -> list[Vector]:
-    return [m.column(j) for j in image_pivot_columns(m)]
-
-
-def rank_kernel_image(m: QMatrix) -> tuple[int, list[Vector], list[Vector]]:
-    red, pivots = rref(m)
-    return len(pivots), _kernel_from_rref(red, pivots), [m.column(j) for j in pivots]
-
-
 def _solve(m: QMatrix, b: QMatrix) -> Optional[QMatrix]:
     """X with m X = b from one elimination of [m | b].
 
@@ -556,14 +547,12 @@ def _solve(m: QMatrix, b: QMatrix) -> Optional[QMatrix]:
     rows, pivots = _rref_rows(_sparse_rows(QMatrix.hstack([m, b])), m.cols)
     if any(rows[len(pivots):]):
         return None
-    out = QMatrix(m.cols, b.cols)
-    out.entries = {
+    return QMatrix._of(m.cols, b.cols, {
         (pc, c - m.cols): _frac(v, row[pc])
         for pc, row in zip(pivots, rows)
         for c, v in row.items()
         if c >= m.cols
-    }
-    return out
+    })
 
 
 def solve_linear(m: QMatrix, b: Sequence[Fraction]) -> Optional[Vector]:
@@ -580,11 +569,3 @@ def solve_matrix(m: QMatrix, b: QMatrix) -> Optional[QMatrix]:
         raise ValueError("shape mismatch in solve_matrix")
     return _solve(m, b)
 
-
-def extend_to_basis(spanning: QMatrix, candidates: QMatrix) -> list[int]:
-    """Columns of `candidates` completing the column space of `spanning` to
-    span both; returns candidate column indices, deterministic (leftmost).
-    """
-    combined = QMatrix.hstack([spanning, candidates])
-    pivots = image_pivot_columns(combined)
-    return [p - spanning.cols for p in pivots if p >= spanning.cols]

@@ -57,7 +57,7 @@ from rht.dgcore import (
 from rht.dgcore import _block_quotient, _cube_sum, _degree_positions, _out_of_suspension, _tensor_with_index, map_add, projection, tot
 from rht.calculus import IdentityFunctor, _collapse_last, _power_with_swaps, cross_effect, lie_n, tensor_map
 from rht.calculus import test_cube as _test_cube, thfib_thcof
-from rht.exactq import ONE, ZERO, QMatrix, extend_to_basis, image_pivot_columns, kernel_basis, rank, rat, solve_matrix
+from rht.exactq import ONE, ZERO, QMatrix, image_pivot_columns, kernel_basis, rank, rat, solve_matrix
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
 
 
@@ -181,6 +181,13 @@ def test_big_loops_injections_quasi_iso():
 # -- one-pass homology against the earlier three-reduction algorithm ----------------
 
 
+def extend_to_basis(spanning: QMatrix, candidates: QMatrix) -> list[int]:
+    """Columns of candidates completing the column space of spanning to span
+    both; candidate column indices, deterministic (leftmost)."""
+    pivots = image_pivot_columns(QMatrix.hstack([spanning, candidates]))
+    return [p - spanning.cols for p in pivots if p >= spanning.cols]
+
+
 def _three_reduction_homology(v: DG):
     """Cycles from ker d_k, a basis of the boundaries from the pivots of d_{k+1},
     then the cycles that extend the boundaries to a basis of both."""
@@ -230,6 +237,26 @@ def test_homology_matches_the_three_reduction_algorithm(v):
     assert (dims, reps) == _three_reduction_homology(v)
     assert homology_dims(v) == dims
     assert is_contractible(v) == (not dims)
+
+
+def _rank_per_degree_dims(v: DG) -> dict[int, int]:
+    """dim V_k - rank d_k - rank d_{k+1}, each rank on the whole matrix."""
+    dims = {k: v.dim(k) - rank(v.d(k)) - rank(v.d(k + 1)) for k in v.degrees()}
+    return {k: h for k, h in dims.items() if h}
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_dgs)
+def test_homology_dims_on_kernel_coordinates_match_the_rank_per_degree_formula(v):
+    assert homology_dims(v) == _rank_per_degree_dims(v)
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("mode", ["limit", "colimit"])
+def test_homology_dims_of_test_cube_totals_match_the_rank_per_degree_formula(n, mode):
+    x = DG({1: ("a",), 2: ("b", "c")}, {2: QMatrix.from_rows([[1, -1]])})
+    total = ho_cube(mode, _test_cube(n, x))
+    assert homology_dims(total) == _rank_per_degree_dims(total)
 
 
 @settings(max_examples=60, deadline=None)

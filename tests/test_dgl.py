@@ -338,6 +338,21 @@ def test_odd_square_leads_with_coefficient_two():
     assert b.coords({(1, 1): rat(1)}) == {6: want}
 
 
+@pytest.mark.parametrize("r, most", [(3, 32), (5, 0)])
+def test_reducing_a_lazy_table_computes_only_the_entries_it_reads(r, most):
+    def lazy():
+        b = free_lie_basis([("a", 1), ("b", 2), ("c", 3)], 8)
+        # d b = a, d c = [a,a]
+        return to_dgl(FreeDGL(b, {1: {(0,): ONE}, 2: dict(b.expand((0, 0)))}))
+
+    l, whole = lazy(), lazy()
+    eager = DGL(whole.underlying, dict(whole.bracket.items()), cap=whole.cap)
+    assert len(whole.bracket._entries) == 151
+    reduced = reduce_dgl(r, l)
+    assert len(l.bracket._entries) <= most
+    assert reduced == reduce_dgl(r, eager) and dgl_validate(reduced) == []
+
+
 def test_lazy_bracket_table_equals_the_eager_one():
     b = free_lie_basis([("a", 1), ("b", 2), ("c", 3)], 6)
     # d b = a, d c = [a,a]

@@ -18,19 +18,37 @@ from rht.exactq import (
     QMatrix,
     _is_signed_rows,
     _rref_rows,
+    _kernel_from_rref,
     _signed_columns,
-    extend_to_basis,
-    image_basis,
     image_pivot_columns,
     kernel_basis,
     rank,
-    rank_kernel_image,
     rat,
     rref,
     rref_from,
     solve_linear,
     solve_matrix,
 )
+
+
+# -- the image and extension helpers nothing in the library calls any more ----
+
+
+def image_basis(m: QMatrix) -> list:
+    return [m.column(j) for j in image_pivot_columns(m)]
+
+
+def rank_kernel_image(m: QMatrix) -> tuple:
+    red, pivots = rref(m)
+    return len(pivots), _kernel_from_rref(red, pivots), [m.column(j) for j in pivots]
+
+
+def extend_to_basis(spanning: QMatrix, candidates: QMatrix) -> list[int]:
+    """Columns of candidates completing the column space of spanning to span
+    both; candidate column indices, deterministic (leftmost)."""
+    pivots = image_pivot_columns(QMatrix.hstack([spanning, candidates]))
+    return [p - spanning.cols for p in pivots if p >= spanning.cols]
+
 
 # -- frozen hand-computed expectations ---------------------------------------
 
@@ -775,3 +793,140 @@ def test_small_integer_entries_are_shared():
     swap = QMatrix.from_rows([[0, -1], [1, 0]])
     for m in (swap * swap, swap.scale(-1), -swap, QMatrix.from_rows([["1/2", 0]]) * swap.scale(2)):
         assert all(v is _SMALL[v.numerator] for v in m.entries.values())
+
+
+# -- forward-only elimination against the full reduction it replaced --------------
+
+
+def _full_rref_rows(rows, cols):
+    """_rref_rows before its start argument: each pivot step reduces every row
+    holding the pivot column, the rows above the pivot row too."""
+    holders = {}
+    for j, row in enumerate(rows):
+        for k in row:
+            holders.setdefault(k, set()).add(j)
+    nrows = len(rows)
+    pos = list(range(nrows))
+    ids = list(range(nrows))
+    pivots = []
+    r = 0
+    for c in range(cols):
+        held = holders.get(c)
+        if not held:
+            continue
+        piv = None
+        for j in held:
+            i = pos[j]
+            if i >= r and (piv is None or (len(rows[i]), i) < (len(rows[piv]), piv)):
+                piv = i
+        if piv is None:
+            continue
+        prow = rows[piv]
+        if prow[c] < 0:
+            prow = {k: -v for k, v in prow.items()}
+        rows[piv], rows[r] = rows[r], prow
+        jp, jr = ids[piv], ids[r]
+        ids[piv], ids[r] = jr, jp
+        pos[jp], pos[jr] = r, piv
+        p = prow[c]
+        for j in [j for j in held if j != jp]:
+            i = pos[j]
+            tgt = rows[i]
+            f = tgt[c]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for k in tgt:
+                    tgt[k] *= a
+            for k, v in prow.items():
+                s = tgt.get(k)
+                if s is None:
+                    tgt[k] = -b * v
+                    holders[k].add(j)
+                else:
+                    s -= b * v
+                    if s:
+                        tgt[k] = s
+                    else:
+                        del tgt[k]
+                        holders[k].remove(j)
+            g = gcd(*tgt.values())
+            if g > 1:
+                rows[i] = {k: v // g for k, v in tgt.items()}
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_rows())
+def test_rows_from_start_on_match_the_full_reduction(case):
+    rows, cols = case
+    want, want_pivots = _full_rref_rows([dict(r) for r in rows], cols)
+    for start in range(cols + 2):
+        got, pivots = _rref_rows([dict(r) for r in rows], cols, start)
+        assert pivots == want_pivots
+        # the rows whose pivot is start or later, then the rows with no pivot
+        read = [i for i, p in enumerate(pivots) if p >= start] + list(range(len(pivots), len(rows)))
+        assert [got[i] for i in read] == [want[i] for i in read]
+    assert _rref_rows([dict(r) for r in rows], cols) == (want, want_pivots)
+
+
+def test_forward_elimination_leaves_the_rows_above_a_pivot():
+    rows = [{0: 1, 1: 1}, {1: 1}]
+    assert _rref_rows([dict(r) for r in rows], 2, 2) == ([{0: 1, 1: 1}, {1: 1}], [0, 1])
+    assert _rref_rows([dict(r) for r in rows], 2, 1) == ([{0: 1, 1: 1}, {1: 1}], [0, 1])
+    assert _rref_rows([dict(r) for r in rows], 2, 0) == ([{0: 1}, {1: 1}], [0, 1])
+
+
+# -- the unchecked constructor against the checked one ------------------------------
+
+
+def test_unchecked_constructor_sites_build_what_the_checked_one_builds(monkeypatch):
+    """Over a run through every caller of QMatrix._of, each call gets nonzero
+    Fractions inside its shape and so builds what QMatrix(...) builds."""
+    import sys
+
+    from rht.calculus import TensorPowerFunctor, cross_effect, homogeneous_eval, lie_n, test_cube
+    from rht.dgcore import DG, ho_cube, homology_dims, sum_many
+
+    real, sites = QMatrix._of.__func__, set()
+
+    def checked(cls, rows, cols, entries):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        sites.add(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
+        for (r, c), v in entries.items():
+            assert type(v) is Fraction and v != 0 and 0 <= r < rows and 0 <= c < cols
+        m = real(cls, rows, cols, entries)
+        assert m == QMatrix(rows, cols, entries) and m.entries is entries
+        return m
+
+    monkeypatch.setattr(QMatrix, "_of", classmethod(checked))
+    a = QMatrix.from_rows([[1, "1/2", 0], [0, 2, -1]])
+    cols = QMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 1]]).scale(1)
+    rows = QMatrix.from_rows([[0, -1], [1, 0]]).scale(1)
+    for m in (a * cols, rows * a, a * a.transpose(), a.scale(2), -a, a.scale(0), a + a, a - a):
+        assert m == QMatrix(m.rows, m.cols, m.entries)
+    assert QMatrix.direct_sum([a, QMatrix.vstack([a, a])]).rows == 6
+    assert rref_from(QMatrix.hstack([a, QMatrix.identity(2)]), 3)[1] == [0, 1]
+    assert a * solve_matrix(a, a) == a
+    # consecutive nonzero differentials; twists that cancel leave no entry
+    v = DG({0: ("a",), 1: ("b", "c"), 2: ("e",)}, {1: QMatrix.from_rows([[1, 0]]), 2: QMatrix.from_rows([[0], [1]])})
+    assert homology_dims(v) == {}
+    minus = {k: -m for k, m in v.diff.items()}
+    assert sum_many([v, v], twist=[(0, 1, v.diff), (0, 1, minus)])[0] == sum_many([v, v])[0]
+    x = DG({1: ("a",), 2: ("b", "c")}, {2: QMatrix.from_rows([[1, -1]])})
+    ho_cube("limit", test_cube(2, x))
+    cross_effect(TensorPowerFunctor(2), 2, [x, x])
+    homogeneous_eval(lie_n(3).derivative(), x, 3)
+    assert sites == {
+        *(f"rht.exactq.{f}" for f in ("from_rows", "__add__", "scale", "__mul__", "transpose",
+                                     "hstack", "vstack", "direct_sum", "rref_from", "_solve")),
+        "rht.dgcore.homology_dims", "rht.dgcore.sum_many", "rht.dgcore._block_quotient",
+        "rht.calculus.edge_map", "rht.calculus._gather", "rht.calculus._move_summands",
+        "rht.calculus._power_with_swaps",
+    }
