@@ -13,8 +13,8 @@ jets (layers plus the triangular differential blocks).
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -593,8 +593,18 @@ def cross_effect(f: FunctorSpec, n: int, inputs: Sequence[DG]) -> SymmetricDG:
 
 
 def _left_normed_expand(seq: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
-    """[s1,[s2,...,[s_{k-1},s_k]...]] expanded in the free associative algebra."""
-    return _expand_bracket(functools.reduce(lambda tree, s: (s, tree), reversed(seq[:-1]), seq[-1]))
+    """[s1,[s2,...,[s_{k-1},s_k]...]] of distinct letters expanded in the free
+    associative algebra.  [s, E] = sE - Es, and as s is not in E, the words sw
+    and ws of E's words w are all distinct: each coefficient is a shared +-1,
+    in _expand_bracket's order, with no Fraction arithmetic."""
+    words = {(seq[-1],): ONE}
+    for s in reversed(seq[:-1]):
+        out = {}
+        for w, c in words.items():
+            out[(s,) + w] = c
+            out[w + (s,)] = _negated(c)
+        words = out
+    return words
 
 
 @dataclass
@@ -703,16 +713,28 @@ def lie_dim_oracle(n: int) -> int:
 # -- homogeneous functors ------------------------------------------------------------
 
 
-def _power_with_swaps(x: DG, n: int) -> tuple[DG, list[DGMap], dict[int, list[list[int]]]]:
+def _power_with_swaps(
+    x: DG, n: int, top: Optional[int] = None
+) -> tuple[DG, list[DGMap], dict[int, list[list[int]]]]:
     """x^{(x) n} with the n-1 adjacent Koszul-signed factor swaps, and per
     degree its positions grouped by Sigma_n-orbit (by multiset of factors),
-    each group in increasing order."""
+    each group in increasing order.
+
+    With a top degree, only the factor tuples of total degree <= top: a
+    subcomplex closed under the swaps.  A prefix is extended only while the
+    factors still to come, each of degree >= x's least, can keep it <= top,
+    and prefixes are extended in order, so each degree lists its tuples in
+    itertools.product's order, as the whole power does."""
     factors = [(k, i) for k in x.degrees() for i in range(x.dim(k))]
+    low = min(x.degrees(), default=0)
+    combos: list[tuple[tuple, int]] = [((), 0)]
+    for rest in range(n - 1, -1, -1):  # rest: the factors still to come after this one
+        fits = math.inf if top is None else top - rest * low
+        combos = [(c + (f,), s + f[0]) for c, s in combos for f in factors if s + f[0] <= fits]
     by_deg: dict[int, list[tuple]] = {}
     index: dict[tuple, tuple[int, int]] = {}
     orbits: dict[int, dict[tuple, list[int]]] = {}
-    for combo in itertools.product(factors, repeat=n):
-        total = sum(k for k, _ in combo)
+    for combo, total in combos:
         lst = by_deg.setdefault(total, [])
         index[combo] = (total, len(lst))
         orbits.setdefault(total, {}).setdefault(tuple(sorted(combo)), []).append(len(lst))
@@ -754,28 +776,56 @@ def _power_with_swaps(x: DG, n: int) -> tuple[DG, list[DGMap], dict[int, list[li
 
 
 def homogeneous_eval(
-    coefficient: SymmetricDG, x: DG, n: int, target: str = "dg", r: int = 2
+    coefficient: SymmetricDG, x: DG, n: int, target: str = "dg", r: int = 2, top: Optional[int] = None
 ):
     """(A (x) x^{(x) n})_{Sigma_n} as the orbit quotient, then delooped
     into the target category (dg: as is; dgl: one desuspension; dgc: reduced).
+
+    With a top degree (in the target's degrees), the result is the whole
+    result's restriction to the degrees <= top, with the same names and
+    differential there: the quotient is built only in those degrees.
+    """
+    if coefficient.n != n:
+        raise ValueError("coefficient arity does not match n")
+    if target not in ("dg", "dgl", "dgc"):
+        raise ValueError(f"unknown target {target!r}")
+    if top is not None and target == "dgl":
+        top += 1  # the desuspension lowers every degree by one
+    orbits = _orbit_quotient(coefficient, x, n, top)[0]
+    if target == "dg":
+        return orbits
+    if target == "dgl":
+        return shift(orbits, -1)
+    return reduce_dg(r, orbits)
+
+
+def _orbit_quotient(coefficient: SymmetricDG, x: DG, n: int, top: Optional[int] = None) -> tuple[DG, DGMap]:
+    """The quotient of A (x) x^{(x) n} by the images of a (x) s - 1, with its
+    projection.
 
     a (x) s keeps A's degree and the multiset of x's factors, so the killed
     images of a (x) s - 1 form one block per degree of A and Sigma_n-orbit of
     factor tuples.  Each block is built from A's action columns and the signed
     swaps, in the whole tensor's column and row order, and _block_quotient
     eliminates them one by one: the same quotient as the whole tensor's.
+
+    With a top degree, only the degrees <= top: they form a subcomplex, as d
+    lowers degree, each degree's quotient reads only that degree's blocks,
+    and each degree's positions are the whole tensor's.  So names, projection
+    and differential there are the whole quotient's.
     """
-    if coefficient.n != n:
-        raise ValueError("coefficient arity does not match n")
-    pw, swaps, by_orbit = _power_with_swaps(x, n)
     a = coefficient.underlying
-    und, at = _tensor_with_index(a, pw)
+    pw_top = None if top is None else top - min(a.degrees(), default=0)
+    pw, swaps, by_orbit = _power_with_swaps(x, n, pw_top)
+    und, at = _tensor_with_index(a, pw, top)
     acts = [_by_column(g.blocks) for g in coefficient.action]
     moves = [_by_column(s.blocks) for s in swaps]
     blocks: dict[int, list[tuple[list[int], QMatrix]]] = {}
     for i in a.degrees():
         dim = a.dim(i)
         for j, groups in by_orbit.items():
+            if top is not None and i + j > top:
+                continue
             for orb in groups:
                 size, local = len(orb), {q: t for t, q in enumerate(orb)}
                 cols = dim * size
@@ -788,18 +838,16 @@ def homogeneous_eval(
                             c = g * cols + t
                             for row, y in column:
                                 ent[(row * size + u, c)] = y if plus else _negated(y)
-                            y = ent.get((t, c))  # QMatrix drops the zero a fixed point leaves
-                            ent[(t, c)] = _negated(ONE) if y is None else y - ONE
+                            y = ent.get((t, c))
+                            if y is None:
+                                ent[(t, c)] = _negated(ONE)
+                            elif y == ONE:  # a fixed point a (x) s = a (x) s kills nothing
+                                del ent[(t, c)]
+                            else:
+                                ent[(t, c)] = y - ONE
                 at_block = [at[(i, p, j, q)][1] for p in range(dim) for q in orb]
-                blocks.setdefault(i + j, []).append((at_block, QMatrix(cols, len(acts) * cols, ent)))
-    orbits = _block_quotient(und, blocks, "orb")[0]
-    if target == "dg":
-        return orbits
-    if target == "dgl":
-        return shift(orbits, -1)
-    if target == "dgc":
-        return reduce_dg(r, orbits)
-    raise ValueError(f"unknown target {target!r}")
+                blocks.setdefault(i + j, []).append((at_block, QMatrix._of(cols, len(acts) * cols, ent)))
+    return _block_quotient(und, blocks, "orb")
 
 
 # -- Taylor layers of the cobar tower ------------------------------------------------
@@ -829,12 +877,9 @@ class Tower:
         return report
 
 
-def taylor_layers_cobar(c, n: int, cap: int):
-    """Bracket-length tower of the cobar Lie algebra with its layers, and a
-    layer-vs-derivative-formula dimension comparison below the cap."""
-    cd = _as_dgc(c)
-    lc = cobar_L(cd, cap)
-    objects, layers, keeps = _filtration_dgs(lc, n)
+def cobar_tower(c, n: int, cap: int) -> tuple[Tower, list[DG]]:
+    """Bracket-length tower of the cobar Lie algebra, stages 1..n, with its layers."""
+    objects, layers, keeps = _filtration_dgs(cobar_L(_as_dgc(c), cap), n)
     maps = []
     for i in range(len(objects) - 1):
         big, small = objects[i + 1], objects[i]
@@ -844,16 +889,27 @@ def taylor_layers_cobar(c, n: int, cap: int):
             ent = {(row[orig], col): ONE for col, orig in enumerate(keeps[i + 1][k]) if orig in row}
             blocks[k] = QMatrix(small.dim(k), big.dim(k), ent)
         maps.append(DGMap(big, small, blocks))
-    tower = Tower(objects[:], maps, r=0)
+    return Tower(objects[:], maps, r=0), layers
+
+
+def layer_report(x: DG, layers: Sequence[DG], cap: int) -> dict[int, dict]:
+    """Layer k against the derivative formula (Lie(k) (x) x^{(x) k})_{Sigma_k}
+    desuspended, for x the coalgebra's underlying DG: their dims at or below
+    the cap, the only degrees the formula is built in."""
     report = {}
-    x = cd.underlying
-    for k in range(1, n + 1):
-        formula = homogeneous_eval(lie_n(k).derivative(), x, k, target="dgl")
+    for k, layer in enumerate(layers, 1):
+        formula = homogeneous_eval(lie_n(k).derivative(), x, k, target="dgl", top=cap)
         fd = {d: formula.dim(d) for d in formula.degrees() if d <= cap and formula.dim(d)}
-        layer = layers[k - 1]
         ld = {d: layer.dim(d) for d in layer.degrees() if d <= cap and layer.dim(d)}
         report[k] = {"layer": ld, "formula": fd, "match": ld == fd}
-    return tower, layers, report
+    return report
+
+
+def taylor_layers_cobar(c, n: int, cap: int):
+    """cobar_tower with its layer_report: (tower, layers, report)."""
+    cd = _as_dgc(c)
+    tower, layers = cobar_tower(cd, n, cap)
+    return tower, layers, layer_report(cd.underlying, layers, cap)
 
 
 # -- jets -----------------------------------------------------------------------------

@@ -430,23 +430,26 @@ def _gen_dims(free_l) -> dict[int, int]:
     return {k: degs.count(k) for k in sorted(set(degs))}
 
 
-def _layers(model, mf, n):
-    from .calculus import taylor_layers_cobar
+def _tower(model, mf, n):
+    from .calculus import cobar_tower
 
     if not isinstance(model, DGC):
         raise UsageError("Taylor towers are computed from dgc models")
-    return taylor_layers_cobar(model, n, mf.truncate)
+    return cobar_tower(model, n, mf.truncate)
 
 
 def cmd_tower(model, mf, args, report):
-    tower, layers, _ = _layers(model, mf, args.n)
+    tower, _ = _tower(model, mf, args.n)
     report["stages"] = {i + 1: _graded_dims(o) for i, o in enumerate(tower.objects)}
     report["valid"] = "yes" if tower.validate() == [] else "no"
     return 0
 
 
 def cmd_layers(model, mf, args, report):
-    _, layers, match = _layers(model, mf, args.n)
+    from .calculus import layer_report
+
+    _, layers = _tower(model, mf, args.n)
+    match = layer_report(model.underlying, layers, mf.truncate)
     report["layers"] = {
         k: {
             "layer": dict(sorted(match[k]["layer"].items())),
@@ -471,7 +474,7 @@ def cmd_crosseffect(model, mf, args, report):
 def cmd_jet(model, mf, args, report):
     from .calculus import jet_extract, jet_validate
 
-    tower, _, _ = _layers(model, mf, args.n)
+    tower, _ = _tower(model, mf, args.n)
     jet = jet_extract(tower)
     report["layers"] = {i + 1: _graded_dims(l) for i, l in enumerate(jet.layers)}
     blocks = {}

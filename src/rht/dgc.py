@@ -154,9 +154,10 @@ def zero_dgc_map(a: DGC, b: DGC) -> DGCMap:
 
 def _coproduct_map(c: DGC) -> DGMap:
     """The reduced coproduct as a degree-zero map V -> V (x) V, placed through
-    the tensor index; an entry that is not a pure tensor of its own degree raises."""
+    the tensor index; an entry that is not a pure tensor of its own degree raises.
+    V (x) V is laid out only up to V's top degree, the degrees the map reaches."""
     dg = c.underlying
-    square, index = _tensor_with_index(dg, dg)
+    square, index = _tensor_with_index(dg, dg, max(dg.degrees(), default=0))
     ent: dict[int, dict] = {}
     for (k, i), table in c.coproduct.items():
         for ((k1, i1), (k2, i2)), val in table.items():
@@ -493,7 +494,7 @@ def reduce_dgc(r: int, c) -> DGC:
             continue
         below = {j: s for j, s in spans.items() if j < k}
         span = DGMap(DG({j: ("",) * s.cols for j, s in below.items()}), dg, below)
-        square = tensor_map(span, span).block(k)
+        square = tensor_map(span, span, k).block(k)
         # functionals killing the square
         ann = QMatrix.from_columns(kernel_basis(square.transpose()), square.rows).transpose()
         keep = kernel_basis(ann * (delta.block(k) * x))
@@ -509,8 +510,9 @@ def _sub_dgc(c: DGC, vectors: dict[int, list[Vector]], prefix: str) -> tuple[DGC
     """Sub-coalgebra spanned by the given vectors (must be closed under d and
     under the reduced coproduct)."""
     sub, incl = sub_dg(c.underlying, vectors, prefix=prefix)
-    delta, square = _coproduct_map(c), tensor_map(incl, incl)
-    pair_at = {place: ((k1, i1), (k2, i2)) for (k1, i1, k2, i2), place in _tensor_with_index(sub, sub)[1].items()}
+    top = max(sub.degrees(), default=0)
+    delta, square = _coproduct_map(c), tensor_map(incl, incl, top)
+    pair_at = {place: ((k1, i1), (k2, i2)) for (k1, i1, k2, i2), place in _tensor_with_index(sub, sub, top)[1].items()}
     table: CoTable = {}
     for k in sub.degrees():
         sol = solve_matrix(square.block(k), delta.block(k) * incl.block(k))

@@ -439,12 +439,20 @@ def tensor_dg(a: DG, b: DG) -> DG:
     return _tensor_with_index(a, b)[0]
 
 
-def _tensor_with_index(a: DG, b: DG) -> tuple[DG, dict[tuple[int, int, int, int], tuple[int, int]]]:
-    """tensor_dg and the place of each pure tensor: (i, p, j, q) -> (i + j, position)."""
+def _tensor_with_index(
+    a: DG, b: DG, top: Optional[int] = None
+) -> tuple[DG, dict[tuple[int, int, int, int], tuple[int, int]]]:
+    """tensor_dg and the place of each pure tensor: (i, p, j, q) -> (i + j, position).
+
+    With a top degree, only the degrees <= top are laid out: a subcomplex, as
+    d lowers degree, and each degree's positions are those of the whole
+    tensor, which walks the pairs (i, j) of one degree in the same order."""
     index: dict[tuple[int, int, int, int], tuple[int, int]] = {}
     names: dict[int, list[str]] = {}
     for i in a.degrees():
         for j in b.degrees():
+            if top is not None and i + j > top:
+                break
             lst = names.setdefault(i + j, [])
             for p, x in enumerate(a.basis[i]):
                 for q, y in enumerate(b.basis[j]):
@@ -473,10 +481,11 @@ def _by_column(blocks: Mapping[int, QMatrix]) -> dict[tuple[int, int], list[tupl
     return cols
 
 
-def tensor_map(f: DGMap, g: DGMap) -> DGMap:
-    """f (x) g for degree-zero chain maps (no Koszul signs arise)."""
-    src, si = _tensor_with_index(f.source, g.source)
-    tgt, ti = _tensor_with_index(f.target, g.target)
+def tensor_map(f: DGMap, g: DGMap, top: Optional[int] = None) -> DGMap:
+    """f (x) g for degree-zero chain maps (no Koszul signs arise), with a top
+    degree only on the degrees <= top (see _tensor_with_index)."""
+    src, si = _tensor_with_index(f.source, g.source, top)
+    tgt, ti = _tensor_with_index(f.target, g.target, top)
     fc, gc = _by_column(f.blocks), _by_column(g.blocks)
     ent: dict[int, dict] = {}
     for (i, p, j, q), (n, col) in si.items():

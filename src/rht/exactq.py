@@ -393,15 +393,23 @@ class QMatrix:
 
 
 def _sparse_rows(m: QMatrix) -> list[dict[int, int]]:
-    """The rows of m, each scaled by the lcm of its denominators to integers."""
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(m.rows)]
+    """The rows of m, each scaled by the lcm of its denominators to integers.
+
+    One pass takes every entry's numerator; only a row holding a non-integer
+    is then scaled, by the lcm of its non-integers' denominators."""
+    rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
+    fractions: dict[int, list[tuple[int, Fraction]]] = {}
     for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    out = []
-    for row in rows:
-        den = lcm(*(v.denominator for v in row.values()))
-        out.append({c: v.numerator * (den // v.denominator) for c, v in row.items()})
-    return out
+        rows[r][c] = v.numerator
+        if v.denominator != 1:
+            fractions.setdefault(r, []).append((c, v))
+    for r, held in fractions.items():
+        den, row = lcm(*(v.denominator for _, v in held)), rows[r]
+        for c in row:
+            row[c] *= den
+        for c, v in held:
+            row[c] = v.numerator * (den // v.denominator)
+    return rows
 
 
 def _rref_rows(rows: list[dict[int, int]], cols: int, start: int = 0) -> tuple[list[dict[int, int]], list[int]]:

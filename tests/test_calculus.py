@@ -44,6 +44,7 @@ from rht.calculus import (
     _into_holim,
     _join_map,
     _left_normed_expand,
+    _orbit_quotient,
     _outof_hocolim,
     _perm_sort_sign,
 )
@@ -435,6 +436,20 @@ def test_lie_blocks_match_the_solve_over_all_words():
             assert all(v is _SMALL[v.numerator] for v in m.entries.values() if v.denominator == 1 and -16 <= v <= 16)
 
 
+def test_left_normed_expansion_is_the_bracket_tree_expansion():
+    """The +-1 expansion against _expand_bracket on the left-normed tree: the
+    same words with the same coefficients in the same order, each a shared +-1."""
+    from rht.calculus import _expand_bracket
+
+    for seq in (list(p) for n in range(1, 7) for p in itertools.permutations(range(1, n + 1))):
+        tree = seq[-1]
+        for s in reversed(seq[:-1]):
+            tree = (s, tree)
+        got = _left_normed_expand(seq)
+        assert list(got.items()) == list(_expand_bracket(tree).items())
+        assert all(v is _SMALL[v.numerator] for v in got.values())
+
+
 def test_lie2_transposition_acts_by_minus_one():
     assert dict(lie_n(2).rep.action[0].block(0).entries) == {(0, 0): -ONE}
 
@@ -583,6 +598,51 @@ def test_derivative_layers_have_the_dimensions_of_the_character_formula(model):
     for n in range(1, 6):
         got = homogeneous_eval(lie_n(n).derivative(), x, n)
         assert _chain_dims(got) == _lie_coinvariant_dims(x, n, 1 - n, True)
+
+
+def _below(v, top):
+    """A DG's degrees <= top, a subcomplex, with their names and differential."""
+    return DG({k: b for k, b in v.basis.items() if k <= top}, {k: m for k, m in v.diff.items() if k <= top})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from(["derivative", "placed"]),
+       st.sampled_from(["dg", "dgl", "dgc"]), st.integers(-8, 8))
+def test_windowed_homogeneous_eval_is_the_whole_one_at_and_below_top(seed, n, kind, target, top):
+    rng = random.Random(seed)
+    # degrees down to -2, so the tuples' least degree per factor is often <= 0
+    x = random_dg(rng, -2, 2, {1: 3, 2: 3, 3: 2, 4: 2, 5: 1}[n])
+    degree, twisted = (1 - n, True) if kind == "derivative" else (rng.randint(-2, 2), False)
+    coefficient = lie_n(n).placed(degree, twisted)
+    got = homogeneous_eval(coefficient, x, n, target, top=top)
+    assert _same(got, _below(homogeneous_eval(coefficient, x, n, target), top))
+    # the quotient before the target's deloop: names, projection, differential
+    inner = top + 1 if target == "dgl" else top
+    (whole, whole_proj), (part, proj) = _orbit_quotient(coefficient, x, n), _orbit_quotient(coefficient, x, n, inner)
+    assert _same(part, _below(whole, inner))
+    assert _same(proj.source, _below(whole_proj.source, inner))
+    assert all(proj.block(k) == whole_proj.block(k) for k in proj.source.degrees())
+    # the power itself: positions, swaps and orbits in each degree <= top
+    pw_top = inner - degree
+    whole_pw, whole_swaps, whole_orbits = _power_with_swaps(x, n)
+    pw, swaps, orbits = _power_with_swaps(x, n, pw_top)
+    assert _same(pw, _below(whole_pw, pw_top))
+    assert orbits == {k: o for k, o in whole_orbits.items() if k <= pw_top}
+    for s, w in zip(swaps, whole_swaps):
+        assert all(s.block(k) == w.block(k) for k in pw.degrees())
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_derivative_layers_at_n_7_and_8_have_the_character_formula_dimensions_in_the_window(n):
+    """The layers command's formula at cap 10 on the shipped model: the
+    desuspended quotient, built in the degrees <= 10 only.  At n = 8 those hold
+    the orbits of v2^(x)8 and v2^(x)7 (x) v4, in degrees 8 and 10."""
+    from rht.cli import build_model, parse_model
+
+    x = build_model(parse_model("models/polynomial.dgc")).underlying
+    got = homogeneous_eval(lie_n(n).derivative(), x, n, "dgl", top=10)
+    want = {k: c for k, c in _lie_coinvariant_dims(x, n, -n, True).items() if k <= 10}
+    assert _chain_dims(got) == want and want
 
 
 # -- Taylor layers of the cobar tower ------------------------------------------------

@@ -1215,3 +1215,31 @@ def test_coproduct_map_rejects_an_entry_that_is_not_a_pure_tensor_of_its_degree(
     for pair in (((2, 0), (2, 0)), ((2, 1), (3, 0)), ((4, 0), (1, 0))):
         with pytest.raises(ValueError, match=r"malformed coproduct entry at \(5,0\)"):
             _coproduct_map(DGC(v, {(5, 0): {pair: ONE}}))
+
+
+def _full_coproduct_map(c):
+    """_coproduct_map as it was: V (x) V laid out in every degree, up to twice
+    V's top degree."""
+    from rht.dgcore import _tensor_with_index
+
+    dg = c.underlying
+    square, index = _tensor_with_index(dg, dg)
+    ent: dict = {}
+    for (k, i), table in c.coproduct.items():
+        for ((k1, i1), (k2, i2)), val in table.items():
+            ent.setdefault(k, {})[(index[(k1, i1, k2, i2)][1], i)] = val
+    return DGMap(dg, square, {k: QMatrix(square.dim(k), dg.dim(k), e) for k, e in ent.items()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(5, 9), st.booleans())
+def test_coproduct_map_lays_out_the_square_only_up_to_the_top_degree(seed, cap, cofree):
+    rng = Random(seed)
+    v = random_dg(rng, min_deg=2 if cofree else 1, max_deg=5, max_pieces=3)
+    c = to_dgc(cofree_lambda(v, cap)) if cofree else trivial_dgc(v)
+    got, want = _coproduct_map(c), _full_coproduct_map(c)
+    top = max(c.underlying.degrees(), default=0)
+    assert max(got.target.degrees(), default=top) <= top
+    for k in got.target.degrees():
+        assert got.target.basis[k] == want.target.basis[k] and got.target.d(k) == want.target.d(k)
+    assert all(got.block(k) == want.block(k) for k in c.underlying.degrees())

@@ -5,7 +5,7 @@ rank-nullity style properties.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -450,6 +450,41 @@ def test_pivot_row_is_the_shortest_holder():
     assert rows == [{0: 2}, {1: 1, 2: 3}, {}]
     # the pivot row is negated when its pivot is negative
     assert _rref_rows(_sparse_rows(QMatrix.from_rows([[-3, 1]])), 2) == ([{0: 3, 1: -1}], [0])
+
+
+def _lcm_sparse_rows(m):
+    """_sparse_rows as it was: every row rebuilt, scaled by the lcm of all its
+    denominators."""
+    rows = [dict() for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    out = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        out.append({c: v.numerator * (den // v.denominator) for c, v in row.items()})
+    return out
+
+
+@st.composite
+def integer_or_mixed_matrix(draw):
+    """Integer or mixed entries, often with empty rows."""
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    values = small_entries.map(Fraction)
+    if draw(st.booleans()):
+        values = values | st.fractions(-4, 4, max_denominator=6)
+    cells = st.tuples(st.integers(0, max(r - 1, 0)), st.integers(0, max(c - 1, 0)))
+    ent = draw(st.dictionaries(cells, values, max_size=r * c))
+    return QMatrix(r, c, ent if r and c else {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_or_mixed_matrix())
+def test_sparse_rows_scale_only_the_rows_holding_a_fraction(m):
+    from rht.exactq import _sparse_rows
+
+    got = _sparse_rows(m)
+    assert [list(row.items()) for row in got] == [list(row.items()) for row in _lcm_sparse_rows(m)]
+    assert all(type(v) is int for row in got for v in row.values())
 
 
 def _scan_rref_rows(rows, cols):
@@ -923,10 +958,13 @@ def test_unchecked_constructor_sites_build_what_the_checked_one_builds(monkeypat
     ho_cube("limit", test_cube(2, x))
     cross_effect(TensorPowerFunctor(2), 2, [x, x])
     homogeneous_eval(lie_n(3).derivative(), x, 3)
+    # b (x) b and c (x) c are fixed by the swap, with the sign-twisted Lie(2)
+    # acting by +1, so their a (x) s - 1 columns are the zeros the block drops
+    homogeneous_eval(lie_n(2).derivative(), x, 2, top=4)
     assert sites == {
         *(f"rht.exactq.{f}" for f in ("from_rows", "__add__", "scale", "__mul__", "transpose",
                                      "hstack", "vstack", "direct_sum", "rref_from", "_solve")),
         "rht.dgcore.homology_dims", "rht.dgcore.sum_many", "rht.dgcore._block_quotient",
         "rht.calculus.edge_map", "rht.calculus._gather", "rht.calculus._move_summands",
-        "rht.calculus._power_with_swaps",
+        "rht.calculus._power_with_swaps", "rht.calculus._orbit_quotient",
     }
