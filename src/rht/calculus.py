@@ -596,7 +596,7 @@ def _left_normed_expand(seq: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
     """[s1,[s2,...,[s_{k-1},s_k]...]] of distinct letters expanded in the free
     associative algebra.  [s, E] = sE - Es, and as s is not in E, the words sw
     and ws of E's words w are all distinct: each coefficient is a shared +-1,
-    in _expand_bracket's order, with no Fraction arithmetic."""
+    with no Fraction arithmetic."""
     words = {(seq[-1],): ONE}
     for s in reversed(seq[:-1]):
         out = {}
@@ -663,51 +663,6 @@ def lie_n(n: int) -> LieRep:
                     ent[(index[w], j)] = _moved(c)
         actions.append(DGMap(und, und, {0: QMatrix(len(perms), len(perms), ent)}))
     return LieRep(n, SymmetricDG(und, n, actions))
-
-
-def _expand_bracket(tree) -> dict[tuple[int, ...], Fraction]:
-    """A bracket tree of letters as a sum of words (ungraded commutators)."""
-    if isinstance(tree, int):
-        return {(tree,): ONE}
-    l, r = _expand_bracket(tree[0]), _expand_bracket(tree[1])
-    out: dict[tuple[int, ...], Fraction] = {}
-    for wl, cl in l.items():
-        for wr, cr in r.items():
-            for word, coeff in ((wl + wr, cl * cr), ((wr + wl), -cl * cr)):
-                s = out.get(word, ZERO) + coeff
-                if s:
-                    out[word] = s
-                else:
-                    out.pop(word, None)
-    return out
-
-
-def _bracket_trees(letters):
-    """Every full bracketing of the letters, in their order."""
-    if len(letters) == 1:
-        yield letters[0]
-        return
-    for cut in range(1, len(letters)):
-        for l in _bracket_trees(letters[:cut]):
-            for r in _bracket_trees(letters[cut:]):
-                yield (l, r)
-
-
-def lie_dim_oracle(n: int) -> int:
-    """Rank of ALL length-n multilinear bracket monomials in the free
-    associative algebra; independent check of the (n-1)! basis size."""
-    words = list(itertools.permutations(range(1, n + 1)))
-    windex = {w: i for i, w in enumerate(words)}
-
-    cols = []
-    for p in words:
-        for t in _bracket_trees(list(p)):
-            vec = [ZERO] * len(words)
-            for w, c in _expand_bracket(t).items():
-                vec[windex[w]] = c
-            if any(vec):
-                cols.append(tuple(vec))
-    return rank(QMatrix.from_columns(cols, len(words))) if cols else 0
 
 
 # -- homogeneous functors ------------------------------------------------------------

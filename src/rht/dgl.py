@@ -17,6 +17,10 @@ commutator-span rank computation in the tensor algebra.  The monomials come
 from pairs: each Lyndon word of length at least 2 is built once, from the
 two lower-degree Lyndon words of its standard factorization, and its tree
 brackets their trees.
+
+_free_sum is the one builder for free models on a sum of generating sets:
+the free product, the free product model, the cone, the suspensions and the
+cylinder each give it their parts and the linear terms that join them.
 """
 
 from __future__ import annotations
@@ -384,9 +388,6 @@ class FreeDGL:
     def d_poly(self, poly: TensorPoly) -> TensorPoly:
         return self.basis.diff_poly(self.gen_diff, poly)
 
-    def gen_poly(self, name: str) -> TensorPoly:
-        return {(self.basis.gen_index[name],): ONE}
-
     def linear_diff_part(self) -> dict[int, TensorPoly]:
         return {
             i: {w: c for w, c in p.items() if len(w) == 1}
@@ -487,9 +488,6 @@ class FreeDGLMap:
         coords = {j: tb.coords(p) for j, p in self.gen_images.items()}
         images = {j: (degs[j], co[degs[j]]) for j, co in coords.items() if degs[j] in co}
         return dgl_map_from_gen_images(self.source, to_dgl(self.target), images).dgmap
-
-    def is_freely_generated(self) -> bool:
-        return all(len(w) == 1 for p in self.gen_images.values() for w in p)
 
     def abelianized(self) -> DGMap:
         src, tgt = abelianize(self.source), abelianize(self.target)
@@ -706,6 +704,28 @@ def abelianize_dgl(l: DGL) -> tuple[DG, DGMap]:
 # -- coproducts and products ---------------------------------------------------------
 
 
+def _free_sum(parts, cap: int, twist) -> FreeDGL:
+    """The free DGL on the generators of the parts, part after part, each
+    part (generators, gen_diff) with its words renumbered into the sum.  A
+    twist entry (i, j, lin) then adds lin[g], a combination {generator of
+    part i: coefficient}, to the differential of generator g of part j,
+    entries in order."""
+    gens: list[tuple[str, int]] = []
+    offsets = []
+    for part_gens, _ in parts:
+        offsets.append(len(gens))
+        gens += part_gens
+    gd: dict[int, TensorPoly] = {}
+    for off, (_, diff) in zip(offsets, parts):
+        for g, p in diff.items():
+            gd[off + g] = {tuple(off + x for x in w): c for w, c in p.items()}
+    for i, j, lin in twist:
+        for g, combo in lin.items():
+            x = offsets[j] + g
+            gd[x] = tp_add(gd.get(x, {}), {(offsets[i] + y,): c for y, c in combo.items()})
+    return FreeDGL(FreeLieBasis(gens, cap), gd)
+
+
 def free_product(a: FreeDGL, b: FreeDGL) -> FreeDGL:
     """Free product: the free DGL on the disjoint union of the generators."""
     if a.cap != b.cap:
@@ -713,13 +733,7 @@ def free_product(a: FreeDGL, b: FreeDGL) -> FreeDGL:
     names_a = {n for n, _ in a.basis.generators}
     if any(n in names_a for n, _ in b.basis.generators):
         raise ValueError("generator name collision in free product")
-    gens = a.basis.generators + b.basis.generators
-    basis = FreeLieBasis(gens, a.cap)
-    off = len(a.basis.generators)
-    gd: dict[int, TensorPoly] = {i: dict(p) for i, p in a.gen_diff.items()}
-    for i, p in b.gen_diff.items():
-        gd[off + i] = {tuple(x + off for x in w): c for w, c in p.items()}
-    return FreeDGL(basis, gd)
+    return _free_sum([(a.basis.generators, a.gen_diff), (b.basis.generators, b.gen_diff)], a.cap, ())
 
 
 def dgl_strict_product(a: DGL, b: DGL) -> tuple[DGL, DGLMap, DGLMap]:
@@ -756,49 +770,32 @@ def dgl_product(a, b, model: str = "strict"):
         raise ValueError("free product model requires equal caps")
     if not (a.is_truly_free() and b.is_truly_free()):
         raise ValueError("free product model requires linear generator differentials")
-    cap = a.cap
-    gens = list(a.basis.generators) + list(b.basis.generators)
-    na, nb = len(a.basis.generators), len(b.basis.generators)
-    mixed: list[tuple[int, int]] = []
-    for i, (an, ad) in enumerate(a.basis.generators):
-        for j, (bn, bd) in enumerate(b.basis.generators):
-            if ad + bd + 1 <= cap:
-                gens.append((f"s({an}|{bn})", ad + bd + 1))
-                mixed.append((i, j))
-    basis = FreeLieBasis(gens, cap)
-    gd: dict[int, TensorPoly] = {i: dict(p) for i, p in a.gen_diff.items()}
-    for i, p in b.gen_diff.items():
-        gd[na + i] = {tuple(x + na for x in w): c for w, c in p.items()}
-    sidx = {pair: na + nb + m for m, pair in enumerate(mixed)}
-    for m, (i, j) in enumerate(mixed):
-        ad = a.basis.deg[i]
-        poly: TensorPoly = {}
-        # [v, w]
-        sign = -ONE if (ad * b.basis.deg[j]) % 2 else ONE
-        poly = tp_add(poly, {(i, na + j): ONE, (na + j, i): -sign})
-        # - s(dv|w)
-        for w1, c in a.gen_diff.get(i, {}).items():
-            pair = (w1[0], j)
-            if pair in sidx:
-                poly = tp_add(poly, {(sidx[pair],): -c})
-        # - (-1)^{|v|} s(v|dw)
-        s2 = -ONE if ad % 2 else ONE
-        for w2, c in b.gen_diff.get(j, {}).items():
-            pair = (i, w2[0])
-            if pair in sidx:
-                poly = tp_add(poly, {(sidx[pair],): -s2 * c})
-        gd[na + nb + m] = poly
-    model_l = FreeDGL(basis, gd)
+    ga, gb, da, db = a.basis.gen_name, b.basis.gen_name, a.basis.deg, b.basis.deg
+    mixed = [(i, j) for i in range(len(ga)) for j in range(len(gb)) if da[i] + db[j] + 1 <= a.cap]
+    at_mixed = {pair: m for m, pair in enumerate(mixed)}
+    # - s(dv|w) - (-1)^{|v|} s(v|dw)
+    left = {m: {at_mixed[(x[0], j)]: -c for x, c in a.gen_diff.get(i, {}).items() if (x[0], j) in at_mixed}
+            for m, (i, j) in enumerate(mixed)}
+    right = {m: {at_mixed[(i, x[0])]: c if da[i] % 2 else -c for x, c in b.gen_diff.get(j, {}).items()
+                 if (i, x[0]) in at_mixed} for m, (i, j) in enumerate(mixed)}
+    mixed_gens = [(f"s({ga[i]}|{gb[j]})", da[i] + db[j] + 1) for i, j in mixed]
+    parts = [(a.basis.generators, a.gen_diff), (b.basis.generators, b.gen_diff), (mixed_gens, {})]
+    model_l = _free_sum(parts, a.cap, [(2, 2, left), (2, 2, right)])
+    at = model_l.basis.gen_index
+    # + [v, w]
+    for (i, j), (name, _) in zip(mixed, mixed_gens):
+        vw = model_l.basis.bracket_poly({(at[ga[i]],): ONE}, {(at[gb[j]],): ONE})
+        model_l.gen_diff[at[name]] = tp_add(vw, model_l.gen_diff.get(at[name], {}))
     # witness: collapse onto the strict product
     # a generator's monomial leads its degree, so it sits at the generator's
     # position among those of its degree; the transpose of a projection of
     # the strict product is the inclusion of that factor
     strict, pa, pb = dgl_strict_product(to_dgl(a), to_dgl(b))
     images: dict[int, tuple[int, Vector]] = {}
-    for factor, proj, off in ((a, pa, 0), (b, pb, na)):
+    for factor, proj in ((a, pa), (b, pb)):
         incl, pos = projection(proj.dgmap), _degree_positions(factor.basis.deg)[0]
-        for i, d in enumerate(factor.basis.deg):
-            images[off + i] = (d, incl.block(d).column(pos[i]))
+        for i, (name, d) in enumerate(factor.basis.generators):
+            images[at[name]] = (d, incl.block(d).column(pos[i]))
     witness = dgl_map_from_gen_images(model_l, strict, images)
     return model_l, witness
 
@@ -871,13 +868,10 @@ def _pull_back(inc: QMatrix, values: dict, error: str) -> dict:
 # -- homotopy pullback ----------------------------------------------------------------
 
 
-def dgl_ho_pullback(
-    f1: DGLMap, f2: DGLMap, reduce_to: Optional[int] = None
-) -> tuple[DGL, Optional[DGLMap]]:
+def dgl_ho_pullback(f1: DGLMap, f2: DGLMap) -> tuple[DGL, DGLMap]:
     """Path-object model (L1 x s^-1 K x L2) of the homotopy pullback of
     L1 -> K <- L2, with the half-factor mixed bracket, plus the verified
-    map from the strict limit.  If reduce_to is given the reduction is
-    applied last and the witness map is omitted."""
+    map from the strict limit."""
     if f1.target is not f2.target and f1.target != f2.target:
         raise ValueError("pullback codomain mismatch")
     l1, l2, k = f1.source, f2.source, f1.target
@@ -927,8 +921,6 @@ def dgl_ho_pullback(
     lim = _sub_dgl(prod, into, "strict limit is not closed under brackets")
     witness = DGLMap(lim, p, map_add(compose(incls[0], pu), compose(incls[2], pw)))
     assert_valid(witness.dgmap, "strict limit into the pullback model")
-    if reduce_to is not None:
-        return reduce_dgl(reduce_to, p), None
     return p, witness
 
 
@@ -977,16 +969,11 @@ def free_cone_suspension(mode: str, l: FreeDGL) -> FreeDGL:
     differential is linear; other inputs are rejected.
     """
     b = l.basis
-    n = len(b.generators)
     lin = l.linear_diff_part()
+    shifted = [(f"s({nm})", d + 1) for nm, d in b.generators]
     if mode == "suspension":
-        gens = [(f"s({nm})", d + 1) for nm, d in b.generators]
-        gd = {
-            i: {w: -c for w, c in lin.get(i, {}).items()}
-            for i in range(n)
-            if lin.get(i)
-        }
-        return FreeDGL(FreeLieBasis(gens, b.cap + 1), gd)
+        minus_lin = {i: {w: -c for w, c in p.items()} for i, p in lin.items()}
+        return _free_sum([(shifted, minus_lin)], b.cap + 1, ())
     if not l.is_truly_free():
         bad = next(
             b.gen_name[i]
@@ -996,35 +983,19 @@ def free_cone_suspension(mode: str, l: FreeDGL) -> FreeDGL:
         raise ValueError(
             f"{mode} requires a linear generator differential; d({bad}) has higher brackets"
         )
+    # d(sv) = v - s dv
+    ident = {i: {i: ONE} for i in range(len(b.generators))}
+    minus_d = {i: {w[0]: -c for w, c in p.items()} for i, p in lin.items()}
     if mode == "cone":
-        gens = list(b.generators) + [(f"s({nm})", d + 1) for nm, d in b.generators]
-        gd: dict[int, TensorPoly] = {i: dict(p) for i, p in l.gen_diff.items()}
-        for i in range(n):
-            poly: TensorPoly = {(i,): ONE}
-            for w, c in lin.get(i, {}).items():
-                poly = tp_add(poly, {(n + w[0],): -c})
-            gd[n + i] = poly
-        return FreeDGL(FreeLieBasis(gens, b.cap + 1), gd)
+        parts = [(b.generators, l.gen_diff), (shifted, {})]
+        return _free_sum(parts, b.cap + 1, [(0, 1, ident), (1, 1, minus_d)])
     if mode == "bigS":
-        gens = (
-            [(f"sl({nm})", d + 1) for nm, d in b.generators]
-            + [(nm, d) for nm, d in b.generators]
-            + [(f"sr({nm})", d + 1) for nm, d in b.generators]
-        )
-        gd = {}
-        for i in range(n):
-            if lin.get(i):
-                gd[n + i] = {(n + w[0],): c for w, c in lin[i].items()}
-        for i in range(n):
-            poly: TensorPoly = {(n + i,): ONE}
-            for w, c in lin.get(i, {}).items():
-                poly = tp_add(poly, {(w[0],): -c})
-            gd[i] = poly
-            poly2: TensorPoly = {(n + i,): ONE}
-            for w, c in lin.get(i, {}).items():
-                poly2 = tp_add(poly2, {(2 * n + w[0],): -c})
-            gd[2 * n + i] = poly2
-        return FreeDGL(FreeLieBasis(gens, b.cap + 1), gd)
+        parts = [
+            ([(f"sl({nm})", d + 1) for nm, d in b.generators], {}),
+            (b.generators, l.gen_diff),
+            ([(f"sr({nm})", d + 1) for nm, d in b.generators], {}),
+        ]
+        return _free_sum(parts, b.cap + 1, [(1, 0, ident), (0, 0, minus_d), (1, 2, ident), (2, 2, minus_d)])
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -1043,38 +1014,22 @@ def free_cylinder(f: FreeDGLMap, g: FreeDGLMap) -> FreeDGL:
                 raise ValueError(
                     f"map is not freely generated at generator {v.basis.gen_name[i]!r}"
                 )
-    nu = len(u.basis.generators)
-    nv = len(v.basis.generators)
-    gens = (
-        [(f"u({nm})", d) for nm, d in u.basis.generators]
-        + [(f"s({nm})", d + 1) for nm, d in v.basis.generators]
-        + [(f"w({nm})", d) for nm, d in w.basis.generators]
-    )
-    basis = FreeLieBasis(gens, v.cap + 1)
-    gd: dict[int, TensorPoly] = {}
-    for i, p in u.gen_diff.items():
-        gd[i] = dict(p)
-    for i, p in w.gen_diff.items():
-        gd[nu + nv + i] = {tuple(x + nu + nv for x in word): c for word, c in p.items()}
-    lin = v.linear_diff_part()
-    for i in range(nv):
-        poly: TensorPoly = {}
-        for word, c in lin.get(i, {}).items():
-            poly = tp_add(poly, {(nu + word[0],): -c})
-        for word, c in f.gen_images.get(i, {}).items():
-            poly = tp_add(poly, {(word[0],): c})
-        for word, c in g.gen_images.get(i, {}).items():
-            poly = tp_add(poly, {(nu + nv + word[0],): c})
-        if poly:
-            gd[nu + i] = poly
-    out = FreeDGL(basis, gd)
-    for i in range(nv):
-        dd = out.d_poly(out.gen_diff.get(nu + i, {}))
-        dd = {word: c for word, c in dd.items() if basis.word_degree(word) <= basis.cap}
+    nu, nv = len(u.basis.generators), len(v.basis.generators)
+    parts = [
+        ([(f"u({nm})", d) for nm, d in u.basis.generators], u.gen_diff),
+        ([(f"s({nm})", d + 1) for nm, d in v.basis.generators], {}),
+        ([(f"w({nm})", d) for nm, d in w.basis.generators], w.gen_diff),
+    ]
+    minus_d = {i: {x[0]: -c for x, c in p.items()} for i, p in v.linear_diff_part().items()}
+    f_of, g_of = ({i: _letters(m.gen_images.get(i, {})) for i in range(nv)} for m in (f, g))
+    out = _free_sum(parts, v.cap + 1, [(1, 1, minus_d), (0, 1, f_of), (2, 1, g_of)])
+    for x in range(nu, nu + nv):
+        dd = out.d_poly(out.gen_diff.get(x, {}))
+        dd = {word: c for word, c in dd.items() if out.basis.word_degree(word) <= out.cap}
         if dd:
             raise ValueError(
                 "cylinder differential does not square to zero at generator "
-                f"s({v.basis.gen_name[i]}): the middle object needs a linear "
+                f"{out.basis.gen_name[x]}: the middle object needs a linear "
                 "generator differential"
             )
     return out

@@ -26,7 +26,6 @@ from rht.calculus import (
     jet_extract,
     jet_validate,
     join,
-    lie_dim_oracle,
     lie_n,
     p_n_stabilize,
     t_n,
@@ -69,7 +68,7 @@ from rht.dgcore import (
 )
 from rht.dgcore import _subset_tag, assert_valid, cube_bidg, ho_fiber, sum_many, tot
 from rht.dgl import FreeDGL, bracket_filtration, free_lie_basis, to_dgl
-from rht.exactq import ONE, ZERO, QMatrix, _SMALL, solve_matrix
+from rht.exactq import ONE, ZERO, QMatrix, _SMALL, rank, solve_matrix
 from rht.quillen import sphere_model
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
 
@@ -386,6 +385,51 @@ def test_cross_effect_action_on_equal_inputs():
 # -- Lie(n) --------------------------------------------------------------------------
 
 
+def _expand_bracket(tree) -> dict:
+    """A bracket tree of letters as a sum of words (ungraded commutators)."""
+    if isinstance(tree, int):
+        return {(tree,): ONE}
+    l, r = _expand_bracket(tree[0]), _expand_bracket(tree[1])
+    out = {}
+    for wl, cl in l.items():
+        for wr, cr in r.items():
+            for word, coeff in ((wl + wr, cl * cr), ((wr + wl), -cl * cr)):
+                s = out.get(word, ZERO) + coeff
+                if s:
+                    out[word] = s
+                else:
+                    out.pop(word, None)
+    return out
+
+
+def _bracket_trees(letters):
+    """Every full bracketing of the letters, in their order."""
+    if len(letters) == 1:
+        yield letters[0]
+        return
+    for cut in range(1, len(letters)):
+        for l in _bracket_trees(letters[:cut]):
+            for r in _bracket_trees(letters[cut:]):
+                yield (l, r)
+
+
+def lie_dim_oracle(n: int) -> int:
+    """Rank of ALL length-n multilinear bracket monomials in the free
+    associative algebra; independent check of the (n-1)! basis size."""
+    words = list(itertools.permutations(range(1, n + 1)))
+    windex = {w: i for i, w in enumerate(words)}
+
+    cols = []
+    for p in words:
+        for t in _bracket_trees(list(p)):
+            vec = [ZERO] * len(words)
+            for w, c in _expand_bracket(t).items():
+                vec[windex[w]] = c
+            if any(vec):
+                cols.append(tuple(vec))
+    return rank(QMatrix.from_columns(cols, len(words))) if cols else 0
+
+
 def test_lie_dims_against_associative_algebra_oracle():
     for n in (1, 2, 3, 4):
         assert lie_dim_oracle(n) == [1, 1, 2, 6][n - 1]
@@ -439,8 +483,6 @@ def test_lie_blocks_match_the_solve_over_all_words():
 def test_left_normed_expansion_is_the_bracket_tree_expansion():
     """The +-1 expansion against _expand_bracket on the left-normed tree: the
     same words with the same coefficients in the same order, each a shared +-1."""
-    from rht.calculus import _expand_bracket
-
     for seq in (list(p) for n in range(1, 7) for p in itertools.permutations(range(1, n + 1))):
         tree = seq[-1]
         for s in reversed(seq[:-1]):
@@ -1166,8 +1208,6 @@ def _old_lie_oracle_closures():
 
 
 def test_lie_oracle_helpers_match_the_recursive_closures():
-    from rht.calculus import _bracket_trees, _expand_bracket
-
     expand, trees = _old_lie_oracle_closures()
     for n in range(1, 6):
         for p in itertools.permutations(range(1, n + 1)):

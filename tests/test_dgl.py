@@ -60,6 +60,7 @@ from rht.dgl import (
 from rht.exactq import ONE, QMatrix, rank, rat, solve_linear, solve_matrix, vec_add, vec_scale, zero_vec
 from rht.randgen import random_chain_map, random_dg
 from rht.dgl import _LazyBracketTable, _bracket_entry, _filtration_dgs, _restrict, dgl_map_from_gen_images
+from rht.dgcore import _degree_positions, projection
 from rht.exactq import _unit_vec
 
 
@@ -545,10 +546,7 @@ def test_hofib_matches_two_strand_formula():
 
 def test_pullback_reduce_to():
     k = counterexample_dgl()
-    p, w = dgl_ho_pullback(
-        zero_dgl_map(ZERO_DGL, k), zero_dgl_map(ZERO_DGL, k), reduce_to=1
-    )
-    assert w is None
+    p = reduce_dgl(1, dgl_ho_pullback(zero_dgl_map(ZERO_DGL, k), zero_dgl_map(ZERO_DGL, k))[0])
     assert dgl_validate(p) == []
     assert all(m >= 1 for m in p.underlying.degrees() if p.underlying.dim(m))
 
@@ -1479,3 +1477,278 @@ def test_bracket_vec_matches_the_dense_loop(seed):
             v1, v2 = _random_vec(rng, l.underlying.dim(k1)), _random_vec(rng, l.underlying.dim(k2))
             got = l.bracket_vec(k1, v1, k2, v2)
             assert type(got) is tuple and got == _dense_bracket_vec(l, k1, v1, k2, v2)
+
+
+# -- free models on a sum of generating sets --------------------------------------------
+
+
+def _old_free_product(a, b):
+    if a.cap != b.cap:
+        raise ValueError("free product requires equal caps")
+    names_a = {n for n, _ in a.basis.generators}
+    if any(n in names_a for n, _ in b.basis.generators):
+        raise ValueError("generator name collision in free product")
+    gens = a.basis.generators + b.basis.generators
+    basis = free_lie_basis(gens, a.cap)
+    off = len(a.basis.generators)
+    gd = {i: dict(p) for i, p in a.gen_diff.items()}
+    for i, p in b.gen_diff.items():
+        gd[off + i] = {tuple(x + off for x in w): c for w, c in p.items()}
+    return FreeDGL(basis, gd)
+
+
+def _old_dgl_product(a, b, model):
+    if model == "strict":
+        da = to_dgl(a) if isinstance(a, FreeDGL) else a
+        db = to_dgl(b) if isinstance(b, FreeDGL) else b
+        return dgl_strict_product(da, db)[0]
+    if model != "free":
+        raise ValueError(f"unknown model {model!r}")
+    if not (isinstance(a, FreeDGL) and isinstance(b, FreeDGL)):
+        raise ValueError("free product model requires free inputs")
+    if a.cap != b.cap:
+        raise ValueError("free product model requires equal caps")
+    if not (a.is_truly_free() and b.is_truly_free()):
+        raise ValueError("free product model requires linear generator differentials")
+    cap = a.cap
+    gens = list(a.basis.generators) + list(b.basis.generators)
+    na, nb = len(a.basis.generators), len(b.basis.generators)
+    mixed = []
+    for i, (an, ad) in enumerate(a.basis.generators):
+        for j, (bn, bd) in enumerate(b.basis.generators):
+            if ad + bd + 1 <= cap:
+                gens.append((f"s({an}|{bn})", ad + bd + 1))
+                mixed.append((i, j))
+    basis = free_lie_basis(gens, cap)
+    gd = {i: dict(p) for i, p in a.gen_diff.items()}
+    for i, p in b.gen_diff.items():
+        gd[na + i] = {tuple(x + na for x in w): c for w, c in p.items()}
+    sidx = {pair: na + nb + m for m, pair in enumerate(mixed)}
+    for m, (i, j) in enumerate(mixed):
+        ad = a.basis.deg[i]
+        poly = {}
+        sign = -ONE if (ad * b.basis.deg[j]) % 2 else ONE
+        poly = tp_add(poly, {(i, na + j): ONE, (na + j, i): -sign})
+        for w1, c in a.gen_diff.get(i, {}).items():
+            pair = (w1[0], j)
+            if pair in sidx:
+                poly = tp_add(poly, {(sidx[pair],): -c})
+        s2 = -ONE if ad % 2 else ONE
+        for w2, c in b.gen_diff.get(j, {}).items():
+            pair = (i, w2[0])
+            if pair in sidx:
+                poly = tp_add(poly, {(sidx[pair],): -s2 * c})
+        gd[na + nb + m] = poly
+    model_l = FreeDGL(basis, gd)
+    strict, pa, pb = dgl_strict_product(to_dgl(a), to_dgl(b))
+    images = {}
+    for factor, proj, off in ((a, pa, 0), (b, pb, na)):
+        incl, pos = projection(proj.dgmap), _degree_positions(factor.basis.deg)[0]
+        for i, d in enumerate(factor.basis.deg):
+            images[off + i] = (d, incl.block(d).column(pos[i]))
+    witness = dgl_map_from_gen_images(model_l, strict, images)
+    return model_l, witness
+
+
+def _old_free_cone_suspension(mode, l):
+    b = l.basis
+    n = len(b.generators)
+    lin = l.linear_diff_part()
+    if mode == "suspension":
+        gens = [(f"s({nm})", d + 1) for nm, d in b.generators]
+        gd = {
+            i: {w: -c for w, c in lin.get(i, {}).items()}
+            for i in range(n)
+            if lin.get(i)
+        }
+        return FreeDGL(free_lie_basis(gens, b.cap + 1), gd)
+    if not l.is_truly_free():
+        bad = next(
+            b.gen_name[i]
+            for i, p in l.gen_diff.items()
+            if any(len(w) > 1 for w in p)
+        )
+        raise ValueError(
+            f"{mode} requires a linear generator differential; d({bad}) has higher brackets"
+        )
+    if mode == "cone":
+        gens = list(b.generators) + [(f"s({nm})", d + 1) for nm, d in b.generators]
+        gd = {i: dict(p) for i, p in l.gen_diff.items()}
+        for i in range(n):
+            poly = {(i,): ONE}
+            for w, c in lin.get(i, {}).items():
+                poly = tp_add(poly, {(n + w[0],): -c})
+            gd[n + i] = poly
+        return FreeDGL(free_lie_basis(gens, b.cap + 1), gd)
+    if mode == "bigS":
+        gens = (
+            [(f"sl({nm})", d + 1) for nm, d in b.generators]
+            + [(nm, d) for nm, d in b.generators]
+            + [(f"sr({nm})", d + 1) for nm, d in b.generators]
+        )
+        gd = {}
+        for i in range(n):
+            if lin.get(i):
+                gd[n + i] = {(n + w[0],): c for w, c in lin[i].items()}
+        for i in range(n):
+            poly = {(n + i,): ONE}
+            for w, c in lin.get(i, {}).items():
+                poly = tp_add(poly, {(w[0],): -c})
+            gd[i] = poly
+            poly2 = {(n + i,): ONE}
+            for w, c in lin.get(i, {}).items():
+                poly2 = tp_add(poly2, {(2 * n + w[0],): -c})
+            gd[2 * n + i] = poly2
+        return FreeDGL(free_lie_basis(gens, b.cap + 1), gd)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _old_free_cylinder(f, g):
+    if f.source is not g.source and f.source != g.source:
+        raise ValueError("cylinder legs must share their source")
+    v = f.source
+    u, w = f.target, g.target
+    if not (u.cap == v.cap == w.cap):
+        raise ValueError("cylinder requires equal caps")
+    for m in (f, g):
+        for i, p in m.gen_images.items():
+            if any(len(word) != 1 for word in p):
+                raise ValueError(
+                    f"map is not freely generated at generator {v.basis.gen_name[i]!r}"
+                )
+    nu = len(u.basis.generators)
+    nv = len(v.basis.generators)
+    gens = (
+        [(f"u({nm})", d) for nm, d in u.basis.generators]
+        + [(f"s({nm})", d + 1) for nm, d in v.basis.generators]
+        + [(f"w({nm})", d) for nm, d in w.basis.generators]
+    )
+    basis = free_lie_basis(gens, v.cap + 1)
+    gd = {}
+    for i, p in u.gen_diff.items():
+        gd[i] = dict(p)
+    for i, p in w.gen_diff.items():
+        gd[nu + nv + i] = {tuple(x + nu + nv for x in word): c for word, c in p.items()}
+    lin = v.linear_diff_part()
+    for i in range(nv):
+        poly = {}
+        for word, c in lin.get(i, {}).items():
+            poly = tp_add(poly, {(nu + word[0],): -c})
+        for word, c in f.gen_images.get(i, {}).items():
+            poly = tp_add(poly, {(word[0],): c})
+        for word, c in g.gen_images.get(i, {}).items():
+            poly = tp_add(poly, {(nu + nv + word[0],): c})
+        if poly:
+            gd[nu + i] = poly
+    out = FreeDGL(basis, gd)
+    for i in range(nv):
+        dd = out.d_poly(out.gen_diff.get(nu + i, {}))
+        dd = {word: c for word, c in dd.items() if basis.word_degree(word) <= basis.cap}
+        if dd:
+            raise ValueError(
+                "cylinder differential does not square to zero at generator "
+                f"s({v.basis.gen_name[i]}): the middle object needs a linear "
+                "generator differential"
+            )
+    return out
+
+
+def _random_sum_input(rng, names, cap, quadratic):
+    """A free DGL on generators of random degrees in random order.  Each
+    generator has no differential or a random combination of the generators
+    a degree lower; if quadratic, the bracket of two generators may join it."""
+    degs = [rng.randint(1, 2)]
+    for _ in names[1:]:
+        degs.append(min(cap, 4, rng.choice(degs) + rng.choice([0, 1, 1, 2])))
+    if quadratic and len(names) > 1:
+        degs[0], degs[-1] = 1, 3  # d of the last may hold [first, first]
+    degs = rng.sample(degs, len(names))
+    b = free_lie_basis(list(zip(names, degs)), cap)
+    diff = {}
+    for i, d in enumerate(degs):
+        poly = {}
+        for j, e in enumerate(degs):
+            if e == d - 1 and rng.random() < 0.8:
+                poly[(j,)] = rat(rng.choice([1, -1, 2, Fraction(1, 2)]))
+        pairs = [(j, k) for j, e in enumerate(degs) for k, h in enumerate(degs) if e + h == d - 1]
+        if quadratic and pairs and rng.random() < 0.7:
+            poly = tp_add(poly, tp_scale(rng.choice([1, -1, 3]), b.expand(rng.choice(pairs))))
+        if poly and rng.random() < 0.9:
+            diff[i] = poly
+    return FreeDGL(b, diff)
+
+
+def _built(fn, *args):
+    """What a construction must keep: the generators in order, the cap and the
+    generator differential, and for the free product model the witness map;
+    a rejected input as the type and message of its error."""
+    try:
+        out = fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+    if isinstance(out, tuple):
+        return _built(lambda: out[0]), out[1].dgmap
+    if isinstance(out, FreeDGL):
+        return tuple(out.basis.generators), out.cap, out.gen_diff
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cones_and_suspensions_match_the_old_constructions(seed):
+    rng = Random(seed)
+    names = ["x", "y", "z"][: rng.choice([0, 1, 2, 2, 3, 3])]
+    l = _random_sum_input(rng, names, rng.randint(3, 5), rng.random() < 0.5)
+    for mode in ("cone", "suspension", "bigS", "cylinder"):
+        got = _built(free_cone_suspension, mode, l)
+        assert got == _built(_old_free_cone_suspension, mode, l)
+        assert isinstance(got[0], tuple) == (mode == "suspension" or (mode != "cylinder" and l.is_truly_free()))
+
+
+def _random_leg(rng, v, names, cap):
+    """A map out of v of one of four kinds: the identity, a zero map, a random
+    freely generated map, or one that sends a generator to a bracket."""
+    kind = rng.choice(["identity", "zero", "free", "bracket"])
+    if kind == "identity":
+        return free_dgl_identity(v)
+    t = _random_sum_input(rng, names, cap, rng.random() < 0.3)
+    images = {}
+    for i, d in enumerate(v.basis.deg):
+        same = [j for j, e in enumerate(t.basis.deg) if e == d]
+        poly = {(j,): rat(rng.choice([1, -1, 2])) for j in same if rng.random() < 0.6}
+        if kind == "bracket" and t.basis.deg and rng.random() < 0.5:
+            poly[(0, 0)] = ONE
+        if poly and kind != "zero":
+            images[i] = poly
+    return FreeDGLMap(v, t, images)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cylinders_match_the_old_construction(seed):
+    rng = Random(seed)
+    cap = rng.randint(3, 4)
+    v = _random_sum_input(rng, ["x", "y"][: rng.randint(1, 2)], cap, rng.random() < 0.3)
+    f = _random_leg(rng, v, ["a", "b"][: rng.randint(0, 2)], cap)
+    g = _random_leg(rng, v, ["p", "q"][: rng.randint(0, 2)], cap + (rng.random() < 0.1))
+    if rng.random() < 0.1:  # a leg out of another source
+        other = _random_sum_input(rng, ["x", "y"], cap, False)
+        g = FreeDGLMap(other, g.target, {})
+    assert _built(free_cylinder, f, g) == _built(_old_free_cylinder, f, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_free_products_and_product_models_match_the_old_constructions(seed):
+    rng = Random(seed)
+    cap = rng.randint(3, 5)
+    a = _random_sum_input(rng, ["x", "u", "z"][: rng.randint(1, 3)], cap, rng.random() < 0.3)
+    names = ["x"] if rng.random() < 0.1 else ["y", "w"][: rng.randint(1, 2)]  # "x" collides
+    b = _random_sum_input(rng, names, cap + (rng.random() < 0.1), rng.random() < 0.3)
+    assert _built(free_product, a, b) == _built(_old_free_product, a, b)
+    for model in ("free", "strict", "unknown"):
+        if model != "strict" or cap == 3:
+            assert _built(dgl_product, a, b, model) == _built(_old_dgl_product, a, b, model)
+    # a finite input is rejected by the free model
+    x = to_dgl(b)
+    assert _built(dgl_product, a, x, "free") == _built(_old_dgl_product, a, x, "free")
