@@ -183,7 +183,7 @@ def _into_holim(cube: Cube) -> tuple[DG, DGMap, dict[frozenset, dict[tuple[int, 
     the places of the holim's strands.  The one-element strands sit in
     vertical degree 0, where the map is the sum of the edges out of the empty
     set."""
-    hol, strands = _cube_sum("limit", cube, max(6, cube.n))
+    hol, strands = _cube_sum("limit", cube, cube.n)
     at = {t: _places(incl) for t, incl in strands.items()}
     src = cube.objects[frozenset()]
     edges = [(at[frozenset({t})], cube.edge(frozenset(), frozenset({t}))) for t in range(1, cube.n + 1)]
@@ -194,7 +194,7 @@ def _into_holim(cube: Cube) -> tuple[DG, DGMap, dict[frozenset, dict[tuple[int, 
 
 def _outof_hocolim(cube: Cube) -> tuple[DG, DGMap]:
     """The canonical chain map hocolim over proper subsets -> cube(full)."""
-    hoc, strands = _cube_sum("colimit", cube, max(6, cube.n))
+    hoc, strands = _cube_sum("colimit", cube, cube.n)
     full = frozenset(range(1, cube.n + 1))
     # the strands full - {j} sit in vertical degree 0; the edge out of each is signed by (-1)^j
     pieces = []
@@ -906,11 +906,8 @@ def jet_extract(tower: Tower) -> Jet:
     incls: list[DGMap] = [identity_map(objs[0])]
     for j in range(1, m):
         q = tower.maps[j - 1]
-        vectors = {
-            k: kernel_basis(q.block(k)) if q.source.dim(k) else []
-            for k in q.source.degrees()
-        }
-        layer, incl = sub_dg(q.source, vectors, prefix=f"D{j + 1}")
+        spans = {k: kernel_basis(q.block(k)) for k in q.source.degrees()}
+        layer, incl = sub_dg(q.source, spans, prefix=f"D{j + 1}")
         layers.append(layer)
         incls.append(incl)
     # sections s_j: objs[j-1] -> objs[j], solved degreewise

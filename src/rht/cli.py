@@ -134,9 +134,10 @@ def parse_expr(s: str, line: int):
             tail = chunk[m.end() :]
             if not tail.strip() or tail[:1] in (" ", "*"):
                 frac = m.group()
-                if "/" in frac and frac.endswith("/"):
-                    raise ModelError(f"malformed rational {frac!r}", line)
-                coeff = Fraction(frac)
+                try:
+                    coeff = Fraction(frac)
+                except ZeroDivisionError:
+                    raise ModelError(f"malformed rational {frac!r}", line) from None
                 rest = tail.lstrip(" *")
         if not rest.strip():
             if coeff != 0:

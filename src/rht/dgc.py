@@ -273,8 +273,8 @@ def assert_valid_dgc(c, context: str = ""):
 def primitives_with_inclusion(c: DGC, prefix: str = "pr") -> tuple[DG, DGMap]:
     """Kernel of the reduced coproduct as a sub-DG with its inclusion."""
     delta = _coproduct_map(c)
-    vectors = {k: kernel_basis(delta.block(k)) for k in c.underlying.degrees()}
-    return sub_dg(c.underlying, vectors, prefix=prefix)
+    spans = {k: kernel_basis(delta.block(k)) for k in c.underlying.degrees()}
+    return sub_dg(c.underlying, spans, prefix=prefix)
 
 
 def primitives(c) -> DG:
@@ -487,7 +487,7 @@ def reduce_dgc(r: int, c) -> DGC:
         if k > r:
             spans[k] = QMatrix.identity(dg.dim(k))
         elif k == r:
-            spans[k] = QMatrix.from_columns(kernel_basis(dg.d(r)), dg.dim(r))
+            spans[k] = kernel_basis(dg.d(r))
     for k in sorted(spans):
         x = spans[k]
         if x.cols == 0:
@@ -496,20 +496,19 @@ def reduce_dgc(r: int, c) -> DGC:
         span = DGMap(DG({j: ("",) * s.cols for j, s in below.items()}), dg, below)
         square = tensor_map(span, span, k).block(k)
         # functionals killing the square
-        ann = QMatrix.from_columns(kernel_basis(square.transpose()), square.rows).transpose()
+        ann = kernel_basis(square.transpose()).transpose()
         keep = kernel_basis(ann * (delta.block(k) * x))
-        if len(keep) != x.cols:
-            spans[k] = x * QMatrix.from_columns(keep, x.cols)
+        if keep.cols != x.cols:
+            spans[k] = x * keep
     if all(spans.get(k, QMatrix.zero(0, 0)).cols == dg.dim(k) for k in dg.degrees()):
         return c
-    vectors = {k: [m.column(j) for j in range(m.cols)] for k, m in spans.items()}
-    return _sub_dgc(c, vectors, prefix=f"r{r}_")[0]
+    return _sub_dgc(c, spans, prefix=f"r{r}_")[0]
 
 
-def _sub_dgc(c: DGC, vectors: dict[int, list[Vector]], prefix: str) -> tuple[DGC, DGCMap]:
-    """Sub-coalgebra spanned by the given vectors (must be closed under d and
-    under the reduced coproduct)."""
-    sub, incl = sub_dg(c.underlying, vectors, prefix=prefix)
+def _sub_dgc(c: DGC, spans: Mapping[int, QMatrix], prefix: str) -> tuple[DGC, DGCMap]:
+    """Sub-coalgebra spanned by the columns of spans[k] (must be closed under d
+    and under the reduced coproduct)."""
+    sub, incl = sub_dg(c.underlying, spans, prefix=prefix)
     top = max(sub.degrees(), default=0)
     delta, square = _coproduct_map(c), tensor_map(incl, incl, top)
     pair_at = {place: ((k1, i1), (k2, i2)) for (k1, i1, k2, i2), place in _tensor_with_index(sub, sub, top)[1].items()}
@@ -732,13 +731,11 @@ def to_dgc(c: CofreeDGC) -> DGC:
         tgt = words.get(k - 1, ())
         if not tgt:
             continue
-        cols = []
-        for w in ws:
-            col = [ZERO] * len(tgt)
+        ent = {}
+        for j, w in enumerate(ws):
             for x, v in c.d_word(w).items():
-                col[index[x][1]] = v
-            cols.append(tuple(col))
-        diff[k] = QMatrix.from_columns(cols, len(tgt))
+                ent[(index[x][1], j)] = v
+        diff[k] = QMatrix._of(len(tgt), len(ws), ent)
     table: CoTable = {}
     for k, ws in words.items():
         for i, w in enumerate(ws):
@@ -785,15 +782,12 @@ class CofreeDGCMap:
         swords, twords = self.source.words(), self.target.words()
         blocks = {}
         for k, ws in swords.items():
-            tws = twords.get(k, ())
-            tindex = {w: i for i, w in enumerate(tws)}
-            cols = []
-            for w in ws:
-                col = [ZERO] * len(tws)
+            tindex = {w: i for i, w in enumerate(twords.get(k, ()))}
+            ent = {}
+            for j, w in enumerate(ws):
                 for x, v in self.apply_word(w).items():
-                    col[tindex[x]] = v
-                cols.append(tuple(col))
-            blocks[k] = QMatrix.from_columns(cols, len(tws))
+                    ent[(tindex[x], j)] = v
+            blocks[k] = QMatrix._of(len(tindex), len(ws), ent)
         return DGCMap(sdgc, tdgc, DGMap(sdgc.underlying, tdgc.underlying, blocks))
 
 

@@ -25,6 +25,10 @@ becomes a generator list: every free and cofree presentation of a DG (cec_C,
 cobar_L, cofree_lambda, cofree_path, the free Lie and Lambda functors) reads
 its generators and their linear parts from it, and _generator_dg and
 _generator_map turn such a table back into the DG and the map.
+
+Spans are matrices.  A subspace travels from its elimination to the sub-object
+built on it as the columns of one QMatrix: kernel_basis returns a kernel that
+way, and sub_dg takes one such matrix per degree as the inclusion's block.
 """
 
 from __future__ import annotations
@@ -302,13 +306,13 @@ def homology(v: DG) -> tuple[dict[int, int], dict[int, list[Vector]]]:
     for k in v.degrees():
         red, pivots = rref(v.d(k))
         cycles = _kernel_from_rref(red, pivots)
-        z, pivot_set = len(cycles), set(pivots)
+        z, pivot_set = cycles.cols, set(pivots)
         free = [f for f in range(v.dim(k)) if f not in pivot_set]
         reversed_at = {f: z - 1 - j for j, f in enumerate(free)}
         dkp1 = v.d(k + 1)
         bnd = QMatrix(dkp1.cols, z, {(c, reversed_at[r]): x for (r, c), x in dkp1.entries.items() if r in reversed_at})
         ends = {z - 1 - p for p in image_pivot_columns(bnd)}
-        chosen = [z_j for j, z_j in enumerate(cycles) if j not in ends]
+        chosen = [cycles.column(j) for j in range(z) if j not in ends]
         if chosen:
             dims[k] = len(chosen)
             reps[k] = chosen
@@ -576,29 +580,24 @@ def truncate(r: int, v: DG) -> DG:
     return DG(basis, diff)
 
 
-def sub_dg(v: DG, vectors: dict[int, list[Vector]], prefix: str = "k") -> tuple[DG, DGMap]:
-    """Sub-DG spanned by the given per-degree vectors (must be d-closed)."""
-    basis = {}
-    cols: dict[int, QMatrix] = {}
-    for k, vs in sorted(vectors.items()):
-        if not vs:
-            continue
-        basis[k] = tuple(f"{prefix}{k}_{i}" for i in range(len(vs)))
-        cols[k] = QMatrix.from_columns(vs, v.dim(k))
+def sub_dg(v: DG, spans: Mapping[int, QMatrix], prefix: str = "k") -> tuple[DG, DGMap]:
+    """Sub-DG spanned by the columns of spans[k] (must be d-closed); those
+    matrices are the inclusion's blocks."""
+    cols = {k: m for k, m in sorted(spans.items()) if m.cols}
+    basis = {k: tuple(f"{prefix}{k}_{i}" for i in range(m.cols)) for k, m in cols.items()}
     diff = {}
-    for k in sorted(basis):
-        if (k - 1) not in basis:
-            if not (v.d(k) * cols[k]).is_zero():
+    for k, m in cols.items():
+        img = v.d(k) * m
+        if (k - 1) not in cols:
+            if not img.is_zero():
                 raise ValueError(f"span not closed under d at degree {k}")
             continue
-        img = v.d(k) * cols[k]
         sol = solve_matrix(cols[k - 1], img)
         if sol is None:
             raise ValueError(f"span not closed under d at degree {k}")
         diff[k] = sol
     out = DG(basis, diff)
-    incl = DGMap(out, v, {k: cols[k] for k in basis})
-    return out, incl
+    return out, DGMap(out, v, cols)
 
 
 def reduce_dg(r: int, v: DG) -> DG:
@@ -615,14 +614,9 @@ def reduce_with_inclusion(r: int, v: DG) -> tuple[DG, DGMap]:
             out, v, {k: QMatrix.identity(v.dim(k)) for k in out.degrees()}
         )
         return out, incl
-    vectors: dict[int, list[Vector]] = {}
-    std = QMatrix.identity
-    for k in v.degrees():
-        if k > r:
-            vectors[k] = [std(v.dim(k)).column(j) for j in range(v.dim(k))]
-        elif k == r:
-            vectors[k] = kernel_basis(v.d(r))
-    return sub_dg(v, vectors, prefix=f"r{r}_")
+    spans = {k: QMatrix.identity(v.dim(k)) for k in v.degrees() if k > r}
+    spans[r] = kernel_basis(v.d(r))
+    return sub_dg(v, spans, prefix=f"r{r}_")
 
 
 def reduce_truncate(mode: str, r: int, v: DG) -> DG:
@@ -702,9 +696,9 @@ def strict_pullback(f: DGMap, g: DGMap) -> tuple[DG, DGMap, DGMap]:
     if f.target != g.target:
         raise ValueError("pullback codomain mismatch")
     degrees = sorted(set(f.source.basis) | set(g.source.basis))
-    vectors = {k: kernel_basis(QMatrix.hstack([f.block(k), g.block(k)])) for k in degrees}
+    spans = {k: kernel_basis(QMatrix.hstack([f.block(k), g.block(k)])) for k in degrees}
     prod, iu, iw = sum_dg(f.source, g.source, tags=("u", "w"))
-    sub, incl = sub_dg(prod, vectors, prefix="lim")
+    sub, incl = sub_dg(prod, spans, prefix="lim")
     return sub, compose(projection(iu), incl), compose(projection(iw), incl)
 
 
@@ -1138,18 +1132,12 @@ def chain_map_space(v: DG, w: DG) -> list[DGMap]:
                 if (k - 1, r2, r) in pos:
                     key = (rowid(k, r2, c0), pos[(k - 1, r2, r)])
                     ent[key] = ent.get(key, ZERO) - a
-    system = QMatrix(len(rows), len(slots), ent)
-    basis = []
-    for kv in kernel_basis(system):
-        blocks: dict[int, dict] = {}
-        for idx, val in enumerate(kv):
-            if val != 0:
-                k, r, c = slots[idx]
-                blocks.setdefault(k, {})[(r, c)] = val
-        basis.append(
-            DGMap(v, w, {k: QMatrix(w.dim(k), v.dim(k), e) for k, e in blocks.items()})
-        )
-    return basis
+    kernel = kernel_basis(QMatrix(len(rows), len(slots), ent))
+    blocks: list[dict[int, dict]] = [{} for _ in range(kernel.cols)]
+    for (idx, j), val in sorted(kernel.entries.items()):
+        k, r, c = slots[idx]
+        blocks[j].setdefault(k, {})[(r, c)] = val
+    return [DGMap(v, w, {k: QMatrix(w.dim(k), v.dim(k), e) for k, e in b.items()}) for b in blocks]
 
 
 # -- symmetric DGs ----------------------------------------------------------------
@@ -1205,11 +1193,11 @@ def sym_invariants(v: SymmetricDG):
     Linear Representations of Finite Groups, ch. 1).
     """
     u = v.underlying
-    vectors: dict[int, list[Vector]] = {}
+    spans = {}
     for k in u.degrees():
         stacked = QMatrix.vstack([a.block(k) - QMatrix.identity(u.dim(k)) for a in v.action]) if v.action else QMatrix.zero(0, u.dim(k))
-        vectors[k] = kernel_basis(stacked) if v.action else [QMatrix.identity(u.dim(k)).column(j) for j in range(u.dim(k))]
-    fixed, incl = sub_dg(u, vectors, prefix="fix")
+        spans[k] = kernel_basis(stacked)
+    fixed, incl = sub_dg(u, spans, prefix="fix")
     orbits, proj = sym_orbits(v)
     trace = compose(proj, incl)
     norm_blocks = {}

@@ -771,6 +771,8 @@ def dgl_product(a, b, model: str = "strict"):
     if not (a.is_truly_free() and b.is_truly_free()):
         raise ValueError("free product model requires linear generator differentials")
     ga, gb, da, db = a.basis.gen_name, b.basis.gen_name, a.basis.deg, b.basis.deg
+    if set(ga) & set(gb):
+        raise ValueError("generator name collision in free product model")
     mixed = [(i, j) for i in range(len(ga)) for j in range(len(gb)) if da[i] + db[j] + 1 <= a.cap]
     at_mixed = {pair: m for m, pair in enumerate(mixed)}
     # - s(dv|w) - (-1)^{|v|} s(v|dw)

@@ -522,21 +522,21 @@ def rank(m: QMatrix) -> int:
     return len(_pivots(m))
 
 
-def _kernel_from_rref(red: QMatrix, pivots: list[int]) -> list[Vector]:
-    """Basis of the kernel read off an rref: for each free column j, the vector
-    with 1 at j and minus column j of the rref at the pivot columns."""
+def _kernel_from_rref(red: QMatrix, pivots: list[int]) -> QMatrix:
+    """ker of the matrix an rref came from, one column per free column j in
+    order: 1 at j and minus column j of the rref at the pivot columns."""
     pivot_set = set(pivots)
-    basis = {j: [ZERO] * red.cols for j in range(red.cols) if j not in pivot_set}
-    for (i, j), v in red.entries.items():
-        if j in basis:
-            basis[j][pivots[i]] = -v
-    for j, v in basis.items():
-        v[j] = ONE
-    return [tuple(v) for v in basis.values()]
+    at = {j: i for i, j in enumerate(j for j in range(red.cols) if j not in pivot_set)}
+    ent = {(j, i): ONE for j, i in at.items()}
+    for (r, j), v in red.entries.items():
+        i = at.get(j)
+        if i is not None:
+            ent[(pivots[r], i)] = _negated(v)
+    return QMatrix._of(red.cols, len(at), ent)
 
 
-def kernel_basis(m: QMatrix) -> list[Vector]:
-    """Basis of ker(m), one vector per free column, deterministic order."""
+def kernel_basis(m: QMatrix) -> QMatrix:
+    """ker(m) as the columns of a matrix, one per free column, deterministic order."""
     return _kernel_from_rref(*rref(m))
 
 

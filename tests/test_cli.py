@@ -7,7 +7,7 @@ import sys
 from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rht.cli import (
@@ -121,6 +121,14 @@ def test_bracket_table_fills_the_reverse_entry(tmp_path):
     assert dgl_validate(model) == []
     # [u,v] = -(-1)^{|v||u|}[v,u] = -[v,u], filled automatically
     assert model.bracket_basis(2, 0, 1, 0) == (-ONE,)
+
+
+def test_zero_denominator_is_a_model_error(tmp_path, capsys):
+    p = write(tmp_path, "kind dg\ngen a 1\ngen b 0\nd a = 1/0 b\n")
+    assert main(["homology", p]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p}:4: malformed rational '1/0'\n"
 
 
 def test_comments_and_blank_lines(tmp_path):
@@ -395,3 +403,63 @@ def test_build_model_leaves_no_reference_cycle(cyclic_garbage, tmp_path):
     for path in (f"{MODELS}/hurewicz-counterexample.dgl", nested):
         mf = parse_model(path)
         assert cyclic_garbage(lambda: build_model(mf)) == []
+
+
+# -- the model-file contract ----------------------------------------------------------------
+
+_NAMES = st.sampled_from(["a", "b", "c", "x", "9z"])
+_COEFFICIENTS = st.sampled_from(["", "", "2 ", "1/2 ", "-3*", "0 ", "1/0 ", "2/ ", "3/00 "])
+_TERMS = st.one_of(
+    _NAMES,
+    st.builds("[{},{}]".format, _NAMES, _NAMES),
+    st.builds("[{},[{},{}]]".format, _NAMES, _NAMES, _NAMES),
+    st.builds("{}|{}".format, _NAMES, _NAMES),
+    st.sampled_from(["0", "[a,b", "a,b]", "[a b]", "]", ""]),
+)
+_EXPRESSIONS = st.lists(st.tuples(st.sampled_from([" + ", " - "]), _COEFFICIENTS, _TERMS), min_size=1, max_size=3).map(
+    lambda terms: "".join(sign + coeff + term for sign, coeff, term in terms)[3:]
+)
+_LINES = st.one_of(
+    st.builds("kind {}".format, st.sampled_from(["dg", "dgl", "dgc", "dgx"])),
+    st.builds("object {}".format, _NAMES),
+    st.builds("truncate {}".format, st.sampled_from(["6", "0", "x"])),
+    st.builds("gen {} {}".format, _NAMES, st.sampled_from(["-1", "0", "1", "2", "3", "4", "2.5"])),
+    st.builds("d {} = {}".format, _NAMES, _EXPRESSIONS),
+    st.builds("delta {} = {}".format, _NAMES, _EXPRESSIONS),
+    st.builds("bracket {} {} = {}".format, _NAMES, _NAMES, _EXPRESSIONS),
+    st.sampled_from(["", "# a comment", "d a", "bracket a = b", "gen a", "frobnicate"]),
+)
+# mostly a kind and declared generators first, so that many texts build; sometimes any lines at all
+_MODEL_TEXTS = st.one_of(
+    st.builds(
+        lambda kind, gens, body: "\n".join([f"kind {kind}"] + [f"gen {n} {d}" for n, d in sorted(gens.items())] + body),
+        st.sampled_from(["dg", "dgl", "dgc", "dgx"]),
+        st.dictionaries(st.sampled_from("abcx"), st.sampled_from(["0", "1", "2", "3", "4", "5"]), max_size=4),
+        st.lists(_LINES, max_size=5),
+    ),
+    st.lists(_LINES, max_size=10).map("\n".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MODEL_TEXTS)
+@example("kind dg\ngen a 1\ngen b 0\nd a = 1/0 b")
+def test_model_files_build_or_fail_with_a_located_model_error(text):
+    """Any model text either builds or raises ModelError at a line; a model that
+    builds and validates reports its homology as JSON that round-trips."""
+    import tempfile
+
+    from rht.cli import _validate
+
+    with tempfile.TemporaryDirectory() as tmp:
+        p = write(pathlib.Path(tmp), text + "\n")
+        try:
+            model = build_model(parse_model(p))
+        except ModelError as e:
+            assert e.line >= 1
+            return
+        if _validate(model):
+            return
+        status, out = run("homology", p, "--format", "json")
+    assert status == 0
+    assert json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n" == out

@@ -1067,7 +1067,7 @@ def _old_reduce_dgc(r: int, c) -> DGC:
         if k > r:
             spans[k] = QMatrix.identity(dg.dim(k))
         elif k == r:
-            spans[k] = QMatrix.from_columns(kernel_basis(dg.d(r)), dg.dim(r))
+            spans[k] = kernel_basis(dg.d(r))
     changed = True
     while changed:
         changed = False
@@ -1096,25 +1096,23 @@ def _old_reduce_dgc(r: int, c) -> DGC:
                                     col[index[((k1, i1), (k2, i2))]] = a1 * a2
                         good_cols.append(tuple(col))
             smat = QMatrix.from_columns(good_cols, len(pairs))
-            ann = kernel_basis(smat.transpose())
-            amat = QMatrix.from_columns(ann, len(pairs)).transpose()
+            amat = kernel_basis(smat.transpose()).transpose()
             dmat = QMatrix(
                 len(pairs),
                 dg.dim(k),
                 {(index[p], i): v for i in range(dg.dim(k)) for p, v in c.coproduct.get((k, i), {}).items()},
             )
             keep = kernel_basis(amat * (dmat * x))
-            if len(keep) != x.cols:
-                spans[k] = x * QMatrix.from_columns(keep, x.cols)
+            if keep.cols != x.cols:
+                spans[k] = x * keep
                 changed = True
     if all(spans.get(k, QMatrix.zero(0, 0)).cols == dg.dim(k) for k in dg.degrees()):
         return c
-    vectors = {k: [m.column(j) for j in range(m.cols)] for k, m in spans.items()}
-    return _old_sub_dgc(c, vectors, prefix=f"r{r}_")[0]
+    return _old_sub_dgc(c, spans, prefix=f"r{r}_")[0]
 
 
-def _old_sub_dgc(c: DGC, vectors, prefix: str):
-    sub, incl = sub_dg(c.underlying, vectors, prefix=prefix)
+def _old_sub_dgc(c: DGC, spans, prefix: str):
+    sub, incl = sub_dg(c.underlying, spans, prefix=prefix)
     table: CoTable = {}
     for k in sub.degrees():
         pairs = _old_pair_keys(sub, k)
@@ -1175,12 +1173,14 @@ def _assert_same_outcome(got, want):
 
 
 def _random_sub_vectors(rng, c: DGC):
-    """Random combinations of basis vectors in each degree: seldom closed under d
-    or the coproduct, so both the solved and the raising paths are reached."""
+    """Random combinations of basis vectors in each degree, as the columns of a
+    matrix: seldom closed under d or the coproduct, so both the solved and the
+    raising paths are reached."""
     out = {}
     for k in c.underlying.degrees():
         n = c.underlying.dim(k)
-        out[k] = [tuple(rat(rng.choice([0, 0, 1, -1, 2])) for _ in range(n)) for _ in range(rng.randint(0, n))]
+        out[k] = QMatrix.from_columns(
+            [tuple(rat(rng.choice([0, 0, 1, -1, 2])) for _ in range(n)) for _ in range(rng.randint(0, n))], n)
     return out
 
 
@@ -1198,9 +1198,7 @@ def test_reduction_primitives_and_subs_match_the_pair_key_code(seed):
     new, old = primitives_with_inclusion(c), _old_primitives_with_inclusion(c)
     assert list(new[0].basis.items()) == list(old[0].basis.items()) and new == old
     # spans that are sub-coalgebras: the whole, the primitives, and random spans
-    spans = [{k: [m.column(j) for j in range(m.cols)] for k, m in identity_map(c.underlying).blocks.items()},
-             {k: [m.column(j) for j in range(m.cols)] for k, m in new[1].blocks.items()},
-             _random_sub_vectors(rng, c)]
+    spans = [identity_map(c.underlying).blocks, new[1].blocks, _random_sub_vectors(rng, c)]
     for vectors in spans:
         got, want = _outcome(_sub_dgc, c, vectors, "s"), _outcome(_old_sub_dgc, c, vectors, "s")
         _assert_same_outcome(got, want)

@@ -197,10 +197,10 @@ def _three_reduction_homology(v: DG):
         cycles = kernel_basis(v.d(k))
         dkp1 = v.d(k + 1)
         bmat = QMatrix.from_columns([dkp1.column(j) for j in image_pivot_columns(dkp1)], n)
-        chosen = extend_to_basis(bmat, QMatrix.from_columns(cycles, n))
+        chosen = extend_to_basis(bmat, cycles)
         if chosen:
             dims[k] = len(chosen)
-            reps[k] = [cycles[i] for i in chosen]
+            reps[k] = [cycles.column(i) for i in chosen]
     return dims, reps
 
 
@@ -914,7 +914,7 @@ def _old_sym_invariants(v: SymmetricDG):
     vectors = {}
     for k in u.degrees():
         stacked = QMatrix.vstack([a.block(k) - QMatrix.identity(u.dim(k)) for a in v.action]) if v.action else QMatrix.zero(0, u.dim(k))
-        vectors[k] = kernel_basis(stacked) if v.action else [QMatrix.identity(u.dim(k)).column(j) for j in range(u.dim(k))]
+        vectors[k] = kernel_basis(stacked) if v.action else QMatrix.identity(u.dim(k))
     fixed, incl = sub_dg(u, vectors, prefix="fix")
     orbits, proj = sym_orbits(v)
     norm_blocks = {}

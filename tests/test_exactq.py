@@ -40,7 +40,7 @@ def image_basis(m: QMatrix) -> list:
 
 def rank_kernel_image(m: QMatrix) -> tuple:
     red, pivots = rref(m)
-    return len(pivots), _kernel_from_rref(red, pivots), [m.column(j) for j in pivots]
+    return len(pivots), _kernel_from_rref(red, pivots).columns(), [m.column(j) for j in pivots]
 
 
 def extend_to_basis(spanning: QMatrix, candidates: QMatrix) -> list[int]:
@@ -266,12 +266,12 @@ def test_rank_is_the_pivot_count_and_kernels_agree(m):
         for i, pc in enumerate(pivots):
             v[pc] = -rows[i][j]
         loop.append(tuple(v))
-    assert kernel_basis(m) == loop == rank_kernel_image(m)[1]
+    assert kernel_basis(m).columns() == loop == rank_kernel_image(m)[1]
 
 
 def test_kernel_image_deterministic_order():
     m = QMatrix.from_rows([[0, 1, 2], [0, 2, 4]])
-    assert kernel_basis(m) == [
+    assert kernel_basis(m).columns() == [
         (rat(1), rat(0), rat(0)),
         (rat(0), rat(-2), rat(1)),
     ]
@@ -419,7 +419,7 @@ def test_integer_elimination_matches_the_fraction_elimination(case, data):
     candidates = QMatrix(m.rows, m.cols - split,
                          {(i, j - split): v for (i, j), v in m.entries.items() if j >= split})
     assert extend_to_basis(spanning, candidates) == [p - split for p in want_pivots if p >= split]
-    kernel = kernel_basis(m)
+    kernel = kernel_basis(m).columns()
     assert kernel == _oracle_kernel(m)
     assert all(_fractions_only(v) for v in kernel)
     assert rank_kernel_image(m) == (len(want_pivots), kernel, [m.column(j) for j in want_pivots])
