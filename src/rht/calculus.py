@@ -167,9 +167,10 @@ def test_cube(n: int, x: DG) -> Cube:
 def _gather(source: DG, target: DG, pieces) -> DGMap:
     """The map source -> target that puts, for each piece (k, m, rows, cols),
     the entry (r, c) of m at (rows[(k, r)], cols[(k, c)]) in degree k: m maps
-    one summand to another, and rows and cols are the _places of their
-    inclusions, or None where the target or the source is not a sum.  The
-    pieces map distinct summands, so no two of them share an entry."""
+    one summand to another, and rows and cols are their places (_places of a
+    sum's inclusion, or _cube_sum's places of a strand), or None where the
+    target or the source is not a sum.  The pieces map distinct summands, so
+    no two of them share an entry."""
     ent: dict[int, dict[tuple[int, int], Fraction]] = {}
     for k, m, rows, cols in pieces:
         e = ent.setdefault(k, {})
@@ -183,8 +184,7 @@ def _into_holim(cube: Cube) -> tuple[DG, DGMap, dict[frozenset, dict[tuple[int, 
     the places of the holim's strands.  The one-element strands sit in
     vertical degree 0, where the map is the sum of the edges out of the empty
     set."""
-    hol, strands = _cube_sum("limit", cube, cube.n)
-    at = {t: _places(incl) for t, incl in strands.items()}
+    hol, at = _cube_sum("limit", cube, cube.n)
     src = cube.objects[frozenset()]
     edges = [(at[frozenset({t})], cube.edge(frozenset(), frozenset({t}))) for t in range(1, cube.n + 1)]
     m = _gather(src, hol, ((k, b, rows, None) for rows, e in edges for k, b in e.blocks.items()))
@@ -194,13 +194,13 @@ def _into_holim(cube: Cube) -> tuple[DG, DGMap, dict[frozenset, dict[tuple[int, 
 
 def _outof_hocolim(cube: Cube) -> tuple[DG, DGMap]:
     """The canonical chain map hocolim over proper subsets -> cube(full)."""
-    hoc, strands = _cube_sum("colimit", cube, cube.n)
+    hoc, at = _cube_sum("colimit", cube, cube.n)
     full = frozenset(range(1, cube.n + 1))
     # the strands full - {j} sit in vertical degree 0; the edge out of each is signed by (-1)^j
     pieces = []
     for j in range(1, cube.n + 1):
-        at, sign = _places(strands[full - {j}]), -ONE if j % 2 else ONE
-        pieces += [(k, b.scale(sign), None, at) for k, b in cube.edge(full - {j}, full).blocks.items()]
+        sign = -ONE if j % 2 else ONE
+        pieces += [(k, b.scale(sign), None, at[full - {j}]) for k, b in cube.edge(full - {j}, full).blocks.items()]
     m = _gather(hoc, cube.objects[full], pieces)
     assert_valid(m, "comparison out of the homotopy colimit")
     return hoc, m
@@ -447,16 +447,15 @@ class TnFunctor(FunctorSpec):
 
     def apply_map(self, g: DGMap) -> DGMap:
         cubes = [_apply_functor_cube(self.inner, test_cube(self.n + 1, v)) for v in (g.source, g.target)]
-        (src, src_in), (tgt, tgt_in) = (_cube_sum("limit", c, self.n + 2) for c in cubes)
+        (src, src_at), (tgt, tgt_at) = (_cube_sum("limit", c, self.n + 2) for c in cubes)
         comps = {
             size: self.inner.apply_map(_join_map(g, size))
             for size in range(1, self.n + 2)
         }
         # strand t maps to strand t by F of the join map, at vertical degree 1 - |t|
         pieces = []
-        for t, incl in src_in.items():
-            rows, cols = _places(tgt_in[t]), _places(incl)
-            pieces += [(k + 1 - len(t), b, rows, cols) for k, b in comps[len(t)].blocks.items()]
+        for t, cols in src_at.items():
+            pieces += [(k + 1 - len(t), b, tgt_at[t], cols) for k, b in comps[len(t)].blocks.items()]
         return _gather(src, tgt, pieces)
 
 

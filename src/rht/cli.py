@@ -132,6 +132,8 @@ def parse_expr(s: str, line: int):
         rest = chunk
         if m:
             tail = chunk[m.end() :]
+            if tail[:1] == "/":  # RAT_RE stops before a slash with no denominator
+                raise ModelError(f"malformed rational {m.group() + '/'!r}", line)
             if not tail.strip() or tail[:1] in (" ", "*"):
                 frac = m.group()
                 try:

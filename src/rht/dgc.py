@@ -143,6 +143,14 @@ class DGCMap:
     target: DGC
     dgmap: DGMap
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, DGCMap)
+            and self.source == other.source
+            and self.target == other.target
+            and self.dgmap == other.dgmap
+        )
+
 
 def identity_dgc_map(c: DGC) -> DGCMap:
     return DGCMap(c, c, identity_map(c.underlying))

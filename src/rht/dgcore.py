@@ -11,15 +11,17 @@ models are all sums of shifted copies with a twist between the summands.  A
 twist entry (i, j, blocks) adds blocks[k], a map from part j in degree k to
 part i in degree k - 1.  Maps into or out of a sum are built from its
 inclusions and their transposes (projection).  The total of an n-cube
-(ho_cube) is such a sum as well: one strand per subset t, in (|t|, sorted t)
+(ho_cube) has the same shape, one strand per subset t, in (|t|, sorted t)
 order, the object at t shifted by its vertical degree, with the signed edge
-maps as the twist.
+maps between the strands; _cube_sum lays it out directly from each strand's
+offset in each degree, with no strand DG and no inclusion.
 
 Basis positions are data.  The builder that lays out a basis is the only code
 that knows where things sit; callers read positions off the inclusions of a
-sum (_places), the index that _tensor_with_index fills while it lays out a
-tensor product, or the generator position table of _degree_positions, and
-never format a basis name to look it up again.  The generator table
+sum (_places), the places of a cube total's strands that _cube_sum returns,
+the index that _tensor_with_index fills while it lays out a tensor product,
+or the generator position table of _degree_positions, and never format a
+basis name to look it up again.  The generator table
 (_first_generators, _generator_table) is the one place where a DG's basis
 becomes a generator list: every free and cofree presentation of a DG (cec_C,
 cobar_L, cofree_lambda, cofree_path, the free Lie and Lambda functors) reads
@@ -45,6 +47,8 @@ from .exactq import (
     QMatrix,
     Vector,
     _kernel_from_rref,
+    _moved,
+    _negated,
     image_pivot_columns,
     kernel_basis,
     rat,
@@ -507,10 +511,6 @@ def combine(kind: str, a: DG, b: DG) -> DG:
     if kind == "tensor":
         return tensor_dg(a, b)
     raise ValueError(f"unknown combine kind {kind!r}")
-
-
-def relabel(v: DG, fn: Callable[[int, str], str]) -> DG:
-    return DG({k: tuple(fn(k, x) for x in names) for k, names in v.basis.items()}, dict(v.diff))
 
 
 def shift(v: DG, n: int, tag: Optional[str] = None) -> DG:
@@ -994,17 +994,23 @@ def cube_bidg(cube: Cube, mode: str) -> BiDG:
 def ho_cube(mode: str, cube: Cube, cap: int = 6) -> DG:
     """Totalized n-dimensional homotopy limit/colimit of a subset-indexed cube.
 
-    The total is a sum_many of one strand per subset t (nonempty ones for the
-    limit, proper ones for the colimit), in (|t|, sorted t) order: the object
-    at t shifted by its vertical degree, 1 - |t| or n - 1 - |t|, with basis
-    names T..:x@v..; each edge t -> t + {e} is a twist entry with the sign
-    (-1)^#{x in t : x < e}.  It equals tot(cube_bidg(cube, mode)).
+    The total has one strand per subset t (nonempty ones for the limit,
+    proper ones for the colimit), in (|t|, sorted t) order: the object at t
+    shifted by its vertical degree v, 1 - |t| or n - 1 - |t|, with basis names
+    T..:x@v.. and its differential times (-1)^v.  Each edge t -> t + {e} maps
+    strand t to strand t + {e} with the sign (-1)^#{x in t : x < e}.  It
+    equals tot(cube_bidg(cube, mode)).
     """
     return _cube_sum(mode, cube, cap)[0]
 
 
-def _cube_sum(mode: str, cube: Cube, cap: int) -> tuple[DG, dict[frozenset, DGMap]]:
-    """ho_cube's total and the inclusion of each strand, keyed by subset."""
+def _cube_sum(mode: str, cube: Cube, cap: int) -> tuple[DG, dict[frozenset, dict[tuple[int, int], int]]]:
+    """ho_cube's total and the places of each strand, keyed by subset:
+    (degree in the total, index in the strand) -> index in the total.
+
+    The total is laid out from each strand's offset in each degree: the
+    strands' differentials and the signed edges are blocks at those offsets,
+    and no two of them share an entry."""
     if cube.n > cap:
         raise ValueError(f"cube dimension {cube.n} exceeds cap {cap}")
     problems = cube.validate_commuting()
@@ -1017,21 +1023,40 @@ def _cube_sum(mode: str, cube: Cube, cap: int) -> tuple[DG, dict[frozenset, DGMa
     else:
         raise ValueError(f"unknown mode {mode!r}")
     strands.sort(key=lambda s: (len(s), sorted(s)))
-    at = {t: i for i, t in enumerate(strands)}
-
-    def strand(t: frozenset) -> DG:
-        v, tag = top - len(t), _subset_tag(t)
-        return relabel(shift(cube.objects[t], v, tag=""), lambda k, x: f"{tag}:{x}@v{v}")
-
-    twist = []
+    names: dict[int, list[str]] = {}
+    start: dict[frozenset, dict[int, int]] = {}  # strand -> degree in the total -> offset
+    places: dict[frozenset, dict[tuple[int, int], int]] = {}
     for t in strands:
+        v, tag = top - len(t), _subset_tag(t)
+        at = start[t] = {}
+        pl = places[t] = {}
+        for k, xs in cube.objects[t].basis.items():
+            lst = names.setdefault(k + v, [])
+            at[k + v] = r0 = len(lst)
+            lst.extend(f"{tag}:{x}@v{v}" for x in xs)
+            pl.update(((k + v, i), r0 + i) for i in range(len(xs)))
+    entries: dict[int, dict[tuple[int, int], Fraction]] = {}
+
+    def put(k: int, m: QMatrix, r0: int, c0: int, move: Optional[Callable[[Fraction], Fraction]]) -> None:
+        e = entries.setdefault(k, {})
+        if move is None:  # the entries as they are
+            e.update({(r0 + r, c0 + c): x for (r, c), x in m.entries.items()})
+        else:
+            e.update({(r0 + r, c0 + c): move(x) for (r, c), x in m.entries.items()})
+
+    for t in strands:  # each strand's differential, times (-1)^v as shift scales it
+        v, at = top - len(t), start[t]
+        for k, m in cube.objects[t].diff.items():
+            put(k + v, m, at[k + v - 1], at[k + v], _negated if v % 2 else _moved)
+    for t in strands:  # each edge t -> t + {e}, into the strand one vertical degree down
+        v, at = top - len(t), start[t]
         for e in range(1, cube.n + 1):
-            if e not in t and t | {e} in at:
-                sign, v, edge = _incl_sign(t, e), top - len(t), cube.edge(t, t | {e})
-                blocks = edge.blocks if sign == 1 else {k: m.scale(sign) for k, m in edge.blocks.items()}
-                twist.append((at[t | {e}], at[t], {k + v: m for k, m in blocks.items()}))
-    total, incls = sum_many([strand(t) for t in strands], [""] * len(strands), twist)
-    return total, dict(zip(strands, incls))
+            if e not in t and t | {e} in start:
+                up, move = start[t | {e}], None if _incl_sign(t, e) == 1 else _negated
+                for k, m in cube.edge(t, t | {e}).blocks.items():
+                    put(k + v, m, up[k + v - 1], at[k + v], move)
+    total = DG(names, {k: QMatrix._of(len(names[k - 1]), len(names[k]), e) for k, e in entries.items()})
+    return total, places
 
 
 # -- cartesian / cocartesian ----------------------------------------------------

@@ -131,6 +131,16 @@ def test_zero_denominator_is_a_model_error(tmp_path, capsys):
     assert captured.err == f"error: {p}:4: malformed rational '1/0'\n"
 
 
+def test_trailing_slash_coefficient_is_a_malformed_rational(tmp_path, capsys):
+    p = write(tmp_path, "kind dg\ngen a 1\ngen b 2\nd b = 2/ a\n")
+    assert main(["homology", p]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p}:4: malformed rational '2/'\n"
+    with pytest.raises(ModelError, match="malformed rational '1/2/'"):
+        parse_expr("1/2/3 a", 1)
+
+
 def test_comments_and_blank_lines(tmp_path):
     p = write(tmp_path, "# header\n\nkind dg   # trailing\ngen a 2\n")
     mf = parse_model(p)

@@ -351,6 +351,18 @@ def test_suspension():
     assert dgc_dims(s) == {k + 1: n for k, n in dgc_dims(c).items()}
 
 
+def test_dgc_maps_compare_by_source_target_and_blocks():
+    c = to_dgc(cofree_lambda(DG({2: ("v",)}), 8))
+    f = identity_dgc_map(c)
+    assert f == identity_dgc_map(c)
+    k = c.underlying.degrees()[-1]
+    blocks = {**f.dgmap.blocks, k: f.dgmap.blocks[k].scale(2)}
+    assert DGCMap(c, c, DGMap(c.underlying, c.underlying, blocks)) != f
+    assert zero_dgc_map(c, c) != f and f != f.dgmap
+    with pytest.raises(TypeError):  # equal maps must not hash apart, so none hashes
+        hash(f)
+
+
 def test_cone_of_identity_is_contractible():
     c = to_dgc(cofree_lambda(DG({2: ("v",)}), 8))
     cone, inc = dgc_ho_cofiber(identity_dgc_map(c))

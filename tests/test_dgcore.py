@@ -55,7 +55,9 @@ from rht.dgcore import (
     zero_map,
 )
 from rht.dgcore import _block_quotient, _cube_sum, _degree_positions, _out_of_suspension, _tensor_with_index, map_add, projection, tot
+from rht.dgcore import _incl_sign, _places, _subset_tag
 from rht.calculus import IdentityFunctor, _collapse_last, _power_with_swaps, cross_effect, lie_n, tensor_map
+from rht.calculus import CoefficientFunctor, TensorPowerFunctor, TnFunctor, _coproduct_cube, t_n, thcof_total, thfib_total
 from rht.calculus import test_cube as _test_cube, thfib_thcof
 from rht.exactq import ONE, ZERO, QMatrix, image_pivot_columns, kernel_basis, rank, rat, solve_matrix
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
@@ -1490,12 +1492,16 @@ def _random_cube(rng, n):
     return Cube(n, {s: total for s, (total, _) in sums.items()}, edges)
 
 
-def _check_strands(total, strands):
-    """Each strand inclusion sends a basis element to the one of the same name."""
-    for incl in strands.values():
-        for k, m in incl.blocks.items():
-            assert all(total.basis[k][r] == incl.source.basis[k][c] for r, c in m.entries)
-    assert sum(incl.source.total_dim() for incl in strands.values()) == total.total_dim()
+def _check_strands(total, places, cube, mode):
+    """Each strand's place holds the basis element of its name, and the strands fill the total."""
+    top = 1 if mode == "limit" else cube.n - 1
+    for t, at in places.items():
+        v, obj = top - len(t), cube.objects[t]
+        assert sorted(at) == [(k + v, c) for k in obj.degrees() for c in range(obj.dim(k))]
+        assert all(total.basis[k][r] == f"{_subset_tag(t)}:{obj.basis[k - v][c]}@v{v}" for (k, c), r in at.items())
+    assert {(k, r) for at in places.values() for (k, _), r in at.items()} == {
+        (k, r) for k in total.degrees() for r in range(total.dim(k))}
+    assert sum(cube.objects[t].total_dim() for t in places) == total.total_dim()
 
 
 @settings(max_examples=40, deadline=None)
@@ -1503,10 +1509,10 @@ def _check_strands(total, strands):
 def test_cube_totals_equal_tot_of_cube_bidg_on_random_cubes(seed, n, mode):
     cube = _random_cube(Random(seed), n)
     assert cube.validate_commuting() == []
-    total, strands = _cube_sum(mode, cube, 6)
+    total, places = _cube_sum(mode, cube, 6)
     assert _same(ho_cube(mode, cube), tot(cube_bidg(cube, mode)))
     assert _same(total, ho_cube(mode, cube))
-    _check_strands(total, strands)
+    _check_strands(total, places, cube, mode)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -1514,9 +1520,118 @@ def test_cube_totals_equal_tot_of_cube_bidg_on_random_cubes(seed, n, mode):
 def test_cube_totals_equal_tot_of_cube_bidg_on_test_cubes(n, mode):
     x = DG({1: ("a",), 2: ("b", "c")}, {2: QMatrix.from_rows([[1, -1]])})
     cube = _test_cube(n, x)
-    total, strands = _cube_sum(mode, cube, n)
+    total, places = _cube_sum(mode, cube, n)
     assert _same(total, tot(cube_bidg(cube, mode)))
-    _check_strands(total, strands)
+    _check_strands(total, places, cube, mode)
+
+
+def _old_cube_sum(mode, cube, cap):
+    """_cube_sum as a sum_many of strand DGs: each strand shifted and renamed,
+    each edge a twist entry, and the inclusion of each strand."""
+    if cube.n > cap:
+        raise ValueError(f"cube dimension {cube.n} exceeds cap {cap}")
+    problems = cube.validate_commuting()
+    if problems:
+        raise ValueError("non-commuting cube: " + problems[0])
+    if mode == "limit":
+        strands, top = [s for s in cube.objects if s], 1
+    elif mode == "colimit":
+        strands, top = [s for s in cube.objects if len(s) < cube.n], cube.n - 1
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    strands.sort(key=lambda s: (len(s), sorted(s)))
+    at = {t: i for i, t in enumerate(strands)}
+
+    def strand(t):
+        v, tag = top - len(t), _subset_tag(t)
+        shifted = shift(cube.objects[t], v, tag="")
+        return DG({k: tuple(f"{tag}:{x}@v{v}" for x in xs) for k, xs in shifted.basis.items()}, dict(shifted.diff))
+
+    twist = []
+    for t in strands:
+        for e in range(1, cube.n + 1):
+            if e not in t and t | {e} in at:
+                sign, v, edge = _incl_sign(t, e), top - len(t), cube.edge(t, t | {e})
+                blocks = edge.blocks if sign == 1 else {k: m.scale(sign) for k, m in edge.blocks.items()}
+                twist.append((at[t | {e}], at[t], {k + v: m for k, m in blocks.items()}))
+    total, incls = sum_many([strand(t) for t in strands], [""] * len(strands), twist)
+    return total, dict(zip(strands, incls))
+
+
+def _old_places_cube_sum(mode, cube, cap):
+    """_old_cube_sum with the places of its inclusions, as _cube_sum returns them."""
+    total, incls = _old_cube_sum(mode, cube, cap)
+    return total, {t: _places(incl) for t, incl in incls.items()}
+
+
+def _cube_of(rng, kind, n):
+    if kind == "random":
+        return _random_cube(rng, min(n, 4))
+    if kind == "test":
+        return _test_cube(n, random_dg(rng, 0, 2, 2))
+    return _coproduct_cube([random_dg(rng, 0, 2, 2, prefix=f"y{i}") for i in range(n)])[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "test", "coproduct"]), st.integers(0, 6),
+       st.sampled_from(["limit", "colimit"]))
+def test_cube_sum_lays_out_what_the_strand_sum_built(seed, kind, n, mode):
+    cube = _cube_of(Random(seed), kind, n)
+    (total, places), (old, incls) = _cube_sum(mode, cube, 6), _old_cube_sum(mode, cube, 6)
+    assert _same(total, old) and list(total.diff) == list(old.diff)
+    for k, m in old.diff.items():
+        got = total.diff[k].entries
+        assert list(got.items()) == list(m.entries.items())
+        # the shared +-1 of shift's scale(+-1) and of the twist, object for object
+        assert all(got[key] is x for key, x in m.entries.items() if abs(x) == 1)
+    assert places == {t: _places(incl) for t, incl in incls.items()}
+    assert list(places) == list(incls)
+
+
+def test_cube_sum_raises_what_the_strand_sum_raised():
+    x = DG({1: ("a",), 2: ("b", "c")}, {2: QMatrix.from_rows([[1, -1]])})
+    cube = _test_cube(3, x)
+    e1 = (frozenset(), frozenset({1}))
+    twice = Cube(3, cube.objects, {**cube.edges, e1: map_scale(2, cube.edges[e1])})
+    loose = Cube(3, cube.objects, {**cube.edges, e1: zero_map(x, x)})
+    cases = [("limit", cube, 2), ("colimit", twice, 3), ("limit", loose, 3), ("total", cube, 3)]
+    for args in cases:
+        with pytest.raises(ValueError) as new:
+            _cube_sum(*args)
+        with pytest.raises(ValueError) as old:
+            _old_cube_sum(*args)
+        assert str(new.value) == str(old.value)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from(["identity", "square", "coefficient"]),
+       st.booleans())
+def test_calculus_totals_are_unchanged_with_the_strand_sum(seed, n, kind, equal):
+    import rht.calculus as calculus
+    import rht.dgcore as dgcore
+
+    rng = Random(seed)
+    if kind == "identity":
+        f = IdentityFunctor()
+    elif kind == "square":
+        f, n = TensorPowerFunctor(2), min(n, 3)
+    else:
+        f, n = CoefficientFunctor(random_dg(rng, 0, 1, 2, prefix="c")), min(n, 3)
+    x, w = random_dg(rng, 0, 2, 2), random_dg(rng, 0, 2, 2, prefix="w")
+    inputs = [x] * n if equal else [random_dg(rng, 0, 2, 2, prefix=f"y{i}") for i in range(n)]
+    g, cube, tn = random_chain_map(rng, x, w), _random_cube(rng, n), min(n, 2)
+
+    def run():
+        cr = cross_effect(f, n, inputs)
+        return (cr.underlying, *cr.action, *t_n(f, tn, x), TnFunctor(f, tn).apply_map(g),
+                thfib_total(cube), thcof_total(cube))
+
+    new = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dgcore, "_cube_sum", _old_places_cube_sum)
+        mp.setattr(calculus, "_cube_sum", _old_places_cube_sum)
+        old = run()
+    assert _same(new, old)
 
 
 def _old_tensor_dg(a, b):

@@ -372,7 +372,7 @@ def _outcome(fn, *args):
 def _key(x):
     """x as plain data to compare: the objects and maps with the order of their
     basis names and of their blocks, which equality leaves out; DGC and DGCMap
-    compare by identity, so they are taken apart."""
+    are taken apart, so that their parts are compared in that order too."""
     if isinstance(x, DG):
         return x, list(x.basis.items())
     if isinstance(x, DGMap):
