@@ -1,14 +1,23 @@
 """Randomized sign-integrity sweep.
 
 Builds random inputs for each structural construction and runs the exact
-validators (d^2 = 0, Jacobi, coassociativity).  Any report line is a bug.
+validators (d^2 = 0, Jacobi, coassociativity, Delta a chain map).  Any report
+line is a bug.
 """
 
 import argparse
 import random
 
-from rht.calculus import test_cube
-from rht.dgc import dgc_validate, trivial_dgc, dgc_ho_pushout, identity_dgc_map
+from rht.calculus import join, test_cube
+from rht.dgc import (
+    cofree_lambda,
+    dgc_ho_pushout,
+    dgc_validate,
+    identity_dgc_map,
+    suspension_dgc,
+    to_dgc,
+    trivial_dgc,
+)
 from rht.dgcore import (
     big_loops,
     big_suspension,
@@ -50,10 +59,15 @@ def main():
             bad += 1
             print(f"[{i}] dgl: {r[0]}")
         ca = trivial_dgc(random_dg(rng, 1, 3))
-        r = dgc_validate(dgc_ho_pushout(identity_dgc_map(ca), identity_dgc_map(ca))[0])
-        if r:
-            bad += 1
-            print(f"[{i}] dgc: {r[0]}")
+        # cofree expansions carry a nonzero coproduct, so Delta's identities are exercised
+        lam = to_dgc(cofree_lambda(random_dg(rng, 2, 4), 8))
+        coalgebras = [dgc_ho_pushout(identity_dgc_map(ca), identity_dgc_map(ca))[0], lam, suspension_dgc(lam)]
+        coalgebras += [join(trivial_dgc(random_dg(rng, 1, 3)), t) for t in (1, 2, 3)]
+        for x in coalgebras:
+            r = dgc_validate(x)
+            if r:
+                bad += 1
+                print(f"[{i}] dgc: {r[0]}")
     print(f"{args.count} rounds, {bad} failures")
     raise SystemExit(1 if bad else 0)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .dgc import DGC, CofreeDGCMap, _as_dgc, cofree_lambda, to_dgc
+from .dgc import DGC, CofreeDGCMap, _as_dgc, _moved_table, _suspended_coproduct, cofree_lambda, to_dgc
 from .dgcore import (
     DG,
     DGMap,
@@ -52,8 +52,6 @@ from .dgl import FreeDGL, FreeDGLMap, _filtration_dgs, free_lie_basis, to_dgl
 from .exactq import ONE, QMatrix, ZERO, _moved, _negated, kernel_basis, rank, solve_matrix
 from .quillen import cobar_L
 
-HALF = Fraction(1, 2)
-
 
 # -- joins and test cubes ---------------------------------------------------------
 
@@ -82,33 +80,20 @@ def join(x, t: int):
 
 
 def _join_dgc(c: DGC, t: int) -> DGC:
+    """Delta(v0 (x) x) = (v0 (x) x') (x) (v0 (x) x''), and each edge slot is a
+    suspended strand on the vertex slot, with the identity as its leg."""
     if t == 0:
         return c
     und, idx = _tensor_with_index(tset_dg(t), c.underlying)
-    coproduct: dict = {}
-    for kc in c.underlying.degrees():
-        for ic in range(c.underlying.dim(kc)):
-            delta = c.delta_basis(kc, ic)
-            if not delta:
-                continue
-            # vertex slot: Delta(v0 (x) c) keeps the vertex on both sides
-            table = {}
-            for ((k1, i1), (k2, i2)), val in delta.items():
-                left = idx[(0, 0, k1, i1)]
-                right = idx[(0, 0, k2, i2)]
-                table[(left, right)] = table.get((left, right), ZERO) + val
-            coproduct[idx[(0, 0, kc, ic)]] = table
-            # edge slots: the halved vertex/edge split of the suspension model
-            for j in range(t):
-                table = {}
-                for ((k1, i1), (k2, i2)), val in delta.items():
-                    sgn = -ONE if k1 % 2 else ONE
-                    p1 = (idx[(0, 0, k1, i1)], idx[(1, j, k2, i2)])
-                    p2 = (idx[(1, j, k1, i1)], idx[(0, 0, k2, i2)])
-                    table[p1] = table.get(p1, ZERO) + HALF * sgn * val
-                    table[p2] = table.get(p2, ZERO) + HALF * val
-                coproduct[idx[(1, j, kc, ic)]] = table
-    return DGC(und, coproduct)
+
+    def slot(e: int, j: int) -> dict:
+        return {(k + e, q): idx[(e, j, k, q)][1] for k in c.underlying.degrees() for q in range(c.underlying.dim(k))}
+
+    vertex = slot(0, 0)
+    table = _moved_table(c.coproduct, vertex)
+    for j in range(t):
+        table.update(_suspended_coproduct(c, slot(1, j), [(vertex, identity_map(c.underlying))]))
+    return DGC(und, table)
 
 
 def _join_map(g: DGMap, size: int) -> DGMap:

@@ -5,25 +5,33 @@ Two representations are used side by side:
 - DGC: a finite-basis coalgebra stored through its de-augmentation: a
   dgcore.DG in positive degrees plus the reduced coproduct as structure
   constants.  The counit and coaugmentation live implicitly in degree 0, so
-  de-augmenting and re-augmenting are both the identity on this data.
+  de-augmenting and re-augmenting are both the identity on this data.  The
+  table is well-formed by construction: each entry is a pure tensor of its
+  key's degree, and every key and pair names basis elements.
 - CofreeDGC: a degree-truncated cofree coalgebra on cogenerators of degree
   at least 2.  Basis elements are wedge words; Lambda^k is the subspace of
   Koszul-signed symmetric-group invariants of the k-fold tensor power, and
   the chosen section normalizes like divided powers, so one even cogenerator
   gives the polynomial coalgebra with unit coefficients and one odd
   cogenerator gives the exterior coalgebra.  The differential is stored as
-  its corestriction (word -> cogenerator combination) and extended as a
-  coderivation.
+  its corestriction (word -> cogenerator combination, homogeneous of degree
+  -1 by construction) and extended as a coderivation.
+
+Every linear identity of the reduced coproduct goes through one map,
+_coproduct_map: V -> V (x) V.  Primitives are its kernel, reductions and
+sub-coalgebras solve against it, and dgc_validate checks compatibility with
+d and with maps on it.  Cocommutativity and coassociativity stay pair loops.
 
 The tensor-product coproduct exists in two conventions: a symmetrized "half"
 form carrying 1/2 coefficients and no Koszul signs, and a "koszul" form with
 the usual sign rule.  The half form is the default but is not cocommutative
 once odd classes are involved; dgc_validate reports the witness, and the
-koszul variant is available through the sign_rule switch.  The cylinder
-coproduct of dgc_ho_pushout likewise carries forced 1/2 coefficients: it is
-cocommutative and compatible with the differential component by component,
-but for a genuinely two-sided cylinder the cross component breaks full
-compatibility and coassociativity, which the validator reports as well.
+koszul variant is available through the sign_rule switch.  Cylinders, cones,
+suspensions and joins share one suspended-strand rule, _suspended_coproduct,
+whose coproduct carries forced 1/2 coefficients: it is cocommutative and
+compatible with the differential component by component, but for a
+genuinely two-sided cylinder the cross component breaks full compatibility
+and coassociativity, which the validator reports as well.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .dgcore import (
     DG,
     DGMap,
     ZERO_DG,
+    _by_column,
     _cylinder_sum,
     _degree_positions,
     _first_generators,
@@ -60,9 +69,7 @@ from .dgcore import (
 from .exactq import (
     ONE,
     QMatrix,
-    Vector,
     ZERO,
-    _unit_vec,
     kernel_basis,
     rat,
     solve_linear,
@@ -100,26 +107,19 @@ class DGC:
     coproduct: Mapping[Key, Mapping[PairKey, Fraction]]
 
     def __post_init__(self):
-        if self.underlying.basis and min(self.underlying.basis) < 1:
+        basis = self.underlying.basis
+        if basis and min(basis) < 1:
             raise ValueError("de-augmentation must live in positive degrees")
+        keys = {(k, i) for k, names in basis.items() for i in range(len(names))}
         clean: CoTable = {}
         for key, table in self.coproduct.items():
             t = {p: rat(c) for p, c in table.items() if c}
-            if t:
-                clean[key] = t
-        object.__setattr__(self, "coproduct", clean)
-
-    def delta_basis(self, k: int, i: int) -> dict[PairKey, Fraction]:
-        return dict(self.coproduct.get((k, i), {}))
-
-    def delta_vec(self, k: int, v: Vector) -> dict[PairKey, Fraction]:
-        out: dict[PairKey, Fraction] = {}
-        for i, c in enumerate(v):
-            if not c:
+            if not t:
                 continue
-            for p, val in self.coproduct.get((k, i), {}).items():
-                _accumulate(out, p, c * val)
-        return out
+            if key not in keys or any(a[0] + b[0] != key[0] or not {a, b} <= keys for a, b in t):
+                raise ValueError(f"malformed coproduct entry at ({key[0]},{key[1]})")
+            clean[key] = t
+        object.__setattr__(self, "coproduct", clean)
 
     def __eq__(self, other):
         return (
@@ -162,92 +162,59 @@ def zero_dgc_map(a: DGC, b: DGC) -> DGCMap:
 
 def _coproduct_map(c: DGC) -> DGMap:
     """The reduced coproduct as a degree-zero map V -> V (x) V, placed through
-    the tensor index; an entry that is not a pure tensor of its own degree raises.
-    V (x) V is laid out only up to V's top degree, the degrees the map reaches."""
+    the tensor index.  V (x) V is laid out only up to V's top degree, the
+    degrees the map reaches."""
     dg = c.underlying
     square, index = _tensor_with_index(dg, dg, max(dg.degrees(), default=0))
     ent: dict[int, dict] = {}
     for (k, i), table in c.coproduct.items():
         for ((k1, i1), (k2, i2)), val in table.items():
-            n, row = index.get((k1, i1, k2, i2), (None, None))
-            if n != k:
-                raise ValueError(f"malformed coproduct entry at ({k},{i})")
-            ent.setdefault(k, {})[(row, i)] = val
+            ent.setdefault(k, {})[(index[(k1, i1, k2, i2)][1], i)] = val
     return DGMap(dg, square, {k: QMatrix(square.dim(k), dg.dim(k), e) for k, e in ent.items()})
 
 
-def _apply_pair(f: DGMap, table: Mapping[PairKey, Fraction]) -> dict[PairKey, Fraction]:
-    """(f tensor f) applied to a reduced-coproduct value."""
-    out: dict[PairKey, Fraction] = {}
-    for ((k1, i1), (k2, i2)), val in table.items():
-        v1 = f.block(k1).column(i1) if f.target.dim(k1) else ()
-        v2 = f.block(k2).column(i2) if f.target.dim(k2) else ()
-        for j1, c1 in enumerate(v1):
-            if not c1:
-                continue
-            for j2, c2 in enumerate(v2):
-                if not c2:
-                    continue
-                _accumulate(out, ((k1, j1), (k2, j2)), val * c1 * c2)
-    return out
-
-
-def _d_of_pair(dg: DG, table: Mapping[PairKey, Fraction]) -> dict[PairKey, Fraction]:
-    """(d tensor 1 + signed 1 tensor d) applied to a reduced-coproduct value."""
-    out: dict[PairKey, Fraction] = {}
-    for ((k1, i1), (k2, i2)), val in table.items():
-        d1 = dg.d(k1)
-        for r in range(dg.dim(k1 - 1)):
-            c = d1.get(r, i1)
-            if c:
-                _accumulate(out, ((k1 - 1, r), (k2, i2)), val * c)
-        sign = -ONE if k1 % 2 else ONE
-        d2 = dg.d(k2)
-        for r in range(dg.dim(k2 - 1)):
-            c = d2.get(r, i2)
-            if c:
-                _accumulate(out, ((k1, i1), (k2 - 1, r)), sign * val * c)
-    return out
+def _columns_apart(a: QMatrix, b: QMatrix) -> set[int]:
+    """The columns where two matrices differ, compared entry by entry."""
+    ea, eb = a.entries, b.entries
+    return {c for r, c in ea.keys() | eb.keys() if ea.get((r, c)) != eb.get((r, c))}
 
 
 def dgc_validate(c) -> list[str]:
-    """Report every violated coalgebra axiom with a witness; empty iff valid."""
+    """Report every violated coalgebra axiom with a witness; empty iff valid.
+
+    Compatibility with d is one identity on the coproduct map: Delta is a
+    chain map V -> V (x) V, and a map f respects coproducts when
+    Delta_T f = (f (x) f) Delta_S.  Each failing column is reported at its
+    basis element; with no coproduct on either side nothing is laid out.
+    """
     if isinstance(c, CofreeDGC):
-        report = []
-        for w, lin in c.corestriction.items():
-            wdeg = c.word_degree(w)
-            for h in lin:
-                if c.deg[h] != wdeg - 1:
-                    report.append(f"d({c.word_name(w)}) is not homogeneous of degree -1")
-                    break
-        if report:
-            return report
         return dgc_validate(to_dgc(c))
     if isinstance(c, DGCMap):
         report = list(validate_dg(c.dgmap))
-        src, tgt = c.source, c.target
-        for k in src.underlying.degrees():
-            for i in range(src.underlying.dim(k)):
-                lhs = tgt.delta_vec(k, c.dgmap.apply(k, _unit_vec(src.underlying.dim(k), i)))
-                rhs = _apply_pair(c.dgmap, src.delta_basis(k, i))
-                if lhs != rhs:
-                    report.append(f"map does not respect the coproduct at ({k},{i})")
+        src, tgt, f = c.source, c.target, c.dgmap
+        if src.coproduct or tgt.coproduct:
+            ds, dt = _coproduct_map(src), _coproduct_map(tgt)
+            ff = tensor_map(f, f, max(src.underlying.degrees(), default=0))
+            for k in src.underlying.degrees():
+                apart = _columns_apart(dt.block(k) * f.block(k), ff.block(k) * ds.block(k))
+                report.extend(f"map does not respect the coproduct at ({k},{i})" for i in sorted(apart))
         return report
     report = list(validate_dg(c.underlying))
     dg = c.underlying
     for (k, i), table in sorted(c.coproduct.items()):
         for ((k1, i1), (k2, i2)), val in table.items():
-            if k1 + k2 != k or i1 >= dg.dim(k1) or i2 >= dg.dim(k2):
-                report.append(f"malformed coproduct entry at ({k},{i})")
-                continue
             sign = -ONE if (k1 * k2) % 2 else ONE
             if table.get(((k2, i2), (k1, i1)), ZERO) != sign * val:
                 report.append(
                     f"cocommutativity fails at ({k},{i}) on pair (({k1},{i1}),({k2},{i2}))"
                 )
+    apart: dict[int, set[int]] = {}
+    if c.coproduct:  # Delta is a chain map: Delta d = d Delta, column by column
+        delta = _coproduct_map(c)
+        apart = {k: _columns_apart(delta.block(k - 1) * dg.d(k), delta.target.d(k) * delta.block(k)) for k in dg.degrees()}
     for k in dg.degrees():
         for i in range(dg.dim(k)):
-            table = c.delta_basis(k, i)
+            table = c.coproduct.get((k, i), {})
             left: dict[tuple[Key, Key, Key], Fraction] = {}
             right: dict[tuple[Key, Key, Key], Fraction] = {}
             for ((k1, i1), b), val in table.items():
@@ -262,9 +229,7 @@ def dgc_validate(c) -> list[str]:
             right = {t: v for t, v in right.items() if v}
             if left != right:
                 report.append(f"coassociativity fails at ({k},{i})")
-            lhs = c.delta_vec(k - 1, dg.d(k).apply(_unit_vec(dg.dim(k), i)))
-            rhs = _d_of_pair(dg, table)
-            if lhs != rhs:
+            if i in apart.get(k, ()):
                 report.append(f"coproduct does not commute with d at ({k},{i})")
     return report
 
@@ -312,7 +277,7 @@ def _full_delta(c: DGC, key) -> list[tuple[tuple, tuple, Fraction]]:
         return [(("1",), ("1",), ONE)]
     _, k, i = key
     out = [(("1",), key, ONE), (key, ("1",), ONE)]
-    for ((k1, i1), (k2, i2)), val in c.delta_basis(k, i).items():
+    for ((k1, i1), (k2, i2)), val in c.coproduct.get((k, i), {}).items():
         out.append((("e", k1, i1), ("e", k2, i2), val))
     return out
 
@@ -416,6 +381,28 @@ def dgc_combine(kind: str, a, b, sign_rule: str = "half"):
 # -- homotopy pushouts ----------------------------------------------------------
 
 
+def _suspended_coproduct(c: DGC, strand: Mapping[Key, int], legs) -> CoTable:
+    """The one rule for cylinders, cones, suspensions and joins: a suspended
+    strand sC (placed by strand, (k + 1, i) -> index) glued to bases along
+    legs (places, g: C -> base) has Delta(sx) = sum over the legs and the
+    terms x' (x) x'' of Delta x of 1/2 (sx' (x) g x'') + 1/2 (-1)^|x'| (g x' (x) sx'')."""
+    legs = [(at, _by_column(g.blocks)) for at, g in legs]
+    table: CoTable = {}
+    for (k, i), delta in sorted(c.coproduct.items()):
+        acc: dict[PairKey, Fraction] = {}
+        for ((k1, i1), (k2, i2)), val in delta.items():
+            s1, s2 = (k1 + 1, strand[(k1 + 1, i1)]), (k2 + 1, strand[(k2 + 1, i2)])
+            half, sign = val / 2, -ONE if k1 % 2 else ONE
+            for at, g in legs:  # each column in row order, whatever order its block was filled in
+                for j, x in sorted(g.get((k2, i2), ())):
+                    _accumulate(acc, (s1, (k2, at[(k2, j)])), half * x)
+                for j, x in sorted(g.get((k1, i1), ())):
+                    _accumulate(acc, ((k1, at[(k1, j)]), s2), sign * half * x)
+        if acc:
+            table[(k + 1, strand[(k + 1, i)])] = acc
+    return table
+
+
 def dgc_ho_pushout(f1: DGCMap, f2: DGCMap) -> tuple[DGC, DGCMap, DGCMap]:
     """Two-sided cylinder (B1 + sC + B2, d(sc) = -s dc + f1(c) + f2(c)) with
     the halved suspension coproduct on the middle strand.  Returns the object
@@ -432,33 +419,12 @@ def dgc_ho_pushout(f1: DGCMap, f2: DGCMap) -> tuple[DGC, DGCMap, DGCMap]:
     """
     if f1.source is not f2.source and f1.source != f2.source:
         raise ValueError("pushout domain mismatch")
-    c = f1.source
     b1, b2 = f1.target, f2.target
     total, incls = _cylinder_sum(f1.dgmap, f2.dgmap)
     at1, at_s, at2 = (_places(incl) for incl in incls)
-
-    def key_s(k1, i1):
-        # suspended class of degree k1 + 1
-        return (k1 + 1, at_s[(k1 + 1, i1)])
-
     table = _moved_table(b1.coproduct, at1)
     table.update(_moved_table(b2.coproduct, at2))
-    for k in c.underlying.degrees():
-        for i in range(c.underlying.dim(k)):
-            acc: dict[PairKey, Fraction] = {}
-            for ((k1, i1), (k2, i2)), val in c.delta_basis(k, i).items():
-                sign = -ONE if k1 % 2 else ONE
-                for at, g in ((at1, f1.dgmap), (at2, f2.dgmap)):
-                    img2 = g.block(k2).column(i2) if g.target.dim(k2) else ()
-                    for j, cc in enumerate(img2):
-                        if cc:
-                            _accumulate(acc, (key_s(k1, i1), (k2, at[(k2, j)])), val * cc / 2)
-                    img1 = g.block(k1).column(i1) if g.target.dim(k1) else ()
-                    for j, cc in enumerate(img1):
-                        if cc:
-                            _accumulate(acc, ((k1, at[(k1, j)]), key_s(k2, i2)), sign * val * cc / 2)
-            if acc:
-                table[key_s(k, i)] = acc
+    table.update(_suspended_coproduct(f1.source, at_s, [(at1, f1.dgmap), (at2, f2.dgmap)]))
     out = DGC(total, table)
     return out, DGCMap(b1, out, incls[0]), DGCMap(b2, out, incls[2])
 
@@ -655,9 +621,13 @@ class CofreeDGC:
         self.gen_index = {n: i for i, n in enumerate(self.gen_name)}
         self.corestriction: dict[Word, dict[int, Fraction]] = {}
         for w, lin in corestriction.items():
-            lin = {h: rat(cc) for h, cc in lin.items() if cc}
+            w, lin = tuple(w), {h: rat(cc) for h, cc in lin.items() if cc}
+            if not all(0 <= g < len(gens) for g in (*w, *lin)):
+                raise ValueError(f"the corestriction of {w} names no cogenerator")
+            if any(self.deg[h] != self.word_degree(w) - 1 for h in lin):
+                raise ValueError(f"d({self.word_name(w)}) is not homogeneous of degree -1")
             if lin:
-                self.corestriction[tuple(w)] = lin
+                self.corestriction[w] = lin
         self._words: Optional[dict[int, tuple[Word, ...]]] = None
         self._dgc: Optional[DGC] = None
 

@@ -372,6 +372,11 @@ class FreeDGL:
         self.gen_diff: dict[int, TensorPoly] = {
             i: dict(p) for i, p in gen_diff.items() if p
         }
+        for i, p in self.gen_diff.items():
+            if not _names_generators(basis, [(i,), *p]):
+                raise ValueError(f"the differential of generator {i} names no generator")
+            if any(basis.word_degree(w) != basis.deg[i] - 1 for w in p):
+                raise ValueError(f"d({basis.gen_name[i]}) is not homogeneous of degree -1")
         self._dgl: Optional[DGL] = None
 
     @property
@@ -480,6 +485,11 @@ class FreeDGLMap:
         self.gen_images: dict[int, TensorPoly] = {
             i: dict(p) for i, p in gen_images.items() if p
         }
+        for i, p in self.gen_images.items():
+            if not (_names_generators(source.basis, [(i,)]) and _names_generators(target.basis, p)):
+                raise ValueError(f"the image of generator {i} names no generator")
+            if any(target.basis.word_degree(w) != source.basis.deg[i] for w in p):
+                raise ValueError("generator assignment is not degree 0")
 
     def to_dgmap(self) -> DGMap:
         """The map of expanded DGLs: each generator image in coordinates,
@@ -493,6 +503,11 @@ class FreeDGLMap:
         src, tgt = abelianize(self.source), abelianize(self.target)
         degs = (self.source.basis.deg, self.target.basis.deg)
         return _generator_map(src, tgt, degs, lambda j: _letters(self.gen_images.get(j, {})))
+
+
+def _names_generators(basis: FreeLieBasis, words) -> bool:
+    """Whether every letter of the words is a generator of the basis."""
+    return all(0 <= g < len(basis.deg) for w in words for g in w)
 
 
 def _letters(poly: TensorPoly) -> dict[int, Fraction]:
@@ -529,11 +544,6 @@ def dgl_validate(l) -> list[str]:
     if isinstance(l, FreeDGL):
         report = []
         b = l.basis
-        for i, p in l.gen_diff.items():
-            for w in p:
-                if b.word_degree(w) != b.deg[i] - 1:
-                    report.append(f"d({b.gen_name[i]}) is not homogeneous of degree -1")
-                    break
         for i in l.gen_diff:
             dd = l.d_poly(l.gen_diff[i])
             dd = {w: c for w, c in dd.items() if b.word_degree(w) <= b.cap}

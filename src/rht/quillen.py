@@ -136,7 +136,7 @@ def cobar_L(c, cap: int, sign_rule: str = "desuspended") -> FreeDGL:
     for k in dg.degrees():
         for i in range(dg.dim(k)):
             poly: TensorPoly = {(h,): -c for h, c in lin.get(first[k] + i, {}).items()}
-            for ((k1, i1), (k2, i2)), val in cd.delta_basis(k, i).items():
+            for ((k1, i1), (k2, i2)), val in cd.coproduct.get((k, i), {}).items():
                 a = {(first[k1] + i1,): ONE}
                 b = {(first[k2] + i2,): ONE}
                 sign = flip * (-ONE if k1 % 2 else ONE)

@@ -635,12 +635,37 @@ def test_cylinder_abelianization_matches_dg_pushout():
 
 
 def test_cylinder_rejects_non_free_map():
-    l = FreeDGL(free_lie_basis([("x", 1)], 4), {})
-    t = FreeDGL(free_lie_basis([("a", 1)], 4), {})
-    bad = FreeDGLMap(l, t, {0: dict(t.basis.expand((0, 0)))})  # x -> [a,a]
+    l = FreeDGL(free_lie_basis([("x", 2)], 4), {})
+    t = FreeDGL(free_lie_basis([("a", 1), ("b", 1)], 4), {})
+    bad = FreeDGLMap(l, t, {0: dict(t.basis.expand((0, 1)))})  # x -> [a,b]
     zero = FreeDGL(free_lie_basis([], 4), {})
     with pytest.raises(ValueError):
         free_cylinder(bad, FreeDGLMap(l, zero, {}))
+
+
+def test_free_dgl_maps_reject_generator_images_of_another_degree():
+    # x -> y once gave to_dgmap() = 0 but abelianized() = (x -> x), and
+    # x -> x + y silently became x -> x
+    src = FreeDGL(free_lie_basis([("x", 2)], 6), {})
+    tgt = FreeDGL(free_lie_basis([("x", 2), ("y", 3)], 6), {})
+    for image in ({(1,): ONE}, {(0,): ONE, (1,): ONE}, {(0, 0): ONE}):
+        with pytest.raises(ValueError, match="generator assignment is not degree 0"):
+            FreeDGLMap(src, tgt, {0: image})
+    for images in ({0: {(2,): ONE}}, {0: {(-1,): ONE}}, {1: {(0,): ONE}}):
+        with pytest.raises(ValueError, match="names no generator"):
+            FreeDGLMap(src, tgt, images)
+    assert FreeDGLMap(src, tgt, {0: {(0,): rat(2)}}).abelianized().block(2).entries == {(0, 0): rat(2)}
+
+
+def test_free_dgls_reject_inhomogeneous_or_unknown_differentials():
+    b = free_lie_basis([("x", 1), ("y", 3)], 6)
+    for diff in ({1: {(0,): ONE}}, {1: {(0, 0): ONE, (0,): ONE}}):
+        with pytest.raises(ValueError, match=r"d\(y\) is not homogeneous of degree -1"):
+            FreeDGL(b, diff)
+    for diff in ({2: {(0, 0): ONE}}, {1: {(0, 2): ONE}}, {-1: {(0,): ONE}}):
+        with pytest.raises(ValueError, match="names no generator"):
+            FreeDGL(b, diff)
+    assert FreeDGL(b, {1: dict(b.expand((0, 0)))}).gen_diff == {1: dict(b.expand((0, 0)))}
 
 
 def test_cylinder_rejects_nonlinear_middle():
@@ -1332,7 +1357,7 @@ def test_free_product_witness_and_abelianization_match_the_old_positions(seed):
     for i, js in same.items():
         if js:
             images[i] = {(rng.choice(js),): rat(rng.randint(-2, 2))}
-            if len(b.basis.deg) > 1:
+            if len(b.basis.deg) > 1 and b.basis.word_degree((0, 1)) == a.basis.deg[i]:
                 images[i][(0, 1)] = ONE
     f = FreeDGLMap(a, b, images)
     assert f.abelianized() == _old_abelianized(f)
@@ -1716,7 +1741,7 @@ def _random_leg(rng, v, names, cap):
     for i, d in enumerate(v.basis.deg):
         same = [j for j, e in enumerate(t.basis.deg) if e == d]
         poly = {(j,): rat(rng.choice([1, -1, 2])) for j in same if rng.random() < 0.6}
-        if kind == "bracket" and t.basis.deg and rng.random() < 0.5:
+        if kind == "bracket" and t.basis.deg and rng.random() < 0.5 and t.basis.word_degree((0, 0)) == d:
             poly[(0, 0)] = ONE
         if poly and kind != "zero":
             images[i] = poly

@@ -136,7 +136,7 @@ def _old_cobar_L(c, cap):
             for r in range(dg.dim(k - 1)):
                 if dk.get(r, i):
                     poly = tp_add(poly, {(locate[(k - 1, r)],): -dk.get(r, i)})
-            for ((k1, i1), (k2, i2)), val in cd.delta_basis(k, i).items():
+            for ((k1, i1), (k2, i2)), val in cd.coproduct.get((k, i), {}).items():
                 a, b = {(locate[(k1, i1)],): ONE}, {(locate[(k2, i2)],): ONE}
                 sign = ONE if k1 % 2 else -ONE  # the "desuspended" sign rule
                 poly = tp_add(poly, tp_scale(HALF * sign * val, basis.bracket_poly(a, b)))
