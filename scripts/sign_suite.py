@@ -2,13 +2,17 @@
 
 Builds random inputs for each structural construction and runs the exact
 validators (d^2 = 0, Jacobi, coassociativity, Delta a chain map).  Any report
-line is a bug.
+line is a bug.  Every tenth round also checks the symmetric-group action on
+the cross effects cr_n F(x, ..., x), n = 2..4, of the identity, the tensor
+square and the cofree Lambda functor: the action must validate, and a copy
+with one off-diagonal action entry negated must be reported as no longer an
+involution.
 """
 
 import argparse
 import random
 
-from rht.calculus import join, test_cube
+from rht.calculus import IdentityFunctor, LambdaFunctor, TensorPowerFunctor, cross_effect, join, test_cube
 from rht.dgc import (
     cofree_lambda,
     dgc_ho_pushout,
@@ -19,6 +23,8 @@ from rht.dgc import (
     trivial_dgc,
 )
 from rht.dgcore import (
+    DGMap,
+    SymmetricDG,
     big_loops,
     big_suspension,
     cone_dg,
@@ -29,7 +35,27 @@ from rht.dgcore import (
     validate_dg,
 )
 from rht.dgl import abelian_dgl, dgl_ho_pullback, dgl_validate, identity_dgl_map, zero_dgl_map
+from rht.exactq import QMatrix
 from rht.randgen import random_chain_map, random_dg
+
+CROSS_EFFECT_FUNCTORS = (IdentityFunctor(), TensorPowerFunctor(2), LambdaFunctor(6))
+
+
+def negate_one_entry(sym: SymmetricDG):
+    """(i, sym with the first off-diagonal entry of generator i negated), or
+    None when the action has no such entry.  The generators are signed
+    permutations, so generator i is then no longer an involution."""
+    for i, a in enumerate(sym.action):
+        for k, m in sorted(a.blocks.items()):
+            flipped = m.scale(-1)  # keeps the shared -1 and 1 entries
+            for rc in sorted(m.entries):
+                if rc[0] != rc[1]:
+                    blocks = dict(a.blocks)
+                    blocks[k] = QMatrix(m.rows, m.cols, {**m.entries, rc: flipped.entries[rc]})
+                    action = list(sym.action)
+                    action[i] = DGMap(a.source, a.target, blocks)
+                    return i, SymmetricDG(sym.underlying, sym.n, action)
+    return None
 
 
 def main():
@@ -68,6 +94,20 @@ def main():
             if r:
                 bad += 1
                 print(f"[{i}] dgc: {r[0]}")
+        if i % 10:
+            continue
+        for f in CROSS_EFFECT_FUNCTORS:
+            for n in (2, 3, 4):
+                name = f"cr_{n} {type(f).__name__}"
+                cr = cross_effect(f, n, [random_dg(rng, 2, 3, 1)] * n)
+                r = cr.validate()
+                if r:
+                    bad += 1
+                    print(f"[{i}] {name}: {r[0]}")
+                corrupted = negate_one_entry(cr)
+                if corrupted is not None and f"generator {corrupted[0]} is not an involution" not in corrupted[1].validate():
+                    bad += 1
+                    print(f"[{i}] {name}: a negated action entry is not reported")
     print(f"{args.count} rounds, {bad} failures")
     raise SystemExit(1 if bad else 0)
 

@@ -563,6 +563,9 @@ def _parse_window(spec: str, cap: int):
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
         raise UsageError("empty window")
+    if hi > cap:
+        # the model is cut at the cap, so it cannot see degrees above it
+        raise UsageError(f"window top {hi} is above the cap {cap}; raise the cap with --truncate")
     return (lo, hi)
 
 

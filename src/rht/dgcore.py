@@ -31,6 +31,14 @@ _generator_map turn such a table back into the DG and the map.
 Spans are matrices.  A subspace travels from its elimination to the sub-object
 built on it as the columns of one QMatrix: kernel_basis returns a kernel that
 way, and sub_dg takes one such matrix per degree as the inclusion's block.
+
+Face and Sigma_n checks compare two composites of maps (_same_composite).  In
+a degree where every block is signed monomial, each column holding at most
+one entry and that entry the shared 1 or -1, as in coproduct cubes, test
+cubes and cross-effect actions, each block is read once into a signed column
+array and the composites are composed and compared as arrays, with no entry
+summed.  In any other degree, such as that of Lie(n)'s last swap, they are
+compared as QMatrix products.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -49,6 +58,7 @@ from .exactq import (
     _kernel_from_rref,
     _moved,
     _negated,
+    _signed_column_array,
     image_pivot_columns,
     kernel_basis,
     rat,
@@ -164,6 +174,38 @@ def compose(g: DGMap, f: DGMap) -> DGMap:
     for k in f.blocks:
         blocks[k] = g.block(k) * f.block(k)
     return DGMap(f.source, g.target, blocks)
+
+
+def _same_composite(first: Sequence[DGMap], second: Sequence[DGMap], memo: dict) -> bool:
+    """Whether two paths of maps, each listed in the order its maps apply,
+    compose to equal DGMaps, as compose and == decide; a path whose maps do
+    not meet raises compose's ValueError.  In a degree where every block of
+    both paths is signed monomial, the composites are signed column arrays
+    (exactq._signed_column_array), composed by indexing with no entry summed;
+    in any other degree they are QMatrix products.  memo, one per check,
+    keeps each map's arrays by id and each verdict by the two paths' ids."""
+    key = (tuple(map(id, first)), tuple(map(id, second)))
+    if key in memo:
+        return memo[key]
+    for f, g in [*zip(first, first[1:]), *zip(second, second[1:])]:
+        if f.target != g.source:
+            raise ValueError("composition mismatch")
+    same = first[0].source == second[0].source and first[-1].target == second[-1].target
+    maps = (*first, *second)
+    for k in set(first[0].blocks) | set(second[0].blocks) if same else ():
+        for m in maps:
+            if (id(m), k) not in memo:
+                memo[id(m), k] = _signed_column_array(m.block(k))
+        if all(memo[id(m), k] is not None for m in maps):
+            step = lambda out, then: [x and (then[x - 1] if x > 0 else -then[-x - 1]) for x in out]
+            one, two = (reduce(step, [memo[id(m), k] for m in path]) for path in (first, second))
+        else:
+            one, two = (reduce(lambda out, m: m.block(k) * out, path[1:], path[0].block(k)) for path in (first, second))
+        if one != two:
+            same = False
+            break
+    memo[key] = same
+    return same
 
 
 def map_add(f: DGMap, g: DGMap) -> DGMap:
@@ -505,14 +547,6 @@ def tensor_map(f: DGMap, g: DGMap, top: Optional[int] = None) -> DGMap:
     return DGMap(src, tgt, blocks)
 
 
-def combine(kind: str, a: DG, b: DG) -> DG:
-    if kind == "sum":
-        return sum_dg(a, b)[0]
-    if kind == "tensor":
-        return tensor_dg(a, b)
-    raise ValueError(f"unknown combine kind {kind!r}")
-
-
 def shift(v: DG, n: int, tag: Optional[str] = None) -> DG:
     """s^n V: degree shift by n with differential scaled by (-1)^n."""
     if tag is None:
@@ -617,14 +651,6 @@ def reduce_with_inclusion(r: int, v: DG) -> tuple[DG, DGMap]:
     spans = {k: QMatrix.identity(v.dim(k)) for k in v.degrees() if k > r}
     spans[r] = kernel_basis(v.d(r))
     return sub_dg(v, spans, prefix=f"r{r}_")
-
-
-def reduce_truncate(mode: str, r: int, v: DG) -> DG:
-    if mode == "truncate":
-        return truncate(r, v)
-    if mode == "reduce":
-        return reduce_dg(r, v)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def quotient_dg(v: DG, killed: Mapping[int, QMatrix], prefix: str = "q") -> tuple[DG, DGMap]:
@@ -770,14 +796,6 @@ def ho_cofiber(f: DGMap) -> DG:
     return sum_many(parts, ["w", "c"], [(0, 1, _out_of_suspension(f))])[0]
 
 
-def ho_fiber_cofiber(mode: str, f: DGMap) -> DG:
-    if mode == "fiber":
-        return ho_fiber(f)
-    if mode == "cofiber":
-        return ho_cofiber(f)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 # -- bigraded vector spaces and n-dimensional cubes -----------------------------
 
 
@@ -875,21 +893,16 @@ class Cube:
 
     def validate_commuting(self) -> list[str]:
         """Reports for edges with the wrong endpoints and faces that do not
-        commute.  Cubes share edge maps (a test cube has one per shape), so
-        each distinct composite, and each comparison of two, is made once."""
+        commute.  Both paths of a face are compared by _same_composite: as
+        signed column arrays where every block is signed monomial, as in
+        coproduct cubes and test cubes, and as products otherwise.  Cubes
+        share edge maps (a test cube has one per shape), so each distinct
+        pair of paths is compared once."""
         report = []
         for (s, t), m in self.edges.items():
             if m.source != self.objects[s] or m.target != self.objects[t]:
                 report.append(f"edge {sorted(s)}->{sorted(t)} endpoints mismatch")
-        composites: dict[tuple[int, int], DGMap] = {}
-        verdicts: dict[tuple[tuple[int, int], tuple[int, int]], bool] = {}
-
-        def path(first: DGMap, then: DGMap) -> tuple[int, int]:
-            key = (id(first), id(then))
-            if key not in composites:
-                composites[key] = compose(then, first)
-            return key
-
+        memo: dict = {}
         for s in self.objects:
             outside = [e for e in range(1, self.n + 1) if e not in s]
             for i, a in enumerate(outside):
@@ -897,11 +910,8 @@ class Cube:
                     sa, sb, sab = s | {a}, s | {bel}, s | {a, bel}
                     if sab not in self.objects or sa not in self.objects or sb not in self.objects:
                         continue
-                    one = path(self.edge(s, sa), self.edge(sa, sab))
-                    two = path(self.edge(s, sb), self.edge(sb, sab))
-                    if (one, two) not in verdicts:
-                        verdicts[one, two] = composites[one] == composites[two]
-                    if not verdicts[one, two]:
+                    one, two = (self.edge(s, sa), self.edge(sa, sab)), (self.edge(s, sb), self.edge(sb, sab))
+                    if not _same_composite(one, two, memo):
                         report.append(
                             f"face at {sorted(s)} +{a},+{bel} does not commute"
                         )
@@ -1175,26 +1185,32 @@ class SymmetricDG:
     action: list[DGMap]  # one DGMap per adjacent transposition (1 2), ..., (n-1 n)
 
     def validate(self) -> list[str]:
+        """Reports for a wrong generator count, generators that are not chain
+        maps of the underlying DG, and failures of the involution, braid and
+        distant-commutation relations.  Each relation is checked by
+        _same_composite: on signed column arrays where every block is signed
+        monomial, as for cross effects and factor swaps, and as products
+        otherwise, as for Lie(n)'s last swap."""
         report = []
         if len(self.action) != max(self.n - 1, 0):
             report.append("wrong number of generator actions")
             return report
         ident = identity_map(self.underlying)
+        memo: dict = {}
         for i, a in enumerate(self.action):
             if a.source != self.underlying or a.target != self.underlying:
                 report.append(f"generator {i} endpoints mismatch")
                 continue
             report.extend(f"generator {i}: {msg}" for msg in validate_dg(a))
-            if compose(a, a) != ident:
+            if not _same_composite((a, a), (ident,), memo):
                 report.append(f"generator {i} is not an involution")
         for i in range(len(self.action) - 1):
             a, b = self.action[i], self.action[i + 1]
-            ab = compose(a, b)
-            if compose(ab, a) != compose(b, ab):
+            if not _same_composite((a, b, a), (b, a, b), memo):
                 report.append(f"braid relation fails at generators {i},{i+1}")
         for i in range(len(self.action)):
             for j in range(i + 2, len(self.action)):
-                if compose(self.action[i], self.action[j]) != compose(self.action[j], self.action[i]):
+                if not _same_composite((self.action[j], self.action[i]), (self.action[i], self.action[j]), memo):
                     report.append(f"distant generators {i},{j} do not commute")
         return report
 

@@ -96,6 +96,18 @@ def _signed_columns(m: "QMatrix") -> Optional[dict[int, list[tuple[int, Fraction
     return out if len({c for _, c in m.entries}) == len(m.entries) else None
 
 
+def _signed_column_array(m: "QMatrix") -> Optional[list[int]]:
+    """For m with at most one entry per column, each the shared ONE or
+    _MINUS_ONE: per column, 0 for a zero column and ±(row + 1) for a ±1 in
+    that row.  Otherwise None."""
+    out = [0] * m.cols
+    for (r, c), v in m.entries.items():
+        if out[c] or (v is not ONE and v is not _MINUS_ONE):
+            return None
+        out[c] = r + 1 if v is ONE else -r - 1
+    return out
+
+
 def _is_signed_rows(m: "QMatrix") -> bool:
     """Whether m has at most one entry per row, each the shared ONE or _MINUS_ONE."""
     for v in m.entries.values():

@@ -271,6 +271,20 @@ def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     assert err.startswith("usage error:")
 
 
+def test_a_window_above_the_cap_is_a_usage_error(capsys):
+    # at cap 6 the model cannot see pi_7(CP^3) (x) Q, so a window through 9 would print a false 0
+    assert main(["homotopy", f"{MODELS}/polynomial.dgc", "--truncate", "6", "--window", "0:9"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage error: window top 9 is above the cap 6; raise the cap with --truncate\n"
+    assert main(["homotopy", f"{MODELS}/polynomial.dgc", "--truncate", "6", "--window", "0:6"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "window      0:6\n" in out and "homotopy.6  0\n" in out
+    # the model file's own cap (truncate 8) bounds the window when --truncate is not given
+    assert main(["homology", f"{MODELS}/polynomial.dgc", "--window", "0:9"]) == 2
+    assert "above the cap 8" in capsys.readouterr().err
+
+
 def test_boundary_arguments_are_not_usage_errors(capsys):
     assert main(["crosseffect", "-n", "0", f"{MODELS}/twocell.dg"]) == 0
     # cap 0 is legal; it is the model that cannot be cut that low

@@ -21,14 +21,14 @@ from rht.dgcore import (
     big_loops,
     big_suspension,
     chain_map_space,
-    combine,
     compose,
     cone_dg,
     cube_bidg,
     homology,
     homology_dims,
     ho_cube,
-    ho_fiber_cofiber,
+    ho_cofiber,
+    ho_fiber,
     ho_square,
     identity_map,
     is_bicartesian,
@@ -39,7 +39,7 @@ from rht.dgcore import (
     map_scale,
     paths_dg,
     quotient_dg,
-    reduce_truncate,
+    reduce_dg,
     shift,
     standard_tensor,
     strict_pullback,
@@ -51,15 +51,16 @@ from rht.dgcore import (
     sym_orbits,
     telescope,
     tensor_dg,
+    truncate,
     validate_dg,
     zero_map,
 )
 from rht.dgcore import _block_quotient, _cube_sum, _degree_positions, _out_of_suspension, _tensor_with_index, map_add, projection, tot
 from rht.dgcore import _incl_sign, _places, _subset_tag
-from rht.calculus import IdentityFunctor, _collapse_last, _power_with_swaps, cross_effect, lie_n, tensor_map
+from rht.calculus import IdentityFunctor, LambdaFunctor, _collapse_last, _power_with_swaps, cross_effect, lie_n, tensor_map
 from rht.calculus import CoefficientFunctor, TensorPowerFunctor, TnFunctor, _coproduct_cube, t_n, thcof_total, thfib_total
 from rht.calculus import test_cube as _test_cube, thfib_thcof
-from rht.exactq import ONE, ZERO, QMatrix, image_pivot_columns, kernel_basis, rank, rat, solve_matrix
+from rht.exactq import ONE, ZERO, QMatrix, _negated, image_pivot_columns, kernel_basis, rank, rat, solve_matrix
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
 
 
@@ -415,7 +416,7 @@ def test_orbit_quotients_match_the_two_elimination_quotient(seed, n, coefficient
 
 def test_tensor_unit():
     v = two_term()
-    t = combine("tensor", ONE_DG, v)
+    t = tensor_dg(ONE_DG, v)
     assert {k: t.dim(k) for k in t.degrees()} == {2: 1, 1: 1}
     assert homology_dims(t) == homology_dims(v)
 
@@ -473,7 +474,7 @@ def test_reduce_preserves_high_homology():
     for _ in range(15):
         v = random_dg(rng, -2, 4)
         r = rng.randint(-1, 3)
-        red = reduce_truncate("reduce", r, v)
+        red = reduce_dg(r, v)
         assert validate_dg(red) == []
         hv = homology_dims(v)
         hr = homology_dims(red)
@@ -482,13 +483,13 @@ def test_reduce_preserves_high_homology():
 
 def test_reduce_idempotent_on_reduced():
     v = DG({1: ("a",), 2: ("b",)})
-    assert reduce_truncate("reduce", 1, v) == v
+    assert reduce_dg(1, v) == v
 
 
 def test_truncate_differs_from_reduce():
     v = two_term(2)  # d: degree 2 -> degree 1
-    red = reduce_truncate("reduce", 2, v)
-    tru = reduce_truncate("truncate", 2, v)
+    red = reduce_dg(2, v)
+    tru = truncate(2, v)
     assert red.dim(2) == 0  # kernel of d_2 is 0
     assert tru.dim(2) == 1  # quotient keeps the generator
     assert homology_dims(red) == {}
@@ -546,18 +547,18 @@ def test_square_models_validate_on_random_input():
 def test_hofib_identity_contractible():
     rng = Random(16)
     v = random_dg(rng, 0, 3)
-    assert is_contractible(ho_fiber_cofiber("fiber", identity_map(v)))
+    assert is_contractible(ho_fiber(identity_map(v)))
 
 
 def test_hofib_to_zero():
     v = two_term()
-    fib = ho_fiber_cofiber("fiber", zero_map(v, ZERO_DG))
+    fib = ho_fiber(zero_map(v, ZERO_DG))
     assert {k: fib.dim(k) for k in fib.degrees()} == {2: 1, 1: 1}
 
 
 def test_hocof_from_zero():
     w = sphere(2)
-    cof = ho_fiber_cofiber("cofiber", zero_map(ZERO_DG, w))
+    cof = ho_cofiber(zero_map(ZERO_DG, w))
     assert {k: cof.dim(k) for k in cof.degrees()} == {2: 1}
 
 
@@ -714,19 +715,48 @@ def _renamed(v: DG) -> DG:
     return DG({k: tuple(f"{x}'" for x in names) for k, names in v.basis.items()}, dict(v.diff))
 
 
-def _outcome(check, cube):
+def _outcome(check, x):
     try:
-        return check(cube)
+        return check(x)
     except ValueError as err:
         return ("ValueError", str(err))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(("test", "constant", "square")),
-       st.lists(st.sampled_from(("scale", "source", "target")), max_size=3))
+def _corrupted(rng: Random, m: DGMap, how: str) -> DGMap:
+    """m with one corruption.  scale (m + 1 on an endomorphism, else 2m)
+    leaves the signed monomial blocks, and source and target rename an
+    endpoint.  negate (one entry, to its shared negation) and swap (two
+    columns of one block) keep every block signed monomial, so the signed
+    column arrays must see them; unshared puts an equal but unshared Fraction
+    in place of one entry, which sends that degree to the products."""
+    if how == "scale":
+        return map_add(m, identity_map(m.source)) if m.source == m.target else map_scale(2, m)
+    if how == "source":
+        return DGMap(_renamed(m.source), m.target, m.blocks)
+    if how == "target":
+        return DGMap(m.source, _renamed(m.target), m.blocks)
+    if not m.blocks:
+        return m
+    k = rng.choice(sorted(m.blocks))
+    b = m.blocks[k]
+    if how == "swap":
+        one, two = rng.sample(range(b.cols), 2) if b.cols > 1 else (0, 0)
+        ent = {(r, {one: two, two: one}.get(c, c)): v for (r, c), v in b.entries.items()}
+    else:
+        ent = dict(b.entries)
+        at = rng.choice(sorted(ent))
+        ent[at] = _negated(ent[at]) if how == "negate" else Fraction(ent[at].numerator, ent[at].denominator)
+    return DGMap(m.source, m.target, {**m.blocks, k: QMatrix(b.rows, b.cols, ent)})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("test", "constant", "square", "coproduct")),
+       st.lists(st.sampled_from(("scale", "source", "target", "negate", "swap", "unshared")), max_size=3))
 def test_validate_commuting_matches_the_face_by_face_loop(seed, kind, corruptions):
     rng = Random(seed)
-    if kind == "test":
+    if kind == "coproduct":
+        cube, _ = _coproduct_cube([random_dg(rng, 0, 2, 3) for _ in range(rng.randint(2, 4))])
+    elif kind == "test":
         cube = _test_cube(rng.randint(0, 3), random_dg(rng, 0, 2, 3))
     elif kind == "constant":
         n = rng.randint(1, 3)
@@ -741,14 +771,7 @@ def test_validate_commuting_matches_the_face_by_face_loop(seed, kind, corruption
         if not cube.edges:
             break
         key = rng.choice(sorted(cube.edges, key=lambda e: (sorted(e[0]), sorted(e[1]))))
-        m = cube.edges[key]
-        if how == "scale":
-            m = map_add(m, identity_map(m.source)) if m.source == m.target else map_scale(2, m)
-        elif how == "source":
-            m = DGMap(_renamed(m.source), m.target, m.blocks)
-        else:
-            m = DGMap(m.source, _renamed(m.target), m.blocks)
-        cube.edges[key] = m
+        cube.edges[key] = _corrupted(rng, cube.edges[key], how)
     assert _outcome(Cube.validate_commuting, cube) == _outcome(_old_validate_commuting, cube)
 
 
@@ -1018,11 +1041,57 @@ def _sym_cases():
     ]
 
 
-def test_sym_validate_matches_the_per_generator_loop():
+def test_sym_validate_reports_each_broken_relation():
     for sym, message in _sym_cases():
         report = sym.validate()
         assert report == _old_sym_validate(sym)
         assert (report == []) if message is None else any(line.startswith(message) for line in report)
+
+
+def _three_cycle(u: DG, a: DGMap) -> DGMap:
+    """The identity of u with the first three basis elements of its lowest
+    degree of dimension >= 3 cycled, or a where there is none: a signed
+    monomial map that is not an involution."""
+    k = next((k for k in u.degrees() if u.dim(k) >= 3), None)
+    if k is None:
+        return a
+    blocks = {j: QMatrix.identity(u.dim(j)) for j in u.degrees()}
+    blocks[k] = QMatrix(u.dim(k), u.dim(k), {((c + 1) % 3 if c < 3 else c, c): ONE for c in range(u.dim(k))})
+    return DGMap(u, u, blocks)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("identity", "square", "lambda", "swaps", "lie")),
+       st.lists(st.sampled_from(("negate", "cycle", "double", "source", "target")), max_size=2))
+def test_sym_validate_matches_the_per_generator_loop(seed, kind, corruptions):
+    """Cross effects and factor swaps act by signed monomial blocks, and
+    Lie(n)'s last swap is not one; each corruption flips one sign, or puts a
+    3-cycle, twice a generator or a generator with a renamed endpoint in the
+    place of a generator.  The reports must match, line by line in order, or
+    both raise the same error."""
+    rng = Random(seed)
+    n = rng.randint(1, 4)
+    if kind == "lie":
+        sym = lie_n(n).rep
+    elif kind == "swaps":
+        power, swaps, _ = _power_with_swaps(random_dg(rng, 0, 2, 3 if n < 4 else 2), n)
+        sym = SymmetricDG(power, n, swaps)
+    else:
+        functor = {"identity": IdentityFunctor(), "square": TensorPowerFunctor(2), "lambda": LambdaFunctor(6)}[kind]
+        sym = cross_effect(functor, n, [random_dg(rng, 2, 3, 1)] * n)
+    action = list(sym.action)
+    for how in corruptions:
+        if not action:
+            break
+        i = rng.randrange(len(action))
+        if how == "cycle":
+            action[i] = _three_cycle(sym.underlying, action[i])
+        elif how == "double":
+            action[i] = map_scale(2, action[i])
+        else:
+            action[i] = _corrupted(rng, action[i], how)
+    sym = SymmetricDG(sym.underlying, sym.n, action)
+    assert _outcome(SymmetricDG.validate, sym) == _outcome(_old_sym_validate, sym)
 
 
 # -- chain map space -----------------------------------------------------------------
@@ -1410,8 +1479,8 @@ def test_twisted_sum_builders_match_the_hand_written_ones(seed, lo, chain):
     f, g = random_chain_map(rng, v, w), random_chain_map(rng, u, w)
     assert _same(strict_pullback(f, g), _old_strict_pullback(f, g))
     assert _same(ho_square("pullback", f, g), _old_ho_pullback(f, g))
-    assert _same(ho_fiber_cofiber("fiber", f), _old_ho_fiber(f))
-    assert _same(ho_fiber_cofiber("cofiber", f), _old_ho_cofiber(f))
+    assert _same(ho_fiber(f), _old_ho_fiber(f))
+    assert _same(ho_cofiber(f), _old_ho_cofiber(f))
     f, g = random_chain_map(rng, w, v), random_chain_map(rng, w, u)
     assert _same(strict_pushout(f, g), _old_strict_pushout(f, g))
     assert _same(ho_square("pushout", f, g), _old_ho_pushout(f, g))

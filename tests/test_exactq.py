@@ -19,6 +19,7 @@ from rht.exactq import (
     _is_signed_rows,
     _rref_rows,
     _kernel_from_rref,
+    _signed_column_array,
     _signed_columns,
     image_pivot_columns,
     kernel_basis,
@@ -759,6 +760,10 @@ def _check_products(case, c):
     # the reindexing products take exactly the factors that are signed partial permutations
     assert (_signed_columns(b) is not None) == _signed_lines(b, 1)
     assert _is_signed_rows(a) == _signed_lines(a, 0)
+    # the face and Sigma_n checks read the same factors as signed column arrays
+    cols = _signed_column_array(b)
+    assert (cols is not None) == _signed_lines(b, 1)
+    assert cols is None or b.entries == {(abs(x) - 1, j): ONE if x > 0 else -ONE for j, x in enumerate(cols) if x}
     if a.cols == b.rows:
         _assert_same_matrix(a * b, _fraction_mul(a, b))
         _assert_small_integers_shared(a * b)
