@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .dgc import DGC, CofreeDGCMap, _as_dgc, _moved_table, _suspended_coproduct, cofree_lambda, to_dgc
 from .dgcore import (
@@ -150,16 +150,18 @@ def test_cube(n: int, x: DG) -> Cube:
 
 
 def _gather(source: DG, target: DG, pieces) -> DGMap:
-    """The map source -> target that puts, for each piece (k, m, rows, cols),
-    the entry (r, c) of m at (rows[(k, r)], cols[(k, c)]) in degree k: m maps
-    one summand to another, and rows and cols are their places (_places of a
-    sum's inclusion, or _cube_sum's places of a strand), or None where the
-    target or the source is not a sum.  The pieces map distinct summands, so
-    no two of them share an entry."""
+    """The map source -> target that puts, for each piece (k, m, rows, cols,
+    sign), the entry (r, c) of m at (rows[(k, r)], cols[(k, c)]) in degree k:
+    m maps one summand to another, and rows and cols are their places
+    (_places of a sum's inclusion, or _cube_sum's places of a strand), or
+    None where the target or the source is not a sum.  A sign of 1 or -1
+    places the entry as m.scale(sign) holds it; None, as it is.  The pieces
+    map distinct summands, so no two of them share an entry."""
     ent: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for k, m, rows, cols in pieces:
-        e = ent.setdefault(k, {})
+    for k, m, rows, cols, sign in pieces:
+        e, move = ent.setdefault(k, {}), None if sign is None else _moved if sign == 1 else _negated
         for (r, c), x in m.entries.items():
+            x = x if move is None else move(x)
             e[(r if rows is None else rows[(k, r)], c if cols is None else cols[(k, c)])] = x
     return DGMap(source, target, {k: QMatrix._of(target.dim(k), source.dim(k), e) for k, e in ent.items()})
 
@@ -172,7 +174,7 @@ def _into_holim(cube: Cube) -> tuple[DG, DGMap, dict[frozenset, dict[tuple[int, 
     hol, at = _cube_sum("limit", cube, cube.n)
     src = cube.objects[frozenset()]
     edges = [(at[frozenset({t})], cube.edge(frozenset(), frozenset({t}))) for t in range(1, cube.n + 1)]
-    m = _gather(src, hol, ((k, b, rows, None) for rows, e in edges for k, b in e.blocks.items()))
+    m = _gather(src, hol, ((k, b, rows, None, None) for rows, e in edges for k, b in e.blocks.items()))
     assert_valid(m, "comparison into the homotopy limit")
     return hol, m, at
 
@@ -184,8 +186,8 @@ def _outof_hocolim(cube: Cube) -> tuple[DG, DGMap]:
     # the strands full - {j} sit in vertical degree 0; the edge out of each is signed by (-1)^j
     pieces = []
     for j in range(1, cube.n + 1):
-        sign = -ONE if j % 2 else ONE
-        pieces += [(k, b.scale(sign), None, at[full - {j}]) for k, b in cube.edge(full - {j}, full).blocks.items()]
+        sign = -1 if j % 2 else 1
+        pieces += [(k, b, None, at[full - {j}], sign) for k, b in cube.edge(full - {j}, full).blocks.items()]
     m = _gather(hoc, cube.objects[full], pieces)
     assert_valid(m, "comparison out of the homotopy colimit")
     return hoc, m
@@ -440,7 +442,7 @@ class TnFunctor(FunctorSpec):
         # strand t maps to strand t by F of the join map, at vertical degree 1 - |t|
         pieces = []
         for t, cols in src_at.items():
-            pieces += [(k + 1 - len(t), b, tgt_at[t], cols) for k, b in comps[len(t)].blocks.items()]
+            pieces += [(k + 1 - len(t), b, tgt_at[t], cols, None) for k, b in comps[len(t)].blocks.items()]
         return _gather(src, tgt, pieces)
 
 
@@ -500,39 +502,54 @@ def _perm_sort_sign(seq: Sequence[int]) -> Fraction:
     return -ONE if inv % 2 else ONE
 
 
-def _coproduct_cube(inputs: Sequence[DG]) -> tuple[Cube, dict[frozenset, dict[int, dict[tuple[int, int], int]]]]:
+def _coproduct_cube(inputs: Sequence[DG]) -> tuple[Cube, Callable[[frozenset, frozenset, dict[int, int]], DGMap]]:
     """The cube S |-> the sum of the inputs x_i, i not in S, whose edges drop
-    the summand of the added element; with the places (_places of its
-    inclusion) of each summand, read once."""
+    the summand of the added element; and move(S, T, where), the map from the
+    sum at S to the sum at T sending summand i identically to summand
+    where[i], and the summands missing from where to zero.
+
+    A sum's differential and a map's blocks depend only on the inputs summed
+    (by identity, in order) and on where each summand goes, so each is built
+    once: one sum_many per distinct tuple of inputs, whose diff the other
+    subsets' sums share under their own x{i}(...) names, and one set of
+    blocks per shape of map.  For n equal inputs the 2^n sums share n + 1
+    differentials, and the edges and summand moves O(n^2) block sets."""
     n = len(inputs)
-    elements = list(range(1, n + 1))
-    objects, summands = {}, {}
+    objects: dict[frozenset, DG] = {}
+    comps: dict[frozenset, tuple[tuple[int, ...], tuple[int, ...]]] = {}  # S -> (summands, their shape)
+    # shape -> (the inputs, held so that their ids stay theirs, their sum, the places of each summand)
+    sums: dict[tuple[int, ...], tuple] = {}
     for r in range(n + 1):
-        for s in itertools.combinations(elements, r):
-            fs = frozenset(s)
-            comp = [i for i in elements if i not in fs]
-            objects[fs], incls = sum_many([inputs[i - 1] for i in comp], tags=[f"x{i}" for i in comp])
-            summands[fs] = {i: _places(incl) for i, incl in zip(comp, incls)}
-    edges = {}
-    for fs, obj in objects.items():
-        for t in elements:
-            if t not in fs:
-                up, where = fs | {t}, {i: i for i in summands[fs] if i != t}
-                edges[(fs, up)] = _move_summands(obj, objects[up], summands[fs], summands[up], where)
-    return Cube(n, objects, edges), summands
+        for s in itertools.combinations(range(1, n + 1), r):
+            comp = tuple(i for i in range(1, n + 1) if i not in s)
+            parts, tags = [inputs[i - 1] for i in comp], [f"x{i}" for i in comp]
+            shape = tuple(map(id, parts))
+            if shape not in sums:
+                out, incls = sum_many(parts, tags)
+                sums[shape] = parts, out, [_places(incl) for incl in incls]
+            else:
+                out = sums[shape][1]
+                names = {k: [f"{t}({x})" for p, t in zip(parts, tags) for x in p.basis.get(k, ())] for k in out.basis}
+                out = DG(names, out.diff)
+            objects[frozenset(s)], comps[frozenset(s)] = out, (comp, shape)
+    shared: dict[tuple, dict[int, QMatrix]] = {}
 
+    def move(s: frozenset, t: frozenset, where: dict[int, int]) -> DGMap:
+        (comp, a), (into, b) = comps[s], comps[t]
+        key = (a, b, tuple(into.index(where[i]) if i in where else None for i in comp))
+        if key not in shared:
+            ent: dict[int, dict[tuple[int, int], Fraction]] = {}
+            for at, q in zip(sums[a][2], key[2]):
+                if q is not None:
+                    rows = sums[b][2][q]
+                    for (k, p), c in at.items():
+                        ent.setdefault(k, {})[(rows[(k, p)], c)] = ONE
+            shared[key] = {k: QMatrix._of(sums[b][1].dim(k), sums[a][1].dim(k), e) for k, e in ent.items()}
+        return DGMap(objects[s], objects[t], shared[key])
 
-def _move_summands(source: DG, target: DG, src_at: dict, tgt_at: dict, where: dict[int, int]) -> DGMap:
-    """The map of sums sending summand i identically to summand where[i], and
-    the summands missing from where to zero; src_at and tgt_at hold the places
-    of the summands."""
-    ent: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for i, at in src_at.items():
-        if i in where:
-            rows = tgt_at[where[i]]
-            for (k, p), c in at.items():
-                ent.setdefault(k, {})[(rows[(k, p)], c)] = ONE
-    return DGMap(source, target, {k: QMatrix._of(target.dim(k), source.dim(k), e) for k, e in ent.items()})
+    edges = {(s, s | {t}): move(s, s | {t}, {i: i for i in comp if i != t})
+             for s, (comp, _) in comps.items() for t in comp}
+    return Cube(n, objects, edges), move
 
 
 def cross_effect(f: FunctorSpec, n: int, inputs: Sequence[DG]) -> SymmetricDG:
@@ -540,11 +557,13 @@ def cross_effect(f: FunctorSpec, n: int, inputs: Sequence[DG]) -> SymmetricDG:
 
     When all inputs coincide the symmetric-group action is recorded: an
     adjacent transposition rotates the cube, acting on each holim strand by
-    the orientation sign of the permuted subset.
+    the orientation sign of the permuted subset.  The sums, edges and
+    summand moves share their blocks across subsets (_coproduct_cube), so
+    for F the identity each shape is built and checked once.
     """
     if len(inputs) != n:
         raise ValueError("cross effect of order n takes n inputs")
-    cube, summands = _coproduct_cube(inputs)
+    cube, move = _coproduct_cube(inputs)
     fc = _apply_functor_cube(f, cube)
     if n == 0:
         return SymmetricDG(fc.objects[frozenset()], 0, [])
@@ -558,15 +577,12 @@ def cross_effect(f: FunctorSpec, n: int, inputs: Sequence[DG]) -> SymmetricDG:
         perm[a], perm[a + 1] = a + 1, a
         image = {fs: frozenset(perm[i] for i in fs) for fs in cube.objects}
         # F of the summand-permuting maps, per subset
-        moved = {}
-        for fs, obj in cube.objects.items():
-            p = image[fs]
-            moved[fs] = f.apply_map(_move_summands(obj, cube.objects[p], summands[fs], summands[p], perm))
+        moved = {fs: f.apply_map(move(fs, image[fs], perm)) for fs in cube.objects}
         # on the holim, strand fs goes to strand image[fs], signed by the orientation of the permuted subset
         pieces = []
         for fs in at:
             sign, v = _perm_sort_sign([perm[i] for i in sorted(fs)]), 1 - len(fs)
-            pieces += [(k + v, b.scale(sign), at[image[fs]], at[fs]) for k, b in moved[fs].blocks.items()]
+            pieces += [(k + v, b, at[image[fs]], at[fs], sign) for k, b in moved[fs].blocks.items()]
         act = _fiber_square_map(moved[frozenset()], _gather(hol, hol, pieces), value, value)
         assert_valid(act, "cross-effect symmetry generator")
         actions.append(act)

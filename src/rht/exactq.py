@@ -108,6 +108,14 @@ def _signed_column_array(m: "QMatrix") -> Optional[list[int]]:
     return out
 
 
+def _signed_permutation(m: "QMatrix") -> Optional[list[int]]:
+    """_signed_column_array of m when m is a signed permutation matrix:
+    square, with one entry in each row and in each column, each the shared
+    ONE or _MINUS_ONE.  Otherwise None."""
+    out = _signed_column_array(m) if m.rows == m.cols == len(m.entries) else None
+    return out if out is not None and len(set(map(abs, out))) == m.cols else None
+
+
 def _is_signed_rows(m: "QMatrix") -> bool:
     """Whether m has at most one entry per row, each the shared ONE or _MINUS_ONE."""
     for v in m.entries.values():

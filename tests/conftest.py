@@ -2,6 +2,9 @@ import gc
 
 import pytest
 
+from rht.dgcore import DG, DGMap
+from rht.exactq import QMatrix, rat
+
 
 @pytest.fixture
 def cyclic_garbage():
@@ -20,3 +23,23 @@ def cyclic_garbage():
             gc.garbage.clear()
 
     return run
+
+
+@pytest.fixture
+def map_from_names():
+    """Call with (source, target, assignment): the DGMap sending each basis
+    element x of degree k to assignment(k, x), a {target name: coefficient}
+    dict, with positions found by name."""
+
+    def build(source: DG, target: DG, assignment) -> DGMap:
+        blocks = {}
+        for k in source.degrees():
+            idx = {n: i for i, n in enumerate(target.basis.get(k, ()))}
+            ent = {}
+            for j, name in enumerate(source.basis[k]):
+                for tname, c in assignment(k, name).items():
+                    ent[(idx[tname], j)] = rat(c)
+            blocks[k] = QMatrix(len(idx), source.dim(k), ent)
+        return DGMap(source, target, blocks)
+
+    return build

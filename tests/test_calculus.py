@@ -57,7 +57,6 @@ from rht.dgcore import (
     identity_map,
     is_bicartesian,
     is_quasi_iso,
-    map_from_names,
     shift,
     sum_dg,
     reduce_dg,
@@ -359,7 +358,7 @@ def test_t1_of_the_tensor_square_is_the_loops_of_the_suspended_square():
     assert homology_dims(tn) == {k + 1: n for k, n in homology_dims(sq).items()}
 
 
-def test_tn_functor_maps_are_chain_maps():
+def test_tn_functor_maps_are_chain_maps(map_from_names):
     w = DG({2: ("c",)})
     g = map_from_names(V24, w, lambda k, nm: {"c": ONE} if nm == "a" else {})
     for f in (IdentityFunctor(), TensorPowerFunctor(2)):
@@ -1201,19 +1200,53 @@ def test_tn_functor_maps_match_the_name_lookups(seed, n, kind):
     assert _same(tensor_map(a, b), _old_tensor_map(a, b))
 
 
+def _assert_shared(cube, move, x):
+    """For the coproduct cube of n copies of x: the sums of one size share
+    their differential blocks; the edges hold one block set per shape of
+    edge, and the moves of the swap (1 2) at most two per size of sum, not
+    one set per subset."""
+    n, first = cube.n, {}
+    for s, obj in cube.objects.items():
+        diff = first.setdefault(len(s), obj.diff)
+        assert list(obj.diff) == list(diff) and all(m is diff[k] for k, m in obj.diff.items())
+    edge_blocks = {id(m) for e in cube.edges.values() for m in e.blocks.values()}
+    assert len(edge_blocks) <= n * (n + 1) // 2 * len(x.basis)
+    if n >= 2:
+        perm = {i: i for i in range(3, n + 1)} | {1: 2, 2: 1}
+        moves = [move(s, frozenset(perm[i] for i in s), perm) for s in cube.objects]
+        assert len({id(m) for g in moves for m in g.blocks.values()}) <= 2 * (n + 1) * len(x.basis)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 4), FUNCTORS, st.booleans())
+@given(st.integers(0, 2**32 - 1), st.integers(0, 5), FUNCTORS, st.booleans())
 def test_coproduct_cubes_and_cross_effects_match_the_name_lookups(seed, n, kind, equal):
     rng = random.Random(seed)
     if kind in ("square", "coefficient"):
         n = min(n, 3)
+    elif kind == "sum":
+        n = min(n, 4)
     x = random_dg(rng, 0, 2, 2)
     inputs = [x] * n if equal else [random_dg(rng, 0, 2, 2, prefix=f"y{i}") for i in range(n)]
-    _same_cube(_coproduct_cube(inputs)[0], _old_coproduct_cube(inputs))
+    cube, move = _coproduct_cube(inputs)
+    _same_cube(cube, _old_coproduct_cube(inputs))
+    if equal:
+        _assert_shared(cube, move, x)
     f = _functor(rng, kind)
     new, old = cross_effect(f, n, inputs), _old_cross_effect(f, n, inputs)
     assert _same(new.underlying, old.underlying) and new.n == old.n
     assert len(new.action) == len(old.action) and all(_same(a, b) for a, b in zip(new.action, old.action))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tensor_square_cross_effects_of_equal_inputs_match_the_name_lookups(n):
+    """F(x)'s blocks are fresh objects per map (tensor_map), so a block
+    memo keyed by id without holding its block would see ids reused."""
+    for seed in range(4):
+        x = random_dg(random.Random(seed), 0, 2, 2)
+        new, old = cross_effect(TensorPowerFunctor(2), n, [x] * n), _old_cross_effect(TensorPowerFunctor(2), n, [x] * n)
+        assert _same(new.underlying, old.underlying)
+        assert len(new.action) == n - 1 and all(_same(a, b) for a, b in zip(new.action, old.action))
+        assert new.validate() == []
 
 
 @pytest.mark.parametrize("model", ["sphere", "polynomial", "trivial"])

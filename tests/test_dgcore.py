@@ -3,6 +3,7 @@ cubes, telescopes, and symmetric group actions.  Homology expectations are
 computed independently (by hand or by counting) before being asserted.
 """
 
+import re
 from fractions import Fraction
 from random import Random
 
@@ -35,7 +36,6 @@ from rht.dgcore import (
     is_contractible,
     is_quasi_iso,
     is_quasi_iso_through,
-    map_from_names,
     map_scale,
     paths_dg,
     quotient_dg,
@@ -56,11 +56,11 @@ from rht.dgcore import (
     zero_map,
 )
 from rht.dgcore import _block_quotient, _cube_sum, _degree_positions, _out_of_suspension, _tensor_with_index, map_add, projection, tot
-from rht.dgcore import _incl_sign, _places, _subset_tag
+from rht.dgcore import _commutes_by_conjugation, _incl_sign, _places, _subset_tag
 from rht.calculus import IdentityFunctor, LambdaFunctor, _collapse_last, _power_with_swaps, cross_effect, lie_n, tensor_map
 from rht.calculus import CoefficientFunctor, TensorPowerFunctor, TnFunctor, _coproduct_cube, t_n, thcof_total, thfib_total
 from rht.calculus import test_cube as _test_cube, thfib_thcof
-from rht.exactq import ONE, ZERO, QMatrix, _negated, image_pivot_columns, kernel_basis, rank, rat, solve_matrix
+from rht.exactq import ONE, ZERO, QMatrix, _negated, _signed_permutation, image_pivot_columns, kernel_basis, rank, rat, solve_matrix
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
 
 
@@ -749,13 +749,32 @@ def _corrupted(rng: Random, m: DGMap, how: str) -> DGMap:
     return DGMap(m.source, m.target, {**m.blocks, k: QMatrix(b.rows, b.cols, ent)})
 
 
+def _face_edges(line: str) -> set:
+    """The four edges of the face a "face at [s] +a,+b does not commute" line names."""
+    at, a, b = re.fullmatch(r"face at \[(.*)\] \+(\d+),\+(\d+) does not commute", line).groups()
+    s = frozenset(int(i) for i in at.split(", ") if i)
+    sa, sb, sab = s | {int(a)}, s | {int(b)}, s | {int(a), int(b)}
+    return {(s, sa), (sa, sab), (s, sb), (sb, sab)}
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(("test", "constant", "square", "coproduct")),
        st.lists(st.sampled_from(("scale", "source", "target", "negate", "swap", "unshared")), max_size=3))
 def test_validate_commuting_matches_the_face_by_face_loop(seed, kind, corruptions):
+    """Every face that reports holds a corrupted edge.  Coproduct cubes of
+    equal inputs share their edges' blocks across subsets: one edge is then
+    replaced by a copy with one block corrupted, and the edges that still
+    hold the block must not report."""
     rng = Random(seed)
+    touched = set()
     if kind == "coproduct":
-        cube, _ = _coproduct_cube([random_dg(rng, 0, 2, 3) for _ in range(rng.randint(2, 4))])
+        n, x = rng.randint(2, 4), random_dg(rng, 0, 2, 3)
+        equal = rng.random() < 0.5
+        cube, _ = _coproduct_cube([x] * n if equal else [random_dg(rng, 0, 2, 3) for _ in range(n)])
+        if equal and any(e.blocks for e in cube.edges.values()):
+            key = rng.choice([e for e, m in cube.edges.items() if m.blocks])
+            cube.edges[key] = _corrupted(rng, cube.edges[key], rng.choice(("negate", "swap")))
+            touched.add(key)
     elif kind == "test":
         cube = _test_cube(rng.randint(0, 3), random_dg(rng, 0, 2, 3))
     elif kind == "constant":
@@ -772,7 +791,11 @@ def test_validate_commuting_matches_the_face_by_face_loop(seed, kind, corruption
             break
         key = rng.choice(sorted(cube.edges, key=lambda e: (sorted(e[0]), sorted(e[1]))))
         cube.edges[key] = _corrupted(rng, cube.edges[key], how)
-    assert _outcome(Cube.validate_commuting, cube) == _outcome(_old_validate_commuting, cube)
+        touched.add(key)
+    report = _outcome(Cube.validate_commuting, cube)
+    assert report == _outcome(_old_validate_commuting, cube)
+    if isinstance(report, list):
+        assert all(_face_edges(line) & touched for line in report if line.startswith("face"))
 
 
 def test_validate_commuting_reports_faces_and_endpoints():
@@ -800,7 +823,7 @@ def test_identity_square_bicartesian():
     assert is_bicartesian(i, i, i, i) == (True, True)
 
 
-def test_cone_square_bicartesian():
+def test_cone_square_bicartesian(map_from_names):
     v = DG({1: ("a",), 2: ("b",)}, {2: QMatrix.from_rows([[2]])})
     cone, incl = cone_dg(v)
     bigs, _, _ = big_suspension(v)
@@ -1092,6 +1115,106 @@ def test_sym_validate_matches_the_per_generator_loop(seed, kind, corruptions):
             action[i] = _corrupted(rng, action[i], how)
     sym = SymmetricDG(sym.underlying, sym.n, action)
     assert _outcome(SymmetricDG.validate, sym) == _outcome(_old_sym_validate, sym)
+
+
+def _old_map_report(x: DGMap) -> list[str]:
+    """validate_dg's report on a map before the conjugation test: both sides
+    of d a = a d multiplied out in every degree."""
+    report = []
+    for k in sorted(set(x.blocks) | set(x.source.diff) | set(x.target.diff)):
+        lhs = x.target.d(k) * x.block(k)
+        rhs = x.block(k - 1) * x.source.d(k)
+        if lhs != rhs:
+            diffm = lhs - rhs
+            (r, c), v = sorted(diffm.entries.items())[0]
+            report.append(f"map does not commute with d at degree {k}: entry ({r},{c}) = {v}")
+    return report
+
+
+def _relabeling(rng: Random, x: DG, copies: int) -> DGMap:
+    """An automorphism of the sum of copies of x: copy i onto copy sigma(i),
+    times a sign of its own."""
+    total, incls = sum_many([x] * copies)
+    sigma, places = rng.sample(range(copies), copies), [_places(incl) for incl in incls]
+    ent: dict = {}
+    for i, at in enumerate(places):
+        sign = rng.choice((ONE, _negated(ONE)))
+        for (k, p), c in at.items():
+            ent.setdefault(k, {})[(places[sigma[i]][(k, p)], c)] = sign
+    return DGMap(total, total, {k: QMatrix(total.dim(k), total.dim(k), e) for k, e in ent.items()})
+
+
+def _random_signed_permutation(rng: Random, x: DG) -> DGMap:
+    """A signed permutation of each degree of x, rarely a chain map."""
+    blocks = {}
+    for k in x.degrees():
+        image = rng.sample(range(x.dim(k)), x.dim(k))
+        blocks[k] = QMatrix(x.dim(k), x.dim(k), {(r, c): rng.choice((ONE, _negated(ONE))) for c, r in enumerate(image)})
+    return DGMap(x, x, blocks)
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(("relabel", "random", "cross", "square", "swaps", "lie", "chain map", "equal target")),
+       st.lists(st.sampled_from(("negate", "swap", "unshared", "drop", "merge")), max_size=2))
+def test_map_check_matches_the_product_loop(seed, kind, corruptions):
+    """validate_dg on a map gives the product loop's report, line for line.
+    Relabelings of sums of copies, cross-effect actions and factor swaps
+    are signed permutations of their DG; each corruption flips one sign,
+    swaps two columns, puts an equal unshared Fraction in place of a +-1,
+    drops one degree's block or sends two columns to one row.  Lie(n)'s
+    last swap, maps between two DGs and maps onto an equal but distinct DG
+    take the products.  The conjugation test passes exactly on the signed
+    permutations of a DG that commute with d."""
+    rng = Random(seed)
+    n = rng.randint(2, 4)
+    x = random_dg(rng, 0, 2, 3)
+    if kind == "relabel":
+        a = _relabeling(rng, x, n)
+    elif kind == "random":
+        a = _random_signed_permutation(rng, x)
+    elif kind in ("cross", "square"):
+        functor, m = (IdentityFunctor(), n) if kind == "cross" else (TensorPowerFunctor(2), min(n, 3))
+        a = rng.choice(cross_effect(functor, m, [random_dg(rng, 0, 2, 2)] * m).action)
+    elif kind == "swaps":
+        a = rng.choice(_power_with_swaps(random_dg(rng, 0, 2, 2), n)[1])
+    elif kind == "lie":
+        a = lie_n(n).rep.action[-1]
+    elif kind == "chain map":
+        a = random_chain_map(rng, x, random_dg(rng, 0, 2, 3, prefix="w"))
+    else:
+        a = _relabeling(rng, x, n)
+        a = DGMap(a.source, DG(a.source.basis, a.source.diff), a.blocks)
+    signed = kind in ("relabel", "random", "cross", "swaps")
+    for how in corruptions:
+        k = rng.choice(sorted(a.blocks)) if a.blocks else None
+        if how == "drop" and k is not None:
+            a = DGMap(a.source, a.target, {j: m for j, m in a.blocks.items() if j != k})
+        elif how == "merge" and k is not None and a.blocks[k].cols > 1:
+            b = a.blocks[k]
+            one, two = rng.sample(range(b.cols), 2)
+            row = next((r for r, c in b.entries if c == one), 0)
+            ent = {(row if c == two else r, c): v for (r, c), v in b.entries.items()}
+            a = DGMap(a.source, a.target, {**a.blocks, k: QMatrix(b.rows, b.cols, ent)})
+        elif how not in ("drop", "merge"):
+            a = _corrupted(rng, a, how)
+        signed = signed and how in ("negate", "swap")
+    a = DGMap(a.source, a.target, a.blocks)  # with no report kept yet
+    report = validate_dg(a)
+    assert report == _old_map_report(a)
+    permutation = a.target is a.source and all(
+        _signed_permutation(a.blocks[k]) is not None if k in a.blocks else False for k in a.source.degrees())
+    assert signed <= permutation and _commutes_by_conjugation(a) == (permutation and report == [])
+
+
+def test_map_check_of_two_columns_onto_one_row():
+    """b and c both onto b: d's one nonzero entry goes to itself, but the
+    map is no bijection, so the zeros need not follow (d a c = a != 0 =
+    a d c) and the products decide."""
+    v = DG({0: ("a",), 1: ("b", "c")}, {1: QMatrix(1, 2, {(0, 0): ONE})})
+    a = DGMap(v, v, {0: QMatrix.identity(1), 1: QMatrix(2, 2, {(0, 0): ONE, (0, 1): ONE})})
+    assert not _commutes_by_conjugation(a)
+    assert validate_dg(a) == _old_map_report(a) == ["map does not commute with d at degree 1: entry (0,1) = 1"]
 
 
 # -- chain map space -----------------------------------------------------------------

@@ -970,6 +970,6 @@ def test_unchecked_constructor_sites_build_what_the_checked_one_builds(monkeypat
         *(f"rht.exactq.{f}" for f in ("from_rows", "__add__", "scale", "__mul__", "transpose",
                                      "hstack", "vstack", "direct_sum", "rref_from", "_solve")),
         "rht.dgcore.homology_dims", "rht.dgcore.sum_many", "rht.dgcore._block_quotient", "rht.dgcore._cube_sum",
-        "rht.calculus.edge_map", "rht.calculus._gather", "rht.calculus._move_summands",
+        "rht.calculus.edge_map", "rht.calculus._gather", "rht.calculus.move",
         "rht.calculus._power_with_swaps", "rht.calculus._orbit_quotient",
     }
