@@ -17,10 +17,11 @@ Two representations are used side by side:
   its corestriction (word -> cogenerator combination, homogeneous of degree
   -1 by construction) and extended as a coderivation.
 
-Every linear identity of the reduced coproduct goes through one map,
-_coproduct_map: V -> V (x) V.  Primitives are its kernel, reductions and
-sub-coalgebras solve against it, and dgc_validate checks compatibility with
-d and with maps on it.  Cocommutativity and coassociativity stay pair loops.
+Each linear identity of the reduced coproduct lays one tensor square out once
+and places pair tables in it, pushed along a map (_placed): Delta itself, as
+its table stores it, whose kernel is the primitives; the square of a span, for
+reductions and sub-coalgebras; (f (x) f) Delta_S beside Delta_T f, for a map
+f.  Cocommutativity and coassociativity stay pair loops.
 
 The tensor-product coproduct exists in two conventions: a symmetrized "half"
 form carrying 1/2 coefficients and no Koszul signs, and a "koszul" form with
@@ -62,7 +63,6 @@ from .dgcore import (
     sub_dg,
     sum_dg,
     sum_many,
-    tensor_map,
     validate_dg,
     zero_map,
 )
@@ -160,17 +160,39 @@ def zero_dgc_map(a: DGC, b: DGC) -> DGCMap:
     return DGCMap(a, b, zero_map(a.underlying, b.underlying))
 
 
-def _coproduct_map(c: DGC) -> DGMap:
-    """The reduced coproduct as a degree-zero map V -> V (x) V, placed through
-    the tensor index.  V (x) V is laid out only up to V's top degree, the
-    degrees the map reaches."""
+def _square(v: DG) -> tuple[DG, dict]:
+    """V (x) V and its index, laid out through V's top degree: the degrees Delta reaches."""
+    return _tensor_with_index(v, v, max(v.degrees(), default=0))
+
+
+def _placed(square, table, cols: Mapping[int, int], f=None) -> dict[int, QMatrix]:
+    """A pair table pushed along f (a map's blocks) into a laid-out square: at each degree k
+    of cols, cols[k] columns, column i the sum of c (f a) (x) (f b) over the entries ((a, b), c)
+    of table[(k, i)].  Without f the entries go in as the table stores them, with no arithmetic."""
+    index, ent, fc = square[1], {k: {} for k in cols}, None if f is None else _by_column(f)
+    for (k, i), t in table.items():
+        e = ent[k]
+        for ((k1, i1), (k2, i2)), val in t.items():
+            if fc is None:
+                e[(index[(k1, i1, k2, i2)][1], i)] = val
+                continue
+            for r, x in fc.get((k1, i1), ()):
+                for s, y in fc.get((k2, i2), ()):
+                    _accumulate(e, (index[(k1, r, k2, s)][1], i), val * x * y)
+    return {k: QMatrix._of(square[0].dim(k), n, ent[k]) for k, n in cols.items()}
+
+
+def _coproduct_map(c: DGC, square) -> DGMap:
+    """The reduced coproduct as a degree-zero map V -> V (x) V, placed in a _square of V."""
     dg = c.underlying
-    square, index = _tensor_with_index(dg, dg, max(dg.degrees(), default=0))
-    ent: dict[int, dict] = {}
-    for (k, i), table in c.coproduct.items():
-        for ((k1, i1), (k2, i2)), val in table.items():
-            ent.setdefault(k, {})[(index[(k1, i1, k2, i2)][1], i)] = val
-    return DGMap(dg, square, {k: QMatrix(square.dim(k), dg.dim(k), e) for k, e in ent.items()})
+    return DGMap(dg, square[0], _placed(square, c.coproduct, {k: dg.dim(k) for k in dg.degrees()}))
+
+
+def _span_square(square, spans: Mapping[int, QMatrix], k: int) -> tuple[list[PairKey], QMatrix]:
+    """Span (x) span in degree k, placed in V (x) V, and its pairs of span columns in tensor order."""
+    pairs = [((i, p), (k - i, q)) for i, m in sorted(spans.items()) if k - i in spans
+             for p in range(m.cols) for q in range(spans[k - i].cols)]
+    return pairs, _placed(square, {(k, n): {pair: ONE} for n, pair in enumerate(pairs)}, {k: len(pairs)}, spans)[k]
 
 
 def _columns_apart(a: QMatrix, b: QMatrix) -> set[int]:
@@ -193,10 +215,11 @@ def dgc_validate(c) -> list[str]:
         report = list(validate_dg(c.dgmap))
         src, tgt, f = c.source, c.target, c.dgmap
         if src.coproduct or tgt.coproduct:
-            ds, dt = _coproduct_map(src), _coproduct_map(tgt)
-            ff = tensor_map(f, f, max(src.underlying.degrees(), default=0))
-            for k in src.underlying.degrees():
-                apart = _columns_apart(dt.block(k) * f.block(k), ff.block(k) * ds.block(k))
+            s, t = src.underlying, tgt.underlying
+            square = _tensor_with_index(t, t, max(s.degrees() + t.degrees()))  # the degrees both sides reach
+            dt, cols = _coproduct_map(tgt, square), {k: s.dim(k) for k in s.degrees()}
+            for k, pushed in _placed(square, src.coproduct, cols, f.blocks).items():
+                apart = _columns_apart(dt.block(k) * f.block(k), pushed)
                 report.extend(f"map does not respect the coproduct at ({k},{i})" for i in sorted(apart))
         return report
     report = list(validate_dg(c.underlying))
@@ -210,7 +233,7 @@ def dgc_validate(c) -> list[str]:
                 )
     apart: dict[int, set[int]] = {}
     if c.coproduct:  # Delta is a chain map: Delta d = d Delta, column by column
-        delta = _coproduct_map(c)
+        delta = _coproduct_map(c, _square(dg))
         apart = {k: _columns_apart(delta.block(k - 1) * dg.d(k), delta.target.d(k) * delta.block(k)) for k in dg.degrees()}
     for k in dg.degrees():
         for i in range(dg.dim(k)):
@@ -219,14 +242,10 @@ def dgc_validate(c) -> list[str]:
             right: dict[tuple[Key, Key, Key], Fraction] = {}
             for ((k1, i1), b), val in table.items():
                 for (a1, a2), v2 in c.coproduct.get((k1, i1), {}).items():
-                    t = (a1, a2, b)
-                    left[t] = left.get(t, ZERO) + val * v2
+                    _accumulate(left, (a1, a2, b), val * v2)
             for (a, (k2, i2)), val in table.items():
                 for (b1, b2), v2 in c.coproduct.get((k2, i2), {}).items():
-                    t = (a, b1, b2)
-                    right[t] = right.get(t, ZERO) + val * v2
-            left = {t: v for t, v in left.items() if v}
-            right = {t: v for t, v in right.items() if v}
+                    _accumulate(right, (a, b1, b2), val * v2)
             if left != right:
                 report.append(f"coassociativity fails at ({k},{i})")
             if i in apart.get(k, ()):
@@ -245,7 +264,7 @@ def assert_valid_dgc(c, context: str = ""):
 
 def primitives_with_inclusion(c: DGC, prefix: str = "pr") -> tuple[DG, DGMap]:
     """Kernel of the reduced coproduct as a sub-DG with its inclusion."""
-    delta = _coproduct_map(c)
+    delta = _coproduct_map(c, _square(c.underlying))
     spans = {k: kernel_basis(delta.block(k)) for k in c.underlying.degrees()}
     return sub_dg(c.underlying, spans, prefix=prefix)
 
@@ -334,15 +353,8 @@ def dgc_combine(kind: str, a, b, sign_rule: str = "half"):
             return t_index[(kc, ic, kd, idx)]
 
     table: CoTable = {}
-    classes = [(("e", k, i), ("1",)) for k in a.underlying.degrees() for i in range(a.underlying.dim(k))]
-    classes += [(("1",), ("e", k, i)) for k in b.underlying.degrees() for i in range(b.underlying.dim(k))]
-    classes += [
-        (("e", kc, ic), ("e", kd, idx))
-        for kc in a.underlying.degrees()
-        for ic in range(a.underlying.dim(kc))
-        for kd in b.underlying.degrees()
-        for idx in range(b.underlying.dim(kd))
-    ]
+    ea, eb = ([("e", k, i) for k, names in x.underlying.basis.items() for i in range(len(names))] for x in (a, b))
+    classes = [(v, ("1",)) for v in ea] + [(("1",), w) for w in eb] + [(v, w) for v in ea for w in eb]
     for ckey, dkey in classes:
         src = locate(ckey, dkey)
         if src is None:
@@ -455,7 +467,8 @@ def reduce_dgc(r: int, c) -> DGC:
     """
     c = _as_dgc(c)
     dg = c.underlying
-    delta = _coproduct_map(c)
+    square = _square(dg)
+    delta = _coproduct_map(c, square)
     spans: dict[int, QMatrix] = {}
     for k in dg.degrees():
         if k > r:
@@ -466,11 +479,9 @@ def reduce_dgc(r: int, c) -> DGC:
         x = spans[k]
         if x.cols == 0:
             continue
-        below = {j: s for j, s in spans.items() if j < k}
-        span = DGMap(DG({j: ("",) * s.cols for j, s in below.items()}), dg, below)
-        square = tensor_map(span, span, k).block(k)
-        # functionals killing the square
-        ann = kernel_basis(square.transpose()).transpose()
+        span_sq = _span_square(square, {j: s for j, s in spans.items() if j < k}, k)[1]
+        # functionals killing the square of the spans below k
+        ann = kernel_basis(span_sq.transpose()).transpose()
         keep = kernel_basis(ann * (delta.block(k) * x))
         if keep.cols != x.cols:
             spans[k] = x * keep
@@ -483,16 +494,17 @@ def _sub_dgc(c: DGC, spans: Mapping[int, QMatrix], prefix: str) -> tuple[DGC, DG
     """Sub-coalgebra spanned by the columns of spans[k] (must be closed under d
     and under the reduced coproduct)."""
     sub, incl = sub_dg(c.underlying, spans, prefix=prefix)
-    top = max(sub.degrees(), default=0)
-    delta, square = _coproduct_map(c), tensor_map(incl, incl, top)
-    pair_at = {place: ((k1, i1), (k2, i2)) for (k1, i1, k2, i2), place in _tensor_with_index(sub, sub, top)[1].items()}
+    square = _square(c.underlying)
+    delta = _coproduct_map(c, square)
+    blocks = {k: incl.block(k) for k in sub.degrees()}  # with any zero block: its columns still name pairs
     table: CoTable = {}
     for k in sub.degrees():
-        sol = solve_matrix(square.block(k), delta.block(k) * incl.block(k))
+        pairs, incl_sq = _span_square(square, blocks, k)
+        sol = solve_matrix(incl_sq, delta.block(k) * blocks[k])
         if sol is None:
             raise ValueError(f"span not closed under the coproduct at degree {k}")
         for rr, i in sorted(sol.entries, key=lambda e: (e[1], e[0])):
-            table.setdefault((k, i), {})[pair_at[(k, rr)]] = sol.entries[(rr, i)]
+            table.setdefault((k, i), {})[pairs[rr]] = sol.entries[(rr, i)]
     out = DGC(sub, table)
     return out, DGCMap(out, c, incl)
 

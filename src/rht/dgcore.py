@@ -63,6 +63,7 @@ from .exactq import (
     ZERO,
     QMatrix,
     Vector,
+    _frac,
     _kernel_from_rref,
     _moved,
     _negated,
@@ -554,18 +555,19 @@ def _by_column(blocks: Mapping[int, QMatrix]) -> dict[tuple[int, int], list[tupl
     return cols
 
 
-def tensor_map(f: DGMap, g: DGMap, top: Optional[int] = None) -> DGMap:
-    """f (x) g for degree-zero chain maps (no Koszul signs arise), with a top
-    degree only on the degrees <= top (see _tensor_with_index)."""
-    src, si = _tensor_with_index(f.source, g.source, top)
-    tgt, ti = _tensor_with_index(f.target, g.target, top)
+def tensor_map(f: DGMap, g: DGMap) -> DGMap:
+    """f (x) g for degree-zero chain maps (no Koszul signs arise).  Each entry
+    is built by _frac, so a product of +-1s is the shared ONE or -ONE."""
+    src, si = _tensor_with_index(f.source, g.source)
+    tgt, ti = _tensor_with_index(f.target, g.target)
     fc, gc = _by_column(f.blocks), _by_column(g.blocks)
     ent: dict[int, dict] = {}
     for (i, p, j, q), (n, col) in si.items():
         # each pure tensor of the target is hit once per source column
         for r, v1 in fc.get((i, p), ()):
             for s, v2 in gc.get((j, q), ()):
-                ent.setdefault(n, {})[(ti[(i, r, j, s)][1], col)] = v1 * v2
+                v = _frac(v1.numerator * v2.numerator, v1.denominator * v2.denominator)
+                ent.setdefault(n, {})[(ti[(i, r, j, s)][1], col)] = v
     blocks = {n: QMatrix(tgt.dim(n), src.dim(n), e) for n, e in ent.items()}
     return DGMap(src, tgt, blocks)
 
@@ -610,22 +612,6 @@ def big_loops(v: DG) -> tuple[DG, DGMap, DGMap]:
     siv, ones = shift(v, -1), identity_map(v).blocks
     out, (left, _, right) = sum_many([siv, v, siv], ["l", "m", "r"], [(0, 1, ones), (2, 1, ones)])
     return out, left, right
-
-
-def standard_tensor(cell: str, v: DG) -> DG:
-    if cell == "s":
-        return shift(v, 1)
-    if cell == "s_inv":
-        return shift(v, -1)
-    if cell == "cone":
-        return cone_dg(v)[0]
-    if cell == "paths":
-        return paths_dg(v)[0]
-    if cell == "bigS":
-        return big_suspension(v)[0]
-    if cell == "bigP":
-        return big_loops(v)[0]
-    raise ValueError(f"unknown cell {cell!r}")
 
 
 # -- reduction and truncation -----------------------------------------------

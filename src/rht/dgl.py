@@ -714,12 +714,13 @@ def abelianize_dgl(l: DGL) -> tuple[DG, DGMap]:
 # -- coproducts and products ---------------------------------------------------------
 
 
-def _free_sum(parts, cap: int, twist) -> FreeDGL:
+def _free_sum(parts, cap: int, twist, brackets=()) -> FreeDGL:
     """The free DGL on the generators of the parts, part after part, each
     part (generators, gen_diff) with its words renumbered into the sum.  A
     twist entry (i, j, lin) then adds lin[g], a combination {generator of
     part i: coefficient}, to the differential of generator g of part j,
-    entries in order."""
+    entries in order; a bracket entry (x, y, g) of generators of the sum adds
+    [x, y] to that of g.  The model is built once, on the whole differential."""
     gens: list[tuple[str, int]] = []
     offsets = []
     for part_gens, _ in parts:
@@ -733,7 +734,10 @@ def _free_sum(parts, cap: int, twist) -> FreeDGL:
         for g, combo in lin.items():
             x = offsets[j] + g
             gd[x] = tp_add(gd.get(x, {}), {(offsets[i] + y,): c for y, c in combo.items()})
-    return FreeDGL(FreeLieBasis(gens, cap), gd)
+    basis = FreeLieBasis(gens, cap)
+    for x, y, g in brackets:
+        gd[g] = tp_add(basis.bracket_poly({(x,): ONE}, {(y,): ONE}), gd.get(g, {}))
+    return FreeDGL(basis, gd)
 
 
 def free_product(a: FreeDGL, b: FreeDGL) -> FreeDGL:
@@ -792,12 +796,9 @@ def dgl_product(a, b, model: str = "strict"):
                  if (i, x[0]) in at_mixed} for m, (i, j) in enumerate(mixed)}
     mixed_gens = [(f"s({ga[i]}|{gb[j]})", da[i] + db[j] + 1) for i, j in mixed]
     parts = [(a.basis.generators, a.gen_diff), (b.basis.generators, b.gen_diff), (mixed_gens, {})]
-    model_l = _free_sum(parts, a.cap, [(2, 2, left), (2, 2, right)])
+    brackets = [(i, len(ga) + j, len(ga) + len(gb) + m) for m, (i, j) in enumerate(mixed)]  # + [v, w]
+    model_l = _free_sum(parts, a.cap, [(2, 2, left), (2, 2, right)], brackets)
     at = model_l.basis.gen_index
-    # + [v, w]
-    for (i, j), (name, _) in zip(mixed, mixed_gens):
-        vw = model_l.basis.bracket_poly({(at[ga[i]],): ONE}, {(at[gb[j]],): ONE})
-        model_l.gen_diff[at[name]] = tp_add(vw, model_l.gen_diff.get(at[name], {}))
     # witness: collapse onto the strict product
     # a generator's monomial leads its degree, so it sits at the generator's
     # position among those of its degree; the transpose of a projection of

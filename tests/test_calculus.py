@@ -329,6 +329,18 @@ def test_tensor_map_matches_tensor_dg():
     assert m == identity_map(m.source)
 
 
+def test_tensor_map_keeps_the_shared_units():
+    """A product of +-1 entries is the shared ONE or -ONE, so the Sigma_n
+    generators of a tensor-power cross effect pass the conjugation test."""
+    from rht.dgcore import _commutes_by_conjugation
+
+    x = random_dg(random.Random(1), 0, 2, 2)
+    m = tensor_map(identity_map(x), identity_map(x))
+    assert m.blocks and all(v is ONE for b in m.blocks.values() for v in b.entries.values())
+    sym = cross_effect(TensorPowerFunctor(2), 3, [x] * 3)
+    assert len(sym.action) == 2 and all(_commutes_by_conjugation(a) for a in sym.action)
+
+
 def test_free_lie_functor_requires_positive_degrees():
     with pytest.raises(ValueError, match="positive"):
         FreeLieFunctor(4).apply(DG({0: ("u",)}))

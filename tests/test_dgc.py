@@ -63,6 +63,7 @@ from rht.dgc import (
     _coproduct_map,
     _full_delta,
     _key_degree,
+    _square,
     _sub_dgc,
 )
 from rht.dgcore import (
@@ -1242,12 +1243,48 @@ def test_coproduct_map_lays_out_the_square_only_up_to_the_top_degree(seed, cap, 
     rng = Random(seed)
     v = random_dg(rng, min_deg=2 if cofree else 1, max_deg=5, max_pieces=3)
     c = to_dgc(cofree_lambda(v, cap)) if cofree else trivial_dgc(v)
-    got, want = _coproduct_map(c), _full_coproduct_map(c)
+    got, want = _coproduct_map(c, _square(c.underlying)), _full_coproduct_map(c)
     top = max(c.underlying.degrees(), default=0)
     assert max(got.target.degrees(), default=top) <= top
     for k in got.target.degrees():
         assert got.target.basis[k] == want.target.basis[k] and got.target.d(k) == want.target.d(k)
     assert all(got.block(k) == want.block(k) for k in c.underlying.degrees())
+
+
+def test_each_coalgebra_identity_lays_its_squares_out_once(monkeypatch):
+    """One layout of V (x) V for a DGC check, a DGCMap check, reduce_dgc's own
+    square and _sub_dgc, whose pairs need no layout of sub (x) sub; and no DG
+    built to carry one."""
+    import rht.dgc as dgc
+
+    lam = cofree_lambda(DG({2: ("a",), 3: ("b",), 4: ("c",)}), 8)
+    c = to_dgc(lam)
+    layouts, dgs = [], []
+    real_layout, real_dg = dgc._tensor_with_index, dgc.DG
+    monkeypatch.setattr(dgc, "_tensor_with_index", lambda *args: layouts.append(args) or real_layout(*args))
+    monkeypatch.setattr(dgc, "DG", lambda *args: dgs.append(args) or real_dg(*args))
+
+    def count(fn, *args):
+        layouts.clear()
+        out = fn(*args)
+        return len(layouts), out
+
+    assert count(dgc_validate, c) == (1, [])
+    assert count(dgc_validate, identity_dgc_map(c)) == (1, [])
+    assert count(reduce_dgc, 2, c) == (1, c)  # nothing is cut, so no sub-coalgebra is built
+    assert dgs == []
+    n, reduced = count(reduce_dgc, 3, c)
+    assert n == 1 + 1 and dgc_validate(reduced) == []  # its own square, then _sub_dgc's
+    assert count(_sub_dgc, c, primitives_with_inclusion(c)[1].blocks, "p")[0] == 1
+
+
+def test_a_map_check_reaches_the_top_degree_of_the_source():
+    """(f (x) f) Delta_S lands in T (x) T in degrees above T's top: the square
+    is laid out through the larger top degree, so the failure is seen."""
+    s = DGC(DG({2: ("a",), 3: ("b",), 5: ("x",)}), {(5, 0): {((2, 0), (3, 0)): ONE, ((3, 0), (2, 0)): ONE}})
+    t = trivial_dgc(DG({2: ("a'",), 3: ("b'",)}))
+    f = DGMap(s.underlying, t.underlying, {2: QMatrix.identity(1), 3: QMatrix.identity(1)})
+    assert dgc_validate(DGCMap(s, t, f)) == ["map does not respect the coproduct at (5,0)"]
 
 
 # -- compatibility on the coproduct map, against the pair algebra it replaced ------------
@@ -1450,7 +1487,7 @@ def test_malformed_coproduct_entries_raise_at_construction():
     v = DG({2: ("a",), 3: ("b",), 5: ("c",)})
     good = {(5, 0): {((2, 0), (3, 0)): ONE, ((3, 0), (2, 0)): ONE}}
     assert DGC(v, good).coproduct == good
-    assert _coproduct_map(DGC(v, good)).block(5).entries == {(0, 0): ONE, (1, 0): ONE}
+    assert _coproduct_map(DGC(v, good), _square(v)).block(5).entries == {(0, 0): ONE, (1, 0): ONE}
     bad_tables = [
         {(5, 0): {((2, 0), (2, 0)): ONE}},  # a pair of degree 4 under a key of degree 5
         {(5, 0): {((2, 1), (3, 0)): ONE}},  # an index past its degree's dimension

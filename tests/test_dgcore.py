@@ -41,7 +41,6 @@ from rht.dgcore import (
     quotient_dg,
     reduce_dg,
     shift,
-    standard_tensor,
     strict_pullback,
     strict_pushout,
     sub_dg,
@@ -425,7 +424,7 @@ def test_s_s_inv_cancel():
     v = DG({0: ("a",), 2: ("b", "c")})
     t = tensor_dg(shift(ONE_DG, 1), shift(ONE_DG, -1))
     assert homology_dims(t) == {0: 1}
-    w = standard_tensor("s_inv", standard_tensor("s", v))
+    w = shift(shift(v, 1), -1)
     assert {k: w.dim(k) for k in w.degrees()} == {0: 1, 2: 2}
 
 
@@ -445,7 +444,7 @@ def test_homology_shift():
     rng = Random(12)
     v = random_dg(rng, 0, 4)
     hv = homology_dims(v)
-    hs = homology_dims(standard_tensor("s", v))
+    hs = homology_dims(shift(v, 1))
     assert hs == {k + 1: d for k, d in hv.items()}
 
 
@@ -453,15 +452,15 @@ def test_homology_shift():
 
 
 def test_cone_of_zero():
-    assert standard_tensor("cone", ZERO_DG) == ZERO_DG
+    assert cone_dg(ZERO_DG)[0] == ZERO_DG
 
 
 def test_bigS_bigP_shapes():
     v = sphere(2)
-    bigs = standard_tensor("bigS", v)
+    bigs = big_suspension(v)[0]
     assert {k: bigs.dim(k) for k in bigs.degrees()} == {2: 1, 3: 2}
     assert homology_dims(bigs) == {3: 1}
-    bigp = standard_tensor("bigP", v)
+    bigp = big_loops(v)[0]
     assert {k: bigp.dim(k) for k in bigp.degrees()} == {2: 1, 1: 2}
     assert homology_dims(bigp) == {1: 1}
 

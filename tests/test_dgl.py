@@ -478,6 +478,26 @@ def test_free_product_model_projection_quasi_iso():
     assert is_quasi_iso_through(witness.dgmap, 5)
 
 
+def test_free_product_model_is_checked_with_its_whole_differential(monkeypatch):
+    """The [v, w] terms are in the differential the model's constructor
+    checks: nothing is added to it afterwards."""
+    a = FreeDGL(free_lie_basis([("x", 2), ("u", 3)], 7), {1: {(0,): ONE}})
+    b = FreeDGL(free_lie_basis([("y", 2)], 7), {})
+    received = []
+    init = FreeDGL.__init__
+
+    def recording(self, basis, gen_diff):
+        received.append({i: dict(p) for i, p in gen_diff.items()})
+        init(self, basis, gen_diff)
+
+    monkeypatch.setattr(FreeDGL, "__init__", recording)
+    model, _ = dgl_product(a, b, model="free")
+    assert model.gen_diff == received[-1]
+    assert any(len(w) == 2 for p in model.gen_diff.values() for w in p)
+    monkeypatch.undo()
+    assert model == _old_dgl_product(a, b, "free")[0]
+
+
 # -- abelianization --------------------------------------------------------------------
 
 

@@ -24,6 +24,7 @@ from rht.dgc import (
     CoTable,
     _as_dgc,
     _coproduct_map,
+    _square,
     _sub_dgc,
     cofree_lambda,
     primitives_with_inclusion,
@@ -207,7 +208,7 @@ def _old_homology(v):
 
 
 def _old_primitives_with_inclusion(c, prefix="pr"):
-    delta = _coproduct_map(c)
+    delta = _coproduct_map(c, _square(c.underlying))
     vectors = {k: _old_kernel_basis(delta.block(k)) for k in c.underlying.degrees()}
     return _old_sub_dg(c.underlying, vectors, prefix=prefix)
 
@@ -215,7 +216,7 @@ def _old_primitives_with_inclusion(c, prefix="pr"):
 def _old_reduce_dgc(r, c):
     c = _as_dgc(c)
     dg = c.underlying
-    delta = _coproduct_map(c)
+    delta = _coproduct_map(c, _square(c.underlying))
     spans = {}
     for k in dg.degrees():
         if k > r:
@@ -228,7 +229,7 @@ def _old_reduce_dgc(r, c):
             continue
         below = {j: s for j, s in spans.items() if j < k}
         span = DGMap(DG({j: ("",) * s.cols for j, s in below.items()}), dg, below)
-        square = tensor_map(span, span, k).block(k)
+        square = tensor_map(span, span).block(k)
         ann = QMatrix.from_columns(_old_kernel_basis(square.transpose()), square.rows).transpose()
         keep = _old_kernel_basis(ann * (delta.block(k) * x))
         if len(keep) != x.cols:
@@ -242,7 +243,7 @@ def _old_reduce_dgc(r, c):
 def _old_sub_dgc(c, vectors, prefix):
     sub, incl = _old_sub_dg(c.underlying, vectors, prefix=prefix)
     top = max(sub.degrees(), default=0)
-    delta, square = _coproduct_map(c), tensor_map(incl, incl, top)
+    delta, square = _coproduct_map(c, _square(c.underlying)), tensor_map(incl, incl)
     pair_at = {place: ((k1, i1), (k2, i2)) for (k1, i1, k2, i2), place in _tensor_with_index(sub, sub, top)[1].items()}
     table: CoTable = {}
     for k in sub.degrees():
