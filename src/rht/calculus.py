@@ -7,8 +7,8 @@ killing it), which is the cone for |T| = 1 and a suspension model for
 Taylor approximation T_nF is the homotopy limit of F over the punctured
 (n+1)-cube.  Iterating and telescoping gives P_nF; total homotopy fibers of
 coproduct cubes give cross effects; the n-th derivative of the identity is
-the Lie representation Lie(n), and layer data of towers is extracted into
-jets (layers plus the triangular differential blocks).
+the Lie representation Lie(n).  A tower is one filtered DG, and its jet
+(layers plus the triangular differential blocks) is read off it by position.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -42,14 +43,13 @@ from .dgcore import (
     reduce_dg,
     reduce_with_inclusion,
     shift,
-    sub_dg,
     sum_many,
     telescope,
     tensor_dg,
     tensor_map,
 )
-from .dgl import FreeDGL, FreeDGLMap, _filtration_dgs, free_lie_basis, to_dgl
-from .exactq import ONE, QMatrix, ZERO, _moved, _negated, kernel_basis, rank, solve_matrix
+from .dgl import FreeDGL, FreeDGLMap, _restrict, free_lie_basis, to_dgl
+from .exactq import ONE, QMatrix, ZERO, _moved, _negated, solve_matrix
 from .quillen import cobar_L
 
 
@@ -700,7 +700,7 @@ def _power_with_swaps(
         )
         for deg, lst in by_deg.items()
     }
-    diff = {}
+    diff, d_at = {}, _by_column(x.diff)
     for deg, lst in by_deg.items():
         tgt = by_deg.get(deg - 1, [])
         if not tgt:
@@ -709,13 +709,9 @@ def _power_with_swaps(
         for col, combo in enumerate(lst):
             sign = ONE
             for m, (k, i) in enumerate(combo):
-                dk = x.d(k)
-                for r in range(x.dim(k - 1)):
-                    val = dk.get(r, i)
-                    if val:
-                        new = combo[:m] + ((k - 1, r),) + combo[m + 1 :]
-                        row = index[new][1]
-                        ent[(row, col)] = ent.get((row, col), ZERO) + sign * val
+                for r, val in d_at.get((k, i), ()):
+                    row = index[combo[:m] + ((k - 1, r),) + combo[m + 1 :]][1]
+                    ent[(row, col)] = ent.get((row, col), ZERO) + sign * val
                 sign = -sign if k % 2 else sign
         diff[deg] = QMatrix(len(tgt), len(lst), ent)
     pw = DG(basis, diff)
@@ -810,41 +806,75 @@ def _orbit_quotient(coefficient: SymmetricDG, x: DG, n: int, top: Optional[int] 
 
 @dataclass
 class Tower:
-    """Finite tower of DGs with degreewise-surjective (above r) maps,
-    maps[i]: objects[i+1] -> objects[i]."""
+    """A finite tower as one filtered DG.  top is the last stage, and
+    level[k][i], in 1..n, is the filtration level of top's basis element i in
+    degree k.  The rest is read off by position: stage s (objects[s - 1])
+    keeps the levels <= s, maps[s - 1] is the coordinate projection of stage
+    s + 1 onto stage s, and layer(s) keeps level s.  Stages and maps are
+    built only when read."""
 
-    objects: list[DG]
-    maps: list[DGMap]
-    r: int = 0
+    top: DG
+    level: dict[int, list[int]]
+    n: int
+
+    def _keep(self, kept: Callable[[int], bool]) -> DG:
+        return _restrict(self.top, {k: [i for i, t in enumerate(lv) if kept(t)] for k, lv in self.level.items()})
+
+    def layer(self, s: int) -> DG:
+        return self._keep(lambda t: t == s)
+
+    @cached_property
+    def objects(self) -> list[DG]:
+        return [self._keep(lambda t: t <= s) for s in range(1, self.n + 1)]
+
+    @cached_property
+    def maps(self) -> list[DGMap]:
+        maps = []
+        for s, (small, big) in enumerate(zip(self.objects, self.objects[1:]), 1):
+            blocks = {}
+            for k in big.degrees():
+                kept = [t for t in self.level[k] if t <= s + 1]
+                low = [c for c, t in enumerate(kept) if t <= s]
+                blocks[k] = QMatrix._of(small.dim(k), big.dim(k), {(r, c): ONE for r, c in enumerate(low)})
+            maps.append(DGMap(big, small, blocks))
+        return maps
 
     def validate(self) -> list[str]:
+        """Empty iff there is one level per basis element, each in 1..n, and d
+        never lowers the level: then every stage is a quotient complex of top
+        and every map a chain map."""
         report = []
-        if len(self.maps) != max(len(self.objects) - 1, 0):
-            report.append("wrong number of tower maps")
+        for k in sorted(set(self.top.basis) | set(self.level)):
+            lv = self.level.get(k, [])
+            if len(lv) != self.top.dim(k):
+                report.append(f"degree {k} has {len(lv)} levels for {self.top.dim(k)} basis elements")
+            elif not all(1 <= t <= self.n for t in lv):
+                report.append(f"a level in degree {k} is outside 1..{self.n}")
+        if report:
             return report
-        for i, m in enumerate(self.maps):
-            if m.source != self.objects[i + 1] or m.target != self.objects[i]:
-                report.append(f"tower map {i} endpoints mismatch")
-                continue
-            for k in m.target.degrees():
-                if k >= self.r and rank(m.block(k)) < m.target.dim(k):
-                    report.append(f"tower map {i} is not surjective in degree {k}")
+        for k, m in sorted(self.top.diff.items()):
+            lowered = {c for r, c in m.entries if self.level[k - 1][r] < self.level[k][c]}
+            report.extend(f"d lowers the level at ({k},{c})" for c in sorted(lowered))
         return report
+
+
+def bracket_tower(l: FreeDGL, n: int) -> Tower:
+    """The bracket-length tower of l, stages 1..n: top is the quotient by the
+    brackets longer than n, and each basis element's level is its bracket
+    length.  Only the differential is read, so no bracket structure constant
+    is computed."""
+    if n < 1:
+        raise ValueError("filtration depth must be >= 1")
+    lengths = {d: [l.basis.tree_length(t) for t in ms] for d, ms in l.basis.monomials.items()}
+    keep = {d: [i for i, t in enumerate(lens) if t <= n] for d, lens in lengths.items()}
+    level = {d: [lengths[d][i] for i in idx] for d, idx in keep.items() if idx}
+    return Tower(_restrict(to_dgl(l).underlying, keep), level, n)
 
 
 def cobar_tower(c, n: int, cap: int) -> tuple[Tower, list[DG]]:
     """Bracket-length tower of the cobar Lie algebra, stages 1..n, with its layers."""
-    objects, layers, keeps = _filtration_dgs(cobar_L(_as_dgc(c), cap), n)
-    maps = []
-    for i in range(len(objects) - 1):
-        big, small = objects[i + 1], objects[i]
-        blocks = {}
-        for k in big.degrees():
-            row = {orig: r for r, orig in enumerate(keeps[i].get(k, ()))}
-            ent = {(row[orig], col): ONE for col, orig in enumerate(keeps[i + 1][k]) if orig in row}
-            blocks[k] = QMatrix(small.dim(k), big.dim(k), ent)
-        maps.append(DGMap(big, small, blocks))
-    return Tower(objects[:], maps, r=0), layers
+    tower = bracket_tower(cobar_L(_as_dgc(c), cap), n)
+    return tower, [tower.layer(s) for s in range(1, n + 1)]
 
 
 def layer_report(x: DG, layers: Sequence[DG], cap: int) -> dict[int, dict]:
@@ -891,71 +921,33 @@ class Jet:
 
 
 def jet_extract(tower: Tower) -> Jet:
-    """Split the tower degreewise and read off the triangular differential.
+    """The layers of the tower and its top's differential split by position.
 
-    Sections are chosen deterministically by pivoting; the extraction
-    verifies that the diagonal blocks are the layer differentials and that
-    nothing lands above the diagonal.
+    The entry of d at row r and column c goes to block (i, j), for i and j
+    the levels of r and c, at their places among the basis elements of those
+    levels.  Layer 1 is stage 1, and layer s > 1 names its basis
+    D<s><k>_<i>.  As d never lowers the level, the blocks lie on or below
+    the diagonal, and the diagonal ones are the layer differentials.
     """
     problems = tower.validate()
     if problems:
         raise ValueError(problems[0])
-    objs = tower.objects
-    m = len(objs)
-    layers: list[DG] = [objs[0]]
-    incls: list[DGMap] = [identity_map(objs[0])]
-    for j in range(1, m):
-        q = tower.maps[j - 1]
-        spans = {k: kernel_basis(q.block(k)) for k in q.source.degrees()}
-        layer, incl = sub_dg(q.source, spans, prefix=f"D{j + 1}")
-        layers.append(layer)
-        incls.append(incl)
-    # sections s_j: objs[j-1] -> objs[j], solved degreewise
-    sections: list[DGMap] = []
-    for j in range(1, m):
-        q = tower.maps[j - 1]
-        blocks = {}
-        for k in q.target.degrees():
-            sol = solve_matrix(q.block(k), QMatrix.identity(q.target.dim(k)))
-            if sol is None:
-                raise ValueError(f"tower map {j - 1} has no section in degree {k}")
-            blocks[k] = sol
-        sections.append(DGMap(q.target, q.source, blocks))
-    # embeddings of each layer into the top object
-    embeds: list[DGMap] = []
-    for j in range(m):
-        e = incls[j]
-        for s in sections[j:]:
-            e = compose(s, e)
-        embeds.append(e)
-    top = objs[-1]
-    degrees = sorted(set(top.basis) | {k + 1 for k in top.basis})
-    phi = {
-        k: QMatrix.hstack([e.block(k) for e in embeds]) for k in degrees
-    }
-    # phi's columns in degree k are the layers' bases in order: the layout of their sum
-    owner = {(k, r): (j, c) for j, incl in enumerate(sum_many(layers)[1], 1) for (k, c), r in _places(incl).items()}
+    layers = [tower.layer(1)]
+    for s in range(2, tower.n + 1):
+        lay = tower.layer(s)
+        layers.append(DG({k: tuple(f"D{s}{k}_{i}" for i in range(len(xs))) for k, xs in lay.basis.items()}, lay.diff))
+    place = {}  # place[k][p]: the level of top's position p in degree k, and its index in that layer
+    for k, lv in tower.level.items():
+        at = [itertools.count() for _ in range(tower.n + 1)]
+        place[k] = [(t, next(at[t])) for t in lv]
     blocks: dict[tuple[int, int], dict[int, QMatrix]] = {}
-    for k in degrees:
-        if top.dim(k) == 0 or top.dim(k - 1) == 0:
-            continue
-        coords = solve_matrix(phi[k - 1], top.d(k) * phi[k])
-        if coords is None:
-            raise AssertionError("internal: splitting is not a graded isomorphism")
+    for k, d in sorted(tower.top.diff.items()):
         split: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
-        for (r, c), v in coords.entries.items():
-            (i, r_i), (j, c_j) = owner[(k - 1, r)], owner[(k, c)]
-            if j > i:
-                raise AssertionError("internal: differential escaped above the diagonal")
+        for (r, c), v in d.entries.items():
+            (i, r_i), (j, c_j) = place[k - 1][r], place[k][c]
             split.setdefault((i, j), {})[(r_i, c_j)] = v
         for (i, j), ent in sorted(split.items()):
-            blocks.setdefault((i, j), {})[k] = QMatrix(layers[i - 1].dim(k - 1), layers[j - 1].dim(k), ent)
-    for i in range(1, m + 1):
-        layer = layers[i - 1]
-        for k in layer.degrees():
-            got = blocks.get((i, i), {}).get(k, QMatrix.zero(layer.dim(k - 1), layer.dim(k)))
-            if got != layer.d(k):
-                raise AssertionError("internal: diagonal block is not the layer differential")
+            blocks.setdefault((i, j), {})[k] = QMatrix._of(layers[i - 1].dim(k - 1), layers[j - 1].dim(k), ent)
     return Jet(layers, blocks)
 
 

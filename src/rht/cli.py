@@ -587,8 +587,8 @@ def main(argv=None) -> int:
             mf.truncate = args.truncate
         args.win = _parse_window(args.window, mf.truncate)
         model = build_model(mf)
-        problems = _validate(model)
-        if problems and args.command != "verify":
+        problems = [] if args.command == "verify" else _validate(model)  # verify reports them itself
+        if problems:
             raise ModelError("; ".join(problems), 0)
         echo = [args.command, args.path]
         if getattr(args, "t", None):

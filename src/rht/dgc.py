@@ -487,14 +487,13 @@ def reduce_dgc(r: int, c) -> DGC:
             spans[k] = x * keep
     if all(spans.get(k, QMatrix.zero(0, 0)).cols == dg.dim(k) for k in dg.degrees()):
         return c
-    return _sub_dgc(c, spans, prefix=f"r{r}_")[0]
+    return _sub_dgc(c, square, spans, prefix=f"r{r}_")[0]
 
 
-def _sub_dgc(c: DGC, spans: Mapping[int, QMatrix], prefix: str) -> tuple[DGC, DGCMap]:
+def _sub_dgc(c: DGC, square, spans: Mapping[int, QMatrix], prefix: str) -> tuple[DGC, DGCMap]:
     """Sub-coalgebra spanned by the columns of spans[k] (must be closed under d
-    and under the reduced coproduct)."""
+    and under the reduced coproduct), read in square, a _square of c's DG."""
     sub, incl = sub_dg(c.underlying, spans, prefix=prefix)
-    square = _square(c.underlying)
     delta = _coproduct_map(c, square)
     blocks = {k: incl.block(k) for k in sub.degrees()}  # with any zero block: its columns still name pairs
     table: CoTable = {}

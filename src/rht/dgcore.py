@@ -650,13 +650,8 @@ def reduce_dg(r: int, v: DG) -> DG:
 def reduce_with_inclusion(r: int, v: DG) -> tuple[DG, DGMap]:
     """red_r V: degrees > r unchanged, degree r becomes ker(d_r)."""
     if v.d(r).is_zero():
-        basis = {k: names for k, names in v.basis.items() if k >= r}
-        diff = {k: m for k, m in v.diff.items() if k > r}
-        out = DG(basis, diff)
-        incl = DGMap(
-            out, v, {k: QMatrix.identity(v.dim(k)) for k in out.degrees()}
-        )
-        return out, incl
+        out = truncate(r, v)
+        return out, DGMap(out, v, {k: QMatrix.identity(v.dim(k)) for k in out.degrees()})
     spans = {k: QMatrix.identity(v.dim(k)) for k in v.degrees() if k > r}
     spans[r] = kernel_basis(v.d(r))
     return sub_dg(v, spans, prefix=f"r{r}_")

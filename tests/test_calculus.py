@@ -20,6 +20,8 @@ from rht.calculus import (
     TensorPowerFunctor,
     TnFunctor,
     Tower,
+    bracket_tower,
+    cobar_tower,
     cross_effect,
     _power_with_swaps,
     homogeneous_eval,
@@ -68,7 +70,7 @@ from rht.dgcore import (
 from rht.dgcore import _subset_tag, assert_valid, cube_bidg, ho_fiber, sum_many, tot
 from rht.dgl import FreeDGL, bracket_filtration, free_lie_basis, to_dgl
 from rht.exactq import ONE, ZERO, QMatrix, _SMALL, rank, solve_matrix
-from rht.quillen import sphere_model
+from rht.quillen import cobar_L, sphere_model
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
 
 V24 = DG({2: ("a",), 4: ("b",)})
@@ -812,29 +814,79 @@ def test_extracted_d21_of_the_free_lie_on_x_y():
     # L(x, y) with |x| = 1 and dy = [x, x]: the second jet block carries y to [x,x]
     b = free_lie_basis([("x", 1), ("y", 3)], 6)
     l = FreeDGL(b, {1: b.bracket_poly({(0,): ONE}, {(0,): ONE})})
-    dgls, _ = bracket_filtration(l, 2)
-    objs = [t.underlying for t in dgls]
-    big, small = objs[1], objs[0]
-    blocks = {}
-    for k in big.degrees():
-        names = set(small.basis.get(k, ()))
-        ent = {
-            (small.index_of(k, nm), c): ONE
-            for c, nm in enumerate(big.basis[k])
-            if nm in names
-        }
-        blocks[k] = QMatrix(small.dim(k), big.dim(k), ent)
-    tower = Tower(objs, [DGMap(big, small, blocks)])
-    jet = jet_extract(tower)
+    jet = jet_extract(bracket_tower(l, 2))
     assert dict(jet.blocks[(2, 1)][3].entries) == {(0, 0): ONE}
     assert jet_validate(jet) == []
 
 
+def _lowering_tower():
+    """d w = u with w on level 2 and u on level 1: the span of w is no
+    subcomplex, so stage 1 is no quotient complex."""
+    top = DG({2: ("u",), 3: ("w",)}, {3: QMatrix(1, 1, {(0, 0): ONE})})
+    return Tower(top, {2: [1], 3: [2]}, 2)
+
+
 def test_non_fibration_tower_rejected():
-    small, big = DG({2: ("u",)}), DG({2: ("w",)})
-    tower = Tower([small, big], [DGMap(big, small, {})])
-    with pytest.raises(ValueError, match="surjective"):
-        jet_extract(tower)
+    with pytest.raises(ValueError, match="lowers the level"):
+        jet_extract(_lowering_tower())
+
+
+def test_tower_validate_reports_what_can_fail():
+    top = DG({2: ("u", "v"), 3: ("w",)}, {3: QMatrix(2, 1, {(1, 0): ONE})})
+    assert Tower(top, {2: [1, 2], 3: [2]}, 2).validate() == []
+    assert Tower(top, {2: [1], 3: [2]}, 2).validate() == ["degree 2 has 1 levels for 2 basis elements"]
+    assert Tower(top, {2: [1, 2], 3: [2], 4: [1]}, 2).validate() == ["degree 4 has 1 levels for 0 basis elements"]
+    assert Tower(top, {2: [1, 2], 3: [3]}, 2).validate() == ["a level in degree 3 is outside 1..2"]
+    assert Tower(top, {2: [0, 2], 3: [2]}, 2).validate() == ["a level in degree 2 is outside 1..2"]
+    assert Tower(top, {2: [2, 1], 3: [2]}, 2).validate() == ["d lowers the level at (3,0)"]
+    assert _lowering_tower().validate() == ["d lowers the level at (3,0)"]
+    with pytest.raises(ValueError, match="1 levels for 2"):
+        jet_extract(Tower(top, {2: [1], 3: [2]}, 2))
+
+
+def test_bracket_tower_stages_maps_and_layers_are_the_filtration():
+    b = free_lie_basis([("x", 1), ("y", 3)], 6)
+    l = FreeDGL(b, {1: b.bracket_poly({(0,): ONE}, {(0,): ONE})})
+    stages, layers = bracket_filtration(l, 3)
+    tower = bracket_tower(l, 3)
+    assert tower.validate() == [] and tower.top == stages[-1].underlying
+    assert tower.objects == [t.underlying for t in stages]
+    assert [tower.layer(s) for s in (1, 2, 3)] == layers
+    assert all(m.source is big and m.target is small for m, small, big in zip(tower.maps, tower.objects, tower.objects[1:]))
+    assert all(validate_dg(m) == [] for m in tower.maps)
+    with pytest.raises(ValueError, match="depth"):
+        bracket_tower(l, 0)
+
+
+def test_bracket_tower_computes_no_structure_constant(monkeypatch):
+    import rht.dgl as dgl
+
+    c = cofree_lambda(DG({2: ("v",)}), 8)
+    want = bracket_filtration(cobar_L(c, 8), 3)[0][-1].underlying
+    l = cobar_L(c, 8)
+    to_dgl(l)  # the differential, built before the patch
+    # every structure constant goes through _bracket_entry
+    monkeypatch.setattr(dgl, "_bracket_entry", lambda *args: pytest.fail("a structure constant was computed"))
+    assert bracket_tower(l, 3).top == want
+
+
+def test_towers_and_jets_run_no_elimination(monkeypatch):
+    """Stages, maps, layers and jet blocks are read off by position."""
+    import rht.exactq as exactq
+    from rht.cli import build_model, parse_model
+
+    def no_elimination(*args):
+        pytest.fail("an elimination ran")
+
+    mf = parse_model("models/polynomial.dgc")
+    inputs = [(cofree_lambda(DG({d: ("v",)}), 7), n, 7) for d in (2, 3) for n in (2, 3)]
+    inputs.append((build_model(mf), 8, 14))
+    monkeypatch.setattr(exactq, "_rref_rows", no_elimination)
+    for c, n, cap in inputs:
+        tower = cobar_tower(c, n, cap)[0]
+        assert tower.validate() == [] and len(tower.objects) == n and len(tower.maps) == n - 1
+        jet = jet_extract(tower)
+        assert len(jet.layers) == n and jet_validate(jet) == []
 
 
 def test_perturbed_jet_block_is_witnessed():

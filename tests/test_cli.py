@@ -195,6 +195,16 @@ def test_verify_hurewicz_counterexample_flags_diverge():
     assert "abelianized map quasi-iso            yes" in out
 
 
+def test_verify_validates_the_model_once(monkeypatch):
+    import rht.cli as cli
+
+    calls, real = [], cli._validate
+    monkeypatch.setattr(cli, "_validate", lambda model: calls.append(model) or real(model))
+    for model in ("polynomial.dgc", "hurewicz-counterexample.dgl", "twocell.dg"):
+        calls.clear()
+        assert run("verify", f"{MODELS}/{model}")[0] == 0 and len(calls) == 1
+
+
 def test_model_translations():
     status, out = run("model", "-t", "L", f"{MODELS}/polynomial.dgc", "--truncate", "6")
     assert status == 0 and "valid" in out and "generators.1  1" in out

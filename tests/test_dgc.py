@@ -1217,7 +1217,7 @@ def test_reduction_primitives_and_subs_match_the_pair_key_code(seed):
     # spans that are sub-coalgebras: the whole, the primitives, and random spans
     spans = [identity_map(c.underlying).blocks, new[1].blocks, _random_sub_vectors(rng, c)]
     for vectors in spans:
-        got, want = _outcome(_sub_dgc, c, vectors, "s"), _outcome(_old_sub_dgc, c, vectors, "s")
+        got, want = _outcome(_sub_dgc, c, _square(c.underlying), vectors, "s"), _outcome(_old_sub_dgc, c, vectors, "s")
         _assert_same_outcome(got, want)
         if not isinstance(want[0], str):
             assert got[1].dgmap == want[1].dgmap
@@ -1252,9 +1252,9 @@ def test_coproduct_map_lays_out_the_square_only_up_to_the_top_degree(seed, cap, 
 
 
 def test_each_coalgebra_identity_lays_its_squares_out_once(monkeypatch):
-    """One layout of V (x) V for a DGC check, a DGCMap check, reduce_dgc's own
-    square and _sub_dgc, whose pairs need no layout of sub (x) sub; and no DG
-    built to carry one."""
+    """One layout of V (x) V for a DGC check, a DGCMap check and reduce_dgc,
+    whose _sub_dgc reads the same square; none in _sub_dgc, whose pairs need
+    no layout of sub (x) sub; and no DG built to carry one."""
     import rht.dgc as dgc
 
     lam = cofree_lambda(DG({2: ("a",), 3: ("b",), 4: ("c",)}), 8)
@@ -1274,8 +1274,9 @@ def test_each_coalgebra_identity_lays_its_squares_out_once(monkeypatch):
     assert count(reduce_dgc, 2, c) == (1, c)  # nothing is cut, so no sub-coalgebra is built
     assert dgs == []
     n, reduced = count(reduce_dgc, 3, c)
-    assert n == 1 + 1 and dgc_validate(reduced) == []  # its own square, then _sub_dgc's
-    assert count(_sub_dgc, c, primitives_with_inclusion(c)[1].blocks, "p")[0] == 1
+    assert n == 1 and dgc_validate(reduced) == []  # its own square, which _sub_dgc reads too
+    square, spans = _square(c.underlying), primitives_with_inclusion(c)[1].blocks
+    assert count(_sub_dgc, c, square, spans, "p")[0] == 0
 
 
 def test_a_map_check_reaches_the_top_degree_of_the_source():
