@@ -7,8 +7,12 @@ killing it), which is the cone for |T| = 1 and a suspension model for
 Taylor approximation T_nF is the homotopy limit of F over the punctured
 (n+1)-cube.  Iterating and telescoping gives P_nF; total homotopy fibers of
 coproduct cubes give cross effects; the n-th derivative of the identity is
-the Lie representation Lie(n).  A tower is one filtered DG, and its jet
-(layers plus the triangular differential blocks) is read off it by position.
+the Lie representation Lie(n).  A tower is one filtered DG, and its stages,
+layers and jet (layers plus the triangular differential blocks) are read off
+it by position.  The bracket-length filtration of a free DGL, which models
+the Taylor tower of the identity, is worked out here alone: bracket_tower
+is that filtration as a Tower, and bracket_filtration adds the brackets to
+its stages.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .dgcore import (
     _cube_sum,
     _generator_table,
     _places,
+    _restrict,
     _tensor_with_index,
     assert_valid,
     compose,
@@ -48,7 +53,7 @@ from .dgcore import (
     tensor_dg,
     tensor_map,
 )
-from .dgl import FreeDGL, FreeDGLMap, _restrict, free_lie_basis, to_dgl
+from .dgl import DGL, FreeDGL, FreeDGLMap, free_lie_basis, to_dgl
 from .exactq import ONE, QMatrix, ZERO, _moved, _negated, solve_matrix
 from .quillen import cobar_L
 
@@ -810,8 +815,8 @@ class Tower:
     level[k][i], in 1..n, is the filtration level of top's basis element i in
     degree k.  The rest is read off by position: stage s (objects[s - 1])
     keeps the levels <= s, maps[s - 1] is the coordinate projection of stage
-    s + 1 onto stage s, and layer(s) keeps level s.  Stages and maps are
-    built only when read."""
+    s + 1 onto stage s, and layers[s - 1] keeps level s.  Stages, maps and
+    layers are each built once, when first read."""
 
     top: DG
     level: dict[int, list[int]]
@@ -820,8 +825,9 @@ class Tower:
     def _keep(self, kept: Callable[[int], bool]) -> DG:
         return _restrict(self.top, {k: [i for i, t in enumerate(lv) if kept(t)] for k, lv in self.level.items()})
 
-    def layer(self, s: int) -> DG:
-        return self._keep(lambda t: t == s)
+    @cached_property
+    def layers(self) -> list[DG]:
+        return [self._keep(lambda t: t == s) for s in range(1, self.n + 1)]
 
     @cached_property
     def objects(self) -> list[DG]:
@@ -858,23 +864,51 @@ class Tower:
         return report
 
 
+def _bracket_positions(l: FreeDGL, n: int) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """Per degree, the positions in to_dgl(l) of the brackets of length <= n,
+    and their lengths."""
+    if n < 1:
+        raise ValueError("filtration depth must be >= 1")
+    keep, level = {}, {}
+    for d, ms in l.basis.monomials.items():
+        lengths = [l.basis.tree_length(t) for t in ms]
+        keep[d] = [i for i, t in enumerate(lengths) if t <= n]
+        if keep[d]:
+            level[d] = [lengths[i] for i in keep[d]]
+    return keep, level
+
+
 def bracket_tower(l: FreeDGL, n: int) -> Tower:
     """The bracket-length tower of l, stages 1..n: top is the quotient by the
     brackets longer than n, and each basis element's level is its bracket
     length.  Only the differential is read, so no bracket structure constant
     is computed."""
-    if n < 1:
-        raise ValueError("filtration depth must be >= 1")
-    lengths = {d: [l.basis.tree_length(t) for t in ms] for d, ms in l.basis.monomials.items()}
-    keep = {d: [i for i, t in enumerate(lens) if t <= n] for d, lens in lengths.items()}
-    level = {d: [lengths[d][i] for i in idx] for d, idx in keep.items() if idx}
+    keep, level = _bracket_positions(l, n)
     return Tower(_restrict(to_dgl(l).underlying, keep), level, n)
 
 
-def cobar_tower(c, n: int, cap: int) -> tuple[Tower, list[DG]]:
-    """Bracket-length tower of the cobar Lie algebra, stages 1..n, with its layers."""
-    tower = bracket_tower(cobar_L(_as_dgc(c), cap), n)
-    return tower, [tower.layer(s) for s in range(1, n + 1)]
+def bracket_filtration(l: FreeDGL, n: int) -> tuple[list[DGL], list[DG]]:
+    """The quotients B_s of l by the brackets longer than s (s = 1..n), as
+    DGLs, and their layers: the stages and layers of bracket_tower(l, n),
+    each stage with to_dgl(l)'s structure constants at its positions, read
+    in one pass over the table."""
+    tower = bracket_tower(l, n)
+    keep, level = _bracket_positions(l, n)
+    stages = [{d: [p for p, t in zip(keep[d], lv) if t <= s] for d, lv in level.items()} for s in range(1, n + 1)]
+    at = [{d: {p: i for i, p in enumerate(ps)} for d, ps in st.items()} for st in stages]
+    tables: list[dict] = [{} for _ in stages]
+    for (k1, i1, k2, i2), v in to_dgl(l).bracket.items():
+        for st, pos, table in zip(stages, at, tables):
+            if i1 in pos.get(k1, ()) and i2 in pos.get(k2, ()) and k1 + k2 in st:
+                vec = tuple(v[p] for p in st[k1 + k2])
+                if any(vec):
+                    table[(k1, pos[k1][i1], k2, pos[k2][i2])] = vec
+    return [DGL(dg, table, cap=l.cap) for dg, table in zip(tower.objects, tables)], tower.layers
+
+
+def cobar_tower(c, n: int, cap: int) -> Tower:
+    """Bracket-length tower of the cobar Lie algebra, stages 1..n."""
+    return bracket_tower(cobar_L(_as_dgc(c), cap), n)
 
 
 def layer_report(x: DG, layers: Sequence[DG], cap: int) -> dict[int, dict]:
@@ -893,8 +927,8 @@ def layer_report(x: DG, layers: Sequence[DG], cap: int) -> dict[int, dict]:
 def taylor_layers_cobar(c, n: int, cap: int):
     """cobar_tower with its layer_report: (tower, layers, report)."""
     cd = _as_dgc(c)
-    tower, layers = cobar_tower(cd, n, cap)
-    return tower, layers, layer_report(cd.underlying, layers, cap)
+    tower = cobar_tower(cd, n, cap)
+    return tower, tower.layers, layer_report(cd.underlying, tower.layers, cap)
 
 
 # -- jets -----------------------------------------------------------------------------
@@ -932,9 +966,8 @@ def jet_extract(tower: Tower) -> Jet:
     problems = tower.validate()
     if problems:
         raise ValueError(problems[0])
-    layers = [tower.layer(1)]
-    for s in range(2, tower.n + 1):
-        lay = tower.layer(s)
+    layers = [tower.layers[0]]
+    for s, lay in enumerate(tower.layers[1:], 2):
         layers.append(DG({k: tuple(f"D{s}{k}_{i}" for i in range(len(xs))) for k, xs in lay.basis.items()}, lay.diff))
     place = {}  # place[k][p]: the level of top's position p in degree k, and its index in that layer
     for k, lv in tower.level.items():

@@ -442,7 +442,7 @@ def _tower(model, mf, n):
 
 
 def cmd_tower(model, mf, args, report):
-    tower, _ = _tower(model, mf, args.n)
+    tower = _tower(model, mf, args.n)
     report["stages"] = {i + 1: _graded_dims(o) for i, o in enumerate(tower.objects)}
     report["valid"] = "yes" if tower.validate() == [] else "no"
     return 0
@@ -451,8 +451,7 @@ def cmd_tower(model, mf, args, report):
 def cmd_layers(model, mf, args, report):
     from .calculus import layer_report
 
-    _, layers = _tower(model, mf, args.n)
-    match = layer_report(model.underlying, layers, mf.truncate)
+    match = layer_report(model.underlying, _tower(model, mf, args.n).layers, mf.truncate)
     report["layers"] = {
         k: {
             "layer": dict(sorted(match[k]["layer"].items())),
@@ -477,8 +476,7 @@ def cmd_crosseffect(model, mf, args, report):
 def cmd_jet(model, mf, args, report):
     from .calculus import jet_extract, jet_validate
 
-    tower, _ = _tower(model, mf, args.n)
-    jet = jet_extract(tower)
+    jet = jet_extract(_tower(model, mf, args.n))
     report["layers"] = {i + 1: _graded_dims(l) for i, l in enumerate(jet.layers)}
     blocks = {}
     for (i, j) in sorted(jet.blocks):

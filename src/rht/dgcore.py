@@ -21,7 +21,9 @@ that knows where things sit; callers read positions off the inclusions of a
 sum (_places), the places of a cube total's strands that _cube_sum returns,
 the index that _tensor_with_index fills while it lays out a tensor product,
 or the generator position table of _degree_positions, and never format a
-basis name to look it up again.  The generator table
+basis name to look it up again.  _restrict keeps the basis elements at given
+positions with d's entries among them; every stage and layer of a filtered
+DG (calculus.Tower) is cut out of its last stage that way.  The generator table
 (_first_generators, _generator_table) is the one place where a DG's basis
 becomes a generator list: every free and cofree presentation of a DG (cec_C,
 cobar_L, cofree_lambda, cofree_path, the free Lie and Lambda functors) reads
@@ -113,9 +115,6 @@ class DG:
 
     def is_trivial(self) -> bool:
         return not self.basis
-
-    def index_of(self, k: int, name: str) -> int:
-        return self.basis[k].index(name)
 
     def __eq__(self, other):
         return other is self or (
@@ -620,6 +619,19 @@ def big_loops(v: DG) -> tuple[DG, DGMap, DGMap]:
 def truncate(r: int, v: DG) -> DG:
     basis = {k: names for k, names in v.basis.items() if k >= r}
     diff = {k: m for k, m in v.diff.items() if k > r}
+    return DG(basis, diff)
+
+
+def _restrict(v: DG, keep: dict[int, list[int]]) -> DG:
+    """The basis elements of v at the kept positions, with d's entries among them."""
+    at = {d: {orig: new for new, orig in enumerate(idx)} for d, idx in keep.items() if idx}
+    basis = {d: tuple(v.basis[d][i] for i in at[d]) for d in at}
+    diff = {}
+    for d in basis:
+        if d - 1 in basis:
+            rows, cols = at[d - 1], at[d]
+            ent = {(rows[r], cols[c]): x for (r, c), x in v.d(d).entries.items() if r in rows and c in cols}
+            diff[d] = QMatrix(len(rows), len(cols), ent)
     return DG(basis, diff)
 
 

@@ -21,6 +21,11 @@ brackets their trees.
 _free_sum is the one builder for free models on a sum of generating sets:
 the free product, the free product model, the cone, the suspensions and the
 cylinder each give it their parts and the linear terms that join them.
+
+A sub-DGL (_sub_dgl, for reductions and strict limits) takes the brackets of
+its inclusion's columns through DGL.bracket_vec, so a lazy table computes
+only the entries those columns reach.  Filtrations by bracket length are
+built in calculus, from the positions and lengths of the monomial basis.
 """
 
 from __future__ import annotations
@@ -846,11 +851,10 @@ def reduce_dgl(r: int, l: DGL) -> DGL:
 def _sub_dgl(l: DGL, incl: DGMap, error: str) -> DGL:
     """The sub-DGL of l on incl.source, for an injective chain map incl into
     l.underlying whose image is closed under the bracket.  The brackets of
-    the image columns are pulled back with one solve per pair of degrees;
-    ValueError(error), formatted with the target degree k, if one of them
-    leaves the image."""
+    the image columns, from l.bracket_vec, are pulled back with one solve per
+    pair of degrees; ValueError(error), formatted with the target degree k,
+    if one of them leaves the image."""
     sub = incl.source
-    live = _live_pairs(l, {k: {r for r, _ in incl.block(k).entries} for k in sub.degrees()})
     table: dict[tuple[int, int, int, int], Vector] = {}
     for k1 in sub.degrees():
         for k2 in sub.degrees():
@@ -860,7 +864,7 @@ def _sub_dgl(l: DGL, incl: DGMap, error: str) -> DGL:
             values = {}
             for i1, v1 in enumerate(incl.block(k1).columns()):
                 for i2, v2 in enumerate(incl.block(k2).columns()):
-                    val = _reached(l, live, k1, v1, k2, v2)
+                    val = l.bracket_vec(k1, v1, k2, v2)
                     if any(val):
                         values[(k1, i1, k2, i2)] = val
             table.update(_pull_back(incl.block(k), values, error.format(k=k)))
@@ -931,38 +935,13 @@ def dgl_ho_pullback(f1: DGLMap, f2: DGLMap) -> tuple[DGL, DGLMap]:
     lim_dg, pu, pw = strict_pullback(f1.dgmap, map_scale(-1, f2.dgmap))
     prod = dgl_strict_product(l1, l2)[0]
     into = DGMap(lim_dg, prod.underlying, {kk: QMatrix.vstack([pu.block(kk), pw.block(kk)]) for kk in lim_dg.degrees()})
-    lim = _sub_dgl(prod, into, "strict limit is not closed under brackets")
+    if any(map(any, prod.bracket.values())):
+        lim = _sub_dgl(prod, into, "strict limit is not closed under brackets")
+    else:  # an abelian product has no bracket to pull back
+        lim = DGL(lim_dg, {}, cap=prod.cap)
     witness = DGLMap(lim, p, map_add(compose(incls[0], pu), compose(incls[2], pw)))
     assert_valid(witness.dgmap, "strict limit into the pullback model")
     return p, witness
-
-
-def _live_pairs(l: DGL, reach: dict[int, set[int]]) -> dict[tuple[int, int], tuple[set[int], set[int]]]:
-    """(k1, k2) -> the first and the second indices of the nonzero entries of
-    l's table at reach: k1, k2 and k1 + k2 among its degrees, i1 in reach[k1]
-    and i2 in reach[k2].  A lazy table is walked over those keys alone, so it
-    computes no other entry."""
-    keys = l.bracket
-    if isinstance(keys, _LazyBracketTable):
-        keys = [(k1, i1, k2, i2) for k1, at1 in reach.items() for k2, at2 in reach.items()
-                if k1 + k2 in reach for i1 in at1 for i2 in at2]
-    live: dict[tuple[int, int], tuple[set[int], set[int]]] = {}
-    for k1, i1, k2, i2 in keys:
-        if k1 + k2 in reach and i1 in reach.get(k1, ()) and i2 in reach.get(k2, ()):
-            if any(l.bracket.get((k1, i1, k2, i2), ())):
-                first, second = live.setdefault((k1, k2), (set(), set()))
-                first.add(i1)
-                second.add(i2)
-    return live
-
-
-def _reached(l: DGL, live: dict, k1: int, v1: Vector, k2: int, v2: Vector) -> Vector:
-    """l.bracket_vec(k1, v1, k2, v2), or its zero vector at once when v1 and
-    v2 do not meet the two ends of one of the live pairs of l."""
-    ends = live.get((k1, k2))
-    if ends and any(v1[a] for a in ends[0]) and any(v2[b] for b in ends[1]):
-        return l.bracket_vec(k1, v1, k2, v2)
-    return zero_vec(l.underlying.dim(k1 + k2))
 
 
 def dgl_hofib(f: DGLMap) -> DGL:
@@ -1046,59 +1025,6 @@ def free_cylinder(f: FreeDGLMap, g: FreeDGLMap) -> FreeDGL:
                 "generator differential"
             )
     return out
-
-
-# -- bracket-length filtration ---------------------------------------------------------
-
-
-def bracket_filtration(l: FreeDGL, n: int) -> tuple[list[DGL], list[DG]]:
-    """Quotients B_k by bracket length > k (k = 1..n) and their layers."""
-    dgs, layers, keeps = _filtration_dgs(l, n)
-    full = to_dgl(l)
-    towers: list[DGL] = []
-    for dg, keep in zip(dgs, keeps):
-        pos = {d: {orig: new for new, orig in enumerate(idx)} for d, idx in keep.items()}
-        table: dict[tuple[int, int, int, int], Vector] = {}
-        for (k1, i1, k2, i2), v in full.bracket.items():
-            if k1 not in pos or k2 not in pos or (k1 + k2) not in pos:
-                continue
-            if i1 not in pos[k1] or i2 not in pos[k2]:
-                continue
-            vec = tuple(v[o] for o in keep[k1 + k2])
-            if any(vec):
-                table[(k1, pos[k1][i1], k2, pos[k2][i2])] = vec
-        towers.append(DGL(dg, table, cap=l.cap))
-    return towers, layers
-
-
-def _filtration_dgs(l: FreeDGL, n: int) -> tuple[list[DG], list[DG], list[dict[int, list[int]]]]:
-    """The DGs underlying bracket_filtration's B_k, its layers, and for each
-    B_k the positions in to_dgl(l) that it keeps, per degree.  Only the
-    differential is read, so no bracket structure constant is computed."""
-    if n < 1:
-        raise ValueError("filtration depth must be >= 1")
-    full = to_dgl(l).underlying
-    lengths = {d: [l.basis.tree_length(t) for t in ms] for d, ms in l.basis.monomials.items()}
-    dgs, layers, keeps = [], [], []
-    for kmax in range(1, n + 1):
-        keep = {d: [i for i, ln in enumerate(lens) if ln <= kmax] for d, lens in lengths.items()}
-        dgs.append(_restrict(full, keep))
-        layers.append(_restrict(full, {d: [i for i, ln in enumerate(lens) if ln == kmax] for d, lens in lengths.items()}))
-        keeps.append(keep)
-    return dgs, layers, keeps
-
-
-def _restrict(v: DG, keep: dict[int, list[int]]) -> DG:
-    """The basis elements of v at the kept positions, with d's entries among them."""
-    at = {d: {orig: new for new, orig in enumerate(idx)} for d, idx in keep.items() if idx}
-    basis = {d: tuple(v.basis[d][i] for i in at[d]) for d in at}
-    diff = {}
-    for d in basis:
-        if d - 1 in basis:
-            rows, cols = at[d - 1], at[d]
-            ent = {(rows[r], cols[c]): x for (r, c), x in v.d(d).entries.items() if r in rows and c in cols}
-            diff[d] = QMatrix(len(rows), len(cols), ent)
-    return DG(basis, diff)
 
 
 # -- Hurewicz ---------------------------------------------------------------------------

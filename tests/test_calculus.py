@@ -20,6 +20,7 @@ from rht.calculus import (
     TensorPowerFunctor,
     TnFunctor,
     Tower,
+    bracket_filtration,
     bracket_tower,
     cobar_tower,
     cross_effect,
@@ -67,11 +68,12 @@ from rht.dgcore import (
     tensor_dg,
     validate_dg,
 )
-from rht.dgcore import _subset_tag, assert_valid, cube_bidg, ho_fiber, sum_many, tot
-from rht.dgl import FreeDGL, bracket_filtration, free_lie_basis, to_dgl
+from rht.dgcore import _restrict, _subset_tag, assert_valid, cube_bidg, ho_fiber, sum_many, tot
+from rht.dgl import FreeDGL, free_lie_basis, to_dgl
 from rht.exactq import ONE, ZERO, QMatrix, _SMALL, rank, solve_matrix
 from rht.quillen import cobar_L, sphere_model
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
+from conftest import _old_bracket_filtration, _old_filtration_dgs, index_of
 
 V24 = DG({2: ("a",), 4: ("b",)})
 
@@ -847,11 +849,11 @@ def test_tower_validate_reports_what_can_fail():
 def test_bracket_tower_stages_maps_and_layers_are_the_filtration():
     b = free_lie_basis([("x", 1), ("y", 3)], 6)
     l = FreeDGL(b, {1: b.bracket_poly({(0,): ONE}, {(0,): ONE})})
-    stages, layers = bracket_filtration(l, 3)
+    stages, layers = _old_bracket_filtration(l, 3)
     tower = bracket_tower(l, 3)
     assert tower.validate() == [] and tower.top == stages[-1].underlying
     assert tower.objects == [t.underlying for t in stages]
-    assert [tower.layer(s) for s in (1, 2, 3)] == layers
+    assert tower.layers == layers
     assert all(m.source is big and m.target is small for m, small, big in zip(tower.maps, tower.objects, tower.objects[1:]))
     assert all(validate_dg(m) == [] for m in tower.maps)
     with pytest.raises(ValueError, match="depth"):
@@ -862,7 +864,7 @@ def test_bracket_tower_computes_no_structure_constant(monkeypatch):
     import rht.dgl as dgl
 
     c = cofree_lambda(DG({2: ("v",)}), 8)
-    want = bracket_filtration(cobar_L(c, 8), 3)[0][-1].underlying
+    want = _old_filtration_dgs(cobar_L(c, 8), 3)[0][-1]
     l = cobar_L(c, 8)
     to_dgl(l)  # the differential, built before the patch
     # every structure constant goes through _bracket_entry
@@ -883,10 +885,75 @@ def test_towers_and_jets_run_no_elimination(monkeypatch):
     inputs.append((build_model(mf), 8, 14))
     monkeypatch.setattr(exactq, "_rref_rows", no_elimination)
     for c, n, cap in inputs:
-        tower = cobar_tower(c, n, cap)[0]
+        tower = cobar_tower(c, n, cap)
         assert tower.validate() == [] and len(tower.objects) == n and len(tower.maps) == n - 1
         jet = jet_extract(tower)
         assert len(jet.layers) == n and jet_validate(jet) == []
+
+
+def _random_free_dgl(rng):
+    """A free DGL on two or three generators of degrees 1..3 at cap 5..7.  The
+    differential of each generator is 0, a multiple of a lower cycle
+    generator, or a multiple of the bracket of two cycle generators, so it
+    squares to zero."""
+    degs = sorted(rng.randint(1, 3) for _ in range(rng.randint(2, 3)))
+    b = free_lie_basis([(f"g{i}", d) for i, d in enumerate(degs)], rng.randint(5, 7))
+    diff, cycles = {}, []
+    for i, d in enumerate(degs):
+        c = rng.choice([1, -1, 2])
+        lower = [j for j in cycles if degs[j] == d - 1]
+        pairs = [(j, k) for j in cycles for k in cycles if degs[j] + degs[k] == d - 1]
+        pick = rng.random()
+        if lower and pick < 0.4:
+            diff[i] = {(rng.choice(lower),): ONE * c}
+        elif pairs and pick < 0.8:
+            j, k = rng.choice(pairs)
+            diff[i] = {w: c * x for w, x in b.bracket_poly({(j,): ONE}, {(k,): ONE}).items()}
+        if i not in diff:
+            cycles.append(i)
+    return FreeDGL(b, diff)
+
+
+def _random_cobar(rng):
+    """cobar_L of the cofree Lambda on one or two generators in degrees 2..4,
+    with d of the upper onto the lower when their degrees are adjacent."""
+    degs = sorted(rng.sample([2, 3, 4], rng.randint(1, 2)))
+    diff = {}
+    if len(degs) == 2 and degs[1] == degs[0] + 1 and rng.random() < 0.5:
+        diff[degs[1]] = QMatrix(1, 1, {(0, 0): ONE})
+    cap = rng.randint(6, 8)
+    return cobar_L(cofree_lambda(DG({d: (f"v{d}",) for d in degs}, diff), cap), cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_bracket_filtration_on_the_tower_equals_the_stage_by_stage_oracle(seed, cobar):
+    """Stage DGs, bracket tables and layers, for n = 1..4."""
+    rng = random.Random(seed)
+    l = _random_cobar(rng) if cobar else _random_free_dgl(rng)
+    for n in range(1, 5):
+        (stages, layers), (want, want_layers) = bracket_filtration(l, n), _old_bracket_filtration(l, n)
+        assert [list(b.underlying.basis.items()) for b in stages] == [list(b.underlying.basis.items()) for b in want]
+        assert [b.underlying for b in stages] == [b.underlying for b in want]
+        assert [dict(b.bracket) for b in stages] == [dict(b.bracket) for b in want]
+        assert [b.cap for b in stages] == [b.cap for b in want] == [l.cap] * n
+        assert [list(g.basis.items()) for g in layers] == [list(g.basis.items()) for g in want_layers]
+        assert layers == want_layers
+
+
+@pytest.mark.parametrize("argv, calls", [
+    ("tower -n 8 models/polynomial.dgc --truncate 14", 9),  # top and 8 stages
+    ("jet -n 8 models/polynomial.dgc --truncate 14", 9),  # top and 8 layers
+    ("layers -n 4 models/polynomial.dgc --truncate 10", 5),  # top and 4 layers
+])
+def test_each_stage_and_layer_is_cut_out_of_the_tower_once(monkeypatch, argv, calls):
+    import rht.calculus as calculus
+    from rht.cli import main
+
+    seen = []
+    monkeypatch.setattr(calculus, "_restrict", lambda *args: seen.append(1) or _restrict(*args))
+    assert main(argv.split()) == 0
+    assert len(seen) == calls
 
 
 def test_perturbed_jet_block_is_witnessed():
@@ -1030,7 +1097,7 @@ def _old_into_holim(cube):
             tag = _subset_tag(frozenset({t}))
             names = e.target.basis.get(k, ())
             for (r, c), val in e.block(k).entries.items():
-                row = hol.index_of(k, f"{tag}:{names[r]}@v0")
+                row = index_of(hol, k, f"{tag}:{names[r]}@v0")
                 ent[(row, c)] = ent.get((row, c), ZERO) + val
         blocks[k] = QMatrix(hol.dim(k), src.dim(k), ent)
     return hol, DGMap(src, hol, blocks)
@@ -1050,7 +1117,7 @@ def _old_outof_hocolim(cube):
             sign = -ONE if j % 2 else ONE
             names = e.source.basis.get(k, ())
             for (r, c), val in e.block(k).entries.items():
-                col = hoc.index_of(k, f"{tag}:{names[c]}@v0")
+                col = index_of(hoc, k, f"{tag}:{names[c]}@v0")
                 ent[(r, col)] = ent.get((r, col), ZERO) + sign * val
         blocks[k] = QMatrix(tgt.dim(k), hoc.dim(k), ent)
     return hoc, DGMap(hoc, tgt, blocks)
@@ -1074,8 +1141,8 @@ def _old_tn_apply_map(inner, n, g):
                 snames = comp.source.basis[k]
                 tnames = comp.target.basis.get(k, ())
                 for (rr, cc), val in comp.block(k).entries.items():
-                    row = tgt.index_of(k + vdeg, f"{tag}:{tnames[rr]}@v{vdeg}")
-                    col = src.index_of(k + vdeg, f"{tag}:{snames[cc]}@v{vdeg}")
+                    row = index_of(tgt, k + vdeg, f"{tag}:{tnames[rr]}@v{vdeg}")
+                    col = index_of(src, k + vdeg, f"{tag}:{snames[cc]}@v{vdeg}")
                     d = ent.setdefault(k + vdeg, {})
                     d[(row, col)] = d.get((row, col), ZERO) + val
     blocks = {k: QMatrix(tgt.dim(k), src.dim(k), e) for k, e in ent.items() if src.dim(k)}
@@ -1103,7 +1170,7 @@ def _old_coproduct_cube(inputs):
                 for c, name in enumerate(obj.basis[k]):
                     if name.startswith(f"x{t}("):
                         continue
-                    ent[(tgt.index_of(k, name), c)] = ONE
+                    ent[(index_of(tgt, k, name), c)] = ONE
                 blocks[k] = QMatrix(tgt.dim(k), obj.dim(k), ent)
             edges[(fs, fs | {t})] = DGMap(obj, tgt, blocks)
     return Cube(n, objects, edges)
@@ -1132,7 +1199,7 @@ def _old_cross_effect(f, n, inputs):
                 for c, name in enumerate(obj.basis[k]):
                     i = int(name[1 : name.index("(")])
                     new = f"x{perm[i]}" + name[name.index("(") :]
-                    ent[(tgt.index_of(k, new), c)] = ONE
+                    ent[(index_of(tgt, k, new), c)] = ONE
                 blocks[k] = QMatrix(tgt.dim(k), obj.dim(k), ent)
             strand_maps[fs] = f.apply_map(DGMap(obj, tgt, blocks))
         base = strand_maps[frozenset()]
@@ -1141,8 +1208,8 @@ def _old_cross_effect(f, n, inputs):
             snames = fc.objects[frozenset()].basis[k]
             tnames = base.target.basis.get(k, ())
             for (r, c), val in base.block(k).entries.items():
-                row = value.index_of(k, f"v({tnames[r]})")
-                col = value.index_of(k, f"v({snames[c]})")
+                row = index_of(value, k, f"v({tnames[r]})")
+                col = index_of(value, k, f"v({snames[c]})")
                 ent_by_deg.setdefault(k, {})[(row, col)] = val
         for fs in cube.objects:
             if not fs:
@@ -1157,8 +1224,8 @@ def _old_cross_effect(f, n, inputs):
                 tnames = comp.target.basis.get(k, ())
                 for (r, c), val in comp.block(k).entries.items():
                     tot_deg = k + vdeg - 1
-                    row = value.index_of(tot_deg, f"f(si({tag_t}:{tnames[r]}@v{vdeg}))")
-                    col = value.index_of(tot_deg, f"f(si({tag_s}:{snames[c]}@v{vdeg}))")
+                    row = index_of(value, tot_deg, f"f(si({tag_t}:{tnames[r]}@v{vdeg}))")
+                    col = index_of(value, tot_deg, f"f(si({tag_s}:{snames[c]}@v{vdeg}))")
                     d = ent_by_deg.setdefault(tot_deg, {})
                     d[(row, col)] = d.get((row, col), ZERO) + sign * val
         blocks = {k: QMatrix(value.dim(k), value.dim(k), e) for k, e in ent_by_deg.items() if value.dim(k)}
@@ -1178,7 +1245,7 @@ def _old_tower_maps(objects):
             small_names = set(small.basis.get(k, ()))
             for col, name in enumerate(big.basis[k]):
                 if name in small_names:
-                    ent[(small.index_of(k, name), col)] = ONE
+                    ent[(index_of(small, k, name), col)] = ONE
             blocks[k] = QMatrix(small.dim(k), big.dim(k), ent)
         maps.append(DGMap(big, small, blocks))
     return maps

@@ -38,7 +38,6 @@ from rht.dgl import (
     abelian_dgl,
     abelianize,
     abelianize_dgl,
-    bracket_filtration,
     dgl_ho_pullback,
     dgl_hofib,
     dgl_product,
@@ -59,8 +58,10 @@ from rht.dgl import (
 )
 from rht.exactq import ONE, QMatrix, rank, rat, solve_linear, solve_matrix, vec_add, vec_scale, zero_vec
 from rht.randgen import random_chain_map, random_dg
-from rht.dgl import _LazyBracketTable, _bracket_entry, _filtration_dgs, _restrict, dgl_map_from_gen_images
-from rht.dgcore import _degree_positions, projection
+from rht.dgl import _LazyBracketTable, _bracket_entry, dgl_map_from_gen_images
+from rht.dgcore import _degree_positions, _restrict, projection
+from rht.calculus import bracket_filtration, bracket_tower
+from conftest import _old_bracket_filtration, _old_filtration_dgs, index_of
 from rht.exactq import _unit_vec
 
 
@@ -743,7 +744,7 @@ def test_table_free_filtration_is_the_underlying_filtration(model):
     l = cobar_L(build_model(mf), mf.truncate)
     b = l.basis
     for n in range(1, 5):
-        dgs, layers, keeps = _filtration_dgs(l, n)
+        dgs, layers, keeps = _old_filtration_dgs(l, n)
         towers, want_layers = bracket_filtration(l, n)
         assert [list(g.basis.items()) for g in dgs] == [list(t.underlying.basis.items()) for t in towers]
         assert dgs == [t.underlying for t in towers] and layers == want_layers
@@ -757,15 +758,15 @@ def test_table_free_filtration_is_the_underlying_filtration(model):
 def test_table_free_filtration_computes_no_structure_constant(monkeypatch):
     import rht.dgl as dgl
 
-    want = bracket_filtration(truly_free_example(), 3)
+    want = _old_bracket_filtration(truly_free_example(), 3)
     l = truly_free_example()
     to_dgl(l)  # the differential, built before the patch
     # every structure constant goes through _bracket_entry
     monkeypatch.setattr(dgl, "_bracket_entry", lambda *args: pytest.fail("a structure constant was computed"))
-    dgs, layers, _ = _filtration_dgs(l, 3)
-    assert dgs == [t.underlying for t in want[0]] and layers == want[1]
+    tower = bracket_tower(l, 3)
+    assert tower.objects == [t.underlying for t in want[0]] and tower.layers == want[1]
     with pytest.raises(ValueError, match="depth"):
-        _filtration_dgs(l, 0)
+        bracket_tower(l, 0)
 
 
 # -- Hurewicz ---------------------------------------------------------------------------
@@ -1269,10 +1270,10 @@ def _old_free_product_images(a, b):
     strict, _, _ = dgl_strict_product(to_dgl(a), to_dgl(b))
     images = {}
     for i, (an, ad) in enumerate(a.basis.generators):
-        pos = to_dgl(a).underlying.index_of(ad, a.basis.tree_name(i))
+        pos = index_of(to_dgl(a).underlying, ad, a.basis.tree_name(i))
         images[i] = (ad, _unit_vec(strict.underlying.dim(ad), pos))
     for j, (bn, bd) in enumerate(b.basis.generators):
-        pos = to_dgl(b).underlying.index_of(bd, b.basis.tree_name(j))
+        pos = index_of(to_dgl(b).underlying, bd, b.basis.tree_name(j))
         off = to_dgl(a).underlying.dim(bd)
         images[na + j] = (bd, _unit_vec(strict.underlying.dim(bd), off + pos))
     return strict, images
