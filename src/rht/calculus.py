@@ -8,8 +8,9 @@ Taylor approximation T_nF is the homotopy limit of F over the punctured
 (n+1)-cube.  Iterating and telescoping gives P_nF; total homotopy fibers of
 coproduct cubes give cross effects; the n-th derivative of the identity is
 the Lie representation Lie(n).  A tower is one filtered DG, and its stages,
-layers and jet (layers plus the triangular differential blocks) are read off
-it by position.  The bracket-length filtration of a free DGL, which models
+layers and the triangular blocks of its differential are read off it by
+position: the layers and blocks are the tower's jet, with no second type
+for it.  The bracket-length filtration of a free DGL, which models
 the Taylor tower of the identity, is worked out here alone: bracket_tower
 is that filtration as a Tower, and bracket_filtration adds the brackets to
 its stages.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -38,7 +39,6 @@ from .dgcore import (
     _restrict,
     _tensor_with_index,
     assert_valid,
-    compose,
     ho_cofiber,
     ho_cube,
     ho_fiber,
@@ -815,8 +815,9 @@ class Tower:
     level[k][i], in 1..n, is the filtration level of top's basis element i in
     degree k.  The rest is read off by position: stage s (objects[s - 1])
     keeps the levels <= s, maps[s - 1] is the coordinate projection of stage
-    s + 1 onto stage s, and layers[s - 1] keeps level s.  Stages, maps and
-    layers are each built once, when first read."""
+    s + 1 onto stage s, layers[s - 1] keeps level s, and blocks splits top's
+    d between the layers.  The layers and blocks are the tower's jet.
+    Stages, maps, layers and blocks are each built once, when first read."""
 
     top: DG
     level: dict[int, list[int]]
@@ -832,6 +833,25 @@ class Tower:
     @cached_property
     def objects(self) -> list[DG]:
         return [self._keep(lambda t: t <= s) for s in range(1, self.n + 1)]
+
+    @cached_property
+    def blocks(self) -> dict[tuple[int, int], dict[int, QMatrix]]:
+        """blocks[(i, j)][k]: top's d from layer j in degree k to layer i in
+        degree k - 1, at each element's place in its layer.  On a valid tower
+        i >= j, and blocks (i, i) are the layer differentials."""
+        place = {}  # place[k][p]: the level of top's position p in degree k, and its index in that layer
+        for k, lv in self.level.items():
+            at = [itertools.count() for _ in range(self.n + 1)]
+            place[k] = [(t, next(at[t])) for t in lv]
+        blocks: dict[tuple[int, int], dict[int, QMatrix]] = {}
+        for k, d in sorted(self.top.diff.items()):
+            split: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
+            for (r, c), v in d.entries.items():
+                (i, r_i), (j, c_j) = place[k - 1][r], place[k][c]
+                split.setdefault((i, j), {})[(r_i, c_j)] = v
+            for (i, j), ent in sorted(split.items()):
+                blocks.setdefault((i, j), {})[k] = QMatrix._of(self.level[k - 1].count(i), self.level[k].count(j), ent)
+        return blocks
 
     @cached_property
     def maps(self) -> list[DGMap]:
@@ -934,131 +954,33 @@ def taylor_layers_cobar(c, n: int, cap: int):
 # -- jets -----------------------------------------------------------------------------
 
 
-@dataclass
-class Jet:
-    """Layers D_1..D_m plus the triangular blocks of the total differential:
-    blocks[(i, j)][k] maps (D_j)_k -> (D_i)_{k-1}, nonzero only for i >= j,
-    with blocks[(i, i)] the layer differentials.  Optional surjection-indexed
-    structure maps f_sigma: D_k -> s D_{k+1} (keys are value tuples) with
-    layer symmetric-group actions for the equivariance checks."""
-
-    layers: list[DG]
-    blocks: dict[tuple[int, int], dict[int, QMatrix]]
-    f_sigma: dict[tuple[int, ...], DGMap] = field(default_factory=dict)
-    actions: Optional[list[SymmetricDG]] = None
-
-    def block(self, i: int, j: int, k: int) -> QMatrix:
-        m = self.blocks.get((i, j), {}).get(k)
-        if m is None:
-            return QMatrix.zero(self.layers[i - 1].dim(k - 1), self.layers[j - 1].dim(k))
-        return m
-
-
-def jet_extract(tower: Tower) -> Jet:
-    """The layers of the tower and its top's differential split by position.
-
-    The entry of d at row r and column c goes to block (i, j), for i and j
-    the levels of r and c, at their places among the basis elements of those
-    levels.  Layer 1 is stage 1, and layer s > 1 names its basis
-    D<s><k>_<i>.  As d never lowers the level, the blocks lie on or below
-    the diagonal, and the diagonal ones are the layer differentials.
-    """
+def jet_extract(tower: Tower) -> Tower:
+    """The tower itself, once it is checked: its layers and blocks are its
+    jet."""
     problems = tower.validate()
     if problems:
         raise ValueError(problems[0])
-    layers = [tower.layers[0]]
-    for s, lay in enumerate(tower.layers[1:], 2):
-        layers.append(DG({k: tuple(f"D{s}{k}_{i}" for i in range(len(xs))) for k, xs in lay.basis.items()}, lay.diff))
-    place = {}  # place[k][p]: the level of top's position p in degree k, and its index in that layer
-    for k, lv in tower.level.items():
-        at = [itertools.count() for _ in range(tower.n + 1)]
-        place[k] = [(t, next(at[t])) for t in lv]
-    blocks: dict[tuple[int, int], dict[int, QMatrix]] = {}
-    for k, d in sorted(tower.top.diff.items()):
-        split: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
-        for (r, c), v in d.entries.items():
-            (i, r_i), (j, c_j) = place[k - 1][r], place[k][c]
-            split.setdefault((i, j), {})[(r_i, c_j)] = v
-        for (i, j), ent in sorted(split.items()):
-            blocks.setdefault((i, j), {})[k] = QMatrix._of(layers[i - 1].dim(k - 1), layers[j - 1].dim(k), ent)
-    return Jet(layers, blocks)
+    return tower
 
 
-def jet_validate(jet: Jet) -> list[str]:
-    """Check the square-zero identities of the triangular blocks and, when
-    structure maps are present, their equivariance on group generators."""
-    report = []
-    m = len(jet.layers)
-    degrees = sorted({k for l in jet.layers for k in l.basis})
-    degrees = sorted(set(degrees) | {k + 1 for k in degrees})
-    # reassembled differential squares to zero
-    for k in degrees:
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                total = QMatrix.zero(jet.layers[i - 1].dim(k - 2), jet.layers[j - 1].dim(k))
-                for mid in range(1, m + 1):
-                    total = total + jet.block(i, mid, k - 1) * jet.block(mid, j, k)
-                if total.entries:
-                    report.append(
-                        f"d^2 block ({i},{j}) is nonzero at degree {k}"
-                    )
-    # chain-map identity for the first off-diagonal
-    for i in range(1, m):
-        for k in degrees:
-            lhs = jet.block(i + 1, i + 1, k - 1) * jet.block(i + 1, i, k)
-            rhs = jet.block(i + 1, i, k - 1) * jet.block(i, i, k)
-            if (lhs + rhs).entries:
-                report.append(f"suspended d_{i + 1}{i} is not a chain map at degree {k}")
-    # null-homotopy identity for the second off-diagonal
-    for i in range(1, m - 1):
-        for k in degrees:
-            total = (
-                jet.block(i + 2, i + 2, k - 1) * jet.block(i + 2, i, k)
-                + jet.block(i + 2, i + 1, k - 1) * jet.block(i + 1, i, k)
-                + jet.block(i + 2, i, k - 1) * jet.block(i, i, k)
-            )
-            if total.entries:
-                report.append(f"d_{i + 2}{i} is not a null homotopy at degree {k}")
-    if jet.f_sigma:
-        report.extend(_validate_f_sigma(jet))
-    return report
-
-
-def _shifted_action(a: DGMap) -> DGMap:
-    s = shift(a.source, 1)
-    return DGMap(s, s, {k + 1: mm for k, mm in a.blocks.items()})
-
-
-def _validate_f_sigma(jet: Jet) -> list[str]:
-    report = []
-    if jet.actions is None:
-        return ["structure maps present but layer actions are missing"]
-    for sigma, f in jet.f_sigma.items():
-        k = len(sigma) - 1
-        if sorted(set(sigma)) != list(range(1, k + 1)):
-            report.append(f"key {sigma} is not a surjection onto 1..{k}")
-            continue
-        # position relabeling by Sigma_{k+1} generators
-        if k + 1 <= len(jet.actions) and jet.actions[k].n == k + 1:
-            for a in range(k):
-                tau = list(sigma)
-                tau[a], tau[a + 1] = tau[a + 1], tau[a]
-                other = jet.f_sigma.get(tuple(tau))
-                if other is None:
-                    report.append(f"missing structure map for {tuple(tau)}")
-                    continue
-                act = _shifted_action(jet.actions[k].action[a])
-                if compose(act, f) != other:
-                    report.append(f"position equivariance fails for {sigma} at slot {a + 1}")
-        # value relabeling by Sigma_k generators
-        if k >= 2 and jet.actions[k - 1].n == k:
-            for a in range(k - 1):
-                swap = {a + 1: a + 2, a + 2: a + 1}
-                tau = tuple(swap.get(v, v) for v in sigma)
-                other = jet.f_sigma.get(tau)
-                if other is None:
-                    report.append(f"missing structure map for {tau}")
-                    continue
-                if compose(f, jet.actions[k - 1].action[a]) != other:
-                    report.append(f"value equivariance fails for {sigma} at slot {a + 1}")
-    return report
+def jet_validate(tower: Tower) -> list[str]:
+    """The tower's problems, or else the blocks (i, j) of d^2 that are nonzero,
+    by degree: then the blocks (i + 1, i), which say that d_{i+1,i} is a
+    chain map up to sign, and (i + 2, i), which say that d_{i+2,i} is a null
+    homotopy.  Entry (r, c) of top's d^2 from degree k lies in block (i, j)
+    for i and j the levels of r and c; as d never lowers the level, blocks
+    (i + 1, i) and (i + 2, i) of d^2 are the sums of those identities."""
+    problems = tower.validate()
+    if problems:
+        return problems
+    hits = []  # (k, i, j): block (i, j) of d^2 from degree k is nonzero
+    for k in sorted(tower.top.diff):
+        if k - 1 in tower.top.diff:
+            dd = tower.top.d(k - 1) * tower.top.d(k)
+            hits += [(k, i, j) for i, j in sorted({(tower.level[k - 2][r], tower.level[k][c]) for r, c in dd.entries})]
+    below = {s: sorted((j, k) for k, i, j in hits if i == j + s) for s in (1, 2)}
+    return (
+        [f"d^2 block ({i},{j}) is nonzero at degree {k}" for k, i, j in hits]
+        + [f"suspended d_{j + 1}{j} is not a chain map at degree {k}" for j, k in below[1]]
+        + [f"d_{j + 2}{j} is not a null homotopy at degree {k}" for j, k in below[2]]
+    )

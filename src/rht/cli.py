@@ -89,7 +89,10 @@ def _parse_word(s: str, line: int):
     or a generator name ('gen', name)."""
     s = s.strip()
     if s.startswith("["):
-        word, rest = _parse_tree(s, line)
+        try:
+            word, rest = _parse_tree(s, line)
+        except RecursionError:
+            raise ModelError("bracket word nested too deep", line) from None
         if rest.strip():
             raise ModelError(f"unexpected text after bracket word: {rest.strip()!r}", line)
         return word
@@ -182,7 +185,7 @@ def parse_model(path: str) -> ModelFile:
                 raise ModelError(f"unknown kind {rest!r}", no)
             mf.kind = rest
         elif head == "truncate":
-            if not rest.isdigit():
+            if not re.fullmatch(r"[0-9]+", rest):  # str.isdigit also takes '²', which int() cannot read
                 raise ModelError(f"malformed truncation {rest!r}", no)
             mf.truncate = int(rest)
         elif head == "gen":
@@ -292,7 +295,10 @@ def build_model(mf: ModelFile):
         for coeff, word in expr:
             if word is None:
                 continue
-            kd, v = _eval_tree(word, no, require, dg0, shell)
+            try:
+                kd, v = _eval_tree(word, no, require, dg0, shell)
+            except RecursionError:
+                raise ModelError("bracket word nested too deep", no) from None
             if kd != k - 1:
                 raise ModelError(
                     f"d({name}) term has degree {kd}, expected {k - 1}", no
@@ -476,18 +482,18 @@ def cmd_crosseffect(model, mf, args, report):
 def cmd_jet(model, mf, args, report):
     from .calculus import jet_extract, jet_validate
 
-    jet = jet_extract(_tower(model, mf, args.n))
-    report["layers"] = {i + 1: _graded_dims(l) for i, l in enumerate(jet.layers)}
+    tower = jet_extract(_tower(model, mf, args.n))
+    report["layers"] = {i + 1: _graded_dims(l) for i, l in enumerate(tower.layers)}
     blocks = {}
-    for (i, j) in sorted(jet.blocks):
+    for (i, j) in sorted(tower.blocks):
         if i == j:
             continue
-        for k in sorted(jet.blocks[(i, j)]):
-            m = jet.blocks[(i, j)][k]
+        for k in sorted(tower.blocks[(i, j)]):
+            m = tower.blocks[(i, j)][k]
             for (r, c), val in sorted(m.entries.items()):
                 blocks[f"d_{i}{j} deg {k} ({r},{c})"] = format_rat(val)
     report["off_diagonal"] = blocks if blocks else "(zero)"
-    problems = jet_validate(jet)
+    problems = jet_validate(tower)
     report["verdict"] = "valid" if not problems else problems
     return 0 if not problems else 1
 
@@ -521,7 +527,8 @@ COMMANDS = {
 
 # least legal -n per subcommand: a tower needs a stage, a cross effect may be empty
 N_FLOOR = {"tower": 1, "layers": 1, "jet": 1, "crosseffect": 0}
-# greatest legal -n: a tower's layers need Lie(n), computed for n <= 8; a cross effect builds 2^n subsets
+# greatest legal -n: layers builds each formula from Lie(n), computed for n <= 8; tower and jet build no
+# Lie(n) and keep the same ceiling; a cross effect builds 2^n subsets
 N_CEILING = {"tower": 8, "layers": 8, "jet": 8, "crosseffect": 10}
 
 

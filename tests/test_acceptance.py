@@ -80,6 +80,7 @@ from rht.quillen import (
     sphere_model,
 )
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
+from conftest import at_level, perturbed
 
 
 # -- 1. sign integrity ---------------------------------------------------------------
@@ -388,30 +389,22 @@ def test_snaith_on_random_inputs():
 # -- 9. jet round-trip ---------------------------------------------------------------
 
 
-def assemble(jet):
+def assemble(tower):
     """Direct sum of the layers with the triangular block differential."""
-    total, _ = sum_many([l for l in jet.layers], tags=[f"L{i+1}" for i in range(len(jet.layers))])
+    layers = tower.layers
+    total, _ = sum_many(layers, tags=[f"L{i+1}" for i in range(len(layers))])
     diff = {}
     degs = sorted(set(total.basis) | {k + 1 for k in total.basis})
-    n = len(jet.layers)
     for k in degs:
         if not total.dim(k) or not total.dim(k - 1):
             continue
-        ent = {}
-        roffs, coffs = [], []
-        acc = 0
-        for l in jet.layers:
-            roffs.append(acc)
-            acc += l.dim(k - 1)
-        acc = 0
-        for l in jet.layers:
-            coffs.append(acc)
-            acc += l.dim(k)
+        roffs = list(itertools.accumulate((l.dim(k - 1) for l in layers), initial=0))
+        coffs = list(itertools.accumulate((l.dim(k) for l in layers), initial=0))
         # d_ij carries layer j in degree k into layer i in degree k-1
-        for i in range(1, n + 1):
-            for j in range(1, i + 1):
-                m = jet.block(i, j, k)
-                for (r, c), val in m.entries.items():
+        ent = {}
+        for (i, j), blocks in tower.blocks.items():
+            if k in blocks:
+                for (r, c), val in blocks[k].entries.items():
                     ent[(roffs[i - 1] + r, coffs[j - 1] + c)] = val
         if ent:
             diff[k] = QMatrix(total.dim(k - 1), total.dim(k), ent)
@@ -425,9 +418,9 @@ def test_jet_round_trip_reproduces_the_tower():
         (cofree_lambda(DG({2: ("a",), 3: ("b",)}, {3: QMatrix(1, 1, {(0, 0): ONE})}), 7), 2, 6),
     ):
         tower, _, _ = taylor_layers_cobar(c, n, cap)
-        jet = jet_extract(tower)
-        assert jet_validate(jet) == []
-        back = assemble(jet)
+        assert jet_extract(tower) is tower
+        assert jet_validate(tower) == []
+        back = assemble(tower)
         assert validate_dg(back) == []
         top = tower.objects[-1]
         assert {k: back.dim(k) for k in back.degrees()} == {
@@ -437,15 +430,11 @@ def test_jet_round_trip_reproduces_the_tower():
 
 
 def test_jet_validate_catches_single_entry_perturbations():
-    from rht.calculus import Jet
-
     v = DG({2: ("a",), 3: ("b",)}, {3: QMatrix(1, 1, {(0, 0): ONE})})
     tower, _, _ = taylor_layers_cobar(cofree_lambda(v, 7), 2, 6)
-    jet = jet_extract(tower)
-    bad = Jet(list(jet.layers), {k: dict(m) for k, m in jet.blocks.items()})
-    d21 = dict(bad.blocks[(2, 1)])
-    d21[3] = d21[3] + QMatrix(d21[3].rows, d21[3].cols, {(0, 0): ONE})
-    bad.blocks[(2, 1)] = d21
+    assert jet_validate(tower) == []
+    # one more entry in block d_21 at degree 3, at its (0, 0)
+    bad = perturbed(tower, 3, {(at_level(tower, 2, 2, 0), at_level(tower, 3, 1, 0)): ONE})
     assert jet_validate(bad) != []
 
 

@@ -13,7 +13,6 @@ from rht.calculus import (
     ConstantFunctor,
     FreeLieFunctor,
     IdentityFunctor,
-    Jet,
     LambdaFunctor,
     SumFunctor,
     SuspensionFunctor,
@@ -73,7 +72,15 @@ from rht.dgl import FreeDGL, free_lie_basis, to_dgl
 from rht.exactq import ONE, ZERO, QMatrix, _SMALL, rank, solve_matrix
 from rht.quillen import cobar_L, sphere_model
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
-from conftest import _old_bracket_filtration, _old_filtration_dgs, index_of
+from conftest import (
+    _old_bracket_filtration,
+    _old_filtration_dgs,
+    _old_jet_extract,
+    _old_jet_validate,
+    at_level,
+    index_of,
+    perturbed,
+)
 
 V24 = DG({2: ("a",), 4: ("b",)})
 
@@ -789,20 +796,15 @@ def test_layers_with_coalgebra_differential_match():
 # -- jets ----------------------------------------------------------------------------
 
 
-def extract_from(c, n, cap):
-    tower, _, _ = taylor_layers_cobar(c, n, cap)
-    return tower, jet_extract(tower)
-
-
 def test_jet_round_trip_is_clean():
     for c, n, cap in (
         (sphere_model(2), 3, 8),
         (cofree_lambda(DG({2: ("v",)}), 8), 3, 7),
         (cofree_lambda(DG({2: ("a",), 3: ("b",)}, {3: QMatrix(1, 1, {(0, 0): ONE})}), 7), 2, 6),
     ):
-        _, jet = extract_from(c, n, cap)
-        assert jet_validate(jet) == []
-        assert all(i >= j for (i, j) in jet.blocks)
+        tower = jet_extract(taylor_layers_cobar(c, n, cap)[0])
+        assert jet_validate(tower) == []
+        assert all(i >= j for (i, j) in tower.blocks)
 
 
 def test_jet_of_a_zero_differential_tower_has_no_off_diagonal():
@@ -831,6 +833,7 @@ def _lowering_tower():
 def test_non_fibration_tower_rejected():
     with pytest.raises(ValueError, match="lowers the level"):
         jet_extract(_lowering_tower())
+    assert jet_validate(_lowering_tower()) == ["d lowers the level at (3,0)"]
 
 
 def test_tower_validate_reports_what_can_fail():
@@ -959,34 +962,53 @@ def test_each_stage_and_layer_is_cut_out_of_the_tower_once(monkeypatch, argv, ca
 def test_perturbed_jet_block_is_witnessed():
     v = DG({2: ("a",), 3: ("b",)}, {3: QMatrix(1, 1, {(0, 0): ONE})})
     tower, _, _ = taylor_layers_cobar(cofree_lambda(v, 7), 2, 6)
-    jet = jet_extract(tower)
-    bad = Jet(list(jet.layers), {k: dict(m) for k, m in jet.blocks.items()})
-    d21 = dict(bad.blocks[(2, 1)])
-    d21[3] = d21[3] + QMatrix(d21[3].rows, d21[3].cols, {(0, 0): ONE})
-    bad.blocks[(2, 1)] = d21
+    # one more entry in block d_21 at degree 3, at its (0, 0)
+    bad = perturbed(tower, 3, {(at_level(tower, 2, 2, 0), at_level(tower, 3, 1, 0)): ONE})
     report = jet_validate(bad)
     assert any("d^2" in msg for msg in report)
     assert any("chain map" in msg for msg in report)
 
 
 def test_single_layer_jet_is_clean():
-    jet = Jet([V24], {(1, 1): dict(V24.diff)})
-    assert jet_validate(jet) == []
+    tower = Tower(V24, {k: [1] * V24.dim(k) for k in V24.degrees()}, 1)
+    assert jet_validate(tower) == []
+    assert tower.blocks == {}  # V24 has no differential
 
 
-def test_jet_structure_map_equivariance():
-    a1 = DG({2: ("e",)})
-    a2 = DG({1: ("u", "v")})
-    swap = DGMap(a2, a2, {1: QMatrix(2, 2, {(0, 1): ONE, (1, 0): ONE})})
-    actions = [SymmetricDG(a1, 1, []), SymmetricDG(a2, 2, [swap])]
-    good = DGMap(a1, shift(a2, 1), {2: QMatrix(2, 1, {(0, 0): ONE, (1, 0): ONE})})
-    bad = DGMap(a1, shift(a2, 1), {2: QMatrix(2, 1, {(0, 0): ONE})})
-    base = {(1, 1): {}, (2, 2): {}}
-    assert jet_validate(Jet([a1, a2], base, f_sigma={(1, 1): good}, actions=actions)) == []
-    report = jet_validate(Jet([a1, a2], base, f_sigma={(1, 1): bad}, actions=actions))
-    assert any("equivariance" in msg for msg in report)
-    report = jet_validate(Jet([a1, a2], base, f_sigma={(1, 2): good}, actions=actions))
-    assert report  # (1,2) is a bijection key but the map is not equivariant either way
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_jet_validate_on_perturbed_towers_equals_the_block_by_block_oracle(seed):
+    """Cobar towers of random cofree models, with up to four entries added to
+    top's d where they keep the tower valid (the row's level at least the
+    column's), so that d^2 may fail in any block on or below the diagonal:
+    the report and the blocks are the old ones."""
+    rng = random.Random(seed)
+    tower = cobar_tower(cofree_lambda(random_dg(rng, min_deg=2, max_deg=3, max_pieces=3), 6), rng.randint(1, 5), 6)
+    for _ in range(rng.randint(0, 4)):
+        top, level = tower.top, tower.level
+        # in a degree k whose d can meet another in d^2
+        spots = [(k, r, c) for k in top.degrees() if top.dim(k - 2) + top.dim(k + 1)
+                 for r in range(top.dim(k - 1)) for c in range(top.dim(k)) if level[k - 1][r] >= level[k][c]]
+        if not spots:
+            break
+        k, r, c = rng.choice(spots)
+        tower = perturbed(tower, k, {(r, c): rng.choice([ONE, -ONE, 2 * ONE, ONE / 3])})
+    old = _old_jet_extract(tower)
+    assert jet_validate(tower) == _old_jet_validate(old)
+    assert tower.blocks == old.blocks
+    assert [(key, list(b)) for key, b in tower.blocks.items()] == [(key, list(b)) for key, b in old.blocks.items()]
+
+
+def test_jet_validate_makes_one_product_per_degree(monkeypatch):
+    """jet -n 8 on polynomial.dgc at cap 14: at most one product d(k-1) d(k)
+    per degree of top, where the block-by-block check made 8,160."""
+    from rht.cli import build_model, parse_model
+
+    tower = cobar_tower(build_model(parse_model("models/polynomial.dgc")), 8, 14)
+    calls, mul = [], QMatrix.__mul__
+    monkeypatch.setattr(QMatrix, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert jet_validate(tower) == []
+    assert 0 < len(calls) <= len(tower.top.degrees())
 
 
 # -- determinism ---------------------------------------------------------------------

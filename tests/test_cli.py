@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rht.cli import (
     ModelError,
+    ModelFile,
     build_model,
     emit_report,
     main,
@@ -141,6 +142,32 @@ def test_trailing_slash_coefficient_is_a_malformed_rational(tmp_path, capsys):
         parse_expr("1/2/3 a", 1)
 
 
+def test_truncation_in_non_ascii_digits_is_a_model_error(tmp_path, capsys):
+    # '²' passes str.isdigit but not int()
+    p = write(tmp_path, "kind dg\ntruncate ²\ngen a 1\n")
+    assert main(["homology", p]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p}:2: malformed truncation '²'\n"
+
+
+def test_deeply_nested_bracket_word_is_a_model_error(tmp_path, capsys):
+    depth = 3000
+    p = write(tmp_path, "kind dgl\ngen v 1\ngen w 3\nd w = " + "[v," * depth + "v" + "]" * depth + "\n")
+    assert main(["homology", p]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p}:4: bracket word nested too deep\n"
+    # a word that parses may still be too deep to evaluate: built here without the parser
+    word = ("gen", "v")
+    for _ in range(depth):
+        word = ("br", ("gen", "v"), word)
+    mf = ModelFile(kind="dgl", name="deep", gens=[("v", 1, 2), ("w", 3, 3)], d_lines=[("w", [(ONE, word)], 4)])
+    with pytest.raises(ModelError, match="nested too deep") as e:
+        build_model(mf)
+    assert e.value.line == 4
+
+
 def test_comments_and_blank_lines(tmp_path):
     p = write(tmp_path, "# header\n\nkind dg   # trailing\ngen a 2\n")
     mf = parse_model(p)
@@ -264,7 +291,7 @@ def test_exit_codes(tmp_path):
         ("layers", "-n", "0", f"{MODELS}/polynomial.dgc"),
         ("jet", "-n", "-2", f"{MODELS}/polynomial.dgc"),
         ("crosseffect", "-n", "-1", f"{MODELS}/twocell.dg"),
-        # Lie(n) is computed for n <= 8: refused before the model is read
+        # -n above 8 is refused before the model is read (layers builds Lie(n), computed for n <= 8)
         ("tower", "-n", "9", f"{MODELS}/s3.dgc"),
         ("layers", "-n", "9", f"{MODELS}/s3.dgc", "--truncate", "4"),
         ("jet", "-n", "9", f"{MODELS}/polynomial.dgc"),
@@ -456,7 +483,7 @@ _EXPRESSIONS = st.lists(st.tuples(st.sampled_from([" + ", " - "]), _COEFFICIENTS
 _LINES = st.one_of(
     st.builds("kind {}".format, st.sampled_from(["dg", "dgl", "dgc", "dgx"])),
     st.builds("object {}".format, _NAMES),
-    st.builds("truncate {}".format, st.sampled_from(["6", "0", "x"])),
+    st.builds("truncate {}".format, st.sampled_from(["6", "0", "x", "²"])),
     st.builds("gen {} {}".format, _NAMES, st.sampled_from(["-1", "0", "1", "2", "3", "4", "2.5"])),
     st.builds("d {} = {}".format, _NAMES, _EXPRESSIONS),
     st.builds("delta {} = {}".format, _NAMES, _EXPRESSIONS),
