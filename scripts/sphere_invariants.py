@@ -6,7 +6,7 @@ and Q in degrees n and 2n-1 for n even.
 
 import argparse
 
-from rht.quillen import rational_invariants, sphere_model
+from rht.quillen import rational_homology, rational_homotopy, sphere_model
 
 
 def main():
@@ -16,8 +16,8 @@ def main():
     args = ap.parse_args()
     for n in range(2, args.max_n + 1):
         c = sphere_model(n)
-        pi = rational_invariants("homotopy", c, args.cap)
-        h = rational_invariants("homology", c, args.cap)
+        pi = rational_homotopy(c, args.cap)
+        h = rational_homology(c, args.cap)
         pi_str = ", ".join(f"pi_{k}=Q^{v}" for k, v in sorted(pi.items()) if v)
         h_str = ", ".join(f"H_{k}=Q^{v}" for k, v in sorted(h.items()) if v)
         print(f"S^{n}:  {pi_str}  |  {h_str}")

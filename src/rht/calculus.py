@@ -5,15 +5,16 @@ set T is tensoring with the T-cell complex [T] (one vertex, |T| edges all
 killing it), which is the cone for |T| = 1 and a suspension model for
 |T| = 2.  Cubes of iterated joins are strongly cocartesian, and the n-th
 Taylor approximation T_nF is the homotopy limit of F over the punctured
-(n+1)-cube.  Iterating and telescoping gives P_nF; total homotopy fibers of
-coproduct cubes give cross effects; the n-th derivative of the identity is
-the Lie representation Lie(n).  A tower is one filtered DG, and its stages,
-layers and the triangular blocks of its differential are read off it by
-position: the layers and blocks are the tower's jet, with no second type
-for it.  The bracket-length filtration of a free DGL, which models
-the Taylor tower of the identity, is worked out here alone: bracket_tower
-is that filtration as a Tower, and bracket_filtration adds the brackets to
-its stages.
+(n+1)-cube.  Iterating and telescoping gives P_nF; total homotopy fibers
+(thfib; thcof for cofibers) of coproduct cubes give cross effects; the n-th
+derivative of the identity is the Lie representation Lie(n), and
+homogeneous_eval evaluates a homogeneous functor in DG.  A tower is one
+filtered DG, and its stages, layers and the triangular blocks of its
+differential are read off it by position: the layers and blocks are the
+tower's jet, with no second type for it.  The bracket-length filtration of
+a free DGL, which models the Taylor tower of the identity, is worked out
+here alone: bracket_tower is that filtration as a Tower, and
+bracket_filtration adds the brackets to its stages.
 """
 
 from __future__ import annotations
@@ -63,8 +64,6 @@ from .quillen import cobar_L
 
 def tset_dg(size: int) -> DG:
     """[T]: one vertex v0 in degree 0 and an edge t_i killing it per element."""
-    if size == 0:
-        return DG({0: ("v0",)})
     return DG(
         {0: ("v0",), 1: tuple(f"t{i}" for i in range(1, size + 1))},
         {1: QMatrix(1, size, {(0, j): ONE for j in range(size)})},
@@ -102,8 +101,6 @@ def _join_dgc(c: DGC, t: int) -> DGC:
 
 
 def _join_map(g: DGMap, size: int) -> DGMap:
-    if size == 0:
-        return g
     return tensor_map(identity_map(tset_dg(size)), g)
 
 
@@ -207,35 +204,33 @@ def _cofiber_square_map(a: DGMap, b: DGMap, src: DG, tgt: DG) -> DGMap:
     return DGMap(src, tgt, {k: QMatrix.direct_sum([b.block(k), a.block(k - 1)]) for k in src.degrees()})
 
 
-def thfib_thcof(mode: str, cube: Cube) -> DG:
-    """Total homotopy fiber or cofiber, by iterating along the last coordinate."""
-    if mode not in ("fiber", "cofiber"):
-        raise ValueError(f"unknown mode {mode!r}")
+def thfib(cube: Cube) -> DG:
+    """Total homotopy fiber, by iterating along the last coordinate."""
+    return _collapse(cube, ho_fiber, _fiber_square_map)
+
+
+def thcof(cube: Cube) -> DG:
+    """Total homotopy cofiber, by iterating along the last coordinate."""
+    return _collapse(cube, ho_cofiber, _cofiber_square_map)
+
+
+def _collapse(cube: Cube, cell, square_map) -> DG:
     problems = cube.validate_commuting()
     if problems:
         raise ValueError("non-commuting cube: " + problems[0])
     while cube.n > 0:
-        cube = _collapse_last(cube, mode)
+        cube = _collapse_last(cube, cell, square_map)
     return cube.objects[frozenset()]
 
 
-def _collapse_last(cube: Cube, mode: str) -> Cube:
+def _collapse_last(cube: Cube, cell, square_map) -> Cube:
+    """The cells (ho_fiber or ho_cofiber) of the edges along the last coordinate, and their square maps."""
     n = cube.n
-    objects = {}
-    for s in cube.objects:
-        if n in s:
-            continue
-        f = cube.edge(s, s | {n})
-        objects[s] = ho_fiber(f) if mode == "fiber" else ho_cofiber(f)
+    objects = {s: cell(cube.edge(s, s | {n})) for s in cube.objects if n not in s}
     edges = {}
     for (s, t), a in cube.edges.items():
-        if n in s or n in t:
-            continue
-        b = cube.edge(s | {n}, t | {n})
-        if mode == "fiber":
-            edges[(s, t)] = _fiber_square_map(a, b, objects[s], objects[t])
-        else:
-            edges[(s, t)] = _cofiber_square_map(a, b, objects[s], objects[t])
+        if n not in t:
+            edges[(s, t)] = square_map(a, cube.edge(s | {n}, t | {n}), objects[s], objects[t])
     return Cube(n - 1, objects, edges)
 
 
@@ -731,28 +726,16 @@ def _power_with_swaps(
     return pw, swaps, {deg: list(groups.values()) for deg, groups in orbits.items()}
 
 
-def homogeneous_eval(
-    coefficient: SymmetricDG, x: DG, n: int, target: str = "dg", r: int = 2, top: Optional[int] = None
-):
-    """(A (x) x^{(x) n})_{Sigma_n} as the orbit quotient, then delooped
-    into the target category (dg: as is; dgl: one desuspension; dgc: reduced).
+def homogeneous_eval(coefficient: SymmetricDG, x: DG, n: int, top: Optional[int] = None) -> DG:
+    """(A (x) x^{(x) n})_{Sigma_n} in DG, as the orbit quotient.
 
-    With a top degree (in the target's degrees), the result is the whole
-    result's restriction to the degrees <= top, with the same names and
-    differential there: the quotient is built only in those degrees.
+    With a top degree, the result is the whole result's restriction to the
+    degrees <= top, with the same names and differential there: the
+    quotient is built only in those degrees.
     """
     if coefficient.n != n:
         raise ValueError("coefficient arity does not match n")
-    if target not in ("dg", "dgl", "dgc"):
-        raise ValueError(f"unknown target {target!r}")
-    if top is not None and target == "dgl":
-        top += 1  # the desuspension lowers every degree by one
-    orbits = _orbit_quotient(coefficient, x, n, top)[0]
-    if target == "dg":
-        return orbits
-    if target == "dgl":
-        return shift(orbits, -1)
-    return reduce_dg(r, orbits)
+    return _orbit_quotient(coefficient, x, n, top)[0]
 
 
 def _orbit_quotient(coefficient: SymmetricDG, x: DG, n: int, top: Optional[int] = None) -> tuple[DG, DGMap]:
@@ -937,7 +920,8 @@ def layer_report(x: DG, layers: Sequence[DG], cap: int) -> dict[int, dict]:
     the cap, the only degrees the formula is built in."""
     report = {}
     for k, layer in enumerate(layers, 1):
-        formula = homogeneous_eval(lie_n(k).derivative(), x, k, target="dgl", top=cap)
+        # delooped into DGL: one desuspension, so the quotient is built through cap + 1
+        formula = shift(homogeneous_eval(lie_n(k).derivative(), x, k, top=cap + 1), -1)
         fd = {d: formula.dim(d) for d in formula.degrees() if d <= cap and formula.dim(d)}
         ld = {d: layer.dim(d) for d in layer.degrees() if d <= cap and layer.dim(d)}
         report[k] = {"layer": ld, "formula": fd, "match": ld == fd}

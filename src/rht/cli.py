@@ -30,30 +30,30 @@ from .dgc import DGC, dgc_validate, to_dgc
 from .dgcore import DG, homology, homology_dims, validate_dg
 from .dgl import DGL, DGLMap, abelian_dgl, abelianize_dgl, dgl_validate, hurewicz_check, to_dgl
 from .exactq import ONE, QMatrix, _unit_vec, format_rat, vec_add, vec_scale, zero_vec
-from .quillen import cec_C, cobar_L, rational_invariants
+from .quillen import cec_C, cobar_L, rational_homotopy
 
 DEFAULT_CAP = 16
+DEGREE_FLOOR = {"dg": -(10**9), "dgl": 1, "dgc": 2}  # least generator degree per kind
 
 
 class ModelError(Exception):
     """Parse or validation failure with a file location."""
 
-    def __init__(self, msg: str, line: int = 0, col: int = 0):
+    def __init__(self, msg: str, line: int = 0):
         super().__init__(msg)
         self.line = line
-        self.col = col
 
     def render(self, path: str) -> str:
         loc = f"{path}:{self.line}" if self.line else path
-        if self.col:
-            loc += f":{self.col}"
         return f"error: {loc}: {self}"
 
 
 # -- expression grammar ----------------------------------------------------------------
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_'^]*")
-RAT_RE = re.compile(r"\d+(?:/\d+)?")
+# numbers are ASCII digits only: int() and \d also take other Unicode digits, and int() takes '_' and '+'
+INT_RE = re.compile(r"-?[0-9]+")
+RAT_RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
 
 
 def _split_terms(s: str, line: int):
@@ -185,21 +185,19 @@ def parse_model(path: str) -> ModelFile:
                 raise ModelError(f"unknown kind {rest!r}", no)
             mf.kind = rest
         elif head == "truncate":
-            if not re.fullmatch(r"[0-9]+", rest):  # str.isdigit also takes '²', which int() cannot read
+            if not re.fullmatch(r"[0-9]+", rest):
                 raise ModelError(f"malformed truncation {rest!r}", no)
             mf.truncate = int(rest)
         elif head == "gen":
             parts = rest.split()
             if len(parts) != 2 or not NAME_RE.fullmatch(parts[0]):
                 raise ModelError(f"malformed generator line {text!r}", no)
-            try:
-                deg = int(parts[1])
-            except ValueError:
-                raise ModelError(f"malformed degree {parts[1]!r}", no) from None
+            if not INT_RE.fullmatch(parts[1]):
+                raise ModelError(f"malformed degree {parts[1]!r}", no)
             if parts[0] in seen:
                 raise ModelError(f"duplicate generator {parts[0]!r}", no)
             seen.add(parts[0])
-            mf.gens.append((parts[0], deg, no))
+            mf.gens.append((parts[0], int(parts[1]), no))
         elif head in ("d", "delta"):
             name, _, expr = rest.partition("=")
             name = name.strip()
@@ -226,10 +224,6 @@ def parse_model(path: str) -> ModelFile:
     return mf
 
 
-def _degree_floor(kind: str) -> int:
-    return {"dg": -(10**9), "dgl": 1, "dgc": 2}[kind]
-
-
 def _eval_tree(word, no: int, require, dg0: DG, shell):
     """(degree, vector) of a word in the shell Lie algebra (None unless dgl)."""
     if word[0] == "gen":
@@ -249,7 +243,7 @@ def build_model(mf: ModelFile):
     index = {}
     basis: dict[int, list[str]] = {}
     for name, deg, no in mf.gens:
-        if deg < _degree_floor(mf.kind):
+        if deg < DEGREE_FLOOR[mf.kind]:
             raise ModelError(
                 f"generator {name!r} has degree {deg}, below the {mf.kind} floor", no
             )
@@ -410,7 +404,7 @@ def cmd_homology(model, mf, args, report):
 def cmd_homotopy(model, mf, args, report):
     if isinstance(model, DG):
         raise UsageError("homotopy expects a dgl or dgc model")
-    pi = rational_invariants("homotopy", model, mf.truncate)
+    pi = rational_homotopy(model, mf.truncate)
     lo, hi = args.win
     report["homotopy"] = {k: pi.get(k, 0) for k in range(max(lo, 1), hi + 1)}
     return 0
@@ -532,13 +526,19 @@ N_FLOOR = {"tower": 1, "layers": 1, "jet": 1, "crosseffect": 0}
 N_CEILING = {"tower": 8, "layers": 8, "jet": 8, "crosseffect": 10}
 
 
+def _int_arg(text: str) -> int:  # --truncate, -n and --seed
+    if not INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 @functools.cache  # parsing leaves the parser as it was, and help and errors go to the streams of the call
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("path", help="model file")
-    common.add_argument("--truncate", type=int, default=None, help="override the model cap")
+    common.add_argument("--truncate", type=_int_arg, default=None, help="override the model cap")
     common.add_argument("--format", choices=("json", "table"), default="table")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_int_arg, default=0)
     common.add_argument("--window", default=None, help="report window a:b")
     p = argparse.ArgumentParser(prog="rht", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -552,9 +552,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("crosseffect", "cross effect of the identity"),
     ):
         q = sub.add_parser(name, parents=[common], help=hlp)
-        q.add_argument("-n", type=int, required=True)
+        q.add_argument("-n", type=_int_arg, required=True)
     j = sub.add_parser("jet", parents=[common], help="extract and check the jet of the tower")
-    j.add_argument("-n", type=int, default=2)
+    j.add_argument("-n", type=_int_arg, default=2)
     sub.add_parser("verify", parents=[common], help="run the matching validator")
     return p
 
@@ -562,7 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_window(spec: str, cap: int):
     if spec is None:
         return (0, cap)
-    m = re.fullmatch(r"(-?\d+):(-?\d+)", spec)
+    m = re.fullmatch(r"(-?[0-9]+):(-?[0-9]+)", spec)
     if not m:
         raise UsageError(f"malformed window {spec!r}")
     lo, hi = int(m.group(1)), int(m.group(2))

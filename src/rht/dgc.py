@@ -23,11 +23,13 @@ its table stores it, whose kernel is the primitives; the square of a span, for
 reductions and sub-coalgebras; (f (x) f) Delta_S beside Delta_T f, for a map
 f.  Cocommutativity and coassociativity stay pair loops.
 
-The tensor-product coproduct exists in two conventions: a symmetrized "half"
-form carrying 1/2 coefficients and no Koszul signs, and a "koszul" form with
-the usual sign rule.  The half form is the default but is not cocommutative
-once odd classes are involved; dgc_validate reports the witness, and the
-koszul variant is available through the sign_rule switch.  Cylinders, cones,
+dgc_sum, dgc_product and dgc_smash build the sum, product and smash; the
+last two share one body, _tensor_coalgebra.  Their tensor coproduct exists
+in two conventions: a symmetrized "half" form carrying 1/2 coefficients and
+no Koszul signs, and a "koszul" form with the usual sign rule.  The half
+form is the default but is not cocommutative once odd classes are involved;
+dgc_validate reports the witness, and the koszul variant is available
+through the sign_rule switch.  Cylinders, cones,
 suspensions and joins share one suspended-strand rule, _suspended_coproduct,
 whose coproduct carries forced 1/2 coefficients: it is cocommutative and
 compatible with the differential component by component, but for a
@@ -48,10 +50,12 @@ from .dgcore import (
     DGMap,
     ZERO_DG,
     _by_column,
+    _check_image,
     _cylinder_sum,
     _degree_positions,
     _first_generators,
     _generator_dg,
+    _generator_list,
     _generator_map,
     _generator_table,
     _path_sum,
@@ -305,53 +309,55 @@ def _key_degree(key) -> int:
     return 0 if key == ("1",) else key[1]
 
 
-def dgc_combine(kind: str, a, b, sign_rule: str = "half"):
-    """Coaugmented sum, product, or smash of two coalgebras.
+def dgc_sum(a, b) -> DGC:
+    """Coaugmented sum: the de-augmentations side by side."""
+    a, b = _as_dgc(a), _as_dgc(b)
+    total, inl, inr = sum_dg(a.underlying, b.underlying)
+    table = _moved_table(a.coproduct, _places(inl))
+    table.update(_moved_table(b.coproduct, _places(inr)))
+    return DGC(total, table)
 
-    sign_rule applies to the product coproduct: "half" symmetrizes with 1/2
-    coefficients and no Koszul signs, "koszul" uses the usual signed rule.
-    The half rule fails graded cocommutativity when both factors carry
-    odd-degree classes; dgc_validate exhibits the witness.
+
+def dgc_product(a, b, sign_rule: str = "half") -> DGC:
+    """Product of two coalgebras: de-augmentation C + D + C (x) D.
+
+    sign_rule "half" symmetrizes with 1/2 coefficients and no Koszul signs,
+    "koszul" uses the usual signed rule.  The half rule fails graded
+    cocommutativity when both factors carry odd-degree classes;
+    dgc_validate exhibits the witness.
     """
     a, b = _as_dgc(a), _as_dgc(b)
-    if kind == "sumTilde":
-        total, inl, inr = sum_dg(a.underlying, b.underlying)
-        table = _moved_table(a.coproduct, _places(inl))
-        table.update(_moved_table(b.coproduct, _places(inr)))
-        return DGC(total, table)
-    if kind not in ("product", "smashTilde"):
-        raise ValueError(f"unknown combine kind {kind!r}")
+    t_dg, t_index = _tensor_with_index(a.underlying, b.underlying)
+    total, incls = sum_many([a.underlying, b.underlying, t_dg], tags=["c", "d", "t"])
+    at_c, at_d, at_t = (_places(incl) for incl in incls)
+
+    def locate(ckey, dkey) -> Optional[Key]:  # keys ("e", k, i) or ("1",)
+        if dkey == ("1",):
+            return None if ckey == ("1",) else (ckey[1], at_c[ckey[1:]])
+        if ckey == ("1",):
+            return (dkey[1], at_d[dkey[1:]])
+        n, pos = t_index[ckey[1:] + dkey[1:]]
+        return (n, at_t[(n, pos)])
+
+    return _tensor_coalgebra(a, b, total, locate, sign_rule)
+
+
+def dgc_smash(a, b, sign_rule: str = "half") -> DGC:
+    """Smash of two coalgebras: de-augmentation C (x) D, sign rules as in dgc_product."""
+    a, b = _as_dgc(a), _as_dgc(b)
+    total, t_index = _tensor_with_index(a.underlying, b.underlying)
+
+    def locate(ckey, dkey) -> Optional[Key]:
+        return None if ckey == ("1",) or dkey == ("1",) else t_index[ckey[1:] + dkey[1:]]
+
+    return _tensor_coalgebra(a, b, total, locate, sign_rule)
+
+
+def _tensor_coalgebra(a: DGC, b: DGC, total: DG, locate, sign_rule: str) -> DGC:
+    """The coalgebra on total whose coproduct is C (x) D's on the classes that
+    locate places (a key pair, ("1",) the counit, to a key of total, or None)."""
     if sign_rule not in ("half", "koszul"):
         raise ValueError(f"unknown sign rule {sign_rule!r}")
-    t_dg, t_index = _tensor_with_index(a.underlying, b.underlying)
-    if kind == "product":
-        total, incls = sum_many([a.underlying, b.underlying, t_dg], tags=["c", "d", "t"])
-        at_c, at_d, at_t = (_places(incl) for incl in incls)
-
-        def locate(ckey, dkey) -> Optional[Key]:
-            if ckey == ("1",) and dkey == ("1",):
-                return None
-            if dkey == ("1",):
-                _, k, i = ckey
-                return (k, at_c[(k, i)])
-            if ckey == ("1",):
-                _, k, i = dkey
-                return (k, at_d[(k, i)])
-            _, kc, ic = ckey
-            _, kd, idx = dkey
-            n, pos = t_index[(kc, ic, kd, idx)]
-            return (n, at_t[(n, pos)])
-
-    else:
-        total = t_dg
-
-        def locate(ckey, dkey) -> Optional[Key]:
-            if ckey == ("1",) or dkey == ("1",):
-                return None
-            _, kc, ic = ckey
-            _, kd, idx = dkey
-            return t_index[(kc, ic, kd, idx)]
-
     table: CoTable = {}
     ea, eb = ([("e", k, i) for k, names in x.underlying.basis.items() for i in range(len(names))] for x in (a, b))
     classes = [(v, ("1",)) for v in ea] + [(("1",), w) for w in eb] + [(v, w) for v in ea for w in eb]
@@ -364,16 +370,12 @@ def dgc_combine(kind: str, a, b, sign_rule: str = "half"):
 
         def add(lc, ld, rc, rd, coeff):
             nonlocal unit_weight
-            left = locate(lc, ld)
-            right = locate(rc, rd)
-            if left is None and right is None:
+            if (lc, ld) == (("1",), ("1",)):  # the counit term 1 tensor x
+                unit_weight += coeff
                 return
-            if left is None or right is None:
-                # counit terms; in the product they must sum to 1 tensor x + x tensor 1
-                if kind == "product" and (lc, ld) == (("1",), ("1",)):
-                    unit_weight += coeff
-                return
-            _accumulate(acc, (left, right), coeff)
+            left, right = locate(lc, ld), locate(rc, rd)
+            if left is not None and right is not None:
+                _accumulate(acc, (left, right), coeff)
 
         for vk, wk, cv in _full_delta(a, ckey):
             for ak, bk, ca in _full_delta(b, dkey):
@@ -383,7 +385,7 @@ def dgc_combine(kind: str, a, b, sign_rule: str = "half"):
                 else:
                     sign = -ONE if (_key_degree(wk) * _key_degree(ak)) % 2 else ONE
                     add(vk, ak, wk, bk, sign * cv * ca)
-        if kind == "product" and unit_weight != ONE:
+        if unit_weight != ONE:
             raise AssertionError("internal: counit terms of the product do not normalize")
         if acc:
             table[src] = acc
@@ -616,24 +618,12 @@ class CofreeDGC:
     """
 
     def __init__(self, cogenerators, cap: int, corestriction: Mapping[Word, Mapping[int, Fraction]]):
-        gens = tuple((str(n), int(d)) for n, d in cogenerators)
-        names = [n for n, _ in gens]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate cogenerator names")
-        for n, d in gens:
-            if d < 2:
-                raise ValueError(f"cogenerator {n!r} has degree {d} < 2")
-        if gens and cap < max(d for _, d in gens):
-            raise ValueError("cap below a cogenerator degree")
-        self.cogenerators = gens
+        self.cogenerators, self.deg, self.gen_name, self.gen_index = _generator_list(cogenerators, 2, cap)
         self.cap = cap
-        self.deg = tuple(d for _, d in gens)
-        self.gen_name = tuple(n for n, _ in gens)
-        self.gen_index = {n: i for i, n in enumerate(self.gen_name)}
         self.corestriction: dict[Word, dict[int, Fraction]] = {}
         for w, lin in corestriction.items():
             w, lin = tuple(w), {h: rat(cc) for h, cc in lin.items() if cc}
-            if not all(0 <= g < len(gens) for g in (*w, *lin)):
+            if not all(0 <= g < len(self.deg) for g in (*w, *lin)):
                 raise ValueError(f"the corestriction of {w} names no cogenerator")
             if any(self.deg[h] != self.word_degree(w) - 1 for h in lin):
                 raise ValueError(f"d({self.word_name(w)}) is not homogeneous of degree -1")
@@ -754,9 +744,7 @@ class CofreeDGCMap:
         for i, lin in gen_images.items():
             lin = {h: rat(cc) for h, cc in lin.items() if cc}
             if lin:
-                for h in lin:
-                    if self.target.deg[h] != self.source.deg[i]:
-                        raise ValueError("cogenerator assignment is not degree 0")
+                _check_image(i, [(h,) for h in lin], source.deg, target.deg)
                 self.gen_images[i] = lin
 
     def apply_word(self, w: Word) -> LPoly:

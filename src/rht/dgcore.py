@@ -292,6 +292,30 @@ def _generator_table(
     return table
 
 
+def _generator_list(generators, floor: int, cap: int) -> tuple[tuple, tuple, tuple, dict[str, int]]:
+    """A free or cofree presentation's (name, degree) list, its degrees, names
+    and name index; the names distinct, each degree >= floor and <= cap."""
+    gens = tuple((str(n), int(d)) for n, d in generators)
+    names = tuple(n for n, _ in gens)
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate generator names")
+    for n, d in gens:
+        if d < floor:
+            raise ValueError(f"generator {n!r} has degree {d} < {floor}")
+    if gens and cap < max(d for _, d in gens):
+        raise ValueError("cap below a generator degree")
+    return gens, tuple(d for _, d in gens), names, {n: i for i, n in enumerate(names)}
+
+
+def _check_image(i: int, words, source_degs: Sequence[int], target_degs: Sequence[int]) -> None:
+    """Check generator i's image under a map of free or cofree presentations:
+    its words name target generators and have generator i's degree."""
+    if not (0 <= i < len(source_degs) and all(0 <= g < len(target_degs) for w in words for g in w)):
+        raise ValueError(f"the image of generator {i} names no generator")
+    if any(sum(target_degs[g] for g in w) != source_degs[i] for w in words):
+        raise ValueError("generator assignment is not degree 0")
+
+
 # -- validation ---------------------------------------------------------------
 
 
@@ -321,10 +345,6 @@ def validate_dg(x) -> list[str]:
                     report.append(f"map does not commute with d at degree {k}: entry ({r},{c}) = {v}")
             object.__setattr__(x, "_report", tuple(report))
         return list(x._report)
-    if isinstance(x, BiDG):
-        return x.validate()
-    if isinstance(x, SymmetricDG):
-        return x.validate()
     raise TypeError(f"cannot validate {type(x)!r}")
 
 

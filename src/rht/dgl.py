@@ -19,8 +19,10 @@ two lower-degree Lyndon words of its standard factorization, and its tree
 brackets their trees.
 
 _free_sum is the one builder for free models on a sum of generating sets:
-the free product, the free product model, the cone, the suspensions and the
-cylinder each give it their parts and the linear terms that join them.
+free_product, dgl_product (the product's free model), free_cone,
+free_suspension, free_big_suspension and free_cylinder each give it their
+parts and the linear terms that join them; the finite product is
+dgl_strict_product.
 
 A sub-DGL (_sub_dgl, for reductions and strict limits) takes the brackets of
 its inclusion's columns through DGL.bracket_vec, so a lazy table computes
@@ -40,7 +42,9 @@ from .dgcore import (
     DGMap,
     ZERO_DG,
     _degree_positions,
+    _check_image,
     _generator_dg,
+    _generator_list,
     _generator_map,
     _path_sum,
     _places,
@@ -110,20 +114,8 @@ class FreeLieBasis:
     """Super-Lyndon basis of the free graded Lie algebra, truncated at cap."""
 
     def __init__(self, generators, cap: int):
-        gens = tuple((str(n), int(d)) for n, d in generators)
-        names = [n for n, _ in gens]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate generator names")
-        for n, d in gens:
-            if d < 1:
-                raise ValueError(f"generator {n!r} has degree {d} < 1")
-        if gens and cap < max(d for _, d in gens):
-            raise ValueError("cap below a generator degree")
-        self.generators = gens
+        self.generators, self.deg, self.gen_name, self.gen_index = _generator_list(generators, 1, cap)
         self.cap = cap
-        self.deg = tuple(d for _, d in gens)
-        self.gen_name = tuple(n for n, _ in gens)
-        self.gen_index = {n: i for i, n in enumerate(self.gen_name)}
         self.monomials: dict[int, tuple[Tree, ...]] = {}
         self._expand_cache: dict[Tree, TensorPoly] = {}
         self._leading: dict[int, dict[Word, tuple[int, Fraction]]] = {}
@@ -378,7 +370,7 @@ class FreeDGL:
             i: dict(p) for i, p in gen_diff.items() if p
         }
         for i, p in self.gen_diff.items():
-            if not _names_generators(basis, [(i,), *p]):
+            if not all(0 <= g < len(basis.deg) for w in [(i,), *p] for g in w):
                 raise ValueError(f"the differential of generator {i} names no generator")
             if any(basis.word_degree(w) != basis.deg[i] - 1 for w in p):
                 raise ValueError(f"d({basis.gen_name[i]}) is not homogeneous of degree -1")
@@ -491,10 +483,7 @@ class FreeDGLMap:
             i: dict(p) for i, p in gen_images.items() if p
         }
         for i, p in self.gen_images.items():
-            if not (_names_generators(source.basis, [(i,)]) and _names_generators(target.basis, p)):
-                raise ValueError(f"the image of generator {i} names no generator")
-            if any(target.basis.word_degree(w) != source.basis.deg[i] for w in p):
-                raise ValueError("generator assignment is not degree 0")
+            _check_image(i, p, source.basis.deg, target.basis.deg)
 
     def to_dgmap(self) -> DGMap:
         """The map of expanded DGLs: each generator image in coordinates,
@@ -508,11 +497,6 @@ class FreeDGLMap:
         src, tgt = abelianize(self.source), abelianize(self.target)
         degs = (self.source.basis.deg, self.target.basis.deg)
         return _generator_map(src, tgt, degs, lambda j: _letters(self.gen_images.get(j, {})))
-
-
-def _names_generators(basis: FreeLieBasis, words) -> bool:
-    """Whether every letter of the words is a generator of the basis."""
-    return all(0 <= g < len(basis.deg) for w in words for g in w)
 
 
 def _letters(poly: TensorPoly) -> dict[int, Fraction]:
@@ -769,20 +753,12 @@ def dgl_strict_product(a: DGL, b: DGL) -> tuple[DGL, DGLMap, DGLMap]:
     return out, DGLMap(out, a, projection(inl)), DGLMap(out, b, projection(inr))
 
 
-def dgl_product(a, b, model: str = "strict"):
-    """Product of DGLs.
-
-    strict: componentwise product (finite DGLs; free inputs are expanded).
-    free: for truly free inputs, the free model on V + W + s(V tensor W) with
-    d(s(v|w)) = [v,w] - s(dv|w) - (-1)^{|v|} s(v|dw), together with the
-    projection to the strict product (a quasi-isomorphism below the cap).
+def dgl_product(a: FreeDGL, b: FreeDGL) -> tuple[FreeDGL, DGLMap]:
+    """The free model of the product of truly free DGLs: the free DGL on
+    V + W + s(V tensor W) with d(s(v|w)) = [v,w] - s(dv|w) - (-1)^{|v|}
+    s(v|dw), together with the projection to the strict product
+    (dgl_strict_product; a quasi-isomorphism below the cap).
     """
-    if model == "strict":
-        da = to_dgl(a) if isinstance(a, FreeDGL) else a
-        db = to_dgl(b) if isinstance(b, FreeDGL) else b
-        return dgl_strict_product(da, db)[0]
-    if model != "free":
-        raise ValueError(f"unknown model {model!r}")
     if not (isinstance(a, FreeDGL) and isinstance(b, FreeDGL)):
         raise ValueError("free product model requires free inputs")
     if a.cap != b.cap:
@@ -952,43 +928,45 @@ def dgl_hofib(f: DGLMap) -> DGL:
 # -- free cones, suspensions, cylinders ----------------------------------------------
 
 
-def free_cone_suspension(mode: str, l: FreeDGL) -> FreeDGL:
-    """cone: free DGL on V + sV with d(sv) = -s dv + v (contractible);
-    suspension: the truly free DGL on s of the generating DG;
-    bigS: the three-strand model sV + V + sV.
-
-    The cone and bigS differentials square to zero only when the generator
-    differential is linear; other inputs are rejected.
-    """
+def free_suspension(l: FreeDGL) -> FreeDGL:
+    """The truly free DGL on s of the generating DG: the linear part of d, suspended."""
     b = l.basis
-    lin = l.linear_diff_part()
-    shifted = [(f"s({nm})", d + 1) for nm, d in b.generators]
-    if mode == "suspension":
-        minus_lin = {i: {w: -c for w, c in p.items()} for i, p in lin.items()}
-        return _free_sum([(shifted, minus_lin)], b.cap + 1, ())
-    if not l.is_truly_free():
-        bad = next(
-            b.gen_name[i]
-            for i, p in l.gen_diff.items()
-            if any(len(w) > 1 for w in p)
-        )
-        raise ValueError(
-            f"{mode} requires a linear generator differential; d({bad}) has higher brackets"
-        )
-    # d(sv) = v - s dv
+    minus_lin = {i: {w: -c for w, c in p.items()} for i, p in l.linear_diff_part().items()}
+    return _free_sum([(_shifted(b, "s"), minus_lin)], b.cap + 1, ())
+
+
+def free_cone(l: FreeDGL) -> FreeDGL:
+    """Free DGL on V + sV with d(sv) = -s dv + v (contractible); d on V must be linear."""
+    b, bad = l.basis, _nonlinear_generator(l)
+    if bad is not None:
+        raise ValueError(f"cone requires a linear generator differential; d({bad}) has higher brackets")
     ident = {i: {i: ONE} for i in range(len(b.generators))}
-    minus_d = {i: {w[0]: -c for w, c in p.items()} for i, p in lin.items()}
-    if mode == "cone":
-        parts = [(b.generators, l.gen_diff), (shifted, {})]
-        return _free_sum(parts, b.cap + 1, [(0, 1, ident), (1, 1, minus_d)])
-    if mode == "bigS":
-        parts = [
-            ([(f"sl({nm})", d + 1) for nm, d in b.generators], {}),
-            (b.generators, l.gen_diff),
-            ([(f"sr({nm})", d + 1) for nm, d in b.generators], {}),
-        ]
-        return _free_sum(parts, b.cap + 1, [(1, 0, ident), (0, 0, minus_d), (1, 2, ident), (2, 2, minus_d)])
-    raise ValueError(f"unknown mode {mode!r}")
+    parts = [(b.generators, l.gen_diff), (_shifted(b, "s"), {})]
+    return _free_sum(parts, b.cap + 1, [(0, 1, ident), (1, 1, _minus_d(l))])
+
+
+def free_big_suspension(l: FreeDGL) -> FreeDGL:
+    """The three-strand model sV + V + sV, each strand sV coned onto V as in free_cone."""
+    b, bad = l.basis, _nonlinear_generator(l)
+    if bad is not None:
+        raise ValueError(f"bigS requires a linear generator differential; d({bad}) has higher brackets")
+    ident, minus_d = {i: {i: ONE} for i in range(len(b.generators))}, _minus_d(l)
+    parts = [(_shifted(b, "sl"), {}), (b.generators, l.gen_diff), (_shifted(b, "sr"), {})]
+    return _free_sum(parts, b.cap + 1, [(1, 0, ident), (0, 0, minus_d), (1, 2, ident), (2, 2, minus_d)])
+
+
+def _shifted(b: FreeLieBasis, tag: str) -> list[tuple[str, int]]:
+    return [(f"{tag}({nm})", d + 1) for nm, d in b.generators]
+
+
+def _nonlinear_generator(l: FreeDGL) -> Optional[str]:
+    """The first generator whose differential has brackets, if any."""
+    return next((l.basis.gen_name[i] for i, p in l.gen_diff.items() if any(len(w) > 1 for w in p)), None)
+
+
+def _minus_d(l: FreeDGL) -> dict[int, dict[int, Fraction]]:
+    """-s dv on the suspended generators: the linear part of d, negated."""
+    return {i: {w[0]: -c for w, c in p.items()} for i, p in l.linear_diff_part().items()}
 
 
 def free_cylinder(f: FreeDGLMap, g: FreeDGLMap) -> FreeDGL:
@@ -1009,12 +987,11 @@ def free_cylinder(f: FreeDGLMap, g: FreeDGLMap) -> FreeDGL:
     nu, nv = len(u.basis.generators), len(v.basis.generators)
     parts = [
         ([(f"u({nm})", d) for nm, d in u.basis.generators], u.gen_diff),
-        ([(f"s({nm})", d + 1) for nm, d in v.basis.generators], {}),
+        (_shifted(v.basis, "s"), {}),
         ([(f"w({nm})", d) for nm, d in w.basis.generators], w.gen_diff),
     ]
-    minus_d = {i: {x[0]: -c for x, c in p.items()} for i, p in v.linear_diff_part().items()}
     f_of, g_of = ({i: _letters(m.gen_images.get(i, {})) for i in range(nv)} for m in (f, g))
-    out = _free_sum(parts, v.cap + 1, [(1, 1, minus_d), (0, 1, f_of), (2, 1, g_of)])
+    out = _free_sum(parts, v.cap + 1, [(1, 1, _minus_d(v)), (0, 1, f_of), (2, 1, g_of)])
     for x in range(nu, nu + nv):
         dd = out.d_poly(out.gen_diff.get(x, {}))
         dd = {word: c for word, c in dd.items() if out.basis.word_degree(word) <= out.cap}

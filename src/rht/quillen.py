@@ -9,10 +9,11 @@ raising differential carrying half of the reduced coproduct.  Both land in
 truncated (co)free objects, so every output can be expanded and validated
 degree by degree.
 
-The stable category here is plain DG: suspension spectra of Lie models are
-abelianized suspensions, loop spectra of DGs are reduced desuspensions with
-trivial structure, and the Snaith splitting realizes the stable homotopy of
-a loop space as the symmetric coalgebra on its stable pieces.
+The input's kind picks each construction.  linearize_equiv compares C(L)
+with s(L)^ab for a free DGL, s^-1 C with L(C) for a cofree DGC.  The stable
+category is plain DG: stabilization is s(L)^ab, a coalgebra's
+de-augmentation or a DG itself; Omega^infinity is reduce_dg into DG and
+infinite_loops_dgl and infinite_loops_dgc into DGL and DGC.
 """
 
 from __future__ import annotations
@@ -181,17 +182,15 @@ def counit_eps(l: FreeDGL, cap: Optional[int] = None) -> tuple[FreeDGLMap, bool]
     return eps, q
 
 
-def linearize_equiv(side: str, x) -> tuple[DGMap, bool]:
-    """Word-length-one comparison maps of underlying DGs.
+def linearize_equiv(x) -> tuple[DGMap, bool]:
+    """Word-length-one comparison maps of underlying DGs; the input's kind
+    picks the side.
 
-    side "C": for a free DGL L, the projection [C(L)] -> s(L)^ab killing
-    words of length >= 2 and bracket monomials.
-    side "L": for a cofree DGC C, the inclusion s^-1(C)^pr -> [L(C)] of
-    cogenerators as single-letter monomials.
+    For a free DGL L, the projection [C(L)] -> s(L)^ab killing words of
+    length >= 2 and bracket monomials.  For a cofree DGC C, the inclusion
+    s^-1(C)^pr -> [L(C)] of cogenerators as single-letter monomials.
     """
-    if side == "C":
-        if not isinstance(x, FreeDGL):
-            raise TypeError("side C expects a free DGL")
+    if isinstance(x, FreeDGL):
         cc = cec_C(x, x.cap + 1)
         src = to_dgc(cc).underlying
         tgt = shift(abelianize(x), 1)
@@ -209,9 +208,7 @@ def linearize_equiv(side: str, x) -> tuple[DGMap, bool]:
             blocks[k] = QMatrix(tgt.dim(k), len(ws), ent)
         f = DGMap(src, tgt, blocks)
         window = x.cap
-    elif side == "L":
-        if not isinstance(x, CofreeDGC):
-            raise TypeError("side L expects a cofree DGC")
+    elif isinstance(x, CofreeDGC):
         lc = cobar_L(x, x.cap - 1)
         src = shift(x.gen_dg(), -1)
         tgt = to_dgl(lc).underlying
@@ -227,7 +224,7 @@ def linearize_equiv(side: str, x) -> tuple[DGMap, bool]:
         f = DGMap(src, tgt, blocks)
         window = lc.cap - 1
     else:
-        raise ValueError(f"unknown side {side!r}")
+        raise TypeError(f"linearize_equiv expects a free DGL or a cofree DGC, got {type(x)!r}")
     report = validate_dg(f)
     if report:
         raise RuntimeError("linearization is not a chain map: " + "; ".join(report[:3]))
@@ -237,21 +234,26 @@ def linearize_equiv(side: str, x) -> tuple[DGMap, bool]:
 # -- stable functors ------------------------------------------------------------------
 
 
-def stable_functors(which: str, x, r: int = 2, cap: int = 16):
-    """The suspension/loop spectrum functors, by their closed formulas."""
-    if which == "sigma_dgl":
+def stabilization(x) -> DG:
+    """The suspension spectrum functor into DG, in the input's category: s(L)^ab
+    for a Lie model, the de-augmentation for a coalgebra, and a DG itself."""
+    if isinstance(x, (DGL, FreeDGL)):
         return shift(abelianize(x), 1)
-    if which == "omega_dgl":
-        return abelian_dgl(shift(reduce_dg(r, x), -1))
-    if which == "sigma_dgc":
+    if isinstance(x, (DGC, CofreeDGC)):
         return _as_dgc(x).underlying
-    if which == "omega_dgc":
-        return cofree_lambda(reduce_dg(r, x), cap)
-    if which == "sigma_dg":
+    if isinstance(x, DG):
         return x
-    if which == "omega_dg":
-        return reduce_dg(r, x)
-    raise ValueError(f"unknown stable functor {which!r}")
+    raise TypeError(f"stabilization expects a Lie, coalgebra or DG model, got {type(x)!r}")
+
+
+def infinite_loops_dgl(v: DG, r: int = 2) -> DGL:
+    """Omega^infinity into DGL: the abelian DGL on the desuspended r-reduction."""
+    return abelian_dgl(shift(reduce_dg(r, v), -1))
+
+
+def infinite_loops_dgc(v: DG, r: int = 2, cap: int = 16) -> CofreeDGC:
+    """Omega^infinity into DGC: the cofree coalgebra on the r-reduction."""
+    return cofree_lambda(reduce_dg(r, v), cap)
 
 
 def snaith(v: DG, cap: int, r: int = 2) -> DG:
@@ -274,30 +276,27 @@ def sphere_model(n: int) -> DGC:
     return trivial_dgc(DG({n: (f"s{n}",)}))
 
 
-def rational_invariants(kind: str, x, cap: int) -> dict[int, int]:
-    """Graded dimensions of rational homotopy or homology of a model.
+def rational_homotopy(x, cap: int) -> dict[int, int]:
+    """Graded dims of rational homotopy: H(L C) for a coalgebra C, degree n
+    reporting pi_n; a Lie model reports its own homology, shifted alike."""
+    if isinstance(x, (DGC, CofreeDGC)):
+        h = homology_dims(to_dgl(cobar_L(x, cap)).underlying)
+    elif isinstance(x, (DGL, FreeDGL)):
+        h = homology_dims(_as_finite_dgl(x).underlying)
+    else:
+        raise TypeError("homotopy expects a Lie or coalgebra model")
+    return {k + 1: n for k, n in sorted(h.items()) if k + 1 <= cap}
 
-    Homotopy of a coalgebra C is H(L C) with degree n reporting pi_n; Lie
-    models report their own homology with the same shift.  Homology of a
-    Lie model is H(C L); coalgebra homology is read off directly.  Both
-    homology answers include the counit class in degree 0.
-    """
-    if kind == "homotopy":
-        if isinstance(x, (DGC, CofreeDGC)):
-            h = homology_dims(to_dgl(cobar_L(x, cap)).underlying)
-        elif isinstance(x, (DGL, FreeDGL)):
-            h = homology_dims(_as_finite_dgl(x).underlying)
-        else:
-            raise TypeError("homotopy expects a Lie or coalgebra model")
-        return {k + 1: n for k, n in sorted(h.items()) if k + 1 <= cap}
-    if kind == "homology":
-        if isinstance(x, (DGL, FreeDGL)):
-            h = homology_dims(to_dgc(cec_C(x, cap)).underlying)
-        elif isinstance(x, (DGC, CofreeDGC)):
-            h = homology_dims(_as_dgc(x).underlying)
-        else:
-            raise TypeError("homology expects a Lie or coalgebra model")
-        out = {0: 1}
-        out.update({k: n for k, n in sorted(h.items()) if k <= cap})
-        return out
-    raise ValueError(f"unknown invariant kind {kind!r}")
+
+def rational_homology(x, cap: int) -> dict[int, int]:
+    """Graded dims of rational homology: H(C L) for a Lie model L, a coalgebra's
+    own, with the counit class in degree 0."""
+    if isinstance(x, (DGL, FreeDGL)):
+        h = homology_dims(to_dgc(cec_C(x, cap)).underlying)
+    elif isinstance(x, (DGC, CofreeDGC)):
+        h = homology_dims(_as_dgc(x).underlying)
+    else:
+        raise TypeError("homology expects a Lie or coalgebra model")
+    out = {0: 1}
+    out.update({k: n for k, n in sorted(h.items()) if k <= cap})
+    return out

@@ -75,7 +75,8 @@ from rht.quillen import (
     cobar_L,
     counit_eps,
     linearize_equiv,
-    rational_invariants,
+    rational_homology,
+    rational_homotopy,
     snaith,
     sphere_model,
 )
@@ -126,11 +127,11 @@ def test_sphere_reproduction_through_cap_16():
     start = time.time()
     for n in range(2, 7):
         c = sphere_model(n)
-        pi = rational_invariants("homotopy", c, 16)
+        pi = rational_homotopy(c, 16)
         want = {n: 1} if n % 2 else {n: 1, 2 * n - 1: 1}
         assert pi == want
         lc = cobar_L(c, 16)
-        h = rational_invariants("homology", lc, 16)
+        h = rational_homology(lc, 16)
         assert {k: v for k, v in h.items() if k <= n} == {0: 1, n: 1}
     assert time.time() - start < 30
 
@@ -315,22 +316,22 @@ def test_counit_and_linearizations_on_spheres_and_random_inputs():
         l = FreeDGL(free_lie_basis([("x", n - 1)], 2 * n), {})
         eps, q = counit_eps(l)
         assert q and validate_dg(eps.to_dgmap()) == []
-        assert linearize_equiv("C", l)[1]
+        assert linearize_equiv(l)[1]
         # cofree model of the n-sphere: exterior (n odd) or polynomial (n even)
-        assert linearize_equiv("L", cofree_lambda(DG({n: ("x",)}), 2 * n + 1))[1]
+        assert linearize_equiv(cofree_lambda(DG({n: ("x",)}), 2 * n + 1))[1]
     free_hits = cofree_hits = 0
     while free_hits < 25:
         degs = [rng.randint(2, 4) for _ in range(rng.randint(1, 2))]
         l = FreeDGL(free_lie_basis([(f"x{i}", d) for i, d in enumerate(degs)], 6), {})
         eps, q = counit_eps(l)
         assert q
-        assert linearize_equiv("C", l)[1]
+        assert linearize_equiv(l)[1]
         free_hits += 1
     while cofree_hits < 25:
         v = random_dg(rng, 2, 4, 2)
         if v.is_trivial():
             continue
-        assert linearize_equiv("L", cofree_lambda(v, 6))[1]
+        assert linearize_equiv(cofree_lambda(v, 6))[1]
         cofree_hits += 1
 
 

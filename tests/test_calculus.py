@@ -34,8 +34,9 @@ from rht.calculus import (
     taylor_layers_cobar,
     tensor_map,
     test_cube as make_test_cube,
+    thcof,
     thcof_total,
-    thfib_thcof,
+    thfib,
     thfib_total,
     tset_dg,
 )
@@ -180,12 +181,12 @@ def _old_join_dgc(c, t):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
 def test_dgc_joins_match_the_written_out_pair_table(seed, t):
-    from rht.dgc import dgc_combine, to_dgc
+    from rht.dgc import dgc_product, to_dgc
 
     rng = random.Random(seed)
     c = to_dgc(cofree_lambda(random_dg(rng, min_deg=2, max_deg=4, max_pieces=3), rng.randint(5, 8)))
     if rng.random() < 0.3:  # a product under the half rule, with odd classes on both sides
-        c = dgc_combine("product", c, to_dgc(cofree_lambda(DG({3: ("u",)}), 6)))
+        c = dgc_product(c, to_dgc(cofree_lambda(DG({3: ("u",)}), 6)))
     new, old = join(c, t), _old_join_dgc(c, t)
     assert list(new.underlying.basis.items()) == list(old.underlying.basis.items())
     assert new == old
@@ -236,8 +237,8 @@ def test_square_cube_objects_are_cone_levels():
 def test_thfib_of_identity_cube_is_contractible():
     i = identity_map(V24)
     cu = square_cube(i, i, i, i)
-    assert homology_dims(thfib_thcof("fiber", cu)) == {}
-    assert homology_dims(thfib_thcof("cofiber", cu)) == {}
+    assert homology_dims(thfib(cu)) == {}
+    assert homology_dims(thcof(cu)) == {}
 
 
 def test_one_cube_collapses_to_the_homotopy_fiber():
@@ -248,8 +249,8 @@ def test_one_cube_collapses_to_the_homotopy_fiber():
     x = random_dg(rng, 1, 4)
     f = random_chain_map(rng, w, x)
     cu = Cube(1, {frozenset(): w, frozenset({1}): x}, {(frozenset(), frozenset({1})): f})
-    assert thfib_thcof("fiber", cu) == ho_fiber(f)
-    assert thfib_thcof("cofiber", cu) == ho_cofiber(f)
+    assert thfib(cu) == ho_fiber(f)
+    assert thcof(cu) == ho_cofiber(f)
 
 
 def test_thfib_correlates_with_cartesian_squares():
@@ -263,8 +264,8 @@ def test_thfib_correlates_with_cartesian_squares():
     for s, t, f, g in samples:
         cart, cocart = is_bicartesian(s, t, f, g)
         cu = square_cube(s, t, f, g)
-        fib_trivial = homology_dims(thfib_thcof("fiber", cu)) == {}
-        cof_trivial = homology_dims(thfib_thcof("cofiber", cu)) == {}
+        fib_trivial = homology_dims(thfib(cu)) == {}
+        cof_trivial = homology_dims(thcof(cu)) == {}
         assert cart == fib_trivial
         assert cocart == cof_trivial
         seen_cart += cart
@@ -276,14 +277,14 @@ def test_iterated_fibers_agree_with_the_one_step_model():
     rng = random.Random(11)
     for _ in range(6):
         cu = square_cube(*random_commuting_square(rng, 0, 4))
-        assert homology_dims(thfib_thcof("fiber", cu)) == homology_dims(thfib_total(cu))
-        assert homology_dims(thfib_thcof("cofiber", cu)) == homology_dims(
+        assert homology_dims(thfib(cu)) == homology_dims(thfib_total(cu))
+        assert homology_dims(thcof(cu)) == homology_dims(
             thcof_total(cu)
         )
     for _ in range(2):
         cu = make_test_cube(3, random_dg(rng, 1, 4, 2))
-        assert homology_dims(thfib_thcof("fiber", cu)) == homology_dims(thfib_total(cu))
-        assert homology_dims(thfib_thcof("cofiber", cu)) == homology_dims(
+        assert homology_dims(thfib(cu)) == homology_dims(thfib_total(cu))
+        assert homology_dims(thcof(cu)) == homology_dims(
             thcof_total(cu)
         )
 
@@ -293,9 +294,9 @@ def test_non_commuting_cube_rejected():
     z = DGMap(V24, V24, {})
     cu = square_cube(i, i, i, z)
     with pytest.raises(ValueError, match="non-commuting"):
-        thfib_thcof("fiber", cu)
-    with pytest.raises(ValueError, match="mode"):
-        thfib_thcof("sideways", square_cube(i, i, i, i))
+        thfib(cu)
+    with pytest.raises(ValueError, match="non-commuting"):
+        thcof(cu)
 
 
 # -- symbolic functors ---------------------------------------------------------------
@@ -617,12 +618,16 @@ def test_homogeneous_eval_is_the_orbit_part_of_sym_invariants():
 
 def test_homogeneous_targets():
     a = SymmetricDG(DG({0: ("u",)}), 1, [])
-    assert homogeneous_eval(a, V24, 1, target="dgl").dim(1) == 1
-    assert homogeneous_eval(a, V24, 1, target="dgc").dim(2) == 1
-    with pytest.raises(ValueError, match="target"):
-        homogeneous_eval(a, V24, 1, target="sp")
+    assert _delooped(homogeneous_eval(a, V24, 1), "dgl").dim(1) == 1
+    assert _delooped(homogeneous_eval(a, V24, 1), "dgc").dim(2) == 1
     with pytest.raises(ValueError, match="arity"):
         homogeneous_eval(a, V24, 2)
+
+
+def _delooped(v, target):
+    """A homogeneous functor's DG value delooped into the target category: dg
+    as is, dgl by one desuspension, dgc by the 2-reduction."""
+    return v if target == "dg" else shift(v, -1) if target == "dgl" else reduce_dg(2, v)
 
 
 def _old_homogeneous_eval(coefficient, x, n, target):
@@ -700,7 +705,7 @@ def test_orbit_by_orbit_layers_match_the_whole_tensor_quotient(seed, n, kind, ta
     x = random_dg(rng, 0, 3, 3 if n <= 2 else 2)
     degree, twisted = (1 - n, True) if kind == "derivative" else (rng.randint(-2, 2), False)
     coefficient = lie_n(n).placed(degree, twisted)
-    got = homogeneous_eval(coefficient, x, n, target)
+    got = _delooped(homogeneous_eval(coefficient, x, n), target)
     assert _same(got, _old_homogeneous_eval(coefficient, x, n, target))
     if target == "dg":
         assert _chain_dims(got) == _lie_coinvariant_dims(x, n, degree, twisted)
@@ -730,10 +735,11 @@ def test_windowed_homogeneous_eval_is_the_whole_one_at_and_below_top(seed, n, ki
     x = random_dg(rng, -2, 2, {1: 3, 2: 3, 3: 2, 4: 2, 5: 1}[n])
     degree, twisted = (1 - n, True) if kind == "derivative" else (rng.randint(-2, 2), False)
     coefficient = lie_n(n).placed(degree, twisted)
-    got = homogeneous_eval(coefficient, x, n, target, top=top)
-    assert _same(got, _below(homogeneous_eval(coefficient, x, n, target), top))
-    # the quotient before the target's deloop: names, projection, differential
+    # the deloop into DGL lowers every degree by one
     inner = top + 1 if target == "dgl" else top
+    got = _delooped(homogeneous_eval(coefficient, x, n, top=inner), target)
+    assert _same(got, _below(_delooped(homogeneous_eval(coefficient, x, n), target), top))
+    # the quotient before the target's deloop: names, projection, differential
     (whole, whole_proj), (part, proj) = _orbit_quotient(coefficient, x, n), _orbit_quotient(coefficient, x, n, inner)
     assert _same(part, _below(whole, inner))
     assert _same(proj.source, _below(whole_proj.source, inner))
@@ -756,7 +762,7 @@ def test_derivative_layers_at_n_7_and_8_have_the_character_formula_dimensions_in
     from rht.cli import build_model, parse_model
 
     x = build_model(parse_model("models/polynomial.dgc")).underlying
-    got = homogeneous_eval(lie_n(n).derivative(), x, n, "dgl", top=10)
+    got = shift(homogeneous_eval(lie_n(n).derivative(), x, n, top=11), -1)
     want = {k: c for k, c in _lie_coinvariant_dims(x, n, -n, True).items() if k <= 10}
     assert _chain_dims(got) == want and want
 

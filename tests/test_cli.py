@@ -151,6 +151,57 @@ def test_truncation_in_non_ascii_digits_is_a_model_error(tmp_path, capsys):
     assert captured.err == f"error: {p}:2: malformed truncation '²'\n"
 
 
+# an integer is an optional '-' and ASCII digits: int() and \d also read other Unicode digits, '_' and '+'
+
+
+@pytest.mark.parametrize("degree", ["٣", "1_0", "+1", "1.0", "-"])
+def test_generator_degrees_are_ascii_integers(tmp_path, capsys, degree):
+    p = write(tmp_path, f"kind dg\ngen a {degree}\n")
+    assert main(["homology", p]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p}:2: malformed degree {degree!r}\n"
+    # a negative DG degree stays legal
+    assert main(["homology", write(tmp_path, "kind dg\ngen a -1\n")]) == 0
+
+
+def test_coefficients_are_ascii_rationals(tmp_path, capsys):
+    p = write(tmp_path, "kind dg\ngen a 1\ngen b 2\nd b = ٣ a\n")
+    assert main(["homology", p]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p}:4: malformed word '٣ a'\n"
+    with pytest.raises(ModelError, match="malformed rational '3/'"):
+        parse_expr("3/٣ a", 1)
+
+
+@pytest.mark.parametrize("window", ["٠:٣", "0:٣", "+0:3", "0:1_0"])
+def test_windows_are_ascii_integers(capsys, window):
+    assert main(["homology", f"{MODELS}/twocell.dg", "--window", window]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: malformed window {window!r}\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("homology", "--truncate", "٣"),
+        ("homology", "--truncate", "1_1"),
+        ("homology", "--truncate", "+3"),
+        ("homology", "--seed", "٣"),
+        ("tower", "-n", "٢"),
+        ("crosseffect", "-n", "1_0"),
+    ],
+)
+def test_integer_arguments_are_ascii_integers(capsys, command, flag, value):
+    assert main([command, f"{MODELS}/s3.dgc", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:") and f"argument {flag}: invalid int value: {value!r}\n" in captured.err
+    assert main(["homology", f"{MODELS}/twocell.dg", "--truncate", "3", "--seed", "-7"]) == 0
+
+
 def test_deeply_nested_bracket_word_is_a_model_error(tmp_path, capsys):
     depth = 3000
     p = write(tmp_path, "kind dgl\ngen v 1\ngen w 3\nd w = " + "[v," * depth + "v" + "]" * depth + "\n")
@@ -280,6 +331,45 @@ def test_exit_codes(tmp_path):
     assert run("homology", f"{MODELS}/s3.dgc", "--window", "junk")[0] == 2
     assert run("homotopy", f"{MODELS}/twocell.dg")[0] == 2  # wrong model kind
     assert main(["nonsense", f"{MODELS}/s3.dgc"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, err, out",
+    [
+        # a model that fails its validator is a model error under every command but verify
+        ("kind dg\ngen a 1\ngen b 2\ngen c 3\nd b = a\nd c = b\n", ["homology"], 1,
+         "error: {p}: d^2 != 0 from degree 3", ""),
+        # verify reports the problems itself: a table report whose verdict is a list
+        ("kind dg\ngen a 1\ngen b 2\ngen c 3\nd b = a\nd c = b\n", ["verify"], 1, "",
+         "verdict[0]  d^2 != 0 from degree 3: entry (0,0) = 1\n"),
+        ("kind dg\ngen a 2\n", ["model", "-t", "L"], 2, "usage error: model -t L expects a dgc model", ""),
+        ("kind dgc\ngen a 2\n", ["model", "-t", "C"], 2, "usage error: model -t C expects a dgl model", ""),
+        ("kind dgl\ngen a 1\n", ["tower", "-n", "2"], 2, "usage error: Taylor towers are computed from dgc models", ""),
+        ("kind dgl\ngen a 1\n", ["layers", "-n", "2"], 2, "usage error: Taylor towers are computed from dgc models", ""),
+        ("kind dgl\ngen a 1\n", ["jet"], 2, "usage error: Taylor towers are computed from dgc models", ""),
+        ("kind dg\ngen a 1\n", ["homology", "--window", "3:1"], 2, "usage error: empty window", ""),
+        ("kind dgl\ngen v 1\ngen w 3\nd w = [v,v] x\n", ["homology"], 1,
+         "error: {p}:4: unexpected text after bracket word: 'x'", ""),
+        ("kind dgl\ngen v 1\ngen w 3\nd w = v w\n", ["homology"], 1, "error: {p}:4: malformed word 'v w'", ""),
+        ("kind dgl\ngen v 1\ngen w 3\nd w = [v,v,v]\n", ["homology"], 1,
+         "error: {p}:4: expected ']' in bracket word", ""),
+        ("kind dgl\ngen v 1\ngen u 2\nbracket v v u\n", ["homology"], 1, "error: {p}:4: expected '='", ""),
+        ("kind dgl\ngen v 1\ngen u 2\nbracket v v = [v,v]\n", ["homology"], 1,
+         "error: {p}:4: bracket values must be linear in generators", ""),
+        ("kind dgc\ngen x 2\ngen y 4\ndelta y = x\n", ["homology"], 1,
+         "error: {p}:4: delta values must be sums of tensor pairs", ""),
+        ("kind dgl\ngen v 1\ngen u 3\nbracket v v = u\n", ["homology"], 1,
+         "error: {p}:4: bracket value 'u' has degree 3, expected 2", ""),
+        ("kind dgc\ngen x 2\ngen y 5\ndelta y = x|x\n", ["homology"], 1,
+         "error: {p}:4: delta(y) pair has degree 4, expected 5", ""),
+    ],
+)
+def test_exit_paths(tmp_path, capsys, text, argv, code, err, out):
+    p = write(tmp_path, text)
+    assert main([argv[0], p, *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err.format(p=p))
+    assert out in captured.out and bool(captured.out) == bool(out)
 
 
 @pytest.mark.parametrize(

@@ -28,9 +28,11 @@ from rht.dgc import (
     cofree_path,
     cofree_paths,
     cofree_zero_map,
-    dgc_combine,
     dgc_ho_cofiber,
     dgc_ho_pushout,
+    dgc_product,
+    dgc_smash,
+    dgc_sum,
     dgc_validate,
     hurewicz_check_dgc,
     identity_dgc_map,
@@ -290,7 +292,7 @@ def test_primitives_of_trivial_coproduct():
 def test_sum_tilde():
     a = to_dgc(cofree_lambda(DG({2: ("v",)}), 8))
     b = to_dgc(cofree_lambda(DG({3: ("x",)}), 8))
-    s = dgc_combine("sumTilde", a, b)
+    s = dgc_sum(a, b)
     assert dgc_validate(s) == []
     assert dgc_dims(s) == {2: 1, 3: 1, 4: 1, 6: 1, 8: 1}
 
@@ -298,8 +300,8 @@ def test_sum_tilde():
 def test_product_even_inputs_sign_rules_agree():
     a = cofree_lambda(DG({2: ("v",)}), 6)
     b = cofree_lambda(DG({2: ("w",)}), 6)
-    half = dgc_combine("product", a, b)
-    koszul = dgc_combine("product", a, b, sign_rule="koszul")
+    half = dgc_product(a, b)
+    koszul = dgc_product(a, b, sign_rule="koszul")
     assert half == koszul
     assert dgc_validate(half) == []
 
@@ -310,7 +312,7 @@ def test_product_matches_two_variable_coalgebra():
     cap = 8
     a = cofree_lambda(DG({2: ("v",)}), cap)
     b = cofree_lambda(DG({4: ("w",)}), cap)
-    prod = dgc_combine("product", a, b)
+    prod = dgc_product(a, b)
     both = cofree_lambda(DG({2: ("v",), 4: ("w",)}), cap)
     pd, bd = dgc_dims(prod), dgc_dims(both)
     for k in range(1, cap + 1):
@@ -321,15 +323,15 @@ def test_product_half_rule_fails_cocommutativity_on_odd_classes():
     # recorded counterexample: two exterior classes of degree 3
     x = cofree_lambda(DG({3: ("x",)}), 9)
     y = cofree_lambda(DG({3: ("y",)}), 9)
-    report = dgc_validate(dgc_combine("product", x, y))
+    report = dgc_validate(dgc_product(x, y))
     assert any("cocommutativity fails at (6," in m for m in report)
-    assert dgc_validate(dgc_combine("product", x, y, sign_rule="koszul")) == []
+    assert dgc_validate(dgc_product(x, y, sign_rule="koszul")) == []
 
 
 def test_smash_tilde():
     a = cofree_lambda(DG({2: ("v",)}), 6)
     x = cofree_lambda(DG({3: ("x",)}), 6)
-    sm = dgc_combine("smashTilde", a, x, sign_rule="koszul")
+    sm = dgc_smash(a, x, sign_rule="koszul")
     assert dgc_validate(sm) == []
     # de-augmentations multiply
     da, dx = dgc_dims(a), dgc_dims(x)
@@ -340,12 +342,12 @@ def test_smash_tilde():
     assert dgc_dims(sm) == expected
 
 
-def test_combine_rejects_unknown_kind():
+def test_combine_rejects_unknown_sign_rule():
     a = to_dgc(cofree_lambda(DG({2: ("v",)}), 4))
-    with pytest.raises(ValueError):
-        dgc_combine("coproduct", a, a)
-    with pytest.raises(ValueError):
-        dgc_combine("product", a, a, sign_rule="plain")
+    with pytest.raises(ValueError, match="sign rule"):
+        dgc_product(a, a, sign_rule="plain")
+    with pytest.raises(ValueError, match="sign rule"):
+        dgc_smash(a, a, sign_rule="plain")
 
 
 # -- suspensions, cones, cylinders ------------------------------------------------------
@@ -632,8 +634,8 @@ def test_expansion_is_deterministic():
     b = to_dgc(cofree_lambda(v, 9))
     assert a.underlying.basis == b.underlying.basis
     assert a == b
-    s1 = dgc_combine("product", a, b, sign_rule="koszul")
-    s2 = dgc_combine("product", a, b, sign_rule="koszul")
+    s1 = dgc_product(a, b, sign_rule="koszul")
+    s2 = dgc_product(a, b, sign_rule="koszul")
     assert s1 == s2
 
 
@@ -1031,8 +1033,9 @@ def test_pushouts_and_combines_match_the_old_offsets(seed, rule):
     rng = Random(seed)
     a = to_dgc(_random_cofree(rng, ["a", "b"][: rng.randint(1, 2)], 6))
     b = trivial_dgc(random_dg(rng, 2, 4, 3, prefix="t")) if rng.random() < 0.5 else to_dgc(_random_cofree(rng, ["c"], 5))
-    for kind in ("sumTilde", "product", "smashTilde"):
-        assert _same_dgc(dgc_combine(kind, a, b, sign_rule=rule), _old_dgc_combine(kind, a, b, sign_rule=rule))
+    assert _same_dgc(dgc_sum(a, b), _old_dgc_combine("sumTilde", a, b, sign_rule=rule))
+    for kind, combine in (("product", dgc_product), ("smashTilde", dgc_smash)):
+        assert _same_dgc(combine(a, b, sign_rule=rule), _old_dgc_combine(kind, a, b, sign_rule=rule))
     c = trivial_dgc(random_dg(rng, 1, 3, 3, prefix="c")) if rng.random() < 0.5 else a
     maps = []
     for target in (a, b):
@@ -1400,7 +1403,7 @@ def _random_coalgebra(rng) -> DGC:
         return a
     if kind == "product":
         b = to_dgc(_random_cofree(rng, ["p"], 5)) if rng.random() < 0.7 else trivial_dgc(random_dg(rng, 1, 3, 2))
-        return dgc_combine(rng.choice(["product", "smashTilde"]), a, b, sign_rule=rng.choice(["half", "koszul"]))
+        return rng.choice([dgc_product, dgc_smash])(a, b, sign_rule=rng.choice(["half", "koszul"]))
     if kind == "join":
         return join(a, rng.randint(1, 2))
     c = to_dgc(_random_cofree(rng, ["u"], 4)) if rng.random() < 0.7 else trivial_dgc(random_dg(rng, 1, 3, 2))

@@ -58,7 +58,7 @@ from rht.dgcore import _block_quotient, _cube_sum, _degree_positions, _out_of_su
 from rht.dgcore import _commutes_by_conjugation, _incl_sign, _places, _subset_tag
 from rht.calculus import IdentityFunctor, LambdaFunctor, _collapse_last, _power_with_swaps, cross_effect, lie_n, tensor_map
 from rht.calculus import CoefficientFunctor, TensorPowerFunctor, TnFunctor, _coproduct_cube, t_n, thcof_total, thfib_total
-from rht.calculus import test_cube as _test_cube, thfib_thcof
+from rht.calculus import _cofiber_square_map, _fiber_square_map, test_cube as _test_cube, thcof, thfib
 from rht.exactq import ONE, ZERO, QMatrix, _negated, _signed_permutation, image_pivot_columns, kernel_basis, rank, rat, solve_matrix
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
 
@@ -1643,13 +1643,15 @@ def test_bicartesian_flags_match_the_hand_written_maps(seed):
 def test_total_fiber_square_maps_match_the_hand_written_ones(n, mode):
     x = DG({1: ("a",), 2: ("b", "c")}, {2: QMatrix.from_rows([[1, -1]])})
     cube = _test_cube(n, x)
+    cell, square_map, total = (ho_fiber, _fiber_square_map, thfib) if mode == "fiber" else (
+        ho_cofiber, _cofiber_square_map, thcof)
     while cube.n > 0:
-        new, old = _collapse_last(cube, mode), _old_collapse_last(cube, mode)
+        new, old = _collapse_last(cube, cell, square_map), _old_collapse_last(cube, mode)
         assert new.objects.keys() == old.objects.keys() and new.edges.keys() == old.edges.keys()
         assert all(_same(new.objects[s], old.objects[s]) for s in new.objects)
         assert all(_same(new.edges[e], old.edges[e]) for e in new.edges)
         cube = new
-    assert thfib_thcof(mode, _test_cube(n, x)) == cube.objects[frozenset()]
+    assert total(_test_cube(n, x)) == cube.objects[frozenset()]
 
 
 # -- basis positions as data: cube totals, the tensor index, the generator table ------

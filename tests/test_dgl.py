@@ -43,11 +43,13 @@ from rht.dgl import (
     dgl_product,
     dgl_strict_product,
     dgl_validate,
-    free_cone_suspension,
+    free_big_suspension,
+    free_cone,
     free_cylinder,
     free_dgl_identity,
     free_lie_basis,
     free_product,
+    free_suspension,
     hurewicz_check,
     identity_dgl_map,
     reduce_dgl,
@@ -456,7 +458,7 @@ def test_free_product_dims_match_union():
 
 def test_strict_product_with_zero():
     a = counterexample_dgl()
-    p = dgl_product(a, ZERO_DGL, model="strict")
+    p = dgl_strict_product(a, ZERO_DGL)[0]
     assert dgl_validate(p) == []
     assert homology_dims(p.underlying) == homology_dims(a.underlying)
 
@@ -473,7 +475,7 @@ def test_strict_product_homology_adds():
 def test_free_product_model_projection_quasi_iso():
     a = FreeDGL(free_lie_basis([("x", 2)], 6), {})
     b = FreeDGL(free_lie_basis([("y", 2)], 6), {})
-    model, witness = dgl_product(a, b, model="free")
+    model, witness = dgl_product(a, b)
     assert dgl_validate(model) == []
     assert dgl_validate(witness) == []
     assert is_quasi_iso_through(witness.dgmap, 5)
@@ -492,7 +494,7 @@ def test_free_product_model_is_checked_with_its_whole_differential(monkeypatch):
         init(self, basis, gen_diff)
 
     monkeypatch.setattr(FreeDGL, "__init__", recording)
-    model, _ = dgl_product(a, b, model="free")
+    model, _ = dgl_product(a, b)
     assert model.gen_diff == received[-1]
     assert any(len(w) == 2 for p in model.gen_diff.values() for w in p)
     monkeypatch.undo()
@@ -582,14 +584,14 @@ def truly_free_example(cap=6) -> FreeDGL:
 
 def test_suspension_one_generator():
     l = FreeDGL(free_lie_basis([("x", 3)], 6), {})
-    s = free_cone_suspension("suspension", l)
+    s = free_suspension(l)
     assert basis_dims(s.basis) == {4: 1}
     assert s.basis.generators[0] == ("s(x)", 4)
 
 
 def test_cone_contractible():
     l = truly_free_example()
-    c = free_cone_suspension("cone", l)
+    c = free_cone(l)
     assert dgl_validate(c) == []
     h = homology_dims(to_dgl(c).underlying)
     assert not {k: v for k, v in h.items() if k < c.cap}
@@ -599,14 +601,14 @@ def test_cone_rejects_higher_differential():
     b = free_lie_basis([("x", 1), ("y", 3)], 6)
     l = FreeDGL(b, {1: dict(b.expand((0, 0)))})  # dy = [x,x]
     with pytest.raises(ValueError):
-        free_cone_suspension("cone", l)
-    s = free_cone_suspension("suspension", l)  # drops the quadratic part
+        free_cone(l)
+    s = free_suspension(l)  # drops the quadratic part
     assert dgl_validate(s) == []
 
 
 def test_suspension_commutes_with_abelianization():
     l = truly_free_example()
-    lhs = abelianize(free_cone_suspension("suspension", l))
+    lhs = abelianize(free_suspension(l))
     ab = abelianize(l)
     assert {k: lhs.dim(k) for k in lhs.degrees()} == {
         k + 1: ab.dim(k) for k in ab.degrees()
@@ -616,7 +618,7 @@ def test_suspension_commutes_with_abelianization():
 
 def test_bigS_valid_and_projections_exist():
     l = truly_free_example(5)
-    big = free_cone_suspension("bigS", l)
+    big = free_big_suspension(l)
     assert dgl_validate(big) == []
     # strand count: 2 suspended copies + original generators
     assert len(big.basis.generators) == 3 * len(l.basis.generators)
@@ -635,7 +637,7 @@ def test_cylinder_of_zeros_is_suspension():
     l = truly_free_example(5)
     zero = FreeDGL(free_lie_basis([], 5), {})
     cyl = free_cylinder(FreeDGLMap(l, zero, {}), FreeDGLMap(l, zero, {}))
-    s = free_cone_suspension("suspension", l)
+    s = free_suspension(l)
     assert basis_dims(cyl.basis) == basis_dims(s.basis)
     assert homology_dims(to_dgl(cyl).underlying) == homology_dims(to_dgl(s).underlying)
 
@@ -1364,7 +1366,7 @@ def test_free_product_witness_and_abelianization_match_the_old_positions(seed):
     rng = Random(seed)
     a = _random_free(rng, ["x", "u", "z"][: rng.randint(1, 3)], 5)
     b = _random_free(rng, ["y", "w"][: rng.randint(1, 2)], 5)
-    model, witness = dgl_product(a, b, model="free")
+    model, witness = dgl_product(a, b)
     strict, images = _old_free_product_images(a, b)
     assert witness.dgmap == dgl_map_from_gen_images(model, strict, images).dgmap
     for x, y in ((to_dgl(a), to_dgl(b)), (counterexample_dgl(), to_dgl(a))):
@@ -1745,10 +1747,10 @@ def test_cones_and_suspensions_match_the_old_constructions(seed):
     rng = Random(seed)
     names = ["x", "y", "z"][: rng.choice([0, 1, 2, 2, 3, 3])]
     l = _random_sum_input(rng, names, rng.randint(3, 5), rng.random() < 0.5)
-    for mode in ("cone", "suspension", "bigS", "cylinder"):
-        got = _built(free_cone_suspension, mode, l)
+    for mode, build in (("cone", free_cone), ("suspension", free_suspension), ("bigS", free_big_suspension)):
+        got = _built(build, l)
         assert got == _built(_old_free_cone_suspension, mode, l)
-        assert isinstance(got[0], tuple) == (mode == "suspension" or (mode != "cylinder" and l.is_truly_free()))
+        assert isinstance(got[0], tuple) == (mode == "suspension" or l.is_truly_free())
 
 
 def _random_leg(rng, v, names, cap):
@@ -1792,14 +1794,15 @@ def test_free_products_and_product_models_match_the_old_constructions(seed):
     names = ["x"] if rng.random() < 0.1 else ["y", "w"][: rng.randint(1, 2)]  # "x" collides
     b = _random_sum_input(rng, names, cap + (rng.random() < 0.1), rng.random() < 0.3)
     assert _built(free_product, a, b) == _built(_old_free_product, a, b)
-    for model in ("free", "strict", "unknown"):
-        if model != "strict" or cap == 3:
-            got, want = _built(dgl_product, a, b, model), _built(_old_dgl_product, a, b, model)
-            if model == "free" and names == ["x"] and a.cap == b.cap and a.is_truly_free() and b.is_truly_free():
-                # the old model reached FreeLieBasis, which rejected the shared name "x"
-                assert got == (ValueError, "generator name collision in free product model")
-            else:
-                assert got == want
+    got, want = _built(dgl_product, a, b), _built(_old_dgl_product, a, b, "free")
+    if names == ["x"] and a.cap == b.cap and a.is_truly_free() and b.is_truly_free():
+        # the old model reached FreeLieBasis, which rejected the shared name "x"
+        assert got == (ValueError, "generator name collision in free product model")
+    else:
+        assert got == want
+    if cap == 3:  # the strict product of free inputs: their expansions' componentwise product
+        strict = _built(lambda a, b: dgl_strict_product(to_dgl(a), to_dgl(b))[0], a, b)
+        assert strict == _built(_old_dgl_product, a, b, "strict")
     # a finite input is rejected by the free model
     x = to_dgl(b)
-    assert _built(dgl_product, a, x, "free") == _built(_old_dgl_product, a, x, "free")
+    assert _built(dgl_product, a, x) == _built(_old_dgl_product, a, x, "free")

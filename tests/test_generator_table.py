@@ -361,7 +361,7 @@ def test_counit_and_linearization_match_the_word_counter(cap):
             gi += 1
     assert eps.gen_images == images
     x = cofree_lambda(DG({2: ("a", "b"), 4: ("c",), 5: ("e",)}, {5: QMatrix(1, 1, {(0, 0): ONE})}), cap + 2)
-    f, _ = linearize_equiv("L", x)
+    f, _ = linearize_equiv(x)
     lc = cobar_L(x, x.cap - 1)
     words, lpos = x.words(), _degree_positions(lc.basis.deg)[0]
     at = {w[0]: lpos[i] for i, w in enumerate(w for k in sorted(words) for w in words[k]) if len(w) == 1}
@@ -370,3 +370,43 @@ def test_counit_and_linearization_match_the_word_counter(cap):
         k: QMatrix(tgt.dim(k), src.dim(k), {(at[g], i): ONE for i, g in enumerate(gens[k + 1])}) for k in src.degrees()
     }
     assert f == DGMap(src, tgt, blocks)
+
+
+# -- one reader for generator lists and map images -----------------------------------------
+
+
+def _presentation(kind, gens, cap):
+    if kind == "free":
+        return FreeDGL(free_lie_basis(gens, cap), {})
+    return CofreeDGC(gens, cap, {})
+
+
+def _map(kind, a, b, images):
+    if kind == "free":
+        return FreeDGLMap(a, b, {i: {(h,): c for h, c in lin.items()} for i, lin in images.items()})
+    return CofreeDGCMap(a, b, images)
+
+
+@pytest.mark.parametrize("kind", ["free", "cofree"])
+@pytest.mark.parametrize("images", [{0: {-1: ONE}}, {0: {5: ONE}}, {5: {0: ONE}}])
+def test_a_map_image_that_names_no_generator_is_rejected(kind, images):
+    # a negative letter, a letter past the target's generators, a key past the source's
+    a, b = _presentation(kind, [("x", 2)], 6), _presentation(kind, [("y", 2), ("z", 4)], 6)
+    with pytest.raises(ValueError, match=f"the image of generator {next(iter(images))} names no generator"):
+        _map(kind, a, b, images)
+    with pytest.raises(ValueError, match="generator assignment is not degree 0"):
+        _map(kind, a, b, {0: {1: ONE}})
+    assert _map(kind, a, b, {0: {0: ONE}}).gen_images
+
+
+@pytest.mark.parametrize("kind, floor", [("free", 1), ("cofree", 2)])
+def test_free_and_cofree_generator_lists_share_their_checks(kind, floor):
+    with pytest.raises(ValueError, match="duplicate generator names"):
+        _presentation(kind, [("x", 2), ("x", 3)], 6)
+    with pytest.raises(ValueError, match=f"generator 'x' has degree {floor - 1} < {floor}"):
+        _presentation(kind, [("x", floor - 1)], 6)
+    with pytest.raises(ValueError, match="cap below a generator degree"):
+        _presentation(kind, [("x", 4)], 3)
+    p = _presentation(kind, [("y", 3), ("x", 2)], 6)
+    basis = p.basis if kind == "free" else p
+    assert (basis.deg, basis.gen_name, basis.gen_index) == ((3, 2), ("y", "x"), {"y": 0, "x": 1})

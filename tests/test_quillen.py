@@ -11,6 +11,7 @@ from rht.dgcore import (
     DG,
     cone_dg,
     homology_dims,
+    reduce_dg,
     shift,
     validate_dg,
 )
@@ -27,11 +28,14 @@ from rht.quillen import (
     cec_C,
     cobar_L,
     counit_eps,
+    infinite_loops_dgc,
+    infinite_loops_dgl,
     linearize_equiv,
-    rational_invariants,
+    rational_homology,
+    rational_homotopy,
     snaith,
     sphere_model,
-    stable_functors,
+    stabilization,
 )
 from rht.randgen import random_dg
 
@@ -196,13 +200,13 @@ def test_counit_fails_under_suspended_sign_reading():
 
 def test_linearize_C_side_on_spheres_and_nonfree_kernel():
     for n in (2, 3, 4):
-        f, q = linearize_equiv("C", sphere_lie(n))
+        f, q = linearize_equiv(sphere_lie(n))
         assert q
 
 
 def test_linearize_C_side_abelian_is_isomorphism():
     l = FreeDGL(free_lie_basis([("x", 3)], 5), {})
-    f, q = linearize_equiv("C", l)
+    f, q = linearize_equiv(l)
     assert q
     assert f.source.dim(4) == f.target.dim(4) == 1
 
@@ -210,7 +214,7 @@ def test_linearize_C_side_abelian_is_isomorphism():
 @pytest.mark.parametrize("gens", [[("b", 2), ("a", 4)], [("a", 4), ("b", 2)], [("c", 3), ("a", 4), ("b", 2), ("d", 3)]])
 def test_linearize_L_side_sends_each_cogenerator_to_its_own_generator(gens):
     # the cogenerators may be listed in any degree order
-    f, q = linearize_equiv("L", CofreeDGC(gens, 8, {}))
+    f, q = linearize_equiv(CofreeDGC(gens, 8, {}))
     assert q
     for k in f.source.degrees():
         m = f.block(k)
@@ -220,7 +224,7 @@ def test_linearize_L_side_sends_each_cogenerator_to_its_own_generator(gens):
 
 def test_linearize_C_side_sends_each_generator_to_its_own_class():
     l = FreeDGL(free_lie_basis([("y", 2), ("z", 3), ("x", 2)], 6), {})
-    f, q = linearize_equiv("C", l)
+    f, q = linearize_equiv(l)
     assert q
     pairs = [(f.source.basis[k][c], f.target.basis[k][r]) for k, m in f.blocks.items() for r, c in m.entries]
     assert sorted(pairs) == [("s(x)", "s(x)"), ("s(y)", "s(y)"), ("s(z)", "s(z)")]
@@ -228,7 +232,7 @@ def test_linearize_C_side_sends_each_generator_to_its_own_class():
 
 def test_linearize_L_side_polynomial_and_exterior():
     for v, cap in ((DG({2: ("v",)}), 6), (DG({3: ("w",)}), 9)):
-        f, q = linearize_equiv("L", cofree_lambda(v, cap))
+        f, q = linearize_equiv(cofree_lambda(v, cap))
         assert q
 
 
@@ -238,46 +242,51 @@ def test_linearize_L_side_random_cofree():
         v = random_dg(rng, 2, 4, 2)
         if v.is_trivial():
             continue
-        f, q = linearize_equiv("L", cofree_lambda(v, 6))
+        f, q = linearize_equiv(cofree_lambda(v, 6))
         assert q
 
 
 def test_linearize_type_errors():
+    # the input's kind picks the side: a free DGL or a cofree DGC, nothing else
     with pytest.raises(TypeError):
-        linearize_equiv("C", DG({2: ("v",)}))
+        linearize_equiv(DG({2: ("v",)}))
     with pytest.raises(TypeError):
-        linearize_equiv("L", sphere_lie(2))
-    with pytest.raises(ValueError, match="side"):
-        linearize_equiv("X", sphere_lie(2))
+        linearize_equiv(to_dgl(sphere_lie(2)))
+    with pytest.raises(TypeError):
+        linearize_equiv(sphere_model(2))
 
 
 # -- stable functors ----------------------------------------------------------------
 
 
 def test_stable_loops_of_sphere_dg():
-    l = stable_functors("omega_dgl", DG({4: ("e",)}))
+    l = infinite_loops_dgl(DG({4: ("e",)}))
     assert l.underlying.dim(3) == 1
     assert not any(l.bracket_basis(3, 0, 3, 0))
 
 
 def test_stable_suspension_of_lie_model():
-    v = stable_functors("sigma_dgl", sphere_lie(3))
+    v = stabilization(sphere_lie(3))
     assert {k: v.dim(k) for k in v.degrees()} == {3: 1}
 
 
 def test_stable_dgc_functors():
     c = sphere_model(4)
-    assert stable_functors("sigma_dgc", c) == c.underlying
-    lam = stable_functors("omega_dgc", DG({3: ("w",)}), cap=9)
+    assert stabilization(c) == c.underlying
+    lam = infinite_loops_dgc(DG({3: ("w",)}), cap=9)
     assert {k: len(ws) for k, ws in lam.words().items()} == {3: 1}
 
 
-def test_stable_dg_functors_and_unknown():
+def test_stable_dg_functors():
     v = DG({1: ("a",), 3: ("b",)})
-    assert stable_functors("sigma_dg", v) == v
-    assert stable_functors("omega_dg", v, r=2).dim(1) == 0
-    with pytest.raises(ValueError, match="stable functor"):
-        stable_functors("nope", v)
+    assert stabilization(v) == v
+    assert reduce_dg(2, v).dim(1) == 0  # Omega^infinity into DG
+    # the category is the input's: a finite Lie model and a cofree coalgebra too
+    assert stabilization(to_dgl(sphere_lie(3))).basis == {3: ("s(ab(x))",)}
+    c = cofree_lambda(DG({3: ("w",)}), 9)
+    assert stabilization(c) == to_dgc(c).underlying
+    with pytest.raises(TypeError):
+        stabilization({})
 
 
 def test_stable_suspension_of_cobar_recovers_the_coalgebra():
@@ -310,8 +319,6 @@ def test_snaith_acyclic_input_is_contractible():
 
 
 def test_snaith_random_inputs_match_symmetric_oracle():
-    from rht.dgcore import reduce_dg
-
     rng = random.Random(20260823)
     cap = 8
     for _ in range(6):
@@ -329,27 +336,27 @@ def test_snaith_random_inputs_match_symmetric_oracle():
 def test_sphere_homotopy_and_homology():
     for n in range(2, 7):
         c = sphere_model(n)
-        pi = rational_invariants("homotopy", c, 16)
+        pi = rational_homotopy(c, 16)
         want = {n: 1} if n % 2 else {n: 1, 2 * n - 1: 1}
         assert pi == want
-        assert rational_invariants("homology", c, 16) == {0: 1, n: 1}
+        assert rational_homology(c, 16) == {0: 1, n: 1}
 
 
 def test_lie_model_invariants():
     for n in (3, 4):
         l = sphere_lie(n)
-        pi = rational_invariants("homotopy", l, 2 * n)
+        pi = rational_homotopy(l, 2 * n)
         want = {n: 1} if n % 2 else {n: 1, 2 * n - 1: 1}
         assert {k: v for k, v in pi.items() if k <= 2 * n - 1} == want
-        h = rational_invariants("homology", l, 2 * n)
+        h = rational_homology(l, 2 * n)
         assert {k: v for k, v in h.items() if k <= n} == {0: 1, n: 1}
 
 
 def test_invariant_errors():
-    with pytest.raises(ValueError, match="invariant kind"):
-        rational_invariants("cohomology", sphere_model(2), 8)
     with pytest.raises(TypeError):
-        rational_invariants("homotopy", DG({2: ("v",)}), 8)
+        rational_homotopy(DG({2: ("v",)}), 8)
+    with pytest.raises(TypeError):
+        rational_homology(DG({2: ("v",)}), 8)
     with pytest.raises(ValueError, match="sphere models"):
         sphere_model(1)
 
