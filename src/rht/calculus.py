@@ -895,8 +895,8 @@ def bracket_filtration(l: FreeDGL, n: int) -> tuple[list[DGL], list[DG]]:
     DGLs, and their layers: the stages and layers of bracket_tower(l, n),
     each stage with to_dgl(l)'s structure constants at its positions, read
     in one pass over the table."""
-    tower = bracket_tower(l, n)
     keep, level = _bracket_positions(l, n)
+    tower = Tower(_restrict(to_dgl(l).underlying, keep), level, n)
     stages = [{d: [p for p, t in zip(keep[d], lv) if t <= s] for d, lv in level.items()} for s in range(1, n + 1)]
     at = [{d: {p: i for i, p in enumerate(ps)} for d, ps in st.items()} for st in stages]
     tables: list[dict] = [{} for _ in stages]

@@ -571,6 +571,9 @@ def _parse_window(spec: str, cap: int):
     if hi > cap:
         # the model is cut at the cap, so it cannot see degrees above it
         raise UsageError(f"window top {hi} is above the cap {cap}; raise the cap with --truncate")
+    if lo < -cap:
+        # every degree of the window is printed, so its bottom is bounded too
+        raise UsageError(f"window bottom {lo} is below {-cap}; raise the cap with --truncate")
     return (lo, hi)
 
 

@@ -24,12 +24,13 @@ reductions and sub-coalgebras; (f (x) f) Delta_S beside Delta_T f, for a map
 f.  Cocommutativity and coassociativity stay pair loops.
 
 dgc_sum, dgc_product and dgc_smash build the sum, product and smash; the
-last two share one body, _tensor_coalgebra.  Their tensor coproduct exists
-in two conventions: a symmetrized "half" form carrying 1/2 coefficients and
-no Koszul signs, and a "koszul" form with the usual sign rule.  The half
-form is the default but is not cocommutative once odd classes are involved;
-dgc_validate reports the witness, and the koszul variant is available
-through the sign_rule switch.  Cylinders, cones,
+last two share one body, _tensor_coalgebra, which names a class of C (x) D
+by a pair of factor keys (degree, index), the counit None.  Their tensor
+coproduct exists in two conventions: a symmetrized "half" form carrying 1/2
+coefficients and no Koszul signs, and a "koszul" form with the usual sign
+rule.  The half form is the default but is not cocommutative once odd
+classes are involved; dgc_validate reports the witness, and the koszul
+variant is available through the sign_rule switch.  Cylinders, cones,
 suspensions and joins share one suspended-strand rule, _suspended_coproduct,
 whose coproduct carries forced 1/2 coefficients: it is cocommutative and
 compatible with the differential component by component, but for a
@@ -294,19 +295,11 @@ def _moved_table(table: Mapping[Key, Mapping[PairKey, Fraction]], at: Mapping[Ke
     return {mv(k): {(mv(a), mv(b)): v for (a, b), v in t.items()} for k, t in table.items()}
 
 
-def _full_delta(c: DGC, key) -> list[tuple[tuple, tuple, Fraction]]:
-    """Full coproduct including counit terms; keys are ('e', k, i) or ('1',)."""
-    if key == ("1",):
-        return [(("1",), ("1",), ONE)]
-    _, k, i = key
-    out = [(("1",), key, ONE), (key, ("1",), ONE)]
-    for ((k1, i1), (k2, i2)), val in c.coproduct.get((k, i), {}).items():
-        out.append((("e", k1, i1), ("e", k2, i2), val))
-    return out
-
-
-def _key_degree(key) -> int:
-    return 0 if key == ("1",) else key[1]
+def _full_delta(c: DGC, key: Optional[Key]) -> list[tuple[Optional[Key], Optional[Key], Fraction]]:
+    """Full coproduct including counit terms; keys are (k, i), the counit None."""
+    if key is None:
+        return [(None, None, ONE)]
+    return [(None, key, ONE), (key, None, ONE), *((a, b, val) for (a, b), val in c.coproduct.get(key, {}).items())]
 
 
 def dgc_sum(a, b) -> DGC:
@@ -331,12 +324,12 @@ def dgc_product(a, b, sign_rule: str = "half") -> DGC:
     total, incls = sum_many([a.underlying, b.underlying, t_dg], tags=["c", "d", "t"])
     at_c, at_d, at_t = (_places(incl) for incl in incls)
 
-    def locate(ckey, dkey) -> Optional[Key]:  # keys ("e", k, i) or ("1",)
-        if dkey == ("1",):
-            return None if ckey == ("1",) else (ckey[1], at_c[ckey[1:]])
-        if ckey == ("1",):
-            return (dkey[1], at_d[dkey[1:]])
-        n, pos = t_index[ckey[1:] + dkey[1:]]
+    def locate(ckey, dkey) -> Optional[Key]:
+        if dkey is None:
+            return None if ckey is None else (ckey[0], at_c[ckey])
+        if ckey is None:
+            return (dkey[0], at_d[dkey])
+        n, pos = t_index[ckey + dkey]
         return (n, at_t[(n, pos)])
 
     return _tensor_coalgebra(a, b, total, locate, sign_rule)
@@ -348,19 +341,19 @@ def dgc_smash(a, b, sign_rule: str = "half") -> DGC:
     total, t_index = _tensor_with_index(a.underlying, b.underlying)
 
     def locate(ckey, dkey) -> Optional[Key]:
-        return None if ckey == ("1",) or dkey == ("1",) else t_index[ckey[1:] + dkey[1:]]
+        return None if ckey is None or dkey is None else t_index[ckey + dkey]
 
     return _tensor_coalgebra(a, b, total, locate, sign_rule)
 
 
 def _tensor_coalgebra(a: DGC, b: DGC, total: DG, locate, sign_rule: str) -> DGC:
     """The coalgebra on total whose coproduct is C (x) D's on the classes that
-    locate places (a key pair, ("1",) the counit, to a key of total, or None)."""
+    locate places (a key pair, None the counit, to a key of total, or None)."""
     if sign_rule not in ("half", "koszul"):
         raise ValueError(f"unknown sign rule {sign_rule!r}")
     table: CoTable = {}
-    ea, eb = ([("e", k, i) for k, names in x.underlying.basis.items() for i in range(len(names))] for x in (a, b))
-    classes = [(v, ("1",)) for v in ea] + [(("1",), w) for w in eb] + [(v, w) for v in ea for w in eb]
+    ea, eb = ([(k, i) for k, names in x.underlying.basis.items() for i in range(len(names))] for x in (a, b))
+    classes = [(v, None) for v in ea] + [(None, w) for w in eb] + [(v, w) for v in ea for w in eb]
     for ckey, dkey in classes:
         src = locate(ckey, dkey)
         if src is None:
@@ -370,7 +363,7 @@ def _tensor_coalgebra(a: DGC, b: DGC, total: DG, locate, sign_rule: str) -> DGC:
 
         def add(lc, ld, rc, rd, coeff):
             nonlocal unit_weight
-            if (lc, ld) == (("1",), ("1",)):  # the counit term 1 tensor x
+            if lc is None and ld is None:  # the counit term 1 tensor x
                 unit_weight += coeff
                 return
             left, right = locate(lc, ld), locate(rc, rd)
@@ -383,7 +376,7 @@ def _tensor_coalgebra(a: DGC, b: DGC, total: DG, locate, sign_rule: str) -> DGC:
                     add(vk, ak, wk, bk, cv * ca / 2)
                     add(vk, bk, wk, ak, cv * ca / 2)
                 else:
-                    sign = -ONE if (_key_degree(wk) * _key_degree(ak)) % 2 else ONE
+                    sign = -ONE if wk and ak and wk[0] * ak[0] % 2 else ONE
                     add(vk, ak, wk, bk, sign * cv * ca)
         if unit_weight != ONE:
             raise AssertionError("internal: counit terms of the product do not normalize")
@@ -787,6 +780,10 @@ def cofree_path(f: CofreeDGCMap, g: CofreeDGCMap, r: int = 2, cap: Optional[int]
     lowering parts of the differentials of the two outer coalgebras are
     transported onto it.  Specializations: 0 -> Lambda V <- 0 gives loops,
     the identity against 0 gives a contractible path coalgebra.
+
+    One table, core, holds the corestriction on words of path-complex classes:
+    d of the path complex on single classes, and each outer coalgebra's longer
+    words carried along its summand's places, resorted with their Koszul sign.
     """
     if f.target != g.target:
         raise ValueError("path codomain mismatch")
@@ -801,48 +798,25 @@ def cofree_path(f: CofreeDGCMap, g: CofreeDGCMap, r: int = 2, cap: Optional[int]
     first, red_first = _first_generators(total), _first_generators(red)
     tot_deg = [k for k, names in total.basis.items() for _ in names]
 
-    # the strand of each path-complex class, with its cogenerator on the two
-    # outer strands, and the path-complex class of each outer cogenerator
-    strand = {first[k] + row: ("m", p) for (k, p), row in _places(incls[1]).items()}
-    back: dict[str, dict[int, int]] = {}
-    for tag, inner, summand in (("u", u, incls[0]), ("w", w, incls[2])):
-        pos, gens = _degree_positions(inner.deg)
-        at = _places(summand)
-        strand.update({first[k] + row: (tag, gens[k][p]) for (k, p), row in at.items()})
-        back[tag] = {h: first[d] + at[(d, pos[h])] for h, d in enumerate(inner.deg)}
+    core: dict[Word, dict[int, Fraction]] = {(p,): lin for p, lin in _generator_table(total, total, total.diff, 1).items()}
+    for inner, summand in ((u, incls[0]), (w, incls[2])):
+        at, pos = _places(summand), _degree_positions(inner.deg)[0]
+        place = [first[d] + at[(d, pos[h])] for h, d in enumerate(inner.deg)]
+        for key, lin in inner.corestriction.items():
+            if len(key) > 1 and _canonical(key, inner.deg)[1] == key:
+                sign, word = _canonical([place[h] for h in key], tot_deg)
+                core[word] = {place[h]: sign * cc for h, cc in lin.items()}
 
     # cogenerators above the cap can never enter a word, so drop them
     gens = [(name, k) for k, names in red.basis.items() if k <= cap for name in names]
     images = _generator_table(red, total, incl.blocks, 0)
-    d_total = _generator_table(total, total, total.diff, 1)
-
-    def pure_corestriction(word: tuple[int, ...]) -> dict[int, Fraction]:
-        # word of path-complex classes, canonically sorted; value in the path complex
-        if len(word) == 1:
-            return d_total.get(word[0], {})
-        kinds = {strand[p][0] for p in word}
-        if kinds == {"u"}:
-            inner, tag = u, "u"
-        elif kinds == {"w"}:
-            inner, tag = w, "w"
-        else:
-            return {}
-        sign, key = _canonical([strand[p][1] for p in word], inner.deg)
-        if not sign:
-            return {}
-        out: dict[int, Fraction] = {}
-        for h, cc in inner.corestriction.get(key, {}).items():
-            out[back[tag][h]] = out.get(back[tag][h], ZERO) + sign * cc
-        return {p: cc for p, cc in out.items() if cc}
-
     out_core: dict[Word, dict[int, Fraction]] = {}
     stub = CofreeDGC(gens, cap, {})
     for k, ws in stub.words().items():
         for word in ws:
-            expanded = _apply_letterwise(word, images, tot_deg)
             acc: dict[int, Fraction] = {}
-            for pure, c0 in expanded.items():
-                for p, cc in pure_corestriction(pure).items():
+            for pure, c0 in _apply_letterwise(word, images, tot_deg).items():
+                for p, cc in core.get(pure, {}).items():
                     _accumulate(acc, p, c0 * cc)
             if not acc:
                 continue

@@ -53,7 +53,7 @@ report line is the product loop's.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -1168,47 +1168,29 @@ def telescope(maps: Sequence[DGMap]) -> tuple[DG, DGMap]:
 
 
 def chain_map_space(v: DG, w: DG) -> list[DGMap]:
-    """Basis of the space of degree 0 chain maps v -> w."""
-    slots: list[tuple[int, int, int]] = []  # (degree, target row, source col)
-    pos: dict[tuple[int, int, int], int] = {}
-    for k in sorted(set(v.basis) & set(w.basis)):
-        for r in range(w.dim(k)):
-            for c in range(v.dim(k)):
-                pos[(k, r, c)] = len(slots)
-                slots.append((k, r, c))
-    if not slots:
-        return []
-    rows: list[tuple[int, int, int]] = []
-    rpos: dict[tuple[int, int, int], int] = {}
-    ent: dict[tuple[int, int], Fraction] = {}
-
-    def rowid(k, r, c):
-        key = (k, r, c)
-        if key not in rpos:
-            rpos[key] = len(rows)
-            rows.append(key)
-        return rpos[key]
-
+    """Basis of the space of degree 0 chain maps v -> w.  Entry (r, c) of f_k is unknown
+    first[k] + r dim V_k + c, and the equations (d_w f_k - f_{k-1} d_v)[r, c] = 0, r in W_{k-1}
+    and c in V_k, are one block of rows per degree, (r, c) at row[k] + r dim V_k + c."""
     degrees = sorted(set(v.basis) | set(w.basis))
+    cols = list(accumulate((w.dim(k) * v.dim(k) for k in degrees), initial=0))
+    rows = list(accumulate((w.dim(k - 1) * v.dim(k) for k in degrees), initial=0))
+    first, row = dict(zip(degrees, cols)), dict(zip(degrees, rows))
+    ent: dict[tuple[int, int], Fraction] = {}
     for k in degrees:
-        dw = w.d(k)
-        dv = v.d(k)
-        # equation: (d_w f_k - f_{k-1} d_v)[r, c] = 0 for r in w_{k-1}, c in v_k
-        for (r, m), a in dw.entries.items():
-            for c in range(v.dim(k)):
-                if (k, m, c) in pos:
-                    key = (rowid(k, r, c), pos[(k, m, c)])
-                    ent[key] = ent.get(key, ZERO) + a
-        for (r, c0), a in dv.entries.items():
+        n = v.dim(k)
+        for (r, m), a in w.d(k).entries.items():
+            for c in range(n):
+                key = (row[k] + r * n + c, first[k] + m * n + c)
+                ent[key] = ent.get(key, ZERO) + a
+        for (r, c), a in v.d(k).entries.items():
             for r2 in range(w.dim(k - 1)):
-                if (k - 1, r2, r) in pos:
-                    key = (rowid(k, r2, c0), pos[(k - 1, r2, r)])
-                    ent[key] = ent.get(key, ZERO) - a
-    kernel = kernel_basis(QMatrix(len(rows), len(slots), ent))
+                key = (row[k] + r2 * n + c, first[k - 1] + r2 * v.dim(k - 1) + r)
+                ent[key] = ent.get(key, ZERO) - a
+    kernel = kernel_basis(QMatrix(rows[-1], cols[-1], ent))
     blocks: list[dict[int, dict]] = [{} for _ in range(kernel.cols)]
     for (idx, j), val in sorted(kernel.entries.items()):
-        k, r, c = slots[idx]
-        blocks[j].setdefault(k, {})[(r, c)] = val
+        i = bisect_right(cols, idx) - 1
+        blocks[j].setdefault(degrees[i], {})[divmod(idx - cols[i], v.dim(degrees[i]))] = val
     return [DGMap(v, w, {k: QMatrix(w.dim(k), v.dim(k), e) for k, e in b.items()}) for b in blocks]
 
 

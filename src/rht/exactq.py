@@ -46,8 +46,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-Rational = Fraction
-
 # one shared Fraction per small integer; see _frac
 _SMALL = {v: Fraction(v) for v in range(-16, 17)}
 ZERO = _SMALL[0]

@@ -412,6 +412,19 @@ def test_a_window_above_the_cap_is_a_usage_error(capsys):
     assert "above the cap 8" in capsys.readouterr().err
 
 
+def test_a_window_below_minus_the_cap_is_a_usage_error(capsys, monkeypatch):
+    # every degree of a window is printed, so a far bottom would be unbounded output
+    assert main(["homology", f"{MODELS}/twocell.dg", "--window=-300000:4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage error: window bottom -300000 is below -16; raise the cap with --truncate\n"
+    assert main(["homology", f"{MODELS}/twocell.dg", "--window=-16:4"]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and ["window", "-16:4"] in [line.split() for line in lines] and len(lines) == 27
+    assert [line.split()[0] for line in lines[-21:]] == [f"homology.{k}" for k in range(-16, 5)]
+
+
 def test_boundary_arguments_are_not_usage_errors(capsys):
     assert main(["crosseffect", "-n", "0", f"{MODELS}/twocell.dg"]) == 0
     # cap 0 is legal; it is the model that cannot be cut that low

@@ -63,8 +63,6 @@ from rht.dgc import (
     _as_dgc,
     _canonical,
     _coproduct_map,
-    _full_delta,
-    _key_degree,
     _square,
     _sub_dgc,
 )
@@ -665,6 +663,20 @@ def _old_shift_table(table: Mapping[Key, Mapping[PairKey, Fraction]], off) -> Co
     return {mv(k): {(mv(a), mv(b)): v for (a, b), v in t.items()} for k, t in table.items()}
 
 
+def _old_full_delta(c: DGC, key) -> list[tuple[tuple, tuple, Fraction]]:
+    if key == ("1",):
+        return [(("1",), ("1",), ONE)]
+    _, k, i = key
+    out = [(("1",), key, ONE), (key, ("1",), ONE)]
+    for ((k1, i1), (k2, i2)), val in c.coproduct.get((k, i), {}).items():
+        out.append((("e", k1, i1), ("e", k2, i2), val))
+    return out
+
+
+def _old_key_degree(key) -> int:
+    return 0 if key == ("1",) else key[1]
+
+
 def _old_dgc_combine(kind: str, a, b, sign_rule: str = "half"):
     a, b = _as_dgc(a), _as_dgc(b)
     if kind == "sumTilde":
@@ -738,13 +750,13 @@ def _old_dgc_combine(kind: str, a, b, sign_rule: str = "half"):
             else:
                 acc.pop((left, right), None)
 
-        for vk, wk, cv in _full_delta(a, ckey):
-            for ak, bk, ca in _full_delta(b, dkey):
+        for vk, wk, cv in _old_full_delta(a, ckey):
+            for ak, bk, ca in _old_full_delta(b, dkey):
                 if sign_rule == "half":
                     add(vk, ak, wk, bk, cv * ca / 2)
                     add(vk, bk, wk, ak, cv * ca / 2)
                 else:
-                    sign = -ONE if (_key_degree(wk) * _key_degree(ak)) % 2 else ONE
+                    sign = -ONE if (_old_key_degree(wk) * _old_key_degree(ak)) % 2 else ONE
                     add(vk, ak, wk, bk, sign * cv * ca)
         if kind == "product" and unit_weight != ONE:
             raise AssertionError("internal: counit terms of the product do not normalize")

@@ -326,9 +326,12 @@ def test_cofree_builders_match_the_numbering_loops(seed):
 
 def test_cofree_path_with_a_lowering_differential_matches_the_numbering_loop():
     mix = CofreeDGC([("a", 2), ("b", 3), ("e", 4), ("f", 4)], 8, {(0, 1): {2: ONE, 3: -ONE}})
-    zero = CofreeDGC((), mix.cap, {})
-    for f, g in ((cofree_identity(mix), cofree_zero_map(zero, mix)), (cofree_identity(mix), cofree_identity(mix))):
-        assert cofree_path(f, g, cap=7) == _old_cofree_path(f, g, 7)
+    # odd cogenerators out of degree order: the path complex renumbers a^b as b^a, with sign -1
+    odd = CofreeDGC([("a", 5), ("b", 3), ("c", 7), ("e", 4), ("g", 6)], 10, {(0, 1): {2: 1}, (1, 3): {4: 2}})
+    for x, cap in ((mix, 7), (odd, 9)):
+        zero = CofreeDGC((), x.cap, {})
+        for f, g in ((cofree_identity(x), cofree_zero_map(zero, x)), (cofree_identity(x), cofree_identity(x))):
+            assert cofree_path(f, g, cap=cap) == _old_cofree_path(f, g, cap)
 
 
 @settings(max_examples=25, deadline=None)
