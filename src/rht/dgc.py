@@ -18,10 +18,10 @@ Two representations are used side by side:
   -1 by construction) and extended as a coderivation.
 
 Each linear identity of the reduced coproduct lays one tensor square out once
-and places pair tables in it, pushed along a map (_placed): Delta itself, as
-its table stores it, whose kernel is the primitives; the square of a span, for
-reductions and sub-coalgebras; (f (x) f) Delta_S beside Delta_T f, for a map
-f.  Cocommutativity and coassociativity stay pair loops.
+and places pair tables in it, pushed along a map (dgcore._placed): Delta
+itself, as its table stores it, whose kernel is the primitives; the square of
+a span, for reductions and sub-coalgebras; (f (x) f) Delta_S beside Delta_T f,
+for a map f.  Cocommutativity and coassociativity stay pair loops.
 
 dgc_sum, dgc_product and dgc_smash build the sum, product and smash; the
 last two share one body, _tensor_coalgebra, which names a class of C (x) D
@@ -50,8 +50,10 @@ from .dgcore import (
     DG,
     DGMap,
     ZERO_DG,
+    _accumulate,
     _by_column,
     _check_image,
+    _columns_apart,
     _cylinder_sum,
     _degree_positions,
     _first_generators,
@@ -60,7 +62,9 @@ from .dgcore import (
     _generator_map,
     _generator_table,
     _path_sum,
+    _placed,
     _places,
+    _span_square,
     _tensor_with_index,
     identity_map,
     is_quasi_iso_through,
@@ -89,15 +93,6 @@ LPoly = dict[Word, Fraction]
 Key = tuple[int, int]  # (degree, index) into a de-augmentation basis
 PairKey = tuple[Key, Key]
 CoTable = dict[Key, dict[PairKey, Fraction]]
-
-
-def _accumulate(out: dict, key, value: Fraction) -> None:
-    """out[key] += value, dropping the key when the sum is zero."""
-    s = out.get(key, ZERO) + value
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
 
 
 # -- finite-basis coalgebras ---------------------------------------------------
@@ -170,40 +165,10 @@ def _square(v: DG) -> tuple[DG, dict]:
     return _tensor_with_index(v, v, max(v.degrees(), default=0))
 
 
-def _placed(square, table, cols: Mapping[int, int], f=None) -> dict[int, QMatrix]:
-    """A pair table pushed along f (a map's blocks) into a laid-out square: at each degree k
-    of cols, cols[k] columns, column i the sum of c (f a) (x) (f b) over the entries ((a, b), c)
-    of table[(k, i)].  Without f the entries go in as the table stores them, with no arithmetic."""
-    index, ent, fc = square[1], {k: {} for k in cols}, None if f is None else _by_column(f)
-    for (k, i), t in table.items():
-        e = ent[k]
-        for ((k1, i1), (k2, i2)), val in t.items():
-            if fc is None:
-                e[(index[(k1, i1, k2, i2)][1], i)] = val
-                continue
-            for r, x in fc.get((k1, i1), ()):
-                for s, y in fc.get((k2, i2), ()):
-                    _accumulate(e, (index[(k1, r, k2, s)][1], i), val * x * y)
-    return {k: QMatrix._of(square[0].dim(k), n, ent[k]) for k, n in cols.items()}
-
-
 def _coproduct_map(c: DGC, square) -> DGMap:
     """The reduced coproduct as a degree-zero map V -> V (x) V, placed in a _square of V."""
     dg = c.underlying
     return DGMap(dg, square[0], _placed(square, c.coproduct, {k: dg.dim(k) for k in dg.degrees()}))
-
-
-def _span_square(square, spans: Mapping[int, QMatrix], k: int) -> tuple[list[PairKey], QMatrix]:
-    """Span (x) span in degree k, placed in V (x) V, and its pairs of span columns in tensor order."""
-    pairs = [((i, p), (k - i, q)) for i, m in sorted(spans.items()) if k - i in spans
-             for p in range(m.cols) for q in range(spans[k - i].cols)]
-    return pairs, _placed(square, {(k, n): {pair: ONE} for n, pair in enumerate(pairs)}, {k: len(pairs)}, spans)[k]
-
-
-def _columns_apart(a: QMatrix, b: QMatrix) -> set[int]:
-    """The columns where two matrices differ, compared entry by entry."""
-    ea, eb = a.entries, b.entries
-    return {c for r, c in ea.keys() | eb.keys() if ea.get((r, c)) != eb.get((r, c))}
 
 
 def dgc_validate(c) -> list[str]:
@@ -618,6 +583,8 @@ class CofreeDGC:
             w, lin = tuple(w), {h: rat(cc) for h, cc in lin.items() if cc}
             if not all(0 <= g < len(self.deg) for g in (*w, *lin)):
                 raise ValueError(f"the corestriction of {w} names no cogenerator")
+            if _canonical(w, self.deg)[1] != w:
+                raise ValueError(f"the corestriction key {w} is not a canonical word")
             if any(self.deg[h] != self.word_degree(w) - 1 for h in lin):
                 raise ValueError(f"d({self.word_name(w)}) is not homogeneous of degree -1")
             if lin:
@@ -803,7 +770,7 @@ def cofree_path(f: CofreeDGCMap, g: CofreeDGCMap, r: int = 2, cap: Optional[int]
         at, pos = _places(summand), _degree_positions(inner.deg)[0]
         place = [first[d] + at[(d, pos[h])] for h, d in enumerate(inner.deg)]
         for key, lin in inner.corestriction.items():
-            if len(key) > 1 and _canonical(key, inner.deg)[1] == key:
+            if len(key) > 1:
                 sign, word = _canonical([place[h] for h in key], tot_deg)
                 core[word] = {place[h]: sign * cc for h, cc in lin.items()}
 

@@ -19,9 +19,10 @@ offset in each degree, with no strand DG and no inclusion.
 Basis positions are data.  The builder that lays out a basis is the only code
 that knows where things sit; callers read positions off the inclusions of a
 sum (_places), the places of a cube total's strands that _cube_sum returns,
-the index that _tensor_with_index fills while it lays out a tensor product,
-or the generator position table of _degree_positions, and never format a
-basis name to look it up again.  _restrict keeps the basis elements at given
+the index that _tensor_with_index fills while it lays out a tensor product
+(_placed, _span_square and _columns_apart read a square for dgc and dgl), or
+the generator position table of _degree_positions, and never format a basis
+name to look it up again.  _restrict keeps the basis elements at given
 positions with d's entries among them; every stage and layer of a filtered
 DG (calculus.Tower) is cut out of its last stage that way.  The generator table
 (_first_generators, _generator_table) is the one place where a DG's basis
@@ -572,6 +573,45 @@ def _by_column(blocks: Mapping[int, QMatrix]) -> dict[tuple[int, int], list[tupl
         for (r, c), x in m.entries.items():
             cols.setdefault((k, c), []).append((r, x))
     return cols
+
+
+def _accumulate(out: dict, key, value: Fraction) -> None:
+    """out[key] += value, dropping the key when the sum is zero."""
+    s = out.get(key, ZERO) + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def _placed(square, table, cols: Mapping[int, int], f=None) -> dict[int, QMatrix]:
+    """A pair table pushed along f (a map's blocks) into a laid-out square: at each degree k
+    of cols, cols[k] columns, column i the sum of c (f a) (x) (f b) over the entries ((a, b), c)
+    of table[(k, i)].  Without f the entries go in as the table stores them, with no arithmetic."""
+    index, ent, fc = square[1], {k: {} for k in cols}, None if f is None else _by_column(f)
+    for (k, i), t in table.items():
+        e = ent[k]
+        for ((k1, i1), (k2, i2)), val in t.items():
+            if fc is None:
+                e[(index[(k1, i1, k2, i2)][1], i)] = val
+                continue
+            for r, x in fc.get((k1, i1), ()):
+                for s, y in fc.get((k2, i2), ()):
+                    _accumulate(e, (index[(k1, r, k2, s)][1], i), val * x * y)
+    return {k: QMatrix._of(square[0].dim(k), n, ent[k]) for k, n in cols.items()}
+
+
+def _span_square(square, spans: Mapping[int, QMatrix], k: int) -> tuple[list[tuple[tuple[int, int], tuple[int, int]]], QMatrix]:
+    """Span (x) span in degree k, placed in V (x) V, and its pairs of span columns in tensor order."""
+    pairs = [((i, p), (k - i, q)) for i, m in sorted(spans.items()) if k - i in spans
+             for p in range(m.cols) for q in range(spans[k - i].cols)]
+    return pairs, _placed(square, {(k, n): {pair: ONE} for n, pair in enumerate(pairs)}, {k: len(pairs)}, spans)[k]
+
+
+def _columns_apart(a: QMatrix, b: QMatrix) -> set[int]:
+    """The columns where two matrices differ, compared entry by entry."""
+    ea, eb = a.entries, b.entries
+    return {c for r, c in ea.keys() | eb.keys() if ea.get((r, c)) != eb.get((r, c))}
 
 
 def tensor_map(f: DGMap, g: DGMap) -> DGMap:

@@ -24,10 +24,15 @@ free_suspension, free_big_suspension and free_cylinder each give it their
 parts and the linear terms that join them; the finite product is
 dgl_strict_product.
 
+Leibniz and the map condition read the bracket as one degree-zero map
+B: L (x) L -> L on a tensor square laid out once (_bracket_map): B is a chain
+map, and a map f has f B_S = B_T (f (x) f).  Antisymmetry and Jacobi stay loops.
+
 A sub-DGL (_sub_dgl, for reductions and strict limits) takes the brackets of
 its inclusion's columns through DGL.bracket_vec, so a lazy table computes
-only the entries those columns reach.  Filtrations by bracket length are
-built in calculus, from the positions and lengths of the monomial basis.
+only the entries those columns reach, and pulls them back one degree at a time.
+Filtrations by bracket length are built in calculus, from the positions and
+lengths of the monomial basis.
 """
 
 from __future__ import annotations
@@ -43,11 +48,14 @@ from .dgcore import (
     ZERO_DG,
     _degree_positions,
     _check_image,
+    _columns_apart,
     _generator_dg,
     _generator_list,
     _generator_map,
     _path_sum,
     _places,
+    _span_square,
+    _tensor_with_index,
     assert_valid,
     compose,
     identity_map,
@@ -514,21 +522,16 @@ def free_dgl_identity(l: FreeDGL) -> FreeDGLMap:
 def dgl_validate(l) -> list[str]:
     """Report every violated Lie axiom with a witness; empty iff valid.
 
-    The finite checks visit only the pairs and triples where an axiom can
-    fail, in the order of the full loops over all basis pairs and triples,
-    so the report is the same list.  Let P be the keys of the bracket table
-    whose two elements are basis elements, zero values included.  Everywhere
-    else both sides are zero vectors of the same length, so 0 = 0:
-    - antisymmetry at pairs in P or its transpose: elsewhere [a,b] and [b,a]
-      are both missing;
-    - Leibniz at those pairs and, for each (a, b) in P, at (x, b) with a in
-      supp d(x) and at (a, y) with b in supp d(y): elsewhere d[a,b], [da,b]
-      and [a,db] read no table entry;
+    The report is the list of the full loops over all basis pairs and
+    triples, in their order.  Leibniz says the bracket map B is a chain map,
+    d B = B d, and a map f respects brackets when f B_S = B_T (f (x) f); each
+    is one product per degree, compared column by column.  Let P be the keys
+    of the bracket table whose two elements are basis elements, zero values
+    included; with no P on either side, no square is laid out.  Elsewhere
+    both sides are zero vectors of the same length, so 0 = 0:
+    - antisymmetry at pairs in P or its transpose;
     - Jacobi at triples with a pair (2,3), (1,2) or (1,3) in P: elsewhere
-      the inner brackets of all three terms are missing;
-    - a map f at pairs (e1, e2) in the source's P, or with supp f(e1) x
-      supp f(e2) meeting the target's P: elsewhere f[e1,e2] and [f e1, f e2]
-      are both 0.
+      the inner brackets of all three terms are missing.
     """
     if isinstance(l, FreeDGL):
         report = []
@@ -552,72 +555,63 @@ def _basis_keys(l: DGL) -> list[tuple[int, int, int, int]]:
     return [key for key in l.bracket if 0 <= key[1] < dim(key[0]) and 0 <= key[3] < dim(key[2])]
 
 
+def _bracket_map(l: DGL, square) -> tuple[DGMap, dict[int, list[tuple[int, int, int, int]]]]:
+    """The bracket as a degree-zero map B: L (x) L -> L, from a laid-out square of L, and the
+    pair (k1, i1, k2, i2) at each column of the square."""
+    (sq, index), dg = square, l.underlying
+    pairs: dict[int, list] = {k: [] for k in sq.degrees()}
+    for key, (k, _) in index.items():  # each degree's pairs in column order
+        pairs[k].append(key)
+    ent: dict[int, dict] = {k: {} for k in pairs}
+    for key, v in l.bracket.items():
+        if key in index:  # a pair of basis elements below the square's top
+            k, col = index[key]
+            if len(v) != dg.dim(k):
+                raise ValueError(f"the bracket value at {key} has length {len(v)}, not {dg.dim(k)}")
+            ent[k].update(((r, col), x) for r, x in enumerate(v) if x)
+    return DGMap(sq, dg, {k: QMatrix(dg.dim(k), sq.dim(k), e) for k, e in ent.items()}), pairs
+
+
 def _map_report(l: DGLMap) -> list[str]:
     report = list(validate_dg(l.dgmap))
     sl, tl, f = l.source, l.target, l.dgmap
-    caps = [c for c in (sl.cap, tl.cap) if c is not None]
-    dg = sl.underlying
-
-    def rows_of(x: DGL) -> dict[tuple[int, int], dict[int, set[int]]]:
-        """P by rows and degree: (k1, i1) -> k2 -> {i2}."""
-        rows: dict[tuple[int, int], dict[int, set[int]]] = {}
-        for k1, i1, k2, i2 in _basis_keys(x):
-            rows.setdefault((k1, i1), {}).setdefault(k2, set()).add(i2)
-        return rows
-
-    src_rows, tgt_rows = rows_of(sl), rows_of(tl)
-    # supp f(e_c) and its transpose
-    supp: dict[tuple[int, int], list[int]] = {}
-    pre: dict[tuple[int, int], set[int]] = {}
-    for k, m in f.blocks.items():
-        for r, c in m.entries:
-            supp.setdefault((k, c), []).append(r)
-            pre.setdefault((k, r), set()).add(c)
-    for k1 in dg.degrees():
-        for k2 in dg.degrees():
-            k = k1 + k2
-            if caps and k > min(caps):
-                continue
-            if not tl.underlying.dim(k):
-                continue
-            for i1 in range(dg.dim(k1)):
-                i2s = set(src_rows.get((k1, i1), {}).get(k2, ()))
-                for x in supp.get((k1, i1), ()):
-                    for y in tgt_rows.get((k1, x), {}).get(k2, ()):
-                        i2s |= pre.get((k2, y), set())
-                if not i2s:
-                    continue
-                f1 = f.block(k1).column(i1)
-                for i2 in sorted(i2s):
-                    lhs = f.apply(k, sl.bracket_basis(k1, i1, k2, i2))
-                    rhs = tl.bracket_vec(k1, f1, k2, f.block(k2).column(i2))
-                    if lhs != rhs:
-                        report.append(f"map does not respect brackets at ({k1},{i1}),({k2},{i2})")
+    s, t = sl.underlying, tl.underlying
+    if not t.degrees() or not (_basis_keys(sl) or _basis_keys(tl)):
+        return report  # both sides are 0 on every pair
+    # f B_S = B_T (f (x) f) in each degree the target has, below the caps
+    top = min([c for c in (sl.cap, tl.cap) if c is not None] + [max(t.degrees())])
+    b_s, pairs = _bracket_map(sl, _tensor_with_index(s, s, top))
+    t_square = _tensor_with_index(t, t, top)
+    b_t, spans = _bracket_map(tl, t_square)[0], {k: f.block(k) for k in s.degrees()}
+    bad = [pairs[k][c] for k in b_s.source.degrees() if t.dim(k) for c in _columns_apart(
+        f.block(k) * b_s.block(k), b_t.block(k) * _span_square(t_square, spans, k)[1])]
+    report += [f"map does not respect brackets at ({k1},{i1}),({k2},{i2})"
+               for k1, i1, k2, i2 in sorted(bad, key=lambda p: (p[0], p[2], p[1], p[3]))]
     return report
 
 
 def _lie_report(l: DGL) -> list[str]:
     report = list(validate_dg(l.underlying))
-    dg = l.underlying
-    get = l.bracket.get
+    dg, get, keys = l.underlying, l.bracket.get, _basis_keys(l)
+    lines = []  # (pair, 0 for antisymmetry or 1 for Leibniz, line), reported in the dense loops' order
+    for k1, i1, k2, i2 in set(keys) | {(k2, i2, k1, i1) for k1, i1, k2, i2 in keys}:
+        sign = -ONE if (k1 * k2) % 2 else ONE
+        if l.bracket_basis(k1, i1, k2, i2) != vec_scale(-sign, l.bracket_basis(k2, i2, k1, i1)):
+            lines.append(((k1, i1, k2, i2), 0, f"antisymmetry fails at ({k1},{i1}),({k2},{i2})"))
+    if keys:  # Leibniz: B is a chain map, d B = B d, below the cap and one above L's top
+        top = max(dg.degrees()) + 1
+        b, pairs = _bracket_map(l, _tensor_with_index(dg, dg, top if l.cap is None else min(l.cap, top)))
+        for k in b.source.degrees():
+            apart = _columns_apart(dg.d(k) * b.block(k), b.block(k - 1) * b.source.d(k))
+            lines += [(pairs[k][c], 1, "Leibniz fails at ({},{}),({},{})".format(*pairs[k][c])) for c in apart]
+    report += [line for *_, line in sorted(lines)]
     items = [(k, i) for k in dg.degrees() for i in range(dg.dim(k))]
     pos = {it: p for p, it in enumerate(items)}
     everyone = range(len(items))
-    # rows[p]: the q with (items[p], items[q]) in P; cols is the transpose
+    # rows[p]: the q with (items[p], items[q]) in P
     rows: list[set[int]] = [set() for _ in items]
-    cols: list[set[int]] = [set() for _ in items]
-    for k1, i1, k2, i2 in _basis_keys(l):
-        p, q = pos[(k1, i1)], pos[(k2, i2)]
-        rows[p].add(q)
-        cols[q].add(p)
-    # down[x]: (position, coefficient) of supp d(x); up[a]: the x with a in supp d(x)
-    down: list[list[tuple[int, Fraction]]] = [[] for _ in items]
-    up: list[set[int]] = [set() for _ in items]
-    for k, m in dg.diff.items():
-        for (r, c), v in m.entries.items():
-            x, a = pos[(k, c)], pos[(k - 1, r)]
-            down[x].append((a, v))
-            up[a].add(x)
+    for k1, i1, k2, i2 in keys:
+        rows[pos[(k1, i1)]].add(pos[(k2, i2)])
 
     def combo(k: int, terms) -> Vector:
         """Sum of c * [key] over (key, c) in terms, in degree k."""
@@ -628,28 +622,6 @@ def _lie_report(l: DGL) -> list[str]:
                 out = vec_add(out, vec_scale(c, v))
         return out
 
-    for p in everyone:
-        k1, i1 = items[p]
-        qs = rows[p] | cols[p]
-        for a, _ in down[p]:
-            qs |= rows[a]
-        for y in rows[p]:
-            qs |= up[y]
-        for q in sorted(qs):
-            k2, i2 = items[q]
-            v12 = l.bracket_basis(k1, i1, k2, i2)
-            v21 = l.bracket_basis(k2, i2, k1, i1)
-            sign = -ONE if (k1 * k2) % 2 else ONE
-            if v12 != vec_scale(-sign, v21):
-                report.append(f"antisymmetry fails at ({k1},{i1}),({k2},{i2})")
-            if l.cap is not None and k1 + k2 > l.cap:
-                continue  # bracket truncated away, Leibniz not applicable
-            lhs = dg.d(k1 + k2).apply(v12) if dg.dim(k1 + k2) else zero_vec(dg.dim(k1 + k2 - 1))
-            t1 = combo(k1 + k2 - 1, (((k1 - 1, items[a][1], k2, i2), c) for a, c in down[p]))
-            t2 = combo(k1 + k2 - 1, (((k1, i1, k2 - 1, items[b][1]), c) for b, c in down[q]))
-            rhs = vec_add(t1, vec_scale(-ONE if k1 % 2 else ONE, t2))
-            if lhs != rhs:
-                report.append(f"Leibniz fails at ({k1},{i1}),({k2},{i2})")
     active = [p for p in everyone if rows[p]]
     for p in everyone:
         k1, i1 = items[p]
@@ -828,34 +800,25 @@ def _sub_dgl(l: DGL, incl: DGMap, error: str) -> DGL:
     """The sub-DGL of l on incl.source, for an injective chain map incl into
     l.underlying whose image is closed under the bracket.  The brackets of
     the image columns, from l.bracket_vec, are pulled back with one solve per
-    pair of degrees; ValueError(error), formatted with the target degree k,
-    if one of them leaves the image."""
+    degree; ValueError(error), formatted with that degree k, if one of them
+    leaves the image."""
     sub = incl.source
-    table: dict[tuple[int, int, int, int], Vector] = {}
+    values: dict[int, dict[tuple[int, int, int, int], Vector]] = {}
     for k1 in sub.degrees():
         for k2 in sub.degrees():
-            k = k1 + k2
-            if not sub.dim(k):
-                continue
-            values = {}
-            for i1, v1 in enumerate(incl.block(k1).columns()):
-                for i2, v2 in enumerate(incl.block(k2).columns()):
-                    val = l.bracket_vec(k1, v1, k2, v2)
-                    if any(val):
-                        values[(k1, i1, k2, i2)] = val
-            table.update(_pull_back(incl.block(k), values, error.format(k=k)))
+            if sub.dim(k1 + k2):
+                for i1, v1 in enumerate(incl.block(k1).columns()):
+                    for i2, v2 in enumerate(incl.block(k2).columns()):
+                        val = l.bracket_vec(k1, v1, k2, v2)
+                        if any(val):
+                            values.setdefault(k1 + k2, {})[(k1, i1, k2, i2)] = val
+    table = {}
+    for k, vals in values.items():
+        sol = solve_matrix(incl.block(k), QMatrix.from_columns(list(vals.values()), incl.target.dim(k)))
+        if sol is None:
+            raise ValueError(error.format(k=k))
+        table.update(zip(vals, sol.columns()))
     return DGL(sub, table, cap=l.cap)
-
-
-def _pull_back(inc: QMatrix, values: dict, error: str) -> dict:
-    """Coordinates along the inclusion inc of the values, from one solve;
-    ValueError(error) if one of them is not in its image."""
-    if not values:
-        return {}
-    sol = solve_matrix(inc, QMatrix.from_columns(list(values.values()), inc.rows))
-    if sol is None:
-        raise ValueError(error)
-    return {key: sol.column(j) for j, key in enumerate(values)}
 
 
 # -- homotopy pullback ----------------------------------------------------------------

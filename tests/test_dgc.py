@@ -258,6 +258,15 @@ def test_corestriction_naming_no_cogenerator_is_rejected_at_construction():
             CofreeDGC([("a", 2), ("b", 3)], 6, core)
 
 
+def test_corestriction_on_a_word_that_is_not_canonical_is_rejected_at_construction():
+    # an unsorted key and a repeated odd cogenerator: d_word reads neither, so each
+    # entry was once stored, never read, and validated as []
+    with pytest.raises(ValueError, match=r"the corestriction key \(1, 0\) is not a canonical word"):
+        CofreeDGC([("a", 2), ("b", 2), ("c", 3)], 6, {(1, 0): {2: 1}})
+    with pytest.raises(ValueError, match=r"the corestriction key \(0, 0\) is not a canonical word"):
+        CofreeDGC([("a", 3), ("c", 5)], 6, {(0, 0): {1: 1}})
+
+
 # -- primitives --------------------------------------------------------------------
 
 

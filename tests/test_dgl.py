@@ -1023,6 +1023,45 @@ def test_dgl_validate_reports_every_kind_of_failure():
     assert seen == {"antisymmetry", "Leibniz", "Jacobi", "early return", "map"}
 
 
+def test_leibniz_reads_a_bracket_above_the_top_degree_and_stops_at_the_cap():
+    # [x,x] = w and dy = x: d[x,y] lands in degree 3, which L lacks (a 0-row
+    # block of B), while [dx,y] - [x,dy] = -w; the cap 2 cuts both pairs
+    dg = DG({1: ("x",), 2: ("y", "w")}, {2: QMatrix.from_rows([[1, 0]])})
+    l = DGL(dg, {(1, 0, 1, 0): (rat(0), ONE)})
+    assert dgl_validate(l) == ["Leibniz fails at (1,0),(2,0)", "Leibniz fails at (2,0),(1,0)"]
+    assert dgl_validate(DGL(dg, l.bracket, cap=2)) == []
+
+
+def test_a_bracket_value_of_the_wrong_length_is_an_error():
+    dg = DG({1: ("x",), 2: ("w",)})
+    for value in ((ONE, ONE), ()):
+        with pytest.raises(ValueError, match="has length"):
+            dgl_validate(DGL(dg, {(1, 0, 1, 0): value}))
+
+
+def test_no_square_is_laid_out_where_no_bracket_can_fail(monkeypatch):
+    import rht.dgl as dgl
+
+    layouts = []
+    real = dgl._tensor_with_index
+    monkeypatch.setattr(dgl, "_tensor_with_index", lambda *args: layouts.append(args) or real(*args))
+
+    def count(x):
+        layouts.clear()
+        assert dgl_validate(x) == []
+        return len(layouts)
+
+    rng = Random(3)
+    a, b = _random_abelian(rng), _random_abelian(rng)
+    assert count(a) == 0
+    assert count(dgl_ho_pullback(zero_dgl_map(a, b), identity_dgl_map(b))[0]) == 0
+    assert count(DGLMap(a, abelian_dgl(a.underlying), identity_map(a.underlying))) == 0
+    # a bracket on either side lays out one square per side
+    k = counterexample_dgl()
+    assert count(k) == 1
+    assert count(identity_dgl_map(k)) == 2
+
+
 # -- batched bracket solves against per-value solves ----------------------------------
 
 
