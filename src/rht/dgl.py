@@ -24,9 +24,11 @@ free_suspension, free_big_suspension and free_cylinder each give it their
 parts and the linear terms that join them; the finite product is
 dgl_strict_product.
 
-Leibniz and the map condition read the bracket as one degree-zero map
+Leibniz, Jacobi and the map condition read the bracket as one degree-zero map
 B: L (x) L -> L on a tensor square laid out once (_bracket_map): B is a chain
-map, and a map f has f B_S = B_T (f (x) f).  Antisymmetry and Jacobi stay loops.
+map, each ad_x is a derivation of B, ad_x B = B D_x with
+D_x(y (x) z) = [x,y] (x) z + (-1)^{|x||y|} y (x) [x,z], and a map f has
+f B_S = B_T (f (x) f).  Antisymmetry stays a loop over the table's keys.
 
 A sub-DGL (_sub_dgl, for reductions and strict limits) takes the brackets of
 its inclusion's columns through DGL.bracket_vec, so a lazy table computes
@@ -48,6 +50,8 @@ from .dgcore import (
     ZERO_DG,
     _degree_positions,
     _check_image,
+    _accumulate,
+    _by_column,
     _columns_apart,
     _generator_dg,
     _generator_list,
@@ -71,7 +75,7 @@ from .dgcore import (
     validate_dg,
     zero_map,
 )
-from .exactq import ONE, QMatrix, Vector, ZERO, _unit_vec, rat, solve_matrix, vec_add, vec_scale, zero_vec
+from .exactq import ONE, QMatrix, Vector, ZERO, _unit_vec, rat, solve_matrix, vec_scale, zero_vec
 
 # a word is a tuple of generator indices; a polynomial maps words to scalars
 Word = tuple[int, ...]
@@ -524,14 +528,15 @@ def dgl_validate(l) -> list[str]:
 
     The report is the list of the full loops over all basis pairs and
     triples, in their order.  Leibniz says the bracket map B is a chain map,
-    d B = B d, and a map f respects brackets when f B_S = B_T (f (x) f); each
-    is one product per degree, compared column by column.  Let P be the keys
+    d B = B d; Jacobi says ad_x B = B D_x, whose column y (x) z is the triple
+    (x, y, z); and a map f respects brackets when f B_S = B_T (f (x) f).  Each
+    is compared column by column, one degree at a time.  Let P be the keys
     of the bracket table whose two elements are basis elements, zero values
     included; with no P on either side, no square is laid out.  Elsewhere
     both sides are zero vectors of the same length, so 0 = 0:
     - antisymmetry at pairs in P or its transpose;
-    - Jacobi at triples with a pair (2,3), (1,2) or (1,3) in P: elsewhere
-      the inner brackets of all three terms are missing.
+    - Jacobi for x the left element of a key in P: for any other x,
+      ad_x = 0 and D_x = 0.
     """
     if isinstance(l, FreeDGL):
         report = []
@@ -592,56 +597,41 @@ def _map_report(l: DGLMap) -> list[str]:
 
 def _lie_report(l: DGL) -> list[str]:
     report = list(validate_dg(l.underlying))
-    dg, get, keys = l.underlying, l.bracket.get, _basis_keys(l)
+    dg, keys = l.underlying, _basis_keys(l)
     lines = []  # (pair, 0 for antisymmetry or 1 for Leibniz, line), reported in the dense loops' order
     for k1, i1, k2, i2 in set(keys) | {(k2, i2, k1, i1) for k1, i1, k2, i2 in keys}:
         sign = -ONE if (k1 * k2) % 2 else ONE
         if l.bracket_basis(k1, i1, k2, i2) != vec_scale(-sign, l.bracket_basis(k2, i2, k1, i1)):
             lines.append(((k1, i1, k2, i2), 0, f"antisymmetry fails at ({k1},{i1}),({k2},{i2})"))
-    if keys:  # Leibniz: B is a chain map, d B = B d, below the cap and one above L's top
-        top = max(dg.degrees()) + 1
-        b, pairs = _bracket_map(l, _tensor_with_index(dg, dg, top if l.cap is None else min(l.cap, top)))
-        for k in b.source.degrees():
-            apart = _columns_apart(dg.d(k) * b.block(k), b.block(k - 1) * b.source.d(k))
-            lines += [(pairs[k][c], 1, "Leibniz fails at ({},{}),({},{})".format(*pairs[k][c])) for c in apart]
+    if not keys:
+        return report + [line for *_, line in sorted(lines)]
+    # one square: Leibniz reads its degrees <= cut; Jacobi reads B_m for m + |x| <= top,
+    # so m <= top - low, and D_x into degree m + |x| <= top
+    low, top = dg.degrees()[0], dg.degrees()[-1]
+    cut = top + 1 if l.cap is None else min(l.cap, top + 1)
+    sq, index = square = _tensor_with_index(dg, dg, max(cut, top, top - low))
+    b, pairs = _bracket_map(l, square)
+    for k in (k for k in sq.degrees() if k <= cut):  # Leibniz: B is a chain map, d B = B d
+        apart = _columns_apart(dg.d(k) * b.block(k), b.block(k - 1) * sq.d(k))
+        lines += [(pairs[k][c], 1, "Leibniz fails at ({},{}),({},{})".format(*pairs[k][c])) for c in apart]
     report += [line for *_, line in sorted(lines)]
-    items = [(k, i) for k in dg.degrees() for i in range(dg.dim(k))]
-    pos = {it: p for p, it in enumerate(items)}
-    everyone = range(len(items))
-    # rows[p]: the q with (items[p], items[q]) in P
-    rows: list[set[int]] = [set() for _ in items]
-    for k1, i1, k2, i2 in keys:
-        rows[pos[(k1, i1)]].add(pos[(k2, i2)])
-
-    def combo(k: int, terms) -> Vector:
-        """Sum of c * [key] over (key, c) in terms, in degree k."""
-        out = zero_vec(dg.dim(k))
-        for key, c in terms:
-            v = get(key) if c else None
-            if v is not None:
-                out = vec_add(out, vec_scale(c, v))
-        return out
-
-    active = [p for p in everyone if rows[p]]
-    for p in everyone:
-        k1, i1 = items[p]
-        for q in everyone if rows[p] else active:
-            k2, i2 = items[q]
-            v12 = get((k1, i1, k2, i2))
-            sign = -ONE if (k1 * k2) % 2 else ONE
-            for r in everyone if q in rows[p] else sorted(rows[p] | rows[q]):
-                k3, i3 = items[r]
-                k = k1 + k2 + k3
-                v23 = get((k2, i2, k3, i3))
-                v13 = get((k1, i1, k3, i3))
-                lhs = combo(k, (((k1, i1, k2 + k3, z), c) for z, c in enumerate(v23 or ())))
-                r1 = combo(k, (((k1 + k2, z, k3, i3), c) for z, c in enumerate(v12 or ())))
-                r2 = combo(k, (((k2, i2, k1 + k3, z), c) for z, c in enumerate(v13 or ())))
-                if lhs != vec_add(r1, vec_scale(sign, r2)):
-                    report.append(f"Jacobi fails at ({k1},{i1}),({k2},{i2}),({k3},{i3})")
-                    if len(report) > 40:
-                        return report
-    return report
+    # Jacobi: ad_x B_m = B_{m+|x|} D_x, with D_x(y (x) z) = [x,y] (x) z + (-1)^{|x||y|} y (x) [x,z],
+    # read off B's columns; for x the left element of no key, ad_x = 0 and D_x = 0
+    col, bad = _by_column(b.blocks), []
+    for a, ix in {key[:2] for key in keys}:
+        for m in (m for m in sq.degrees() if dg.dim(m + a)):
+            ad = {(r, j): v for j in range(dg.dim(m)) for r, v in col.get(index.get((a, ix, m, j)), ())}
+            dx: dict = {}
+            for c, (k2, i2, k3, i3) in enumerate(pairs[m]):
+                for r, v in col.get(index.get((a, ix, k2, i2)), ()):
+                    _accumulate(dx, (index[(k2 + a, r, k3, i3)][1], c), v)
+                for r, v in col.get(index.get((a, ix, k3, i3)), ()):
+                    _accumulate(dx, (index[(k2, i2, k3 + a, r)][1], c), -v if a * k2 % 2 else v)
+            lhs = QMatrix._of(dg.dim(m + a), dg.dim(m), ad) * b.block(m)
+            rhs = b.block(m + a) * QMatrix._of(sq.dim(m + a), sq.dim(m), dx)
+            bad += [(a, ix, *pairs[m][c]) for c in _columns_apart(lhs, rhs)]
+    jacobi = ["Jacobi fails at ({},{}),({},{}),({},{})".format(*t) for t in sorted(bad)]
+    return report + jacobi[:max(1, 41 - len(report))]
 
 
 def assert_valid_dgl(l, context: str = ""):

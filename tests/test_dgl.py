@@ -9,7 +9,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rht.dgcore import (
@@ -994,6 +994,7 @@ def _random_dgl_map(rng):
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
+@example(seed=14386, corrupt=True)  # the square must reach top - low: [y, z] lands in degree 2, which L lacks
 def test_dgl_validate_matches_the_dense_loops(seed, corrupt):
     rng = Random(seed)
     l = _random_dgl(rng)
@@ -1021,6 +1022,23 @@ def test_dgl_validate_reports_every_kind_of_failure():
         if any(r.startswith("map does not respect") for r in dgl_validate(_random_dgl_map(rng))):
             seen.add("map")
     assert seen == {"antisymmetry", "Leibniz", "Jacobi", "early return", "map"}
+
+
+def test_dgl_validate_matches_the_dense_loops_on_a_cobar_lie_model():
+    # the random tables span degrees -1..1; this cobar Lie model is positively graded, with long brackets
+    from rht.cli import build_model, parse_model
+    from rht.quillen import cobar_L
+
+    l = to_dgl(cobar_L(build_model(parse_model("models/polynomial.dgc")), 8))
+    dense = DGL(l.underlying, dict(l.bracket.items()), cap=l.cap)
+    assert (dense.underlying.total_dim(), len(dense.bracket)) == (16, 42)
+    rng, jacobi = Random(8), 0
+    for _ in range(30):
+        broken = _corrupt(rng, dense)
+        report = _dense_dgl_validate(broken)
+        assert dgl_validate(broken) == report
+        jacobi += any(line.startswith("Jacobi") for line in report)
+    assert jacobi  # some draws break Jacobi
 
 
 def test_leibniz_reads_a_bracket_above_the_top_degree_and_stops_at_the_cap():
