@@ -13,18 +13,18 @@ filtered DG, and its stages, layers and the triangular blocks of its
 differential are read off it by position: the layers and blocks are the
 tower's jet, with no second type for it.  The bracket-length filtration of
 a free DGL, which models the Taylor tower of the identity, is worked out
-here alone: bracket_tower is that filtration as a Tower, and
-bracket_filtration adds the brackets to its stages.
+here alone: bracket_tower is that filtration as a Tower, bracket_filtration
+adds the brackets to its stages, and layer_report counts each layer's
+formula (Lie(n) (x) X^{(x) n})_{Sigma_n} from the character of Lie(n).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .dgc import DGC, CofreeDGCMap, _as_dgc, _moved_table, _suspended_coproduct, cofree_lambda, to_dgc
 from .dgcore import (
@@ -665,31 +665,45 @@ def lie_n(n: int) -> LieRep:
     return LieRep(n, SymmetricDG(und, n, actions))
 
 
+def _mobius(n: int) -> int:
+    """mu(n) by its divisor recursion: mu(1) = 1, and mu sums to 0 over the divisors of n > 1."""
+    return 1 if n == 1 else -sum(_mobius(d) for d in range(1, n) if n % d == 0)
+
+
+def _lie_coinvariant_dims(x: DG, n: int, degree: int, twisted: bool) -> dict[int, int]:
+    """Chain dims of (Lie(n) (x) x^{(x) n})_{Sigma_n}, Lie(n) in one degree and sign-twisted or
+    not, from its character: mu(d) (n/d)! d^(n/d) / n on the cycle type (d^(n/d)), 0 elsewhere
+    (Brandt 1944).  So they are (1/n) sum_{d | n} mu(d) sgn(d^(n/d)) [t^k] p_d(t)^(n/d), sgn only
+    when twisted, for p_d(t) = sum_k dim x_k (-1)^(k(d-1)) t^(kd): a d-cycle fixes a tuple only
+    when it repeats one element, which it rotates with that Koszul sign."""
+    total: dict[int, int] = {}
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        p = {k * d: x.dim(k) * (-1) ** (k * (d - 1)) for k in x.degrees()}
+        power = {0: _mobius(d) * ((-1) ** ((d - 1) * (n // d)) if twisted else 1)}
+        for _ in range(n // d):
+            nxt: dict[int, int] = {}
+            for (a, u), (b, w) in itertools.product(power.items(), p.items()):
+                nxt[a + b] = nxt.get(a + b, 0) + u * w
+            power = nxt
+        for k, c in power.items():
+            total[k] = total.get(k, 0) + c
+    assert all(c % n == 0 for c in total.values()), "internal: a character sum is not divisible by n"
+    return {k + degree: c // n for k, c in sorted(total.items()) if c}
+
+
 # -- homogeneous functors ------------------------------------------------------------
 
 
-def _power_with_swaps(
-    x: DG, n: int, top: Optional[int] = None
-) -> tuple[DG, list[DGMap], dict[int, list[list[int]]]]:
+def _power_with_swaps(x: DG, n: int) -> tuple[DG, list[DGMap], dict[int, list[list[int]]]]:
     """x^{(x) n} with the n-1 adjacent Koszul-signed factor swaps, and per
     degree its positions grouped by Sigma_n-orbit (by multiset of factors),
-    each group in increasing order.
-
-    With a top degree, only the factor tuples of total degree <= top: a
-    subcomplex closed under the swaps.  A prefix is extended only while the
-    factors still to come, each of degree >= x's least, can keep it <= top,
-    and prefixes are extended in order, so each degree lists its tuples in
-    itertools.product's order, as the whole power does."""
+    each group in increasing order."""
     factors = [(k, i) for k in x.degrees() for i in range(x.dim(k))]
-    low = min(x.degrees(), default=0)
-    combos: list[tuple[tuple, int]] = [((), 0)]
-    for rest in range(n - 1, -1, -1):  # rest: the factors still to come after this one
-        fits = math.inf if top is None else top - rest * low
-        combos = [(c + (f,), s + f[0]) for c, s in combos for f in factors if s + f[0] <= fits]
     by_deg: dict[int, list[tuple]] = {}
     index: dict[tuple, tuple[int, int]] = {}
     orbits: dict[int, dict[tuple, list[int]]] = {}
-    for combo, total in combos:
+    for combo in itertools.product(factors, repeat=n):
+        total = sum(k for k, _ in combo)
         lst = by_deg.setdefault(total, [])
         index[combo] = (total, len(lst))
         orbits.setdefault(total, {}).setdefault(tuple(sorted(combo)), []).append(len(lst))
@@ -726,19 +740,14 @@ def _power_with_swaps(
     return pw, swaps, {deg: list(groups.values()) for deg, groups in orbits.items()}
 
 
-def homogeneous_eval(coefficient: SymmetricDG, x: DG, n: int, top: Optional[int] = None) -> DG:
-    """(A (x) x^{(x) n})_{Sigma_n} in DG, as the orbit quotient.
-
-    With a top degree, the result is the whole result's restriction to the
-    degrees <= top, with the same names and differential there: the
-    quotient is built only in those degrees.
-    """
+def homogeneous_eval(coefficient: SymmetricDG, x: DG, n: int) -> DG:
+    """(A (x) x^{(x) n})_{Sigma_n} in DG, as the orbit quotient."""
     if coefficient.n != n:
         raise ValueError("coefficient arity does not match n")
-    return _orbit_quotient(coefficient, x, n, top)[0]
+    return _orbit_quotient(coefficient, x, n)[0]
 
 
-def _orbit_quotient(coefficient: SymmetricDG, x: DG, n: int, top: Optional[int] = None) -> tuple[DG, DGMap]:
+def _orbit_quotient(coefficient: SymmetricDG, x: DG, n: int) -> tuple[DG, DGMap]:
     """The quotient of A (x) x^{(x) n} by the images of a (x) s - 1, with its
     projection.
 
@@ -747,24 +756,16 @@ def _orbit_quotient(coefficient: SymmetricDG, x: DG, n: int, top: Optional[int] 
     factor tuples.  Each block is built from A's action columns and the signed
     swaps, in the whole tensor's column and row order, and _block_quotient
     eliminates them one by one: the same quotient as the whole tensor's.
-
-    With a top degree, only the degrees <= top: they form a subcomplex, as d
-    lowers degree, each degree's quotient reads only that degree's blocks,
-    and each degree's positions are the whole tensor's.  So names, projection
-    and differential there are the whole quotient's.
     """
     a = coefficient.underlying
-    pw_top = None if top is None else top - min(a.degrees(), default=0)
-    pw, swaps, by_orbit = _power_with_swaps(x, n, pw_top)
-    und, at = _tensor_with_index(a, pw, top)
+    pw, swaps, by_orbit = _power_with_swaps(x, n)
+    und, at = _tensor_with_index(a, pw)
     acts = [_by_column(g.blocks) for g in coefficient.action]
     moves = [_by_column(s.blocks) for s in swaps]
     blocks: dict[int, list[tuple[list[int], QMatrix]]] = {}
     for i in a.degrees():
         dim = a.dim(i)
         for j, groups in by_orbit.items():
-            if top is not None and i + j > top:
-                continue
             for orb in groups:
                 size, local = len(orb), {q: t for t, q in enumerate(orb)}
                 cols = dim * size
@@ -917,12 +918,11 @@ def cobar_tower(c, n: int, cap: int) -> Tower:
 def layer_report(x: DG, layers: Sequence[DG], cap: int) -> dict[int, dict]:
     """Layer k against the derivative formula (Lie(k) (x) x^{(x) k})_{Sigma_k}
     desuspended, for x the coalgebra's underlying DG: their dims at or below
-    the cap, the only degrees the formula is built in."""
+    the cap, the formula's counted from the character of Lie(k)."""
     report = {}
     for k, layer in enumerate(layers, 1):
-        # delooped into DGL: one desuspension, so the quotient is built through cap + 1
-        formula = shift(homogeneous_eval(lie_n(k).derivative(), x, k, top=cap + 1), -1)
-        fd = {d: formula.dim(d) for d in formula.degrees() if d <= cap and formula.dim(d)}
+        # Lie(k) sign-twisted in degree 1 - k, delooped into DGL by one desuspension
+        fd = {d: c for d, c in _lie_coinvariant_dims(x, k, -k, True).items() if d <= cap}
         ld = {d: layer.dim(d) for d in layer.degrees() if d <= cap and layer.dim(d)}
         report[k] = {"layer": ld, "formula": fd, "match": ld == fd}
     return report

@@ -521,8 +521,7 @@ COMMANDS = {
 
 # least legal -n per subcommand: a tower needs a stage, a cross effect may be empty
 N_FLOOR = {"tower": 1, "layers": 1, "jet": 1, "crosseffect": 0}
-# greatest legal -n: layers builds each formula from Lie(n), computed for n <= 8; tower and jet build no
-# Lie(n) and keep the same ceiling; a cross effect builds 2^n subsets
+# greatest legal -n: a cross effect builds 2^n subsets; tower, layers and jet keep 8 until a work budget replaces it
 N_CEILING = {"tower": 8, "layers": 8, "jet": 8, "crosseffect": 10}
 
 

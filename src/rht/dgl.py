@@ -28,7 +28,7 @@ Leibniz, Jacobi and the map condition read the bracket as one degree-zero map
 B: L (x) L -> L on a tensor square laid out once (_bracket_map): B is a chain
 map, each ad_x is a derivation of B, ad_x B = B D_x with
 D_x(y (x) z) = [x,y] (x) z + (-1)^{|x||y|} y (x) [x,z], and a map f has
-f B_S = B_T (f (x) f).  Antisymmetry stays a loop over the table's keys.
+f B_S = B_T (f (x) f).  Antisymmetry compares B's columns (x, y) and (y, x).
 
 A sub-DGL (_sub_dgl, for reductions and strict limits) takes the brackets of
 its inclusion's columns through DGL.bracket_vec, so a lazy table computes
@@ -568,12 +568,12 @@ def _bracket_map(l: DGL, square) -> tuple[DGMap, dict[int, list[tuple[int, int, 
     for key, (k, _) in index.items():  # each degree's pairs in column order
         pairs[k].append(key)
     ent: dict[int, dict] = {k: {} for k in pairs}
-    for key, v in l.bracket.items():
-        if key in index:  # a pair of basis elements below the square's top
-            k, col = index[key]
-            if len(v) != dg.dim(k):
-                raise ValueError(f"the bracket value at {key} has length {len(v)}, not {dg.dim(k)}")
-            ent[k].update(((r, col), x) for r, x in enumerate(v) if x)
+    for key in _basis_keys(l):  # every value's length is checked; those below the square's top are placed
+        v, k = l.bracket[key], key[0] + key[2]
+        if len(v) != dg.dim(k):
+            raise ValueError(f"the bracket value at {key} has length {len(v)}, not {dg.dim(k)}")
+        if key in index:
+            ent[k].update(((r, index[key][1]), x) for r, x in enumerate(v) if x)
     return DGMap(sq, dg, {k: QMatrix(dg.dim(k), sq.dim(k), e) for k, e in ent.items()}), pairs
 
 
@@ -598,26 +598,27 @@ def _map_report(l: DGLMap) -> list[str]:
 def _lie_report(l: DGL) -> list[str]:
     report = list(validate_dg(l.underlying))
     dg, keys = l.underlying, _basis_keys(l)
-    lines = []  # (pair, 0 for antisymmetry or 1 for Leibniz, line), reported in the dense loops' order
-    for k1, i1, k2, i2 in set(keys) | {(k2, i2, k1, i1) for k1, i1, k2, i2 in keys}:
-        sign = -ONE if (k1 * k2) % 2 else ONE
-        if l.bracket_basis(k1, i1, k2, i2) != vec_scale(-sign, l.bracket_basis(k2, i2, k1, i1)):
-            lines.append(((k1, i1, k2, i2), 0, f"antisymmetry fails at ({k1},{i1}),({k2},{i2})"))
     if not keys:
-        return report + [line for *_, line in sorted(lines)]
+        return report
     # one square: Leibniz reads its degrees <= cut; Jacobi reads B_m for m + |x| <= top,
     # so m <= top - low, and D_x into degree m + |x| <= top
     low, top = dg.degrees()[0], dg.degrees()[-1]
     cut = top + 1 if l.cap is None else min(l.cap, top + 1)
     sq, index = square = _tensor_with_index(dg, dg, max(cut, top, top - low))
     b, pairs = _bracket_map(l, square)
+    col, asym, bad = _by_column(b.blocks), set(), []
+    # antisymmetry: column (x, y) of B is -(-1)^{|x||y|} times column (y, x); above the square both are 0
+    for k1, i1, k2, i2 in (key for key in keys if key in index):
+        yx = col.get(index[(k2, i2, k1, i1)], ())
+        if dict(col.get(index[(k1, i1, k2, i2)], ())) != {r: v if k1 * k2 % 2 else -v for r, v in yx}:
+            asym |= {(k1, i1, k2, i2), (k2, i2, k1, i1)}
+    lines = [(pair, 0, "antisymmetry fails at ({},{}),({},{})".format(*pair)) for pair in asym]
     for k in (k for k in sq.degrees() if k <= cut):  # Leibniz: B is a chain map, d B = B d
         apart = _columns_apart(dg.d(k) * b.block(k), b.block(k - 1) * sq.d(k))
         lines += [(pairs[k][c], 1, "Leibniz fails at ({},{}),({},{})".format(*pairs[k][c])) for c in apart]
-    report += [line for *_, line in sorted(lines)]
+    report += [line for *_, line in sorted(lines)]  # in the dense loops' order
     # Jacobi: ad_x B_m = B_{m+|x|} D_x, with D_x(y (x) z) = [x,y] (x) z + (-1)^{|x||y|} y (x) [x,z],
     # read off B's columns; for x the left element of no key, ad_x = 0 and D_x = 0
-    col, bad = _by_column(b.blocks), []
     for a, ix in {key[:2] for key in keys}:
         for m in (m for m in sq.degrees() if dg.dim(m + a)):
             ad = {(r, j): v for j in range(dg.dim(m)) for r, v in col.get(index.get((a, ix, m, j)), ())}

@@ -46,7 +46,8 @@ from rht.calculus import (
     _into_holim,
     _join_map,
     _left_normed_expand,
-    _orbit_quotient,
+    _lie_coinvariant_dims,
+    _mobius,
     _outof_hocolim,
     _perm_sort_sign,
 )
@@ -644,44 +645,6 @@ def _old_homogeneous_eval(coefficient, x, n, target):
     return reduce_dg(2, orbits)
 
 
-def _mobius(d):
-    out, p = 1, 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return 0
-            out = -out
-        p += 1
-    return -out if d > 1 else out
-
-
-def _lie_coinvariant_dims(x, n, degree, twisted):
-    """Chain dims of (Lie(n) (x) X^(x)n)_{Sigma_n}, Lie(n) in one degree and
-    sign-twisted or not, from characters alone.  The character of Lie(n) is
-    mu(d) (n/d)! d^(n/d) / n on the cycle type (d^(n/d)) and 0 elsewhere, so
-    class size times character is n! mu(d) / n there, and the dimension is
-    (1/n) sum over d | n of mu(d) sgn(d^(n/d)) [t^k] p_d(t)^(n/d), sgn only when
-    twisted, with the Koszul-signed power sum p_d(t) = sum_k dim X_k
-    (-1)^(k(d-1)) t^(kd): a d-cycle fixes a tuple only when it repeats one
-    element, which it rotates with the sign (-1)^(k(d-1))."""
-    total = {}
-    for d in (d for d in range(1, n + 1) if n % d == 0):
-        p = {k * d: x.dim(k) * (-1) ** (k * (d - 1)) for k in x.degrees()}
-        power = {0: 1}
-        for _ in range(n // d):
-            nxt = {}
-            for a, u in power.items():
-                for b, w in p.items():
-                    nxt[a + b] = nxt.get(a + b, 0) + u * w
-            power = nxt
-        sign = (-1) ** ((d - 1) * (n // d)) if twisted else 1
-        for k, c in power.items():
-            total[k] = total.get(k, 0) + _mobius(d) * sign * c
-    assert all(c % n == 0 for c in total.values())
-    return {k + degree: c // n for k, c in sorted(total.items()) if c}
-
-
 def _chain_dims(v):
     return {k: v.dim(k) for k in v.degrees() if v.dim(k)}
 
@@ -719,52 +682,6 @@ def test_derivative_layers_have_the_dimensions_of_the_character_formula(model):
     for n in range(1, 6):
         got = homogeneous_eval(lie_n(n).derivative(), x, n)
         assert _chain_dims(got) == _lie_coinvariant_dims(x, n, 1 - n, True)
-
-
-def _below(v, top):
-    """A DG's degrees <= top, a subcomplex, with their names and differential."""
-    return DG({k: b for k, b in v.basis.items() if k <= top}, {k: m for k, m in v.diff.items() if k <= top})
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from(["derivative", "placed"]),
-       st.sampled_from(["dg", "dgl", "dgc"]), st.integers(-8, 8))
-def test_windowed_homogeneous_eval_is_the_whole_one_at_and_below_top(seed, n, kind, target, top):
-    rng = random.Random(seed)
-    # degrees down to -2, so the tuples' least degree per factor is often <= 0
-    x = random_dg(rng, -2, 2, {1: 3, 2: 3, 3: 2, 4: 2, 5: 1}[n])
-    degree, twisted = (1 - n, True) if kind == "derivative" else (rng.randint(-2, 2), False)
-    coefficient = lie_n(n).placed(degree, twisted)
-    # the deloop into DGL lowers every degree by one
-    inner = top + 1 if target == "dgl" else top
-    got = _delooped(homogeneous_eval(coefficient, x, n, top=inner), target)
-    assert _same(got, _below(_delooped(homogeneous_eval(coefficient, x, n), target), top))
-    # the quotient before the target's deloop: names, projection, differential
-    (whole, whole_proj), (part, proj) = _orbit_quotient(coefficient, x, n), _orbit_quotient(coefficient, x, n, inner)
-    assert _same(part, _below(whole, inner))
-    assert _same(proj.source, _below(whole_proj.source, inner))
-    assert all(proj.block(k) == whole_proj.block(k) for k in proj.source.degrees())
-    # the power itself: positions, swaps and orbits in each degree <= top
-    pw_top = inner - degree
-    whole_pw, whole_swaps, whole_orbits = _power_with_swaps(x, n)
-    pw, swaps, orbits = _power_with_swaps(x, n, pw_top)
-    assert _same(pw, _below(whole_pw, pw_top))
-    assert orbits == {k: o for k, o in whole_orbits.items() if k <= pw_top}
-    for s, w in zip(swaps, whole_swaps):
-        assert all(s.block(k) == w.block(k) for k in pw.degrees())
-
-
-@pytest.mark.parametrize("n", [7, 8])
-def test_derivative_layers_at_n_7_and_8_have_the_character_formula_dimensions_in_the_window(n):
-    """The layers command's formula at cap 10 on the shipped model: the
-    desuspended quotient, built in the degrees <= 10 only.  At n = 8 those hold
-    the orbits of v2^(x)8 and v2^(x)7 (x) v4, in degrees 8 and 10."""
-    from rht.cli import build_model, parse_model
-
-    x = build_model(parse_model("models/polynomial.dgc")).underlying
-    got = shift(homogeneous_eval(lie_n(n).derivative(), x, n, top=11), -1)
-    want = {k: c for k, c in _lie_coinvariant_dims(x, n, -n, True).items() if k <= 10}
-    assert _chain_dims(got) == want and want
 
 
 # -- Taylor layers of the cobar tower ------------------------------------------------

@@ -303,6 +303,15 @@ def test_layers_match_flag_and_json():
     assert doc["layers"]["2"]["layer"] == {"2": 1, "4": 1, "6": 2}
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_layers_at_n_7_and_8_equal_their_golden_files(n):
+    """The golden files were made by building each formula as the orbit
+    quotient of Lie(n); layers now counts it from the character of Lie(n)."""
+    status, out = run("layers", "-n", str(n), f"{MODELS}/polynomial.dgc", "--truncate", "10")
+    assert status == 0
+    assert out == pathlib.Path(f"tests/golden/layers-n{n}-polynomial-t10.txt").read_text(encoding="utf-8")
+
+
 def test_jet_reports_exact_rationals():
     status, out = run("jet", "-n", "2", f"{MODELS}/polynomial.dgc", "--truncate", "7")
     assert status == 0
@@ -381,7 +390,7 @@ def test_exit_paths(tmp_path, capsys, text, argv, code, err, out):
         ("layers", "-n", "0", f"{MODELS}/polynomial.dgc"),
         ("jet", "-n", "-2", f"{MODELS}/polynomial.dgc"),
         ("crosseffect", "-n", "-1", f"{MODELS}/twocell.dg"),
-        # -n above 8 is refused before the model is read (layers builds Lie(n), computed for n <= 8)
+        # -n above 8 is refused before the model is read: the ceiling stays until a work budget replaces it
         ("tower", "-n", "9", f"{MODELS}/s3.dgc"),
         ("layers", "-n", "9", f"{MODELS}/s3.dgc", "--truncate", "4"),
         ("jet", "-n", "9", f"{MODELS}/polynomial.dgc"),

@@ -1057,6 +1057,14 @@ def test_a_bracket_value_of_the_wrong_length_is_an_error():
             dgl_validate(DGL(dg, {(1, 0, 1, 0): value}))
 
 
+def test_a_bracket_value_of_the_wrong_length_above_the_square_is_an_error():
+    # the cap 2 lays the square out through degree 2 only; [x, y] lands in degree 3, where L is 0
+    dg = DG({1: ("x",), 2: ("y",)})
+    for value in ((ONE,), (ONE, ONE)):
+        with pytest.raises(ValueError, match="has length"):
+            dgl_validate(DGL(dg, {(1, 0, 2, 0): value}, cap=2))
+
+
 def test_no_square_is_laid_out_where_no_bracket_can_fail(monkeypatch):
     import rht.dgl as dgl
 

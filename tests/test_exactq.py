@@ -965,7 +965,7 @@ def test_unchecked_constructor_sites_build_what_the_checked_one_builds(monkeypat
     homogeneous_eval(lie_n(3).derivative(), x, 3)
     # b (x) b and c (x) c are fixed by the swap, with the sign-twisted Lie(2)
     # acting by +1, so their a (x) s - 1 columns are the zeros the block drops
-    homogeneous_eval(lie_n(2).derivative(), x, 2, top=4)
+    homogeneous_eval(lie_n(2).derivative(), x, 2)
     assert sites == {
         *(f"rht.exactq.{f}" for f in ("from_rows", "__add__", "scale", "__mul__", "transpose",
                                      "hstack", "vstack", "direct_sum", "rref_from", "_solve")),
