@@ -589,7 +589,11 @@ def main(argv=None) -> int:
             raise UsageError(f"{args.command} needs -n >= {N_FLOOR[args.command]}, got {args.n}")
         if args.command in N_CEILING and args.n > N_CEILING[args.command]:
             raise UsageError(f"{args.command} needs -n <= {N_CEILING[args.command]}, got {args.n}")
-        mf = parse_model(args.path)
+        try:
+            mf = parse_model(args.path)
+        except OSError:  # missing, a directory, unreadable: only the model read is caught
+            print(f"error: cannot read {args.path}", file=sys.stderr)
+            return 1
         if args.truncate is not None:
             mf.truncate = args.truncate
         args.win = _parse_window(args.window, mf.truncate)
@@ -618,9 +622,6 @@ def main(argv=None) -> int:
         return 2
     except ModelError as e:
         print(e.render(args.path), file=sys.stderr)
-        return 1
-    except FileNotFoundError:
-        print(f"error: cannot read {args.path}", file=sys.stderr)
         return 1
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,11 +9,13 @@ raising differential carrying half of the reduced coproduct.  Both land in
 truncated (co)free objects, so every output can be expanded and validated
 degree by degree.
 
-The input's kind picks each construction.  linearize_equiv compares C(L)
-with s(L)^ab for a free DGL, s^-1 C with L(C) for a cofree DGC.  The stable
-category is plain DG: stabilization is s(L)^ab, a coalgebra's
-de-augmentation or a DG itself; Omega^infinity is reduce_dg into DG and
-infinite_loops_dgl and infinite_loops_dgc into DGL and DGC.
+The input's kind picks each construction, except cobar_L's sign_rule
+("desuspended", the default, or "suspended", the counit counterexample that
+the tests freeze).  linearize_equiv compares C(L) with s(L)^ab for a free
+DGL, s^-1 C with L(C) for a cofree DGC.  The stable category is plain DG:
+stabilization is s(L)^ab, a coalgebra's de-augmentation or a DG itself;
+Omega^infinity is reduce_dg into DG and infinite_loops_dgl and
+infinite_loops_dgc into DGL and DGC.
 """
 
 from __future__ import annotations

@@ -333,8 +333,10 @@ def test_tower_and_crosseffect():
 # -- exit codes and determinism ------------------------------------------------------------
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert run("homology", str(tmp_path / "missing.dg"))[0] == 1
+    assert run("homology", str(tmp_path))[0] == 1  # a directory is no readable model
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: cannot read {tmp_path}"
     bad = write(tmp_path, "object x\ngen a 2\n")
     assert run("verify", bad)[0] == 1
     assert run("homology", f"{MODELS}/s3.dgc", "--window", "junk")[0] == 2

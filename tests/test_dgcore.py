@@ -274,6 +274,25 @@ def test_is_quasi_iso_matches_the_three_reduction_test(seed, same_target, top):
         assert is_quasi_iso_through(f, top) == _three_reduction_quasi_iso(f, top)
 
 
+@pytest.mark.parametrize(
+    "source, target, through_2",
+    [
+        # H_2(f) onto but not one-to-one
+        (DG({2: ("a", "b")}), DG({2: ("c",)}), False),
+        # H_2(f) an isomorphism, H_3(f) not onto
+        (DG({2: ("a",)}), DG({2: ("c",), 3: ("e",)}), True),
+    ],
+)
+def test_quasi_iso_through_the_top_degree_reads_the_top_dims(source, target, through_2):
+    # both cones have homology {3: 1}, so the cone through 2 says True for both
+    # and the cone through 3 says False for both
+    f = DGMap(source, target, {2: QMatrix.from_rows([[1] + [0] * (source.dim(2) - 1)])})
+    assert homology_dims(ho_cofiber(f)) == {3: 1}
+    for top, want in ((2, through_2), (1, True)):
+        assert is_quasi_iso_through(f, top) == want == _three_reduction_quasi_iso(f, top)
+    assert not is_quasi_iso(f) and not _three_reduction_quasi_iso(f)
+
+
 def test_quotient_that_does_not_span_is_an_internal_error(monkeypatch):
     # an elimination of [K | I] that comes back short of full rank
     monkeypatch.setattr("rht.dgcore.rref_from", lambda m, start: (QMatrix.zero(m.rows, m.cols), []))
