@@ -32,7 +32,6 @@ from .dgcore import (
     DGMap,
     Cube,
     SymmetricDG,
-    _block_quotient,
     _by_column,
     _cube_sum,
     _generator_table,
@@ -46,6 +45,7 @@ from .dgcore import (
     homology_dims,
     identity_map,
     map_scale,
+    quotient_dg,
     reduce_dg,
     reduce_with_inclusion,
     shift,
@@ -55,7 +55,7 @@ from .dgcore import (
     tensor_map,
 )
 from .dgl import DGL, FreeDGL, FreeDGLMap, free_lie_basis, to_dgl
-from .exactq import ONE, QMatrix, ZERO, _moved, _negated, solve_matrix
+from .exactq import _MINUS_ONE, ONE, QMatrix, ZERO, _moved, _negated, solve_matrix
 from .quillen import cobar_L
 
 
@@ -694,19 +694,15 @@ def _lie_coinvariant_dims(x: DG, n: int, degree: int, twisted: bool) -> dict[int
 # -- homogeneous functors ------------------------------------------------------------
 
 
-def _power_with_swaps(x: DG, n: int) -> tuple[DG, list[DGMap], dict[int, list[list[int]]]]:
-    """x^{(x) n} with the n-1 adjacent Koszul-signed factor swaps, and per
-    degree its positions grouped by Sigma_n-orbit (by multiset of factors),
-    each group in increasing order."""
+def _power_with_swaps(x: DG, n: int) -> tuple[DG, list[DGMap]]:
+    """x^{(x) n} with the n-1 adjacent Koszul-signed factor swaps."""
     factors = [(k, i) for k in x.degrees() for i in range(x.dim(k))]
     by_deg: dict[int, list[tuple]] = {}
     index: dict[tuple, tuple[int, int]] = {}
-    orbits: dict[int, dict[tuple, list[int]]] = {}
     for combo in itertools.product(factors, repeat=n):
         total = sum(k for k, _ in combo)
         lst = by_deg.setdefault(total, [])
         index[combo] = (total, len(lst))
-        orbits.setdefault(total, {}).setdefault(tuple(sorted(combo)), []).append(len(lst))
         lst.append(combo)
     basis = {
         deg: tuple(
@@ -729,65 +725,46 @@ def _power_with_swaps(x: DG, n: int) -> tuple[DG, list[DGMap], dict[int, list[li
                 sign = -sign if k % 2 else sign
         diff[deg] = QMatrix(len(tgt), len(lst), ent)
     pw = DG(basis, diff)
-    swaps, minus = [], _negated(ONE)
+    swaps = []
     for m in range(n - 1):
         blocks: dict[int, dict] = {}
         for combo, (deg, col) in index.items():
             new = combo[:m] + (combo[m + 1], combo[m]) + combo[m + 2 :]
-            sgn = minus if (combo[m][0] * combo[m + 1][0]) % 2 else ONE
+            sgn = _MINUS_ONE if (combo[m][0] * combo[m + 1][0]) % 2 else ONE
             blocks.setdefault(deg, {})[(index[new][1], col)] = sgn
         swaps.append(DGMap(pw, pw, {k: QMatrix._of(pw.dim(k), pw.dim(k), e) for k, e in blocks.items()}))
-    return pw, swaps, {deg: list(groups.values()) for deg, groups in orbits.items()}
+    return pw, swaps
 
 
 def homogeneous_eval(coefficient: SymmetricDG, x: DG, n: int) -> DG:
-    """(A (x) x^{(x) n})_{Sigma_n} in DG, as the orbit quotient."""
+    """(A (x) x^{(x) n})_{Sigma_n} in DG: A (x) x^{(x) n} modulo the images of
+    a (x) s - 1, laid out as sym_orbits lays them out (column g dim_k + c holds
+    (a_g (x) s_g) e_c - e_c) and read off A's action columns and the signed
+    swaps.  This K is block-diagonal by Sigma_n-orbit of factor tuples, and
+    quotient_dg takes it whole, in one elimination per degree."""
     if coefficient.n != n:
         raise ValueError("coefficient arity does not match n")
-    return _orbit_quotient(coefficient, x, n)[0]
-
-
-def _orbit_quotient(coefficient: SymmetricDG, x: DG, n: int) -> tuple[DG, DGMap]:
-    """The quotient of A (x) x^{(x) n} by the images of a (x) s - 1, with its
-    projection.
-
-    a (x) s keeps A's degree and the multiset of x's factors, so the killed
-    images of a (x) s - 1 form one block per degree of A and Sigma_n-orbit of
-    factor tuples.  Each block is built from A's action columns and the signed
-    swaps, in the whole tensor's column and row order, and _block_quotient
-    eliminates them one by one: the same quotient as the whole tensor's.
-    """
-    a = coefficient.underlying
-    pw, swaps, by_orbit = _power_with_swaps(x, n)
-    und, at = _tensor_with_index(a, pw)
-    acts = [_by_column(g.blocks) for g in coefficient.action]
-    moves = [_by_column(s.blocks) for s in swaps]
-    blocks: dict[int, list[tuple[list[int], QMatrix]]] = {}
-    for i in a.degrees():
-        dim = a.dim(i)
-        for j, groups in by_orbit.items():
-            for orb in groups:
-                size, local = len(orb), {q: t for t, q in enumerate(orb)}
-                cols = dim * size
-                ent: dict[tuple[int, int], Fraction] = {}
-                for g, (act, move) in enumerate(zip(acts, moves)):
-                    images = [(local[q2], sign > 0) for ((q2, sign),) in (move[(j, q)] for q in orb)]
-                    for p in range(dim):
-                        column = act.get((i, p), ())
-                        for t, (u, plus) in enumerate(images, p * size):  # t: the local row of (p, q)
-                            c = g * cols + t
-                            for row, y in column:
-                                ent[(row * size + u, c)] = y if plus else _negated(y)
-                            y = ent.get((t, c))
-                            if y is None:
-                                ent[(t, c)] = _negated(ONE)
-                            elif y == ONE:  # a fixed point a (x) s = a (x) s kills nothing
-                                del ent[(t, c)]
-                            else:
-                                ent[(t, c)] = y - ONE
-                at_block = [at[(i, p, j, q)][1] for p in range(dim) for q in orb]
-                blocks.setdefault(i + j, []).append((at_block, QMatrix._of(cols, len(acts) * cols, ent)))
-    return _block_quotient(und, blocks, "orb")
+    pw, swaps = _power_with_swaps(x, n)
+    und, at = _tensor_with_index(coefficient.underlying, pw)
+    dims = {k: und.dim(k) for k in und.degrees()}
+    ent: dict[int, dict[tuple[int, int], Fraction]] = {k: {} for k in dims}
+    for g, (a, s) in enumerate(zip(coefficient.action, swaps)):
+        act = _by_column(a.blocks)
+        move = {jq: (q2, sign > 0) for jq, ((q2, sign),) in _by_column(s.blocks).items()}
+        for (i, p, j, q), (k, c) in at.items():
+            e, col = ent[k], g * dims[k] + c
+            q2, plus = move[(j, q)]
+            for r, y in act.get((i, p), ()):
+                e[(at[(i, r, j, q2)][1], col)] = y if plus else _negated(y)
+            y = e.get((c, col))
+            if y is None:
+                e[(c, col)] = _MINUS_ONE
+            elif y == ONE:  # a fixed point a (x) s = a (x) s kills nothing
+                del e[(c, col)]
+            else:
+                e[(c, col)] = y - ONE
+    killed = {k: QMatrix._of(dims[k], len(swaps) * dims[k], e) for k, e in ent.items()}
+    return quotient_dg(und, killed, prefix="orb")[0]
 
 
 # -- Taylor layers of the cobar tower ------------------------------------------------

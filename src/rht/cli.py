@@ -57,8 +57,9 @@ RAT_RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
 
 
 def _split_terms(s: str, line: int):
-    """Yield (sign, chunk) for each top-level +/- separated term."""
-    terms, depth, sign, buf = [], 0, 1, []
+    """Yield (sign, chunk) for each top-level +/- separated term.  Only the
+    first operator may have no term before it: a leading sign."""
+    terms, depth, sign, buf, leading = [], 0, 1, [], True
     for ch in s:
         if ch == "[":
             depth += 1
@@ -70,9 +71,9 @@ def _split_terms(s: str, line: int):
             chunk = "".join(buf).strip()
             if chunk:
                 terms.append((sign, chunk))
-            elif terms:
+            elif not leading:
                 raise ModelError("empty term", line)
-            sign, buf = (1 if ch == "+" else -1), []
+            sign, buf, leading = (1 if ch == "+" else -1), [], False
         else:
             buf.append(ch)
     if depth:
@@ -451,7 +452,8 @@ def cmd_tower(model, mf, args, report):
 def cmd_layers(model, mf, args, report):
     from .calculus import layer_report
 
-    match = layer_report(model.underlying, _tower(model, mf, args.n).layers, mf.truncate)
+    tower = _tower(model, mf, args.n)  # first: it turns away a model that is not a dgc
+    match = layer_report(model.underlying, tower.layers, mf.truncate)
     report["layers"] = {
         k: {
             "layer": dict(sorted(match[k]["layer"].items())),

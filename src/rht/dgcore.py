@@ -728,45 +728,26 @@ def quotient_dg(v: DG, killed: Mapping[int, QMatrix], prefix: str = "q") -> tupl
     that complete the span of K.  The rref is [T K | T] for the row operations
     T, and the rows holding those pivots are zero in the K part, so their I
     part is the projection: the unique P with P K = 0 and P = 1 on the
-    representatives.  This is _block_quotient with one block per degree.
-    """
-    blocks = {k: [(range(v.dim(k)), killed.get(k, QMatrix.zero(v.dim(k), 0)))] for k in v.degrees()}
-    return _block_quotient(v, blocks, prefix)
-
-
-def _block_quotient(
-    v: DG, blocks: Mapping[int, Sequence[tuple[Sequence[int], QMatrix]]], prefix: str
-) -> tuple[DG, DGMap]:
-    """quotient_dg for a block-diagonal killed matrix.  blocks[k] partitions
-    degree k's basis into blocks (at, K_B): the positions in increasing order
-    and the killed columns on them, row i of K_B at position at[i].
-
-    A block's column lies in the span of the columns left of it exactly when
-    it lies in the span of its own block's, and the row space is the sum of
-    the blocks'.  So the rref of [K | I], which is unique, is the union of the
-    rrefs of the [K_B | I_B], and only their rows below K_B are read.
+    representatives.  A block-diagonal K, such as g - 1 on the orbits of a
+    permuted basis, is taken whole: each pivot step reaches only the rows that
+    hold its column, all in the pivot's block, so splitting K saves no work.
     """
     reps: dict[int, list[int]] = {}
     proj_blocks: dict[int, QMatrix] = {}
     basis = {}
     for k in v.degrees():
-        rows: list[tuple[int, dict[int, Fraction]]] = []  # (representative, projection row)
-        for at, kmat in blocks.get(k, ()):
-            if not kmat.entries:
-                rows += [(j, {j: ONE}) for j in at]
-                continue
-            red, pivots = rref_from(QMatrix.hstack([kmat, QMatrix.identity(len(at))]), kmat.cols)
-            if len(pivots) != len(at):
+        dim, kmat = v.dim(k), killed.get(k)
+        if kmat is None or not kmat.entries:
+            reps[k], proj_blocks[k] = list(range(dim)), QMatrix.identity(dim)
+        else:
+            kc = kmat.cols
+            red, pivots = rref_from(QMatrix.hstack([kmat, QMatrix.identity(dim)]), kc)
+            if len(pivots) != dim:
                 raise AssertionError("internal: quotient basis does not span")
-            first, kc = bisect_left(pivots, kmat.cols), kmat.cols
-            found = [(at[p - kc], {}) for p in pivots[first:]]
-            for (r, c), x in red.entries.items():
-                found[r - first][1][at[c - kc]] = x
-            rows += found
-        rows.sort(key=lambda row: row[0])
-        reps[k] = [j for j, _ in rows]
+            first = bisect_left(pivots, kc)
+            reps[k] = [p - kc for p in pivots[first:]]
+            proj_blocks[k] = QMatrix._of(len(reps[k]), dim, {(r - first, c - kc): x for (r, c), x in red.entries.items()})
         basis[k] = tuple(f"{prefix}({v.basis[k][j]})" for j in reps[k])
-        proj_blocks[k] = QMatrix._of(len(rows), v.dim(k), {(i, c): x for i, (_, row) in enumerate(rows) for c, x in row.items()})
     diff = {}
     for k, d in v.diff.items():
         if basis.get(k) and basis.get(k - 1):

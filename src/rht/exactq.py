@@ -375,8 +375,7 @@ class QMatrix:
         for m in mats:
             if m.rows != rows:
                 raise ValueError("hstack row mismatch")
-            for (r, c), v in m.entries.items():
-                ent[(r, c + off)] = v
+            ent.update({(r, c + off): v for (r, c), v in m.entries.items()} if off else m.entries)
             off += m.cols
         return QMatrix._of(rows, off, ent)
 

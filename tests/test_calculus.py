@@ -610,7 +610,7 @@ def test_homogeneous_eval_is_the_orbit_part_of_sym_invariants():
     cases = [(lie_n(2).derivative(), x, 2), (lie_n(3).derivative(), x, 3), (lie_n(4).derivative(), small, 4),
              (lie_n(2).rep, y, 2)]
     for coefficient, v, n in cases:
-        pw, swaps, _ = _power_with_swaps(v, n)
+        pw, swaps = _power_with_swaps(v, n)
         actions = [tensor_map(a, s) for a, s in zip(coefficient.action, swaps)]
         orbits = sym_invariants(SymmetricDG(tensor_dg(coefficient.underlying, pw), n, actions))[1]
         got = homogeneous_eval(coefficient, v, n)
@@ -634,7 +634,7 @@ def _delooped(v, target):
 def _old_homogeneous_eval(coefficient, x, n, target):
     """homogeneous_eval as it was: the whole tensor, each generator's
     tensor_map, and one quotient per degree by the hstack of a (x) s - 1."""
-    pw, swaps, _ = _power_with_swaps(x, n)
+    pw, swaps = _power_with_swaps(x, n)
     und = tensor_dg(coefficient.underlying, pw)
     actions = [tensor_map(a, s) for a, s in zip(coefficient.action, swaps)]
     orbits = sym_orbits(SymmetricDG(und, n, actions))[0]
@@ -682,6 +682,7 @@ def test_derivative_layers_have_the_dimensions_of_the_character_formula(model):
     for n in range(1, 6):
         got = homogeneous_eval(lie_n(n).derivative(), x, n)
         assert _chain_dims(got) == _lie_coinvariant_dims(x, n, 1 - n, True)
+        assert _same(got, _old_homogeneous_eval(lie_n(n).derivative(), x, n, "dg"))
 
 
 # -- Taylor layers of the cobar tower ------------------------------------------------

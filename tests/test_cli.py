@@ -64,7 +64,7 @@ def test_expr_tensor_pairs_and_zero():
 
 
 def test_expr_malformed():
-    for bad in ("[a,b", "a,b]", "x +", "2", "a||b", "[a b]"):
+    for bad in ("[a,b", "a,b]", "x +", "2", "a||b", "[a b]", "--a", "- - a", "+ -a"):
         with pytest.raises(ModelError):
             parse_expr(bad, 7)
     try:
@@ -373,6 +373,11 @@ def test_exit_codes(tmp_path, capsys):
          "error: {p}:4: bracket value 'u' has degree 3, expected 2", ""),
         ("kind dgc\ngen x 2\ngen y 5\ndelta y = x|x\n", ["homology"], 1,
          "error: {p}:4: delta(y) pair has degree 4, expected 5", ""),
+        ("kind dg\ngen a 1\n", ["tower", "-n", "2"], 2, "usage error: Taylor towers are computed from dgc models", ""),
+        ("kind dg\ngen a 1\n", ["layers", "-n", "2"], 2, "usage error: Taylor towers are computed from dgc models", ""),
+        ("kind dg\ngen a 1\n", ["jet"], 2, "usage error: Taylor towers are computed from dgc models", ""),
+        # a doubled sign has an empty term between its operators
+        ("kind dg\ngen a 1\ngen b 2\nd b = --a\n", ["homology"], 1, "error: {p}:4: empty term", ""),
     ],
 )
 def test_exit_paths(tmp_path, capsys, text, argv, code, err, out):

@@ -54,7 +54,7 @@ from rht.dgcore import (
     validate_dg,
     zero_map,
 )
-from rht.dgcore import _block_quotient, _cube_sum, _degree_positions, _out_of_suspension, _tensor_with_index, map_add, projection, tot
+from rht.dgcore import _cube_sum, _degree_positions, _out_of_suspension, _tensor_with_index, map_add, projection, tot
 from rht.dgcore import _commutes_by_conjugation, _incl_sign, _places, _subset_tag
 from rht.calculus import IdentityFunctor, LambdaFunctor, _collapse_last, _power_with_swaps, cross_effect, lie_n, tensor_map
 from rht.calculus import CoefficientFunctor, TensorPowerFunctor, TnFunctor, _coproduct_cube, t_n, thcof_total, thfib_total
@@ -369,56 +369,13 @@ def test_quotient_matches_the_two_elimination_quotient(seed, lo, kind):
     assert _same(quotient_dg(v, _as_matrices(v, killed), prefix="p"), _old_quotient_dg(v, killed, prefix="p"))
 
 
-def _block_diagonal_killed(rng, v):
-    """A random partition of each degree's positions into blocks, and random
-    killed vectors, each inside one block, with every block part of each
-    killed vector's boundary killed too (so the span is d-closed): per degree,
-    [(block index, vector)] in a random order."""
-    blocks, killed = {}, {k: [] for k in v.degrees()}
-    for k in v.degrees():
-        order = list(range(v.dim(k)))
-        rng.shuffle(order)
-        cuts = sorted(rng.sample(range(1, len(order)), rng.randint(0, len(order) - 1)))
-        blocks[k] = [sorted(order[a:b]) for a, b in zip([0] + cuts, cuts + [len(order)])]
-    for k in sorted(v.degrees(), reverse=True):
-        for b, at in enumerate(blocks[k]):
-            for _ in range(rng.choice((0, 0, 1, 2))):
-                x = [ZERO] * v.dim(k)
-                for j in at:
-                    x[j] = rat(rng.randint(-2, 2))
-                killed[k].append((b, tuple(x)))
-        rng.shuffle(killed[k])
-        for _, x in killed[k] if v.dim(k - 1) else ():
-            dx = v.d(k).apply(x)
-            for b, at in enumerate(blocks[k - 1]):
-                part = tuple(dx[j] if j in at else ZERO for j in range(len(dx)))
-                if any(part):
-                    killed[k - 1].append((b, part))
-    return blocks, killed
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_block_quotient_is_the_quotient_by_the_whole_matrix(seed):
-    rng = Random(seed)
-    v = random_dg(rng, 0, 2, 7)
-    blocks, killed = _block_diagonal_killed(rng, v)
-    whole = {k: QMatrix.from_columns([x for _, x in cols], v.dim(k)) for k, cols in killed.items()}
-    by_block = {
-        k: [(at, QMatrix.from_columns([tuple(x[j] for j in at) for c, x in killed[k] if c == b], len(at)))
-            for b, at in enumerate(ats)]
-        for k, ats in blocks.items()
-    }
-    assert _same(_block_quotient(v, by_block, "p"), quotient_dg(v, whole, prefix="p"))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.sampled_from(["trivial", "sign", "lie"]))
 def test_orbit_quotients_match_the_two_elimination_quotient(seed, n, coefficient):
     """Orbits of x^(x)n with the Koszul swaps, tensored with a coefficient
     action, as the whole-tensor homogeneous_eval built them."""
     x = random_dg(Random(seed), 0, 2, 3 if n == 2 else 2)
-    pw, swaps, _ = _power_with_swaps(x, n)
+    pw, swaps = _power_with_swaps(x, n)
     coeff = {"trivial": SymmetricDG(ONE_DG, n, [identity_map(ONE_DG)] * (n - 1)),
              "sign": SymmetricDG(ONE_DG, n, [map_scale(-1, identity_map(ONE_DG))] * (n - 1)),
              "lie": lie_n(n).rep}[coefficient]
@@ -1016,7 +973,7 @@ def test_sym_invariants_from_the_trace_match_the_group_closure(seed):
         sym = SymmetricDG(x, 1, [])
     else:
         coefficient = _coefficient(kind, n, rng.randint(-2, 2))
-        pw, swaps, _ = _power_with_swaps(x, n)
+        pw, swaps = _power_with_swaps(x, n)
         actions = [tensor_map(a, s) for a, s in zip(coefficient.action, swaps)]
         sym = SymmetricDG(tensor_dg(coefficient.underlying, pw), n, actions)
     assert sym.validate() == []
@@ -1068,7 +1025,7 @@ def _sym_cases():
     line = DG({0: ("a", "b", "c")})
     cycle = DGMap(line, line, {0: QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])})
     x = random_dg(Random(5), 0, 2, 3)
-    power, swaps, _ = _power_with_swaps(x, 3)
+    power, swaps = _power_with_swaps(x, 3)
     return [
         (SymmetricDG(power, 3, swaps), None),
         (cross_effect(IdentityFunctor(), 3, [x] * 3), None),
@@ -1115,7 +1072,7 @@ def test_sym_validate_matches_the_per_generator_loop(seed, kind, corruptions):
     if kind == "lie":
         sym = lie_n(n).rep
     elif kind == "swaps":
-        power, swaps, _ = _power_with_swaps(random_dg(rng, 0, 2, 3 if n < 4 else 2), n)
+        power, swaps = _power_with_swaps(random_dg(rng, 0, 2, 3 if n < 4 else 2), n)
         sym = SymmetricDG(power, n, swaps)
     else:
         functor = {"identity": IdentityFunctor(), "square": TensorPowerFunctor(2), "lambda": LambdaFunctor(6)}[kind]

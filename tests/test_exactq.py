@@ -964,12 +964,12 @@ def test_unchecked_constructor_sites_build_what_the_checked_one_builds(monkeypat
     cross_effect(TensorPowerFunctor(2), 2, [x, x])
     homogeneous_eval(lie_n(3).derivative(), x, 3)
     # b (x) b and c (x) c are fixed by the swap, with the sign-twisted Lie(2)
-    # acting by +1, so their a (x) s - 1 columns are the zeros the block drops
+    # acting by +1, so their a (x) s - 1 columns are zero and hold no entry
     homogeneous_eval(lie_n(2).derivative(), x, 2)
     assert sites == {
         *(f"rht.exactq.{f}" for f in ("from_rows", "__add__", "scale", "__mul__", "transpose",
                                      "hstack", "vstack", "direct_sum", "rref_from", "_solve")),
-        "rht.dgcore.homology_dims", "rht.dgcore.sum_many", "rht.dgcore._block_quotient", "rht.dgcore._cube_sum",
+        "rht.dgcore.homology_dims", "rht.dgcore.sum_many", "rht.dgcore.quotient_dg", "rht.dgcore._cube_sum",
         "rht.calculus.edge_map", "rht.calculus._gather", "rht.calculus.move",
-        "rht.calculus._power_with_swaps", "rht.calculus._orbit_quotient",
+        "rht.calculus._power_with_swaps", "rht.calculus.homogeneous_eval",
     }

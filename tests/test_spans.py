@@ -487,7 +487,7 @@ def test_fixed_points_match_the_list_code(seed):
     if n == 1:  # no action at all
         sym = SymmetricDG(x, 1, [])
     else:
-        pw, swaps, _ = _power_with_swaps(x, n)
+        pw, swaps = _power_with_swaps(x, n)
         sign = rng.choice([1, -1])  # the swaps, or the swaps twisted by the sign
         sym = SymmetricDG(pw, n, [map_scale(sign, s) for s in swaps])
     _assert_same(sym_invariants(sym), _old_sym_invariants(sym))
