@@ -172,7 +172,7 @@ def parse_model(path: str) -> ModelFile:
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     mf = ModelFile()
-    seen = set()
+    seen, entries = set(), set()  # generator names; (d | delta, name) and (bracket, a, b) lines
     for no, full in enumerate(raw, start=1):
         text = full.split("#", 1)[0].strip()
         if not text:
@@ -206,6 +206,9 @@ def parse_model(path: str) -> ModelFile:
                 raise ModelError("expected '='", no)
             if not NAME_RE.fullmatch(name):
                 raise ModelError(f"malformed name {name!r}", no)
+            if (head, name) in entries:
+                raise ModelError(f"duplicate {head} line for {name!r}", no)
+            entries.add((head, name))
             target = mf.d_lines if head == "d" else mf.delta_lines
             target.append((name, parse_expr(expr, no), no))
         elif head == "bracket":
@@ -215,6 +218,9 @@ def parse_model(path: str) -> ModelFile:
             parts = lhs.split()
             if len(parts) != 2:
                 raise ModelError(f"malformed bracket line {text!r}", no)
+            if (head, *parts) in entries:  # only the same ordered pair: a transpose line is the validator's to judge
+                raise ModelError(f"duplicate bracket line for {parts[0]!r} {parts[1]!r}", no)
+            entries.add((head, *parts))
             mf.bracket_lines.append((parts[0], parts[1], parse_expr(expr, no), no))
         else:
             raise ModelError(f"unknown directive {head!r}", no)
@@ -311,9 +317,9 @@ def build_model(mf: ModelFile):
             diff[k] = QMatrix(dg0.dim(k - 1), dg0.dim(k), ent)
     dg = DG(dg0.basis, diff)
 
+    if mf.kind != "dgc" and mf.delta_lines:
+        raise ModelError("delta lines only make sense for kind dgc", mf.delta_lines[0][2])
     if mf.kind == "dg":
-        if mf.delta_lines:
-            raise ModelError("delta lines only make sense for kind dgc", mf.delta_lines[0][2])
         return dg
     if mf.kind == "dgl":
         return DGL(dg, table)

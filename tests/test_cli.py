@@ -378,6 +378,18 @@ def test_exit_codes(tmp_path, capsys):
         ("kind dg\ngen a 1\n", ["jet"], 2, "usage error: Taylor towers are computed from dgc models", ""),
         # a doubled sign has an empty term between its operators
         ("kind dg\ngen a 1\ngen b 2\nd b = --a\n", ["homology"], 1, "error: {p}:4: empty term", ""),
+        # each d, delta and bracket line declares its entry once: a second line is an error, not a replacement
+        ("kind dg\ngen a 1\ngen b 2\nd b = a\nd b = 0\n", ["homology"], 1,
+         "error: {p}:5: duplicate d line for 'b'", ""),
+        ("kind dgc\ngen a 2\ngen b 4\ndelta b = 2 a|a\ndelta b = 0\n", ["verify"], 1,
+         "error: {p}:5: duplicate delta line for 'b'", ""),
+        ("kind dgl\ngen a 1\ngen c 2\nbracket a a = c\nbracket a a = 0\n", ["verify"], 1,
+         "error: {p}:5: duplicate bracket line for 'a' 'a'", ""),
+        # the transpose pair is another line; antisymmetry is the validator's to judge
+        ("kind dgl\ngen a 1\ngen b 2\ngen c 3\nbracket a b = c\nbracket b a = -c\n", ["verify"], 0, "",
+         "verdict                              valid\n"),
+        ("kind dgl\ngen a 2\ngen b 4\ndelta b = a|a\n", ["verify"], 1,
+         "error: {p}:4: delta lines only make sense for kind dgc", ""),
     ],
 )
 def test_exit_paths(tmp_path, capsys, text, argv, code, err, out):

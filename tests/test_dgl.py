@@ -1755,7 +1755,7 @@ def _old_free_cylinder(f, g):
             gd[nu + i] = poly
     out = FreeDGL(basis, gd)
     for i in range(nv):
-        dd = out.d_poly(out.gen_diff.get(nu + i, {}))
+        dd = basis.diff_poly(out.gen_diff, out.gen_diff.get(nu + i, {}))
         dd = {word: c for word, c in dd.items() if basis.word_degree(word) <= basis.cap}
         if dd:
             raise ValueError(
@@ -1848,6 +1848,34 @@ def test_cylinders_match_the_old_construction(seed):
         other = _random_sum_input(rng, ["x", "y"], cap, False)
         g = FreeDGLMap(other, g.target, {})
     assert _built(free_cylinder, f, g) == _built(_old_free_cylinder, f, g)
+
+
+def _old_free_d2_report(l):
+    """The tensor-level d^2 check dgl_validate made on a FreeDGL before it read
+    only the expansion (the oracle)."""
+    report = []
+    b = l.basis
+    for i in l.gen_diff:
+        dd = b.diff_poly(l.gen_diff, l.gen_diff[i])
+        dd = {w: c for w, c in dd.items() if b.word_degree(w) <= b.cap}
+        if dd:
+            report.append(f"d^2({b.gen_name[i]}) != 0 below the cap")
+    return report
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_free_dgl_is_checked_on_its_expansion_as_the_tensor_level_check_did(seed):
+    # d^2 != 0 on a generator is a nonzero column of the expansion's d^2 at its monomial
+    rng = Random(seed)
+    cap = rng.randint(3, 6)
+    if rng.random() < 1 / 3:  # d z = y + c [x,x], d y = x: d^2 z = x != 0 by construction
+        b = free_lie_basis([("x", 1), ("y", 2), ("z", 3)], cap)
+        l = FreeDGL(b, {1: {(0,): ONE}, 2: tp_add({(1,): ONE}, tp_scale(rng.choice([0, 1, -2]), b.expand((0, 0))))})
+    else:
+        l = _random_sum_input(rng, ["x", "y", "z"][: rng.randint(1, 3)], cap, rng.random() < 0.5)
+    flagged = any(line.startswith("d^2 != 0") for line in dgl_validate(l))
+    assert flagged == bool(_old_free_d2_report(l))
 
 
 @settings(max_examples=80, deadline=None)

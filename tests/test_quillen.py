@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from rht.cli import build_model, parse_model
 from rht.dgc import CofreeDGC, cofree_lambda, dgc_validate, to_dgc, trivial_dgc
 from rht.dgcore import (
     DG,
@@ -340,6 +341,14 @@ def test_sphere_homotopy_and_homology():
         want = {n: 1} if n % 2 else {n: 1, 2 * n - 1: 1}
         assert pi == want
         assert rational_homology(c, 16) == {0: 1, n: 1}
+
+
+def test_polynomial_coalgebra_homotopy_at_the_default_cap():
+    # the cobar differential of H_*(CP^3) has brackets; the oracle is CP^3's
+    # Sullivan model (x2, x7; d x7 = x2^4), so pi_2 and pi_7 are Q
+    polynomial = build_model(parse_model("models/polynomial.dgc"))
+    for cap in (10, 12, 14, 16):
+        assert rational_homotopy(polynomial, cap) == {2: 1, 7: 1}
 
 
 def test_lie_model_invariants():
