@@ -173,7 +173,7 @@ def _into_holim(cube: Cube) -> tuple[DG, DGMap, dict[frozenset, dict[tuple[int, 
     the places of the holim's strands.  The one-element strands sit in
     vertical degree 0, where the map is the sum of the edges out of the empty
     set."""
-    hol, at = _cube_sum("limit", cube, cube.n)
+    hol, at = _cube_sum("limit", cube)
     src = cube.objects[frozenset()]
     edges = [(at[frozenset({t})], cube.edge(frozenset(), frozenset({t}))) for t in range(1, cube.n + 1)]
     m = _gather(src, hol, ((k, b, rows, None, None) for rows, e in edges for k, b in e.blocks.items()))
@@ -183,7 +183,7 @@ def _into_holim(cube: Cube) -> tuple[DG, DGMap, dict[frozenset, dict[tuple[int, 
 
 def _outof_hocolim(cube: Cube) -> tuple[DG, DGMap]:
     """The canonical chain map hocolim over proper subsets -> cube(full)."""
-    hoc, at = _cube_sum("colimit", cube, cube.n)
+    hoc, at = _cube_sum("colimit", cube)
     full = frozenset(range(1, cube.n + 1))
     # the strands full - {j} sit in vertical degree 0; the edge out of each is signed by (-1)^j
     pieces = []
@@ -434,7 +434,7 @@ class TnFunctor(FunctorSpec):
 
     def apply_map(self, g: DGMap) -> DGMap:
         cubes = [_apply_functor_cube(self.inner, test_cube(self.n + 1, v)) for v in (g.source, g.target)]
-        (src, src_at), (tgt, tgt_at) = (_cube_sum("limit", c, self.n + 2) for c in cubes)
+        (src, src_at), (tgt, tgt_at) = (_cube_sum("limit", c) for c in cubes)
         comps = {
             size: self.inner.apply_map(_join_map(g, size))
             for size in range(1, self.n + 2)

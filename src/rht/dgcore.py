@@ -14,7 +14,9 @@ inclusions and their transposes (projection).  The total of an n-cube
 (ho_cube) has the same shape, one strand per subset t, in (|t|, sorted t)
 order, the object at t shifted by its vertical degree, with the signed edge
 maps between the strands; _cube_sum lays it out directly from each strand's
-offset in each degree, with no strand DG and no inclusion.
+offset in each degree, with no strand DG and no inclusion.  That is the one
+layout of a cube total: cube_bidg adds a vertical degree per basis element, so
+tot(cube_bidg(cube, mode)) is ho_cube's total by construction.
 
 A quasi-isomorphism is read off its cone: f is one exactly when ho_cofiber(f)
 is acyclic, one rank pass of homology_dims; is_quasi_iso_through adds the two
@@ -843,87 +845,59 @@ def ho_cofiber(f: DGMap) -> DG:
     return sum_many(parts, ["w", "c"], [(0, 1, _out_of_suspension(f))])[0]
 
 
-# -- bigraded vector spaces and n-dimensional cubes -----------------------------
+# -- n-dimensional cubes and their totals as bigraded DGs -----------------------
 
 
 @dataclass(frozen=True)
 class BiDG:
-    basis: dict[tuple[int, int], tuple[str, ...]]
-    dh: dict[tuple[int, int], QMatrix] = field(default_factory=dict)
-    dv: dict[tuple[int, int], QMatrix] = field(default_factory=dict)
+    """A cube total read as a bigraded DG: vdeg[k][i] is the vertical degree v
+    of total's basis element i in degree k, of bidegree (k - v, v).  get_dh and
+    get_dv read dh, the part of d that keeps v, and dv, the part that lowers v
+    by one, off total's d by position."""
 
-    def dim(self, hv: tuple[int, int]) -> int:
-        return len(self.basis.get(hv, ()))
+    total: DG
+    vdeg: dict[int, list[int]]
+
+    def _at(self, hv: tuple[int, int]) -> dict[int, int]:
+        """position in the total's degree h + v -> index in bidegree hv"""
+        at = [i for i, v in enumerate(self.vdeg.get(sum(hv), ())) if v == hv[1]]
+        return {p: i for i, p in enumerate(at)}
+
+    def _block(self, hv: tuple[int, int], to: tuple[int, int]) -> QMatrix:
+        rows, cols = self._at(to), self._at(hv)
+        d = self.total.d(sum(hv))
+        ent = {(rows[r], cols[c]): x for (r, c), x in d.entries.items() if r in rows and c in cols}
+        return QMatrix._of(len(rows), len(cols), ent)
 
     def get_dh(self, hv: tuple[int, int]) -> QMatrix:
-        m = self.dh.get(hv)
-        if m is None:
-            return QMatrix.zero(self.dim((hv[0] - 1, hv[1])), self.dim(hv))
-        return m
+        return self._block(hv, (hv[0] - 1, hv[1]))
 
     def get_dv(self, hv: tuple[int, int]) -> QMatrix:
-        m = self.dv.get(hv)
-        if m is None:
-            return QMatrix.zero(self.dim((hv[0], hv[1] - 1)), self.dim(hv))
-        return m
+        return self._block(hv, (hv[0], hv[1] - 1))
 
     def validate(self) -> list[str]:
-        report = []
-        keys = set(self.basis)
-        for (h, v) in sorted(keys):
-            if not (self.get_dh((h - 1, v)) * self.get_dh((h, v))).is_zero():
-                report.append(f"dh^2 != 0 at ({h},{v})")
-            if not (self.get_dv((h, v - 1)) * self.get_dv((h, v))).is_zero():
-                report.append(f"dv^2 != 0 at ({h},{v})")
-            anti = self.get_dh((h, v - 1)) * self.get_dv((h, v)) + self.get_dv((h - 1, v)) * self.get_dh((h, v))
-            if not anti.is_zero():
-                report.append(f"dh dv + dv dh != 0 at ({h},{v})")
-        return report
+        """Empty iff d is dh + dv and dh^2, dv^2 and dh dv + dv dh vanish.  An
+        entry of d_{k-1} d_k, one product per degree, that lowers v by 0, 2 or
+        1 is one of dh^2, dv^2 or dh dv + dv dh; lines come in that order per
+        source bidegree (h, v), then the entries of d that are neither dh nor dv."""
+        found = set()
+        names = {0: "dh^2", 1: "dh dv + dv dh", 2: "dv^2"}
+        for k, d in self.total.diff.items():
+            v = self.vdeg[k]
+            for r, c in d.entries:
+                w = self.vdeg[k - 1][r]
+                if v[c] - w not in (0, 1):
+                    found.add((k - v[c], v[c], 3, f"d maps ({k - v[c]},{v[c]}) into ({k - 1 - w},{w})"))
+            for r, c in (self.total.d(k - 1) * d).entries:
+                drop = v[c] - self.vdeg[k - 2][r]
+                if drop in names:
+                    found.add((k - v[c], v[c], (0, 2, 1)[drop], f"{names[drop]} != 0 at ({k - v[c]},{v[c]})"))
+        return [line for *_, line in sorted(found)]
 
 
 def tot(b: BiDG) -> DG:
     """Total DG: degree n collects bidegrees (h, v) with h + v = n."""
-    by_deg: dict[int, list[tuple[int, int]]] = {}
-    for (h, v) in sorted(b.basis):
-        by_deg.setdefault(h + v, []).append((h, v))
-    basis = {}
-    offsets: dict[tuple[int, int], int] = {}
-    for n, keys in by_deg.items():
-        names = []
-        for hv in keys:
-            offsets[hv] = len(names)
-            names.extend(f"{x}@v{hv[1]}" for x in b.basis[hv])
-        basis[n] = tuple(names)
-    diff = {}
-    for n, keys in by_deg.items():
-        tgt = by_deg.get(n - 1, [])
-        if not tgt:
-            continue
-        tdim = sum(b.dim(hv) for hv in tgt)
-        ent = {}
-        for hv in keys:
-            h, v = hv
-            col0 = offsets[hv]
-            for mat, thv in ((b.get_dh(hv), (h - 1, v)), (b.get_dv(hv), (h, v - 1))):
-                if thv in offsets and h - 1 + v == n - 1:
-                    row0 = offsets[thv]
-                    for (r, c), val in mat.entries.items():
-                        key = (row0 + r, col0 + c)
-                        ent[key] = ent.get(key, ZERO) + val
-        diff[n] = QMatrix(tdim, sum(b.dim(hv) for hv in keys), ent)
-    return DG(basis, diff)
-
-
-def bi_strand(v: DG, vdeg: int, tag: str) -> tuple[dict, dict]:
-    """Place DG v at vertical grading vdeg; internal differential times (-1)^vdeg."""
-    basis = {}
-    dh = {}
-    sign = -ONE if vdeg % 2 else ONE
-    for k in v.degrees():
-        basis[(k, vdeg)] = tuple(f"{tag}:{x}" for x in v.basis[k])
-    for k, m in v.diff.items():
-        dh[(k, vdeg)] = m.scale(sign)
-    return basis, dh
+    return b.total
 
 
 @dataclass
@@ -975,78 +949,15 @@ def _incl_sign(s: frozenset, t_added: int) -> Fraction:
 
 
 def cube_bidg(cube: Cube, mode: str) -> BiDG:
-    """BiDG underlying the n-dimensional path or cylinder object."""
-    n = cube.n
-    if mode == "limit":
-        wanted = [s for s in cube.objects if len(s) >= 1]
-        vdeg = lambda t: 1 - len(t)
-    elif mode == "colimit":
-        wanted = [s for s in cube.objects if len(s) <= n - 1]
-        vdeg = lambda t: n - 1 - len(t)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    wanted.sort(key=lambda s: (len(s), sorted(s)))
-    basis: dict[tuple[int, int], tuple[str, ...]] = {}
-    dh: dict[tuple[int, int], QMatrix] = {}
-    offsets: dict[tuple[frozenset, int], int] = {}
-    strands_at: dict[tuple[int, int], list[frozenset]] = {}
-    for t in wanted:
-        v = vdeg(t)
-        obj = cube.objects[t]
-        b, h = bi_strand(obj, v, _subset_tag(t))
-        for (k, vv), names in b.items():
-            if (k, vv) in basis:
-                offsets[(t, k)] = len(basis[(k, vv)])
-                basis[(k, vv)] = basis[(k, vv)] + names
-            else:
-                offsets[(t, k)] = 0
-                basis[(k, vv)] = names
-            strands_at.setdefault((k, vv), []).append(t)
-    # horizontal differentials assembled per bidegree
-    for (k, vv), strands in sorted(strands_at.items()):
-        tdim = len(basis.get((k - 1, vv), ()))
-        sdim = len(basis[(k, vv)])
-        if tdim == 0:
-            continue
-        ent = {}
-        sign = -ONE if vv % 2 else ONE
-        for t in strands:
-            obj = cube.objects[t]
-            m = obj.d(k)
-            r0 = offsets.get((t, k - 1))
-            c0 = offsets[(t, k)]
-            if r0 is None:
-                continue
-            for (r, c), val in m.entries.items():
-                ent[(r0 + r, c0 + c)] = sign * val
-        if ent:
-            dh[(k, vv)] = QMatrix(tdim, sdim, ent)
-    dv: dict[tuple[int, int], QMatrix] = {}
-    wanted_set = set(wanted)
-    for (k, vv), strands in sorted(strands_at.items()):
-        tdim = len(basis.get((k, vv - 1), ()))
-        if tdim == 0:
-            continue
-        ent = {}
-        for t in strands:
-            for el in range(1, n + 1):
-                if el in t:
-                    continue
-                tt = t | {el}
-                if tt not in wanted_set:
-                    continue
-                m = cube.edge(t, tt).block(k)
-                sgn = _incl_sign(t, el)
-                r0 = offsets.get((tt, k))
-                c0 = offsets[(t, k)]
-                if r0 is None:
-                    continue
-                for (r, c), val in m.entries.items():
-                    key = (r0 + r, c0 + c)
-                    ent[key] = ent.get(key, ZERO) + sgn * val
-        if ent:
-            dv[(k, vv)] = QMatrix(tdim, len(basis[(k, vv)]), ent)
-    return BiDG(basis, dh, dv)
+    """ho_cube's total as a BiDG: the places of strand t carry the vertical
+    degree top - |t|, where top is 1 for the limit and n - 1 for the colimit."""
+    total, places = _cube_sum(mode, cube)
+    top = 1 if mode == "limit" else cube.n - 1
+    vdeg = {k: [0] * total.dim(k) for k in total.degrees()}
+    for t, at in places.items():
+        for (k, _), r in at.items():
+            vdeg[k][r] = top - len(t)
+    return BiDG(total, vdeg)
 
 
 def ho_cube(mode: str, cube: Cube, cap: int = 6) -> DG:
@@ -1056,21 +967,21 @@ def ho_cube(mode: str, cube: Cube, cap: int = 6) -> DG:
     proper ones for the colimit), in (|t|, sorted t) order: the object at t
     shifted by its vertical degree v, 1 - |t| or n - 1 - |t|, with basis names
     T..:x@v.. and its differential times (-1)^v.  Each edge t -> t + {e} maps
-    strand t to strand t + {e} with the sign (-1)^#{x in t : x < e}.  It
-    equals tot(cube_bidg(cube, mode)).
+    strand t to strand t + {e} with the sign (-1)^#{x in t : x < e}.  It is
+    tot(cube_bidg(cube, mode)) by construction: both are _cube_sum's total.
     """
-    return _cube_sum(mode, cube, cap)[0]
+    if cube.n > cap:
+        raise ValueError(f"cube dimension {cube.n} exceeds cap {cap}")
+    return _cube_sum(mode, cube)[0]
 
 
-def _cube_sum(mode: str, cube: Cube, cap: int) -> tuple[DG, dict[frozenset, dict[tuple[int, int], int]]]:
+def _cube_sum(mode: str, cube: Cube) -> tuple[DG, dict[frozenset, dict[tuple[int, int], int]]]:
     """ho_cube's total and the places of each strand, keyed by subset:
     (degree in the total, index in the strand) -> index in the total.
 
     The total is laid out from each strand's offset in each degree: the
     strands' differentials and the signed edges are blocks at those offsets,
     and no two of them share an entry."""
-    if cube.n > cap:
-        raise ValueError(f"cube dimension {cube.n} exceeds cap {cap}")
     problems = cube.validate_commuting()
     if problems:
         raise ValueError("non-commuting cube: " + problems[0])
@@ -1082,37 +993,31 @@ def _cube_sum(mode: str, cube: Cube, cap: int) -> tuple[DG, dict[frozenset, dict
         raise ValueError(f"unknown mode {mode!r}")
     strands.sort(key=lambda s: (len(s), sorted(s)))
     names: dict[int, list[str]] = {}
-    start: dict[frozenset, dict[int, int]] = {}  # strand -> degree in the total -> offset
-    places: dict[frozenset, dict[tuple[int, int], int]] = {}
+    places: dict[frozenset, dict[tuple[int, int], int]] = {}  # a strand's offset in degree k is at (k, 0)
     for t in strands:
         v, tag = top - len(t), _subset_tag(t)
-        at = start[t] = {}
         pl = places[t] = {}
         for k, xs in cube.objects[t].basis.items():
             lst = names.setdefault(k + v, [])
-            at[k + v] = r0 = len(lst)
+            pl.update(((k + v, i), len(lst) + i) for i in range(len(xs)))
             lst.extend(f"{tag}:{x}@v{v}" for x in xs)
-            pl.update(((k + v, i), r0 + i) for i in range(len(xs)))
     entries: dict[int, dict[tuple[int, int], Fraction]] = {}
 
     def put(k: int, m: QMatrix, r0: int, c0: int, move: Optional[Callable[[Fraction], Fraction]]) -> None:
-        e = entries.setdefault(k, {})
-        if move is None:  # the entries as they are
-            e.update({(r0 + r, c0 + c): x for (r, c), x in m.entries.items()})
-        else:
-            e.update({(r0 + r, c0 + c): move(x) for (r, c), x in m.entries.items()})
+        e = entries.setdefault(k, {})  # move None keeps the entries as they are
+        e.update({(r0 + r, c0 + c): x if move is None else move(x) for (r, c), x in m.entries.items()})
 
     for t in strands:  # each strand's differential, times (-1)^v as shift scales it
-        v, at = top - len(t), start[t]
+        v, at = top - len(t), places[t]
         for k, m in cube.objects[t].diff.items():
-            put(k + v, m, at[k + v - 1], at[k + v], _negated if v % 2 else _moved)
+            put(k + v, m, at[(k + v - 1, 0)], at[(k + v, 0)], _negated if v % 2 else _moved)
     for t in strands:  # each edge t -> t + {e}, into the strand one vertical degree down
-        v, at = top - len(t), start[t]
+        v, at = top - len(t), places[t]
         for e in range(1, cube.n + 1):
-            if e not in t and t | {e} in start:
-                up, move = start[t | {e}], None if _incl_sign(t, e) == 1 else _negated
+            if e not in t and t | {e} in places:
+                up, move = places[t | {e}], None if _incl_sign(t, e) == 1 else _negated
                 for k, m in cube.edge(t, t | {e}).blocks.items():
-                    put(k + v, m, up[k + v - 1], at[k + v], move)
+                    put(k + v, m, up[(k + v - 1, 0)], at[(k + v, 0)], move)
     total = DG(names, {k: QMatrix._of(len(names[k - 1]), len(names[k]), e) for k, e in entries.items()})
     return total, places
 

@@ -357,6 +357,14 @@ def zero_dgl_map(a: DGL, b: DGL) -> DGLMap:
 # -- free DGLs ----------------------------------------------------------------------
 
 
+def _lie_coords(basis: FreeLieBasis, p: TensorPoly, name: str) -> dict[int, Vector]:
+    """basis.coords(p), or a ValueError naming p when p is not a Lie element."""
+    try:
+        return basis.coords(p)
+    except ValueError:
+        raise ValueError(f"{name} is not a Lie element") from None
+
+
 class FreeDGL:
     """Truncated free DGL: a FreeLieBasis plus a generator differential.
 
@@ -375,6 +383,7 @@ class FreeDGL:
                 raise ValueError(f"the differential of generator {i} names no generator")
             if any(basis.word_degree(w) != basis.deg[i] - 1 for w in p):
                 raise ValueError(f"d({basis.gen_name[i]}) is not homogeneous of degree -1")
+            _lie_coords(basis, p, f"d({basis.gen_name[i]})")
         self._dgl: Optional[DGL] = None
 
     @property
@@ -480,15 +489,16 @@ class FreeDGLMap:
         self.gen_images: dict[int, TensorPoly] = {
             i: dict(p) for i, p in gen_images.items() if p
         }
+        self._coords: dict[int, dict[int, Vector]] = {}  # each generator image in coordinates
         for i, p in self.gen_images.items():
             _check_image(i, p, source.basis.deg, target.basis.deg)
+            self._coords[i] = _lie_coords(target.basis, p, f"f({source.basis.gen_name[i]})")
 
     def to_dgmap(self) -> DGMap:
         """The map of expanded DGLs: each generator image in coordinates,
         bracketed with the target's structure constants."""
-        degs, tb = self.source.basis.deg, self.target.basis
-        coords = {j: tb.coords(p) for j, p in self.gen_images.items()}
-        images = {j: (degs[j], co[degs[j]]) for j, co in coords.items() if degs[j] in co}
+        degs = self.source.basis.deg
+        images = {j: (degs[j], co[degs[j]]) for j, co in self._coords.items() if degs[j] in co}
         return dgl_map_from_gen_images(self.source, to_dgl(self.target), images).dgmap
 
     def abelianized(self) -> DGMap:

@@ -1661,15 +1661,18 @@ def _random_cube(rng, n):
     return Cube(n, {s: total for s, (total, _) in sums.items()}, edges)
 
 
-def _check_strands(total, places, cube, mode):
-    """Each strand's place holds the basis element of its name, and the strands fill the total."""
+def _check_strands(total, places, cube, mode, vdeg):
+    """Each strand's place holds the basis element of its name and carries the
+    strand's vertical degree top - |t| in vdeg, and the strands fill the total."""
     top = 1 if mode == "limit" else cube.n - 1
     for t, at in places.items():
         v, obj = top - len(t), cube.objects[t]
         assert sorted(at) == [(k + v, c) for k in obj.degrees() for c in range(obj.dim(k))]
         assert all(total.basis[k][r] == f"{_subset_tag(t)}:{obj.basis[k - v][c]}@v{v}" for (k, c), r in at.items())
+        assert all(vdeg[k][r] == v for (k, _), r in at.items())
     assert {(k, r) for at in places.values() for (k, _), r in at.items()} == {
         (k, r) for k in total.degrees() for r in range(total.dim(k))}
+    assert {k: len(vs) for k, vs in vdeg.items()} == {k: total.dim(k) for k in total.degrees()}
     assert sum(cube.objects[t].total_dim() for t in places) == total.total_dim()
 
 
@@ -1678,10 +1681,9 @@ def _check_strands(total, places, cube, mode):
 def test_cube_totals_equal_tot_of_cube_bidg_on_random_cubes(seed, n, mode):
     cube = _random_cube(Random(seed), n)
     assert cube.validate_commuting() == []
-    total, places = _cube_sum(mode, cube, 6)
-    assert _same(ho_cube(mode, cube), tot(cube_bidg(cube, mode)))
-    assert _same(total, ho_cube(mode, cube))
-    _check_strands(total, places, cube, mode)
+    (total, places), b = _cube_sum(mode, cube), cube_bidg(cube, mode)
+    assert _same(total, tot(b)) and _same(total, ho_cube(mode, cube))
+    _check_strands(total, places, cube, mode, b.vdeg)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -1689,12 +1691,12 @@ def test_cube_totals_equal_tot_of_cube_bidg_on_random_cubes(seed, n, mode):
 def test_cube_totals_equal_tot_of_cube_bidg_on_test_cubes(n, mode):
     x = DG({1: ("a",), 2: ("b", "c")}, {2: QMatrix.from_rows([[1, -1]])})
     cube = _test_cube(n, x)
-    total, places = _cube_sum(mode, cube, n)
-    assert _same(total, tot(cube_bidg(cube, mode)))
-    _check_strands(total, places, cube, mode)
+    (total, places), b = _cube_sum(mode, cube), cube_bidg(cube, mode)
+    assert _same(total, tot(b))
+    _check_strands(total, places, cube, mode, b.vdeg)
 
 
-def _old_cube_sum(mode, cube, cap):
+def _old_cube_sum(mode, cube, cap=6):
     """_cube_sum as a sum_many of strand DGs: each strand shifted and renamed,
     each edge a twist entry, and the inclusion of each strand."""
     if cube.n > cap:
@@ -1727,9 +1729,9 @@ def _old_cube_sum(mode, cube, cap):
     return total, dict(zip(strands, incls))
 
 
-def _old_places_cube_sum(mode, cube, cap):
+def _old_places_cube_sum(mode, cube):
     """_old_cube_sum with the places of its inclusions, as _cube_sum returns them."""
-    total, incls = _old_cube_sum(mode, cube, cap)
+    total, incls = _old_cube_sum(mode, cube)
     return total, {t: _places(incl) for t, incl in incls.items()}
 
 
@@ -1746,7 +1748,7 @@ def _cube_of(rng, kind, n):
        st.sampled_from(["limit", "colimit"]))
 def test_cube_sum_lays_out_what_the_strand_sum_built(seed, kind, n, mode):
     cube = _cube_of(Random(seed), kind, n)
-    (total, places), (old, incls) = _cube_sum(mode, cube, 6), _old_cube_sum(mode, cube, 6)
+    (total, places), (old, incls) = _cube_sum(mode, cube), _old_cube_sum(mode, cube)
     assert _same(total, old) and list(total.diff) == list(old.diff)
     for k, m in old.diff.items():
         got = total.diff[k].entries
@@ -1764,12 +1766,79 @@ def test_cube_sum_raises_what_the_strand_sum_raised():
     twice = Cube(3, cube.objects, {**cube.edges, e1: map_scale(2, cube.edges[e1])})
     loose = Cube(3, cube.objects, {**cube.edges, e1: zero_map(x, x)})
     cases = [("limit", cube, 2), ("colimit", twice, 3), ("limit", loose, 3), ("total", cube, 3)]
-    for args in cases:
-        with pytest.raises(ValueError) as new:
-            _cube_sum(*args)
+    for mode, c, cap in cases:
         with pytest.raises(ValueError) as old:
-            _old_cube_sum(*args)
-        assert str(new.value) == str(old.value)
+            _old_cube_sum(mode, c, cap)
+        # the cap is ho_cube's; the other checks are _cube_sum's, which cube_bidg shares
+        calls = [lambda: ho_cube(mode, c, cap)]
+        if c.n <= cap:
+            calls += [lambda: _cube_sum(mode, c), lambda: cube_bidg(c, mode)]
+        for call in calls:
+            with pytest.raises(ValueError) as new:
+                call()
+            assert str(new.value) == str(old.value)
+
+
+def _blockwise_report(b):
+    """BiDG.validate's lines from three block products per bidegree (h, v),
+    read through get_dh and get_dv, in the order dh^2, dv^2, dh dv + dv dh."""
+    dh, dv, report = b.get_dh, b.get_dv, []
+    for h, v in sorted({(k - v, v) for k, vs in b.vdeg.items() for v in vs}):
+        for name, m in (("dh^2", dh((h - 1, v)) * dh((h, v))), ("dv^2", dv((h, v - 1)) * dv((h, v))),
+                        ("dh dv + dv dh", dh((h, v - 1)) * dv((h, v)) + dv((h - 1, v)) * dh((h, v)))):
+            if not m.is_zero():
+                report.append(f"{name} != 0 at ({h},{v})")
+    return report
+
+
+def _with_strand_d(rng, cube, mode):
+    """cube with one strand's d doubled, or with one entry added to it, and
+    every edge re-ended on the new objects; cube if no strand has a d block."""
+    spots = [(t, k) for t, x in cube.objects.items() if (t if mode == "limit" else len(t) < cube.n)
+             for k in x.degrees() if x.dim(k - 1)]
+    if not spots:
+        return cube
+    t, k = rng.choice(spots)
+    x = cube.objects[t]
+    if rng.random() < 0.5:
+        diff = {j: m.scale(2) for j, m in x.diff.items()}
+    else:
+        one = {(rng.randrange(x.dim(k - 1)), rng.randrange(x.dim(k))): rng.choice([1, -1, 2])}
+        diff = {**x.diff, k: x.d(k) + QMatrix(x.dim(k - 1), x.dim(k), one)}
+    objects = {**cube.objects, t: DG(x.basis, diff)}
+    return Cube(cube.n, objects, {(s, u): DGMap(objects[s], objects[u], m.blocks) for (s, u), m in cube.edges.items()})
+
+
+def _with_total_entry(rng, b):
+    """b with one entry added to its total's d, and the line validate must
+    report for that entry when it is neither dh nor dv (else None)."""
+    t = b.total
+    spots = [k for k in t.degrees() if t.dim(k - 1)]
+    if not spots:
+        return b, None
+    k = rng.choice(spots)
+    r, c = rng.randrange(t.dim(k - 1)), rng.randrange(t.dim(k))
+    d = t.d(k) + QMatrix(t.dim(k - 1), t.dim(k), {(r, c): rng.choice([1, -1, 2])})
+    v, w = b.vdeg[k][c], b.vdeg[k - 1][r]
+    line = None if v - w in (0, 1) else f"d maps ({k - v},{v}) into ({k - 1 - w},{w})"
+    return BiDG(DG(t.basis, {**t.diff, k: d}), b.vdeg), line
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "test", "coproduct"]), st.integers(0, 4),
+       st.sampled_from(["limit", "colimit"]), st.sampled_from(["none", "strand", "total"]))
+def test_bidg_validate_reports_the_blockwise_identities(seed, kind, n, mode, where):
+    rng = Random(seed)
+    cube = _cube_of(rng, kind, n)
+    b = cube_bidg(_with_strand_d(rng, cube, mode) if where == "strand" else cube, mode)
+    if where == "none":
+        assert b.validate() == []
+    if where == "total":
+        b, line = _with_total_entry(rng, b)
+        if line:
+            assert line in b.validate()
+            return
+    assert b.validate() == _blockwise_report(b)
 
 
 @settings(max_examples=20, deadline=None)

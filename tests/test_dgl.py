@@ -691,6 +691,20 @@ def test_free_dgls_reject_inhomogeneous_or_unknown_differentials():
     assert FreeDGL(b, {1: dict(b.expand((0, 0)))}).gen_diff == {1: dict(b.expand((0, 0)))}
 
 
+def test_free_objects_reject_words_outside_the_lie_span():
+    # d c = ab once built and dgl_validate raised from coords; x -> ab once
+    # built, to_dgmap() raised and abelianized() dropped the word
+    b = free_lie_basis([("a", 1), ("b", 1), ("c", 3)], 4)
+    src, tgt = FreeDGL(free_lie_basis([("x", 2)], 4), {}), FreeDGL(b, {})
+    with pytest.raises(ValueError, match=r"^d\(c\) is not a Lie element$"):
+        FreeDGL(b, {2: {(0, 1): ONE}})
+    with pytest.raises(ValueError, match=r"^f\(x\) is not a Lie element$"):
+        FreeDGLMap(src, tgt, {0: {(0, 1): ONE}})
+    bracket = dict(b.expand((0, 1)))  # [a, b] = ab + ba
+    assert dgl_validate(FreeDGL(b, {2: bracket})) == []
+    assert FreeDGLMap(src, tgt, {0: bracket}).to_dgmap().block(2).entries == {(1, 0): ONE}  # [a,a], [a,b], [b,b]
+
+
 def test_cylinder_rejects_nonlinear_middle():
     b = free_lie_basis([("x", 1), ("y", 3)], 6)
     v = FreeDGL(b, {1: dict(b.expand((0, 0)))})
@@ -1820,7 +1834,9 @@ def test_cones_and_suspensions_match_the_old_constructions(seed):
 
 def _random_leg(rng, v, names, cap):
     """A map out of v of one of four kinds: the identity, a zero map, a random
-    freely generated map, or one that sends a generator to a bracket."""
+    freely generated map, or one that sends a generator to a bracket (aa =
+    [a,a]/2, for a generator a of odd degree: for an even one aa is not a Lie
+    element, which FreeDGLMap rejects)."""
     kind = rng.choice(["identity", "zero", "free", "bracket"])
     if kind == "identity":
         return free_dgl_identity(v)
@@ -1829,7 +1845,8 @@ def _random_leg(rng, v, names, cap):
     for i, d in enumerate(v.basis.deg):
         same = [j for j, e in enumerate(t.basis.deg) if e == d]
         poly = {(j,): rat(rng.choice([1, -1, 2])) for j in same if rng.random() < 0.6}
-        if kind == "bracket" and t.basis.deg and rng.random() < 0.5 and t.basis.word_degree((0, 0)) == d:
+        if kind == "bracket" and t.basis.deg and rng.random() < 0.5 and t.basis.word_degree((0, 0)) == d \
+                and t.basis.deg[0] % 2:
             poly[(0, 0)] = ONE
         if poly and kind != "zero":
             images[i] = poly
