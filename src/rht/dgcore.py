@@ -45,13 +45,14 @@ Face and Sigma_n checks compare two composites of maps (_same_composite).  In
 a degree where every block is signed monomial, each column holding at most
 one entry and that entry the shared 1 or -1, as in coproduct cubes, test
 cubes and cross-effect actions, each block is read once into a signed column
-array and the composites are composed and compared as arrays, with no entry
-summed.  In any other degree, such as that of Lie(n)'s last swap, they are
-compared as QMatrix products.
+array by exactq's one reader, _signed_array, and the composites are composed
+and compared as arrays, with no entry summed.  In any other degree, such as
+that of Lie(n)'s last swap, they are compared as QMatrix products.
 
 The chain-map check of a map a of a DG to itself whose every block is a
 signed permutation, a e_c = s_c e_pi(c) (cross-effect actions, factor
-swaps), tests d[pi r, pi c] = s_r s_c d[r, c] at each nonzero entry of d: as
+swaps; the same reader's column arrays, with no zero and no row twice),
+tests d[pi r, pi c] = s_r s_c d[r, c] at each nonzero entry of d: as
 (r, c) -> (pi r, pi c) permutes positions, that is d a = a d, and d, which
 need not be signed monomial, is read once with no product.  On a mismatch,
 or for any other map, validate_dg compares the two products, so every
@@ -76,8 +77,7 @@ from .exactq import (
     _kernel_from_rref,
     _moved,
     _negated,
-    _signed_column_array,
-    _signed_permutation,
+    _signed_array,
     image_pivot_columns,
     kernel_basis,
     rref,
@@ -196,7 +196,7 @@ def _same_composite(first: Sequence[DGMap], second: Sequence[DGMap], memo: dict)
     compose to equal DGMaps, as compose and == decide; a path whose maps do
     not meet raises compose's ValueError.  In a degree where every block of
     both paths is signed monomial, the composites are signed column arrays
-    (exactq._signed_column_array), composed by indexing with no entry summed;
+    (exactq._signed_array), composed by indexing with no entry summed;
     in any other degree they are QMatrix products.  memo, one per check,
     keeps each block's array by the block's id, with the block, so maps that
     share a block read it once, and each verdict by the two paths' ids."""
@@ -213,7 +213,7 @@ def _same_composite(first: Sequence[DGMap], second: Sequence[DGMap], memo: dict)
         for m in maps:
             b = m.block(k)
             if id(b) not in memo:
-                memo[id(b)] = (b, _signed_column_array(b))
+                memo[id(b)] = (b, _signed_array(b, 1))
             arrays.append(memo[id(b)][1])
         if None not in arrays:
             step = lambda out, then: [x and (then[x - 1] if x > 0 else -then[-x - 1]) for x in out]
@@ -365,8 +365,9 @@ def _commutes_by_conjugation(a: DGMap) -> bool:
     v = a.source
     if a.target is not v:
         return False
-    perm = {k: _signed_permutation(a.blocks[k]) if k in a.blocks else None for k in v.basis}
-    if None in perm.values():
+    perm = {k: _signed_array(a.blocks[k], 1) if k in a.blocks else None for k in v.basis}
+    # the blocks are square (a.target is v): one entry in each column, no row twice, is a bijection
+    if any(p is None or 0 in p or len(set(map(abs, p))) != len(p) for p in perm.values()):
         return False
     for k, m in v.diff.items():
         rows, cols, ent = perm[k - 1], perm[k], m.entries

@@ -19,24 +19,26 @@ each pivot step find and eliminate the rows holding its column without
 scanning the others.
 
 Products and scalings run on integer numerators too.  A product scales
-each factor by the lcm of its denominators and sums the products as ints; a
-scaling multiplies numerators and denominators.  Each nonzero output entry
-becomes one Fraction, divided once.  Every integer entry from -16 to 16 is
-one shared Fraction object (Fraction is immutable), so the ±1 entries of
-the symmetric-group actions and of most differentials cost a dict lookup,
-and comparing two such matrices stops at object identity.
+each factor by the lcm of the denominators it reads, found in the pass over
+its entries, and sums the products as ints; a scaling multiplies numerators
+and denominators.  Each nonzero output entry becomes one Fraction, divided
+once.  Every integer entry from -16 to 16 is one shared Fraction object
+(Fraction is immutable), so the ±1 entries of the symmetric-group actions
+and of most differentials cost a dict lookup, and comparing two such
+matrices stops at object identity.
 
 Most products in the models have a signed partial permutation as a factor:
 the symmetric-group actions, inclusions, projections and cube edges.  When
 the right factor holds at most one entry per column, or the left factor at
 most one per row, and each such entry is the shared 1 or -1 object, the
 product is a reindex of the other factor: each entry is moved, negated
-where the sign is -1, and no sum is formed.  The test is one pass over the
-factor's entries that stops at the first entry not one of those two
-objects, and a count of the distinct columns or rows; any other entry, an
-unshared Fraction(1) included, takes the integer path.  Scaling by 1 or -1
-copies or negates the entries.  Moved and negated small integers come out
-as their shared objects, as above.
+where the sign is -1, and no sum is formed.  The one reader of such
+matrices, _signed_array, which dgcore's face and conjugation checks read
+too, is one pass over the entries that stops at the first line holding a
+second entry or the first entry not one of those two objects; any other
+entry, an unshared Fraction(1) included, takes the integer path.  Scaling
+by 1 or -1 copies or negates the entries.  Moved and negated small
+integers come out as their shared objects, as above.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ def _frac(num: int, den: int) -> Fraction:
     return Fraction(q) if f is None else f
 
 
-def _lcm_denominator(m: "QMatrix") -> int:
-    return lcm(*(v.denominator for v in m.entries.values()))
-
-
 def _moved(v: Fraction) -> Fraction:
     """v, as its shared object when it is a small integer."""
     if id(v) in _NEGATED or v.denominator != 1:
@@ -83,43 +81,18 @@ def _negated(v: Fraction) -> Fraction:
     return _frac(-v.numerator, v.denominator) if f is None else f
 
 
-def _signed_columns(m: "QMatrix") -> Optional[dict[int, list[tuple[int, Fraction]]]]:
-    """For m with at most one entry per column, each the shared ONE or
-    _MINUS_ONE: row k -> [(column, entry)] of m.  Otherwise None."""
-    out: dict[int, list[tuple[int, Fraction]]] = {}
-    for (r, c), v in m.entries.items():
-        if v is not ONE and v is not _MINUS_ONE:
+def _signed_array(m: "QMatrix", axis: int) -> Optional[list[int]]:
+    """Per row (axis 0) or column (axis 1) of m: 0 for an empty line and
+    ±(j + 1) for the shared ONE or _MINUS_ONE at index j across it.  None
+    when a line holds two entries or an entry is not one of those two
+    objects: the one reader of signed monomial matrices."""
+    out = [0] * (m.cols if axis else m.rows)
+    for key, v in m.entries.items():
+        line = key[axis]
+        if out[line] or (v is not ONE and v is not _MINUS_ONE):
             return None
-        out.setdefault(r, []).append((c, v))
-    return out if len({c for _, c in m.entries}) == len(m.entries) else None
-
-
-def _signed_column_array(m: "QMatrix") -> Optional[list[int]]:
-    """For m with at most one entry per column, each the shared ONE or
-    _MINUS_ONE: per column, 0 for a zero column and ±(row + 1) for a ±1 in
-    that row.  Otherwise None."""
-    out = [0] * m.cols
-    for (r, c), v in m.entries.items():
-        if out[c] or (v is not ONE and v is not _MINUS_ONE):
-            return None
-        out[c] = r + 1 if v is ONE else -r - 1
+        out[line] = key[1 - axis] + 1 if v is ONE else -key[1 - axis] - 1
     return out
-
-
-def _signed_permutation(m: "QMatrix") -> Optional[list[int]]:
-    """_signed_column_array of m when m is a signed permutation matrix:
-    square, with one entry in each row and in each column, each the shared
-    ONE or _MINUS_ONE.  Otherwise None."""
-    out = _signed_column_array(m) if m.rows == m.cols == len(m.entries) else None
-    return out if out is not None and len(set(map(abs, out))) == m.cols else None
-
-
-def _is_signed_rows(m: "QMatrix") -> bool:
-    """Whether m has at most one entry per row, each the shared ONE or _MINUS_ONE."""
-    for v in m.entries.values():
-        if v is not ONE and v is not _MINUS_ONE:
-            return False
-    return len({r for r, _ in m.entries}) == len(m.entries)
 
 
 def rat(x) -> Fraction:
@@ -308,17 +281,21 @@ class QMatrix:
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in *: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        targets = _signed_columns(other)
-        if targets is not None:
+        cols = _signed_array(other, 1)
+        if cols is not None:
             # column c of the product is ± column k of self, for other[k, c] = ±1
+            targets: dict[int, list[tuple[int, bool]]] = {}
+            for c, x in enumerate(cols):
+                if x:
+                    targets.setdefault(abs(x) - 1, []).append((c, x > 0))
             ent = {}
             for (r, k), v in self.entries.items():
                 row = targets.get(k)
                 if row is not None:
-                    for c, s in row:
-                        ent[(r, c)] = _moved(v) if s is ONE else _negated(v)
+                    for c, positive in row:
+                        ent[(r, c)] = _moved(v) if positive else _negated(v)
             return QMatrix._of(self.rows, other.cols, ent)
-        if _is_signed_rows(self):
+        if _signed_array(self, 0) is not None:
             # row r of the product is ± row k of other, for self[r, k] = ±1
             other_rows: dict[int, list[tuple[int, Fraction]]] = {}
             for (k, c), v in other.entries.items():
@@ -334,17 +311,28 @@ class QMatrix:
                         for c, v in row:
                             ent[(r, c)] = _negated(v)
             return QMatrix._of(self.rows, other.cols, ent)
-        # both factors times the lcm of their denominators; other grouped by row
-        da, db = _lcm_denominator(self), _lcm_denominator(other)
-        by_row: dict[int, list[tuple[int, int]]] = {}
+        # other grouped by row; each factor over a common denominator, read in the pass
+        # that reads its entries: where an entry's denominator does not divide the one
+        # so far, that grows by the missing factor f, as do the integers taken so far
+        db, by_row = 1, {}
         for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v.numerator * (db // v.denominator)))
-        acc: dict[tuple[int, int], int] = {}
+            d = v.denominator
+            if db % d:
+                f = d // gcd(db, d)
+                db *= f
+                by_row = {k: [(j, b * f) for j, b in row] for k, row in by_row.items()}
+            by_row.setdefault(r, []).append((c, v.numerator * (db // d)))
+        da, acc = 1, {}
         for (r, k), a in self.entries.items():
             row = by_row.get(k)
             if row is None:
                 continue
-            a = a.numerator * (da // a.denominator)
+            d = a.denominator
+            if da % d:
+                f = d // gcd(da, d)
+                da *= f
+                acc = {key: s * f for key, s in acc.items()}
+            a = a.numerator * (da // d)
             for c, b in row:
                 key = (r, c)
                 acc[key] = acc.get(key, 0) + a * b

@@ -59,7 +59,7 @@ from rht.dgcore import _commutes_by_conjugation, _incl_sign, _places, _subset_ta
 from rht.calculus import IdentityFunctor, LambdaFunctor, _collapse_last, _power_with_swaps, cross_effect, lie_n, tensor_map
 from rht.calculus import CoefficientFunctor, TensorPowerFunctor, TnFunctor, _coproduct_cube, t_n, thcof_total, thfib_total
 from rht.calculus import _cofiber_square_map, _fiber_square_map, test_cube as _test_cube, thcof, thfib
-from rht.exactq import ONE, ZERO, QMatrix, _negated, _signed_permutation, image_pivot_columns, kernel_basis, rank, rat, solve_matrix
+from rht.exactq import ONE, ZERO, QMatrix, _negated, _signed_array, image_pivot_columns, kernel_basis, rank, rat, solve_matrix
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
 
 
@@ -1128,6 +1128,11 @@ def _random_signed_permutation(rng: Random, x: DG) -> DGMap:
     return DGMap(x, x, blocks)
 
 
+def _is_signed_permutation(b: QMatrix) -> bool:
+    """Whether b is square with one shared +-1 in each row and in each column."""
+    return b.rows == b.cols == len(b.entries) and _signed_array(b, 0) is not None and _signed_array(b, 1) is not None
+
+
 @settings(max_examples=160, deadline=None)
 @given(st.integers(0, 2**32 - 1),
        st.sampled_from(("relabel", "random", "cross", "square", "swaps", "lie", "chain map", "equal target")),
@@ -1177,8 +1182,7 @@ def test_map_check_matches_the_product_loop(seed, kind, corruptions):
     a = DGMap(a.source, a.target, a.blocks)  # with no report kept yet
     report = validate_dg(a)
     assert report == _old_map_report(a)
-    permutation = a.target is a.source and all(
-        _signed_permutation(a.blocks[k]) is not None if k in a.blocks else False for k in a.source.degrees())
+    permutation = a.target is a.source and all(k in a.blocks and _is_signed_permutation(a.blocks[k]) for k in a.source.degrees())
     assert signed <= permutation and _commutes_by_conjugation(a) == (permutation and report == [])
 
 

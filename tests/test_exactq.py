@@ -16,11 +16,9 @@ from rht.exactq import (
     ZERO,
     _SMALL,
     QMatrix,
-    _is_signed_rows,
     _rref_rows,
     _kernel_from_rref,
-    _signed_column_array,
-    _signed_columns,
+    _signed_array,
     image_pivot_columns,
     kernel_basis,
     rank,
@@ -758,12 +756,13 @@ def _check_products(case, c):
     a, b, a2 = case
     before = [dict(m.entries) for m in case]
     # the reindexing products take exactly the factors that are signed partial permutations
-    assert (_signed_columns(b) is not None) == _signed_lines(b, 1)
-    assert _is_signed_rows(a) == _signed_lines(a, 0)
-    # the face and Sigma_n checks read the same factors as signed column arrays
-    cols = _signed_column_array(b)
-    assert (cols is not None) == _signed_lines(b, 1)
-    assert cols is None or b.entries == {(abs(x) - 1, j): ONE if x > 0 else -ONE for j, x in enumerate(cols) if x}
+    # (b per column, a per row), and the face and Sigma_n checks read the same arrays
+    for m in (a, b):
+        for axis in (0, 1):
+            lines = _signed_array(m, axis)
+            assert (lines is not None) == _signed_lines(m, axis)
+            at = lambda line, x: (line, abs(x) - 1) if axis == 0 else (abs(x) - 1, line)
+            assert lines is None or m.entries == {at(j, x): ONE if x > 0 else -ONE for j, x in enumerate(lines) if x}
     if a.cols == b.rows:
         _assert_same_matrix(a * b, _fraction_mul(a, b))
         _assert_small_integers_shared(a * b)
@@ -792,6 +791,15 @@ def test_integer_products_match_the_fraction_products(case, c):
 @given(product_case(kinds=("signed",)), SCALARS)
 def test_signed_permutation_products_match_the_fraction_products(case, c):
     _check_products(case, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_row_reading_is_the_column_reading_of_the_transpose(data):
+    r, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    m = data.draw(st.one_of(_signed_permutation(r, c, per_row=True), _signed_permutation(r, c, per_row=False), _matrix(r, c)))
+    assert _signed_array(m, 0) == _signed_array(m.transpose(), 1)
+    assert _signed_array(m, 1) == _signed_array(m.transpose(), 0)
 
 
 def _fraction_add(a, b):
