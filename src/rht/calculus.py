@@ -9,9 +9,9 @@ Taylor approximation T_nF is the homotopy limit of F over the punctured
 (thfib; thcof for cofibers) of coproduct cubes give cross effects; the n-th
 derivative of the identity is the Lie representation Lie(n), and
 homogeneous_eval evaluates a homogeneous functor in DG.  A tower is one
-filtered DG, and its stages, layers and the triangular blocks of its
-differential are read off it by position: the layers and blocks are the
-tower's jet, with no second type for it.  The bracket-length filtration of
+filtered DG, dgcore's Tower, and its stages, layers and the triangular blocks
+of its differential are read off it by position: the layers and blocks are
+the tower's jet, with no second type for it.  The bracket-length filtration of
 a free DGL, which models the Taylor tower of the identity, is worked out
 here alone: bracket_tower is that filtration as a Tower, bracket_filtration
 adds the brackets to its stages, and layer_report counts each layer's
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -32,6 +31,7 @@ from .dgcore import (
     DGMap,
     Cube,
     SymmetricDG,
+    Tower,
     _by_column,
     _cube_sum,
     _generator_table,
@@ -768,81 +768,6 @@ def homogeneous_eval(coefficient: SymmetricDG, x: DG, n: int) -> DG:
 
 
 # -- Taylor layers of the cobar tower ------------------------------------------------
-
-
-@dataclass
-class Tower:
-    """A finite tower as one filtered DG.  top is the last stage, and
-    level[k][i], in 1..n, is the filtration level of top's basis element i in
-    degree k.  The rest is read off by position: stage s (objects[s - 1])
-    keeps the levels <= s, maps[s - 1] is the coordinate projection of stage
-    s + 1 onto stage s, layers[s - 1] keeps level s, and blocks splits top's
-    d between the layers.  The layers and blocks are the tower's jet.
-    Stages, maps, layers and blocks are each built once, when first read."""
-
-    top: DG
-    level: dict[int, list[int]]
-    n: int
-
-    def _keep(self, kept: Callable[[int], bool]) -> DG:
-        return _restrict(self.top, {k: [i for i, t in enumerate(lv) if kept(t)] for k, lv in self.level.items()})
-
-    @cached_property
-    def layers(self) -> list[DG]:
-        return [self._keep(lambda t: t == s) for s in range(1, self.n + 1)]
-
-    @cached_property
-    def objects(self) -> list[DG]:
-        return [self._keep(lambda t: t <= s) for s in range(1, self.n + 1)]
-
-    @cached_property
-    def blocks(self) -> dict[tuple[int, int], dict[int, QMatrix]]:
-        """blocks[(i, j)][k]: top's d from layer j in degree k to layer i in
-        degree k - 1, at each element's place in its layer.  On a valid tower
-        i >= j, and blocks (i, i) are the layer differentials."""
-        place = {}  # place[k][p]: the level of top's position p in degree k, and its index in that layer
-        for k, lv in self.level.items():
-            at = [itertools.count() for _ in range(self.n + 1)]
-            place[k] = [(t, next(at[t])) for t in lv]
-        blocks: dict[tuple[int, int], dict[int, QMatrix]] = {}
-        for k, d in sorted(self.top.diff.items()):
-            split: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
-            for (r, c), v in d.entries.items():
-                (i, r_i), (j, c_j) = place[k - 1][r], place[k][c]
-                split.setdefault((i, j), {})[(r_i, c_j)] = v
-            for (i, j), ent in sorted(split.items()):
-                blocks.setdefault((i, j), {})[k] = QMatrix._of(self.level[k - 1].count(i), self.level[k].count(j), ent)
-        return blocks
-
-    @cached_property
-    def maps(self) -> list[DGMap]:
-        maps = []
-        for s, (small, big) in enumerate(zip(self.objects, self.objects[1:]), 1):
-            blocks = {}
-            for k in big.degrees():
-                kept = [t for t in self.level[k] if t <= s + 1]
-                low = [c for c, t in enumerate(kept) if t <= s]
-                blocks[k] = QMatrix._of(small.dim(k), big.dim(k), {(r, c): ONE for r, c in enumerate(low)})
-            maps.append(DGMap(big, small, blocks))
-        return maps
-
-    def validate(self) -> list[str]:
-        """Empty iff there is one level per basis element, each in 1..n, and d
-        never lowers the level: then every stage is a quotient complex of top
-        and every map a chain map."""
-        report = []
-        for k in sorted(set(self.top.basis) | set(self.level)):
-            lv = self.level.get(k, [])
-            if len(lv) != self.top.dim(k):
-                report.append(f"degree {k} has {len(lv)} levels for {self.top.dim(k)} basis elements")
-            elif not all(1 <= t <= self.n for t in lv):
-                report.append(f"a level in degree {k} is outside 1..{self.n}")
-        if report:
-            return report
-        for k, m in sorted(self.top.diff.items()):
-            lowered = {c for r, c in m.entries if self.level[k - 1][r] < self.level[k][c]}
-            report.extend(f"d lowers the level at ({k},{c})" for c in sorted(lowered))
-        return report
 
 
 def _bracket_positions(l: FreeDGL, n: int) -> tuple[dict[int, list[int]], dict[int, list[int]]]:

@@ -634,6 +634,12 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except AssertionError as e:  # the engine's own checks: a bug, not a model error
+        print(f"internal error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; lower --truncate or -n", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

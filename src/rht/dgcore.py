@@ -15,8 +15,9 @@ inclusions and their transposes (projection).  The total of an n-cube
 order, the object at t shifted by its vertical degree, with the signed edge
 maps between the strands; _cube_sum lays it out directly from each strand's
 offset in each degree, with no strand DG and no inclusion.  That is the one
-layout of a cube total: cube_bidg adds a vertical degree per basis element, so
-tot(cube_bidg(cube, mode)) is ho_cube's total by construction.
+layout of a cube total.  A Tower is one filtered DG: a Taylor tower is one,
+and so is a cube total filtered by strand size (cube_bidg), whose d is dh + dv
+in the tower's blocks, and tot(cube_bidg(cube, mode)) is ho_cube's total.
 
 A quasi-isomorphism is read off its cone: f is one exactly when ho_cofiber(f)
 is acyclic, one rank pass of homology_dims; is_quasi_iso_through adds the two
@@ -29,8 +30,8 @@ the index that _tensor_with_index fills while it lays out a tensor product
 (_placed, _span_square and _columns_apart read a square for dgc and dgl), or
 the generator position table of _degree_positions, and never format a basis
 name to look it up again.  _restrict keeps the basis elements at given
-positions with d's entries among them; every stage and layer of a filtered
-DG (calculus.Tower) is cut out of its last stage that way.  The generator table
+positions with d's entries among them; every stage and layer of a Tower is
+cut out of its last stage that way.  The generator table
 (_first_generators, _generator_table) is the one place where a DG's basis
 becomes a generator list: every free and cofree presentation of a DG (cec_C,
 cobar_L, cofree_lambda, cofree_path, the free Lie and Lambda functors) reads
@@ -64,8 +65,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate
+from functools import cached_property, reduce
+from itertools import accumulate, count
 from typing import Callable, Mapping, Optional, Sequence
 
 from .exactq import (
@@ -309,8 +310,9 @@ def _generator_list(generators, floor: int, cap: int) -> tuple[tuple, tuple, tup
     for n, d in gens:
         if d < floor:
             raise ValueError(f"generator {n!r} has degree {d} < {floor}")
-    if gens and cap < max(d for _, d in gens):
-        raise ValueError("cap below a generator degree")
+    for n, d in gens:
+        if d > cap:
+            raise ValueError(f"cap {cap} is below the degree {d} of generator {n!r}")
     return gens, tuple(d for _, d in gens), names, {n: i for i, n in enumerate(names)}
 
 
@@ -846,59 +848,87 @@ def ho_cofiber(f: DGMap) -> DG:
     return sum_many(parts, ["w", "c"], [(0, 1, _out_of_suspension(f))])[0]
 
 
-# -- n-dimensional cubes and their totals as bigraded DGs -----------------------
+# -- filtered DGs: towers, and cube totals filtered by strand size -------------------
 
 
-@dataclass(frozen=True)
-class BiDG:
-    """A cube total read as a bigraded DG: vdeg[k][i] is the vertical degree v
-    of total's basis element i in degree k, of bidegree (k - v, v).  get_dh and
-    get_dv read dh, the part of d that keeps v, and dv, the part that lowers v
-    by one, off total's d by position."""
+@dataclass
+class Tower:
+    """A finite tower as one filtered DG.  top is the last stage, and
+    level[k][i], in 1..n, is the filtration level of top's basis element i in
+    degree k.  The rest is read off by position: stage s (objects[s - 1])
+    keeps the levels <= s, maps[s - 1] is the coordinate projection of stage
+    s + 1 onto stage s, layers[s - 1] keeps level s, and blocks splits top's
+    d between the layers.  The layers and blocks are the tower's jet.
+    Stages, maps, layers and blocks are each built once, when first read."""
 
-    total: DG
-    vdeg: dict[int, list[int]]
+    top: DG
+    level: dict[int, list[int]]
+    n: int
 
-    def _at(self, hv: tuple[int, int]) -> dict[int, int]:
-        """position in the total's degree h + v -> index in bidegree hv"""
-        at = [i for i, v in enumerate(self.vdeg.get(sum(hv), ())) if v == hv[1]]
-        return {p: i for i, p in enumerate(at)}
+    def _keep(self, kept: Callable[[int], bool]) -> DG:
+        return _restrict(self.top, {k: [i for i, t in enumerate(lv) if kept(t)] for k, lv in self.level.items()})
 
-    def _block(self, hv: tuple[int, int], to: tuple[int, int]) -> QMatrix:
-        rows, cols = self._at(to), self._at(hv)
-        d = self.total.d(sum(hv))
-        ent = {(rows[r], cols[c]): x for (r, c), x in d.entries.items() if r in rows and c in cols}
-        return QMatrix._of(len(rows), len(cols), ent)
+    @cached_property
+    def layers(self) -> list[DG]:
+        return [self._keep(lambda t: t == s) for s in range(1, self.n + 1)]
 
-    def get_dh(self, hv: tuple[int, int]) -> QMatrix:
-        return self._block(hv, (hv[0] - 1, hv[1]))
+    @cached_property
+    def objects(self) -> list[DG]:
+        return [self._keep(lambda t: t <= s) for s in range(1, self.n + 1)]
 
-    def get_dv(self, hv: tuple[int, int]) -> QMatrix:
-        return self._block(hv, (hv[0], hv[1] - 1))
+    @cached_property
+    def blocks(self) -> dict[tuple[int, int], dict[int, QMatrix]]:
+        """blocks[(i, j)][k]: top's d from layer j in degree k to layer i in
+        degree k - 1, at each element's place in its layer.  On a valid tower
+        i >= j, and blocks (i, i) are the layer differentials."""
+        place = {}  # place[k][p]: the level of top's position p in degree k, and its index in that layer
+        for k, lv in self.level.items():
+            at = [count() for _ in range(self.n + 1)]
+            place[k] = [(t, next(at[t])) for t in lv]
+        blocks: dict[tuple[int, int], dict[int, QMatrix]] = {}
+        for k, d in sorted(self.top.diff.items()):
+            split: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
+            for (r, c), v in d.entries.items():
+                (i, r_i), (j, c_j) = place[k - 1][r], place[k][c]
+                split.setdefault((i, j), {})[(r_i, c_j)] = v
+            for (i, j), ent in sorted(split.items()):
+                blocks.setdefault((i, j), {})[k] = QMatrix._of(self.level[k - 1].count(i), self.level[k].count(j), ent)
+        return blocks
+
+    @cached_property
+    def maps(self) -> list[DGMap]:
+        maps = []
+        for s, (small, big) in enumerate(zip(self.objects, self.objects[1:]), 1):
+            blocks = {}
+            for k in big.degrees():
+                kept = [t for t in self.level[k] if t <= s + 1]
+                low = [c for c, t in enumerate(kept) if t <= s]
+                blocks[k] = QMatrix._of(small.dim(k), big.dim(k), {(r, c): ONE for r, c in enumerate(low)})
+            maps.append(DGMap(big, small, blocks))
+        return maps
 
     def validate(self) -> list[str]:
-        """Empty iff d is dh + dv and dh^2, dv^2 and dh dv + dv dh vanish.  An
-        entry of d_{k-1} d_k, one product per degree, that lowers v by 0, 2 or
-        1 is one of dh^2, dv^2 or dh dv + dv dh; lines come in that order per
-        source bidegree (h, v), then the entries of d that are neither dh nor dv."""
-        found = set()
-        names = {0: "dh^2", 1: "dh dv + dv dh", 2: "dv^2"}
-        for k, d in self.total.diff.items():
-            v = self.vdeg[k]
-            for r, c in d.entries:
-                w = self.vdeg[k - 1][r]
-                if v[c] - w not in (0, 1):
-                    found.add((k - v[c], v[c], 3, f"d maps ({k - v[c]},{v[c]}) into ({k - 1 - w},{w})"))
-            for r, c in (self.total.d(k - 1) * d).entries:
-                drop = v[c] - self.vdeg[k - 2][r]
-                if drop in names:
-                    found.add((k - v[c], v[c], (0, 2, 1)[drop], f"{names[drop]} != 0 at ({k - v[c]},{v[c]})"))
-        return [line for *_, line in sorted(found)]
+        """Empty iff there is one level per basis element, each in 1..n, and d
+        never lowers the level: then every stage is a quotient complex of top
+        and every map a chain map."""
+        report = []
+        for k in sorted(set(self.top.basis) | set(self.level)):
+            lv = self.level.get(k, [])
+            if len(lv) != self.top.dim(k):
+                report.append(f"degree {k} has {len(lv)} levels for {self.top.dim(k)} basis elements")
+            elif not all(1 <= t <= self.n for t in lv):
+                report.append(f"a level in degree {k} is outside 1..{self.n}")
+        if report:
+            return report
+        for k, m in sorted(self.top.diff.items()):
+            lowered = {c for r, c in m.entries if self.level[k - 1][r] < self.level[k][c]}
+            report.extend(f"d lowers the level at ({k},{c})" for c in sorted(lowered))
+        return report
 
 
-def tot(b: BiDG) -> DG:
-    """Total DG: degree n collects bidegrees (h, v) with h + v = n."""
-    return b.total
+def tot(t: Tower) -> DG:
+    """A tower's total DG: its last stage."""
+    return t.top
 
 
 @dataclass
@@ -949,16 +979,17 @@ def _incl_sign(s: frozenset, t_added: int) -> Fraction:
     return -ONE if len([x for x in s if x < t_added]) % 2 else ONE
 
 
-def cube_bidg(cube: Cube, mode: str) -> BiDG:
-    """ho_cube's total as a BiDG: the places of strand t carry the vertical
-    degree top - |t|, where top is 1 for the limit and n - 1 for the colimit."""
+def cube_bidg(cube: Cube, mode: str) -> Tower:
+    """ho_cube's total as a Tower, filtered by strand size: strand t's places
+    carry the level |t| for the limit and |t| + 1 for the colimit.  Each edge
+    maps strand t into t + {e}, so d is dh + dv, blocks (i, i) and (i + 1, i)."""
     total, places = _cube_sum(mode, cube)
-    top = 1 if mode == "limit" else cube.n - 1
-    vdeg = {k: [0] * total.dim(k) for k in total.degrees()}
+    low = 0 if mode == "limit" else 1
+    level = {k: [0] * total.dim(k) for k in total.degrees()}
     for t, at in places.items():
         for (k, _), r in at.items():
-            vdeg[k][r] = top - len(t)
-    return BiDG(total, vdeg)
+            level[k][r] = len(t) + low
+    return Tower(total, level, cube.n)
 
 
 def ho_cube(mode: str, cube: Cube, cap: int = 6) -> DG:

@@ -690,15 +690,18 @@ def free_product(a: FreeDGL, b: FreeDGL) -> FreeDGL:
     return _free_sum([(a.basis.generators, a.gen_diff), (b.basis.generators, b.gen_diff)], a.cap, ())
 
 
+def _moved_bracket(l: DGL, incl: DGMap) -> dict[tuple[int, int, int, int], Vector]:
+    """A summand's nonzero structure constants carried into the sum along its
+    inclusion: keys at its places (dgcore._places), values through incl."""
+    at = _places(incl)
+    return {(k1, at[(k1, i1)], k2, at[(k2, i2)]): incl.apply(k1 + k2, v)
+            for (k1, i1, k2, i2), v in l.bracket.items() if any(v)}
+
+
 def dgl_strict_product(a: DGL, b: DGL) -> tuple[DGL, DGLMap, DGLMap]:
     """Categorical product: degreewise product with componentwise bracket."""
     dg, inl, inr = sum_dg(a.underlying, b.underlying, tags=("p1", "p2"))
-    table: dict[tuple[int, int, int, int], Vector] = {}
-    for factor, incl in ((a, inl), (b, inr)):
-        at = _places(incl)
-        for (k1, i1, k2, i2), v in factor.bracket.items():
-            if dg.dim(k1 + k2):
-                table[(k1, at[(k1, i1)], k2, at[(k2, i2)])] = incl.apply(k1 + k2, v)
+    table = {**_moved_bracket(a, inl), **_moved_bracket(b, inr)}
     caps = [c for c in (a.cap, b.cap) if c is not None]
     out = DGL(dg, table, cap=min(caps) if caps else None)
     return out, DGLMap(out, a, projection(inl)), DGLMap(out, b, projection(inr))
@@ -812,12 +815,7 @@ def dgl_ho_pullback(f1: DGLMap, f2: DGLMap) -> tuple[DGL, DGLMap]:
     pdg, incls = _path_sum(f1.dgmap, map_scale(-1, f2.dgmap), ("l1", "k", "l2"))
     at1, atk, at2 = (_places(incl) for incl in incls)
     half = Fraction(1, 2)
-    table: dict[tuple[int, int, int, int], Vector] = {}
-    # strand brackets
-    for li, at, incl in ((l1, at1, incls[0]), (l2, at2, incls[2])):
-        for (k1, i1, k2, i2), v in li.bracket.items():
-            if pdg.dim(k1 + k2) and any(v):
-                table[(k1, at[(k1, i1)], k2, at[(k2, i2)])] = incl.apply(k1 + k2, v)
+    table = {**_moved_bracket(l1, incls[0]), **_moved_bracket(l2, incls[2])}  # strand brackets
     # mixed brackets with the shifted strand; a basis element of K that no
     # nonzero entry of K's table names brackets to zero with everything
     named: dict[int, set[int]] = {}

@@ -875,10 +875,13 @@ def test_bracket_filtration_on_the_tower_equals_the_stage_by_stage_oracle(seed, 
 ])
 def test_each_stage_and_layer_is_cut_out_of_the_tower_once(monkeypatch, argv, calls):
     import rht.calculus as calculus
+    import rht.dgcore as dgcore
     from rht.cli import main
 
     seen = []
-    monkeypatch.setattr(calculus, "_restrict", lambda *args: seen.append(1) or _restrict(*args))
+    counted = lambda *args: seen.append(1) or _restrict(*args)
+    monkeypatch.setattr(calculus, "_restrict", counted)  # top, cut out of to_dgl(l) by bracket_tower
+    monkeypatch.setattr(dgcore, "_restrict", counted)  # the stages and layers, cut out of top by Tower
     assert main(argv.split()) == 0
     assert len(seen) == calls
 

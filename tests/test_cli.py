@@ -400,6 +400,28 @@ def test_exit_paths(tmp_path, capsys, text, argv, code, err, out):
     assert out in captured.out and bool(captured.out) == bool(out)
 
 
+def test_a_cap_below_a_generator_names_both(capsys):
+    assert run("homotopy", f"{MODELS}/s3.dgc", "--truncate", "1") == (1, "")
+    assert capsys.readouterr().err == "error: cap 1 is below the degree 2 of generator 'si(x)'\n"
+
+
+@pytest.mark.parametrize("failure, err", [
+    (AssertionError("internal: quotient basis does not span"), "internal error: internal: quotient basis does not span"),
+    (MemoryError(), "error: out of memory; lower --truncate or -n"),
+])
+def test_internal_failures_have_their_own_message(monkeypatch, capsys, failure, err):
+    """An engine bug or an exhausted memory is no model error and no traceback:
+    exit 1 with its own line on stderr and nothing on stdout."""
+    import rht.cli as cli
+
+    def fail(*args):
+        raise failure
+
+    monkeypatch.setitem(cli.COMMANDS, "homology", fail)
+    assert run("homology", f"{MODELS}/twocell.dg") == (1, "")
+    assert capsys.readouterr().err == err + "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

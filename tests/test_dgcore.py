@@ -5,6 +5,7 @@ computed independently (by hand or by counting) before being asserted.
 
 import re
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -12,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rht.dgcore import (
-    BiDG,
     Cube,
     DG,
     DGMap,
     ONE_DG,
     ZERO_DG,
     SymmetricDG,
+    Tower,
     big_loops,
     big_suspension,
     chain_map_space,
@@ -58,7 +59,7 @@ from rht.dgcore import _cube_sum, _degree_positions, _out_of_suspension, _tensor
 from rht.dgcore import _commutes_by_conjugation, _incl_sign, _places, _subset_tag
 from rht.calculus import IdentityFunctor, LambdaFunctor, _collapse_last, _power_with_swaps, cross_effect, lie_n, tensor_map
 from rht.calculus import CoefficientFunctor, TensorPowerFunctor, TnFunctor, _coproduct_cube, t_n, thcof_total, thfib_total
-from rht.calculus import _cofiber_square_map, _fiber_square_map, test_cube as _test_cube, thcof, thfib
+from rht.calculus import _cofiber_square_map, _fiber_square_map, jet_validate, test_cube as _test_cube, thcof, thfib
 from rht.exactq import ONE, ZERO, QMatrix, _negated, _signed_array, image_pivot_columns, kernel_basis, rank, rat, solve_matrix
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
 
@@ -578,14 +579,14 @@ def test_cube_sign_grid_matches_displayed_example():
     v = sphere(0)
     cube = _constant_cube(3, v, _all_subsets(3, "nonempty"))
     b = cube_bidg(cube, "limit")
-    assert b.validate() == []
-    first = b.get_dv((0, 0))  # strands {1},{2},{3} -> {1,2},{1,3},{2,3}
+    assert b.validate() == [] and jet_validate(b) == []
+    first = b.blocks[(2, 1)][0]  # dv of bidegree (0, 0): strands {1},{2},{3} -> {1,2},{1,3},{2,3}
     assert first.to_rows() == [
         [rat(-1), rat(1), rat(0)],
         [rat(-1), rat(0), rat(1)],
         [rat(0), rat(-1), rat(1)],
     ]
-    second = b.get_dv((0, -1))  # strands {1,2},{1,3},{2,3} -> {1,2,3}
+    second = b.blocks[(3, 2)][-1]  # dv of bidegree (0, -1): strands {1,2},{1,3},{2,3} -> {1,2,3}
     assert second.to_rows() == [[rat(1), rat(-1), rat(1)]]
 
 
@@ -1665,19 +1666,25 @@ def _random_cube(rng, n):
     return Cube(n, {s: total for s, (total, _) in sums.items()}, edges)
 
 
-def _check_strands(total, places, cube, mode, vdeg):
+def _check_strands(total, places, cube, mode, level):
     """Each strand's place holds the basis element of its name and carries the
-    strand's vertical degree top - |t| in vdeg, and the strands fill the total."""
-    top = 1 if mode == "limit" else cube.n - 1
+    strand's level, |t| for the limit and |t| + 1 for the colimit, and the
+    strands fill the total."""
+    top, low = (1, 0) if mode == "limit" else (cube.n - 1, 1)
     for t, at in places.items():
         v, obj = top - len(t), cube.objects[t]
         assert sorted(at) == [(k + v, c) for k in obj.degrees() for c in range(obj.dim(k))]
         assert all(total.basis[k][r] == f"{_subset_tag(t)}:{obj.basis[k - v][c]}@v{v}" for (k, c), r in at.items())
-        assert all(vdeg[k][r] == v for (k, _), r in at.items())
+        assert all(level[k][r] == len(t) + low for (k, _), r in at.items())
     assert {(k, r) for at in places.values() for (k, _), r in at.items()} == {
         (k, r) for k in total.degrees() for r in range(total.dim(k))}
-    assert {k: len(vs) for k, vs in vdeg.items()} == {k: total.dim(k) for k in total.degrees()}
+    assert {k: len(lv) for k, lv in level.items()} == {k: total.dim(k) for k in total.degrees()}
     assert sum(cube.objects[t].total_dim() for t in places) == total.total_dim()
+
+
+def _level_moves(tower):
+    """How far each entry of top's d raises the level."""
+    return {tower.level[k - 1][r] - tower.level[k][c] for k, d in tower.top.diff.items() for r, c in d.entries}
 
 
 @settings(max_examples=40, deadline=None)
@@ -1687,7 +1694,9 @@ def test_cube_totals_equal_tot_of_cube_bidg_on_random_cubes(seed, n, mode):
     assert cube.validate_commuting() == []
     (total, places), b = _cube_sum(mode, cube), cube_bidg(cube, mode)
     assert _same(total, tot(b)) and _same(total, ho_cube(mode, cube))
-    _check_strands(total, places, cube, mode, b.vdeg)
+    _check_strands(total, places, cube, mode, b.level)
+    assert b.n == n and b.validate() == [] and jet_validate(b) == []
+    assert _level_moves(b) <= {0, 1}  # d is dh + dv: every edge goes from t to t + {e}
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -1697,7 +1706,8 @@ def test_cube_totals_equal_tot_of_cube_bidg_on_test_cubes(n, mode):
     cube = _test_cube(n, x)
     (total, places), b = _cube_sum(mode, cube), cube_bidg(cube, mode)
     assert _same(total, tot(b))
-    _check_strands(total, places, cube, mode, b.vdeg)
+    _check_strands(total, places, cube, mode, b.level)
+    assert b.validate() == [] and jet_validate(b) == [] and _level_moves(b) <= {0, 1}
 
 
 def _old_cube_sum(mode, cube, cap=6):
@@ -1783,16 +1793,30 @@ def test_cube_sum_raises_what_the_strand_sum_raised():
             assert str(new.value) == str(old.value)
 
 
-def _blockwise_report(b):
-    """BiDG.validate's lines from three block products per bidegree (h, v),
-    read through get_dh and get_dv, in the order dh^2, dv^2, dh dv + dv dh."""
-    dh, dv, report = b.get_dh, b.get_dv, []
-    for h, v in sorted({(k - v, v) for k, vs in b.vdeg.items() for v in vs}):
-        for name, m in (("dh^2", dh((h - 1, v)) * dh((h, v))), ("dv^2", dv((h, v - 1)) * dv((h, v))),
-                        ("dh dv + dv dh", dh((h, v - 1)) * dv((h, v)) + dv((h - 1, v)) * dh((h, v)))):
-            if not m.is_zero():
-                report.append(f"{name} != 0 at ({h},{v})")
-    return report
+def _blockwise_report(t):
+    """jet_validate's d^2 lines for a cube tower whose d is dh + dv, from three
+    block products per level i and degree k, read through dh = blocks (i, i)
+    and dv = blocks (i + 1, i): dh^2, dv^2 and dh dv + dv dh are blocks
+    (i, i), (i + 2, i) and (i + 1, i) of d^2."""
+
+    def block(i, j, k):  # zero where top's d has no entry from level j to level i
+        m = t.blocks.get((i, j), {}).get(k)
+        return m if m is not None else QMatrix(t.level.get(k - 1, []).count(i), t.level.get(k, []).count(j))
+
+    def dh(i, k):
+        return block(i, i, k)
+
+    def dv(i, k):
+        return block(i + 1, i, k)
+
+    hits = set()  # (k, i, j): block (i, j) of d^2 from degree k is nonzero
+    for k, lv in t.level.items():
+        for i in set(lv):
+            for row, m in ((i, dh(i, k - 1) * dh(i, k)), (i + 2, dv(i + 1, k - 1) * dv(i, k)),
+                           (i + 1, dh(i + 1, k - 1) * dv(i, k) + dv(i, k - 1) * dh(i, k))):
+                if not m.is_zero():
+                    hits.add((k, row, i))
+    return [f"d^2 block ({i},{j}) is nonzero at degree {k}" for k, i, j in sorted(hits)]
 
 
 def _with_strand_d(rng, cube, mode):
@@ -1813,36 +1837,44 @@ def _with_strand_d(rng, cube, mode):
     return Cube(cube.n, objects, {(s, u): DGMap(objects[s], objects[u], m.blocks) for (s, u), m in cube.edges.items()})
 
 
-def _with_total_entry(rng, b):
-    """b with one entry added to its total's d, and the line validate must
-    report for that entry when it is neither dh nor dv (else None)."""
-    t = b.total
-    spots = [k for k in t.degrees() if t.dim(k - 1)]
+def _with_total_entry(rng, t):
+    """t with one entry added to top's d, and how far that entry raises the
+    level (None if no degree has a d block)."""
+    spots = [k for k in t.top.degrees() if t.top.dim(k - 1)]
     if not spots:
-        return b, None
+        return t, None
     k = rng.choice(spots)
-    r, c = rng.randrange(t.dim(k - 1)), rng.randrange(t.dim(k))
-    d = t.d(k) + QMatrix(t.dim(k - 1), t.dim(k), {(r, c): rng.choice([1, -1, 2])})
-    v, w = b.vdeg[k][c], b.vdeg[k - 1][r]
-    line = None if v - w in (0, 1) else f"d maps ({k - v},{v}) into ({k - 1 - w},{w})"
-    return BiDG(DG(t.basis, {**t.diff, k: d}), b.vdeg), line
+    r, c = rng.randrange(t.top.dim(k - 1)), rng.randrange(t.top.dim(k))
+    d = t.top.d(k) + QMatrix(t.top.dim(k - 1), t.top.dim(k), {(r, c): rng.choice([1, -1, 2])})
+    return Tower(DG(t.top.basis, {**t.top.diff, k: d}), t.level, t.n), (k, c, t.level[k - 1][r] - t.level[k][c])
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "test", "coproduct"]), st.integers(0, 4),
-       st.sampled_from(["limit", "colimit"]), st.sampled_from(["none", "strand", "total"]))
-def test_bidg_validate_reports_the_blockwise_identities(seed, kind, n, mode, where):
-    rng = Random(seed)
-    cube = _cube_of(rng, kind, n)
-    b = cube_bidg(_with_strand_d(rng, cube, mode) if where == "strand" else cube, mode)
-    if where == "none":
-        assert b.validate() == []
-    if where == "total":
-        b, line = _with_total_entry(rng, b)
-        if line:
-            assert line in b.validate()
-            return
-    assert b.validate() == _blockwise_report(b)
+def test_cube_tower_checks_report_the_blockwise_identities():
+    """450 seeded cubes, five per kind, dimension, mode and perturbation: a
+    cube total is a tower whose d is dh + dv, and the tower's checks fail
+    exactly when the bicomplex identities do, block for block.  An entry
+    added to top's d that lowers the level fails Tower.validate; one that
+    raises it by two or more leaves a valid tower that is no bicomplex."""
+    cases = product(range(5), ["random", "test", "coproduct"], range(5), ["limit", "colimit"],
+                              ["none", "strand", "total"])
+    for seed, kind, n, mode, where in cases:
+        rng = Random(seed)
+        cube = _cube_of(rng, kind, n)
+        t = cube_bidg(_with_strand_d(rng, cube, mode) if where == "strand" else cube, mode)
+        assert _level_moves(t) <= {0, 1}
+        if where == "none":
+            assert t.validate() == [] and jet_validate(t) == [] and _blockwise_report(t) == []
+        if where == "total":
+            t, entry = _with_total_entry(rng, t)
+            if entry and entry[2] < 0:
+                assert f"d lowers the level at ({entry[0]},{entry[1]})" in t.validate()
+                continue
+            if entry and entry[2] > 1:
+                assert t.validate() == [] and not _level_moves(t) <= {0, 1}
+                continue
+        checks = t.validate() + jet_validate(t)
+        assert [line for line in checks if line.startswith("d^2 block")] == _blockwise_report(t)
+        assert (checks == []) == (_blockwise_report(t) == [])
 
 
 @settings(max_examples=20, deadline=None)

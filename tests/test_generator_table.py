@@ -408,8 +408,8 @@ def test_free_and_cofree_generator_lists_share_their_checks(kind, floor):
         _presentation(kind, [("x", 2), ("x", 3)], 6)
     with pytest.raises(ValueError, match=f"generator 'x' has degree {floor - 1} < {floor}"):
         _presentation(kind, [("x", floor - 1)], 6)
-    with pytest.raises(ValueError, match="cap below a generator degree"):
-        _presentation(kind, [("x", 4)], 3)
+    with pytest.raises(ValueError, match="cap 3 is below the degree 4 of generator 'x'"):
+        _presentation(kind, [("y", 3), ("x", 4)], 3)
     p = _presentation(kind, [("y", 3), ("x", 2)], 6)
     basis = p.basis if kind == "free" else p
     assert (basis.deg, basis.gen_name, basis.gen_index) == ((3, 2), ("y", "x"), {"y": 0, "x": 1})

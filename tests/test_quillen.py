@@ -266,6 +266,19 @@ def test_stable_loops_of_sphere_dg():
     assert not any(l.bracket_basis(3, 0, 3, 0))
 
 
+def test_stabilization_of_infinite_loops_is_the_reduction():
+    """The paper's DG ~ Stab(DGL): Sigma^infinity after Omega^infinity into DGL
+    gives back the r-reduction, its dims and its d blocks, on 200 seeded DGs
+    at r = 1, 2 and 3."""
+    rng = random.Random(11)
+    for _ in range(200):
+        v = random_dg(rng, rng.randint(-1, 2), rng.randint(3, 6))
+        for r in (1, 2, 3):
+            got, want = stabilization(infinite_loops_dgl(v, r)), reduce_dg(r, v)
+            assert {k: got.dim(k) for k in got.degrees()} == {k: want.dim(k) for k in want.degrees()}
+            assert all(got.d(k) == want.d(k) for k in want.degrees())
+
+
 def test_stable_suspension_of_lie_model():
     v = stabilization(sphere_lie(3))
     assert {k: v.dim(k) for k in v.degrees()} == {3: 1}
