@@ -5,9 +5,10 @@ set T is tensoring with the T-cell complex [T] (one vertex, |T| edges all
 killing it), which is the cone for |T| = 1 and a suspension model for
 |T| = 2.  Cubes of iterated joins are strongly cocartesian, and the n-th
 Taylor approximation T_nF is the homotopy limit of F over the punctured
-(n+1)-cube.  Iterating and telescoping gives P_nF; total homotopy fibers
-(thfib; thcof for cofibers) of coproduct cubes give cross effects; the n-th
-derivative of the identity is the Lie representation Lie(n), and
+(n+1)-cube.  Iterating and telescoping gives P_nF; a cross effect is the
+total homotopy fiber of F of a coproduct cube, the fiber of dgcore's
+_into_holim, where the total (co)fibers thfib and thcof of any cube live; the
+n-th derivative of the identity is the Lie representation Lie(n), and
 homogeneous_eval evaluates a homogeneous functor in DG.  A tower is one
 filtered DG, dgcore's Tower, and its stages, layers and the triangular blocks
 of its differential are read off it by position: the layers and blocks are
@@ -34,7 +35,9 @@ from .dgcore import (
     Tower,
     _by_column,
     _cube_sum,
+    _gather,
     _generator_table,
+    _into_holim,
     _places,
     _restrict,
     _tensor_with_index,
@@ -146,105 +149,6 @@ def test_cube(n: int, x: DG) -> Cube:
                 pos = sorted(fs | {t}).index(t) + 1
                 edges[(fs, fs | {t})] = edge_map(r, pos)
     return Cube(n, objects, edges)
-
-
-# -- total homotopy fibers and cofibers --------------------------------------------
-
-
-def _gather(source: DG, target: DG, pieces) -> DGMap:
-    """The map source -> target that puts, for each piece (k, m, rows, cols,
-    sign), the entry (r, c) of m at (rows[(k, r)], cols[(k, c)]) in degree k:
-    m maps one summand to another, and rows and cols are their places
-    (_places of a sum's inclusion, or _cube_sum's places of a strand), or
-    None where the target or the source is not a sum.  A sign of 1 or -1
-    places the entry as m.scale(sign) holds it; None, as it is.  The pieces
-    map distinct summands, so no two of them share an entry."""
-    ent: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for k, m, rows, cols, sign in pieces:
-        e, move = ent.setdefault(k, {}), None if sign is None else _moved if sign == 1 else _negated
-        for (r, c), x in m.entries.items():
-            x = x if move is None else move(x)
-            e[(r if rows is None else rows[(k, r)], c if cols is None else cols[(k, c)])] = x
-    return DGMap(source, target, {k: QMatrix._of(target.dim(k), source.dim(k), e) for k, e in ent.items()})
-
-
-def _into_holim(cube: Cube) -> tuple[DG, DGMap, dict[frozenset, dict[tuple[int, int], int]]]:
-    """The canonical chain map cube(empty) -> holim over nonempty subsets, and
-    the places of the holim's strands.  The one-element strands sit in
-    vertical degree 0, where the map is the sum of the edges out of the empty
-    set."""
-    hol, at = _cube_sum("limit", cube)
-    src = cube.objects[frozenset()]
-    edges = [(at[frozenset({t})], cube.edge(frozenset(), frozenset({t}))) for t in range(1, cube.n + 1)]
-    m = _gather(src, hol, ((k, b, rows, None, None) for rows, e in edges for k, b in e.blocks.items()))
-    assert_valid(m, "comparison into the homotopy limit")
-    return hol, m, at
-
-
-def _outof_hocolim(cube: Cube) -> tuple[DG, DGMap]:
-    """The canonical chain map hocolim over proper subsets -> cube(full)."""
-    hoc, at = _cube_sum("colimit", cube)
-    full = frozenset(range(1, cube.n + 1))
-    # the strands full - {j} sit in vertical degree 0; the edge out of each is signed by (-1)^j
-    pieces = []
-    for j in range(1, cube.n + 1):
-        sign = -1 if j % 2 else 1
-        pieces += [(k, b, None, at[full - {j}], sign) for k, b in cube.edge(full - {j}, full).blocks.items()]
-    m = _gather(hoc, cube.objects[full], pieces)
-    assert_valid(m, "comparison out of the homotopy colimit")
-    return hoc, m
-
-
-def _fiber_square_map(a: DGMap, b: DGMap, src: DG, tgt: DG) -> DGMap:
-    # induced map ho_fiber(f) -> ho_fiber(f') for a square (a, b) over f, f'
-    return DGMap(src, tgt, {k: QMatrix.direct_sum([a.block(k), b.block(k + 1)]) for k in src.degrees()})
-
-
-def _cofiber_square_map(a: DGMap, b: DGMap, src: DG, tgt: DG) -> DGMap:
-    return DGMap(src, tgt, {k: QMatrix.direct_sum([b.block(k), a.block(k - 1)]) for k in src.degrees()})
-
-
-def thfib(cube: Cube) -> DG:
-    """Total homotopy fiber, by iterating along the last coordinate."""
-    return _collapse(cube, ho_fiber, _fiber_square_map)
-
-
-def thcof(cube: Cube) -> DG:
-    """Total homotopy cofiber, by iterating along the last coordinate."""
-    return _collapse(cube, ho_cofiber, _cofiber_square_map)
-
-
-def _collapse(cube: Cube, cell, square_map) -> DG:
-    problems = cube.validate_commuting()
-    if problems:
-        raise ValueError("non-commuting cube: " + problems[0])
-    while cube.n > 0:
-        cube = _collapse_last(cube, cell, square_map)
-    return cube.objects[frozenset()]
-
-
-def _collapse_last(cube: Cube, cell, square_map) -> Cube:
-    """The cells (ho_fiber or ho_cofiber) of the edges along the last coordinate, and their square maps."""
-    n = cube.n
-    objects = {s: cell(cube.edge(s, s | {n})) for s in cube.objects if n not in s}
-    edges = {}
-    for (s, t), a in cube.edges.items():
-        if n not in t:
-            edges[(s, t)] = square_map(a, cube.edge(s | {n}, t | {n}), objects[s], objects[t])
-    return Cube(n - 1, objects, edges)
-
-
-def thfib_total(cube: Cube) -> DG:
-    """One-step model: the homotopy fiber of the map into the punctured holim."""
-    if cube.n == 0:
-        return cube.objects[frozenset()]
-    return ho_fiber(_into_holim(cube)[1])
-
-
-def thcof_total(cube: Cube) -> DG:
-    if cube.n == 0:
-        return cube.objects[frozenset()]
-    return ho_cofiber(_outof_hocolim(cube)[1])
 
 
 # -- symbolic functors --------------------------------------------------------------
@@ -550,6 +454,11 @@ def _coproduct_cube(inputs: Sequence[DG]) -> tuple[Cube, Callable[[frozenset, fr
     edges = {(s, s | {t}): move(s, s | {t}, {i: i for i in comp if i != t})
              for s, (comp, _) in comps.items() for t in comp}
     return Cube(n, objects, edges), move
+
+
+def _fiber_square_map(a: DGMap, b: DGMap, src: DG, tgt: DG) -> DGMap:
+    # induced map ho_fiber(f) -> ho_fiber(f') for a square (a, b) over f, f'
+    return DGMap(src, tgt, {k: QMatrix.direct_sum([a.block(k), b.block(k + 1)]) for k in src.degrees()})
 
 
 def cross_effect(f: FunctorSpec, n: int, inputs: Sequence[DG]) -> SymmetricDG:

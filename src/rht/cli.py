@@ -640,6 +640,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory; lower --truncate or -n", file=sys.stderr)
         return 1
+    except Exception as e:  # any other failure is a bug too: named by its type, with no traceback
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

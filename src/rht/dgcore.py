@@ -18,6 +18,14 @@ offset in each degree, with no strand DG and no inclusion.  That is the one
 layout of a cube total.  A Tower is one filtered DG: a Taylor tower is one,
 and so is a cube total filtered by strand size (cube_bidg), whose d is dh + dv
 in the tower's blocks, and tot(cube_bidg(cube, mode)) is ho_cube's total.
+A cube's total homotopy fiber is built once, here: thfib is the homotopy
+fiber of _into_holim, the map from the initial object into the punctured
+cube's holim, and thcof the cofiber of _outof_hocolim, the map out of the
+punctured hocolim into the final object; _gather places their blocks at the
+strands' places.  A cube is cartesian (cocartesian) exactly when thfib
+(thcof) is acyclic, and is_bicartesian reads a square's two flags that way;
+calculus's T_n and cross effects, the fiber of _into_holim of F of a cube,
+read the same maps.
 
 A quasi-isomorphism is read off its cone: f is one exactly when ho_cofiber(f)
 is acyclic, one rank pass of homology_dims; is_quasi_iso_through adds the two
@@ -1054,28 +1062,80 @@ def _cube_sum(mode: str, cube: Cube) -> tuple[DG, dict[frozenset, dict[tuple[int
     return total, places
 
 
-# -- cartesian / cocartesian ----------------------------------------------------
+# -- total homotopy fibers and cofibers; cartesian / cocartesian ---------------
+
+
+def _gather(source: DG, target: DG, pieces) -> DGMap:
+    """The map source -> target that puts, for each piece (k, m, rows, cols,
+    sign), the entry (r, c) of m at (rows[(k, r)], cols[(k, c)]) in degree k:
+    m maps one summand to another, and rows and cols are their places
+    (_places of a sum's inclusion, or _cube_sum's places of a strand), or
+    None where the target or the source is not a sum.  A sign of 1 or -1
+    places the entry as m.scale(sign) holds it; None, as it is.  The pieces
+    map distinct summands, so no two of them share an entry."""
+    ent: dict[int, dict[tuple[int, int], Fraction]] = {}
+    for k, m, rows, cols, sign in pieces:
+        e, move = ent.setdefault(k, {}), None if sign is None else _moved if sign == 1 else _negated
+        for (r, c), x in m.entries.items():
+            x = x if move is None else move(x)
+            e[(r if rows is None else rows[(k, r)], c if cols is None else cols[(k, c)])] = x
+    return DGMap(source, target, {k: QMatrix._of(target.dim(k), source.dim(k), e) for k, e in ent.items()})
+
+
+def _into_holim(cube: Cube) -> tuple[DG, DGMap, dict[frozenset, dict[tuple[int, int], int]]]:
+    """The canonical chain map cube(empty) -> holim over nonempty subsets, and
+    the places of the holim's strands.  The one-element strands sit in
+    vertical degree 0, where the map is the sum of the edges out of the empty
+    set."""
+    hol, at = _cube_sum("limit", cube)
+    src = cube.objects[frozenset()]
+    edges = [(at[frozenset({t})], cube.edge(frozenset(), frozenset({t}))) for t in range(1, cube.n + 1)]
+    m = _gather(src, hol, ((k, b, rows, None, None) for rows, e in edges for k, b in e.blocks.items()))
+    assert_valid(m, "comparison into the homotopy limit")
+    return hol, m, at
+
+
+def _outof_hocolim(cube: Cube) -> tuple[DG, DGMap]:
+    """The canonical chain map hocolim over proper subsets -> cube(full)."""
+    hoc, at = _cube_sum("colimit", cube)
+    full = frozenset(range(1, cube.n + 1))
+    # the strands full - {j} sit in vertical degree 0; the edge out of each is signed by (-1)^j
+    pieces = []
+    for j in range(1, cube.n + 1):
+        sign = -1 if j % 2 else 1
+        pieces += [(k, b, None, at[full - {j}], sign) for k, b in cube.edge(full - {j}, full).blocks.items()]
+    m = _gather(hoc, cube.objects[full], pieces)
+    assert_valid(m, "comparison out of the homotopy colimit")
+    return hoc, m
+
+
+def thfib(cube: Cube) -> DG:
+    """Total homotopy fiber: the homotopy fiber of the map into the punctured
+    holim.  The cube is cartesian exactly when it is acyclic."""
+    if cube.n == 0:
+        return cube.objects[frozenset()]
+    return ho_fiber(_into_holim(cube)[1])
+
+
+def thcof(cube: Cube) -> DG:
+    """Total homotopy cofiber: the homotopy cofiber of the map out of the
+    punctured hocolim.  The cube is cocartesian exactly when it is acyclic."""
+    if cube.n == 0:
+        return cube.objects[frozenset()]
+    return ho_cofiber(_outof_hocolim(cube)[1])
 
 
 def is_bicartesian(s: DGMap, t: DGMap, f: DGMap, g: DGMap) -> tuple[bool, bool]:
-    """Square with top-left U, maps s: U->W, t: U->V, f: W->X, g: V->X.
+    """Square with top-left U, maps s: U->W, t: U->V, f: W->X, g: V->X, read
+    as the 2-cube q with U, W, V, X at {}, {1}, {2}, {1, 2}.
 
-    cartesian: U -> ho-pullback(W -> X <- V) is a quasi-iso;
-    cocartesian: ho-pushout(W <- U -> V) -> X is a quasi-iso.
+    cartesian: U -> ho-pullback(W -> X <- V) is a quasi-iso, so thfib(q) is acyclic;
+    cocartesian: ho-pushout(W <- U -> V) -> X is a quasi-iso, so thcof(q) is acyclic.
     """
-    if compose(f, s) != compose(g, t):
-        raise ValueError("square does not commute")
-    # cartesian: u -> (W x s^-1 X x V) via (s(u), 0, t(u))
-    _, (iw, _, iv) = _path_sum(f, map_scale(-1, g))
-    to_pb = map_add(compose(iw, s), compose(iv, t))
-    assert_valid(to_pb, "canonical map into homotopy pullback")
-    cartesian = is_quasi_iso(to_pb)
-    # cocartesian: (W + sU + V) -> X via (f, 0, g), since d(su) = s(u) - t(u)
-    _, (jw, _, jv) = _cylinder_sum(s, map_scale(-1, t))
-    from_po = map_add(compose(f, projection(jw)), compose(g, projection(jv)))
-    assert_valid(from_po, "canonical map out of homotopy pushout")
-    cocartesian = is_quasi_iso(from_po)
-    return cartesian, cocartesian
+    e, one, two, both = frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})
+    q = Cube(2, {e: s.source, one: s.target, two: t.target, both: f.target},
+             {(e, one): s, (e, two): t, (one, both): f, (two, both): g})
+    return is_contractible(thfib(q)), is_contractible(thcof(q))
 
 
 # -- telescopes -----------------------------------------------------------------

@@ -691,11 +691,12 @@ def free_product(a: FreeDGL, b: FreeDGL) -> FreeDGL:
 
 
 def _moved_bracket(l: DGL, incl: DGMap) -> dict[tuple[int, int, int, int], Vector]:
-    """A summand's nonzero structure constants carried into the sum along its
-    inclusion: keys at its places (dgcore._places), values through incl."""
-    at = _places(incl)
-    return {(k1, at[(k1, i1)], k2, at[(k2, i2)]): incl.apply(k1 + k2, v)
-            for (k1, i1, k2, i2), v in l.bracket.items() if any(v)}
+    """A summand's nonzero structure constants on its basis (_basis_keys, the
+    keys dgl_validate reads) carried into the sum along its inclusion: keys at
+    its places (dgcore._places), values through incl."""
+    at, table = _places(incl), l.bracket
+    return {(k1, at[(k1, i1)], k2, at[(k2, i2)]): incl.apply(k1 + k2, table[(k1, i1, k2, i2)])
+            for k1, i1, k2, i2 in _basis_keys(l) if any(table[(k1, i1, k2, i2)])}
 
 
 def dgl_strict_product(a: DGL, b: DGL) -> tuple[DGL, DGLMap, DGLMap]:
@@ -819,8 +820,8 @@ def dgl_ho_pullback(f1: DGLMap, f2: DGLMap) -> tuple[DGL, DGLMap]:
     # mixed brackets with the shifted strand; a basis element of K that no
     # nonzero entry of K's table names brackets to zero with everything
     named: dict[int, set[int]] = {}
-    for (k1, i1, k2, i2), v in k.bracket.items():
-        if any(v):
+    for k1, i1, k2, i2 in _basis_keys(k):
+        if any(k.bracket[(k1, i1, k2, i2)]):
             named.setdefault(k1, set()).add(i1)
             named.setdefault(k2, set()).add(i2)
     for m in pdg.degrees():

@@ -34,21 +34,15 @@ from rht.calculus import (
     taylor_layers_cobar,
     tensor_map,
     test_cube as make_test_cube,
-    thcof,
-    thcof_total,
-    thfib,
-    thfib_total,
     tset_dg,
 )
 from rht.calculus import (
     _apply_functor_cube,
     _coproduct_cube,
-    _into_holim,
     _join_map,
     _left_normed_expand,
     _lie_coinvariant_dims,
     _mobius,
-    _outof_hocolim,
     _perm_sort_sign,
 )
 from rht.dgc import cofree_lambda, dgc_validate, trivial_dgc
@@ -67,9 +61,11 @@ from rht.dgcore import (
     sym_invariants,
     sym_orbits,
     tensor_dg,
+    thcof,
+    thfib,
     validate_dg,
 )
-from rht.dgcore import _restrict, _subset_tag, assert_valid, cube_bidg, ho_fiber, sum_many, tot
+from rht.dgcore import _into_holim, _outof_hocolim, _restrict, _subset_tag, assert_valid, cube_bidg, ho_fiber, sum_many, tot
 from rht.dgl import FreeDGL, free_lie_basis, to_dgl
 from rht.exactq import ONE, ZERO, QMatrix, _SMALL, rank, solve_matrix
 from rht.quillen import cobar_L, sphere_model
@@ -243,15 +239,19 @@ def test_thfib_of_identity_cube_is_contractible():
 
 
 def test_one_cube_collapses_to_the_homotopy_fiber():
-    from rht.dgcore import ho_fiber, ho_cofiber
+    from rht.dgcore import ho_fiber, ho_cofiber, map_scale
+
+    def unnamed(v):
+        return {k: v.dim(k) for k in v.degrees()}, v.diff
 
     rng = random.Random(5)
     w = random_dg(rng, 1, 4)
     x = random_dg(rng, 1, 4)
     f = random_chain_map(rng, w, x)
     cu = Cube(1, {frozenset(): w, frozenset({1}): x}, {(frozenset(), frozenset({1})): f})
-    assert thfib(cu) == ho_fiber(f)
-    assert thcof(cu) == ho_cofiber(f)
+    # the holim and hocolim of a 1-cube are its one object, renamed; the hocolim's map signs the edge by -1
+    assert unnamed(thfib(cu)) == unnamed(ho_fiber(f))
+    assert unnamed(thcof(cu)) == unnamed(ho_cofiber(map_scale(-1, f)))
 
 
 def test_thfib_correlates_with_cartesian_squares():
@@ -275,19 +275,32 @@ def test_thfib_correlates_with_cartesian_squares():
 
 
 def test_iterated_fibers_agree_with_the_one_step_model():
+    from test_dgcore import _old_collapse_last
+
+    def collapsed(cube, mode):
+        while cube.n > 0:
+            cube = _old_collapse_last(cube, mode)
+        return homology_dims(cube.objects[frozenset()])
+
     rng = random.Random(11)
+    cubes = [square_cube(*random_commuting_square(rng, 0, 4)) for _ in range(6)]
+    cubes += [make_test_cube(3, random_dg(rng, 1, 4, 2)) for _ in range(2)]
+    for cu in cubes:
+        assert homology_dims(thfib(cu)) == collapsed(cu, "fiber")
+        assert homology_dims(thcof(cu)) == collapsed(cu, "cofiber")
+
+
+def test_totals_of_test_cubes_vanish_above_dimension_one():
+    # a strongly cocartesian cube is cartesian in DG; a 1-cube's totals are its cone point's fiber and cofiber
+    rng = random.Random(23)
     for _ in range(6):
-        cu = square_cube(*random_commuting_square(rng, 0, 4))
-        assert homology_dims(thfib(cu)) == homology_dims(thfib_total(cu))
-        assert homology_dims(thcof(cu)) == homology_dims(
-            thcof_total(cu)
-        )
-    for _ in range(2):
-        cu = make_test_cube(3, random_dg(rng, 1, 4, 2))
-        assert homology_dims(thfib(cu)) == homology_dims(thfib_total(cu))
-        assert homology_dims(thcof(cu)) == homology_dims(
-            thcof_total(cu)
-        )
+        x = random_dg(rng, 0, 3, 2)
+        h = homology_dims(x)
+        assert homology_dims(thfib(make_test_cube(1, x))) == h
+        assert homology_dims(thcof(make_test_cube(1, x))) == {k + 1: c for k, c in h.items()}
+        for n in (2, 3, 4):
+            cu = make_test_cube(n, x)
+            assert homology_dims(thfib(cu)) == {} and homology_dims(thcof(cu)) == {}
 
 
 def test_non_commuting_cube_rejected():

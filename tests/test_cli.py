@@ -408,10 +408,11 @@ def test_a_cap_below_a_generator_names_both(capsys):
 @pytest.mark.parametrize("failure, err", [
     (AssertionError("internal: quotient basis does not span"), "internal error: internal: quotient basis does not span"),
     (MemoryError(), "error: out of memory; lower --truncate or -n"),
+    (KeyError((1, 1)), "internal error: KeyError: (1, 1)"),
 ])
 def test_internal_failures_have_their_own_message(monkeypatch, capsys, failure, err):
-    """An engine bug or an exhausted memory is no model error and no traceback:
-    exit 1 with its own line on stderr and nothing on stdout."""
+    """An engine bug (a failed check, a stray KeyError) or an exhausted memory is no model
+    error and no traceback: exit 1 with its own line on stderr and nothing on stdout."""
     import rht.cli as cli
 
     def fail(*args):

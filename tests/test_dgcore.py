@@ -56,10 +56,10 @@ from rht.dgcore import (
     zero_map,
 )
 from rht.dgcore import _cube_sum, _degree_positions, _out_of_suspension, _tensor_with_index, map_add, projection, tot
-from rht.dgcore import _commutes_by_conjugation, _incl_sign, _places, _subset_tag
-from rht.calculus import IdentityFunctor, LambdaFunctor, _collapse_last, _power_with_swaps, cross_effect, lie_n, tensor_map
-from rht.calculus import CoefficientFunctor, TensorPowerFunctor, TnFunctor, _coproduct_cube, t_n, thcof_total, thfib_total
-from rht.calculus import _cofiber_square_map, _fiber_square_map, jet_validate, test_cube as _test_cube, thcof, thfib
+from rht.dgcore import _commutes_by_conjugation, _incl_sign, _places, _subset_tag, thcof, thfib
+from rht.calculus import IdentityFunctor, LambdaFunctor, _power_with_swaps, cross_effect, lie_n, tensor_map
+from rht.calculus import CoefficientFunctor, TensorPowerFunctor, TnFunctor, _coproduct_cube, t_n
+from rht.calculus import jet_validate, test_cube as _test_cube
 from rht.exactq import ONE, ZERO, QMatrix, _negated, _signed_array, image_pivot_columns, kernel_basis, rank, rat, solve_matrix
 from rht.randgen import random_chain_map, random_commuting_square, random_dg
 
@@ -1619,22 +1619,6 @@ def test_bicartesian_flags_match_the_hand_written_maps(seed):
     assert is_bicartesian(*square) == _old_is_bicartesian(*square) == (True, True)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["fiber", "cofiber"])
-def test_total_fiber_square_maps_match_the_hand_written_ones(n, mode):
-    x = DG({1: ("a",), 2: ("b", "c")}, {2: QMatrix.from_rows([[1, -1]])})
-    cube = _test_cube(n, x)
-    cell, square_map, total = (ho_fiber, _fiber_square_map, thfib) if mode == "fiber" else (
-        ho_cofiber, _cofiber_square_map, thcof)
-    while cube.n > 0:
-        new, old = _collapse_last(cube, cell, square_map), _old_collapse_last(cube, mode)
-        assert new.objects.keys() == old.objects.keys() and new.edges.keys() == old.edges.keys()
-        assert all(_same(new.objects[s], old.objects[s]) for s in new.objects)
-        assert all(_same(new.edges[e], old.edges[e]) for e in new.edges)
-        cube = new
-    assert total(_test_cube(n, x)) == cube.objects[frozenset()]
-
-
 # -- basis positions as data: cube totals, the tensor index, the generator table ------
 
 
@@ -1898,7 +1882,7 @@ def test_calculus_totals_are_unchanged_with_the_strand_sum(seed, n, kind, equal)
     def run():
         cr = cross_effect(f, n, inputs)
         return (cr.underlying, *cr.action, *t_n(f, tn, x), TnFunctor(f, tn).apply_map(g),
-                thfib_total(cube), thcof_total(cube))
+                thfib(cube), thcof(cube))
 
     new = run()
     with pytest.MonkeyPatch.context() as mp:

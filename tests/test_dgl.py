@@ -472,6 +472,17 @@ def test_strict_product_homology_adds():
     assert homology_dims(p.underlying) == {k: 2 * v for k, v in ha.items()}
 
 
+def test_products_and_pullbacks_read_only_the_keys_the_validator_reads():
+    # (1, 0, 1, 1) names no basis element, so dgl_validate reads no bracket and passes l
+    l = DGL(DG({1: ("a",), 2: ("b",)}), {(1, 0, 1, 1): (ONE,)})
+    assert dgl_validate(l) == []
+    p, p1, p2 = dgl_strict_product(l, l)
+    assert p.bracket == {} and [dgl_validate(x) for x in (p, p1, p2)] == [[], [], []]
+    for leg in (identity_dgl_map(l), zero_dgl_map(ZERO_DGL, l)):
+        p, witness = dgl_ho_pullback(leg, identity_dgl_map(l))
+        assert dgl_validate(p) == [] and dgl_validate(witness) == []
+
+
 def test_free_product_model_projection_quasi_iso():
     a = FreeDGL(free_lie_basis([("x", 2)], 6), {})
     b = FreeDGL(free_lie_basis([("y", 2)], 6), {})
